@@ -418,6 +418,17 @@ def cmd_catalogue(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+def jobs_arg(text: str) -> int:
+    """--jobs: a worker count of at least 1, capped at the number of CPUs."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, os.cpu_count() or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shortcat",
@@ -426,8 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--jobs", type=int, default=1,
-                       help="shard independent law instances over N workers")
+        p.add_argument("--jobs", type=jobs_arg, default=1,
+                       help="threads for the law instances of the category, skew "
+                            "monoidal, skew closed, braiding and morphism validators, "
+                            "at most one per CPU; short-multi and short-skew checks "
+                            "run in one loop")
         p.add_argument("--max-objects", type=int, default=8)
         p.add_argument("--max-multimaps", type=int, default=64)
 

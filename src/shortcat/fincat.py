@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import DanglingId, MalformedTable, SearchBoundExceeded
@@ -72,14 +73,24 @@ class FinCategory:
             return None
         return self.comp.get((g, f))
 
-    def morphisms(self) -> list[str]:
-        return sorted(self._span)
+    # Sorted adjacency, computed on first use. A cached_property is not a
+    # dataclass field, so dataclasses.replace never copies it into a new table.
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]],
+                                  dict[str, tuple[str, ...]]]:
+        mors = tuple(sorted(self._span))
+        into = {a: tuple(f for f in mors if self._span[f][1] == a) for a in self.objects}
+        out = {a: tuple(f for f in mors if self._span[f][0] == a) for a in self.objects}
+        return mors, into, out
 
-    def mors_into(self, a: str) -> list[str]:
-        return sorted(f for f, (_, c) in self._span.items() if c == a)
+    def morphisms(self) -> tuple[str, ...]:
+        return self._adjacency[0]
 
-    def mors_out_of(self, a: str) -> list[str]:
-        return sorted(f for f, (d, _) in self._span.items() if d == a)
+    def mors_into(self, a: str) -> tuple[str, ...]:
+        return self._adjacency[1].get(a, ())
+
+    def mors_out_of(self, a: str) -> tuple[str, ...]:
+        return self._adjacency[2].get(a, ())
 
     def is_iso(self, f: str) -> Optional[str]:
         """Return an inverse of f if one exists in the tables."""
@@ -106,10 +117,9 @@ class FinCategory:
                     raise DanglingId(f"{self.name}: comp entry ({g},{f})={h} references unknown morphism")
             if self.cod(f) != self.dom(g):
                 raise MalformedTable(f"{self.name}: comp key ({g},{f}) is not composable")
-        for f in self.morphisms():
-            for g in self.morphisms():
-                if self.cod(f) == self.dom(g) and (g, f) not in self.comp:
-                    raise MalformedTable(f"{self.name}: comp not total at ({g},{f})")
+        for g, f in composable_pairs(self):
+            if (g, f) not in self.comp:
+                raise MalformedTable(f"{self.name}: comp not total at ({g},{f})")
 
 
 def composable_pairs(c: FinCategory) -> Iterator[tuple[str, str]]:

@@ -1,7 +1,12 @@
+import os
 import subprocess
 import sys
 
+import pytest
+
 from childenv import child_env
+from shortcat.cli import build_parser, catalogue_files
+from shortcat.fileformat import serialize
 
 
 def run_cli(*args, env=None, **kwargs):
@@ -142,3 +147,41 @@ def test_comm_monoid_generator(tmp_path):
     out = run_cli("catalogue", "comm-monoid", "--out", str(tmp_path),
                   "--elements", "0 1", "--unit", "0", "--table", "0 1;0 1")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("slot", ["0", "7"])
+@pytest.mark.parametrize("table", ["pre", "sub"])
+@pytest.mark.parametrize("kind", ["short-multi", "short-skew"])
+def test_out_of_range_slot_is_a_malformed_table(tmp_path, kind, table, slot):
+    """A pre or sub key must substitute at a slot of its map: an extra line
+    copied from a slot-2 entry with the slot set to 0 or 7 exits 2 with one
+    error line, never an axiom failure or a traceback."""
+    text = serialize(next(sf for sf in catalogue_files("z2") if sf.kind == kind))
+    line = next(ln for ln in text.splitlines()
+                if ln.startswith(table + " ") and ln.split()[2] == "2")
+    words = line.split()
+    words[2] = slot
+    path = tmp_path / "bad-slot.txt"
+    path.write_text(text + " ".join(words) + "\n")
+    out = run_cli("validate", str(path))
+    assert out.returncode == 2, out.stdout + out.stderr
+    errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
+    assert f"slot {slot} outside 1..2" in errors[0], out.stderr
+
+
+def test_jobs_is_at_least_one_and_capped_at_the_cpu_count(tmp_path):
+    parser = build_parser()
+    cpus = os.cpu_count() or 1
+    assert parser.parse_args(["validate", "x", "--jobs", "1"]).jobs == 1
+    assert parser.parse_args(["validate", "x", "--jobs", str(cpus)]).jobs == cpus
+    # parsing only: no worker is started, so a large value is safe to test here
+    assert parser.parse_args(["validate", "x", "--jobs", str(cpus + 1000)]).jobs == cpus
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["validate", "x", "--jobs", bad])
+        assert exc.value.code == 2
+    run_cli("catalogue", "terminal", "--out", str(tmp_path))
+    out = run_cli("validate", str(tmp_path / "terminal.short-multi.txt"), "--jobs", "0")
+    assert out.returncode == 2
+    assert "--jobs" in out.stderr and "Traceback" not in out.stderr
