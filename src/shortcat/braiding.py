@@ -43,8 +43,7 @@ class ShortBraiding:
 _SPECS = (("b32", 3, 2), ("b42", 4, 2), ("b43", 4, 3))
 
 
-def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding,
-                            jobs: int = 1) -> ValidationReport:
+def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> ValidationReport:
     checks: list[Check] = []
     base = m.base
 
@@ -130,7 +129,7 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding,
                 checks.append(("braid-2-in-3-slot3", (g, f),
                                lambda g=g, f=f: (b43(b42(m.safe_subst(g, 3, f))),
                                                  m.safe_subst(b32(g), 2, f))))
-    return run_checks(beta.name, checks, jobs=jobs)
+    return run_checks(beta.name, checks)
 
 
 def check_short_symmetry(m: ShortSkewMulticategory, beta: ShortBraiding) -> bool:
@@ -240,8 +239,7 @@ def validate_braided_transport_functor(F: SkewMultiMorphism,
                                        cert_src: Certificate,
                                        cert_tgt: Certificate,
                                        src_mon: SkewMonCategory,
-                                       tgt_mon: SkewMonCategory,
-                                       jobs: int = 1) -> ValidationReport:
+                                       tgt_mon: SkewMonCategory) -> ValidationReport:
     """Check preservation of the ternary swap; independently check the two
     quaternary swaps and insist the verdicts agree (preserving the ternary
     swap forces the others); finally check the transported lax functor
@@ -273,6 +271,6 @@ def validate_braided_transport_functor(F: SkewMultiMorphism,
     s_src = s_from_short_braiding(src, cert_src, beta_src)
     s_tgt = s_from_short_braiding(F.target, cert_tgt, beta_tgt)
     t = ks_morphism(F, cert_src, cert_tgt, src_mon, tgt_mon)
-    braided = validate_braided_functor(t, s_src, s_tgt, jobs=jobs)
+    braided = validate_braided_functor(t, s_src, s_tgt)
     report.merge(braided)
     return report.finish()

@@ -676,27 +676,27 @@ def catalogue_mutants() -> list[Mutant]:
     return out
 
 
-def validate_mutant(mut: Mutant, jobs: int = 1):
+def validate_mutant(mut: Mutant):
     """Run the kind-appropriate validator on a mutant."""
     from .fincat import validate_category
     from .shortmulti import validate_short_multicategory
     from .shortskew import validate_short_skew
     from .skewmon import validate_braiding, validate_skew_closed, validate_skew_monoidal
     if mut.kind == "category":
-        return validate_category(mut.payload, jobs=jobs)
+        return validate_category(mut.payload)
     if mut.kind == "short-multi":
-        return validate_short_multicategory(mut.payload, jobs=jobs)
+        return validate_short_multicategory(mut.payload)
     if mut.kind == "short-skew":
-        return validate_short_skew(mut.payload, jobs=jobs)
+        return validate_short_skew(mut.payload)
     if mut.kind == "skew-monoidal":
-        return validate_skew_monoidal(mut.payload, jobs=jobs)
+        return validate_skew_monoidal(mut.payload)
     if mut.kind == "braiding":
         mon, braid = mut.payload
-        report = validate_skew_monoidal(mon, jobs=jobs)
-        report.merge(validate_braiding(mon, braid, jobs=jobs))
+        report = validate_skew_monoidal(mon)
+        report.merge(validate_braiding(mon, braid))
         return report.finish()
     if mut.kind == "skew-closed":
-        return validate_skew_closed(mut.payload, jobs=jobs)
+        return validate_skew_closed(mut.payload)
     raise UnknownGenerator(mut.kind)
 
 

@@ -1,8 +1,9 @@
 """Batch front-end: validate, certify, construct, roundtrip, catalogue.
 
 Exit codes: 0 pass, 1 axiom failure, 2 usage/parse error, 3 internal
-inconsistency (a broken witness or disagreeing verdicts, which signal an
-implementation bug rather than a failing structure).
+inconsistency (a broken witness, disagreeing verdicts or any unexpected
+exception, which signal an implementation bug rather than a failing
+structure).
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from .report import ValidationReport
 from .shortmulti import ShortMulticategory, validate_multi_morphism, validate_short_multicategory
 from .shortskew import ShortSkewMulticategory, validate_short_skew, validate_skew_multi_morphism
 from .skewmon import (
-    validate_braiding, validate_lax_functor, validate_skew_closed, validate_skew_monoidal,
+    check_braiding_total, validate_braiding, validate_lax_functor, validate_skew_closed,
+    validate_skew_monoidal,
 )
 from .transport import kcl_object, ks_object, roundtrip_check
 
@@ -70,28 +72,27 @@ def _guard_size(sf: StructureFile, max_objects: int, max_multimaps: int) -> None
 
 
 def _validate_file(sf: StructureFile, args) -> ValidationReport:
-    jobs = args.jobs
     kind, payload = sf.kind, sf.payload
     if kind == "category":
-        return validate_category(payload, jobs=jobs)
+        return validate_category(payload)
     if kind == "short-multi":
-        return validate_short_multicategory(payload, jobs=jobs)
+        return validate_short_multicategory(payload)
     if kind == "short-skew":
         structure, beta = payload
-        report = validate_short_skew(structure, jobs=jobs)
+        report = validate_short_skew(structure)
         if beta is not None:
             report.merge_prefixed(
-                braid_mod.validate_short_braiding(structure, beta, jobs=jobs), "braiding-")
+                braid_mod.validate_short_braiding(structure, beta), "braiding-")
         return report.finish()
     if kind == "skew-monoidal":
-        return validate_skew_monoidal(payload, jobs=jobs)
+        return validate_skew_monoidal(payload)
     if kind == "braiding":
         structure, braid = payload
-        report = validate_skew_monoidal(structure, jobs=jobs)
-        report.merge_prefixed(validate_braiding(structure, braid, jobs=jobs), "braiding-")
+        report = validate_skew_monoidal(structure)
+        report.merge_prefixed(validate_braiding(structure, braid), "braiding-")
         return report.finish()
     if kind == "skew-closed":
-        return validate_skew_closed(payload, jobs=jobs)
+        return validate_skew_closed(payload)
     if kind in ("morphism", "lax-functor"):
         if not args.source or not args.target:
             raise MalformedTable(f"validating a {kind} file needs --source and --target")
@@ -102,10 +103,10 @@ def _validate_file(sf: StructureFile, args) -> ValidationReport:
             tgt = tgt_sf.payload[0] if isinstance(tgt_sf.payload, tuple) else tgt_sf.payload
             F = bind_morphism(payload, sf.name, src, tgt)
             if payload.variant == "plain":
-                return validate_multi_morphism(F, jobs=jobs)
-            return validate_skew_multi_morphism(F, jobs=jobs)
+                return validate_multi_morphism(F)
+            return validate_skew_multi_morphism(F)
         t = bind_lax_functor(payload, sf.name, src_sf.payload, tgt_sf.payload)
-        return validate_lax_functor(t, jobs=jobs)
+        return validate_lax_functor(t)
     raise MalformedTable(f"cannot validate kind {kind}")
 
 
@@ -198,6 +199,7 @@ def cmd_certify(args) -> int:
     sf = _load(args.path)
     _guard_size(sf, args.max_objects, args.max_multimaps)
     m = _certify_payload(sf)
+    m.check_structure()
     cert = certify(m)
     find_closed_structure(m, cert)
     if cert.left_representable:
@@ -225,6 +227,7 @@ def cmd_construct(args) -> int:
         if sf.kind != "short-multi":
             raise MalformedTable("construct k expects a short-multi file")
         m = sf.payload
+        m.check_structure()
         cert = certify(m)
         from .transport import k_object
         out = StructureFile("skew-monoidal", sf.name + ".k",
@@ -233,6 +236,7 @@ def cmd_construct(args) -> int:
         if sf.kind != "short-skew":
             raise MalformedTable("construct ks expects a short-skew file")
         m = sf.payload[0]
+        m.check_structure()
         cert = certify(m)
         out = StructureFile("skew-monoidal", sf.name + ".ks",
                             ks_object(m, cert, name=sf.name + ".ks"), provenance)
@@ -240,6 +244,7 @@ def cmd_construct(args) -> int:
         if sf.kind != "short-skew":
             raise MalformedTable("construct kcl expects a short-skew file")
         m = sf.payload[0]
+        m.check_structure()
         cert = certify(m)
         homs = find_closed_structure(m, cert)
         if homs is None:
@@ -251,6 +256,7 @@ def cmd_construct(args) -> int:
             raise MalformedTable("construct braiding-forward expects a short-skew "
                                  "file with swap tables")
         m, beta = sf.payload
+        m.check_structure()
         cert = certify(m)
         mon = ks_object(m, cert, name=sf.name + ".ks")
         s = braid_mod.s_from_short_braiding(m, cert, beta, name=sf.name + ".s")
@@ -259,6 +265,8 @@ def cmd_construct(args) -> int:
         if sf.kind != "braiding":
             raise MalformedTable("construct braiding-backward expects a braiding file")
         mon, s = sf.payload
+        mon.check_structure()
+        check_braiding_total(mon, s)
         from .induce import induce_short_skew
         m = induce_short_skew(mon, name=sf.name + ".induced")
         cert = certify(m)
@@ -279,13 +287,12 @@ def cmd_construct(args) -> int:
 def cmd_roundtrip(args) -> int:
     sf = _load(args.path)
     _guard_size(sf, args.max_objects, args.max_multimaps)
-    if sf.kind == "skew-monoidal":
-        report = roundtrip_check(sf.payload, jobs=args.jobs)
-    elif sf.kind == "skew-closed":
-        report = roundtrip_check(sf.payload, jobs=args.jobs)
+    if sf.kind in ("skew-monoidal", "skew-closed"):
+        report = roundtrip_check(sf.payload)
     elif sf.kind == "braiding":
         mon, s = sf.payload
-        report = roundtrip_check(mon, jobs=args.jobs)
+        check_braiding_total(mon, s)
+        report = roundtrip_check(mon)
         from .induce import induce_short_skew
         m = induce_short_skew(mon)
         cert = certify(m)
@@ -419,7 +426,7 @@ def cmd_catalogue(args) -> int:
 # --------------------------------------------------------------------------
 
 def jobs_arg(text: str) -> int:
-    """--jobs: a worker count of at least 1, capped at the number of CPUs."""
+    """--jobs: accepted for compatibility; at least 1, capped at the number of CPUs."""
     try:
         n = int(text)
     except ValueError:
@@ -438,10 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--jobs", type=jobs_arg, default=1,
-                       help="threads for the law instances of the category, skew "
-                            "monoidal, skew closed, braiding and morphism validators, "
-                            "at most one per CPU; short-multi and short-skew checks "
-                            "run in one loop")
+                       help="accepted for compatibility (at least 1, capped at the "
+                            "CPU count); every check runs in one thread")
         p.add_argument("--max-objects", type=int, default=8)
         p.add_argument("--max-multimaps", type=int, default=64)
 
@@ -501,6 +506,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ShortcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -562,9 +562,3 @@ def unbind_morphism(F: Union[MultiMorphism, SkewMultiMorphism]) -> RawMorphism:
     tables.update({f"l{n}": dict(F.loose_maps.get(n, {})) for n in (0, 1, 2)})
     return RawMorphism(F.source.name, F.target.name, "skew",
                        dict(F.functor.obj_map), dict(F.functor.mor_map), tables)
-
-
-def unbind_lax_functor(t: LaxMonFunctor) -> RawLaxFunctor:
-    return RawLaxFunctor(t.source.name, t.target.name,
-                         dict(t.functor.obj_map), dict(t.functor.mor_map),
-                         t.f0, dict(t.f2))

@@ -128,7 +128,7 @@ def composable_pairs(c: FinCategory) -> Iterator[tuple[str, str]]:
             yield g, f
 
 
-def validate_category(c: FinCategory, jobs: int = 1) -> ValidationReport:
+def validate_category(c: FinCategory) -> ValidationReport:
     """Exhaustive check of typing, identity and associativity laws."""
     c.check_structure()
     checks: list[Check] = []
@@ -160,7 +160,7 @@ def validate_category(c: FinCategory, jobs: int = 1) -> ValidationReport:
                 return lhs, rhs
             checks.append(("assoc", (h, g, f), thunk))
 
-    return run_checks(c.name, checks, jobs=jobs)
+    return run_checks(c.name, checks)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ class FinFunctor:
             raise MalformedTable(f"{self.name}: no image for morphism {f}")
 
 
-def validate_functor(fun: FinFunctor, jobs: int = 1) -> ValidationReport:
+def validate_functor(fun: FinFunctor) -> ValidationReport:
     """Check totality of the maps plus preservation of spans, identities
     and composition."""
     src, tgt = fun.source, fun.target
@@ -210,7 +210,7 @@ def validate_functor(fun: FinFunctor, jobs: int = 1) -> ValidationReport:
         checks.append(("functor-comp", (g, f),
                        lambda g=g, f=f: (fun.mor_map.get(src.comp[(g, f)]),
                                          tgt.compose_opt(fun.on_mor(g), fun.on_mor(f)))))
-    return run_checks(fun.name, checks, jobs=jobs)
+    return run_checks(fun.name, checks)
 
 
 def identity_functor(c: FinCategory) -> FinFunctor:

@@ -1,12 +1,12 @@
 """Validation reports: per-family instance counts plus every failed instance.
 
-Reports are deterministic: failures and counts are sorted before rendering,
-so the same structure produces byte-identical text regardless of worker
-count or instance generation order.
+Checks are evaluated one after another in a single thread. Reports are
+deterministic: failures and counts are sorted before rendering, so the same
+structure produces byte-identical text regardless of instance generation
+order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -87,29 +87,11 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def run_checks(structure: str, checks: Iterable[Check], jobs: int = 1) -> ValidationReport:
-    """Evaluate instance checks, optionally sharded over worker threads.
-
-    Results are keyed and sorted, so the report does not depend on jobs.
-    """
-    checks = list(checks)
+def run_checks(structure: str, checks: Iterable[Check]) -> ValidationReport:
+    """Evaluate instance checks in order into a sorted report."""
     report = ValidationReport(structure)
-
-    def evaluate(shard: list[Check]) -> list[tuple[str, tuple[str, ...], object, object]]:
-        out = []
-        for family, subjects, thunk in shard:
-            lhs, rhs = thunk()
-            out.append((family, subjects, lhs, rhs))
-        return out
-
-    if jobs <= 1 or len(checks) < 2:
-        results = evaluate(checks)
-    else:
-        shards = [checks[k::jobs] for k in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = [row for part in pool.map(evaluate, shards) for row in part]
-
-    for family, subjects, lhs, rhs in results:
+    for family, subjects, thunk in checks:
+        lhs, rhs = thunk()
         report.count(family)
         if lhs is None or rhs is None or lhs != rhs:
             report.fail(family, subjects, lhs, rhs)

@@ -483,8 +483,8 @@ def _sub_pairs(m: ShortMulticategory, n: int, k: int) -> Iterator[tuple[str, int
                 yield g, i, f
 
 
-def validate_short_multicategory(m: ShortMulticategory, jobs: int = 1) -> ValidationReport:
-    """Check every axiom instance; `jobs` reaches only the base category."""
+def validate_short_multicategory(m: ShortMulticategory) -> ValidationReport:
+    """Check every axiom instance."""
     m.check_structure()
     base, info = m.base, m._index
     pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
@@ -497,7 +497,7 @@ def validate_short_multicategory(m: ShortMulticategory, jobs: int = 1) -> Valida
     profunctor_checks(maps, info, base, pre, post, report)
     naturality_checks(cases, info, base, pre, post, sub, report)
     assoc_checks(m.multimaps(2), info, m.maps_into, sub, report)
-    report.merge_prefixed(validate_category(m.base, jobs=jobs), "base-")
+    report.merge_prefixed(validate_category(m.base), "base-")
     return report.finish()
 
 
@@ -533,11 +533,11 @@ class MultiMorphism:
         return self.maps.get(n, {}).get(f)
 
 
-def validate_multi_morphism(F: MultiMorphism, jobs: int = 1) -> ValidationReport:
+def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
     """Check table totality, typing, naturality in every variable, and
     commutation with every stored substitution."""
     src, tgt, fun = F.source, F.target, F.functor
-    base_report = validate_functor(fun, jobs=jobs)
+    base_report = validate_functor(fun)
     checks: list[Check] = []
 
     for n in (0, 2, 3, 4):
@@ -569,7 +569,7 @@ def validate_multi_morphism(F: MultiMorphism, jobs: int = 1) -> ValidationReport
                            lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
                                                   tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
 
-    report = run_checks(F.name, checks, jobs=jobs)
+    report = run_checks(F.name, checks)
     report.merge(base_report)
     return report.finish()
 

@@ -169,12 +169,6 @@ class ShortSkewMulticategory:
         tables = self.tight if flavour == TIGHT else self.loose
         return sorted(tables.get(n, {}))
 
-    def j_of(self, f: str) -> str:
-        try:
-            return self.j[f]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: j undefined at {f}")
-
     # -- actions ------------------------------------------------------------
     def act_post(self, q: str, f: str) -> str:
         if self.arity(f) == 1 and self.is_tight(f):
@@ -448,8 +442,8 @@ def _j_nat_checks(m: ShortSkewMulticategory, pre: dict, post: dict, sub: dict,
     tally(report, "j-derived", derived)
 
 
-def validate_short_skew(m: ShortSkewMulticategory, jobs: int = 1) -> ValidationReport:
-    """Check every axiom instance; `jobs` reaches only the base category."""
+def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
+    """Check every axiom instance."""
     m.check_structure()
     base, info = m.base, m._index
     pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
@@ -467,7 +461,7 @@ def validate_short_skew(m: ShortSkewMulticategory, jobs: int = 1) -> ValidationR
     _j_nat_checks(m, pre, post, sub, report)
     naturality_checks(cases, info, base, pre, post, sub, report)
     assoc_checks(m.multimaps(TIGHT, 2), info, lambda n, x: pools.get((n, x), ()), sub, report)
-    report.merge_prefixed(validate_category(m.base, jobs=jobs), "base-")
+    report.merge_prefixed(validate_category(m.base), "base-")
     return report.finish()
 
 
@@ -531,9 +525,9 @@ class SkewMultiMorphism:
         return self.loose_maps.get(n, {}).get(f)
 
 
-def validate_skew_multi_morphism(F: SkewMultiMorphism, jobs: int = 1) -> ValidationReport:
+def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
     src, tgt, fun = F.source, F.target, F.functor
-    base_report = validate_functor(fun, jobs=jobs)
+    base_report = validate_functor(fun)
     checks: list[Check] = []
 
     table_of = [(TIGHT, n) for n in (2, 3, 4)] + [(LOOSE, n) for n in (0, 1, 2)]
@@ -576,7 +570,7 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism, jobs: int = 1) -> Validat
                        lambda f=f: (F.safe_apply(src.safe_j(f), LOOSE),
                                     tgt.safe_j(F.safe_apply(f)))))
 
-    report = run_checks(F.name, checks, jobs=jobs)
+    report = run_checks(F.name, checks)
     report.merge(base_report)
     return report.finish()
 

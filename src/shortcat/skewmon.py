@@ -86,7 +86,7 @@ def _comp_chain(base: FinCategory, *mors: Optional[str]) -> Optional[str]:
     return acc
 
 
-def validate_skew_monoidal(c: SkewMonCategory, jobs: int = 1) -> ValidationReport:
+def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
     c.check_structure()
     base = c.base
     objs = base.objects
@@ -169,9 +169,9 @@ def validate_skew_monoidal(c: SkewMonCategory, jobs: int = 1) -> ValidationRepor
     checks.append(("unit-unit", (i,),
                    lambda: (_comp_chain(base, c.rho[i], c.lam[i]), base.ids.get(i))))
 
-    report = run_checks(c.name, checks, jobs=jobs)
+    report = run_checks(c.name, checks)
     from .fincat import validate_category
-    report.merge_prefixed(validate_category(base, jobs=jobs), "base-")
+    report.merge_prefixed(validate_category(base), "base-")
     return report.finish()
 
 
@@ -255,10 +255,10 @@ class LaxMonFunctor:
     f2: dict[tuple[str, str], str]   # FaFb -> F(ab)
 
 
-def validate_lax_functor(t: LaxMonFunctor, jobs: int = 1) -> ValidationReport:
+def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
-    report = validate_functor(fun, jobs=jobs)
+    report = validate_functor(fun)
     checks: list[Check] = []
 
     fi = fun.on_obj(src.unit)
@@ -300,7 +300,7 @@ def validate_lax_functor(t: LaxMonFunctor, jobs: int = 1) -> ValidationReport:
                                        t.f2[(a, src.unit)]),
                            fun.mor_map.get(src.rho[a]))))
 
-    out = run_checks(t.name, checks, jobs=jobs)
+    out = run_checks(t.name, checks)
     out.merge(report)
     return out.finish()
 
@@ -326,13 +326,19 @@ class Braiding:
     s_inv: dict[tuple[str, str, str], str]
 
 
-def validate_braiding(c: SkewMonCategory, braid: Braiding, jobs: int = 1) -> ValidationReport:
+def check_braiding_total(c: SkewMonCategory, braid: Braiding) -> None:
+    """Raise MalformedTable unless s and its inverse are defined on every
+    triple of objects."""
+    for key in itertools.product(c.base.objects, repeat=3):
+        if key not in braid.s or key not in braid.s_inv:
+            raise MalformedTable(f"{braid.name}: braiding not total at {key}")
+
+
+def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
+    check_braiding_total(c, braid)
     base = c.base
     objs = base.objects
     checks: list[Check] = []
-    for key in itertools.product(objs, repeat=3):
-        if key not in braid.s or key not in braid.s_inv:
-            raise MalformedTable(f"{braid.name}: braiding not total at {key}")
 
     def lhs_obj(x, a, b):
         return c.t(c.t(x, a), b)
@@ -382,7 +388,7 @@ def validate_braiding(c: SkewMonCategory, braid: Braiding, jobs: int = 1) -> Val
                            _comp_chain(base, s[(c.t(x, a), b, e)],
                                        c.tm_left(c.alpha[(x, a, e)], b),
                                        c.alpha[(x, c.t(a, e), b)]))))
-    return run_checks(braid.name, checks, jobs=jobs)
+    return run_checks(braid.name, checks)
 
 
 def check_symmetry(c: SkewMonCategory, braid: Braiding) -> bool:
@@ -390,8 +396,7 @@ def check_symmetry(c: SkewMonCategory, braid: Braiding) -> bool:
                for (x, a, b) in braid.s)
 
 
-def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding,
-                             jobs: int = 1) -> ValidationReport:
+def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
     F = fun.on_obj
@@ -405,7 +410,7 @@ def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding,
                            _comp_chain(base, tgt.tm_left(t.f2[(x, a)], F(b)),
                                        t.f2[(src.t(x, a), b)],
                                        fun.mor_map.get(s_src.s[(x, a, b)])))))
-    return run_checks(t.name + ".braided", checks, jobs=jobs)
+    return run_checks(t.name + ".braided", checks)
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +467,7 @@ class SkewClosedCategory:
                 raise MalformedTable(f"{self.name}: L not total at {key}")
 
 
-def validate_skew_closed(c: SkewClosedCategory, jobs: int = 1) -> ValidationReport:
+def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
     """Naturality of the hom functor and of I, J, L, plus the five
     structure axioms of a left skew closed category (the J/L triangle among
     them) as axiom schemas."""
@@ -567,9 +572,9 @@ def validate_skew_closed(c: SkewClosedCategory, jobs: int = 1) -> ValidationRepo
     checks.append(("I-J-unit", (i,),
                    lambda: (_comp_chain(base, c.ju[i], c.iu[i]), base.ids.get(i))))
 
-    report = run_checks(c.name, checks, jobs=jobs)
+    report = run_checks(c.name, checks)
     from .fincat import validate_category
-    report.merge_prefixed(validate_category(base, jobs=jobs), "base-")
+    report.merge_prefixed(validate_category(base), "base-")
     return report.finish()
 
 
@@ -587,11 +592,11 @@ class SkewClosedFunctor:
     fh: dict[tuple[str, str], str]    # F[a,b] -> [Fa,Fb]
 
 
-def validate_skew_closed_functor(t: SkewClosedFunctor, jobs: int = 1) -> ValidationReport:
+def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
     F = fun.on_obj
-    report = validate_functor(fun, jobs=jobs)
+    report = validate_functor(fun)
     checks: list[Check] = []
 
     checks.append(("f0-typing", (t.f0,),
@@ -628,6 +633,6 @@ def validate_skew_closed_functor(t: SkewClosedFunctor, jobs: int = 1) -> Validat
                            _comp_chain(base, fun.mor_map.get(src.ell[(a, b, x)]),
                                        t.fh[(src.h(a, b), src.h(a, x))],
                                        tgt.hm(base.identity(F(src.h(a, b))), t.fh[(a, x)])))))
-    out = run_checks(t.name, checks, jobs=jobs)
+    out = run_checks(t.name, checks)
     out.merge(report)
     return out.finish()

@@ -691,8 +691,7 @@ def skew_closed_equal(x: SkewClosedCategory, y: SkewClosedCategory) -> bool:
             and x.iu == y.iu and x.ju == y.ju and x.ell == y.ell)
 
 
-def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory],
-                    jobs: int = 1) -> ValidationReport:
+def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> ValidationReport:
     """Induce the multimap tables, certify, rebuild with the matching
     construction, and compare with the original."""
     from .induce import induce_closed_skew, induce_short_multi, induce_short_skew
@@ -701,10 +700,10 @@ def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory],
 
     report = ValidationReport(x.name + ".roundtrip")
     if isinstance(x, SkewClosedCategory):
-        if not validate_skew_closed(x, jobs=jobs).ok:
+        if not validate_skew_closed(x).ok:
             raise MalformedTable(f"{x.name}: roundtrip input fails validation")
         sk = induce_closed_skew(x)
-        if not validate_short_skew(sk, jobs=jobs).ok:
+        if not validate_short_skew(sk).ok:
             raise MalformedTable(f"{x.name}: induced structure fails validation")
         cert = certify(sk)
         homs = find_closed_structure(sk, cert)
@@ -716,10 +715,10 @@ def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory],
             report.fail("kcl-roundtrip", (x.name,), rebuilt.name, "table equality")
         return report.finish()
 
-    if not validate_skew_monoidal(x, jobs=jobs).ok:
+    if not validate_skew_monoidal(x).ok:
         raise MalformedTable(f"{x.name}: roundtrip input fails validation")
     sk = induce_short_skew(x)
-    if not validate_short_skew(sk, jobs=jobs).ok:
+    if not validate_short_skew(sk).ok:
         raise MalformedTable(f"{x.name}: induced skew structure fails validation")
     cert = certify(sk)
     rebuilt = ks_object(sk, cert)
@@ -732,7 +731,7 @@ def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory],
 
     if classify_flavour(x).left_normal:
         plain = induce_short_multi(x)
-        if not validate_short_multicategory(plain, jobs=jobs).ok:
+        if not validate_short_multicategory(plain).ok:
             raise MalformedTable(f"{x.name}: induced plain structure fails validation")
         pcert = certify(plain)
         rebuilt_plain = k_object(plain, pcert)

@@ -204,13 +204,13 @@ def multi_assoc_checks(m: ShortMulticategory) -> Iterator[Check]:
     yield from notline("d", 0, 0)
 
 
-def validate_short_multicategory(m: ShortMulticategory, jobs: int = 1) -> ValidationReport:
+def validate_short_multicategory(m: ShortMulticategory) -> ValidationReport:
     m.check_structure()
     checks = itertools.chain(
         multi_typing_checks(m), multi_identity_checks(m), multi_profunctor_checks(m),
         multi_naturality_checks(m), multi_assoc_checks(m))
-    report = run_checks(m.name, checks, jobs=jobs)
-    report.merge_prefixed(validate_category(m.base, jobs=jobs), "base-")
+    report = run_checks(m.name, checks)
+    report.merge_prefixed(validate_category(m.base), "base-")
     return report.finish()
 
 
@@ -444,11 +444,11 @@ def skew_assoc_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
     yield from notline("d", 0, 0)
 
 
-def validate_short_skew(m: ShortSkewMulticategory, jobs: int = 1) -> ValidationReport:
+def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
     m.check_structure()
     checks = itertools.chain(
         skew_typing_checks(m), skew_identity_checks(m), skew_profunctor_checks(m),
         skew_j_nat_checks(m), skew_naturality_checks(m), skew_assoc_checks(m))
-    report = run_checks(m.name, checks, jobs=jobs)
-    report.merge_prefixed(validate_category(m.base, jobs=jobs), "base-")
+    report = run_checks(m.name, checks)
+    report.merge_prefixed(validate_category(m.base), "base-")
     return report.finish()

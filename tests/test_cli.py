@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from childenv import child_env
+from shortcat import cli
 from shortcat.cli import build_parser, catalogue_files
 from shortcat.fileformat import serialize
 
@@ -149,13 +150,23 @@ def test_comm_monoid_generator(tmp_path):
     assert out.returncode == 2
 
 
-@pytest.mark.parametrize("slot", ["0", "7"])
-@pytest.mark.parametrize("table", ["pre", "sub"])
-@pytest.mark.parametrize("kind", ["short-multi", "short-skew"])
-def test_out_of_range_slot_is_a_malformed_table(tmp_path, kind, table, slot):
+# validate cases keep their kind-table-slot ids; the others add the command
+SLOT_CASES = [
+    pytest.param(kind, table, slot, command,
+                 id="-".join([kind, table, slot] + ([command] if command != "validate" else [])))
+    for command in ("validate", "certify", "construct")
+    for kind in ("short-multi", "short-skew")
+    for table in ("pre", "sub")
+    for slot in ("0", "7")
+]
+
+
+@pytest.mark.parametrize("kind,table,slot,command", SLOT_CASES)
+def test_out_of_range_slot_is_a_malformed_table(tmp_path, kind, table, slot, command):
     """A pre or sub key must substitute at a slot of its map: an extra line
     copied from a slot-2 entry with the slot set to 0 or 7 exits 2 with one
-    error line, never an axiom failure or a traceback."""
+    error line, never an axiom failure or a traceback. certify and construct
+    refuse it before any search."""
     text = serialize(next(sf for sf in catalogue_files("z2") if sf.kind == kind))
     line = next(ln for ln in text.splitlines()
                 if ln.startswith(table + " ") and ln.split()[2] == "2")
@@ -163,7 +174,9 @@ def test_out_of_range_slot_is_a_malformed_table(tmp_path, kind, table, slot):
     words[2] = slot
     path = tmp_path / "bad-slot.txt"
     path.write_text(text + " ".join(words) + "\n")
-    out = run_cli("validate", str(path))
+    extra = {"validate": [], "certify": [],
+             "construct": ["--which", "k" if kind == "short-multi" else "ks"]}[command]
+    out = run_cli(command, str(path), *extra)
     assert out.returncode == 2, out.stdout + out.stderr
     errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
     assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
@@ -185,3 +198,31 @@ def test_jobs_is_at_least_one_and_capped_at_the_cpu_count(tmp_path):
     out = run_cli("validate", str(tmp_path / "terminal.short-multi.txt"), "--jobs", "0")
     assert out.returncode == 2
     assert "--jobs" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["roundtrip"], ["construct", "--which", "braiding-backward"]],
+    ids=["validate", "roundtrip", "construct"])
+def test_missing_braiding_entry_is_a_malformed_table(tmp_path, command):
+    """A braiding file with one s component deleted exits 2 with one error
+    line before any transport runs, never with a traceback."""
+    text = serialize(next(sf for sf in catalogue_files("z2") if sf.kind == "braiding"))
+    lines = [ln for ln in text.splitlines() if not ln.startswith("s 1 0 1 = ")]
+    assert len(lines) == len(text.splitlines()) - 1
+    path = tmp_path / "bad.braiding.txt"
+    path.write_text("\n".join(lines) + "\n")
+    out = run_cli(command[0], str(path), *command[1:])
+    assert out.returncode == 2, out.stdout + out.stderr
+    errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
+    assert "braiding not total at ('1', '0', '1')" in errors[0], out.stderr
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    def crash(args):
+        raise KeyError("x")
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    assert cli.main(["validate", str(tmp_path / "any.txt")]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 'x'\n"
