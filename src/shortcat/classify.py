@@ -20,14 +20,15 @@ from typing import Callable, Optional, Union
 from .errors import InconsistentVerdicts, MalformedTable, UniversalityBroken
 from .report import ValidationReport
 from .shortmulti import ShortMulticategory
-from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, embed_plain
+from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory
 
 Structure = Union[ShortMulticategory, ShortSkewMulticategory]
 
 
 def skew_view(m: Structure) -> ShortSkewMulticategory:
+    """m itself, or for a plain structure its one cached embedding."""
     if isinstance(m, ShortMulticategory):
-        return embed_plain(m)
+        return m.as_skew
     return m
 
 

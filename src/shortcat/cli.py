@@ -18,7 +18,7 @@ from . import braiding as braid_mod
 from . import catalogue as cat
 from .classify import (
     Certificate, certify, check_representable, derived_classifiers,
-    find_closed_structure, skew_view,
+    find_closed_structure,
 )
 from .errors import (
     InconsistentVerdicts, MalformedTable, MultipleSolutions, NoIsomorphismFound,
@@ -37,7 +37,7 @@ from .skewmon import (
     check_braiding_total, validate_braiding, validate_lax_functor, validate_skew_closed,
     validate_skew_monoidal,
 )
-from .transport import kcl_object, ks_object, roundtrip_check
+from .transport import kcl_object, ks_object, roundtrip_check, skew_monoidal_roundtrip
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -200,12 +200,23 @@ def cmd_certify(args) -> int:
     _guard_size(sf, args.max_objects, args.max_multimaps)
     m = _certify_payload(sf)
     m.check_structure()
-    cert = certify(m)
-    find_closed_structure(m, cert)
-    if cert.left_representable:
-        derived_classifiers(m, cert)
-    if isinstance(m, ShortMulticategory) and cert.weakly_representable:
-        check_representable(m, cert)
+    try:
+        cert = certify(m)
+        find_closed_structure(m, cert)
+        if cert.left_representable:
+            derived_classifiers(m, cert)
+        if isinstance(m, ShortMulticategory) and cert.weakly_representable:
+            check_representable(m, cert)
+    except (InconsistentVerdicts, UniversalityBroken):
+        # The search's own cross-checks assume the axioms hold; on a
+        # structure that fails them the failure is the input's, not ours.
+        report = (validate_short_multicategory(m) if isinstance(m, ShortMulticategory)
+                  else validate_short_skew(m))
+        if report.ok:
+            raise
+        print(f"error: {sf.name}: validation of the structure fails {len(report.failures)} "
+              f"instances; certify needs one that passes", file=sys.stderr)
+        return EXIT_FAIL
     text = render_certificate(cert, witnesses=not args.no_witnesses)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -292,10 +303,7 @@ def cmd_roundtrip(args) -> int:
     elif sf.kind == "braiding":
         mon, s = sf.payload
         check_braiding_total(mon, s)
-        report = roundtrip_check(mon)
-        from .induce import induce_short_skew
-        m = induce_short_skew(mon)
-        cert = certify(m)
+        report, m, cert = skew_monoidal_roundtrip(mon)
         beta = braid_mod.short_braiding_from_s(m, cert, s)
         back = braid_mod.s_from_short_braiding(m, cert, beta)
         report.count("braiding-roundtrip")

@@ -25,16 +25,24 @@ def _wrap(flavour: str, n: int, dom: tuple[str, ...], cod: str, f: str) -> str:
 
 
 class _Bracketer:
-    """Left-bracketed tensor calculus over a skew monoidal category."""
+    """Left-bracketed tensor calculus over a skew monoidal category.
+
+    lbr and kappa are memoized per instance: one induction asks for the same
+    products and canonical maps many times over."""
 
     def __init__(self, c: SkewMonCategory):
         self.c = c
         self.base = c.base
+        self._lbr: dict[tuple[str, ...], str] = {}
+        self._kappa: dict[tuple[str, tuple[str, ...]], str] = {}
 
     def lbr(self, objs: tuple[str, ...]) -> str:
-        if not objs:
-            raise MalformedTable("empty left-bracketed product")
-        return reduce(self.c.t, objs)
+        out = self._lbr.get(objs)
+        if out is None:
+            if not objs:
+                raise MalformedTable("empty left-bracketed product")
+            out = self._lbr[objs] = reduce(self.c.t, objs)
+        return out
 
     def lbr_mor(self, mors: list[str]) -> str:
         def pair(f, g):
@@ -52,11 +60,15 @@ class _Bracketer:
 
     def kappa(self, x: str, objs: tuple[str, ...]) -> str:
         """The canonical ((x a1)...am) -> x ((a1 a2)...am) built from alpha."""
-        if len(objs) == 1:
-            return self.base.identity(self.c.t(x, objs[0]))
-        prev = self.kappa(x, objs[:-1])
-        step = self.c.tm_left(prev, objs[-1])
-        return self.base.compose(self.c.alpha[(x, self.lbr(objs[:-1]), objs[-1])], step)
+        out = self._kappa.get((x, objs))
+        if out is None:
+            if len(objs) == 1:
+                out = self.base.identity(self.c.t(x, objs[0]))
+            else:
+                step = self.c.tm_left(self.kappa(x, objs[:-1]), objs[-1])
+                out = self.base.compose(self.c.alpha[(x, self.lbr(objs[:-1]), objs[-1])], step)
+            self._kappa[(x, objs)] = out
+        return out
 
     def gamma(self, prefix: tuple[str, ...], fm: str, fdom: tuple[str, ...],
               loose_inner: bool, target: str) -> str:

@@ -23,11 +23,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import DanglingId, MalformedTable, UnsupportedSubstitution
 from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
 from .report import Check, ValidationReport, run_checks
+
+if TYPE_CHECKING:
+    from .shortskew import ShortSkewMulticategory
 
 Key = tuple[tuple[str, ...], str]  # (domain tuple, codomain)
 
@@ -105,6 +108,13 @@ class ShortMulticategory:
             for dom, cod in self.mapset_keys(n):
                 out.setdefault((n, cod), []).extend(self.mapset(n, dom, cod))
         return {key: tuple(fs) for key, fs in out.items()}
+
+    @cached_property
+    def as_skew(self) -> ShortSkewMulticategory:
+        """The plain-as-skew view (shortskew.embed_plain), built on first use
+        and kept like the adjacency above."""
+        from .shortskew import embed_plain
+        return embed_plain(self)
 
     def multimaps(self, n: int) -> tuple[str, ...]:
         if n == 1:

@@ -71,6 +71,19 @@ class SkewMonCategory:
             for v in table.values():
                 if v not in span:
                     raise DanglingId(f"{self.name}: structure morphism {v} dangles")
+        for table in ("tensor_obj", "alpha", "lam", "rho"):
+            check_key_parts(self.name, table, getattr(self, table), objs, "an object")
+
+
+def check_key_parts(name: str, table: str, entries: dict, members, what: str) -> None:
+    """Raise DanglingId unless every component of every key of the table
+    named `table` is in members (the objects or the morphisms of the base)."""
+    for key in entries:
+        parts = key if isinstance(key, tuple) else (key,)
+        for part in parts:
+            if part not in members:
+                raise DanglingId(f"{name}: {table} key ({','.join(parts)}) names {part}, "
+                                 f"which is not {what}")
 
 
 def _comp_chain(base: FinCategory, *mors: Optional[str]) -> Optional[str]:
@@ -328,10 +341,16 @@ class Braiding:
 
 def check_braiding_total(c: SkewMonCategory, braid: Braiding) -> None:
     """Raise MalformedTable unless s and its inverse are defined on every
-    triple of objects."""
+    triple of objects, and DanglingId unless every value is a base morphism.
+    Whether a value has the right type is the s-typing family's question."""
     for key in itertools.product(c.base.objects, repeat=3):
         if key not in braid.s or key not in braid.s_inv:
             raise MalformedTable(f"{braid.name}: braiding not total at {key}")
+    for table in (braid.s, braid.s_inv):
+        for key, v in table.items():
+            if v not in c.base._span:
+                raise DanglingId(f"{braid.name}: braiding component {v} at {key} "
+                                 f"is not a morphism")
 
 
 def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
@@ -465,6 +484,9 @@ class SkewClosedCategory:
         for key in itertools.product(objs, repeat=3):
             if key not in self.ell:
                 raise MalformedTable(f"{self.name}: L not total at {key}")
+        for table in ("hom_obj", "iu", "ju", "ell"):
+            check_key_parts(self.name, table, getattr(self, table), objs, "an object")
+        check_key_parts(self.name, "hom_mor", self.hom_mor, span, "a morphism")
 
 
 def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:

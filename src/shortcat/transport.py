@@ -28,7 +28,7 @@ from .report import ValidationReport
 from .shortmulti import MultiMorphism, ShortMulticategory
 from .shortskew import (
     LOOSE, TIGHT, ShortSkewMulticategory, SkewMultiMorphism, embed_multi_morphism,
-    embed_plain, validate_skew_multi_morphism,
+    validate_skew_multi_morphism,
 )
 from .skewmon import (
     LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
@@ -694,27 +694,38 @@ def skew_closed_equal(x: SkewClosedCategory, y: SkewClosedCategory) -> bool:
 def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> ValidationReport:
     """Induce the multimap tables, certify, rebuild with the matching
     construction, and compare with the original."""
-    from .induce import induce_closed_skew, induce_short_multi, induce_short_skew
+    if not isinstance(x, SkewClosedCategory):
+        return skew_monoidal_roundtrip(x)[0]
+    from .induce import induce_closed_skew
+    from .shortskew import validate_short_skew
+
+    report = ValidationReport(x.name + ".roundtrip")
+    if not validate_skew_closed(x).ok:
+        raise MalformedTable(f"{x.name}: roundtrip input fails validation")
+    sk = induce_closed_skew(x)
+    if not validate_short_skew(sk).ok:
+        raise MalformedTable(f"{x.name}: induced structure fails validation")
+    cert = certify(sk)
+    homs = find_closed_structure(sk, cert)
+    if homs is None:
+        raise NoIsomorphismFound(f"{x.name}: induced structure lost closedness")
+    rebuilt = kcl_object(sk, cert, homs)
+    report.count("kcl-roundtrip")
+    if not skew_closed_equal(x, rebuilt):
+        report.fail("kcl-roundtrip", (x.name,), rebuilt.name, "table equality")
+    return report.finish()
+
+
+def skew_monoidal_roundtrip(x: SkewMonCategory
+                            ) -> tuple[ValidationReport, ShortSkewMulticategory, Certificate]:
+    """The skew monoidal roundtrip: its report, plus the induced short skew
+    multicategory and its certificate, for callers that go on to transport
+    a braiding over the same induction."""
+    from .induce import induce_short_multi, induce_short_skew
     from .shortmulti import validate_short_multicategory
     from .shortskew import validate_short_skew
 
     report = ValidationReport(x.name + ".roundtrip")
-    if isinstance(x, SkewClosedCategory):
-        if not validate_skew_closed(x).ok:
-            raise MalformedTable(f"{x.name}: roundtrip input fails validation")
-        sk = induce_closed_skew(x)
-        if not validate_short_skew(sk).ok:
-            raise MalformedTable(f"{x.name}: induced structure fails validation")
-        cert = certify(sk)
-        homs = find_closed_structure(sk, cert)
-        if homs is None:
-            raise NoIsomorphismFound(f"{x.name}: induced structure lost closedness")
-        rebuilt = kcl_object(sk, cert, homs)
-        report.count("kcl-roundtrip")
-        if not skew_closed_equal(x, rebuilt):
-            report.fail("kcl-roundtrip", (x.name,), rebuilt.name, "table equality")
-        return report.finish()
-
     if not validate_skew_monoidal(x).ok:
         raise MalformedTable(f"{x.name}: roundtrip input fails validation")
     sk = induce_short_skew(x)
@@ -739,4 +750,4 @@ def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> Validation
         report.count("k-roundtrip")
         if verdict is None:
             raise NoIsomorphismFound(f"{x.name}: plain rebuilt category does not match")
-    return report.finish()
+    return report.finish(), sk, cert

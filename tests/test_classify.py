@@ -10,10 +10,11 @@ from shortcat.classify import (
     all_binary_classifiers, certify, check_left_universal, check_representable,
     classifier_uniqueness_isos, derived_classifiers, find_binary_classifier,
     find_closed_structure, find_hom_object, find_nullary_classifier,
-    find_right_closed, inverses, verify_left_iff_adjoint,
+    find_right_closed, inverses, skew_view, verify_left_iff_adjoint,
     verify_units_left_universal,
 )
 from shortcat.errors import UniversalityBroken
+from shortcat.shortskew import ShortSkewMulticategory, embed_plain
 
 
 def indiscrete2_short_multi():
@@ -180,3 +181,31 @@ def test_units_left_universal():
         verify_units_left_universal(
             table_short_multi("d2-empty", discrete_base("d2", ["a", "b"]),
                               lambda n, dom, cod: False))
+
+
+def test_skew_view_is_built_once_and_equals_the_embedding():
+    for name, m in catalogue_short_multis().items():
+        v = skew_view(m)
+        assert skew_view(m) is v, name
+        fresh = embed_plain(m)
+        assert fresh is not v, name
+        for f in dataclasses.fields(ShortSkewMulticategory):
+            assert getattr(v, f.name) == getattr(fresh, f.name), (name, f.name)
+
+
+def test_replaced_structure_gets_its_own_view():
+    """dataclasses.replace builds a new structure, and its view follows the
+    new tables, not the view already cached on the original."""
+    m = catalogue_short_multis()["z2"]
+    before = skew_view(m)
+    key = sorted(m.sub)[0]
+    other = next(h for h in m.multimaps(2) if h != m.sub[key])
+    patched = {**m.sub, key: other}
+    m2 = dataclasses.replace(m, sub=patched)
+    v2 = skew_view(m2)
+    assert v2 is not before and skew_view(m) is before
+    assert v2.sub == patched and v2.sub[key] == other
+    assert before.sub == m.sub and before.sub[key] != other
+    fresh = embed_plain(m2)
+    for f in dataclasses.fields(ShortSkewMulticategory):
+        assert getattr(v2, f.name) == getattr(fresh, f.name), f.name

@@ -226,3 +226,91 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: KeyError: 'x'\n"
+
+
+ROUNDTRIP_Z2_SYM = """report z2.sym.roundtrip
+status PASS
+checked braiding-roundtrip = 1
+checked k-roundtrip = 1
+checked ks-roundtrip = 1
+total-checked = 3
+total-failed = 0
+"""
+
+
+def test_braiding_roundtrip_induces_and_certifies_once(monkeypatch, capsys, tmp_path):
+    """roundtrip on a braiding file transports the braiding over the skew
+    induction of its own roundtrip: one induction and one certificate of
+    the induced skew structure (the plain k-roundtrip certifies its own)."""
+    from shortcat import classify, induce
+    from shortcat.shortskew import ShortSkewMulticategory
+
+    induced, certified = [], []
+    real_induce, real_certify = induce.induce_short_skew, classify.certify
+
+    def counting_induce(c, name=None):
+        induced.append(c.name)
+        return real_induce(c, name)
+
+    def counting_certify(m):
+        certified.append(isinstance(m, ShortSkewMulticategory))
+        return real_certify(m)
+
+    monkeypatch.setattr(induce, "induce_short_skew", counting_induce)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("shortcat") and getattr(mod, "certify", None) is real_certify:
+            monkeypatch.setattr(mod, "certify", counting_certify)
+    path = tmp_path / "z2.sym.braiding.txt"
+    path.write_text(_catalogue_text("z2", "braiding"))
+    assert cli.main(["roundtrip", str(path)]) == cli.EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.out == ROUNDTRIP_Z2_SYM
+    assert captured.err == ""
+    assert induced == ["z2.sym"]
+    assert certified == [True, False]
+
+
+def _catalogue_text(generator, kind):
+    return serialize(next(sf for sf in catalogue_files(generator) if sf.kind == kind))
+
+
+def _replace_line(text, old, new):
+    assert old + "\n" in text
+    return text.replace(old + "\n", new + "\n")
+
+
+ALPHA_KEY = "alpha key (0,0,1_0) names 1_0, which is not an object"
+S_VALUE = "braiding component 1 at ('0', '0', '1') is not a morphism"
+
+
+@pytest.mark.parametrize("generator,kind,edit,command,code,message", [
+    pytest.param("z2", "skew-monoidal", lambda t: t + "alpha 0 0 1_0 = 1_0\n",
+                 ["validate"], 2, ALPHA_KEY, id="alpha-key-validate"),
+    pytest.param("z2", "skew-monoidal", lambda t: t + "alpha 0 0 1_0 = 1_0\n",
+                 ["roundtrip"], 2, ALPHA_KEY, id="alpha-key-roundtrip"),
+    pytest.param("terminal", "skew-closed", lambda t: t + "L o o 1_o = 1_o\n",
+                 ["roundtrip"], 2, "ell key (o,o,1_o) names 1_o, which is not an object",
+                 id="ell-key-roundtrip"),
+    pytest.param("z2", "braiding", lambda t: _replace_line(t, "s 0 0 1 = 1_1", "s 0 0 1 = 1"),
+                 ["roundtrip"], 2, S_VALUE, id="s-value-roundtrip"),
+    pytest.param("z2", "braiding", lambda t: _replace_line(t, "s 0 0 1 = 1_1", "s 0 0 1 = 1"),
+                 ["construct", "--which", "braiding-backward"], 2, S_VALUE,
+                 id="s-value-construct"),
+    pytest.param("z2", "short-skew",
+                 lambda t: _replace_line(t, "post 1_0 m4(1,0,0,1;0) = m4(1,0,0,1;0)",
+                                         "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"),
+                 ["certify"], 1, "validation of the structure fails 10 instances",
+                 id="axiom-failure-certify"),
+])
+def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
+                                          message):
+    """A key that names no object, a braiding value that names no morphism
+    (exit 2) and a structure that fails its axioms under certify (exit 1)
+    each end in one error line, never in an internal error."""
+    path = tmp_path / f"bad.{kind}.txt"
+    path.write_text(edit(_catalogue_text(generator, kind)))
+    out = run_cli(command[0], str(path), *command[1:])
+    assert out.returncode == code, out.stdout + out.stderr
+    errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
+    assert message in errors[0], out.stderr
