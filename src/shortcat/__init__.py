@@ -1,39 +1,4 @@
 """shortcat: a verification and construction workbench for finite short
 (skew) multicategories and skew monoidal/closed categories."""
 
-from .errors import (
-    AxiomTransferFailure, DanglingId, InconsistentVerdicts, MalformedTable,
-    MultipleSolutions, NoIsomorphismFound, NoSolution, ParseError,
-    SearchBoundExceeded, ShortcatError, TypingViolation, UnknownGenerator,
-    UnknownKind, UnsupportedSubstitution, VersionMismatch,
-)
-from .fincat import FinCategory, FinFunctor, find_isomorphism, validate_category, validate_functor
-from .report import AxiomInstance, ValidationReport
-from .shortmulti import MultiMorphism, ShortMulticategory, validate_short_multicategory
-from .shortskew import ShortSkewMulticategory, SkewMultiMorphism, embed_plain, validate_short_skew
-from .skewmon import (
-    Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
-    classify_flavour, validate_braided_functor, validate_braiding, validate_lax_functor,
-    validate_skew_closed, validate_skew_closed_functor, validate_skew_monoidal,
-)
-from .classify import (
-    Certificate, certify, check_left_universal, check_representable,
-    derived_classifiers, find_binary_classifier, find_closed_structure,
-    find_nullary_classifier, inverses, sharp_laws, verify_left_iff_adjoint,
-    verify_units_left_universal,
-)
-from .induce import (
-    induce_closed_skew, induce_short_multi, induce_short_skew, induced_multimap_sets,
-)
-from .transport import (
-    biclosed_subst_check, check_representable_iff_monoidal, k_morphism,
-    k_morphism_inverse, k_object, kcl_morphism, kcl_object, ks_morphism,
-    ks_morphism_inverse, ks_object, roundtrip_check, solve_unique,
-    transport_closed, transport_closed_skew,
-)
-from .braiding import (
-    ShortBraiding, s_from_short_braiding, short_braiding_from_s,
-    validate_braided_transport_functor, validate_short_braiding,
-)
-
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .classify import Certificate, Inverses, inverses
 from .errors import InconsistentVerdicts, MalformedTable, NoSolution
-from .report import Check, ValidationReport, run_checks
+from .report import ValidationReport
 from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, SkewMultiMorphism
 from .skewmon import Braiding, SkewMonCategory, validate_braided_functor
 from .transport import UniqueSolveSpec, solve_unique
@@ -44,48 +44,43 @@ _SPECS = (("b32", 3, 2), ("b42", 4, 2), ("b43", 4, 3))
 
 
 def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> ValidationReport:
-    checks: list[Check] = []
     base = m.base
-
-    for tag, arity, slot in _SPECS:
+    for tag, arity, _ in _SPECS:
         table = beta.table(tag)
         for f in m.multimaps(TIGHT, arity):
             if f not in table:
                 raise MalformedTable(f"{beta.name}: {tag} not total at {f}")
+    report = ValidationReport(beta.name)
+    check = report.check
+
+    for tag, arity, slot in _SPECS:
+        table = beta.table(tag)
         # typing and global invertibility (bijection onto the swapped sets)
         for f in m.multimaps(TIGHT, arity):
             _, dom, cod, _ = m.info(f)
-            want = (arity, _swap(dom, slot), cod, True)
-            checks.append((f"{tag}-typing", (f,),
-                           lambda f=f, table=table, want=want: (
-                               str((m.info(table[f])[0], m.info(table[f])[1],
-                                    m.info(table[f])[2], m.is_tight(table[f]))),
-                               str(want))))
+            n, idom, icod, _ = m.info(table[f])
+            check(f"{tag}-typing", (f,), str((n, idom, icod, m.is_tight(table[f]))),
+                  str((arity, _swap(dom, slot), cod, True)))
         for key in m.mapset_keys(TIGHT, arity):
             dom, cod = key
             source = m.mapset(TIGHT, arity, dom, cod)
             target = m.mapset(TIGHT, arity, _swap(dom, slot), cod)
-            checks.append((f"{tag}-bijective", (",".join(dom), cod),
-                           lambda source=source, target=target, table=table: (
-                               str(sorted({table[f] for f in source})
-                                   if all(f in table for f in source) else None),
-                               str(sorted(target)))))
+            check(f"{tag}-bijective", (",".join(dom), cod),
+                  str(sorted({table[f] for f in source})
+                      if all(f in table for f in source) else None),
+                  str(sorted(target)))
         # naturality in every slot and in the codomain
         perm = {k: k for k in range(1, arity + 1)}
         perm[slot], perm[slot + 1] = slot + 1, slot
         for f in m.multimaps(TIGHT, arity):
             _, dom, cod, _ = m.info(f)
             for q in base.mors_out_of(cod):
-                checks.append((f"{tag}-nat", ("post", q, f),
-                               lambda q=q, f=f, table=table: (
-                                   table.get(m.safe_post(q, f)),
-                                   m.safe_post(q, table.get(f)))))
+                check(f"{tag}-nat", ("post", q, f), table.get(m.safe_post(q, f)),
+                      m.safe_post(q, table.get(f)))
             for i in range(1, arity + 1):
                 for p in base.mors_into(dom[i - 1]):
-                    checks.append((f"{tag}-nat", ("pre", f, str(i), p),
-                                   lambda f=f, i=i, p=p, table=table, perm=perm: (
-                                       table.get(m.safe_pre(f, i, p)),
-                                       m.safe_pre(table.get(f), perm[i], p))))
+                    check(f"{tag}-nat", ("pre", f, str(i), p), table.get(m.safe_pre(f, i, p)),
+                          m.safe_pre(table.get(f), perm[i], p))
 
     def b32(f):
         return beta.b32.get(f) if f is not None else None
@@ -98,38 +93,32 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> V
 
     # Yang-Baxter style relation on quaternary maps
     for h in m.multimaps(TIGHT, 4):
-        checks.append(("braid-yang-baxter", (h,),
-                       lambda h=h: (b42(b43(b42(h))), b43(b42(b43(h))))))
+        check("braid-yang-baxter", (h,), b42(b43(b42(h))), b43(b42(b43(h))))
 
     # ternary maps into binary ones
     for g in m.multimaps(TIGHT, 2):
         gdom = m.dom(g)
         for f in m.multimaps(TIGHT, 3):
             if m.cod(f) == gdom[0]:
-                checks.append(("braid-3-in-2-slot1", (g, f),
-                               lambda g=g, f=f: (m.safe_subst(g, 1, b32(f)),
-                                                 b42(m.safe_subst(g, 1, f)))))
+                check("braid-3-in-2-slot1", (g, f), m.safe_subst(g, 1, b32(f)),
+                      b42(m.safe_subst(g, 1, f)))
             if m.cod(f) == gdom[1]:
-                checks.append(("braid-3-in-2-slot2", (g, f),
-                               lambda g=g, f=f: (m.safe_subst(g, 2, b32(f)),
-                                                 b43(m.safe_subst(g, 2, f)))))
+                check("braid-3-in-2-slot2", (g, f), m.safe_subst(g, 2, b32(f)),
+                      b43(m.safe_subst(g, 2, f)))
     # binary maps into ternary ones
     for g in m.multimaps(TIGHT, 3):
         gdom = m.dom(g)
         for f in m.multimaps(TIGHT, 2):
             if m.cod(f) == gdom[0]:
-                checks.append(("braid-2-in-3-slot1", (g, f),
-                               lambda g=g, f=f: (b43(m.safe_subst(g, 1, f)),
-                                                 m.safe_subst(b32(g), 1, f))))
+                check("braid-2-in-3-slot1", (g, f), b43(m.safe_subst(g, 1, f)),
+                      m.safe_subst(b32(g), 1, f))
             if m.cod(f) == gdom[1]:
-                checks.append(("braid-2-in-3-slot2", (g, f),
-                               lambda g=g, f=f: (b42(b43(m.safe_subst(g, 2, f))),
-                                                 m.safe_subst(b32(g), 3, f))))
+                check("braid-2-in-3-slot2", (g, f), b42(b43(m.safe_subst(g, 2, f))),
+                      m.safe_subst(b32(g), 3, f))
             if m.cod(f) == gdom[2]:
-                checks.append(("braid-2-in-3-slot3", (g, f),
-                               lambda g=g, f=f: (b43(b42(m.safe_subst(g, 3, f))),
-                                                 m.safe_subst(b32(g), 2, f))))
-    return run_checks(beta.name, checks)
+                check("braid-2-in-3-slot3", (g, f), b43(b42(m.safe_subst(g, 3, f))),
+                      m.safe_subst(b32(g), 2, f))
+    return report.finish()
 
 
 def check_short_symmetry(m: ShortSkewMulticategory, beta: ShortBraiding) -> bool:
@@ -240,30 +229,22 @@ def validate_braided_transport_functor(F: SkewMultiMorphism,
                                        cert_tgt: Certificate,
                                        src_mon: SkewMonCategory,
                                        tgt_mon: SkewMonCategory) -> ValidationReport:
-    """Check preservation of the ternary swap; independently check the two
+    """Validate preservation of the ternary swap; independently check the two
     quaternary swaps and insist the verdicts agree (preserving the ternary
     swap forces the others); finally check the transported lax functor
     preserves the transported braidings."""
     from .transport import ks_morphism
     src = F.source
     report = ValidationReport(F.name + ".braided")
-    ok32 = True
+    ok32 = ok4 = True
     for f in src.multimaps(TIGHT, 3):
-        lhs = F.safe_apply(beta_src.b32.get(f), TIGHT)
-        rhs = beta_tgt.b32.get(F.safe_apply(f, TIGHT))
-        report.count("preserve-b32")
-        if lhs is None or lhs != rhs:
-            ok32 = False
-            report.fail("preserve-b32", (f,), lhs, rhs)
-    ok4 = True
+        ok32 &= report.check("preserve-b32", (f,), F.safe_apply(beta_src.b32.get(f), TIGHT),
+                             beta_tgt.b32.get(F.safe_apply(f, TIGHT)))
     for tag in ("b42", "b43"):
         for g in src.multimaps(TIGHT, 4):
-            lhs = F.safe_apply(beta_src.table(tag).get(g), TIGHT)
-            rhs = beta_tgt.table(tag).get(F.safe_apply(g, TIGHT))
-            report.count(f"preserve-{tag}")
-            if lhs is None or lhs != rhs:
-                ok4 = False
-                report.fail(f"preserve-{tag}", (g,), lhs, rhs)
+            ok4 &= report.check(f"preserve-{tag}", (g,),
+                                F.safe_apply(beta_src.table(tag).get(g), TIGHT),
+                                beta_tgt.table(tag).get(F.safe_apply(g, TIGHT)))
     if ok32 and not ok4:
         raise InconsistentVerdicts(
             f"{F.name}: ternary swap preserved but a quaternary one is not")

@@ -21,7 +21,7 @@ from .classify import (
     find_closed_structure,
 )
 from .errors import (
-    InconsistentVerdicts, MalformedTable, MultipleSolutions, NoIsomorphismFound,
+    AxiomFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions, NoIsomorphismFound,
     ParseError, SearchBoundExceeded, ShortcatError, UniversalityBroken,
     UnknownGenerator,
 )
@@ -195,6 +195,16 @@ def _certify_payload(sf: StructureFile):
     raise MalformedTable(f"certify expects a short-multi or short-skew file, got {sf.kind}")
 
 
+def _require_valid(name: str, m, command: str) -> None:
+    """Raise AxiomFailure (exit 1) unless the short-multi or short-skew
+    structure m passes validation; check_structure errors raise as usual."""
+    report = (validate_short_multicategory(m) if isinstance(m, ShortMulticategory)
+              else validate_short_skew(m))
+    if not report.ok:
+        raise AxiomFailure(f"{name}: validation of the structure fails "
+                           f"{len(report.failures)} instances; {command} needs one that passes")
+
+
 def cmd_certify(args) -> int:
     sf = _load(args.path)
     _guard_size(sf, args.max_objects, args.max_multimaps)
@@ -210,13 +220,8 @@ def cmd_certify(args) -> int:
     except (InconsistentVerdicts, UniversalityBroken):
         # The search's own cross-checks assume the axioms hold; on a
         # structure that fails them the failure is the input's, not ours.
-        report = (validate_short_multicategory(m) if isinstance(m, ShortMulticategory)
-                  else validate_short_skew(m))
-        if report.ok:
-            raise
-        print(f"error: {sf.name}: validation of the structure fails {len(report.failures)} "
-              f"instances; certify needs one that passes", file=sys.stderr)
-        return EXIT_FAIL
+        _require_valid(sf.name, m, "certify")
+        raise
     text = render_certificate(cert, witnesses=not args.no_witnesses)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -238,7 +243,7 @@ def cmd_construct(args) -> int:
         if sf.kind != "short-multi":
             raise MalformedTable("construct k expects a short-multi file")
         m = sf.payload
-        m.check_structure()
+        _require_valid(sf.name, m, "construct")
         cert = certify(m)
         from .transport import k_object
         out = StructureFile("skew-monoidal", sf.name + ".k",
@@ -247,7 +252,7 @@ def cmd_construct(args) -> int:
         if sf.kind != "short-skew":
             raise MalformedTable("construct ks expects a short-skew file")
         m = sf.payload[0]
-        m.check_structure()
+        _require_valid(sf.name, m, "construct")
         cert = certify(m)
         out = StructureFile("skew-monoidal", sf.name + ".ks",
                             ks_object(m, cert, name=sf.name + ".ks"), provenance)
@@ -255,7 +260,7 @@ def cmd_construct(args) -> int:
         if sf.kind != "short-skew":
             raise MalformedTable("construct kcl expects a short-skew file")
         m = sf.payload[0]
-        m.check_structure()
+        _require_valid(sf.name, m, "construct")
         cert = certify(m)
         homs = find_closed_structure(m, cert)
         if homs is None:
@@ -267,7 +272,7 @@ def cmd_construct(args) -> int:
             raise MalformedTable("construct braiding-forward expects a short-skew "
                                  "file with swap tables")
         m, beta = sf.payload
-        m.check_structure()
+        _require_valid(sf.name, m, "construct")
         cert = certify(m)
         mon = ks_object(m, cert, name=sf.name + ".ks")
         s = braid_mod.s_from_short_braiding(m, cert, beta, name=sf.name + ".s")

@@ -22,6 +22,11 @@ class TypingViolation(MalformedTable):
     """A substitution output sits in the wrong tight/loose table."""
 
 
+class AxiomFailure(ShortcatError):
+    """A command that needs a structure satisfying its axioms got one that
+    fails validation."""
+
+
 class UnsupportedSubstitution(ShortcatError):
     """The requested (outer arity, inner arity, position) case is not part
     of the structure."""

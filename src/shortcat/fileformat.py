@@ -237,8 +237,10 @@ def serialize(sf: StructureFile) -> str:
 # --------------------------------------------------------------------------
 
 class _Lines:
+    """The key = value rows of a file, grouped by keyword in file order."""
+
     def __init__(self, text: str):
-        self.rows: list[tuple[int, str, list[str], list[str]]] = []
+        self.rows: dict[str, list[tuple[int, list[str], list[str]]]] = {}
         for no, rawline in enumerate(text.splitlines(), start=1):
             line = rawline.strip()
             if not line or line.startswith("#"):
@@ -249,12 +251,10 @@ class _Lines:
             toks = head.split()
             if not toks:
                 raise ParseError(no, "empty key")
-            self.rows.append((no, toks[0], toks[1:], tail.split()))
+            self.rows.setdefault(toks[0], []).append((no, toks[1:], tail.split()))
 
     def take(self, keyword: str) -> list[tuple[int, list[str], list[str]]]:
-        out = [(no, args, vals) for (no, kw, args, vals) in self.rows if kw == keyword]
-        self.rows = [r for r in self.rows if r[1] != keyword]
-        return out
+        return self.rows.pop(keyword, [])
 
     def take_single(self, keyword: str, nargs: int = 0) -> Optional[tuple[int, list[str], list[str]]]:
         rows = self.take(keyword)
@@ -522,7 +522,7 @@ def parse(text: str) -> tuple[StructureFile, list[str]]:
         payload = _parse_lax(lines)
 
     if lines.rows:
-        no, kw, _, _ = lines.rows[0]
+        no, kw = min((rows[0][0], kw) for kw, rows in lines.rows.items())
         raise ParseError(no, f"unexpected keyword {kw!r} for kind {kind}")
 
     sf = StructureFile(kind, name, payload, provenance)

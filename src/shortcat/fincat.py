@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import DanglingId, MalformedTable, SearchBoundExceeded
-from .report import Check, ValidationReport, run_checks
+from .report import ValidationReport
 
 
 @dataclass(frozen=True)
@@ -131,36 +131,25 @@ def composable_pairs(c: FinCategory) -> Iterator[tuple[str, str]]:
 def validate_category(c: FinCategory) -> ValidationReport:
     """Exhaustive check of typing, identity and associativity laws."""
     c.check_structure()
-    checks: list[Check] = []
-
-    def typing_check(g, f):
-        def thunk():
-            h = c.comp[(g, f)]
-            want = (c.dom(f), c.cod(g))
-            return (str(c.span(h)), str(want))
-        return thunk
-
+    comp = c.comp
+    report = ValidationReport(c.name)
     for g, f in composable_pairs(c):
-        checks.append(("comp-typing", (g, f), typing_check(g, f)))
+        report.check("comp-typing", (g, f), str(c.span(comp[(g, f)])),
+                     str((c.dom(f), c.cod(g))))
 
     for f in c.morphisms():
         a, b = c.span(f)
-        checks.append(("identity", (c.identity(b), f),
-                       lambda f=f, b=b: (c.comp.get((c.identity(b), f)), f)))
-        checks.append(("identity", (f, c.identity(a)),
-                       lambda f=f, a=a: (c.comp.get((f, c.identity(a))), f)))
+        report.check("identity", (c.identity(b), f), comp.get((c.identity(b), f)), f)
+        report.check("identity", (f, c.identity(a)), comp.get((f, c.identity(a))), f)
 
     for g, f in composable_pairs(c):
+        inner = comp.get((g, f))
         for h in c.mors_out_of(c.cod(g)):
-            def thunk(h=h, g=g, f=f):
-                inner = c.comp.get((g, f))
-                lhs = c.comp.get((h, inner)) if inner is not None else None
-                mid = c.comp.get((h, g))
-                rhs = c.comp.get((mid, f)) if mid is not None else None
-                return lhs, rhs
-            checks.append(("assoc", (h, g, f), thunk))
-
-    return run_checks(c.name, checks)
+            lhs = comp.get((h, inner)) if inner is not None else None
+            mid = comp.get((h, g))
+            rhs = comp.get((mid, f)) if mid is not None else None
+            report.check("assoc", (h, g, f), lhs, rhs)
+    return report.finish()
 
 
 @dataclass(frozen=True)
@@ -185,7 +174,7 @@ class FinFunctor:
 
 
 def validate_functor(fun: FinFunctor) -> ValidationReport:
-    """Check totality of the maps plus preservation of spans, identities
+    """Validate totality of the maps plus preservation of spans, identities
     and composition."""
     src, tgt = fun.source, fun.target
     for a in src.objects:
@@ -196,21 +185,18 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
         if g is None or g not in tgt._span:
             raise DanglingId(f"{fun.name}: morphism {f} has no valid image")
 
-    checks: list[Check] = []
+    report = ValidationReport(fun.name)
     for f in src.morphisms():
         a, b = src.span(f)
-        checks.append(("functor-span", (f,),
-                       lambda f=f, a=a, b=b: (str(tgt.span(fun.on_mor(f))),
-                                              str((fun.on_obj(a), fun.on_obj(b))))))
+        report.check("functor-span", (f,), str(tgt.span(fun.on_mor(f))),
+                     str((fun.on_obj(a), fun.on_obj(b))))
     for a in src.objects:
-        checks.append(("functor-id", (a,),
-                       lambda a=a: (fun.on_mor(src.identity(a)),
-                                    tgt.ids.get(fun.on_obj(a)))))
+        report.check("functor-id", (a,), fun.on_mor(src.identity(a)),
+                     tgt.ids.get(fun.on_obj(a)))
     for g, f in composable_pairs(src):
-        checks.append(("functor-comp", (g, f),
-                       lambda g=g, f=f: (fun.mor_map.get(src.comp[(g, f)]),
-                                         tgt.compose_opt(fun.on_mor(g), fun.on_mor(f)))))
-    return run_checks(fun.name, checks)
+        report.check("functor-comp", (g, f), fun.mor_map.get(src.comp[(g, f)]),
+                     tgt.compose_opt(fun.on_mor(g), fun.on_mor(f)))
+    return report.finish()
 
 
 def identity_functor(c: FinCategory) -> FinFunctor:

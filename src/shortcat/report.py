@@ -1,9 +1,14 @@
 """Validation reports: per-family instance counts plus every failed instance.
 
-Checks are evaluated one after another in a single thread. Reports are
-deterministic: failures and counts are sorted before rendering, so the same
-structure produces byte-identical text regardless of instance generation
-order.
+Validators record each law instance directly, as they enumerate it, through
+`ValidationReport.check` (or, in the shared kernel loops, `count`/`fail`).
+Reports are deterministic: failures and counts are sorted before rendering,
+so the same structure produces byte-identical text regardless of instance
+generation order.
+
+`Check` and `run_checks` are the reference evaluator: a list of
+(family, subjects, thunk) instances evaluated in order. No validator uses
+them; the closure-based reference validators of the test suite do.
 """
 from __future__ import annotations
 
@@ -52,6 +57,15 @@ class ValidationReport:
     def count(self, family: str, n: int = 1) -> None:
         self.counts[family] = self.counts.get(family, 0) + n
 
+    def check(self, family: str, subjects: tuple[str, ...], lhs, rhs) -> bool:
+        """Count one instance of a family and record it as failed unless both
+        sides are present and equal; return whether it passed."""
+        self.counts[family] = self.counts.get(family, 0) + 1
+        if lhs is None or rhs is None or lhs != rhs:
+            self.fail(family, subjects, lhs, rhs)
+            return False
+        return True
+
     def fail(self, family: str, subjects: tuple[str, ...], lhs, rhs) -> None:
         self.failures.append(
             AxiomInstance(family, subjects, lhs if lhs is not None else MISSING,
@@ -88,11 +102,10 @@ class ValidationReport:
 
 
 def run_checks(structure: str, checks: Iterable[Check]) -> ValidationReport:
-    """Evaluate instance checks in order into a sorted report."""
+    """Evaluate instance checks in order into a sorted report (the reference
+    evaluator)."""
     report = ValidationReport(structure)
     for family, subjects, thunk in checks:
         lhs, rhs = thunk()
-        report.count(family)
-        if lhs is None or rhs is None or lhs != rhs:
-            report.fail(family, subjects, lhs, rhs)
+        report.check(family, subjects, lhs, rhs)
     return report.finish()

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import DanglingId, MalformedTable, UnsupportedSubstitution
 from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
-from .report import Check, ValidationReport, run_checks
+from .report import ValidationReport
 
 if TYPE_CHECKING:
     from .shortskew import ShortSkewMulticategory
@@ -494,7 +494,7 @@ def _sub_pairs(m: ShortMulticategory, n: int, k: int) -> Iterator[tuple[str, int
 
 
 def validate_short_multicategory(m: ShortMulticategory) -> ValidationReport:
-    """Check every axiom instance."""
+    """Validate every axiom instance."""
     m.check_structure()
     base, info = m.base, m._index
     pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
@@ -544,42 +544,40 @@ class MultiMorphism:
 
 
 def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
-    """Check table totality, typing, naturality in every variable, and
+    """Validate table totality, typing, naturality in every variable, and
     commutation with every stored substitution."""
     src, tgt, fun = F.source, F.target, F.functor
     base_report = validate_functor(fun)
-    checks: list[Check] = []
-
+    typing = []
     for n in (0, 2, 3, 4):
         for f in src.multimaps(n):
             if F.maps.get(n, {}).get(f) is None:
                 raise MalformedTable(f"{F.name}: no image for arity-{n} multimap {f}")
             _, dom, cod = src.info(f)
-            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))
-            checks.append(("morphism-typing", (f,),
-                           lambda f=f, want=want: (str(tgt.info(F.apply(f))), str(want))))
+            typing.append((f, (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))))
+    report = ValidationReport(F.name)
+    check = report.check
+    for f, want in typing:
+        check("morphism-typing", (f,), str(tgt.info(F.apply(f))), str(want))
 
     # naturality: F(q o f) = F(q) o F(f) and F(f o_i p) = F(f) o_i F(p)
     for n in (0, 2, 3, 4):
         for f in src.multimaps(n):
             _, dom, cod = src.info(f)
             for q in src.base.mors_out_of(cod):
-                checks.append(("morphism-nat", ("post", q, f),
-                               lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
-                                                 tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
+                check("morphism-nat", ("post", q, f), F.safe_apply(src.safe_post(q, f)),
+                      tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))
             for i in range(1, n + 1):
                 for p in src.base.mors_into(dom[i - 1]):
-                    checks.append(("morphism-nat", ("pre", f, str(i), p),
-                                   lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
-                                                          tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
+                    check("morphism-nat", ("pre", f, str(i), p),
+                          F.safe_apply(src.safe_pre(f, i, p)),
+                          tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))
 
     for (n, k) in sorted(STORED_CASES):
         for g, i, f in _sub_pairs(src, n, k):
-            checks.append(("morphism-sub", (g, str(i), f),
-                           lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
-                                                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
+            check("morphism-sub", (g, str(i), f), F.safe_apply(src.safe_subst(g, i, f)),
+                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))
 
-    report = run_checks(F.name, checks)
     report.merge(base_report)
     return report.finish()
 

@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 
 from .errors import DanglingId, MalformedTable, TypingViolation, UnsupportedSubstitution
 from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
-from .report import Check, ValidationReport, run_checks
+from .report import ValidationReport
 from .shortmulti import (
     Key, MultiMorphism, ShortMulticategory, assoc_checks, check_slot, identity_checks,
     lookup_tables, naturality_checks, profunctor_checks, tally,
@@ -195,7 +195,7 @@ class ShortSkewMulticategory:
             if i != 1:
                 raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
             return self.act_post(g, f)
-        if self.sub_case(g, i, f) is None:
+        if (self._sub_cases.get((g, i, f)) or self.sub_case(g, i, f)) is None:
             raise UnsupportedSubstitution(
                 f"{self.name}: substitution ({g}, {i}, {f}) outside stored cases")
         try:
@@ -213,6 +213,13 @@ class ShortSkewMulticategory:
                 if case in STORED_SKEW_CASES:
                     return case
         return None
+
+    # The descriptor of each sub key whose ids resolve, computed on first use;
+    # not a dataclass field, like the adjacency above.
+    @cached_property
+    def _sub_cases(self) -> dict[tuple[str, int, str], Optional[tuple[int, str, int, str]]]:
+        idx = self._index
+        return {key: self.sub_case(*key) for key in self.sub if key[0] in idx and key[2] in idx}
 
     # -- safe variants -------------------------------------------------------
     def safe_post(self, q: Optional[str], f: Optional[str]) -> Optional[str]:
@@ -326,7 +333,7 @@ class ShortSkewMulticategory:
             if g not in idx or f not in idx or h not in idx:
                 raise DanglingId(f"{self.name}: sub entry ({g},{i},{f}) dangles")
             check_slot(self.name, "sub", (g, i, f), i, self.arity(g))
-            case = self.sub_case(g, i, f)
+            case = self._sub_cases[(g, i, f)]
             if case is None:
                 raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) outside stored cases")
             if self.cod(f) != self.dom(g)[i - 1]:
@@ -379,7 +386,7 @@ def _typing_checks(m: ShortSkewMulticategory, report: ValidationReport) -> None:
                         str(have[:3] + (fl <= have[3],)), str(want + (True,)))
     for key in sorted(m.sub):
         g, i, f = key
-        n, dom, cod, flavour = expected_skew_sub_type(m, g, i, f, m.sub_case(g, i, f))
+        n, dom, cod, flavour = expected_skew_sub_type(m, g, i, f, m._sub_cases[key])
         want = (n, dom, cod)
         have = info[m.sub[key]]
         if have[:3] != want or flavour not in have[3]:
@@ -443,7 +450,7 @@ def _j_nat_checks(m: ShortSkewMulticategory, pre: dict, post: dict, sub: dict,
 
 
 def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
-    """Check every axiom instance."""
+    """Validate every axiom instance."""
     m.check_structure()
     base, info = m.base, m._index
     pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
@@ -528,10 +535,8 @@ class SkewMultiMorphism:
 def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
     src, tgt, fun = F.source, F.target, F.functor
     base_report = validate_functor(fun)
-    checks: list[Check] = []
-
-    table_of = [(TIGHT, n) for n in (2, 3, 4)] + [(LOOSE, n) for n in (0, 1, 2)]
-    for flavour, n in table_of:
+    typing = []
+    for flavour, n in [(TIGHT, n) for n in (2, 3, 4)] + [(LOOSE, n) for n in (0, 1, 2)]:
         for f in src.multimaps(flavour, n):
             if n == 1 and flavour == LOOSE and src.is_tight(f):
                 img = F.safe_apply(f)  # shared id under j = identity
@@ -540,37 +545,34 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
             if img is None:
                 raise MalformedTable(f"{F.name}: no image for {flavour}{n} multimap {f}")
             _, dom, cod, _ = src.info(f)
-            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))
-            checks.append(("morphism-typing", (flavour + str(n), f),
-                           lambda img=img, want=want, flavour=flavour: (
-                               str((tgt.info(img)[0], tgt.info(img)[1], tgt.info(img)[2],
-                                    flavour in tgt.info(img)[3] or tgt.is_tight(img))),
-                               str(want + (True,)))))
+            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod), True)
+            typing.append((flavour, n, f, img, want))
+    report = ValidationReport(F.name)
+    check = report.check
+    for flavour, n, f, img, want in typing:
+        k, dom, cod, flavours = tgt.info(img)
+        check("morphism-typing", (flavour + str(n), f),
+              str((k, dom, cod, flavour in flavours or tgt.is_tight(img))), str(want))
 
     for n, f in src.table_maps:
         _, dom, cod, _ = src.info(f)
         for q in src.base.mors_out_of(cod):
-            checks.append(("morphism-nat", ("post", q, f),
-                           lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
-                                             tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
+            check("morphism-nat", ("post", q, f), F.safe_apply(src.safe_post(q, f)),
+                  tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))
         for i in range(1, n + 1):
             for p in src.base.mors_into(dom[i - 1]):
-                checks.append(("morphism-nat", ("pre", f, str(i), p),
-                               lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
-                                                      tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
+                check("morphism-nat", ("pre", f, str(i), p), F.safe_apply(src.safe_pre(f, i, p)),
+                      tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))
 
     for case in sorted(STORED_SKEW_CASES):
         for g, i, f in src.sub_pairs(case):
-            checks.append(("morphism-sub", (g, str(i), f),
-                           lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
-                                                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
+            check("morphism-sub", (g, str(i), f), F.safe_apply(src.safe_subst(g, i, f)),
+                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))
 
     for f in sorted(src.j):
-        checks.append(("morphism-j", (f,),
-                       lambda f=f: (F.safe_apply(src.safe_j(f), LOOSE),
-                                    tgt.safe_j(F.safe_apply(f)))))
+        check("morphism-j", (f,), F.safe_apply(src.safe_j(f), LOOSE),
+              tgt.safe_j(F.safe_apply(f)))
 
-    report = run_checks(F.name, checks)
     report.merge(base_report)
     return report.finish()
 

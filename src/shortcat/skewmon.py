@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DanglingId, MalformedTable
-from .fincat import FinCategory, FinFunctor, validate_functor
-from .report import Check, ValidationReport, run_checks
+from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
+from .report import ValidationReport
 
 
 @dataclass(frozen=True)
@@ -103,87 +103,64 @@ def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
     c.check_structure()
     base = c.base
     objs = base.objects
-    checks: list[Check] = []
+    report = ValidationReport(c.name)
+    check = report.check
 
     # tensor functoriality
     for f, g in itertools.product(base.morphisms(), repeat=2):
         (a, b), (x, y) = base.span(f), base.span(g)
-        checks.append(("tensor-typing", (f, g),
-                       lambda f=f, g=g, a=a, b=b, x=x, y=y: (
-                           str(base._span.get(c.tensor_mor[(f, g)])),
-                           str((c.t(a, x), c.t(b, y))))))
+        check("tensor-typing", (f, g), str(base._span.get(c.tensor_mor[(f, g)])),
+              str((c.t(a, x), c.t(b, y))))
     for a, b in itertools.product(objs, repeat=2):
-        checks.append(("tensor-id", (a, b),
-                       lambda a=a, b=b: (c.tm(base.identity(a), base.identity(b)),
-                                         base.ids.get(c.t(a, b)))))
+        check("tensor-id", (a, b), c.tm(base.identity(a), base.identity(b)),
+              base.ids.get(c.t(a, b)))
     for f, g in itertools.product(base.morphisms(), repeat=2):
         for f2 in base.mors_out_of(base.cod(f)):
             for g2 in base.mors_out_of(base.cod(g)):
-                checks.append(("tensor-comp", (f2, f, g2, g),
-                               lambda f2=f2, f=f, g2=g2, g=g: (
-                                   c.tm(base.compose(f2, f), base.compose(g2, g)),
-                                   base.compose_opt(c.tm(f2, g2), c.tm(f, g)))))
+                check("tensor-comp", (f2, f, g2, g),
+                      c.tm(base.compose(f2, f), base.compose(g2, g)),
+                      base.compose_opt(c.tm(f2, g2), c.tm(f, g)))
 
     # spans of the structure morphisms
     for a, b, x in itertools.product(objs, repeat=3):
-        checks.append(("alpha-typing", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           str(base._span.get(c.alpha[(a, b, x)])),
-                           str((c.t(c.t(a, b), x), c.t(a, c.t(b, x)))))))
+        check("alpha-typing", (a, b, x), str(base._span.get(c.alpha[(a, b, x)])),
+              str((c.t(c.t(a, b), x), c.t(a, c.t(b, x)))))
     for a in objs:
-        checks.append(("lambda-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.lam[a])),
-                                    str((c.t(c.unit, a), a)))))
-        checks.append(("rho-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.rho[a])),
-                                    str((a, c.t(a, c.unit))))))
+        check("lambda-typing", (a,), str(base._span.get(c.lam[a])), str((c.t(c.unit, a), a)))
+        check("rho-typing", (a,), str(base._span.get(c.rho[a])), str((a, c.t(a, c.unit))))
 
     # naturality of alpha, lambda, rho
     for f, g, h in itertools.product(base.morphisms(), repeat=3):
         (a, a2), (b, b2), (x, x2) = base.span(f), base.span(g), base.span(h)
-        checks.append(("nat-alpha", (f, g, h),
-                       lambda f=f, g=g, h=h, a=a, b=b, x=x, a2=a2, b2=b2, x2=x2: (
-                           _comp_chain(base, c.tm(c.tm(f, g), h), c.alpha[(a2, b2, x2)]),
-                           _comp_chain(base, c.alpha[(a, b, x)], c.tm(f, c.tm(g, h))))))
+        check("nat-alpha", (f, g, h),
+              _comp_chain(base, c.tm(c.tm(f, g), h), c.alpha[(a2, b2, x2)]),
+              _comp_chain(base, c.alpha[(a, b, x)], c.tm(f, c.tm(g, h))))
     for f in base.morphisms():
         a, b = base.span(f)
-        checks.append(("nat-lambda", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, c.tm_right(c.unit, f), c.lam[b]),
-                           _comp_chain(base, c.lam[a], f))))
-        checks.append(("nat-rho", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, f, c.rho[b]),
-                           _comp_chain(base, c.rho[a], c.tm_left(f, c.unit)))))
+        check("nat-lambda", (f,), _comp_chain(base, c.tm_right(c.unit, f), c.lam[b]),
+              _comp_chain(base, c.lam[a], f))
+        check("nat-rho", (f,), _comp_chain(base, f, c.rho[b]),
+              _comp_chain(base, c.rho[a], c.tm_left(f, c.unit)))
 
     # the five structure axioms
     i = c.unit
     for a, b, x, d in itertools.product(objs, repeat=4):
-        checks.append(("pentagon", (a, b, x, d),
-                       lambda a=a, b=b, x=x, d=d: (
-                           _comp_chain(base, c.alpha[(c.t(a, b), x, d)], c.alpha[(a, b, c.t(x, d))]),
-                           _comp_chain(base, c.tm_left(c.alpha[(a, b, x)], d),
-                                       c.alpha[(a, c.t(b, x), d)],
-                                       c.tm_right(a, c.alpha[(b, x, d)])))))
+        check("pentagon", (a, b, x, d),
+              _comp_chain(base, c.alpha[(c.t(a, b), x, d)], c.alpha[(a, b, c.t(x, d))]),
+              _comp_chain(base, c.tm_left(c.alpha[(a, b, x)], d),
+                          c.alpha[(a, c.t(b, x), d)],
+                          c.tm_right(a, c.alpha[(b, x, d)])))
     for a, b in itertools.product(objs, repeat=2):
-        checks.append(("left-unit", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.alpha[(i, a, b)], c.lam[c.t(a, b)]),
-                           c.tm_left(c.lam[a], b))))
-        checks.append(("right-unit", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.rho[c.t(a, b)], c.alpha[(a, b, i)]),
-                           c.tm_right(a, c.rho[b]))))
-        checks.append(("middle-unit", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.tm_left(c.rho[a], b), c.alpha[(a, i, b)],
-                                       c.tm_right(a, c.lam[b])),
-                           base.ids.get(c.t(a, b)))))
-    checks.append(("unit-unit", (i,),
-                   lambda: (_comp_chain(base, c.rho[i], c.lam[i]), base.ids.get(i))))
+        check("left-unit", (a, b), _comp_chain(base, c.alpha[(i, a, b)], c.lam[c.t(a, b)]),
+              c.tm_left(c.lam[a], b))
+        check("right-unit", (a, b), _comp_chain(base, c.rho[c.t(a, b)], c.alpha[(a, b, i)]),
+              c.tm_right(a, c.rho[b]))
+        check("middle-unit", (a, b),
+              _comp_chain(base, c.tm_left(c.rho[a], b), c.alpha[(a, i, b)],
+                          c.tm_right(a, c.lam[b])),
+              base.ids.get(c.t(a, b)))
+    check("unit-unit", (i,), _comp_chain(base, c.rho[i], c.lam[i]), base.ids.get(i))
 
-    report = run_checks(c.name, checks)
-    from .fincat import validate_category
     report.merge_prefixed(validate_category(base), "base-")
     return report.finish()
 
@@ -271,51 +248,45 @@ class LaxMonFunctor:
 def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
-    report = validate_functor(fun)
-    checks: list[Check] = []
-
+    functor_report = validate_functor(fun)
     fi = fun.on_obj(src.unit)
-    checks.append(("f0-typing", (t.f0,),
-                   lambda: (str(base._span.get(t.f0)), str((tgt.unit, fi)))))
     for a, b in itertools.product(src.base.objects, repeat=2):
         if (a, b) not in t.f2:
             raise MalformedTable(f"{t.name}: f2 not total at ({a},{b})")
-        checks.append(("f2-typing", (a, b),
-                       lambda a=a, b=b: (str(base._span.get(t.f2[(a, b)])),
-                                         str((tgt.t(fun.on_obj(a), fun.on_obj(b)),
-                                              fun.on_obj(src.t(a, b)))))))
+    report = ValidationReport(t.name)
+    check = report.check
+
+    check("f0-typing", (t.f0,), str(base._span.get(t.f0)), str((tgt.unit, fi)))
+    for a, b in itertools.product(src.base.objects, repeat=2):
+        check("f2-typing", (a, b), str(base._span.get(t.f2[(a, b)])),
+              str((tgt.t(fun.on_obj(a), fun.on_obj(b)), fun.on_obj(src.t(a, b)))))
     for f, g in itertools.product(src.base.morphisms(), repeat=2):
         (a, a2), (b, b2) = src.base.span(f), src.base.span(g)
-        checks.append(("f2-nat", (f, g),
-                       lambda f=f, g=g, a=a, b=b, a2=a2, b2=b2: (
-                           _comp_chain(base, tgt.tm(fun.on_mor(f), fun.on_mor(g)), t.f2[(a2, b2)]),
-                           _comp_chain(base, t.f2[(a, b)], fun.mor_map.get(src.tm(f, g))))))
+        check("f2-nat", (f, g),
+              _comp_chain(base, tgt.tm(fun.on_mor(f), fun.on_mor(g)), t.f2[(a2, b2)]),
+              _comp_chain(base, t.f2[(a, b)], fun.mor_map.get(src.tm(f, g))))
 
     F = fun.on_obj
     for a, b, x in itertools.product(src.base.objects, repeat=3):
-        checks.append(("lax-assoc", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           _comp_chain(base, tgt.tm_left(t.f2[(a, b)], F(x)),
-                                       t.f2[(src.t(a, b), x)],
-                                       fun.mor_map.get(src.alpha[(a, b, x)])),
-                           _comp_chain(base, tgt.alpha[(F(a), F(b), F(x))],
-                                       tgt.tm_right(F(a), t.f2[(b, x)]),
-                                       t.f2[(a, src.t(b, x))]))))
+        check("lax-assoc", (a, b, x),
+              _comp_chain(base, tgt.tm_left(t.f2[(a, b)], F(x)),
+                          t.f2[(src.t(a, b), x)],
+                          fun.mor_map.get(src.alpha[(a, b, x)])),
+              _comp_chain(base, tgt.alpha[(F(a), F(b), F(x))],
+                          tgt.tm_right(F(a), t.f2[(b, x)]),
+                          t.f2[(a, src.t(b, x))]))
     for a in src.base.objects:
-        checks.append(("lax-left-unit", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, tgt.tm_left(t.f0, F(a)), t.f2[(src.unit, a)],
-                                       fun.mor_map.get(src.lam[a])),
-                           tgt.lam.get(F(a)))))
-        checks.append(("lax-right-unit", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, tgt.rho[F(a)], tgt.tm_right(F(a), t.f0),
-                                       t.f2[(a, src.unit)]),
-                           fun.mor_map.get(src.rho[a]))))
+        check("lax-left-unit", (a,),
+              _comp_chain(base, tgt.tm_left(t.f0, F(a)), t.f2[(src.unit, a)],
+                          fun.mor_map.get(src.lam[a])),
+              tgt.lam.get(F(a)))
+        check("lax-right-unit", (a,),
+              _comp_chain(base, tgt.rho[F(a)], tgt.tm_right(F(a), t.f0),
+                          t.f2[(a, src.unit)]),
+              fun.mor_map.get(src.rho[a]))
 
-    out = run_checks(t.name, checks)
-    out.merge(report)
-    return out.finish()
+    report.merge(functor_report)
+    return report.finish()
 
 
 def identity_lax_functor(c: SkewMonCategory) -> LaxMonFunctor:
@@ -357,7 +328,8 @@ def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
     check_braiding_total(c, braid)
     base = c.base
     objs = base.objects
-    checks: list[Check] = []
+    report = ValidationReport(braid.name)
+    check = report.check
 
     def lhs_obj(x, a, b):
         return c.t(c.t(x, a), b)
@@ -365,49 +337,42 @@ def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
     for (x, a, b) in itertools.product(objs, repeat=3):
         s = braid.s[(x, a, b)]
         si = braid.s_inv[(x, a, b)]
-        checks.append(("s-typing", (x, a, b),
-                       lambda s=s, x=x, a=a, b=b: (str(base._span.get(s)),
-                                                   str((lhs_obj(x, a, b), lhs_obj(x, b, a))))))
-        checks.append(("s-inverse", (x, a, b),
-                       lambda s=s, si=si, x=x, a=a, b=b: (
-                           str((base.compose_opt(si, s), base.compose_opt(s, si))),
-                           str((base.ids.get(lhs_obj(x, a, b)), base.ids.get(lhs_obj(x, b, a)))))))
+        check("s-typing", (x, a, b), str(base._span.get(s)),
+              str((lhs_obj(x, a, b), lhs_obj(x, b, a))))
+        check("s-inverse", (x, a, b),
+              str((base.compose_opt(si, s), base.compose_opt(s, si))),
+              str((base.ids.get(lhs_obj(x, a, b)), base.ids.get(lhs_obj(x, b, a)))))
 
     for f, g, h in itertools.product(base.morphisms(), repeat=3):
         (x, x2), (a, a2), (b, b2) = base.span(f), base.span(g), base.span(h)
-        checks.append(("s-nat", (f, g, h),
-                       lambda f=f, g=g, h=h, x=x, a=a, b=b, x2=x2, a2=a2, b2=b2: (
-                           _comp_chain(base, c.tm(c.tm(f, g), h), braid.s[(x2, a2, b2)]),
-                           _comp_chain(base, braid.s[(x, a, b)], c.tm(c.tm(f, h), g)))))
+        check("s-nat", (f, g, h),
+              _comp_chain(base, c.tm(c.tm(f, g), h), braid.s[(x2, a2, b2)]),
+              _comp_chain(base, braid.s[(x, a, b)], c.tm(c.tm(f, h), g)))
 
     s = braid.s
     for (x, a, b, e) in itertools.product(objs, repeat=4):
-        checks.append(("braid-hexagon", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
-                                       s[(c.t(x, e), a, b)]),
-                           _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
-                                       c.tm_left(s[(x, b, e)], a)))))
-        checks.append(("braid-alpha-right", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
-                                       c.tm_left(c.alpha[(x, b, e)], a)),
-                           _comp_chain(base, c.alpha[(c.t(x, a), b, e)], s[(x, a, c.t(b, e))]))))
-        checks.append(("braid-alpha-left", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
-                                       c.alpha[(c.t(x, e), a, b)]),
-                           _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
-                                       s[(x, c.t(a, b), e)]))))
-        checks.append(("braid-alpha-inner", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
-                                       c.alpha[(x, c.t(a, b), e)],
-                                       c.tm_right(x, s[(a, b, e)])),
-                           _comp_chain(base, s[(c.t(x, a), b, e)],
-                                       c.tm_left(c.alpha[(x, a, e)], b),
-                                       c.alpha[(x, c.t(a, e), b)]))))
-    return run_checks(braid.name, checks)
+        check("braid-hexagon", (x, a, b, e),
+              _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
+                          s[(c.t(x, e), a, b)]),
+              _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
+                          c.tm_left(s[(x, b, e)], a)))
+        check("braid-alpha-right", (x, a, b, e),
+              _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
+                          c.tm_left(c.alpha[(x, b, e)], a)),
+              _comp_chain(base, c.alpha[(c.t(x, a), b, e)], s[(x, a, c.t(b, e))]))
+        check("braid-alpha-left", (x, a, b, e),
+              _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
+                          c.alpha[(c.t(x, e), a, b)]),
+              _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
+                          s[(x, c.t(a, b), e)]))
+        check("braid-alpha-inner", (x, a, b, e),
+              _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
+                          c.alpha[(x, c.t(a, b), e)],
+                          c.tm_right(x, s[(a, b, e)])),
+              _comp_chain(base, s[(c.t(x, a), b, e)],
+                          c.tm_left(c.alpha[(x, a, e)], b),
+                          c.alpha[(x, c.t(a, e), b)]))
+    return report.finish()
 
 
 def check_symmetry(c: SkewMonCategory, braid: Braiding) -> bool:
@@ -419,17 +384,16 @@ def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding)
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
     F = fun.on_obj
-    checks: list[Check] = []
+    report = ValidationReport(t.name + ".braided")
     for (x, a, b) in itertools.product(src.base.objects, repeat=3):
-        checks.append(("braided-functor", (x, a, b),
-                       lambda x=x, a=a, b=b: (
-                           _comp_chain(base, s_tgt.s[(F(x), F(a), F(b))],
-                                       tgt.tm_left(t.f2[(x, b)], F(a)),
-                                       t.f2[(src.t(x, b), a)]),
-                           _comp_chain(base, tgt.tm_left(t.f2[(x, a)], F(b)),
-                                       t.f2[(src.t(x, a), b)],
-                                       fun.mor_map.get(s_src.s[(x, a, b)])))))
-    return run_checks(t.name + ".braided", checks)
+        report.check("braided-functor", (x, a, b),
+                     _comp_chain(base, s_tgt.s[(F(x), F(a), F(b))],
+                                 tgt.tm_left(t.f2[(x, b)], F(a)),
+                                 t.f2[(src.t(x, b), a)]),
+                     _comp_chain(base, tgt.tm_left(t.f2[(x, a)], F(b)),
+                                 t.f2[(src.t(x, a), b)],
+                                 fun.mor_map.get(s_src.s[(x, a, b)])))
+    return report.finish()
 
 
 # --------------------------------------------------------------------------
@@ -497,105 +461,82 @@ def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
     base = c.base
     objs = base.objects
     i = c.unit
-    checks: list[Check] = []
+    report = ValidationReport(c.name)
+    check = report.check
 
     # hom functoriality: contravariant first argument, covariant second
     for f, g in itertools.product(base.morphisms(), repeat=2):
         (b, b2), (x, x2) = base.span(f), base.span(g)
-        checks.append(("hom-typing", (f, g),
-                       lambda f=f, g=g, b=b, b2=b2, x=x, x2=x2: (
-                           str(base._span.get(c.hom_mor[(f, g)])),
-                           str((c.h(b2, x), c.h(b, x2))))))
+        check("hom-typing", (f, g), str(base._span.get(c.hom_mor[(f, g)])),
+              str((c.h(b2, x), c.h(b, x2))))
     for a, b in itertools.product(objs, repeat=2):
-        checks.append(("hom-id", (a, b),
-                       lambda a=a, b=b: (c.hm(base.identity(a), base.identity(b)),
-                                         base.ids.get(c.h(a, b)))))
+        check("hom-id", (a, b), c.hm(base.identity(a), base.identity(b)),
+              base.ids.get(c.h(a, b)))
     # contravariance crosses the pairing: [f2 o f, g2 o g] = [f,g2] o [f2,g]
     for f, g in itertools.product(base.morphisms(), repeat=2):
         for f2 in base.mors_out_of(base.cod(f)):
             for g2 in base.mors_out_of(base.cod(g)):
-                checks.append(("hom-comp", (f2, f, g2, g),
-                               lambda f2=f2, f=f, g2=g2, g=g: (
-                                   c.hm(base.compose(f2, f), base.compose(g2, g)),
-                                   base.compose_opt(c.hm(f, g2), c.hm(f2, g)))))
+                check("hom-comp", (f2, f, g2, g),
+                      c.hm(base.compose(f2, f), base.compose(g2, g)),
+                      base.compose_opt(c.hm(f, g2), c.hm(f2, g)))
 
     # spans of the structure morphisms
     for a in objs:
-        checks.append(("I-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.iu[a])), str((c.h(i, a), a)))))
-        checks.append(("J-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.ju[a])), str((i, c.h(a, a))))))
+        check("I-typing", (a,), str(base._span.get(c.iu[a])), str((c.h(i, a), a)))
+        check("J-typing", (a,), str(base._span.get(c.ju[a])), str((i, c.h(a, a))))
     for a, b, x in itertools.product(objs, repeat=3):
-        checks.append(("L-typing", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           str(base._span.get(c.ell[(a, b, x)])),
-                           str((c.h(b, x), c.h(c.h(a, b), c.h(a, x)))))))
+        check("L-typing", (a, b, x), str(base._span.get(c.ell[(a, b, x)])),
+              str((c.h(b, x), c.h(c.h(a, b), c.h(a, x)))))
 
     # naturality of I, J (dinatural), L
     for f in base.morphisms():
         a, b = base.span(f)
-        checks.append(("nat-I", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, c.hm_right(i, f), c.iu[b]),
-                           _comp_chain(base, c.iu[a], f))))
-        checks.append(("dinat-J", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, c.ju[a], c.hm_right(a, f)),
-                           _comp_chain(base, c.ju[b], c.hm_left(f, b)))))
+        check("nat-I", (f,), _comp_chain(base, c.hm_right(i, f), c.iu[b]),
+              _comp_chain(base, c.iu[a], f))
+        check("dinat-J", (f,), _comp_chain(base, c.ju[a], c.hm_right(a, f)),
+              _comp_chain(base, c.ju[b], c.hm_left(f, b)))
     for f in base.morphisms():
         b, b2 = base.span(f)
         for a, x in itertools.product(objs, repeat=2):
             # contravariant: [f,x] then L  =  L then [[a,f],1]
-            checks.append(("nat-L-contra", (a, f, x),
-                           lambda a=a, f=f, x=x, b=b, b2=b2: (
-                               _comp_chain(base, c.hm_left(f, x), c.ell[(a, b, x)]),
-                               _comp_chain(base, c.ell[(a, b2, x)],
-                                           c.hm(c.hm_right(a, f),
-                                                base.identity(c.h(a, x)))))))
+            check("nat-L-contra", (a, f, x),
+                  _comp_chain(base, c.hm_left(f, x), c.ell[(a, b, x)]),
+                  _comp_chain(base, c.ell[(a, b2, x)],
+                              c.hm(c.hm_right(a, f), base.identity(c.h(a, x)))))
             # covariant: L then [1,[a,f]]  =  [x,f] then L
-            checks.append(("nat-L-co", (a, x, f),
-                           lambda a=a, x=x, f=f, b=b, b2=b2: (
-                               _comp_chain(base, c.ell[(a, x, b)],
-                                           c.hm(base.identity(c.h(a, x)), c.hm_right(a, f))),
-                               _comp_chain(base, c.hm_right(x, f), c.ell[(a, x, b2)]))))
+            check("nat-L-co", (a, x, f),
+                  _comp_chain(base, c.ell[(a, x, b)],
+                              c.hm(base.identity(c.h(a, x)), c.hm_right(a, f))),
+                  _comp_chain(base, c.hm_right(x, f), c.ell[(a, x, b2)]))
             # dinatural in a: L^a then [[f,a-slot],1]  =  L^{a'} then [1,[f,x]]
-            checks.append(("dinat-L", (f, a, x),
-                           lambda f=f, a=a, x=x, b=b, b2=b2: (
-                               _comp_chain(base, c.ell[(b, a, x)],
-                                           c.hm(c.hm_left(f, a), base.identity(c.h(b, x)))),
-                               _comp_chain(base, c.ell[(b2, a, x)],
-                                           c.hm(base.identity(c.h(b2, a)), c.hm_left(f, x))))))
+            check("dinat-L", (f, a, x),
+                  _comp_chain(base, c.ell[(b, a, x)],
+                              c.hm(c.hm_left(f, a), base.identity(c.h(b, x)))),
+                  _comp_chain(base, c.ell[(b2, a, x)],
+                              c.hm(base.identity(c.h(b2, a)), c.hm_left(f, x))))
 
     # the five structure axioms
     for a, b, x, d in itertools.product(objs, repeat=4):
-        checks.append(("L-pentagon", (a, b, x, d),
-                       lambda a=a, b=b, x=x, d=d: (
-                           _comp_chain(base, c.ell[(a, x, d)],
-                                       c.ell[(c.h(a, b), c.h(a, x), c.h(a, d))],
-                                       c.hm(c.ell[(a, b, x)], base.identity(c.h(c.h(a, b), c.h(a, d))))),
-                           _comp_chain(base, c.ell[(b, x, d)],
-                                       c.hm(base.identity(c.h(b, x)), c.ell[(a, b, d)])))))
+        check("L-pentagon", (a, b, x, d),
+              _comp_chain(base, c.ell[(a, x, d)],
+                          c.ell[(c.h(a, b), c.h(a, x), c.h(a, d))],
+                          c.hm(c.ell[(a, b, x)], base.identity(c.h(c.h(a, b), c.h(a, d))))),
+              _comp_chain(base, c.ell[(b, x, d)],
+                          c.hm(base.identity(c.h(b, x)), c.ell[(a, b, d)])))
     for a, b in itertools.product(objs, repeat=2):
-        checks.append(("L-J-collapse", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.ell[(a, a, b)],
-                                       c.hm(c.ju[a], base.identity(c.h(a, b))),
-                                       c.iu[c.h(a, b)]),
-                           base.ids.get(c.h(a, b)))))
-        checks.append(("J-L-triangle", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.ju[b], c.ell[(a, b, b)]),
-                           c.ju.get(c.h(a, b)))))
-        checks.append(("L-I-compat", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.ell[(i, a, b)],
-                                       c.hm(base.identity(c.h(i, a)), c.iu[b])),
-                           c.hm(c.iu[a], base.identity(b)))))
-    checks.append(("I-J-unit", (i,),
-                   lambda: (_comp_chain(base, c.ju[i], c.iu[i]), base.ids.get(i))))
+        check("L-J-collapse", (a, b),
+              _comp_chain(base, c.ell[(a, a, b)],
+                          c.hm(c.ju[a], base.identity(c.h(a, b))),
+                          c.iu[c.h(a, b)]),
+              base.ids.get(c.h(a, b)))
+        check("J-L-triangle", (a, b), _comp_chain(base, c.ju[b], c.ell[(a, b, b)]),
+              c.ju.get(c.h(a, b)))
+        check("L-I-compat", (a, b),
+              _comp_chain(base, c.ell[(i, a, b)],
+                          c.hm(base.identity(c.h(i, a)), c.iu[b])),
+              c.hm(c.iu[a], base.identity(b)))
+    check("I-J-unit", (i,), _comp_chain(base, c.ju[i], c.iu[i]), base.ids.get(i))
 
-    report = run_checks(c.name, checks)
-    from .fincat import validate_category
     report.merge_prefixed(validate_category(base), "base-")
     return report.finish()
 
@@ -618,43 +559,36 @@ def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
     F = fun.on_obj
-    report = validate_functor(fun)
-    checks: list[Check] = []
-
-    checks.append(("f0-typing", (t.f0,),
-                   lambda: (str(base._span.get(t.f0)), str((tgt.unit, F(src.unit))))))
+    functor_report = validate_functor(fun)
     for a, b in itertools.product(src.base.objects, repeat=2):
         if (a, b) not in t.fh:
             raise MalformedTable(f"{t.name}: hom comparison not total at ({a},{b})")
-        checks.append(("fh-typing", (a, b),
-                       lambda a=a, b=b: (str(base._span.get(t.fh[(a, b)])),
-                                         str((F(src.h(a, b)), tgt.h(F(a), F(b)))))))
+    report = ValidationReport(t.name)
+    check = report.check
+
+    check("f0-typing", (t.f0,), str(base._span.get(t.f0)), str((tgt.unit, F(src.unit))))
+    for a, b in itertools.product(src.base.objects, repeat=2):
+        check("fh-typing", (a, b), str(base._span.get(t.fh[(a, b)])),
+              str((F(src.h(a, b)), tgt.h(F(a), F(b)))))
     for f, g in itertools.product(src.base.morphisms(), repeat=2):
         (b, b2), (x, x2) = src.base.span(f), src.base.span(g)
-        checks.append(("fh-nat", (f, g),
-                       lambda f=f, g=g, b=b, b2=b2, x=x, x2=x2: (
-                           _comp_chain(base, fun.mor_map.get(src.hm(f, g)), t.fh[(b, x2)]),
-                           _comp_chain(base, t.fh[(b2, x)],
-                                       tgt.hm(fun.on_mor(f), fun.on_mor(g))))))
+        check("fh-nat", (f, g),
+              _comp_chain(base, fun.mor_map.get(src.hm(f, g)), t.fh[(b, x2)]),
+              _comp_chain(base, t.fh[(b2, x)], tgt.hm(fun.on_mor(f), fun.on_mor(g))))
 
     for a in src.base.objects:
-        checks.append(("closed-I", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, t.fh[(src.unit, a)], tgt.hm_left(t.f0, F(a)),
-                                       tgt.iu[F(a)]),
-                           fun.mor_map.get(src.iu[a]))))
-        checks.append(("closed-J", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, t.f0, fun.mor_map.get(src.ju[a]), t.fh[(a, a)]),
-                           tgt.ju.get(F(a)))))
+        check("closed-I", (a,),
+              _comp_chain(base, t.fh[(src.unit, a)], tgt.hm_left(t.f0, F(a)), tgt.iu[F(a)]),
+              fun.mor_map.get(src.iu[a]))
+        check("closed-J", (a,),
+              _comp_chain(base, t.f0, fun.mor_map.get(src.ju[a]), t.fh[(a, a)]),
+              tgt.ju.get(F(a)))
     for a, b, x in itertools.product(src.base.objects, repeat=3):
-        checks.append(("closed-L", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           _comp_chain(base, t.fh[(b, x)], tgt.ell[(F(a), F(b), F(x))],
-                                       tgt.hm(t.fh[(a, b)], base.identity(tgt.h(F(a), F(x))))),
-                           _comp_chain(base, fun.mor_map.get(src.ell[(a, b, x)]),
-                                       t.fh[(src.h(a, b), src.h(a, x))],
-                                       tgt.hm(base.identity(F(src.h(a, b))), t.fh[(a, x)])))))
-    out = run_checks(t.name, checks)
-    out.merge(report)
-    return out.finish()
+        check("closed-L", (a, b, x),
+              _comp_chain(base, t.fh[(b, x)], tgt.ell[(F(a), F(b), F(x))],
+                          tgt.hm(t.fh[(a, b)], base.identity(tgt.h(F(a), F(x))))),
+              _comp_chain(base, fun.mor_map.get(src.ell[(a, b, x)]),
+                          t.fh[(src.h(a, b), src.h(a, x))],
+                          tgt.hm(base.identity(F(src.h(a, b))), t.fh[(a, x)])))
+    report.merge(functor_report)
+    return report.finish()

@@ -1,25 +1,37 @@
-"""The closure-based instance checks of the short-multi and short-skew
-validators, kept as the reference that tests/test_kernel.py compares the
-closure-free check kernels against.
+"""The closure-based validators, kept as the reference that
+tests/test_kernel.py compares the package's validators against.
 
-Each generator yields (family, subjects, thunk) per law instance and the
-validators below evaluate them through report.run_checks, exactly as the
-package did before its validators became per-family loops. The generator
-bodies are unchanged apart from their names and from all_tables, a method
-of ShortSkewMulticategory then and a function here now.
+Each law instance is a (family, subjects, thunk) triple, and report.run_checks
+evaluates the list in order, exactly as the package did before its
+validators recorded instances directly. The short-multi and short-skew
+instance generators are unchanged apart from their names and from
+all_tables, a method of ShortSkewMulticategory then and a function here now.
+The other validators are the package's former bodies with two edits: the
+relative imports inside them are absolute, and the calls they make to
+validate_category, validate_functor and validate_braided_functor resolve to
+the reference versions below, so every report here is evaluated the old way.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterator
 
-from shortcat.fincat import validate_category
+from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
+from shortcat.classify import Certificate
+from shortcat.errors import DanglingId, InconsistentVerdicts, MalformedTable
+from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
 from shortcat.report import Check, ValidationReport, run_checks
-from shortcat.shortmulti import STORED_CASES, ShortMulticategory, expected_sub_type
-from shortcat.shortskew import (
-    LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, expected_skew_sub_type,
+from shortcat.shortmulti import (
+    STORED_CASES, MultiMorphism, ShortMulticategory, _sub_pairs, expected_sub_type,
 )
-
+from shortcat.shortskew import (
+    LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, SkewMultiMorphism,
+    expected_skew_sub_type,
+)
+from shortcat.skewmon import (
+    Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
+    _comp_chain, check_braiding_total,
+)
 
 # --------------------------------------------------------------------------
 # short multicategories
@@ -451,4 +463,675 @@ def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
         skew_j_nat_checks(m), skew_naturality_checks(m), skew_assoc_checks(m))
     report = run_checks(m.name, checks)
     report.merge_prefixed(validate_category(m.base), "base-")
+    return report.finish()
+
+
+# --------------------------------------------------------------------------
+# finite categories and functors
+# --------------------------------------------------------------------------
+
+def validate_category(c: FinCategory) -> ValidationReport:
+    """Exhaustive check of typing, identity and associativity laws."""
+    c.check_structure()
+    checks: list[Check] = []
+
+    def typing_check(g, f):
+        def thunk():
+            h = c.comp[(g, f)]
+            want = (c.dom(f), c.cod(g))
+            return (str(c.span(h)), str(want))
+        return thunk
+
+    for g, f in composable_pairs(c):
+        checks.append(("comp-typing", (g, f), typing_check(g, f)))
+
+    for f in c.morphisms():
+        a, b = c.span(f)
+        checks.append(("identity", (c.identity(b), f),
+                       lambda f=f, b=b: (c.comp.get((c.identity(b), f)), f)))
+        checks.append(("identity", (f, c.identity(a)),
+                       lambda f=f, a=a: (c.comp.get((f, c.identity(a))), f)))
+
+    for g, f in composable_pairs(c):
+        for h in c.mors_out_of(c.cod(g)):
+            def thunk(h=h, g=g, f=f):
+                inner = c.comp.get((g, f))
+                lhs = c.comp.get((h, inner)) if inner is not None else None
+                mid = c.comp.get((h, g))
+                rhs = c.comp.get((mid, f)) if mid is not None else None
+                return lhs, rhs
+            checks.append(("assoc", (h, g, f), thunk))
+
+    return run_checks(c.name, checks)
+
+
+def validate_functor(fun: FinFunctor) -> ValidationReport:
+    """Check totality of the maps plus preservation of spans, identities
+    and composition."""
+    src, tgt = fun.source, fun.target
+    for a in src.objects:
+        if fun.obj_map.get(a) not in tgt.objects:
+            raise MalformedTable(f"{fun.name}: object {a} has no valid image")
+    for f in src.morphisms():
+        g = fun.mor_map.get(f)
+        if g is None or g not in tgt._span:
+            raise DanglingId(f"{fun.name}: morphism {f} has no valid image")
+
+    checks: list[Check] = []
+    for f in src.morphisms():
+        a, b = src.span(f)
+        checks.append(("functor-span", (f,),
+                       lambda f=f, a=a, b=b: (str(tgt.span(fun.on_mor(f))),
+                                              str((fun.on_obj(a), fun.on_obj(b))))))
+    for a in src.objects:
+        checks.append(("functor-id", (a,),
+                       lambda a=a: (fun.on_mor(src.identity(a)),
+                                    tgt.ids.get(fun.on_obj(a)))))
+    for g, f in composable_pairs(src):
+        checks.append(("functor-comp", (g, f),
+                       lambda g=g, f=f: (fun.mor_map.get(src.comp[(g, f)]),
+                                         tgt.compose_opt(fun.on_mor(g), fun.on_mor(f)))))
+    return run_checks(fun.name, checks)
+
+
+# --------------------------------------------------------------------------
+# skew monoidal, braided and skew closed categories and their functors
+# --------------------------------------------------------------------------
+
+def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
+    c.check_structure()
+    base = c.base
+    objs = base.objects
+    checks: list[Check] = []
+
+    # tensor functoriality
+    for f, g in itertools.product(base.morphisms(), repeat=2):
+        (a, b), (x, y) = base.span(f), base.span(g)
+        checks.append(("tensor-typing", (f, g),
+                       lambda f=f, g=g, a=a, b=b, x=x, y=y: (
+                           str(base._span.get(c.tensor_mor[(f, g)])),
+                           str((c.t(a, x), c.t(b, y))))))
+    for a, b in itertools.product(objs, repeat=2):
+        checks.append(("tensor-id", (a, b),
+                       lambda a=a, b=b: (c.tm(base.identity(a), base.identity(b)),
+                                         base.ids.get(c.t(a, b)))))
+    for f, g in itertools.product(base.morphisms(), repeat=2):
+        for f2 in base.mors_out_of(base.cod(f)):
+            for g2 in base.mors_out_of(base.cod(g)):
+                checks.append(("tensor-comp", (f2, f, g2, g),
+                               lambda f2=f2, f=f, g2=g2, g=g: (
+                                   c.tm(base.compose(f2, f), base.compose(g2, g)),
+                                   base.compose_opt(c.tm(f2, g2), c.tm(f, g)))))
+
+    # spans of the structure morphisms
+    for a, b, x in itertools.product(objs, repeat=3):
+        checks.append(("alpha-typing", (a, b, x),
+                       lambda a=a, b=b, x=x: (
+                           str(base._span.get(c.alpha[(a, b, x)])),
+                           str((c.t(c.t(a, b), x), c.t(a, c.t(b, x)))))))
+    for a in objs:
+        checks.append(("lambda-typing", (a,),
+                       lambda a=a: (str(base._span.get(c.lam[a])),
+                                    str((c.t(c.unit, a), a)))))
+        checks.append(("rho-typing", (a,),
+                       lambda a=a: (str(base._span.get(c.rho[a])),
+                                    str((a, c.t(a, c.unit))))))
+
+    # naturality of alpha, lambda, rho
+    for f, g, h in itertools.product(base.morphisms(), repeat=3):
+        (a, a2), (b, b2), (x, x2) = base.span(f), base.span(g), base.span(h)
+        checks.append(("nat-alpha", (f, g, h),
+                       lambda f=f, g=g, h=h, a=a, b=b, x=x, a2=a2, b2=b2, x2=x2: (
+                           _comp_chain(base, c.tm(c.tm(f, g), h), c.alpha[(a2, b2, x2)]),
+                           _comp_chain(base, c.alpha[(a, b, x)], c.tm(f, c.tm(g, h))))))
+    for f in base.morphisms():
+        a, b = base.span(f)
+        checks.append(("nat-lambda", (f,),
+                       lambda f=f, a=a, b=b: (
+                           _comp_chain(base, c.tm_right(c.unit, f), c.lam[b]),
+                           _comp_chain(base, c.lam[a], f))))
+        checks.append(("nat-rho", (f,),
+                       lambda f=f, a=a, b=b: (
+                           _comp_chain(base, f, c.rho[b]),
+                           _comp_chain(base, c.rho[a], c.tm_left(f, c.unit)))))
+
+    # the five structure axioms
+    i = c.unit
+    for a, b, x, d in itertools.product(objs, repeat=4):
+        checks.append(("pentagon", (a, b, x, d),
+                       lambda a=a, b=b, x=x, d=d: (
+                           _comp_chain(base, c.alpha[(c.t(a, b), x, d)], c.alpha[(a, b, c.t(x, d))]),
+                           _comp_chain(base, c.tm_left(c.alpha[(a, b, x)], d),
+                                       c.alpha[(a, c.t(b, x), d)],
+                                       c.tm_right(a, c.alpha[(b, x, d)])))))
+    for a, b in itertools.product(objs, repeat=2):
+        checks.append(("left-unit", (a, b),
+                       lambda a=a, b=b: (
+                           _comp_chain(base, c.alpha[(i, a, b)], c.lam[c.t(a, b)]),
+                           c.tm_left(c.lam[a], b))))
+        checks.append(("right-unit", (a, b),
+                       lambda a=a, b=b: (
+                           _comp_chain(base, c.rho[c.t(a, b)], c.alpha[(a, b, i)]),
+                           c.tm_right(a, c.rho[b]))))
+        checks.append(("middle-unit", (a, b),
+                       lambda a=a, b=b: (
+                           _comp_chain(base, c.tm_left(c.rho[a], b), c.alpha[(a, i, b)],
+                                       c.tm_right(a, c.lam[b])),
+                           base.ids.get(c.t(a, b)))))
+    checks.append(("unit-unit", (i,),
+                   lambda: (_comp_chain(base, c.rho[i], c.lam[i]), base.ids.get(i))))
+
+    report = run_checks(c.name, checks)
+    report.merge_prefixed(validate_category(base), "base-")
+    return report.finish()
+
+
+def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
+    src, tgt, fun = t.source, t.target, t.functor
+    base = tgt.base
+    report = validate_functor(fun)
+    checks: list[Check] = []
+
+    fi = fun.on_obj(src.unit)
+    checks.append(("f0-typing", (t.f0,),
+                   lambda: (str(base._span.get(t.f0)), str((tgt.unit, fi)))))
+    for a, b in itertools.product(src.base.objects, repeat=2):
+        if (a, b) not in t.f2:
+            raise MalformedTable(f"{t.name}: f2 not total at ({a},{b})")
+        checks.append(("f2-typing", (a, b),
+                       lambda a=a, b=b: (str(base._span.get(t.f2[(a, b)])),
+                                         str((tgt.t(fun.on_obj(a), fun.on_obj(b)),
+                                              fun.on_obj(src.t(a, b)))))))
+    for f, g in itertools.product(src.base.morphisms(), repeat=2):
+        (a, a2), (b, b2) = src.base.span(f), src.base.span(g)
+        checks.append(("f2-nat", (f, g),
+                       lambda f=f, g=g, a=a, b=b, a2=a2, b2=b2: (
+                           _comp_chain(base, tgt.tm(fun.on_mor(f), fun.on_mor(g)), t.f2[(a2, b2)]),
+                           _comp_chain(base, t.f2[(a, b)], fun.mor_map.get(src.tm(f, g))))))
+
+    F = fun.on_obj
+    for a, b, x in itertools.product(src.base.objects, repeat=3):
+        checks.append(("lax-assoc", (a, b, x),
+                       lambda a=a, b=b, x=x: (
+                           _comp_chain(base, tgt.tm_left(t.f2[(a, b)], F(x)),
+                                       t.f2[(src.t(a, b), x)],
+                                       fun.mor_map.get(src.alpha[(a, b, x)])),
+                           _comp_chain(base, tgt.alpha[(F(a), F(b), F(x))],
+                                       tgt.tm_right(F(a), t.f2[(b, x)]),
+                                       t.f2[(a, src.t(b, x))]))))
+    for a in src.base.objects:
+        checks.append(("lax-left-unit", (a,),
+                       lambda a=a: (
+                           _comp_chain(base, tgt.tm_left(t.f0, F(a)), t.f2[(src.unit, a)],
+                                       fun.mor_map.get(src.lam[a])),
+                           tgt.lam.get(F(a)))))
+        checks.append(("lax-right-unit", (a,),
+                       lambda a=a: (
+                           _comp_chain(base, tgt.rho[F(a)], tgt.tm_right(F(a), t.f0),
+                                       t.f2[(a, src.unit)]),
+                           fun.mor_map.get(src.rho[a]))))
+
+    out = run_checks(t.name, checks)
+    out.merge(report)
+    return out.finish()
+
+
+def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
+    check_braiding_total(c, braid)
+    base = c.base
+    objs = base.objects
+    checks: list[Check] = []
+
+    def lhs_obj(x, a, b):
+        return c.t(c.t(x, a), b)
+
+    for (x, a, b) in itertools.product(objs, repeat=3):
+        s = braid.s[(x, a, b)]
+        si = braid.s_inv[(x, a, b)]
+        checks.append(("s-typing", (x, a, b),
+                       lambda s=s, x=x, a=a, b=b: (str(base._span.get(s)),
+                                                   str((lhs_obj(x, a, b), lhs_obj(x, b, a))))))
+        checks.append(("s-inverse", (x, a, b),
+                       lambda s=s, si=si, x=x, a=a, b=b: (
+                           str((base.compose_opt(si, s), base.compose_opt(s, si))),
+                           str((base.ids.get(lhs_obj(x, a, b)), base.ids.get(lhs_obj(x, b, a)))))))
+
+    for f, g, h in itertools.product(base.morphisms(), repeat=3):
+        (x, x2), (a, a2), (b, b2) = base.span(f), base.span(g), base.span(h)
+        checks.append(("s-nat", (f, g, h),
+                       lambda f=f, g=g, h=h, x=x, a=a, b=b, x2=x2, a2=a2, b2=b2: (
+                           _comp_chain(base, c.tm(c.tm(f, g), h), braid.s[(x2, a2, b2)]),
+                           _comp_chain(base, braid.s[(x, a, b)], c.tm(c.tm(f, h), g)))))
+
+    s = braid.s
+    for (x, a, b, e) in itertools.product(objs, repeat=4):
+        checks.append(("braid-hexagon", (x, a, b, e),
+                       lambda x=x, a=a, b=b, e=e: (
+                           _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
+                                       s[(c.t(x, e), a, b)]),
+                           _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
+                                       c.tm_left(s[(x, b, e)], a)))))
+        checks.append(("braid-alpha-right", (x, a, b, e),
+                       lambda x=x, a=a, b=b, e=e: (
+                           _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
+                                       c.tm_left(c.alpha[(x, b, e)], a)),
+                           _comp_chain(base, c.alpha[(c.t(x, a), b, e)], s[(x, a, c.t(b, e))]))))
+        checks.append(("braid-alpha-left", (x, a, b, e),
+                       lambda x=x, a=a, b=b, e=e: (
+                           _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
+                                       c.alpha[(c.t(x, e), a, b)]),
+                           _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
+                                       s[(x, c.t(a, b), e)]))))
+        checks.append(("braid-alpha-inner", (x, a, b, e),
+                       lambda x=x, a=a, b=b, e=e: (
+                           _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
+                                       c.alpha[(x, c.t(a, b), e)],
+                                       c.tm_right(x, s[(a, b, e)])),
+                           _comp_chain(base, s[(c.t(x, a), b, e)],
+                                       c.tm_left(c.alpha[(x, a, e)], b),
+                                       c.alpha[(x, c.t(a, e), b)]))))
+    return run_checks(braid.name, checks)
+
+
+def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding) -> ValidationReport:
+    src, tgt, fun = t.source, t.target, t.functor
+    base = tgt.base
+    F = fun.on_obj
+    checks: list[Check] = []
+    for (x, a, b) in itertools.product(src.base.objects, repeat=3):
+        checks.append(("braided-functor", (x, a, b),
+                       lambda x=x, a=a, b=b: (
+                           _comp_chain(base, s_tgt.s[(F(x), F(a), F(b))],
+                                       tgt.tm_left(t.f2[(x, b)], F(a)),
+                                       t.f2[(src.t(x, b), a)]),
+                           _comp_chain(base, tgt.tm_left(t.f2[(x, a)], F(b)),
+                                       t.f2[(src.t(x, a), b)],
+                                       fun.mor_map.get(s_src.s[(x, a, b)])))))
+    return run_checks(t.name + ".braided", checks)
+
+
+def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
+    """Naturality of the hom functor and of I, J, L, plus the five
+    structure axioms of a left skew closed category (the J/L triangle among
+    them) as axiom schemas."""
+    c.check_structure()
+    base = c.base
+    objs = base.objects
+    i = c.unit
+    checks: list[Check] = []
+
+    # hom functoriality: contravariant first argument, covariant second
+    for f, g in itertools.product(base.morphisms(), repeat=2):
+        (b, b2), (x, x2) = base.span(f), base.span(g)
+        checks.append(("hom-typing", (f, g),
+                       lambda f=f, g=g, b=b, b2=b2, x=x, x2=x2: (
+                           str(base._span.get(c.hom_mor[(f, g)])),
+                           str((c.h(b2, x), c.h(b, x2))))))
+    for a, b in itertools.product(objs, repeat=2):
+        checks.append(("hom-id", (a, b),
+                       lambda a=a, b=b: (c.hm(base.identity(a), base.identity(b)),
+                                         base.ids.get(c.h(a, b)))))
+    # contravariance crosses the pairing: [f2 o f, g2 o g] = [f,g2] o [f2,g]
+    for f, g in itertools.product(base.morphisms(), repeat=2):
+        for f2 in base.mors_out_of(base.cod(f)):
+            for g2 in base.mors_out_of(base.cod(g)):
+                checks.append(("hom-comp", (f2, f, g2, g),
+                               lambda f2=f2, f=f, g2=g2, g=g: (
+                                   c.hm(base.compose(f2, f), base.compose(g2, g)),
+                                   base.compose_opt(c.hm(f, g2), c.hm(f2, g)))))
+
+    # spans of the structure morphisms
+    for a in objs:
+        checks.append(("I-typing", (a,),
+                       lambda a=a: (str(base._span.get(c.iu[a])), str((c.h(i, a), a)))))
+        checks.append(("J-typing", (a,),
+                       lambda a=a: (str(base._span.get(c.ju[a])), str((i, c.h(a, a))))))
+    for a, b, x in itertools.product(objs, repeat=3):
+        checks.append(("L-typing", (a, b, x),
+                       lambda a=a, b=b, x=x: (
+                           str(base._span.get(c.ell[(a, b, x)])),
+                           str((c.h(b, x), c.h(c.h(a, b), c.h(a, x)))))))
+
+    # naturality of I, J (dinatural), L
+    for f in base.morphisms():
+        a, b = base.span(f)
+        checks.append(("nat-I", (f,),
+                       lambda f=f, a=a, b=b: (
+                           _comp_chain(base, c.hm_right(i, f), c.iu[b]),
+                           _comp_chain(base, c.iu[a], f))))
+        checks.append(("dinat-J", (f,),
+                       lambda f=f, a=a, b=b: (
+                           _comp_chain(base, c.ju[a], c.hm_right(a, f)),
+                           _comp_chain(base, c.ju[b], c.hm_left(f, b)))))
+    for f in base.morphisms():
+        b, b2 = base.span(f)
+        for a, x in itertools.product(objs, repeat=2):
+            # contravariant: [f,x] then L  =  L then [[a,f],1]
+            checks.append(("nat-L-contra", (a, f, x),
+                           lambda a=a, f=f, x=x, b=b, b2=b2: (
+                               _comp_chain(base, c.hm_left(f, x), c.ell[(a, b, x)]),
+                               _comp_chain(base, c.ell[(a, b2, x)],
+                                           c.hm(c.hm_right(a, f),
+                                                base.identity(c.h(a, x)))))))
+            # covariant: L then [1,[a,f]]  =  [x,f] then L
+            checks.append(("nat-L-co", (a, x, f),
+                           lambda a=a, x=x, f=f, b=b, b2=b2: (
+                               _comp_chain(base, c.ell[(a, x, b)],
+                                           c.hm(base.identity(c.h(a, x)), c.hm_right(a, f))),
+                               _comp_chain(base, c.hm_right(x, f), c.ell[(a, x, b2)]))))
+            # dinatural in a: L^a then [[f,a-slot],1]  =  L^{a'} then [1,[f,x]]
+            checks.append(("dinat-L", (f, a, x),
+                           lambda f=f, a=a, x=x, b=b, b2=b2: (
+                               _comp_chain(base, c.ell[(b, a, x)],
+                                           c.hm(c.hm_left(f, a), base.identity(c.h(b, x)))),
+                               _comp_chain(base, c.ell[(b2, a, x)],
+                                           c.hm(base.identity(c.h(b2, a)), c.hm_left(f, x))))))
+
+    # the five structure axioms
+    for a, b, x, d in itertools.product(objs, repeat=4):
+        checks.append(("L-pentagon", (a, b, x, d),
+                       lambda a=a, b=b, x=x, d=d: (
+                           _comp_chain(base, c.ell[(a, x, d)],
+                                       c.ell[(c.h(a, b), c.h(a, x), c.h(a, d))],
+                                       c.hm(c.ell[(a, b, x)], base.identity(c.h(c.h(a, b), c.h(a, d))))),
+                           _comp_chain(base, c.ell[(b, x, d)],
+                                       c.hm(base.identity(c.h(b, x)), c.ell[(a, b, d)])))))
+    for a, b in itertools.product(objs, repeat=2):
+        checks.append(("L-J-collapse", (a, b),
+                       lambda a=a, b=b: (
+                           _comp_chain(base, c.ell[(a, a, b)],
+                                       c.hm(c.ju[a], base.identity(c.h(a, b))),
+                                       c.iu[c.h(a, b)]),
+                           base.ids.get(c.h(a, b)))))
+        checks.append(("J-L-triangle", (a, b),
+                       lambda a=a, b=b: (
+                           _comp_chain(base, c.ju[b], c.ell[(a, b, b)]),
+                           c.ju.get(c.h(a, b)))))
+        checks.append(("L-I-compat", (a, b),
+                       lambda a=a, b=b: (
+                           _comp_chain(base, c.ell[(i, a, b)],
+                                       c.hm(base.identity(c.h(i, a)), c.iu[b])),
+                           c.hm(c.iu[a], base.identity(b)))))
+    checks.append(("I-J-unit", (i,),
+                   lambda: (_comp_chain(base, c.ju[i], c.iu[i]), base.ids.get(i))))
+
+    report = run_checks(c.name, checks)
+    report.merge_prefixed(validate_category(base), "base-")
+    return report.finish()
+
+
+def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
+    src, tgt, fun = t.source, t.target, t.functor
+    base = tgt.base
+    F = fun.on_obj
+    report = validate_functor(fun)
+    checks: list[Check] = []
+
+    checks.append(("f0-typing", (t.f0,),
+                   lambda: (str(base._span.get(t.f0)), str((tgt.unit, F(src.unit))))))
+    for a, b in itertools.product(src.base.objects, repeat=2):
+        if (a, b) not in t.fh:
+            raise MalformedTable(f"{t.name}: hom comparison not total at ({a},{b})")
+        checks.append(("fh-typing", (a, b),
+                       lambda a=a, b=b: (str(base._span.get(t.fh[(a, b)])),
+                                         str((F(src.h(a, b)), tgt.h(F(a), F(b)))))))
+    for f, g in itertools.product(src.base.morphisms(), repeat=2):
+        (b, b2), (x, x2) = src.base.span(f), src.base.span(g)
+        checks.append(("fh-nat", (f, g),
+                       lambda f=f, g=g, b=b, b2=b2, x=x, x2=x2: (
+                           _comp_chain(base, fun.mor_map.get(src.hm(f, g)), t.fh[(b, x2)]),
+                           _comp_chain(base, t.fh[(b2, x)],
+                                       tgt.hm(fun.on_mor(f), fun.on_mor(g))))))
+
+    for a in src.base.objects:
+        checks.append(("closed-I", (a,),
+                       lambda a=a: (
+                           _comp_chain(base, t.fh[(src.unit, a)], tgt.hm_left(t.f0, F(a)),
+                                       tgt.iu[F(a)]),
+                           fun.mor_map.get(src.iu[a]))))
+        checks.append(("closed-J", (a,),
+                       lambda a=a: (
+                           _comp_chain(base, t.f0, fun.mor_map.get(src.ju[a]), t.fh[(a, a)]),
+                           tgt.ju.get(F(a)))))
+    for a, b, x in itertools.product(src.base.objects, repeat=3):
+        checks.append(("closed-L", (a, b, x),
+                       lambda a=a, b=b, x=x: (
+                           _comp_chain(base, t.fh[(b, x)], tgt.ell[(F(a), F(b), F(x))],
+                                       tgt.hm(t.fh[(a, b)], base.identity(tgt.h(F(a), F(x))))),
+                           _comp_chain(base, fun.mor_map.get(src.ell[(a, b, x)]),
+                                       t.fh[(src.h(a, b), src.h(a, x))],
+                                       tgt.hm(base.identity(F(src.h(a, b))), t.fh[(a, x)])))))
+    out = run_checks(t.name, checks)
+    out.merge(report)
+    return out.finish()
+
+
+# --------------------------------------------------------------------------
+# short braidings
+# --------------------------------------------------------------------------
+
+def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> ValidationReport:
+    checks: list[Check] = []
+    base = m.base
+
+    for tag, arity, slot in _SPECS:
+        table = beta.table(tag)
+        for f in m.multimaps(TIGHT, arity):
+            if f not in table:
+                raise MalformedTable(f"{beta.name}: {tag} not total at {f}")
+        # typing and global invertibility (bijection onto the swapped sets)
+        for f in m.multimaps(TIGHT, arity):
+            _, dom, cod, _ = m.info(f)
+            want = (arity, _swap(dom, slot), cod, True)
+            checks.append((f"{tag}-typing", (f,),
+                           lambda f=f, table=table, want=want: (
+                               str((m.info(table[f])[0], m.info(table[f])[1],
+                                    m.info(table[f])[2], m.is_tight(table[f]))),
+                               str(want))))
+        for key in m.mapset_keys(TIGHT, arity):
+            dom, cod = key
+            source = m.mapset(TIGHT, arity, dom, cod)
+            target = m.mapset(TIGHT, arity, _swap(dom, slot), cod)
+            checks.append((f"{tag}-bijective", (",".join(dom), cod),
+                           lambda source=source, target=target, table=table: (
+                               str(sorted({table[f] for f in source})
+                                   if all(f in table for f in source) else None),
+                               str(sorted(target)))))
+        # naturality in every slot and in the codomain
+        perm = {k: k for k in range(1, arity + 1)}
+        perm[slot], perm[slot + 1] = slot + 1, slot
+        for f in m.multimaps(TIGHT, arity):
+            _, dom, cod, _ = m.info(f)
+            for q in base.mors_out_of(cod):
+                checks.append((f"{tag}-nat", ("post", q, f),
+                               lambda q=q, f=f, table=table: (
+                                   table.get(m.safe_post(q, f)),
+                                   m.safe_post(q, table.get(f)))))
+            for i in range(1, arity + 1):
+                for p in base.mors_into(dom[i - 1]):
+                    checks.append((f"{tag}-nat", ("pre", f, str(i), p),
+                                   lambda f=f, i=i, p=p, table=table, perm=perm: (
+                                       table.get(m.safe_pre(f, i, p)),
+                                       m.safe_pre(table.get(f), perm[i], p))))
+
+    def b32(f):
+        return beta.b32.get(f) if f is not None else None
+
+    def b42(f):
+        return beta.b42.get(f) if f is not None else None
+
+    def b43(f):
+        return beta.b43.get(f) if f is not None else None
+
+    # Yang-Baxter style relation on quaternary maps
+    for h in m.multimaps(TIGHT, 4):
+        checks.append(("braid-yang-baxter", (h,),
+                       lambda h=h: (b42(b43(b42(h))), b43(b42(b43(h))))))
+
+    # ternary maps into binary ones
+    for g in m.multimaps(TIGHT, 2):
+        gdom = m.dom(g)
+        for f in m.multimaps(TIGHT, 3):
+            if m.cod(f) == gdom[0]:
+                checks.append(("braid-3-in-2-slot1", (g, f),
+                               lambda g=g, f=f: (m.safe_subst(g, 1, b32(f)),
+                                                 b42(m.safe_subst(g, 1, f)))))
+            if m.cod(f) == gdom[1]:
+                checks.append(("braid-3-in-2-slot2", (g, f),
+                               lambda g=g, f=f: (m.safe_subst(g, 2, b32(f)),
+                                                 b43(m.safe_subst(g, 2, f)))))
+    # binary maps into ternary ones
+    for g in m.multimaps(TIGHT, 3):
+        gdom = m.dom(g)
+        for f in m.multimaps(TIGHT, 2):
+            if m.cod(f) == gdom[0]:
+                checks.append(("braid-2-in-3-slot1", (g, f),
+                               lambda g=g, f=f: (b43(m.safe_subst(g, 1, f)),
+                                                 m.safe_subst(b32(g), 1, f))))
+            if m.cod(f) == gdom[1]:
+                checks.append(("braid-2-in-3-slot2", (g, f),
+                               lambda g=g, f=f: (b42(b43(m.safe_subst(g, 2, f))),
+                                                 m.safe_subst(b32(g), 3, f))))
+            if m.cod(f) == gdom[2]:
+                checks.append(("braid-2-in-3-slot3", (g, f),
+                               lambda g=g, f=f: (b43(b42(m.safe_subst(g, 3, f))),
+                                                 m.safe_subst(b32(g), 2, f))))
+    return run_checks(beta.name, checks)
+
+
+def validate_braided_transport_functor(F: SkewMultiMorphism,
+                                       beta_src: ShortBraiding,
+                                       beta_tgt: ShortBraiding,
+                                       cert_src: Certificate,
+                                       cert_tgt: Certificate,
+                                       src_mon: SkewMonCategory,
+                                       tgt_mon: SkewMonCategory) -> ValidationReport:
+    """Check preservation of the ternary swap; independently check the two
+    quaternary swaps and insist the verdicts agree (preserving the ternary
+    swap forces the others); finally check the transported lax functor
+    preserves the transported braidings."""
+    from shortcat.transport import ks_morphism
+    src = F.source
+    report = ValidationReport(F.name + ".braided")
+    ok32 = True
+    for f in src.multimaps(TIGHT, 3):
+        lhs = F.safe_apply(beta_src.b32.get(f), TIGHT)
+        rhs = beta_tgt.b32.get(F.safe_apply(f, TIGHT))
+        report.count("preserve-b32")
+        if lhs is None or lhs != rhs:
+            ok32 = False
+            report.fail("preserve-b32", (f,), lhs, rhs)
+    ok4 = True
+    for tag in ("b42", "b43"):
+        for g in src.multimaps(TIGHT, 4):
+            lhs = F.safe_apply(beta_src.table(tag).get(g), TIGHT)
+            rhs = beta_tgt.table(tag).get(F.safe_apply(g, TIGHT))
+            report.count(f"preserve-{tag}")
+            if lhs is None or lhs != rhs:
+                ok4 = False
+                report.fail(f"preserve-{tag}", (g,), lhs, rhs)
+    if ok32 and not ok4:
+        raise InconsistentVerdicts(
+            f"{F.name}: ternary swap preserved but a quaternary one is not")
+
+    s_src = s_from_short_braiding(src, cert_src, beta_src)
+    s_tgt = s_from_short_braiding(F.target, cert_tgt, beta_tgt)
+    t = ks_morphism(F, cert_src, cert_tgt, src_mon, tgt_mon)
+    braided = validate_braided_functor(t, s_src, s_tgt)
+    report.merge(braided)
+    return report.finish()
+
+
+# --------------------------------------------------------------------------
+# morphisms of short (skew) multicategories
+# --------------------------------------------------------------------------
+
+def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
+    """Check table totality, typing, naturality in every variable, and
+    commutation with every stored substitution."""
+    src, tgt, fun = F.source, F.target, F.functor
+    base_report = validate_functor(fun)
+    checks: list[Check] = []
+
+    for n in (0, 2, 3, 4):
+        for f in src.multimaps(n):
+            if F.maps.get(n, {}).get(f) is None:
+                raise MalformedTable(f"{F.name}: no image for arity-{n} multimap {f}")
+            _, dom, cod = src.info(f)
+            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))
+            checks.append(("morphism-typing", (f,),
+                           lambda f=f, want=want: (str(tgt.info(F.apply(f))), str(want))))
+
+    # naturality: F(q o f) = F(q) o F(f) and F(f o_i p) = F(f) o_i F(p)
+    for n in (0, 2, 3, 4):
+        for f in src.multimaps(n):
+            _, dom, cod = src.info(f)
+            for q in src.base.mors_out_of(cod):
+                checks.append(("morphism-nat", ("post", q, f),
+                               lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
+                                                 tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
+            for i in range(1, n + 1):
+                for p in src.base.mors_into(dom[i - 1]):
+                    checks.append(("morphism-nat", ("pre", f, str(i), p),
+                                   lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
+                                                          tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
+
+    for (n, k) in sorted(STORED_CASES):
+        for g, i, f in _sub_pairs(src, n, k):
+            checks.append(("morphism-sub", (g, str(i), f),
+                           lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
+                                                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
+
+    report = run_checks(F.name, checks)
+    report.merge(base_report)
+    return report.finish()
+
+
+def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
+    src, tgt, fun = F.source, F.target, F.functor
+    base_report = validate_functor(fun)
+    checks: list[Check] = []
+
+    table_of = [(TIGHT, n) for n in (2, 3, 4)] + [(LOOSE, n) for n in (0, 1, 2)]
+    for flavour, n in table_of:
+        for f in src.multimaps(flavour, n):
+            if n == 1 and flavour == LOOSE and src.is_tight(f):
+                img = F.safe_apply(f)  # shared id under j = identity
+            else:
+                img = F.safe_apply(f, flavour)
+            if img is None:
+                raise MalformedTable(f"{F.name}: no image for {flavour}{n} multimap {f}")
+            _, dom, cod, _ = src.info(f)
+            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))
+            checks.append(("morphism-typing", (flavour + str(n), f),
+                           lambda img=img, want=want, flavour=flavour: (
+                               str((tgt.info(img)[0], tgt.info(img)[1], tgt.info(img)[2],
+                                    flavour in tgt.info(img)[3] or tgt.is_tight(img))),
+                               str(want + (True,)))))
+
+    for n, f in src.table_maps:
+        _, dom, cod, _ = src.info(f)
+        for q in src.base.mors_out_of(cod):
+            checks.append(("morphism-nat", ("post", q, f),
+                           lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
+                                             tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
+        for i in range(1, n + 1):
+            for p in src.base.mors_into(dom[i - 1]):
+                checks.append(("morphism-nat", ("pre", f, str(i), p),
+                               lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
+                                                      tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
+
+    for case in sorted(STORED_SKEW_CASES):
+        for g, i, f in src.sub_pairs(case):
+            checks.append(("morphism-sub", (g, str(i), f),
+                           lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
+                                                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
+
+    for f in sorted(src.j):
+        checks.append(("morphism-j", (f,),
+                       lambda f=f: (F.safe_apply(src.safe_j(f), LOOSE),
+                                    tgt.safe_j(F.safe_apply(f)))))
+
+    report = run_checks(F.name, checks)
+    report.merge(base_report)
     return report.finish()

@@ -228,6 +228,53 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path
     assert captured.err == "internal error: KeyError: 'x'\n"
 
 
+def test_no_validator_calls_run_checks(monkeypatch, capsys, tmp_path):
+    """Every validator records its instances itself: with report.run_checks,
+    the reference evaluator, made to raise wherever a module holds it,
+    validate on every catalogue, Z/2..Z/4 and morphism file and roundtrip on
+    every skew-monoidal, braiding and skew-closed file still end in a
+    report."""
+    import importlib
+    import pkgutil
+
+    import shortcat
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report.run_checks was called")
+    for info in pkgutil.iter_modules(shortcat.__path__):
+        module = importlib.import_module(f"shortcat.{info.name}")
+        if hasattr(module, "run_checks"):
+            monkeypatch.setattr(module, "run_checks", refuse)
+
+    for generator in cli.GENERATORS:
+        if generator != "comm-monoid":
+            assert cli.main(["catalogue", generator, "--out", str(tmp_path)]) == 0
+    for n in (2, 3, 4):
+        table = ";".join(" ".join(str((a + b) % n) for b in range(n)) for a in range(n))
+        assert cli.main(["catalogue", "comm-monoid", "--out", str(tmp_path),
+                         "--elements", " ".join(map(str, range(n))), "--unit", "0",
+                         "--table", table, "--monoid-name", f"zmod{n}"]) == 0
+    capsys.readouterr()
+
+    calls = []
+    for path in sorted(tmp_path.glob("*.txt")):
+        kind = path.name.rsplit(".", 2)[1]
+        mutant = path.name.startswith("mutant-")
+        extra = []
+        if kind == "morphism":
+            ends = dict(ln.split(" = ", 1) for ln in path.read_text().splitlines()
+                        if ln.startswith(("source = ", "target = ")))
+            extra = ["--source", str(tmp_path / f"{ends['source']}.short-multi.txt"),
+                     "--target", str(tmp_path / f"{ends['target']}.short-multi.txt")]
+        calls.append((["validate", str(path), *extra], 1 if mutant else 0))
+        if kind in ("skew-monoidal", "braiding", "skew-closed") and not mutant:
+            calls.append((["roundtrip", str(path)], 0))
+    assert len(calls) > 100
+    for argv, code in calls:
+        assert cli.main(argv) == code, argv
+        assert capsys.readouterr().err == "", argv
+
+
 ROUNDTRIP_Z2_SYM = """report z2.sym.roundtrip
 status PASS
 checked braiding-roundtrip = 1
@@ -281,6 +328,9 @@ def _replace_line(text, old, new):
 
 ALPHA_KEY = "alpha key (0,0,1_0) names 1_0, which is not an object"
 S_VALUE = "braiding component 1 at ('0', '0', '1') is not a morphism"
+POST_LINE = "post 1_0 m4(1,0,0,1;0) = m4(1,0,0,1;0)"
+BAD_POST_LINE = "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"
+AXIOM_FAILURE = "validation of the structure fails 10 instances; construct needs one that passes"
 
 
 @pytest.mark.parametrize("generator,kind,edit,command,code,message", [
@@ -296,17 +346,21 @@ S_VALUE = "braiding component 1 at ('0', '0', '1') is not a morphism"
     pytest.param("z2", "braiding", lambda t: _replace_line(t, "s 0 0 1 = 1_1", "s 0 0 1 = 1"),
                  ["construct", "--which", "braiding-backward"], 2, S_VALUE,
                  id="s-value-construct"),
-    pytest.param("z2", "short-skew",
-                 lambda t: _replace_line(t, "post 1_0 m4(1,0,0,1;0) = m4(1,0,0,1;0)",
-                                         "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"),
+    pytest.param("z2", "short-skew", lambda t: _replace_line(t, POST_LINE, BAD_POST_LINE),
                  ["certify"], 1, "validation of the structure fails 10 instances",
                  id="axiom-failure-certify"),
+    pytest.param("z2", "short-multi", lambda t: _replace_line(t, POST_LINE, BAD_POST_LINE),
+                 ["construct", "--which", "k"], 1, AXIOM_FAILURE, id="axiom-failure-construct-k"),
+    *[pytest.param("z2", "short-skew", lambda t: _replace_line(t, POST_LINE, BAD_POST_LINE),
+                   ["construct", "--which", which], 1, AXIOM_FAILURE,
+                   id=f"axiom-failure-construct-{which}")
+      for which in ("ks", "kcl", "braiding-forward")],
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
                                           message):
     """A key that names no object, a braiding value that names no morphism
-    (exit 2) and a structure that fails its axioms under certify (exit 1)
-    each end in one error line, never in an internal error."""
+    (exit 2) and a structure that fails its axioms under certify or construct
+    (exit 1) each end in one error line, never in an internal error."""
     path = tmp_path / f"bad.{kind}.txt"
     path.write_text(edit(_catalogue_text(generator, kind)))
     out = run_cli(command[0], str(path), *command[1:])

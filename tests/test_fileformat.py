@@ -95,3 +95,15 @@ def test_undeclared_object_is_rejected_with_line():
         parse(text)
     assert err.value.line_no == 5
     assert "undeclared" in str(err.value)
+
+
+def test_stray_keyword_is_reported_at_its_first_line():
+    text = ("format = 1\nkind = category\nname = x\nobjects = a\nhom a a = 1_a\n"
+            "pre a 1 a = a\nid a = 1_a\ncomp 1_a 1_a = 1_a\nalpha a = a\npre b 1 b = b\n")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line_no == 6
+    assert "unexpected keyword 'pre' for kind category" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse("format = 1\nkind = category\nname = x\nname = y\nobjects = a\n")
+    assert err.value.line_no == 4 and "duplicate name line" in str(err.value)

@@ -1,27 +1,44 @@
-"""The closure-free check kernels of the short-multi and short-skew validators
-against the closure-based reference in reference_validators.py: the same
-rendered report, or the same exception type, on every catalogue structure,
-on Z/2..Z/4, on every mutant and on every completeness redirect."""
+"""Every validator against the closure-based reference in
+reference_validators.py: the same rendered report, or the same exception type
+and message, on every catalogue structure, on Z/2..Z/4, on every mutant, on
+the completeness redirects and on hand-built inputs where a totality error
+and a dangling value meet."""
 import argparse
 import dataclasses
 
 import pytest
 
 import reference_validators as ref
-from shortcat import cli
+from shortcat import braiding, cli, fincat, shortmulti, shortskew, skewmon
+from shortcat.braiding import ShortBraiding
 from shortcat.catalogue import (
-    catalogue_mutants, catalogue_short_multis, catalogue_short_skews,
-    poset2_first_short_skew,
+    catalogue_braidings, catalogue_morphisms, catalogue_mutants, catalogue_short_braidings,
+    catalogue_short_multis, catalogue_short_skews, catalogue_skew_closed,
+    catalogue_skew_monoidals, heyting2_skew_closed, monoid_skew_monoidal,
+    poset2_first_short_skew, z2_monoid,
 )
-from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
-from shortcat.shortskew import LOOSE, TIGHT, ShortSkewMulticategory, validate_short_skew
+from shortcat.classify import certify, find_closed_structure
+from shortcat.fincat import identity_functor
+from shortcat.shortmulti import (
+    ShortMulticategory, identity_multi_morphism, validate_short_multicategory,
+)
+from shortcat.shortskew import (
+    LOOSE, TIGHT, ShortSkewMulticategory, embed_multi_morphism, identity_skew_morphism,
+    validate_short_skew,
+)
+from shortcat.skewmon import SkewClosedFunctor, identity_lax_functor
+from shortcat.transport import k_morphism, k_object, kcl_morphism, kcl_object, ks_object
 
 
-def _cyclic(n):
+def _cyclic_files(n):
     rows = [" ".join(str((a + b) % n) for b in range(n)) for a in range(n)]
     args = argparse.Namespace(elements=" ".join(map(str, range(n))), unit="0",
                               table=";".join(rows), monoid_name=f"zmod{n}")
-    for sf in cli.catalogue_files("comm-monoid", args):
+    return cli.catalogue_files("comm-monoid", args)
+
+
+def _cyclic(n):
+    for sf in _cyclic_files(n):
         if sf.kind == "short-multi":
             yield sf.name, sf.payload
         elif sf.kind == "short-skew":
@@ -74,11 +91,11 @@ def _structures(group):
         yield from _poset2_first_redirects()
 
 
-def _outcome(validate, m):
+def _outcome(validate, *args):
     try:
-        return validate(m).render()
-    except Exception as exc:  # the reference's exception type is the expectation
-        return type(exc)
+        return validate(*args).render()
+    except Exception as exc:  # the reference's exception is the expectation
+        return type(exc), str(exc)
 
 
 GROUPS = ("catalogue", "cyclic", "mutants", "z2-redirects", "poset2-first-redirects")
@@ -97,6 +114,237 @@ def test_kernel_matches_reference(group):
         tried += 1
     assert tried >= {"catalogue": 10, "cyclic": 6, "mutants": 30}.get(group, 40)
     assert not differ, differ
+
+
+# --------------------------------------------------------------------------
+# the other validators: one list of inputs per validator
+# --------------------------------------------------------------------------
+
+def _first_redirects(x, table_names, pool_of):
+    """Every single-entry redirect of the named tables to the first
+    alternative that pool_of(current value) offers."""
+    for tname in table_names:
+        table = getattr(x, tname)
+        for key in sorted(table):
+            pool = pool_of(table[key])
+            if pool:
+                yield f"{tname}{key}", dataclasses.replace(x, **{tname: {**table, key: pool[0]}})
+
+
+def _cyclic_of(kind):
+    for n in (2, 3, 4):
+        for sf in _cyclic_files(n):
+            if sf.kind == kind:
+                yield sf.name, sf.payload
+
+
+def _mutants_of(kind):
+    return [(mut.name, mut.payload) for mut in catalogue_mutants() if mut.kind == kind]
+
+
+def _skew_monoidals():
+    yield from catalogue_skew_monoidals().items()
+    yield from _cyclic_of("skew-monoidal")
+    yield from _mutants_of("skew-monoidal")
+    yield from ((name, mon) for name, (mon, _) in _mutants_of("braiding"))
+    mon = monoid_skew_monoidal(z2_monoid())
+    yield from _first_redirects(mon, ("alpha", "lam", "rho", "tensor_mor"),
+                                lambda cur: [x for x in mon.base.morphisms() if x != cur])
+    yield from _first_redirects(mon, ("tensor_obj",),
+                                lambda cur: [o for o in mon.base.objects if o != cur])
+
+
+def _braidings():
+    yield from catalogue_braidings().items()
+    yield from _cyclic_of("braiding")
+    yield from _mutants_of("braiding")
+
+
+def _skew_closeds():
+    yield from catalogue_skew_closed().items()
+    yield from _mutants_of("skew-closed")
+    cl = heyting2_skew_closed()
+    yield from _first_redirects(cl, ("hom_mor", "iu", "ju", "ell"),
+                                lambda cur: [x for x in cl.base.morphisms() if x != cur])
+
+
+def _identity_closed_functor(c):
+    return SkewClosedFunctor(f"id[{c.name}]", c, c, identity_functor(c.base),
+                             c.base.identity(c.unit),
+                             {key: c.base.identity(h) for key, h in c.hom_obj.items()})
+
+
+def _short_braidings():
+    yield from catalogue_short_braidings().items()
+    yield from _cyclic_of("short-skew")
+    m, beta = catalogue_short_braidings()["z2.beta"]
+    for tag, arity in (("b32", 3), ("b42", 4), ("b43", 4)):
+        for label, redirected in _first_redirects(
+                beta, (tag,), lambda cur: [x for x in m.multimaps(TIGHT, arity) if x != cur]):
+            yield label, (m, redirected)
+
+
+def _morphisms():
+    yield from catalogue_morphisms().items()
+    for name, m in list(_cyclic_of("short-multi")) + _mutants_of("short-multi"):
+        yield f"id[{name}]", identity_multi_morphism(m)
+    F = catalogue_morphisms()["z2-into-klein"]
+    for n, table in F.maps.items():
+        for f in sorted(table):
+            for other in [x for x in F.target.multimaps(n) if x != table[f]][:1]:
+                yield f"z2-into-klein[{f}]", dataclasses.replace(
+                    F, maps={**F.maps, n: {**table, f: other}})
+
+
+def _skew_morphisms():
+    for name, F in catalogue_morphisms().items():
+        yield name, embed_multi_morphism(F, F.source.as_skew, F.target.as_skew)
+    skews = list(catalogue_short_skews().items()) + _mutants_of("short-skew")
+    skews += [(name, m) for name, (m, _) in _cyclic_of("short-skew")]
+    for name, m in skews:
+        yield f"id[{name}]", identity_skew_morphism(m)
+
+
+def _braided_transports():
+    data = {}
+    for key, (sk, beta) in catalogue_short_braidings().items():
+        cert = certify(sk)
+        data[key.split(".")[0]] = (sk, beta, cert, ks_object(sk, cert))
+    klein = data["klein"][0]
+    cases = [("id[klein]", identity_skew_morphism(klein), "klein", "klein")]
+    ms = catalogue_morphisms()
+    for name, s, t in (("klein-swap", "klein", "klein"), ("z2-into-klein", "z2", "klein"),
+                       ("z2-collapse", "z2", "terminal")):
+        cases.append((name, embed_multi_morphism(ms[name], data[s][0], data[t][0]), s, t))
+    identity = cases[0][1]
+    for n in (3, 4):  # a ternary edit fails preservation, a quaternary one alone raises
+        table = dict(identity.tight_maps[n])
+        key = sorted(table)[0]
+        table[key] = next(f for f in klein.multimaps(TIGHT, n) if f != table[key])
+        cases.append((f"id[klein].t{n}[{key}]", dataclasses.replace(
+            identity, tight_maps={**identity.tight_maps, n: table}), "klein", "klein"))
+    for label, F, s, t in cases:
+        yield label, (F, data[s][1], data[t][1], data[s][2], data[t][2], data[s][3], data[t][3])
+
+
+# Hand-built inputs where a table that is not total meets a dangling value
+# that an instance check would trip over first: the totality error wins.
+
+def _morphism_totality_and_dangling():
+    F = catalogue_morphisms()["z2-into-klein"]
+    maps = {n: dict(t) for n, t in F.maps.items()}
+    maps[2][sorted(maps[2])[0]] = "no-such-map"
+    del maps[4][sorted(maps[4])[-1]]
+    return dataclasses.replace(F, maps=maps)
+
+
+def _lax_totality_and_dangling():
+    c = monoid_skew_monoidal(z2_monoid())
+    t = identity_lax_functor(c)
+    src = dataclasses.replace(c, tensor_obj={**c.tensor_obj, ("0", "0"): "no-such-object"})
+    f2 = dict(t.f2)
+    del f2[sorted(f2)[-1]]
+    return dataclasses.replace(t, source=src, f2=f2)
+
+
+def _closed_functor_totality_and_dangling():
+    c = heyting2_skew_closed()
+    t = _identity_closed_functor(c)
+    fh = dict(t.fh)
+    del fh[sorted(fh)[-1]]
+    return dataclasses.replace(t, source=dataclasses.replace(c, unit="no-such-object"), fh=fh)
+
+
+def _short_braiding_totality_and_dangling():
+    m, beta = catalogue_short_braidings()["z2.beta"]
+    b32 = {**beta.b32, sorted(beta.b32)[0]: "no-such-map"}
+    b43 = dict(beta.b43)
+    del b43[sorted(b43)[-1]]
+    return m, ShortBraiding(beta.name, b32, dict(beta.b42), b43)
+
+
+HAND_BUILT = "totality-and-dangling"
+
+
+def _validator_inputs(name):
+    """(label, arguments) for every input the validator is compared on."""
+    if name == "validate_category":
+        structures = (list(catalogue_short_multis().items()) + list(catalogue_short_skews().items())
+                      + list(_skew_monoidals()) + list(_skew_closeds())
+                      + list(_structures("cyclic")) + list(_structures("mutants")))
+        return ([(n, (x.base,)) for n, x in structures]
+                + [(n, (x,)) for n, x in _mutants_of("category")])
+    if name == "validate_functor":
+        functors = ([(n, F.functor) for n, F in list(_morphisms()) + list(_skew_morphisms())]
+                    + [(n, t.functor) for n, (t,) in _validator_inputs("validate_lax_functor")])
+        for n in ("z2-into-klein", "klein-onto-z2"):
+            fun = catalogue_morphisms()[n].functor
+            functors += _first_redirects(
+                fun, ("mor_map",), lambda cur: [x for x in fun.target.morphisms() if x != cur])
+        return [(f"{n}.functor", (fun,)) for n, fun in functors]
+    if name == "validate_skew_monoidal":
+        return [(n, (c,)) for n, c in _skew_monoidals()]
+    if name == "validate_lax_functor":
+        ms = catalogue_short_multis()
+        certs = {n: certify(m) for n, m in ms.items()}
+        mons = {n: k_object(m, certs[n]) for n, m in ms.items()}
+        return ([(f"id[{n}]", (identity_lax_functor(c),)) for n, c in _skew_monoidals()]
+                + [(n, (k_morphism(F, certs[F.source.name], certs[F.target.name],
+                                   mons[F.source.name], mons[F.target.name]),))
+                   for n, F in catalogue_morphisms().items()]
+                + [(HAND_BUILT, (_lax_totality_and_dangling(),))])
+    if name == "validate_braiding":
+        return list(_braidings())
+    if name == "validate_braided_functor":
+        return [(n, (identity_lax_functor(c), b, b)) for n, (c, b) in _braidings()]
+    if name == "validate_skew_closed":
+        return [(n, (c,)) for n, c in _skew_closeds()]
+    if name == "validate_skew_closed_functor":
+        sk = catalogue_short_skews()["heyting2.skew"]
+        cert = certify(sk)
+        homs = find_closed_structure(sk, cert)
+        cl = kcl_object(sk, cert, homs)
+        kcl = kcl_morphism(identity_skew_morphism(sk), homs, homs, cert, cert, cl, cl)
+        return ([(f"id[{n}]", (_identity_closed_functor(c),)) for n, c in _skew_closeds()]
+                + [("kcl[id[heyting2.skew]]", (kcl,)),
+                   (HAND_BUILT, (_closed_functor_totality_and_dangling(),))])
+    if name == "validate_short_braiding":
+        return list(_short_braidings()) + [(HAND_BUILT, _short_braiding_totality_and_dangling())]
+    if name == "validate_braided_transport_functor":
+        return list(_braided_transports())
+    if name == "validate_multi_morphism":
+        return ([(n, (F,)) for n, F in _morphisms()]
+                + [(HAND_BUILT, (_morphism_totality_and_dangling(),))])
+    assert name == "validate_skew_multi_morphism"
+    F = _morphism_totality_and_dangling()
+    return ([(n, (F,)) for n, F in _skew_morphisms()]
+            + [(HAND_BUILT, (embed_multi_morphism(F, F.source.as_skew, F.target.as_skew),))])
+
+
+VALIDATORS = {
+    "validate_category": fincat, "validate_functor": fincat,
+    "validate_skew_monoidal": skewmon, "validate_lax_functor": skewmon,
+    "validate_braiding": skewmon, "validate_braided_functor": skewmon,
+    "validate_skew_closed": skewmon, "validate_skew_closed_functor": skewmon,
+    "validate_short_braiding": braiding, "validate_braided_transport_functor": braiding,
+    "validate_multi_morphism": shortmulti, "validate_skew_multi_morphism": shortskew,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATORS))
+def test_validator_matches_reference(name):
+    validate, reference = getattr(VALIDATORS[name], name), getattr(ref, name)
+    tried, failing, differ = 0, 0, []
+    for label, args in _validator_inputs(name):
+        want = _outcome(reference, *args)
+        if _outcome(validate, *args) != want:
+            differ.append(label)
+        if label == HAND_BUILT:
+            assert isinstance(want, tuple) and want[0].__name__ == "MalformedTable", want
+        failing += not isinstance(want, str) or "status FAIL" in want
+        tried += 1
+    assert not differ, differ
+    assert tried >= 4 and failing >= 1, (tried, failing)
 
 
 def _grouped(keys_and_maps):
