@@ -71,6 +71,15 @@ def _guard_size(sf: StructureFile, max_objects: int, max_multimaps: int) -> None
             f"--max-multimaps {max_multimaps}")
 
 
+def _short_skew_report(m: ShortSkewMulticategory, beta) -> ValidationReport:
+    """The report of a short-skew file: its structure and, when it has swap
+    tables, their instances under the braiding- prefix."""
+    report = validate_short_skew(m)
+    if beta is not None:
+        report.merge_prefixed(braid_mod.validate_short_braiding(m, beta), "braiding-")
+    return report.finish()
+
+
 def _validate_file(sf: StructureFile, args) -> ValidationReport:
     kind, payload = sf.kind, sf.payload
     if kind == "category":
@@ -78,12 +87,7 @@ def _validate_file(sf: StructureFile, args) -> ValidationReport:
     if kind == "short-multi":
         return validate_short_multicategory(payload)
     if kind == "short-skew":
-        structure, beta = payload
-        report = validate_short_skew(structure)
-        if beta is not None:
-            report.merge_prefixed(
-                braid_mod.validate_short_braiding(structure, beta), "braiding-")
-        return report.finish()
+        return _short_skew_report(*payload)
     if kind == "skew-monoidal":
         return validate_skew_monoidal(payload)
     if kind == "braiding":
@@ -195,11 +199,12 @@ def _certify_payload(sf: StructureFile):
     raise MalformedTable(f"certify expects a short-multi or short-skew file, got {sf.kind}")
 
 
-def _require_valid(name: str, m, command: str) -> None:
+def _require_valid(name: str, m, command: str, beta=None) -> None:
     """Raise AxiomFailure (exit 1) unless the short-multi or short-skew
-    structure m passes validation; check_structure errors raise as usual."""
+    structure m, with its swap tables beta if given, passes validation;
+    check_structure errors raise as usual."""
     report = (validate_short_multicategory(m) if isinstance(m, ShortMulticategory)
-              else validate_short_skew(m))
+              else _short_skew_report(m, beta))
     if not report.ok:
         raise AxiomFailure(f"{name}: validation of the structure fails "
                            f"{len(report.failures)} instances; {command} needs one that passes")
@@ -272,7 +277,7 @@ def cmd_construct(args) -> int:
             raise MalformedTable("construct braiding-forward expects a short-skew "
                                  "file with swap tables")
         m, beta = sf.payload
-        _require_valid(sf.name, m, "construct")
+        _require_valid(sf.name, m, "construct", beta)
         cert = certify(m)
         mon = ks_object(m, cert, name=sf.name + ".ks")
         s = braid_mod.s_from_short_braiding(m, cert, beta, name=sf.name + ".s")

@@ -4,19 +4,24 @@ left-bracketed product (...(a1 a2)...)an, with loose maps carrying a leading
 unit factor; and from a skew closed category, the closed short skew
 multicategory whose maps are morphisms into iterated homs.
 
-Substitutions are computed from the tensor (or hom) structure morphisms and
-then tabulated, so the derived structures run through the ordinary table
-validators.
+Both skew inductions tabulate their maps through one helper. Substitutions
+are computed from the tensor (or hom) structure morphisms and then
+tabulated, so the derived structures run through the ordinary table
+validators. The plain induced structure of a left-normal skew monoidal
+category is the skew one read through its invertible j
+(shortskew.plain_of).
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import reduce
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import MalformedTable
+from .fincat import FinCategory
 from .shortmulti import ShortMulticategory
-from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, sub_flavour
+from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, plain_of, sub_flavour
 from .skewmon import SkewClosedCategory, SkewMonCategory
 
 
@@ -85,41 +90,31 @@ class _Bracketer:
         return base.compose(c.tm_right(x, fm), base.compose(k, ins))
 
 
-def _induced_tables(br: _Bracketer, flavours: dict[str, tuple[int, ...]]):
-    """Tables, underlying-morphism map, and reverse wrap lookup."""
-    c, base = br.c, br.base
+def _tabulate(name: str, base: FinCategory,
+              span: Callable[[str, tuple[str, ...], str], tuple[str, str]]):
+    """The tables of an induced structure whose tight (arities 1-4) and loose
+    (arities 0-2) maps (dom; cod) are the base morphisms source -> target,
+    (source, target) = span(flavour, dom, cod).
+
+    Returns a skeleton with those tables and no j or action entries, the
+    underlying morphism of every map, and rewrap, which names the map of a
+    type whose underlying morphism is f."""
     tables = {TIGHT: {}, LOOSE: {}}
     under: dict[str, str] = {}
     wrap_of: dict[tuple, str] = {}
-    for flavour, arities in flavours.items():
+    for flavour, arities in ((TIGHT, (1, 2, 3, 4)), (LOOSE, (0, 1, 2))):
         for n in arities:
-            tables[flavour][n] = {}
+            table = tables[flavour][n] = {}
             for dom in itertools.product(base.objects, repeat=n):
                 for cod in base.objects:
-                    prod = (c.unit,) + dom if flavour == LOOSE else dom
                     fs = []
-                    for f in base.hom(br.lbr(prod), cod):
-                        if flavour == TIGHT and n == 1:
-                            w = f
-                        else:
-                            w = _wrap(flavour, n, dom, cod, f)
+                    for f in base.hom(*span(flavour, dom, cod)):
+                        w = f if (flavour == TIGHT and n == 1) else _wrap(flavour, n, dom, cod, f)
                         fs.append(w)
                         under[w] = f
                         wrap_of[(flavour, n, dom, cod, f)] = w
-                    if fs and not (flavour == TIGHT and n == 1):
-                        tables[flavour][n][(dom, cod)] = tuple(sorted(fs))
-    return tables, under, wrap_of
-
-
-def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSkewMulticategory:
-    """The short skew multicategory of a skew monoidal category: tight maps
-    out of left-bracketed products, loose maps with a leading unit factor,
-    j given by the left unit map."""
-    br = _Bracketer(c)
-    base = c.base
-    name = name or (c.name + ".induced")
-    tables, under, wrap_of = _induced_tables(
-        br, {TIGHT: (1, 2, 3, 4), LOOSE: (0, 1, 2)})
+                    if fs:
+                        table[(dom, cod)] = tuple(sorted(fs))
 
     def rewrap(flavour: str, n: int, dom: tuple[str, ...], cod: str, f: str) -> str:
         try:
@@ -128,9 +123,20 @@ def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSk
             raise MalformedTable(f"{name}: induced map {f} missing from {flavour}{n}{dom};{cod}")
 
     skeleton = ShortSkewMulticategory(
-        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)},
-        {n: tables[LOOSE][n] for n in (0, 1, 2)},
+        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)}, tables[LOOSE],
         j={}, pre={}, post={}, sub={})
+    return skeleton, under, rewrap
+
+
+def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSkewMulticategory:
+    """The short skew multicategory of a skew monoidal category: tight maps
+    out of left-bracketed products, loose maps with a leading unit factor,
+    j given by the left unit map."""
+    br = _Bracketer(c)
+    base = c.base
+    skeleton, under, rewrap = _tabulate(
+        name or (c.name + ".induced"), base,
+        lambda flavour, dom, cod: (br.lbr((c.unit,) + dom if flavour == LOOSE else dom), cod))
 
     j: dict[str, str] = {}
     for n in (1, 2):
@@ -138,11 +144,6 @@ def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSk
             dom, cod = skeleton.dom(f), skeleton.cod(f)
             lam_slot = br.lbr_mor([c.lam[dom[0]]] + [base.identity(o) for o in dom[1:]])
             j[f] = rewrap(LOOSE, n, dom, cod, base.compose(under[f], lam_slot))
-
-    skeleton = ShortSkewMulticategory(
-        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)},
-        {n: tables[LOOSE][n] for n in (0, 1, 2)},
-        j=j, pre={}, post={}, sub={})
 
     def front(f: str) -> tuple[str, ...]:
         return (c.unit,) if skeleton.is_loose(f) and not skeleton.is_tight(f) else ()
@@ -172,97 +173,24 @@ def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSk
         blist = ((c.unit,) if x == LOOSE else ()) + gdom
         idx = (1 if x == LOOSE else 0) + i - 1
         prefix, suffix = blist[:idx], blist[idx + 1:]
-        if not prefix:
-            gamma = under[f]
-        else:
-            gamma = br.gamma(prefix, under[f], fdom, y == LOOSE, blist[idx])
-        ext = gamma
+        ext = br.gamma(prefix, under[f], fdom, y == LOOSE, blist[idx]) if prefix else under[f]
         for sobj in suffix:
-            ext = br.c.tm_left(ext, sobj)
+            ext = c.tm_left(ext, sobj)
         result = base.compose(under[g], ext)
         flavour = sub_flavour(x, i, y)
         newdom = gdom[:i - 1] + fdom + gdom[i:]
         sub[(g, i, f)] = rewrap(flavour, ng + nf - 1, newdom, gcod, result)
 
-    return ShortSkewMulticategory(
-        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)},
-        {n: tables[LOOSE][n] for n in (0, 1, 2)}, j, pre, post, sub)
+    return replace(skeleton, j=j, pre=pre, post=post, sub=sub)
 
 
 def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortMulticategory:
     """The plain induced structure, available when the left unit map is
-    invertible: nullary maps are morphisms out of the unit, substituting a
-    nullary map into the leading slot uses the unit inverse."""
+    invertible: the skew one read through its invertible j."""
     from .skewmon import classify_flavour
-    fl = classify_flavour(c)
-    if not fl.left_normal:
+    if not classify_flavour(c).left_normal:
         raise MalformedTable(f"{c.name}: plain induction needs an invertible left unit map")
-    lam_inv = fl.lam_inverses
-    br = _Bracketer(c)
-    base = c.base
-    name = name or (c.name + ".induced")
-
-    maps: dict[int, dict] = {n: {} for n in (0, 2, 3, 4)}
-    under: dict[str, str] = {}
-    wrap_of: dict[tuple, str] = {}
-    for n in (0, 1, 2, 3, 4):
-        for dom in itertools.product(base.objects, repeat=n):
-            for cod in base.objects:
-                prod = br.lbr(dom) if n else c.unit
-                fs = []
-                for f in base.hom(prod, cod):
-                    w = f if n == 1 else _wrap("m", n, dom, cod, f)
-                    fs.append(w)
-                    under[w] = f
-                    wrap_of[(n, dom, cod, f)] = w
-                if fs and n != 1:
-                    maps[n][(dom, cod)] = tuple(sorted(fs))
-
-    def rewrap(n, dom, cod, f):
-        try:
-            return wrap_of[(n, dom, cod, f)]
-        except KeyError:
-            raise MalformedTable(f"{name}: induced map {f} missing from m{n}{dom};{cod}")
-
-    skeleton = ShortMulticategory(name, base, maps, {}, {}, {})
-    pre = {}
-    for (f, i, p) in skeleton.required_pre_keys():
-        n, dom, cod = skeleton.info(f)
-        newdom = dom[:i - 1] + (base.dom(p),) + dom[i:]
-        pre[(f, i, p)] = rewrap(n, newdom, cod,
-                                base.compose(under[f], br.slot_mor(newdom, i, p)))
-    post = {}
-    for (q, f) in skeleton.required_post_keys():
-        n, dom, _ = skeleton.info(f)
-        post[(q, f)] = rewrap(n, dom, base.cod(q), base.compose(q, under[f]))
-
-    sub = {}
-    for (g, i, f) in skeleton.required_sub_keys():
-        ng, gdom, gcod = skeleton.info(g)
-        nf, fdom, _ = skeleton.info(f)
-        prefix, suffix = gdom[:i - 1], gdom[i:]
-        if not prefix:
-            if nf == 0:
-                # use the unit inverse to grow the leading unit factor
-                if not suffix:
-                    raise MalformedTable(f"{name}: nullary into unary slot")
-                grow = br.lbr_mor([lam_inv[suffix[0]]]
-                                  + [base.identity(o) for o in suffix[1:]])
-                feed = br.lbr_mor([under[f]] + [base.identity(o) for o in suffix])
-                result = base.compose(under[g], base.compose(feed, grow))
-                sub[(g, i, f)] = rewrap(ng - 1, suffix, gcod, result)
-                continue
-            gamma = under[f]
-        else:
-            gamma = br.gamma(prefix, under[f], fdom, nf == 0, gdom[i - 1])
-        ext = gamma
-        for sobj in suffix:
-            ext = br.c.tm_left(ext, sobj)
-        result = base.compose(under[g], ext)
-        newdom = gdom[:i - 1] + fdom + gdom[i:]
-        sub[(g, i, f)] = rewrap(ng + nf - 1, newdom, gcod, result)
-
-    return ShortMulticategory(name, base, maps, pre, post, sub)
+    return plain_of(induce_short_skew(c, name))
 
 
 def induced_multimap_sets(c: SkewMonCategory, cap: int = 4):
@@ -345,39 +273,14 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
     are morphisms out of the unit into the full curried hom."""
     c = x
     base = c.base
-    name = name or (c.name + ".induced")
     cur = _Currier(c)
 
-    tables = {TIGHT: {}, LOOSE: {}}
-    under: dict[str, str] = {}
-    wrap_of: dict[tuple, str] = {}
-    for flavour, arities in ((TIGHT, (1, 2, 3, 4)), (LOOSE, (0, 1, 2))):
-        for n in arities:
-            tables[flavour][n] = {}
-            for dom in itertools.product(base.objects, repeat=n):
-                for cod in base.objects:
-                    if flavour == TIGHT:
-                        src, tgt = dom[0], cur.curry(dom[1:], cod)
-                    else:
-                        src, tgt = c.unit, cur.curry(dom, cod)
-                    fs = []
-                    for f in base.hom(src, tgt):
-                        w = f if (flavour == TIGHT and n == 1) else _wrap(flavour, n, dom, cod, f)
-                        fs.append(w)
-                        under[w] = f
-                        wrap_of[(flavour, n, dom, cod, f)] = w
-                    if fs and not (flavour == TIGHT and n == 1):
-                        tables[flavour][n][(dom, cod)] = tuple(sorted(fs))
+    def span(flavour: str, dom: tuple[str, ...], cod: str) -> tuple[str, str]:
+        if flavour == TIGHT:
+            return dom[0], cur.curry(dom[1:], cod)
+        return c.unit, cur.curry(dom, cod)
 
-    def rewrap(flavour, n, dom, cod, f):
-        try:
-            return wrap_of[(flavour, n, dom, cod, f)]
-        except KeyError:
-            raise MalformedTable(f"{name}: induced map {f} missing from {flavour}{n}{dom};{cod}")
-
-    skeleton = ShortSkewMulticategory(
-        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)},
-        {n: tables[LOOSE][n] for n in (0, 1, 2)}, j={}, pre={}, post={}, sub={})
+    skeleton, under, rewrap = _tabulate(name or (c.name + ".induced"), base, span)
 
     j: dict[str, str] = {}
     for n in (1, 2):
@@ -386,10 +289,6 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
             a1 = dom[0]
             lifted = base.compose(c.hm_right(a1, under[f]), c.ju[a1])
             j[f] = rewrap(LOOSE, n, dom, cod, lifted)
-
-    skeleton = ShortSkewMulticategory(
-        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)},
-        {n: tables[LOOSE][n] for n in (0, 1, 2)}, j=j, pre={}, post={}, sub={})
 
     def pre_action(f: str, i: int, p: str) -> str:
         _, dom, cod, fl = skeleton.info(f)
@@ -435,6 +334,4 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
             result = base.compose(cur.nest(outer_layers, action), under[g])
         sub[(g, i, f)] = rewrap(flavour, ng + nf - 1, newdom, gcod, result)
 
-    return ShortSkewMulticategory(
-        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)},
-        {n: tables[LOOSE][n] for n in (0, 1, 2)}, j, pre, post, sub)
+    return replace(skeleton, j=j, pre=pre, post=post, sub=sub)

@@ -492,6 +492,35 @@ def embed_plain(m: ShortMulticategory) -> ShortSkewMulticategory:
         pre=dict(m.pre), post=dict(m.post), sub=dict(m.sub))
 
 
+def plain_of(sk: ShortSkewMulticategory) -> ShortMulticategory:
+    """The inverse of embed_plain: the plain short multicategory of a short
+    skew multicategory whose j is a type-preserving bijection from the tight
+    unary and binary maps onto the loose ones. Its maps are the loose
+    nullary and the tight arity 2-4 ones, with the pre, post and sub entries
+    among them; a loose unary or binary result is replaced by its
+    j-preimage."""
+    loose = set(sk.multimaps(LOOSE, 1) + sk.multimaps(LOOSE, 2))
+    inverse: dict[str, str] = {}
+    for f in sk.multimaps(TIGHT, 1) + sk.multimaps(TIGHT, 2):
+        q = sk.j.get(f)
+        if q not in loose or q in inverse or sk.info(q)[:3] != sk.info(f)[:3]:
+            raise MalformedTable(f"{sk.name}: j is not injective and type-preserving at {f}")
+        inverse[q] = f
+    if len(inverse) != len(loose):
+        raise MalformedTable(f"{sk.name}: j misses {len(loose) - len(inverse)} loose maps")
+    maps = {0: sk.loose[0], 2: sk.tight[2], 3: sk.tight[3], 4: sk.tight[4]}
+    plain = {f for n, table in maps.items() for fs in table.values() for f in fs}
+    sub = {}
+    for (g, i, f), h in sk.sub.items():
+        if g in plain and f in plain:
+            # only a nullary map into the first slot gives a loose result
+            sub[(g, i, f)] = inverse.get(h, h) if i == 1 and sk.arity(f) == 0 else h
+    return ShortMulticategory(
+        sk.name, sk.base, maps,
+        {key: h for key, h in sk.pre.items() if key[0] in plain},
+        {key: h for key, h in sk.post.items() if key[1] in plain}, sub)
+
+
 # --------------------------------------------------------------------------
 # morphisms of short skew multicategories
 # --------------------------------------------------------------------------

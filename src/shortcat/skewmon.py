@@ -174,8 +174,6 @@ class Flavour:
     left_normal: bool
     monoidal: bool
     closed: bool
-    lam_inverses: dict[str, str]
-    alpha_inverses: dict[tuple[str, str, str], str]
     rho_inverses: dict[str, str]
     hom_objects: dict[tuple[str, str], tuple[str, str]]  # (b,c) -> ([b,c], counit)
 
@@ -205,21 +203,14 @@ def right_adjoint_witness(c: SkewMonCategory, b: str, cod: str) -> Optional[tupl
 
 def classify_flavour(c: SkewMonCategory) -> Flavour:
     base = c.base
-    lam_inv, alpha_inv, rho_inv = {}, {}, {}
+    rho_inv = {}
     for a in base.objects:
-        inv = base.is_iso(c.lam[a])
-        if inv is not None:
-            lam_inv[a] = inv
         inv = base.is_iso(c.rho[a])
         if inv is not None:
             rho_inv[a] = inv
-    for key, f in c.alpha.items():
-        inv = base.is_iso(f)
-        if inv is not None:
-            alpha_inv[key] = inv
-    left_normal = len(lam_inv) == len(base.objects)
+    left_normal = all(base.is_iso(c.lam[a]) is not None for a in base.objects)
     monoidal = (left_normal and len(rho_inv) == len(base.objects)
-                and len(alpha_inv) == len(c.alpha))
+                and all(base.is_iso(f) is not None for f in c.alpha.values()))
     homs = {}
     closed = True
     for b, cod in itertools.product(base.objects, repeat=2):
@@ -228,7 +219,7 @@ def classify_flavour(c: SkewMonCategory) -> Flavour:
             closed = False
         else:
             homs[(b, cod)] = w
-    return Flavour(left_normal, monoidal, closed, lam_inv, alpha_inv, rho_inv, homs)
+    return Flavour(left_normal, monoidal, closed, rho_inv, homs)
 
 
 # --------------------------------------------------------------------------

@@ -721,9 +721,9 @@ def skew_monoidal_roundtrip(x: SkewMonCategory
     """The skew monoidal roundtrip: its report, plus the induced short skew
     multicategory and its certificate, for callers that go on to transport
     a braiding over the same induction."""
-    from .induce import induce_short_multi, induce_short_skew
+    from .induce import induce_short_skew
     from .shortmulti import validate_short_multicategory
-    from .shortskew import validate_short_skew
+    from .shortskew import plain_of, validate_short_skew
 
     report = ValidationReport(x.name + ".roundtrip")
     if not validate_skew_monoidal(x).ok:
@@ -741,7 +741,7 @@ def skew_monoidal_roundtrip(x: SkewMonCategory
         report.count("ks-roundtrip-renamed")
 
     if classify_flavour(x).left_normal:
-        plain = induce_short_multi(x)
+        plain = plain_of(sk)
         if not validate_short_multicategory(plain).ok:
             raise MalformedTable(f"{x.name}: induced plain structure fails validation")
         pcert = certify(plain)

@@ -10,16 +10,22 @@ The other validators are the package's former bodies with two edits: the
 relative imports inside them are absolute, and the calls they make to
 validate_category, validate_functor and validate_braided_functor resolve to
 the reference versions below, so every report here is evaluated the old way.
+
+The file ends with the package's former plain induction, induce_short_multi,
+which tabulated the plain structure itself instead of reading it off the
+skew one. It took the unit inverses from a field of skewmon.Flavour that is
+gone; here it computes them with is_iso.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Optional
 
 from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
 from shortcat.classify import Certificate
 from shortcat.errors import DanglingId, InconsistentVerdicts, MalformedTable
 from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
+from shortcat.induce import _Bracketer, _wrap
 from shortcat.report import Check, ValidationReport, run_checks
 from shortcat.shortmulti import (
     STORED_CASES, MultiMorphism, ShortMulticategory, _sub_pairs, expected_sub_type,
@@ -1135,3 +1141,81 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
     report = run_checks(F.name, checks)
     report.merge(base_report)
     return report.finish()
+
+
+# --------------------------------------------------------------------------
+# the former plain induction
+# --------------------------------------------------------------------------
+
+def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortMulticategory:
+    """The plain induced structure, available when the left unit map is
+    invertible: nullary maps are morphisms out of the unit, substituting a
+    nullary map into the leading slot uses the unit inverse."""
+    lam_inv = {a: c.base.is_iso(c.lam[a]) for a in c.base.objects}
+    if None in lam_inv.values():
+        raise MalformedTable(f"{c.name}: plain induction needs an invertible left unit map")
+    br = _Bracketer(c)
+    base = c.base
+    name = name or (c.name + ".induced")
+
+    maps: dict[int, dict] = {n: {} for n in (0, 2, 3, 4)}
+    under: dict[str, str] = {}
+    wrap_of: dict[tuple, str] = {}
+    for n in (0, 1, 2, 3, 4):
+        for dom in itertools.product(base.objects, repeat=n):
+            for cod in base.objects:
+                prod = br.lbr(dom) if n else c.unit
+                fs = []
+                for f in base.hom(prod, cod):
+                    w = f if n == 1 else _wrap("m", n, dom, cod, f)
+                    fs.append(w)
+                    under[w] = f
+                    wrap_of[(n, dom, cod, f)] = w
+                if fs and n != 1:
+                    maps[n][(dom, cod)] = tuple(sorted(fs))
+
+    def rewrap(n, dom, cod, f):
+        try:
+            return wrap_of[(n, dom, cod, f)]
+        except KeyError:
+            raise MalformedTable(f"{name}: induced map {f} missing from m{n}{dom};{cod}")
+
+    skeleton = ShortMulticategory(name, base, maps, {}, {}, {})
+    pre = {}
+    for (f, i, p) in skeleton.required_pre_keys():
+        n, dom, cod = skeleton.info(f)
+        newdom = dom[:i - 1] + (base.dom(p),) + dom[i:]
+        pre[(f, i, p)] = rewrap(n, newdom, cod,
+                                base.compose(under[f], br.slot_mor(newdom, i, p)))
+    post = {}
+    for (q, f) in skeleton.required_post_keys():
+        n, dom, _ = skeleton.info(f)
+        post[(q, f)] = rewrap(n, dom, base.cod(q), base.compose(q, under[f]))
+
+    sub = {}
+    for (g, i, f) in skeleton.required_sub_keys():
+        ng, gdom, gcod = skeleton.info(g)
+        nf, fdom, _ = skeleton.info(f)
+        prefix, suffix = gdom[:i - 1], gdom[i:]
+        if not prefix:
+            if nf == 0:
+                # use the unit inverse to grow the leading unit factor
+                if not suffix:
+                    raise MalformedTable(f"{name}: nullary into unary slot")
+                grow = br.lbr_mor([lam_inv[suffix[0]]]
+                                  + [base.identity(o) for o in suffix[1:]])
+                feed = br.lbr_mor([under[f]] + [base.identity(o) for o in suffix])
+                result = base.compose(under[g], base.compose(feed, grow))
+                sub[(g, i, f)] = rewrap(ng - 1, suffix, gcod, result)
+                continue
+            gamma = under[f]
+        else:
+            gamma = br.gamma(prefix, under[f], fdom, nf == 0, gdom[i - 1])
+        ext = gamma
+        for sobj in suffix:
+            ext = br.c.tm_left(ext, sobj)
+        result = base.compose(under[g], ext)
+        newdom = gdom[:i - 1] + fdom + gdom[i:]
+        sub[(g, i, f)] = rewrap(ng + nf - 1, newdom, gcod, result)
+
+    return ShortMulticategory(name, base, maps, pre, post, sub)

@@ -317,6 +317,34 @@ def test_braiding_roundtrip_induces_and_certifies_once(monkeypatch, capsys, tmp_
     assert certified == [True, False]
 
 
+ROUNDTRIP_Z2_MON = """report z2.mon.roundtrip
+status PASS
+checked k-roundtrip = 1
+checked ks-roundtrip = 1
+total-checked = 2
+total-failed = 0
+"""
+
+
+def test_skew_monoidal_roundtrip_induces_once(monkeypatch, capsys, tmp_path):
+    """roundtrip on a left-normal skew monoidal file induces the skew
+    structure once and reads the plain one off it: no plain induction."""
+    from shortcat import induce
+
+    calls = []
+    for fn in ("induce_short_skew", "induce_short_multi"):
+        real = getattr(induce, fn)
+        monkeypatch.setattr(induce, fn, lambda c, name=None, fn=fn, real=real:
+                            calls.append(fn) or real(c, name))
+    path = tmp_path / "z2.mon.skew-monoidal.txt"
+    path.write_text(_catalogue_text("z2", "skew-monoidal"))
+    assert cli.main(["roundtrip", str(path)]) == cli.EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.out == ROUNDTRIP_Z2_MON
+    assert captured.err == ""
+    assert calls == ["induce_short_skew"]
+
+
 def _catalogue_text(generator, kind):
     return serialize(next(sf for sf in catalogue_files(generator) if sf.kind == kind))
 
@@ -331,6 +359,8 @@ S_VALUE = "braiding component 1 at ('0', '0', '1') is not a morphism"
 POST_LINE = "post 1_0 m4(1,0,0,1;0) = m4(1,0,0,1;0)"
 BAD_POST_LINE = "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"
 AXIOM_FAILURE = "validation of the structure fails 10 instances; construct needs one that passes"
+BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,1,0;1)"
+BAD_BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,0,1;1)"
 
 
 @pytest.mark.parametrize("generator,kind,edit,command,code,message", [
@@ -354,7 +384,14 @@ AXIOM_FAILURE = "validation of the structure fails 10 instances; construct needs
     *[pytest.param("z2", "short-skew", lambda t: _replace_line(t, POST_LINE, BAD_POST_LINE),
                    ["construct", "--which", which], 1, AXIOM_FAILURE,
                    id=f"axiom-failure-construct-{which}")
-      for which in ("ks", "kcl", "braiding-forward")],
+      for which in ("ks", "kcl")],
+    # the swap tables fail 3 instances of their own on top of the structure's 10
+    pytest.param("z2", "short-skew", lambda t: _replace_line(t, POST_LINE, BAD_POST_LINE),
+                 ["construct", "--which", "braiding-forward"], 1,
+                 AXIOM_FAILURE.replace("10", "13"), id="axiom-failure-construct-braiding-forward"),
+    pytest.param("z2", "short-skew", lambda t: _replace_line(t, BETA43_LINE, BAD_BETA43_LINE),
+                 ["construct", "--which", "braiding-forward"], 1, AXIOM_FAILURE,
+                 id="swap-failure-construct-braiding-forward"),
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
                                           message):

@@ -22,8 +22,7 @@ from shortcat.transport import (
 )
 
 
-@pytest.fixture(scope="module")
-def bz2():
+def bz2_category() -> SkewMonCategory:
     base = z2_group_category()
     return SkewMonCategory(
         "bz2", base,
@@ -32,6 +31,11 @@ def bz2():
                     for f in base.morphisms() for g in base.morphisms()},
         unit="o",
         alpha={("o", "o", "o"): "e"}, lam={"o": "e"}, rho={"o": "e"})
+
+
+@pytest.fixture(scope="module")
+def bz2():
+    return bz2_category()
 
 
 def test_group_monoidal_category_validates(bz2):
