@@ -100,18 +100,28 @@ def _validate_file(sf: StructureFile, args) -> ValidationReport:
     if kind in ("morphism", "lax-functor"):
         if not args.source or not args.target:
             raise MalformedTable(f"validating a {kind} file needs --source and --target")
-        src_sf = _load(args.source)
-        tgt_sf = _load(args.target)
-        if kind == "morphism":
-            src = src_sf.payload[0] if isinstance(src_sf.payload, tuple) else src_sf.payload
-            tgt = tgt_sf.payload[0] if isinstance(tgt_sf.payload, tuple) else tgt_sf.payload
-            F = bind_morphism(payload, sf.name, src, tgt)
-            if payload.variant == "plain":
-                return validate_multi_morphism(F)
-            return validate_skew_multi_morphism(F)
-        t = bind_lax_functor(payload, sf.name, src_sf.payload, tgt_sf.payload)
-        return validate_lax_functor(t)
+        if kind == "lax-functor":
+            src, tgt = (_end(path, "skew-monoidal", args) for path in (args.source, args.target))
+            return validate_lax_functor(bind_lax_functor(payload, sf.name, src, tgt))
+        plain = payload.variant == "plain"
+        src, tgt = (_end(path, "short-multi" if plain else "short-skew", args)
+                    for path in (args.source, args.target))
+        F = bind_morphism(payload, sf.name, src, tgt)
+        return validate_multi_morphism(F) if plain else validate_skew_multi_morphism(F)
     raise MalformedTable(f"cannot validate kind {kind}")
+
+
+def _end(path: str, kind: str, args):
+    """The structure in the --source or --target file at path, which must be
+    of the given kind (the structure half of a short-skew file), within the
+    size guard and pass its check_structure."""
+    sf = _load(path)
+    if sf.kind != kind:
+        raise MalformedTable(f"{path}: expected a {kind} file, got {sf.kind}")
+    _guard_size(sf, args.max_objects, args.max_multimaps)
+    structure = sf.payload[0] if kind == "short-skew" else sf.payload
+    structure.check_structure()
+    return structure
 
 
 def _report_path(out: str) -> Path:

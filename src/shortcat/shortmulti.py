@@ -38,8 +38,150 @@ Key = tuple[tuple[str, ...], str]  # (domain tuple, codomain)
 STORED_CASES = frozenset({(2, 2), (3, 2), (2, 3), (2, 0), (3, 0)})
 
 
+class MultiTables:
+    """The table core shared by plain and skew short multicategories.
+
+    A subclass is a frozen dataclass with `name`, `base`, `pre`, `post`,
+    `sub` and `_index` (id -> (arity, domain, codomain, ...)). It supplies
+    `table_maps`, `required_sub_keys`, `_tables` (its multimap tables by
+    arity, for the key-shape check) and `_stored` (whether (g, i, f), both
+    ids known, is a stored substitution case). The routing rule is written
+    once: a base morphism, the only tight unary map, composes in the base,
+    and every other id reads the pre, post and sub tables.
+    """
+
+    # -- typed lookups ------------------------------------------------------
+    def info(self, f: str) -> tuple:
+        try:
+            return self._index[f]
+        except KeyError:
+            raise DanglingId(f"{self.name}: unknown multimap {f}")
+
+    def arity(self, f: str) -> int:
+        return self.info(f)[0]
+
+    def dom(self, f: str) -> tuple[str, ...]:
+        return self.info(f)[1]
+
+    def cod(self, f: str) -> str:
+        return self.info(f)[2]
+
+    # -- actions and substitution (strict: raise on missing) ----------------
+    def act_post(self, q: str, f: str) -> str:
+        if f in self.base._span:
+            return self.base.compose(q, f)
+        self.info(f)  # DanglingId on an unknown id
+        try:
+            return self.post[(q, f)]
+        except KeyError:
+            raise MalformedTable(f"{self.name}: missing post entry ({q}, {f})")
+
+    def act_pre(self, f: str, i: int, p: str) -> str:
+        if f in self.base._span:
+            if i != 1:
+                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
+            return self.base.compose(f, p)
+        self.info(f)  # DanglingId on an unknown id
+        try:
+            return self.pre[(f, i, p)]
+        except KeyError:
+            raise MalformedTable(f"{self.name}: missing pre entry ({f}, {i}, {p})")
+
+    def subst(self, g: str, i: int, f: str) -> str:
+        self.info(g), self.info(f)  # an unknown id is dangling before anything else
+        span = self.base._span
+        if f in span:
+            return self.act_pre(g, i, f)
+        if g in span:
+            if i != 1:
+                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
+            return self.act_post(g, f)
+        if not self._stored(g, i, f):
+            raise UnsupportedSubstitution(
+                f"{self.name}: substitution ({g}, {i}, {f}) outside stored cases")
+        try:
+            return self.sub[(g, i, f)]
+        except KeyError:
+            raise MalformedTable(f"{self.name}: missing sub entry ({g}, {i}, {f})")
+
+    # -- safe variants for law checking --------------------------------------
+    def safe_post(self, q: Optional[str], f: Optional[str]) -> Optional[str]:
+        if q is None or f is None or f not in self._index or q not in self._index:
+            return None
+        if f in self.base._span:
+            return self.base.compose_opt(q, f)
+        return self.post.get((q, f))
+
+    def safe_pre(self, f: Optional[str], i: int, p: Optional[str]) -> Optional[str]:
+        if f is None or p is None or f not in self._index:
+            return None
+        if f in self.base._span:
+            return self.base.compose_opt(f, p) if i == 1 else None
+        return self.pre.get((f, i, p))
+
+    def safe_subst(self, g: Optional[str], i: int, f: Optional[str]) -> Optional[str]:
+        if g is None or f is None or g not in self._index or f not in self._index:
+            return None
+        if f in self.base._span:
+            return self.safe_pre(g, i, f)
+        if g in self.base._span:
+            return self.safe_post(g, f) if i == 1 else None
+        return self.sub.get((g, i, f))
+
+    # -- structural totality --------------------------------------------------
+    def required_pre_keys(self) -> Iterator[tuple[str, int, str]]:
+        for n, f in self.table_maps:
+            dom = self.dom(f)
+            for i in range(1, n + 1):
+                for p in self.base.mors_into(dom[i - 1]):
+                    yield (f, i, p)
+
+    def required_post_keys(self) -> Iterator[tuple[str, str]]:
+        for _, f in self.table_maps:
+            for q in self.base.mors_out_of(self.cod(f)):
+                yield (q, f)
+
+    def _check_tables(self) -> None:
+        """The structure checks both structures share: the base, key shapes,
+        dangling ids, slot range, composability, stored cases and totality."""
+        self.base.check_structure()
+        idx, span = self._index, self.base._span
+        for n, table in self._tables():
+            for dom, cod in table:
+                if len(dom) != n:
+                    raise MalformedTable(f"{self.name}: arity-{n} key with {len(dom)} inputs")
+                for a in dom + (cod,):
+                    if a not in self.base.objects:
+                        raise MalformedTable(f"{self.name}: unknown object {a} in multimap key")
+        for (f, i, p), g in self.pre.items():
+            if f not in idx or g not in idx:
+                raise DanglingId(f"{self.name}: pre entry ({f},{i},{p}) dangles")
+            check_slot(self.name, "pre", (f, i, p), i, self.arity(f))
+            if p not in span or span[p][1] != self.dom(f)[i - 1]:
+                raise MalformedTable(f"{self.name}: pre key ({f},{i},{p}) not composable")
+        for (q, f), g in self.post.items():
+            if f not in idx or g not in idx:
+                raise DanglingId(f"{self.name}: post entry ({q},{f}) dangles")
+            if q not in span or span[q][0] != self.cod(f):
+                raise MalformedTable(f"{self.name}: post key ({q},{f}) not composable")
+        for (g, i, f), h in self.sub.items():
+            if g not in idx or f not in idx or h not in idx:
+                raise DanglingId(f"{self.name}: sub entry ({g},{i},{f}) dangles")
+            check_slot(self.name, "sub", (g, i, f), i, self.arity(g))
+            if not self._stored(g, i, f):
+                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) outside stored cases")
+            if self.cod(f) != self.dom(g)[i - 1]:
+                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) not composable")
+        for label, table, keys in (("pre", self.pre, self.required_pre_keys()),
+                                   ("post", self.post, self.required_post_keys()),
+                                   ("sub", self.sub, self.required_sub_keys())):
+            for key in keys:
+                if key not in table:
+                    raise MalformedTable(f"{self.name}: {label} table not total at {key}")
+
+
 @dataclass(frozen=True)
-class ShortMulticategory:
+class ShortMulticategory(MultiTables):
     name: str
     base: FinCategory
     maps: dict[int, dict[Key, tuple[str, ...]]]   # arities 0,2,3,4; arity 1 mirrors base.homs
@@ -72,22 +214,6 @@ class ShortMulticategory:
                     index[f] = (n, tuple(dom), cod)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_index", index)
-
-    # -- typed lookups ------------------------------------------------------
-    def info(self, f: str) -> tuple[int, tuple[str, ...], str]:
-        try:
-            return self._index[f]
-        except KeyError:
-            raise DanglingId(f"{self.name}: unknown multimap {f}")
-
-    def arity(self, f: str) -> int:
-        return self.info(f)[0]
-
-    def dom(self, f: str) -> tuple[str, ...]:
-        return self.info(f)[1]
-
-    def cod(self, f: str) -> str:
-        return self.info(f)[2]
 
     def mapset(self, n: int, dom: tuple[str, ...], cod: str) -> tuple[str, ...]:
         if n == 1:
@@ -130,125 +256,24 @@ class ShortMulticategory:
             return sorted(((a,), b) for (a, b) in self.base.homs)
         return sorted(self.maps.get(n, {}))
 
-    # -- actions and substitution (strict: raise on missing) ----------------
-    def act_post(self, q: str, f: str) -> str:
-        if self.arity(f) == 1:
-            return self.base.compose(q, f)
-        try:
-            return self.post[(q, f)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing post entry ({q}, {f})")
+    # -- what the table core needs --------------------------------------------
+    @cached_property
+    def table_maps(self) -> tuple[tuple[int, str], ...]:
+        """(arity, multimap) over arities 0, 2, 3 and 4, by arity and then id."""
+        return tuple((n, f) for n in (0, 2, 3, 4) for f in self.multimaps(n))
 
-    def act_pre(self, f: str, i: int, p: str) -> str:
-        if self.arity(f) == 1:
-            if i != 1:
-                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
-            return self.base.compose(f, p)
-        try:
-            return self.pre[(f, i, p)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing pre entry ({f}, {i}, {p})")
+    def _tables(self) -> Iterable[tuple[int, dict]]:
+        return self.maps.items()
 
-    def subst(self, g: str, i: int, f: str) -> str:
-        n, m = self.arity(g), self.arity(f)
-        if m == 1:
-            return self.act_pre(g, i, f)
-        if n == 1:
-            if i != 1:
-                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
-            return self.act_post(g, f)
-        if (n, m) not in STORED_CASES:
-            raise UnsupportedSubstitution(
-                f"{self.name}: substitution case outer={n} inner={m} is not stored")
-        try:
-            return self.sub[(g, i, f)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing sub entry ({g}, {i}, {f})")
-
-    # -- safe variants for law checking --------------------------------------
-    def safe_post(self, q: Optional[str], f: Optional[str]) -> Optional[str]:
-        if q is None or f is None:
-            return None
-        if f not in self._index or q not in self._index:
-            return None
-        if self.arity(f) == 1:
-            return self.base.compose_opt(q, f)
-        return self.post.get((q, f))
-
-    def safe_pre(self, f: Optional[str], i: int, p: Optional[str]) -> Optional[str]:
-        if f is None or p is None or f not in self._index:
-            return None
-        if self.arity(f) == 1:
-            return self.base.compose_opt(f, p) if i == 1 else None
-        return self.pre.get((f, i, p))
-
-    def safe_subst(self, g: Optional[str], i: int, f: Optional[str]) -> Optional[str]:
-        if g is None or f is None or g not in self._index or f not in self._index:
-            return None
-        n, m = self.arity(g), self.arity(f)
-        if m == 1:
-            return self.safe_pre(g, i, f)
-        if n == 1:
-            return self.safe_post(g, f) if i == 1 else None
-        return self.sub.get((g, i, f))
-
-    # -- structural totality --------------------------------------------------
-    def required_pre_keys(self) -> Iterator[tuple[str, int, str]]:
-        for n in (2, 3, 4):
-            for f in self.multimaps(n):
-                dom = self.dom(f)
-                for i in range(1, n + 1):
-                    for p in self.base.mors_into(dom[i - 1]):
-                        yield (f, i, p)
-
-    def required_post_keys(self) -> Iterator[tuple[str, str]]:
-        for n in (0, 2, 3, 4):
-            for f in self.multimaps(n):
-                for q in self.base.mors_out_of(self.cod(f)):
-                    yield (q, f)
+    def _stored(self, g: str, i: int, f: str) -> bool:
+        return (self._index[g][0], self._index[f][0]) in STORED_CASES
 
     def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
         for (n, k) in sorted(STORED_CASES):
             yield from _sub_pairs(self, n, k)
 
     def check_structure(self) -> None:
-        self.base.check_structure()
-        idx = self._index
-        for n, table in self.maps.items():
-            for (dom, cod), _ in table.items():
-                if len(dom) != n:
-                    raise MalformedTable(f"{self.name}: arity-{n} key with {len(dom)} inputs")
-                for a in dom + (cod,):
-                    if a not in self.base.objects:
-                        raise MalformedTable(f"{self.name}: unknown object {a} in multimap key")
-        for (f, i, p), g in self.pre.items():
-            if f not in idx or g not in idx:
-                raise DanglingId(f"{self.name}: pre entry ({f},{i},{p}) dangles")
-            check_slot(self.name, "pre", (f, i, p), i, self.arity(f))
-            if p not in self.base._span or self.base.cod(p) != self.dom(f)[i - 1]:
-                raise MalformedTable(f"{self.name}: pre key ({f},{i},{p}) not composable")
-        for (q, f), g in self.post.items():
-            if f not in idx or g not in idx:
-                raise DanglingId(f"{self.name}: post entry ({q},{f}) dangles")
-            if q not in self.base._span or self.base.dom(q) != self.cod(f):
-                raise MalformedTable(f"{self.name}: post key ({q},{f}) not composable")
-        for (g, i, f), h in self.sub.items():
-            if g not in idx or f not in idx or h not in idx:
-                raise DanglingId(f"{self.name}: sub entry ({g},{i},{f}) dangles")
-            check_slot(self.name, "sub", (g, i, f), i, self.arity(g))
-            if (self.arity(g), self.arity(f)) not in STORED_CASES:
-                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) outside stored cases")
-            if self.cod(f) != self.dom(g)[i - 1]:
-                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) not composable")
-        for key in self.required_pre_keys():
-            if key not in self.pre:
-                raise MalformedTable(f"{self.name}: pre table not total at {key}")
-        for key in self.required_post_keys():
-            if key not in self.post:
-                raise MalformedTable(f"{self.name}: post table not total at {key}")
-        for key in self.required_sub_keys():
-            if key not in self.sub:
-                raise MalformedTable(f"{self.name}: sub table not total at {key}")
+        self._check_tables()
 
 
 def check_slot(name: str, table: str, key: tuple, i: int, arity: int) -> None:
@@ -498,13 +523,12 @@ def validate_short_multicategory(m: ShortMulticategory) -> ValidationReport:
     m.check_structure()
     base, info = m.base, m._index
     pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
-    maps = [(n, f) for n in (0, 2, 3, 4) for f in m.multimaps(n)]
     cases = [((), n, k, _sub_pairs(m, n, k), m.multimaps(n),
               lambda x, k=k: m.maps_into(k, x)) for n, k in sorted(STORED_CASES)]
     report = ValidationReport(m.name)
     _typing_checks(m, report)
-    identity_checks(maps, info, base, pre, post, report)
-    profunctor_checks(maps, info, base, pre, post, report)
+    identity_checks(m.table_maps, info, base, pre, post, report)
+    profunctor_checks(m.table_maps, info, base, pre, post, report)
     naturality_checks(cases, info, base, pre, post, sub, report)
     assoc_checks(m.multimaps(2), info, m.maps_into, sub, report)
     report.merge_prefixed(validate_category(m.base), "base-")
@@ -556,30 +580,30 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
             _, dom, cod = src.info(f)
             typing.append((f, (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))))
     report = ValidationReport(F.name)
-    check = report.check
     for f, want in typing:
-        check("morphism-typing", (f,), str(tgt.info(F.apply(f))), str(want))
-
-    # naturality: F(q o f) = F(q) o F(f) and F(f o_i p) = F(f) o_i F(p)
-    for n in (0, 2, 3, 4):
-        for f in src.multimaps(n):
-            _, dom, cod = src.info(f)
-            for q in src.base.mors_out_of(cod):
-                check("morphism-nat", ("post", q, f), F.safe_apply(src.safe_post(q, f)),
-                      tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))
-            for i in range(1, n + 1):
-                for p in src.base.mors_into(dom[i - 1]):
-                    check("morphism-nat", ("pre", f, str(i), p),
-                          F.safe_apply(src.safe_pre(f, i, p)),
-                          tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))
-
-    for (n, k) in sorted(STORED_CASES):
-        for g, i, f in _sub_pairs(src, n, k):
-            check("morphism-sub", (g, str(i), f), F.safe_apply(src.safe_subst(g, i, f)),
-                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))
-
+        report.check("morphism-typing", (f,), str(tgt.info(F.apply(f))), str(want))
+    morphism_law_checks(F, report)
     report.merge(base_report)
     return report.finish()
+
+
+def morphism_law_checks(F, report: ValidationReport) -> None:
+    """The laws of a plain or skew morphism F: naturality in every variable,
+    F(q o f) = F(q) o F(f) and F(f o_i p) = F(f) o_i F(p), and commutation
+    with every stored substitution."""
+    src, tgt, mor, apply, check = F.source, F.target, F.functor.mor_map, F.safe_apply, report.check
+    for n, f in src.table_maps:
+        dom, cod = src.info(f)[1:3]
+        for q in src.base.mors_out_of(cod):
+            check("morphism-nat", ("post", q, f), apply(src.safe_post(q, f)),
+                  tgt.safe_post(mor.get(q), apply(f)))
+        for i in range(1, n + 1):
+            for p in src.base.mors_into(dom[i - 1]):
+                check("morphism-nat", ("pre", f, str(i), p), apply(src.safe_pre(f, i, p)),
+                      tgt.safe_pre(apply(f), i, mor.get(p)))
+    for g, i, f in src.required_sub_keys():
+        check("morphism-sub", (g, str(i), f), apply(src.safe_subst(g, i, f)),
+              tgt.safe_subst(apply(g), i, apply(f)))
 
 
 def identity_multi_morphism(m: ShortMulticategory) -> MultiMorphism:

@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import DanglingId, MalformedTable, TypingViolation, UnsupportedSubstitution
+from .errors import DanglingId, MalformedTable, TypingViolation
 from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
 from .report import ValidationReport
 from .shortmulti import (
-    Key, MultiMorphism, ShortMulticategory, assoc_checks, check_slot, identity_checks,
-    lookup_tables, naturality_checks, profunctor_checks, tally,
+    Key, MultiMorphism, MultiTables, ShortMulticategory, assoc_checks, identity_checks,
+    lookup_tables, morphism_law_checks, naturality_checks, profunctor_checks, tally,
 )
 
 TIGHT = "t"
@@ -60,7 +60,7 @@ def sub_flavour(x: str, i: int, y: str) -> str:
 
 
 @dataclass(frozen=True)
-class ShortSkewMulticategory:
+class ShortSkewMulticategory(MultiTables):
     name: str
     base: FinCategory
     tight: dict[int, dict[Key, tuple[str, ...]]]   # arities 2,3,4 (1 = base homs)
@@ -105,22 +105,6 @@ class ShortSkewMulticategory:
         object.__setattr__(self, "loose", loose)
         object.__setattr__(self, "_index",
                            {f: (n, d, c, frozenset(fl)) for f, (n, d, c, fl) in index.items()})
-
-    # -- typed lookups ------------------------------------------------------
-    def info(self, f: str) -> tuple[int, tuple[str, ...], str, frozenset]:
-        try:
-            return self._index[f]
-        except KeyError:
-            raise DanglingId(f"{self.name}: unknown multimap {f}")
-
-    def arity(self, f: str) -> int:
-        return self.info(f)[0]
-
-    def dom(self, f: str) -> tuple[str, ...]:
-        return self.info(f)[1]
-
-    def cod(self, f: str) -> str:
-        return self.info(f)[2]
 
     def is_tight(self, f: str) -> bool:
         return TIGHT in self.info(f)[3]
@@ -169,40 +153,6 @@ class ShortSkewMulticategory:
         tables = self.tight if flavour == TIGHT else self.loose
         return sorted(tables.get(n, {}))
 
-    # -- actions ------------------------------------------------------------
-    def act_post(self, q: str, f: str) -> str:
-        if self.arity(f) == 1 and self.is_tight(f):
-            return self.base.compose(q, f)
-        try:
-            return self.post[(q, f)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing post entry ({q}, {f})")
-
-    def act_pre(self, f: str, i: int, p: str) -> str:
-        if self.arity(f) == 1 and self.is_tight(f):
-            if i != 1:
-                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
-            return self.base.compose(f, p)
-        try:
-            return self.pre[(f, i, p)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing pre entry ({f}, {i}, {p})")
-
-    def subst(self, g: str, i: int, f: str) -> str:
-        if self.arity(f) == 1 and self.is_tight(f):
-            return self.act_pre(g, i, f)
-        if self.arity(g) == 1 and self.is_tight(g):
-            if i != 1:
-                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
-            return self.act_post(g, f)
-        if (self._sub_cases.get((g, i, f)) or self.sub_case(g, i, f)) is None:
-            raise UnsupportedSubstitution(
-                f"{self.name}: substitution ({g}, {i}, {f}) outside stored cases")
-        try:
-            return self.sub[(g, i, f)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing sub entry ({g}, {i}, {f})")
-
     def sub_case(self, g: str, i: int, f: str) -> Optional[tuple[int, str, int, str]]:
         """The stored-case descriptor for (g, i, f), or None."""
         ng, _, _, flg = self.info(g)
@@ -221,36 +171,12 @@ class ShortSkewMulticategory:
         idx = self._index
         return {key: self.sub_case(*key) for key in self.sub if key[0] in idx and key[2] in idx}
 
-    # -- safe variants -------------------------------------------------------
-    def safe_post(self, q: Optional[str], f: Optional[str]) -> Optional[str]:
-        if q is None or f is None or f not in self._index or q not in self._index:
-            return None
-        if self.arity(f) == 1 and self.is_tight(f):
-            return self.base.compose_opt(q, f)
-        return self.post.get((q, f))
-
-    def safe_pre(self, f: Optional[str], i: int, p: Optional[str]) -> Optional[str]:
-        if f is None or p is None or f not in self._index:
-            return None
-        if self.arity(f) == 1 and self.is_tight(f):
-            return self.base.compose_opt(f, p) if i == 1 else None
-        return self.pre.get((f, i, p))
-
-    def safe_subst(self, g: Optional[str], i: int, f: Optional[str]) -> Optional[str]:
-        if g is None or f is None or g not in self._index or f not in self._index:
-            return None
-        if self.arity(f) == 1 and self.is_tight(f):
-            return self.safe_pre(g, i, f)
-        if self.arity(g) == 1 and self.is_tight(g):
-            return self.safe_post(g, f) if i == 1 else None
-        return self.sub.get((g, i, f))
-
     def safe_j(self, f: Optional[str]) -> Optional[str]:
         if f is None:
             return None
         return self.j.get(f)
 
-    # -- structural totality ---------------------------------------------------
+    # -- what the table core needs --------------------------------------------
     @cached_property
     def table_maps(self) -> tuple[tuple[int, str], ...]:
         """(arity, multimap) over every non-base table entry, each id once,
@@ -262,18 +188,6 @@ class ShortSkewMulticategory:
                     if f not in span:
                         arity.setdefault(f, n)
         return tuple((n, f) for f, n in arity.items())
-
-    def required_pre_keys(self) -> Iterator[tuple[str, int, str]]:
-        for n, f in self.table_maps:
-            dom = self.dom(f)
-            for i in range(1, n + 1):
-                for p in self.base.mors_into(dom[i - 1]):
-                    yield (f, i, p)
-
-    def required_post_keys(self) -> Iterator[tuple[str, str]]:
-        for _, f in self.table_maps:
-            for q in self.base.mors_out_of(self.cod(f)):
-                yield (q, f)
 
     def inner_into(self, flavour: str, k: int, cod: str) -> tuple[str, ...]:
         """maps_into without the loose unary ids that are base morphisms:
@@ -296,21 +210,21 @@ class ShortSkewMulticategory:
         for case in sorted(STORED_SKEW_CASES):
             yield from self.sub_pairs(case)
 
+    def _tables(self) -> Iterator[tuple[int, dict]]:
+        return itertools.chain(self.tight.items(), self.loose.items())
+
+    def _stored(self, g: str, i: int, f: str) -> bool:
+        return (self._sub_cases.get((g, i, f)) or self.sub_case(g, i, f)) is not None
+
     def check_structure(self) -> None:
-        self.base.check_structure()
+        """The shared table checks, then j and the tight/loose table of each
+        sub result."""
+        self._check_tables()
         idx = self._index
-        for n, table in itertools.chain(self.tight.items(), self.loose.items()):
-            for (dom, cod), _ in table.items():
-                if len(dom) != n:
-                    raise MalformedTable(f"{self.name}: arity-{n} key with {len(dom)} inputs")
-                for a in dom + (cod,):
-                    if a not in self.base.objects:
-                        raise MalformedTable(f"{self.name}: unknown object {a} in key")
         for f, q in self.j.items():
             if f not in idx or q not in idx:
                 raise DanglingId(f"{self.name}: j entry {f} -> {q} dangles")
-            n, dom, cod, _ = self.info(f)
-            if not self.is_tight(f) or n not in (1, 2):
+            if not self.is_tight(f) or self.arity(f) not in (1, 2):
                 raise MalformedTable(f"{self.name}: j keyed by non-tight or bad-arity id {f}")
             if not self.is_loose(q):
                 raise TypingViolation(f"{self.name}: j({f}) = {q} is not loose")
@@ -318,40 +232,11 @@ class ShortSkewMulticategory:
             for f in self.multimaps(TIGHT, n):
                 if f not in self.j:
                     raise MalformedTable(f"{self.name}: j not total at {f}")
-        for (f, i, p), g in self.pre.items():
-            if f not in idx or g not in idx:
-                raise DanglingId(f"{self.name}: pre entry ({f},{i},{p}) dangles")
-            check_slot(self.name, "pre", (f, i, p), i, self.arity(f))
-            if p not in self.base._span or self.base.cod(p) != self.dom(f)[i - 1]:
-                raise MalformedTable(f"{self.name}: pre key ({f},{i},{p}) not composable")
-        for (q, f), g in self.post.items():
-            if f not in idx or g not in idx:
-                raise DanglingId(f"{self.name}: post entry ({q},{f}) dangles")
-            if q not in self.base._span or self.base.dom(q) != self.cod(f):
-                raise MalformedTable(f"{self.name}: post key ({q},{f}) not composable")
         for (g, i, f), h in self.sub.items():
-            if g not in idx or f not in idx or h not in idx:
-                raise DanglingId(f"{self.name}: sub entry ({g},{i},{f}) dangles")
-            check_slot(self.name, "sub", (g, i, f), i, self.arity(g))
-            case = self._sub_cases[(g, i, f)]
-            if case is None:
-                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) outside stored cases")
-            if self.cod(f) != self.dom(g)[i - 1]:
-                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) not composable")
-            want = sub_flavour(case[1], i, case[3])
-            have = self.info(h)[3]
-            if want not in have:
+            _, x, _, y = self._sub_cases[(g, i, f)]
+            if sub_flavour(x, i, y) not in self.info(h)[3]:
                 raise TypingViolation(
                     f"{self.name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
-        for key in self.required_pre_keys():
-            if key not in self.pre:
-                raise MalformedTable(f"{self.name}: pre table not total at {key}")
-        for key in self.required_post_keys():
-            if key not in self.post:
-                raise MalformedTable(f"{self.name}: post table not total at {key}")
-        for key in self.required_sub_keys():
-            if key not in self.sub:
-                raise MalformedTable(f"{self.name}: sub table not total at {key}")
 
 
 def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
@@ -583,21 +468,7 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
         check("morphism-typing", (flavour + str(n), f),
               str((k, dom, cod, flavour in flavours or tgt.is_tight(img))), str(want))
 
-    for n, f in src.table_maps:
-        _, dom, cod, _ = src.info(f)
-        for q in src.base.mors_out_of(cod):
-            check("morphism-nat", ("post", q, f), F.safe_apply(src.safe_post(q, f)),
-                  tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))
-        for i in range(1, n + 1):
-            for p in src.base.mors_into(dom[i - 1]):
-                check("morphism-nat", ("pre", f, str(i), p), F.safe_apply(src.safe_pre(f, i, p)),
-                      tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))
-
-    for case in sorted(STORED_SKEW_CASES):
-        for g, i, f in src.sub_pairs(case):
-            check("morphism-sub", (g, str(i), f), F.safe_apply(src.safe_subst(g, i, f)),
-                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))
-
+    morphism_law_checks(F, report)
     for f in sorted(src.j):
         check("morphism-j", (f,), F.safe_apply(src.safe_j(f), LOOSE),
               tgt.safe_j(F.safe_apply(f)))

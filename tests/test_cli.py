@@ -7,7 +7,8 @@ import pytest
 from childenv import child_env
 from shortcat import cli
 from shortcat.cli import build_parser, catalogue_files
-from shortcat.fileformat import serialize
+from shortcat.fileformat import RawLaxFunctor, StructureFile, serialize
+from shortcat.skewmon import identity_lax_functor
 
 
 def run_cli(*args, env=None, **kwargs):
@@ -405,3 +406,56 @@ def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, comma
     errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
     assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
     assert message in errors[0], out.stderr
+
+
+def _id_lax_functor_text(generator):
+    """A lax-functor file: the identity on a catalogue skew monoidal structure."""
+    mon = next(sf.payload for sf in catalogue_files(generator) if sf.kind == "skew-monoidal")
+    t = identity_lax_functor(mon)
+    raw = RawLaxFunctor(mon.name, mon.name, dict(t.functor.obj_map), dict(t.functor.mor_map),
+                        t.f0, dict(t.f2))
+    return serialize(StructureFile("lax-functor", t.name, raw))
+
+
+def _morphism_text(name):
+    return serialize(next(sf for sf in catalogue_files("morphisms") if sf.name == name))
+
+
+@pytest.mark.parametrize("file,source,extra,code,message", [
+    pytest.param(("morphism", "z2-into-klein"), ("z2", "short-skew", None), [], 2,
+                 "expected a short-multi file, got short-skew", id="plain-morphism-skew-source"),
+    pytest.param(("morphism", "z2-into-klein"), ("z2", "skew-monoidal", None), [], 2,
+                 "expected a short-multi file, got skew-monoidal",
+                 id="plain-morphism-skew-monoidal-source"),
+    pytest.param(("morphism", "z2-into-klein"),
+                 ("z2", "short-multi", lambda t: _replace_line(t, "post 1_0 m2(0,0;0) = m2(0,0;0)", "")),
+                 [], 2, "post table not total at ('1_0', 'm2(0,0;0)')",
+                 id="plain-morphism-partial-source"),
+    pytest.param(("morphism", "z2-into-klein"), ("z2", "short-multi", None), ["--max-objects", "1"],
+                 2, "z2: 2 objects exceeds --max-objects 1", id="plain-morphism-source-too-big"),
+    pytest.param(("lax-functor", "z2"), ("z2", "skew-monoidal", None), [], 0, None,
+                 id="lax-functor"),
+    pytest.param(("lax-functor", "z2"), ("z2", "braiding", None), [], 2,
+                 "expected a skew-monoidal file, got braiding", id="lax-functor-braiding-source"),
+])
+def test_bad_morphism_end_ends_in_one_error_line(tmp_path, file, source, extra, code, message):
+    """A morphism or lax-functor file validates only against a --source of
+    the kind it maps from, within the size guard and passing its structure
+    check; anything else is one error line with exit 2."""
+    kind, name = file
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(_morphism_text(name) if kind == "morphism" else _id_lax_functor_text(name))
+    generator, source_kind, edit = source
+    target = tmp_path / "target.txt"
+    target.write_text(_catalogue_text("klein-four" if kind == "morphism" else generator,
+                                      "short-multi" if kind == "morphism" else "skew-monoidal"))
+    src = tmp_path / "source.txt"
+    src.write_text((edit or (lambda t: t))(_catalogue_text(generator, source_kind)))
+    out = run_cli("validate", str(path), "--source", str(src), "--target", str(target), *extra)
+    assert out.returncode == code, out.stdout + out.stderr
+    errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
+    if message is None:
+        assert errors == [] and "status PASS" in out.stdout, out.stderr
+    else:
+        assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
+        assert message in errors[0], out.stderr

@@ -31,6 +31,14 @@ COMMANDS = {
 FUZZ_FILES = [(sf.name, sf.kind, serialize(sf))
               for g in FUZZ_GENERATORS for sf in cli.catalogue_files(g)]
 
+# Morphisms between the smaller catalogue entries, with their source and
+# target short-multi files.
+SHORT_MULTI = {name: text for name, kind, text in FUZZ_FILES if kind == "short-multi"}
+MORPHISM_FILES = [(sf.name, serialize(sf), SHORT_MULTI[sf.payload.source],
+                   SHORT_MULTI[sf.payload.target])
+                  for sf in cli.catalogue_files("morphisms")
+                  if sf.name in ("id[z2]", "z2-collapse", "heyting2-collapse")]
+
 
 def _edit(text: str, how: str, rnd) -> str:
     """Delete or duplicate one line, or swap a token of one line with a token
@@ -73,6 +81,38 @@ def test_edited_file_ends_in_a_documented_exit(work, capsys, entry, how, rnd):
     assert code in (0, 1, 2), (name, how, command, err)
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(errors) <= 1, (name, how, command, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entry=st.sampled_from(MORPHISM_FILES),
+       which=st.sampled_from(("morphism", "source", "target")),
+       how=st.sampled_from(("delete", "duplicate", "swap", "replace")),
+       rnd=st.randoms(use_true_random=False))
+def test_morphism_with_an_edited_file_ends_in_a_documented_exit(work, capsys, entry, which,
+                                                                how, rnd):
+    """Validate a morphism file against --source and --target files, one of
+    the three edited, or replaced by another (edited or not) catalogue file of
+    any kind."""
+    name, *texts = entry
+    files = dict(zip(("morphism", "source", "target"), texts))
+    if how == "replace":
+        files[which] = rnd.choice((lambda t: t, lambda t: _edit(t, "swap", rnd)))(
+            rnd.choice(FUZZ_FILES)[2])
+    else:
+        files[which] = _edit(files[which], how, rnd)
+    paths = {}
+    for role, text in files.items():
+        paths[role] = work / f"{role}.txt"
+        paths[role].write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = cli.main(["validate", str(paths["morphism"]),
+                     "--source", str(paths["source"]), "--target", str(paths["target"])])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (name, which, how, err)
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) <= 1, (name, which, how, err)
     assert "Traceback" not in err
 
 
