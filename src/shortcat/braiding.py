@@ -10,34 +10,24 @@ swap on ternary maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .classify import Certificate, Inverses, inverses
 from .errors import InconsistentVerdicts, MalformedTable, NoSolution
 from .report import ValidationReport
-from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, SkewMultiMorphism
-from .skewmon import Braiding, SkewMonCategory, validate_braided_functor
-from .transport import UniqueSolveSpec, solve_unique
+from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
+
+if TYPE_CHECKING:
+    from .classify import Certificate, Inverses
+    from .skewmon import Braiding, SkewMonCategory
+
+# validate_short_braiding reads only the swap tables; the transports below
+# import the classifier, solver and skew monoidal modules when they run.
 
 
 def _swap(dom: tuple[str, ...], i: int) -> tuple[str, ...]:
     out = list(dom)
     out[i - 1], out[i] = out[i], out[i - 1]
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class ShortBraiding:
-    """b32 swaps slots 2,3 of tight ternary maps; b42 and b43 swap slots
-    2,3 and 3,4 of tight quaternary maps."""
-    name: str
-    b32: dict[str, str]
-    b42: dict[str, str]
-    b43: dict[str, str]
-
-    def table(self, tag: str) -> dict[str, str]:
-        return {"b32": self.b32, "b42": self.b42, "b43": self.b43}[tag]
 
 
 _SPECS = (("b32", 3, 2), ("b42", 4, 2), ("b43", 4, 3))
@@ -134,6 +124,7 @@ def derive_beta2(m: ShortSkewMulticategory, cert: Certificate,
                  beta: ShortBraiding, inv: Optional[Inverses] = None) -> dict[str, str]:
     """The induced swap on loose binary maps: abstract the unit, swap with
     b32, and substitute the unit back."""
+    from .classify import inverses
     inv = inv or inverses(m, cert)
     out = {}
     for r in m.multimaps(LOOSE, 2):
@@ -154,6 +145,8 @@ def s_from_short_braiding(m: ShortSkewMulticategory, cert: Certificate,
     """The braiding component at (x,a,b) is the unique map turning the
     universal ternary map of (x,a,b) into the swapped image of the one of
     (x,b,a); the inverse solves the mirrored equation."""
+    from .skewmon import Braiding
+    from .transport import UniqueSolveSpec, solve_unique
     v = cert.view
     base = v.base
     name = name or (beta.name + ".s")
@@ -181,6 +174,7 @@ def short_braiding_from_s(m: ShortSkewMulticategory, cert: Certificate,
                           inv: Optional[Inverses] = None) -> ShortBraiding:
     """Rebuild the three swap families from a braiding on the constructed
     category, through double abstraction against the classifiers."""
+    from .classify import inverses
     v = cert.view
     base = v.base
     inv = inv or inverses(m, cert)
@@ -233,6 +227,7 @@ def validate_braided_transport_functor(F: SkewMultiMorphism,
     quaternary swaps and insist the verdicts agree (preserving the ternary
     swap forces the others); finally check the transported lax functor
     preserves the transported braidings."""
+    from .skewmon import validate_braided_functor
     from .transport import ks_morphism
     src = F.source
     report = ValidationReport(F.name + ".braided")

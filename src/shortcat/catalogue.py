@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import MalformedTable, UnknownGenerator
 from .fincat import FinCategory, FinFunctor
 from .shortmulti import MultiMorphism, ShortMulticategory
-from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, embed_plain
+from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, embed_plain
 from .skewmon import Braiding, SkewClosedCategory, SkewMonCategory
 
 
@@ -474,8 +474,6 @@ def catalogue_braidings() -> dict[str, tuple[SkewMonCategory, Braiding]]:
 def forced_short_braiding(m: ShortSkewMulticategory, name: str):
     """The unique swap families on a thin structure whose tight sets are
     invariant under permuting inputs (commutative-monoid style tables)."""
-    from .braiding import ShortBraiding
-
     def swap_table(arity: int, slot: int) -> dict[str, str]:
         out = {}
         for f in m.multimaps(TIGHT, arity):

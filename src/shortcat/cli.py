@@ -12,14 +12,8 @@ import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import braiding as braid_mod
-from . import catalogue as cat
-from .classify import (
-    Certificate, certify, check_representable, derived_classifiers,
-    find_closed_structure,
-)
 from .errors import (
     AxiomFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions, NoIsomorphismFound,
     ParseError, SearchBoundExceeded, ShortcatError, UniversalityBroken,
@@ -29,15 +23,16 @@ from .fileformat import (
     StructureFile, bind_lax_functor, bind_morphism, parse, serialize,
     unbind_morphism,
 )
-from .fincat import validate_category
-from .report import ValidationReport
-from .shortmulti import ShortMulticategory, validate_multi_morphism, validate_short_multicategory
-from .shortskew import ShortSkewMulticategory, validate_short_skew, validate_skew_multi_morphism
-from .skewmon import (
-    check_braiding_total, validate_braiding, validate_lax_functor, validate_skew_closed,
-    validate_skew_monoidal,
-)
-from .transport import kcl_object, ks_object, roundtrip_check, skew_monoidal_roundtrip
+
+if TYPE_CHECKING:
+    from .catalogue import Monoid
+    from .classify import Certificate
+    from .report import ValidationReport
+    from .shortskew import ShortSkewMulticategory
+
+# Each command, and each file kind within a command, imports the modules it
+# runs in its own body: a one-shot call then compiles only those, which is
+# most of the time a cold start on a small file takes.
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -58,9 +53,9 @@ def _guard_size(sf: StructureFile, max_objects: int, max_multimaps: int) -> None
     if hasattr(base, "objects") and len(base.objects) > max_objects:
         raise SearchBoundExceeded(
             f"{sf.name}: {len(base.objects)} objects exceeds --max-objects {max_objects}")
-    if isinstance(structure, ShortMulticategory):
+    if sf.kind == "short-multi":
         sizes = [len(fs) for t in structure.maps.values() for fs in t.values()]
-    elif isinstance(structure, ShortSkewMulticategory):
+    elif sf.kind == "short-skew":
         sizes = [len(fs) for side in (structure.tight, structure.loose)
                  for t in side.values() for fs in t.values()]
     else:
@@ -74,40 +69,52 @@ def _guard_size(sf: StructureFile, max_objects: int, max_multimaps: int) -> None
 def _short_skew_report(m: ShortSkewMulticategory, beta) -> ValidationReport:
     """The report of a short-skew file: its structure and, when it has swap
     tables, their instances under the braiding- prefix."""
+    from .shortskew import validate_short_skew
     report = validate_short_skew(m)
     if beta is not None:
-        report.merge_prefixed(braid_mod.validate_short_braiding(m, beta), "braiding-")
+        from .braiding import validate_short_braiding
+        report.merge_prefixed(validate_short_braiding(m, beta), "braiding-")
     return report.finish()
 
 
 def _validate_file(sf: StructureFile, args) -> ValidationReport:
     kind, payload = sf.kind, sf.payload
     if kind == "category":
+        from .fincat import validate_category
         return validate_category(payload)
     if kind == "short-multi":
+        from .shortmulti import validate_short_multicategory
         return validate_short_multicategory(payload)
     if kind == "short-skew":
         return _short_skew_report(*payload)
     if kind == "skew-monoidal":
+        from .skewmon import validate_skew_monoidal
         return validate_skew_monoidal(payload)
     if kind == "braiding":
+        from .skewmon import validate_braiding, validate_skew_monoidal
         structure, braid = payload
         report = validate_skew_monoidal(structure)
         report.merge_prefixed(validate_braiding(structure, braid), "braiding-")
         return report.finish()
     if kind == "skew-closed":
+        from .skewmon import validate_skew_closed
         return validate_skew_closed(payload)
     if kind in ("morphism", "lax-functor"):
         if not args.source or not args.target:
             raise MalformedTable(f"validating a {kind} file needs --source and --target")
         if kind == "lax-functor":
+            from .skewmon import validate_lax_functor
             src, tgt = (_end(path, "skew-monoidal", args) for path in (args.source, args.target))
             return validate_lax_functor(bind_lax_functor(payload, sf.name, src, tgt))
         plain = payload.variant == "plain"
         src, tgt = (_end(path, "short-multi" if plain else "short-skew", args)
                     for path in (args.source, args.target))
         F = bind_morphism(payload, sf.name, src, tgt)
-        return validate_multi_morphism(F) if plain else validate_skew_multi_morphism(F)
+        if plain:
+            from .shortmulti import validate_multi_morphism
+            return validate_multi_morphism(F)
+        from .shortskew import validate_skew_multi_morphism
+        return validate_skew_multi_morphism(F)
     raise MalformedTable(f"cannot validate kind {kind}")
 
 
@@ -213,6 +220,7 @@ def _require_valid(name: str, m, command: str, beta=None) -> None:
     """Raise AxiomFailure (exit 1) unless the short-multi or short-skew
     structure m, with its swap tables beta if given, passes validation;
     check_structure errors raise as usual."""
+    from .shortmulti import ShortMulticategory, validate_short_multicategory
     report = (validate_short_multicategory(m) if isinstance(m, ShortMulticategory)
               else _short_skew_report(m, beta))
     if not report.ok:
@@ -221,6 +229,7 @@ def _require_valid(name: str, m, command: str, beta=None) -> None:
 
 
 def cmd_certify(args) -> int:
+    from .classify import certify, check_representable, derived_classifiers, find_closed_structure
     sf = _load(args.path)
     _guard_size(sf, args.max_objects, args.max_multimaps)
     m = _certify_payload(sf)
@@ -230,7 +239,7 @@ def cmd_certify(args) -> int:
         find_closed_structure(m, cert)
         if cert.left_representable:
             derived_classifiers(m, cert)
-        if isinstance(m, ShortMulticategory) and cert.weakly_representable:
+        if sf.kind == "short-multi" and cert.weakly_representable:
             check_representable(m, cert)
     except (InconsistentVerdicts, UniversalityBroken):
         # The search's own cross-checks assume the axioms hold; on a
@@ -249,6 +258,8 @@ def cmd_certify(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
+    from .classify import certify, find_closed_structure
+    from .transport import k_object, kcl_object, ks_object
     sf = _load(args.path)
     _guard_size(sf, args.max_objects, args.max_multimaps)
     which = args.which
@@ -260,7 +271,6 @@ def cmd_construct(args) -> int:
         m = sf.payload
         _require_valid(sf.name, m, "construct")
         cert = certify(m)
-        from .transport import k_object
         out = StructureFile("skew-monoidal", sf.name + ".k",
                             k_object(m, cert, name=sf.name + ".k"), provenance)
     elif which == "ks":
@@ -289,19 +299,22 @@ def cmd_construct(args) -> int:
         m, beta = sf.payload
         _require_valid(sf.name, m, "construct", beta)
         cert = certify(m)
+        from .braiding import s_from_short_braiding
         mon = ks_object(m, cert, name=sf.name + ".ks")
-        s = braid_mod.s_from_short_braiding(m, cert, beta, name=sf.name + ".s")
+        s = s_from_short_braiding(m, cert, beta, name=sf.name + ".s")
         out = StructureFile("braiding", sf.name + ".braided", (mon, s), provenance)
     elif which == "braiding-backward":
         if sf.kind != "braiding":
             raise MalformedTable("construct braiding-backward expects a braiding file")
         mon, s = sf.payload
         mon.check_structure()
-        check_braiding_total(mon, s)
+        from .braiding import short_braiding_from_s
         from .induce import induce_short_skew
+        from .skewmon import check_braiding_total
+        check_braiding_total(mon, s)
         m = induce_short_skew(mon, name=sf.name + ".induced")
         cert = certify(m)
-        beta = braid_mod.short_braiding_from_s(m, cert, s, name=sf.name + ".beta")
+        beta = short_braiding_from_s(m, cert, s, name=sf.name + ".beta")
         out = StructureFile("short-skew", sf.name + ".induced", (m, beta), provenance)
     else:
         raise UnknownGenerator(which)
@@ -319,15 +332,19 @@ def cmd_roundtrip(args) -> int:
     sf = _load(args.path)
     _guard_size(sf, args.max_objects, args.max_multimaps)
     if sf.kind in ("skew-monoidal", "skew-closed"):
+        from .transport import roundtrip_check
         report = roundtrip_check(sf.payload)
     elif sf.kind == "braiding":
+        from .braiding import braidings_equal, s_from_short_braiding, short_braiding_from_s
+        from .skewmon import check_braiding_total
+        from .transport import skew_monoidal_roundtrip
         mon, s = sf.payload
         check_braiding_total(mon, s)
         report, m, cert = skew_monoidal_roundtrip(mon)
-        beta = braid_mod.short_braiding_from_s(m, cert, s)
-        back = braid_mod.s_from_short_braiding(m, cert, beta)
+        beta = short_braiding_from_s(m, cert, s)
+        back = s_from_short_braiding(m, cert, beta)
         report.count("braiding-roundtrip")
-        if not braid_mod.braidings_equal(back, s):
+        if not braidings_equal(back, s):
             report.fail("braiding-roundtrip", (sf.name,), back.name, "table equality")
     else:
         raise MalformedTable(f"roundtrip expects a skew-monoidal, braiding or "
@@ -340,7 +357,8 @@ def cmd_roundtrip(args) -> int:
 # catalogue
 # --------------------------------------------------------------------------
 
-def _monoid_files(mon: cat.Monoid, symmetric: bool) -> list[StructureFile]:
+def _monoid_files(mon: Monoid, symmetric: bool) -> list[StructureFile]:
+    from . import catalogue as cat
     from .shortskew import embed_plain
     short = cat.monoid_short_multi(mon)
     skew = embed_plain(short)
@@ -357,9 +375,61 @@ def _monoid_files(mon: cat.Monoid, symmetric: bool) -> list[StructureFile]:
     return out
 
 
+# Characters a generated name may not hold: `=` splits a file line, and a
+# path separator in the structure name would put its files outside --out.
+_RESERVED = "=/\\"
+
+
+def _identifier(what: str, token: str) -> str:
+    """token, if a file can hold it as one name and name a file after it."""
+    if not token.isprintable() or any(c.isspace() or c in _RESERVED for c in token):
+        raise UnknownGenerator(f"comm-monoid {what} {token!r} must be printable, without "
+                               f"whitespace or any of {' '.join(_RESERVED)}")
+    return token
+
+
+def _comm_monoid(args) -> Monoid:
+    """The commutative monoid of --elements, --unit, --table and
+    --monoid-name. UnknownGenerator unless the table is a commutative monoid
+    on distinct elements whose names the written files can hold."""
+    from .catalogue import Monoid
+    if args is None or not args.elements or not args.table or args.unit is None:
+        raise UnknownGenerator("comm-monoid needs --elements, --unit and --table")
+    name = _identifier("name", args.monoid_name or "monoid")
+    elements = tuple(_identifier("element", e) for e in args.elements.split())
+    for i, a in enumerate(elements):
+        if a in elements[:i]:
+            raise UnknownGenerator(f"comm-monoid element {a!r} is listed twice")
+    if args.unit not in elements:
+        raise UnknownGenerator(f"comm-monoid unit {args.unit!r} is not an element")
+    rows = [r.split() for r in args.table.split(";")]
+    if len(rows) != len(elements):
+        raise UnknownGenerator(f"comm-monoid table has {len(rows)} rows for "
+                               f"{len(elements)} elements")
+    table = {}
+    for a, row in zip(elements, rows):
+        if len(row) != len(elements):
+            raise UnknownGenerator("comm-monoid table is not square")
+        for b, value in zip(elements, row):
+            if value not in elements:
+                raise UnknownGenerator(f"comm-monoid table value {value!r} is not an element")
+            table[(a, b)] = value
+    mon = Monoid(name, elements, args.unit, table)
+    for a, b in itertools.product(elements, repeat=2):
+        if mon.op(a, b) != mon.op(b, a):
+            raise UnknownGenerator("comm-monoid table is not commutative")
+        for c in elements:
+            if mon.op(mon.op(a, b), c) != mon.op(a, mon.op(b, c)):
+                raise UnknownGenerator("comm-monoid table is not associative")
+        if mon.op(args.unit, a) != a:
+            raise UnknownGenerator("comm-monoid unit is not a unit")
+    return mon
+
+
 def catalogue_files(name: str, args=None) -> list[StructureFile]:
+    from . import catalogue as cat
+    from .shortskew import embed_plain
     if name == "terminal":
-        from .shortskew import embed_plain
         short = cat.terminal_short_multi()
         return [
             StructureFile("short-multi", "terminal", short),
@@ -384,7 +454,6 @@ def catalogue_files(name: str, args=None) -> list[StructureFile]:
             StructureFile("short-skew", "poset2-first", (cat.poset2_first_short_skew(), None)),
         ]
     if name == "heyting-2":
-        from .shortskew import embed_plain
         short = cat.heyting2_short_multi()
         return [
             StructureFile("short-multi", "heyting2", short),
@@ -393,26 +462,7 @@ def catalogue_files(name: str, args=None) -> list[StructureFile]:
             StructureFile("skew-closed", "heyting2.cl", cat.heyting2_skew_closed()),
         ]
     if name == "comm-monoid":
-        if args is None or not args.elements or not args.table or args.unit is None:
-            raise UnknownGenerator("comm-monoid needs --elements, --unit and --table")
-        elements = tuple(args.elements.split())
-        rows = [r.split() for r in args.table.split(";")]
-        table = {}
-        for a, row in zip(elements, rows):
-            if len(row) != len(elements):
-                raise UnknownGenerator("comm-monoid table is not square")
-            for b, value in zip(elements, row):
-                table[(a, b)] = value
-        mon = cat.Monoid(args.monoid_name or "monoid", elements, args.unit, table)
-        for a, b in itertools.product(elements, repeat=2):
-            if mon.op(a, b) != mon.op(b, a):
-                raise UnknownGenerator("comm-monoid table is not commutative")
-            for c in elements:
-                if mon.op(mon.op(a, b), c) != mon.op(a, mon.op(b, c)):
-                    raise UnknownGenerator("comm-monoid table is not associative")
-            if mon.op(args.unit, a) != a:
-                raise UnknownGenerator("comm-monoid unit is not a unit")
-        return _monoid_files(mon, symmetric=True)
+        return _monoid_files(_comm_monoid(args), symmetric=True)
     if name == "mutants":
         out = []
         for idx, mut in enumerate(cat.catalogue_mutants()):

@@ -34,14 +34,17 @@ parses with a normalization warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .braiding import ShortBraiding
 from .errors import ParseError, UnknownKind, VersionMismatch
 from .fincat import FinCategory, FinFunctor
-from .shortmulti import MultiMorphism, ShortMulticategory
-from .shortskew import ShortSkewMulticategory, SkewMultiMorphism
-from .skewmon import Braiding, LaxMonFunctor, SkewClosedCategory, SkewMonCategory
+
+# Each parser and binder imports the module of its kind when it runs, so
+# reading a file loads only the structures that file holds.
+if TYPE_CHECKING:
+    from .shortmulti import MultiMorphism, ShortMulticategory
+    from .shortskew import ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
+    from .skewmon import Braiding, LaxMonFunctor, SkewClosedCategory, SkewMonCategory
 
 FORMAT_VERSION = "1"
 KINDS = ("category", "short-multi", "short-skew", "skew-monoidal",
@@ -68,8 +71,8 @@ class RawLaxFunctor:
     f2: dict[tuple[str, str], str]
 
 
-Payload = Union[FinCategory, ShortMulticategory, SkewMonCategory,
-                SkewClosedCategory, RawMorphism, RawLaxFunctor, tuple]
+Payload = Union[FinCategory, "ShortMulticategory", "SkewMonCategory",
+                "SkewClosedCategory", RawMorphism, RawLaxFunctor, tuple]
 
 
 @dataclass
@@ -328,6 +331,7 @@ def _parse_actions(lines: _Lines):
 
 
 def _parse_multi(name: str, lines: _Lines) -> ShortMulticategory:
+    from .shortmulti import ShortMulticategory
     base = _parse_category(name, lines)
     maps: dict[int, dict] = {n: {} for n in (0, 2, 3, 4)}
     for n in (0, 2, 3, 4):
@@ -339,6 +343,7 @@ def _parse_multi(name: str, lines: _Lines) -> ShortMulticategory:
 
 
 def _parse_skew(name: str, lines: _Lines):
+    from .shortskew import ShortBraiding, ShortSkewMulticategory
     base = _parse_category(name, lines)
     tight: dict[int, dict] = {n: {} for n in (2, 3, 4)}
     loose: dict[int, dict] = {n: {} for n in (0, 1, 2)}
@@ -371,6 +376,7 @@ def _parse_skew(name: str, lines: _Lines):
 
 
 def _parse_monoidal(name: str, lines: _Lines, with_braiding: bool):
+    from .skewmon import Braiding, SkewMonCategory
     base = _parse_category(name, lines)
     row = lines.take_single("unit")
     if row is None:
@@ -406,6 +412,7 @@ def _parse_monoidal(name: str, lines: _Lines, with_braiding: bool):
 
 
 def _parse_closed(name: str, lines: _Lines) -> SkewClosedCategory:
+    from .skewmon import SkewClosedCategory
     base = _parse_category(name, lines)
     row = lines.take_single("unit")
     if row is None:
@@ -540,8 +547,10 @@ def bind_morphism(raw: RawMorphism, name: str,
                   src, tgt) -> Union[MultiMorphism, SkewMultiMorphism]:
     fun = FinFunctor(name + ".base", src.base, tgt.base, raw.obj_map, raw.mor_map)
     if raw.variant == "plain":
+        from .shortmulti import MultiMorphism
         maps = {int(t[1]): dict(raw.tables[t]) for t in ("m0", "m2", "m3", "m4")}
         return MultiMorphism(name, src, tgt, fun, maps)
+    from .shortskew import SkewMultiMorphism
     tight = {int(t[1]): dict(raw.tables[t]) for t in ("t2", "t3", "t4")}
     loose = {int(t[1]): dict(raw.tables[t]) for t in ("l0", "l1", "l2")}
     return SkewMultiMorphism(name, src, tgt, fun, tight, loose)
@@ -549,11 +558,13 @@ def bind_morphism(raw: RawMorphism, name: str,
 
 def bind_lax_functor(raw: RawLaxFunctor, name: str,
                      src: SkewMonCategory, tgt: SkewMonCategory) -> LaxMonFunctor:
+    from .skewmon import LaxMonFunctor
     fun = FinFunctor(name + ".base", src.base, tgt.base, raw.obj_map, raw.mor_map)
     return LaxMonFunctor(name, src, tgt, fun, raw.f0, dict(raw.f2))
 
 
 def unbind_morphism(F: Union[MultiMorphism, SkewMultiMorphism]) -> RawMorphism:
+    from .shortmulti import MultiMorphism
     if isinstance(F, MultiMorphism):
         tables = {f"m{n}": dict(F.maps.get(n, {})) for n in (0, 2, 3, 4)}
         return RawMorphism(F.source.name, F.target.name, "plain",

@@ -239,6 +239,20 @@ class ShortSkewMulticategory(MultiTables):
                     f"{self.name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
 
 
+@dataclass(frozen=True)
+class ShortBraiding:
+    """The swap tables of a short braiding on a short skew multicategory:
+    b32 swaps slots 2,3 of tight ternary maps; b42 and b43 swap slots 2,3
+    and 3,4 of tight quaternary maps."""
+    name: str
+    b32: dict[str, str]
+    b42: dict[str, str]
+    b43: dict[str, str]
+
+    def table(self, tag: str) -> dict[str, str]:
+        return {"b32": self.b32, "b42": self.b42, "b43": self.b43}[tag]
+
+
 def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
                            case: tuple[int, str, int, str]) -> tuple[int, tuple[str, ...], str, str]:
     n, x, k, y = case

@@ -1,6 +1,8 @@
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +151,98 @@ def test_comm_monoid_generator(tmp_path):
     out = run_cli("catalogue", "comm-monoid", "--out", str(tmp_path),
                   "--elements", "0 1", "--unit", "0", "--table", "0 1;0 1")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("elements,unit,table,name,message", [
+    pytest.param("0 1", "2", "0 1;1 0", None, "unit '2' is not an element", id="unit"),
+    pytest.param("0 1", "0", "0 1", None, "table has 1 rows for 2 elements", id="few-rows"),
+    pytest.param("0 1", "0", "0 2;2 0", None, "table value '2' is not an element",
+                 id="value"),
+    pytest.param("0 1", "0", "0 1;1 0;0 0", None, "table has 3 rows for 2 elements",
+                 id="extra-row"),
+    pytest.param("0 0", "0", "0 0;0 0", None, "element '0' is listed twice", id="duplicate"),
+    pytest.param("0 1", "0", "0 1;1 0", "my mon", "name 'my mon' must be printable",
+                 id="name-whitespace"),
+    pytest.param("e =", "e", "e =;= e", None, "element '=' must be printable",
+                 id="element-equals"),
+    pytest.param(" ", "0", "0", None, "unit '0' is not an element", id="no-elements"),
+    pytest.param("0 1", "0", "0 1;1 0", "../z2", "name '../z2' must be printable",
+                 id="name-path"),
+])
+def test_bad_comm_monoid_ends_in_one_error_line(tmp_path, elements, unit, table, name,
+                                                message):
+    """A comm-monoid whose unit or table values are not elements, whose table
+    has too few or too many rows, whose elements repeat, or whose names a
+    structure file cannot hold exits 2 with one error line and writes
+    nothing."""
+    extra = [] if name is None else ["--monoid-name", name]
+    out = run_cli("catalogue", "comm-monoid", "--out", str(tmp_path / "out"),
+                  "--elements", elements, "--unit", unit, "--table", table, *extra)
+    assert out.returncode == 2, out.stdout + out.stderr
+    errors = out.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: comm-monoid "), out.stderr
+    assert message in errors[0], out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# The shortcat modules a cold call loads, besides the package itself, for each
+# (command, input file) of the benchmark's cli-cold workload, plus a short-skew
+# file with swap tables, a braiding roundtrip and a catalogue generator.
+COLD_BASE = ("cli", "errors", "fileformat", "fincat", "report")
+ROUNDTRIP_MODULES = ("classify", "induce", "shortmulti", "shortskew", "skewmon", "transport")
+COLD_MODULES = {
+    ("validate", "terminal.short-multi"): ("shortmulti",),
+    ("validate", "terminal.skew.short-skew"): ("shortmulti", "shortskew"),
+    ("validate", "terminal.mon.skew-monoidal"): ("skewmon",),
+    ("validate", "terminal.cl.skew-closed"): ("skewmon",),
+    ("validate", "z2.short-multi"): ("shortmulti",),
+    ("validate", "z2.mon.skew-monoidal"): ("skewmon",),
+    ("certify", "terminal.short-multi"): ("classify", "shortmulti", "shortskew"),
+    ("certify", "terminal.skew.short-skew"): ("classify", "shortmulti", "shortskew"),
+    ("certify", "z2.short-multi"): ("classify", "shortmulti", "shortskew"),
+    ("roundtrip", "terminal.mon.skew-monoidal"): ROUNDTRIP_MODULES,
+    ("roundtrip", "terminal.cl.skew-closed"): ROUNDTRIP_MODULES,
+    ("roundtrip", "z2.mon.skew-monoidal"): ROUNDTRIP_MODULES,
+    ("validate", "z2.skew.short-skew"): ("braiding", "shortmulti", "shortskew"),
+    ("roundtrip", "z2.sym.braiding"): ROUNDTRIP_MODULES + ("braiding",),
+    ("catalogue", "z2"): ("catalogue", "shortmulti", "shortskew", "skewmon"),
+    ("import", None): (),
+}
+
+MODULES_CHILD = """import sys
+from shortcat import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(" ".join(sorted(m for m in sys.modules if m.startswith("shortcat."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cold_calls():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    return runpy.run_path(str(path))["COLD_CALLS"]
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """A fresh interpreter running one command on one file kind loads the
+    modules that command and kind use, and no other: the set is pinned for
+    every call of the cli-cold benchmark and a few more. (A child process,
+    because this one has imported every module already.)"""
+    assert set(_cold_calls()) <= set(COLD_MODULES)
+    for generator in ("terminal", "z2"):
+        for sf in catalogue_files(generator):
+            (tmp_path / f"{sf.name}.{sf.kind}.txt").write_text(serialize(sf))
+    for (command, stem), extra in COLD_MODULES.items():
+        if command == "import":
+            argv = []
+        elif command == "catalogue":
+            argv = [command, stem, "--out", str(tmp_path / "catalogue")]
+        else:
+            argv = [command, str(tmp_path / f"{stem}.txt")]
+        out = subprocess.run([sys.executable, "-c", MODULES_CHILD, *argv], capture_output=True,
+                             text=True, env=child_env({"PYTHONDONTWRITEBYTECODE": "1"}))
+        assert out.returncode == 0, (command, stem, out.stderr)
+        loaded = out.stderr.splitlines()[-1].split()
+        assert loaded == sorted(f"shortcat.{m}" for m in COLD_BASE + extra), (command, stem)
 
 
 # validate cases keep their kind-table-slot ids; the others add the command

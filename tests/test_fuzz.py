@@ -4,8 +4,13 @@ A catalogue file with one line deleted, one line duplicated or two tokens
 swapped (within a line or between two lines) must end, under every command, in a report or in one
 `error:` line with a documented exit code: 0, 1 or 2, never 3 (an internal
 error) and never a traceback. And serializing a parsed catalogue file gives
-back the text it was parsed from.
+back the text it was parsed from. And `catalogue comm-monoid` on any
+arguments either refuses them in one `error:` line or writes files that
+validate.
 """
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -125,3 +130,57 @@ def test_serialize_parse_serialize_is_the_identity():
             assert serialize(again) == text, sf.name
             seen += 1
     assert seen >= 16
+
+
+# Characters of the drawn monoid names: with `,` two multimap ids can come out
+# alike (m2(a,b,a;c) for the elements a and b,a, or a,b and a), `1_` starts
+# the identity of an element, and `#` starts a comment line.
+NAME_CHARS = "01ab_m(),#é"
+
+
+@st.composite
+def comm_monoid_args(draw):
+    """--elements, --unit, --table and --monoid-name of a commutative monoid
+    (Z/n, or a chain under max) on drawn names, possibly with one part
+    edited: a table value changed, a row dropped or repeated, an element
+    listed twice, a name given a `=` or `/`, or a part drawn as any text."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.text(st.sampled_from(NAME_CHARS), min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    op = draw(st.sampled_from((lambda i, j: (i + j) % n, max)))
+    rows = [[names[op(i, j)] for j in range(n)] for i in range(n)]
+    name = draw(st.text(st.sampled_from(NAME_CHARS), max_size=4))
+    edit = draw(st.sampled_from(("none", "none", "value", "drop-row", "extra-row",
+                                 "duplicate", "reserved", "any-text")))
+    if edit == "value":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(names) | st.text(max_size=3))
+    elif edit in ("drop-row", "extra-row"):
+        rows = rows[1:] if edit == "drop-row" else rows + rows[:1]
+    elif edit == "duplicate":
+        names.append(draw(st.sampled_from(names)))
+    elif edit == "reserved":
+        name += draw(st.sampled_from("=/"))
+    args = {"elements": " ".join(names), "unit": names[0],
+            "table": ";".join(" ".join(row) for row in rows), "monoid-name": name}
+    if edit == "any-text":
+        args[draw(st.sampled_from(sorted(args)))] = draw(st.text(max_size=8))
+    return args
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(args=comm_monoid_args())
+def test_comm_monoid_arguments_end_in_a_refusal_or_valid_files(capsys, args):
+    with tempfile.TemporaryDirectory() as out:
+        capsys.readouterr()
+        code = cli.main(["catalogue", "comm-monoid", f"--out={out}",
+                         *(f"--{key}={value}" for key, value in args.items())])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (args, err)
+        assert len(err.splitlines()) == (code == 2), (args, err)
+        assert err.startswith("error: ") or code == 0, (args, err)
+        for path in sorted(Path(out).iterdir()):
+            parse(path.read_text(encoding="utf-8"))
+            assert cli.main(["validate", str(path)]) == 0, (args, path.name)
+            assert "\nstatus PASS\n" in capsys.readouterr().out, (args, path.name)
