@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import InconsistentVerdicts, MalformedTable, NoSolution
 from .report import ValidationReport
+from .shortmulti import lookup_tables, tally
 from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
 
 if TYPE_CHECKING:
@@ -34,80 +35,84 @@ _SPECS = (("b32", 3, 2), ("b42", 4, 2), ("b43", 4, 3))
 
 
 def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> ValidationReport:
-    base = m.base
+    """Validate the swap tables beta on m, which must have passed
+    check_structure (validate_short_skew runs it): the laws read the lookup
+    dicts of shortmulti.lookup_tables, which give what the safe actions and
+    substitution give only on such a structure."""
+    base, info = m.base, m._index
     for tag, arity, _ in _SPECS:
         table = beta.table(tag)
         for f in m.multimaps(TIGHT, arity):
             if f not in table:
                 raise MalformedTable(f"{beta.name}: {tag} not total at {f}")
+    pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
+    pget, qget, sget = pre.get, post.get, sub.get
+    into, out_of = base.mors_into, base.mors_out_of
     report = ValidationReport(beta.name)
-    check = report.check
+    fail = report.fail
 
     for tag, arity, slot in _SPECS:
         table = beta.table(tag)
-        # typing and global invertibility (bijection onto the swapped sets)
+        tget = table.get
+        # typing and global invertibility (bijection onto the swapped sets);
+        # the sides are tuples and lists of ids, equal exactly when their
+        # printed forms are
+        family = f"{tag}-typing"
         for f in m.multimaps(TIGHT, arity):
-            _, dom, cod, _ = m.info(f)
-            n, idom, icod, _ = m.info(table[f])
-            check(f"{tag}-typing", (f,), str((n, idom, icod, m.is_tight(table[f]))),
-                  str((arity, _swap(dom, slot), cod, True)))
-        for key in m.mapset_keys(TIGHT, arity):
-            dom, cod = key
-            source = m.mapset(TIGHT, arity, dom, cod)
-            target = m.mapset(TIGHT, arity, _swap(dom, slot), cod)
-            check(f"{tag}-bijective", (",".join(dom), cod),
-                  str(sorted({table[f] for f in source})
-                      if all(f in table for f in source) else None),
-                  str(sorted(target)))
+            _, dom, cod, _ = info[f]
+            n, idom, icod, flavours = m.info(table[f])
+            have, want = (n, idom, icod, TIGHT in flavours), (arity, _swap(dom, slot), cod, True)
+            if have != want:
+                fail(family, (f,), str(have), str(want))
+        tally(report, family, len(m.multimaps(TIGHT, arity)))
+        family, sets = f"{tag}-bijective", m.tight.get(arity, {})
+        for (dom, cod), source in sets.items():
+            have = sorted({table[f] for f in source}) if all(f in table for f in source) else None
+            want = sorted(sets.get((_swap(dom, slot), cod), ()))
+            if have != want:
+                fail(family, (",".join(dom), cod), str(have), str(want))
+        tally(report, family, len(sets))
         # naturality in every slot and in the codomain
         perm = {k: k for k in range(1, arity + 1)}
         perm[slot], perm[slot + 1] = slot + 1, slot
+        family, count = f"{tag}-nat", 0
         for f in m.multimaps(TIGHT, arity):
-            _, dom, cod, _ = m.info(f)
-            for q in base.mors_out_of(cod):
-                check(f"{tag}-nat", ("post", q, f), table.get(m.safe_post(q, f)),
-                      m.safe_post(q, table.get(f)))
+            _, dom, cod, _ = info[f]
+            image = tget(f)
+            for q in out_of(cod):
+                lhs, rhs = tget(qget((q, f))), qget((q, image))
+                if lhs != rhs or lhs is None:
+                    fail(family, ("post", q, f), lhs, rhs)
+                count += 1
             for i in range(1, arity + 1):
-                for p in base.mors_into(dom[i - 1]):
-                    check(f"{tag}-nat", ("pre", f, str(i), p), table.get(m.safe_pre(f, i, p)),
-                          m.safe_pre(table.get(f), perm[i], p))
+                for p in into(dom[i - 1]):
+                    lhs, rhs = tget(pget((f, i, p))), pget((image, perm[i], p))
+                    if lhs != rhs or lhs is None:
+                        fail(family, ("pre", f, str(i), p), lhs, rhs)
+                    count += 1
+        tally(report, family, count)
 
-    def b32(f):
-        return beta.b32.get(f) if f is not None else None
-
-    def b42(f):
-        return beta.b42.get(f) if f is not None else None
-
-    def b43(f):
-        return beta.b43.get(f) if f is not None else None
-
+    b32, b42, b43 = beta.b32.get, beta.b42.get, beta.b43.get
+    check = report.check
     # Yang-Baxter style relation on quaternary maps
     for h in m.multimaps(TIGHT, 4):
         check("braid-yang-baxter", (h,), b42(b43(b42(h))), b43(b42(b43(h))))
-
     # ternary maps into binary ones
     for g in m.multimaps(TIGHT, 2):
-        gdom = m.dom(g)
-        for f in m.multimaps(TIGHT, 3):
-            if m.cod(f) == gdom[0]:
-                check("braid-3-in-2-slot1", (g, f), m.safe_subst(g, 1, b32(f)),
-                      b42(m.safe_subst(g, 1, f)))
-            if m.cod(f) == gdom[1]:
-                check("braid-3-in-2-slot2", (g, f), m.safe_subst(g, 2, b32(f)),
-                      b43(m.safe_subst(g, 2, f)))
+        a, b = info[g][1]
+        for f in m.maps_into(TIGHT, 3, a):
+            check("braid-3-in-2-slot1", (g, f), sget((g, 1, b32(f))), b42(sget((g, 1, f))))
+        for f in m.maps_into(TIGHT, 3, b):
+            check("braid-3-in-2-slot2", (g, f), sget((g, 2, b32(f))), b43(sget((g, 2, f))))
     # binary maps into ternary ones
     for g in m.multimaps(TIGHT, 3):
-        gdom = m.dom(g)
-        for f in m.multimaps(TIGHT, 2):
-            if m.cod(f) == gdom[0]:
-                check("braid-2-in-3-slot1", (g, f), b43(m.safe_subst(g, 1, f)),
-                      m.safe_subst(b32(g), 1, f))
-            if m.cod(f) == gdom[1]:
-                check("braid-2-in-3-slot2", (g, f), b42(b43(m.safe_subst(g, 2, f))),
-                      m.safe_subst(b32(g), 3, f))
-            if m.cod(f) == gdom[2]:
-                check("braid-2-in-3-slot3", (g, f), b43(b42(m.safe_subst(g, 3, f))),
-                      m.safe_subst(b32(g), 2, f))
+        (a, b, c), image = info[g][1], b32(g)
+        for f in m.maps_into(TIGHT, 2, a):
+            check("braid-2-in-3-slot1", (g, f), b43(sget((g, 1, f))), sget((image, 1, f)))
+        for f in m.maps_into(TIGHT, 2, b):
+            check("braid-2-in-3-slot2", (g, f), b42(b43(sget((g, 2, f)))), sget((image, 3, f)))
+        for f in m.maps_into(TIGHT, 2, c):
+            check("braid-2-in-3-slot3", (g, f), b43(b42(sget((g, 3, f)))), sget((image, 2, f)))
     return report.finish()
 
 

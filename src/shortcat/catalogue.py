@@ -2,9 +2,10 @@
 
 Positive entries: the terminal structures, commutative monoids as discrete
 strict monoidal categories (Z/2, Z/3, Klein four) and their multimap-table
-forms, the two skew tensors on the poset 2 = {0 <= 1}, and the Heyting
-structure (meet, implication) on the same poset. Negative entries are
-single-entry mutants with an annotated expected failure.
+forms, the two skew tensors on the poset 2 = {0 <= 1}, the Heyting
+structure (meet, implication) on the same poset, and the delooping BZ/2 of
+the group Z/2 as a monoidal category. Negative entries are single-entry
+mutants with an annotated expected failure.
 
 Every table-backed structure here is thin: each multimap set has at most
 one element, so all actions and substitutions are forced and tabulated by
@@ -63,6 +64,20 @@ def z2_group_category(suffix: str = "") -> FinCategory:
         comp={(e, e): e, (e, g): g, (g, e): g, (g, g): e},
         ids={"o": e},
     )
+
+
+def bz2_category() -> SkewMonCategory:
+    """The delooping of Z/2: one object, the group Z/2 as its hom-set, and the
+    group product as the tensor of morphisms. Its hom-set has two parallel
+    morphisms, where every other base here is discrete or thin."""
+    base = z2_group_category()
+    return SkewMonCategory(
+        "bz2", base,
+        tensor_obj={("o", "o"): "o"},
+        tensor_mor={(f, g): base.compose(f, g)
+                    for f in base.morphisms() for g in base.morphisms()},
+        unit="o",
+        alpha={("o", "o", "o"): "e"}, lam={"o": "e"}, rho={"o": "e"})
 
 
 # --------------------------------------------------------------------------

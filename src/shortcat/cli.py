@@ -487,7 +487,14 @@ GENERATORS = ("terminal", "z2", "z3", "klein-four", "klein-four-sym",
 
 
 def cmd_catalogue(args) -> int:
+    if args.name == "comm-monoid" and args.elements:
+        count = len(args.elements.split())
+        if count > args.max_objects:
+            raise SearchBoundExceeded(
+                f"comm-monoid: {count} elements exceeds --max-objects {args.max_objects}")
     files = catalogue_files(args.name, args)
+    for sf in files:
+        _guard_size(sf, args.max_objects, args.max_multimaps)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     for sf in files:

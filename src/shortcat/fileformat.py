@@ -33,6 +33,7 @@ parses with a normalization warning.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -42,7 +43,7 @@ from .fincat import FinCategory, FinFunctor
 # Each parser and binder imports the module of its kind when it runs, so
 # reading a file loads only the structures that file holds.
 if TYPE_CHECKING:
-    from .shortmulti import MultiMorphism, ShortMulticategory
+    from .shortmulti import MultiMorphism, MultiTables, ShortMulticategory
     from .shortskew import ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
     from .skewmon import Braiding, LaxMonFunctor, SkewClosedCategory, SkewMonCategory
 
@@ -83,127 +84,105 @@ class StructureFile:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def _emit(lines: list[str], keyword: str, args: tuple, values) -> None:
-    if isinstance(values, str):
-        values = (values,)
-    if not values:
-        return
-    head = " ".join((keyword,) + tuple(str(a) for a in args))
-    lines.append(f"{head} = {' '.join(values)}")
-
+# Each table is written by one comprehension over its sorted entries, with
+# its line shape spelled out: a set-valued line lists its members and is
+# left out when the set is empty.
 
 def _category_lines(c: FinCategory) -> list[str]:
-    lines: list[str] = []
-    _emit(lines, "objects", (), tuple(c.objects))
-    for (a, b) in sorted(c.homs):
-        _emit(lines, "hom", (a, b), c.homs[(a, b)])
-    for a in sorted(c.ids):
-        _emit(lines, "id", (a,), c.ids[a])
-    for (g, f) in sorted(c.comp):
-        _emit(lines, "comp", (g, f), c.comp[(g, f)])
+    lines = [f"objects = {' '.join(c.objects)}"] if c.objects else []
+    lines += [f"hom {a} {b} = {' '.join(fs)}" for (a, b), fs in sorted(c.homs.items()) if fs]
+    lines += [f"id {a} = {f}" for a, f in sorted(c.ids.items())]
+    lines += [f"comp {g} {f} = {h}" for (g, f), h in sorted(c.comp.items())]
     return lines
+
+
+def _map_lines(keyword: str, table: dict) -> list[str]:
+    """A multimap table: the key is the domain objects then the codomain."""
+    return [f"{keyword} {' '.join((*dom, cod))} = {' '.join(fs)}"
+            for (dom, cod), fs in sorted(table.items()) if fs]
+
+
+def _action_lines(m: MultiTables) -> list[str]:
+    lines = [f"pre {f} {i} {p} = {g}" for (f, i, p), g in sorted(m.pre.items())]
+    lines += [f"post {q} {f} = {g}" for (q, f), g in sorted(m.post.items())]
+    lines += [f"sub {g} {i} {f} = {h}" for (g, i, f), h in sorted(m.sub.items())]
+    return lines
+
+
+def _unary_lines(keyword: str, table: dict) -> list[str]:
+    """A table keyed by one id."""
+    return [f"{keyword} {f} = {g}" for f, g in sorted(table.items())]
+
+
+def _pair_lines(keyword: str, table: dict) -> list[str]:
+    return [f"{keyword} {a} {b} = {c}" for (a, b), c in sorted(table.items())]
+
+
+def _triple_lines(keyword: str, table: dict) -> list[str]:
+    return [f"{keyword} {a} {b} {c} = {d}" for (a, b, c), d in sorted(table.items())]
 
 
 def _multi_lines(m: ShortMulticategory) -> list[str]:
     lines = _category_lines(m.base)
     for n in (0, 2, 3, 4):
-        for (dom, cod) in m.mapset_keys(n):
-            _emit(lines, f"map{n}", dom + (cod,), m.mapset(n, dom, cod))
-    for (f, i, p) in sorted(m.pre):
-        _emit(lines, "pre", (f, i, p), m.pre[(f, i, p)])
-    for (q, f) in sorted(m.post):
-        _emit(lines, "post", (q, f), m.post[(q, f)])
-    for (g, i, f) in sorted(m.sub):
-        _emit(lines, "sub", (g, i, f), m.sub[(g, i, f)])
-    return lines
+        lines += _map_lines(f"map{n}", m.maps.get(n, {}))
+    return lines + _action_lines(m)
 
 
 def _skew_lines(m: ShortSkewMulticategory, beta: Optional[ShortBraiding]) -> list[str]:
     lines = _category_lines(m.base)
     for n in (2, 3, 4):
-        for (dom, cod) in sorted(m.tight.get(n, {})):
-            _emit(lines, f"tmap{n}", dom + (cod,), m.tight[n][(dom, cod)])
+        lines += _map_lines(f"tmap{n}", m.tight.get(n, {}))
     for n in (0, 1, 2):
-        for (dom, cod) in sorted(m.loose.get(n, {})):
-            _emit(lines, f"lmap{n}", dom + (cod,), m.loose[n][(dom, cod)])
-    for f in sorted(m.j):
-        _emit(lines, "j", (f,), m.j[f])
-    for (f, i, p) in sorted(m.pre):
-        _emit(lines, "pre", (f, i, p), m.pre[(f, i, p)])
-    for (q, f) in sorted(m.post):
-        _emit(lines, "post", (q, f), m.post[(q, f)])
-    for (g, i, f) in sorted(m.sub):
-        _emit(lines, "sub", (g, i, f), m.sub[(g, i, f)])
+        lines += _map_lines(f"lmap{n}", m.loose.get(n, {}))
+    lines += _unary_lines("j", m.j)
+    lines += _action_lines(m)
     if beta is not None:
         for tag in ("b32", "b42", "b43"):
-            for f in sorted(beta.table(tag)):
-                _emit(lines, "beta" + tag[1:], (f,), beta.table(tag)[f])
+            lines += _unary_lines("beta" + tag[1:], beta.table(tag))
     return lines
 
 
 def _monoidal_lines(c: SkewMonCategory, braid: Optional[Braiding]) -> list[str]:
     lines = _category_lines(c.base)
-    _emit(lines, "unit", (), c.unit)
-    for (a, b) in sorted(c.tensor_obj):
-        _emit(lines, "tensor", (a, b), c.tensor_obj[(a, b)])
-    for (f, g) in sorted(c.tensor_mor):
-        _emit(lines, "tensormor", (f, g), c.tensor_mor[(f, g)])
-    for key in sorted(c.alpha):
-        _emit(lines, "alpha", key, c.alpha[key])
-    for a in sorted(c.lam):
-        _emit(lines, "lambda", (a,), c.lam[a])
-    for a in sorted(c.rho):
-        _emit(lines, "rho", (a,), c.rho[a])
+    lines.append(f"unit = {c.unit}")
+    lines += _pair_lines("tensor", c.tensor_obj)
+    lines += _pair_lines("tensormor", c.tensor_mor)
+    lines += _triple_lines("alpha", c.alpha)
+    lines += _unary_lines("lambda", c.lam)
+    lines += _unary_lines("rho", c.rho)
     if braid is not None:
-        for key in sorted(braid.s):
-            _emit(lines, "s", key, braid.s[key])
-        for key in sorted(braid.s_inv):
-            _emit(lines, "sinv", key, braid.s_inv[key])
+        lines += _triple_lines("s", braid.s)
+        lines += _triple_lines("sinv", braid.s_inv)
     return lines
 
 
 def _closed_lines(c: SkewClosedCategory) -> list[str]:
     lines = _category_lines(c.base)
-    _emit(lines, "unit", (), c.unit)
-    for (a, b) in sorted(c.hom_obj):
-        _emit(lines, "homobj", (a, b), c.hom_obj[(a, b)])
-    for (f, g) in sorted(c.hom_mor):
-        _emit(lines, "hommor", (f, g), c.hom_mor[(f, g)])
-    for a in sorted(c.iu):
-        _emit(lines, "I", (a,), c.iu[a])
-    for a in sorted(c.ju):
-        _emit(lines, "J", (a,), c.ju[a])
-    for key in sorted(c.ell):
-        _emit(lines, "L", key, c.ell[key])
+    lines.append(f"unit = {c.unit}")
+    lines += _pair_lines("homobj", c.hom_obj)
+    lines += _pair_lines("hommor", c.hom_mor)
+    lines += _unary_lines("I", c.iu)
+    lines += _unary_lines("J", c.ju)
+    lines += _triple_lines("L", c.ell)
     return lines
 
 
 def _morphism_lines(raw: RawMorphism) -> list[str]:
-    lines: list[str] = []
-    _emit(lines, "source", (), raw.source)
-    _emit(lines, "target", (), raw.target)
-    _emit(lines, "variant", (), raw.variant)
-    for a in sorted(raw.obj_map):
-        _emit(lines, "obj", (a,), raw.obj_map[a])
-    for f in sorted(raw.mor_map):
-        _emit(lines, "mor", (f,), raw.mor_map[f])
+    lines = [f"source = {raw.source}", f"target = {raw.target}", f"variant = {raw.variant}"]
+    lines += _unary_lines("obj", raw.obj_map)
+    lines += _unary_lines("mor", raw.mor_map)
     for tname in sorted(raw.tables):
-        for f in sorted(raw.tables[tname]):
-            _emit(lines, tname, (f,), raw.tables[tname][f])
+        lines += _unary_lines(tname, raw.tables[tname])
     return lines
 
 
 def _lax_lines(raw: RawLaxFunctor) -> list[str]:
-    lines: list[str] = []
-    _emit(lines, "source", (), raw.source)
-    _emit(lines, "target", (), raw.target)
-    for a in sorted(raw.obj_map):
-        _emit(lines, "obj", (a,), raw.obj_map[a])
-    for f in sorted(raw.mor_map):
-        _emit(lines, "mor", (f,), raw.mor_map[f])
-    _emit(lines, "f0", (), raw.f0)
-    for (a, b) in sorted(raw.f2):
-        _emit(lines, "f2", (a, b), raw.f2[(a, b)])
+    lines = [f"source = {raw.source}", f"target = {raw.target}"]
+    lines += _unary_lines("obj", raw.obj_map)
+    lines += _unary_lines("mor", raw.mor_map)
+    lines.append(f"f0 = {raw.f0}")
+    lines += _pair_lines("f2", raw.f2)
     return lines
 
 
@@ -240,21 +219,26 @@ def serialize(sf: StructureFile) -> str:
 # --------------------------------------------------------------------------
 
 class _Lines:
-    """The key = value rows of a file, grouped by keyword in file order."""
+    """The key = value rows of a file, grouped by keyword in file order.
+
+    Every argument and value token is interned, so an id is one object in
+    every table that names it and a tuple-key lookup matches on identity."""
 
     def __init__(self, text: str):
         self.rows: dict[str, list[tuple[int, list[str], list[str]]]] = {}
+        intern = sys.intern
         for no, rawline in enumerate(text.splitlines(), start=1):
             line = rawline.strip()
             if not line or line.startswith("#"):
                 continue
-            if " = " not in line and not line.endswith(" ="):
+            head, sep, tail = line.partition(" = ")
+            if not sep and not line.endswith(" ="):
                 raise ParseError(no, f"expected 'key = value' in {line!r}")
-            head, _, tail = line.partition(" = ")
             toks = head.split()
             if not toks:
                 raise ParseError(no, "empty key")
-            self.rows.setdefault(toks[0], []).append((no, toks[1:], tail.split()))
+            self.rows.setdefault(toks[0], []).append(
+                (no, [*map(intern, toks[1:])], [*map(intern, tail.split())]))
 
     def take(self, keyword: str) -> list[tuple[int, list[str], list[str]]]:
         return self.rows.pop(keyword, [])

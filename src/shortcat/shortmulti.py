@@ -130,54 +130,63 @@ class MultiTables:
 
     # -- structural totality --------------------------------------------------
     def required_pre_keys(self) -> Iterator[tuple[str, int, str]]:
+        idx, into = self._index, self.base._adjacency[1]
         for n, f in self.table_maps:
-            dom = self.dom(f)
+            dom = idx[f][1]
             for i in range(1, n + 1):
-                for p in self.base.mors_into(dom[i - 1]):
+                for p in into.get(dom[i - 1], ()):
                     yield (f, i, p)
 
     def required_post_keys(self) -> Iterator[tuple[str, str]]:
+        idx, out_of = self._index, self.base._adjacency[2]
         for _, f in self.table_maps:
-            for q in self.base.mors_out_of(self.cod(f)):
+            for q in out_of.get(idx[f][2], ()):
                 yield (q, f)
 
     def _check_tables(self) -> None:
         """The structure checks both structures share: the base, key shapes,
-        dangling ids, slot range, composability, stored cases and totality."""
+        dangling ids, slot range, composability, stored cases and totality.
+        Each loop reads the index and the base spans directly."""
         self.base.check_structure()
-        idx, span = self._index, self.base._span
+        name, idx, span = self.name, self._index, self.base._span
+        objects = set(self.base.objects)
         for n, table in self._tables():
             for dom, cod in table:
                 if len(dom) != n:
-                    raise MalformedTable(f"{self.name}: arity-{n} key with {len(dom)} inputs")
+                    raise MalformedTable(f"{name}: arity-{n} key with {len(dom)} inputs")
                 for a in dom + (cod,):
-                    if a not in self.base.objects:
-                        raise MalformedTable(f"{self.name}: unknown object {a} in multimap key")
+                    if a not in objects:
+                        raise MalformedTable(f"{name}: unknown object {a} in multimap key")
         for (f, i, p), g in self.pre.items():
             if f not in idx or g not in idx:
-                raise DanglingId(f"{self.name}: pre entry ({f},{i},{p}) dangles")
-            check_slot(self.name, "pre", (f, i, p), i, self.arity(f))
-            if p not in span or span[p][1] != self.dom(f)[i - 1]:
-                raise MalformedTable(f"{self.name}: pre key ({f},{i},{p}) not composable")
+                raise DanglingId(f"{name}: pre entry ({f},{i},{p}) dangles")
+            n, dom = idx[f][:2]
+            if not 1 <= i <= n:
+                check_slot(name, "pre", (f, i, p), i, n)
+            if p not in span or span[p][1] != dom[i - 1]:
+                raise MalformedTable(f"{name}: pre key ({f},{i},{p}) not composable")
         for (q, f), g in self.post.items():
             if f not in idx or g not in idx:
-                raise DanglingId(f"{self.name}: post entry ({q},{f}) dangles")
-            if q not in span or span[q][0] != self.cod(f):
-                raise MalformedTable(f"{self.name}: post key ({q},{f}) not composable")
+                raise DanglingId(f"{name}: post entry ({q},{f}) dangles")
+            if q not in span or span[q][0] != idx[f][2]:
+                raise MalformedTable(f"{name}: post key ({q},{f}) not composable")
+        stored = self._stored
         for (g, i, f), h in self.sub.items():
             if g not in idx or f not in idx or h not in idx:
-                raise DanglingId(f"{self.name}: sub entry ({g},{i},{f}) dangles")
-            check_slot(self.name, "sub", (g, i, f), i, self.arity(g))
-            if not self._stored(g, i, f):
-                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) outside stored cases")
-            if self.cod(f) != self.dom(g)[i - 1]:
-                raise MalformedTable(f"{self.name}: sub key ({g},{i},{f}) not composable")
+                raise DanglingId(f"{name}: sub entry ({g},{i},{f}) dangles")
+            n, dom = idx[g][:2]
+            if not 1 <= i <= n:
+                check_slot(name, "sub", (g, i, f), i, n)
+            if not stored(g, i, f):
+                raise MalformedTable(f"{name}: sub key ({g},{i},{f}) outside stored cases")
+            if idx[f][2] != dom[i - 1]:
+                raise MalformedTable(f"{name}: sub key ({g},{i},{f}) not composable")
         for label, table, keys in (("pre", self.pre, self.required_pre_keys()),
                                    ("post", self.post, self.required_post_keys()),
                                    ("sub", self.sub, self.required_sub_keys())):
             for key in keys:
                 if key not in table:
-                    raise MalformedTable(f"{self.name}: {label} table not total at {key}")
+                    raise MalformedTable(f"{name}: {label} table not total at {key}")
 
 
 @dataclass(frozen=True)

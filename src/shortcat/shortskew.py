@@ -49,6 +49,17 @@ STORED_SKEW_CASES = frozenset({
     (1, LOOSE, 0, LOOSE), (2, TIGHT, 1, LOOSE), (1, LOOSE, 2, TIGHT),
 })
 
+_FLAVOURS = (frozenset({TIGHT}), frozenset({LOOSE}), frozenset({TIGHT, LOOSE}))
+
+# (outer arity, outer flavours, inner arity, inner flavours) -> the stored
+# case of a substitution between maps of those types: the first one in sorted
+# flavour order. The cases go in descending order, so the first one is the
+# last written and wins.
+_CASE_OF = {(n, xs, k, ys): (n, x, k, y)
+            for n, x, k, y in sorted(STORED_SKEW_CASES, reverse=True)
+            for xs in _FLAVOURS if x in xs
+            for ys in _FLAVOURS if y in ys}
+
 
 def sub_flavour(x: str, i: int, y: str) -> str:
     """Tight exactly when the outer map is tight and (i != 1 or the inner is tight)."""
@@ -157,19 +168,7 @@ class ShortSkewMulticategory(MultiTables):
         """The stored-case descriptor for (g, i, f), or None."""
         ng, _, _, flg = self.info(g)
         nf, _, _, flf = self.info(f)
-        for x in sorted(flg):
-            for y in sorted(flf):
-                case = (ng, x, nf, y)
-                if case in STORED_SKEW_CASES:
-                    return case
-        return None
-
-    # The descriptor of each sub key whose ids resolve, computed on first use;
-    # not a dataclass field, like the adjacency above.
-    @cached_property
-    def _sub_cases(self) -> dict[tuple[str, int, str], Optional[tuple[int, str, int, str]]]:
-        idx = self._index
-        return {key: self.sub_case(*key) for key in self.sub if key[0] in idx and key[2] in idx}
+        return _CASE_OF.get((ng, flg, nf, flf))
 
     def safe_j(self, f: Optional[str]) -> Optional[str]:
         if f is None:
@@ -214,29 +213,29 @@ class ShortSkewMulticategory(MultiTables):
         return itertools.chain(self.tight.items(), self.loose.items())
 
     def _stored(self, g: str, i: int, f: str) -> bool:
-        return (self._sub_cases.get((g, i, f)) or self.sub_case(g, i, f)) is not None
+        return self.sub_case(g, i, f) is not None
 
     def check_structure(self) -> None:
         """The shared table checks, then j and the tight/loose table of each
         sub result."""
         self._check_tables()
-        idx = self._index
+        name, idx = self.name, self._index
         for f, q in self.j.items():
             if f not in idx or q not in idx:
-                raise DanglingId(f"{self.name}: j entry {f} -> {q} dangles")
-            if not self.is_tight(f) or self.arity(f) not in (1, 2):
-                raise MalformedTable(f"{self.name}: j keyed by non-tight or bad-arity id {f}")
-            if not self.is_loose(q):
-                raise TypingViolation(f"{self.name}: j({f}) = {q} is not loose")
+                raise DanglingId(f"{name}: j entry {f} -> {q} dangles")
+            if TIGHT not in idx[f][3] or idx[f][0] not in (1, 2):
+                raise MalformedTable(f"{name}: j keyed by non-tight or bad-arity id {f}")
+            if LOOSE not in idx[q][3]:
+                raise TypingViolation(f"{name}: j({f}) = {q} is not loose")
         for n in (1, 2):
             for f in self.multimaps(TIGHT, n):
                 if f not in self.j:
-                    raise MalformedTable(f"{self.name}: j not total at {f}")
+                    raise MalformedTable(f"{name}: j not total at {f}")
         for (g, i, f), h in self.sub.items():
-            _, x, _, y = self._sub_cases[(g, i, f)]
-            if sub_flavour(x, i, y) not in self.info(h)[3]:
+            _, x, _, y = self.sub_case(g, i, f)
+            if sub_flavour(x, i, y) not in idx[h][3]:
                 raise TypingViolation(
-                    f"{self.name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
+                    f"{name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,7 @@ def _typing_checks(m: ShortSkewMulticategory, report: ValidationReport) -> None:
                         str(have[:3] + (fl <= have[3],)), str(want + (True,)))
     for key in sorted(m.sub):
         g, i, f = key
-        n, dom, cod, flavour = expected_skew_sub_type(m, g, i, f, m._sub_cases[key])
+        n, dom, cod, flavour = expected_skew_sub_type(m, g, i, f, m.sub_case(g, i, f))
         want = (n, dom, cod)
         have = info[m.sub[key]]
         if have[:3] != want or flavour not in have[3]:

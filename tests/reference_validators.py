@@ -11,10 +11,14 @@ relative imports inside them are absolute, and the calls they make to
 validate_category, validate_functor and validate_braided_functor resolve to
 the reference versions below, so every report here is evaluated the old way.
 
-The file ends with the package's former plain induction, induce_short_multi,
-which tabulated the plain structure itself instead of reading it off the
-skew one. It took the unit inverses from a field of skewmon.Flavour that is
-gone; here it computes them with is_iso.
+Then comes the package's former plain induction, induce_short_multi, which
+tabulated the plain structure itself instead of reading it off the skew one.
+It took the unit inverses from a field of skewmon.Flavour that is gone; here
+it computes them with is_iso.
+
+The file ends with the former line-by-line serializer and the former
+structure checks (check_structure and sub_case), which tests/test_ingest.py
+compares the package's table-driven ones with.
 """
 from __future__ import annotations
 
@@ -23,16 +27,19 @@ from typing import Iterator, Optional
 
 from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
 from shortcat.classify import Certificate
-from shortcat.errors import DanglingId, InconsistentVerdicts, MalformedTable
+from shortcat.errors import (
+    DanglingId, InconsistentVerdicts, MalformedTable, TypingViolation, UnknownKind,
+)
+from shortcat.fileformat import FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
 from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
 from shortcat.induce import _Bracketer, _wrap
 from shortcat.report import Check, ValidationReport, run_checks
 from shortcat.shortmulti import (
-    STORED_CASES, MultiMorphism, ShortMulticategory, _sub_pairs, expected_sub_type,
+    STORED_CASES, MultiMorphism, ShortMulticategory, _sub_pairs, check_slot, expected_sub_type,
 )
 from shortcat.shortskew import (
     LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, SkewMultiMorphism,
-    expected_skew_sub_type,
+    expected_skew_sub_type, sub_flavour,
 )
 from shortcat.skewmon import (
     Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
@@ -1219,3 +1226,237 @@ def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortM
         sub[(g, i, f)] = rewrap(ng + nf - 1, newdom, gcod, result)
 
     return ShortMulticategory(name, base, maps, pre, post, sub)
+
+
+# --------------------------------------------------------------------------
+# the former serializer and structure checks
+# --------------------------------------------------------------------------
+# serialize wrote each line through _emit. check_structure is the former
+# MultiTables._check_tables, which read every entry through the typed lookups
+# and the totality generators, followed on a skew structure by the former
+# body of ShortSkewMulticategory.check_structure; sub_case is the former
+# method, which searched the flavours of both ids in sorted order.
+
+def _emit(lines: list[str], keyword: str, args: tuple, values) -> None:
+    if isinstance(values, str):
+        values = (values,)
+    if not values:
+        return
+    head = " ".join((keyword,) + tuple(str(a) for a in args))
+    lines.append(f"{head} = {' '.join(values)}")
+
+
+def _category_lines(c: FinCategory) -> list[str]:
+    lines: list[str] = []
+    _emit(lines, "objects", (), tuple(c.objects))
+    for (a, b) in sorted(c.homs):
+        _emit(lines, "hom", (a, b), c.homs[(a, b)])
+    for a in sorted(c.ids):
+        _emit(lines, "id", (a,), c.ids[a])
+    for (g, f) in sorted(c.comp):
+        _emit(lines, "comp", (g, f), c.comp[(g, f)])
+    return lines
+
+
+def _multi_lines(m: ShortMulticategory) -> list[str]:
+    lines = _category_lines(m.base)
+    for n in (0, 2, 3, 4):
+        for (dom, cod) in m.mapset_keys(n):
+            _emit(lines, f"map{n}", dom + (cod,), m.mapset(n, dom, cod))
+    for (f, i, p) in sorted(m.pre):
+        _emit(lines, "pre", (f, i, p), m.pre[(f, i, p)])
+    for (q, f) in sorted(m.post):
+        _emit(lines, "post", (q, f), m.post[(q, f)])
+    for (g, i, f) in sorted(m.sub):
+        _emit(lines, "sub", (g, i, f), m.sub[(g, i, f)])
+    return lines
+
+
+def _skew_lines(m: ShortSkewMulticategory, beta: Optional[ShortBraiding]) -> list[str]:
+    lines = _category_lines(m.base)
+    for n in (2, 3, 4):
+        for (dom, cod) in sorted(m.tight.get(n, {})):
+            _emit(lines, f"tmap{n}", dom + (cod,), m.tight[n][(dom, cod)])
+    for n in (0, 1, 2):
+        for (dom, cod) in sorted(m.loose.get(n, {})):
+            _emit(lines, f"lmap{n}", dom + (cod,), m.loose[n][(dom, cod)])
+    for f in sorted(m.j):
+        _emit(lines, "j", (f,), m.j[f])
+    for (f, i, p) in sorted(m.pre):
+        _emit(lines, "pre", (f, i, p), m.pre[(f, i, p)])
+    for (q, f) in sorted(m.post):
+        _emit(lines, "post", (q, f), m.post[(q, f)])
+    for (g, i, f) in sorted(m.sub):
+        _emit(lines, "sub", (g, i, f), m.sub[(g, i, f)])
+    if beta is not None:
+        for tag in ("b32", "b42", "b43"):
+            for f in sorted(beta.table(tag)):
+                _emit(lines, "beta" + tag[1:], (f,), beta.table(tag)[f])
+    return lines
+
+
+def _monoidal_lines(c: SkewMonCategory, braid: Optional[Braiding]) -> list[str]:
+    lines = _category_lines(c.base)
+    _emit(lines, "unit", (), c.unit)
+    for (a, b) in sorted(c.tensor_obj):
+        _emit(lines, "tensor", (a, b), c.tensor_obj[(a, b)])
+    for (f, g) in sorted(c.tensor_mor):
+        _emit(lines, "tensormor", (f, g), c.tensor_mor[(f, g)])
+    for key in sorted(c.alpha):
+        _emit(lines, "alpha", key, c.alpha[key])
+    for a in sorted(c.lam):
+        _emit(lines, "lambda", (a,), c.lam[a])
+    for a in sorted(c.rho):
+        _emit(lines, "rho", (a,), c.rho[a])
+    if braid is not None:
+        for key in sorted(braid.s):
+            _emit(lines, "s", key, braid.s[key])
+        for key in sorted(braid.s_inv):
+            _emit(lines, "sinv", key, braid.s_inv[key])
+    return lines
+
+
+def _closed_lines(c: SkewClosedCategory) -> list[str]:
+    lines = _category_lines(c.base)
+    _emit(lines, "unit", (), c.unit)
+    for (a, b) in sorted(c.hom_obj):
+        _emit(lines, "homobj", (a, b), c.hom_obj[(a, b)])
+    for (f, g) in sorted(c.hom_mor):
+        _emit(lines, "hommor", (f, g), c.hom_mor[(f, g)])
+    for a in sorted(c.iu):
+        _emit(lines, "I", (a,), c.iu[a])
+    for a in sorted(c.ju):
+        _emit(lines, "J", (a,), c.ju[a])
+    for key in sorted(c.ell):
+        _emit(lines, "L", key, c.ell[key])
+    return lines
+
+
+def _morphism_lines(raw: RawMorphism) -> list[str]:
+    lines: list[str] = []
+    _emit(lines, "source", (), raw.source)
+    _emit(lines, "target", (), raw.target)
+    _emit(lines, "variant", (), raw.variant)
+    for a in sorted(raw.obj_map):
+        _emit(lines, "obj", (a,), raw.obj_map[a])
+    for f in sorted(raw.mor_map):
+        _emit(lines, "mor", (f,), raw.mor_map[f])
+    for tname in sorted(raw.tables):
+        for f in sorted(raw.tables[tname]):
+            _emit(lines, tname, (f,), raw.tables[tname][f])
+    return lines
+
+
+def _lax_lines(raw: RawLaxFunctor) -> list[str]:
+    lines: list[str] = []
+    _emit(lines, "source", (), raw.source)
+    _emit(lines, "target", (), raw.target)
+    for a in sorted(raw.obj_map):
+        _emit(lines, "obj", (a,), raw.obj_map[a])
+    for f in sorted(raw.mor_map):
+        _emit(lines, "mor", (f,), raw.mor_map[f])
+    _emit(lines, "f0", (), raw.f0)
+    for (a, b) in sorted(raw.f2):
+        _emit(lines, "f2", (a, b), raw.f2[(a, b)])
+    return lines
+
+
+def serialize(sf: StructureFile) -> str:
+    lines = [f"format = {FORMAT_VERSION}", f"kind = {sf.kind}", f"name = {sf.name}"]
+    for key in sorted(sf.provenance):
+        lines.append(f"provenance {key} = {sf.provenance[key]}")
+    kind, payload = sf.kind, sf.payload
+    if kind == "category":
+        lines += _category_lines(payload)
+    elif kind == "short-multi":
+        lines += _multi_lines(payload)
+    elif kind == "short-skew":
+        structure, beta = payload if isinstance(payload, tuple) else (payload, None)
+        lines += _skew_lines(structure, beta)
+    elif kind == "skew-monoidal":
+        lines += _monoidal_lines(payload, None)
+    elif kind == "braiding":
+        structure, braid = payload
+        lines += _monoidal_lines(structure, braid)
+    elif kind == "skew-closed":
+        lines += _closed_lines(payload)
+    elif kind == "morphism":
+        lines += _morphism_lines(payload)
+    elif kind == "lax-functor":
+        lines += _lax_lines(payload)
+    else:
+        raise UnknownKind(0, f"unknown kind {kind}")
+    return "\n".join(lines) + "\n"
+
+
+def sub_case(m: ShortSkewMulticategory, g: str, i: int, f: str) -> Optional[tuple[int, str, int, str]]:
+    """The stored-case descriptor for (g, i, f), or None."""
+    ng, _, _, flg = m.info(g)
+    nf, _, _, flf = m.info(f)
+    for x in sorted(flg):
+        for y in sorted(flf):
+            case = (ng, x, nf, y)
+            if case in STORED_SKEW_CASES:
+                return case
+    return None
+
+
+def _stored(m, g: str, i: int, f: str) -> bool:
+    if isinstance(m, ShortSkewMulticategory):
+        return sub_case(m, g, i, f) is not None
+    return (m._index[g][0], m._index[f][0]) in STORED_CASES
+
+
+def check_structure(m) -> None:
+    m.base.check_structure()
+    idx, span = m._index, m.base._span
+    for n, table in m._tables():
+        for dom, cod in table:
+            if len(dom) != n:
+                raise MalformedTable(f"{m.name}: arity-{n} key with {len(dom)} inputs")
+            for a in dom + (cod,):
+                if a not in m.base.objects:
+                    raise MalformedTable(f"{m.name}: unknown object {a} in multimap key")
+    for (f, i, p), g in m.pre.items():
+        if f not in idx or g not in idx:
+            raise DanglingId(f"{m.name}: pre entry ({f},{i},{p}) dangles")
+        check_slot(m.name, "pre", (f, i, p), i, m.arity(f))
+        if p not in span or span[p][1] != m.dom(f)[i - 1]:
+            raise MalformedTable(f"{m.name}: pre key ({f},{i},{p}) not composable")
+    for (q, f), g in m.post.items():
+        if f not in idx or g not in idx:
+            raise DanglingId(f"{m.name}: post entry ({q},{f}) dangles")
+        if q not in span or span[q][0] != m.cod(f):
+            raise MalformedTable(f"{m.name}: post key ({q},{f}) not composable")
+    for (g, i, f), h in m.sub.items():
+        if g not in idx or f not in idx or h not in idx:
+            raise DanglingId(f"{m.name}: sub entry ({g},{i},{f}) dangles")
+        check_slot(m.name, "sub", (g, i, f), i, m.arity(g))
+        if not _stored(m, g, i, f):
+            raise MalformedTable(f"{m.name}: sub key ({g},{i},{f}) outside stored cases")
+        if m.cod(f) != m.dom(g)[i - 1]:
+            raise MalformedTable(f"{m.name}: sub key ({g},{i},{f}) not composable")
+    for label, table, keys in (("pre", m.pre, m.required_pre_keys()),
+                               ("post", m.post, m.required_post_keys()),
+                               ("sub", m.sub, m.required_sub_keys())):
+        for key in keys:
+            if key not in table:
+                raise MalformedTable(f"{m.name}: {label} table not total at {key}")
+    if not isinstance(m, ShortSkewMulticategory):
+        return
+    for f, q in m.j.items():
+        if f not in idx or q not in idx:
+            raise DanglingId(f"{m.name}: j entry {f} -> {q} dangles")
+        if not m.is_tight(f) or m.arity(f) not in (1, 2):
+            raise MalformedTable(f"{m.name}: j keyed by non-tight or bad-arity id {f}")
+        if not m.is_loose(q):
+            raise TypingViolation(f"{m.name}: j({f}) = {q} is not loose")
+    for n in (1, 2):
+        for f in m.multimaps(TIGHT, n):
+            if f not in m.j:
+                raise MalformedTable(f"{m.name}: j not total at {f}")
+    for (g, i, f), h in m.sub.items():
+        _, x, _, y = sub_case(m, g, i, f)
+        if sub_flavour(x, i, y) not in m.info(h)[3]:
+            raise TypingViolation(
+                f"{m.name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")

@@ -185,6 +185,29 @@ def test_bad_comm_monoid_ends_in_one_error_line(tmp_path, elements, unit, table,
     assert not (tmp_path / "out").exists()
 
 
+Z5 = ["--elements", "0 1 2 3 4", "--unit", "0",
+      "--table", "0 1 2 3 4;1 2 3 4 0;2 3 4 0 1;3 4 0 1 2;4 0 1 2 3"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["comm-monoid", *Z5, "--max-objects", "2", "--max-multimaps", "0"],
+                 "comm-monoid: 5 elements exceeds --max-objects 2", id="z5-elements"),
+    pytest.param(["z2", "--max-multimaps", "0"],
+                 "z2: a multimap set of size 1 exceeds --max-multimaps 0", id="z2-multimaps"),
+    pytest.param(["heyting-2", "--max-objects", "1"],
+                 "heyting2: 2 objects exceeds --max-objects 1", id="heyting2-objects"),
+])
+def test_catalogue_honours_the_size_guard(tmp_path, argv, message):
+    """catalogue refuses more comm-monoid elements than --max-objects before
+    it builds a table, and any generated file that validate would refuse
+    before it writes one: exit 2 with one error line and nothing written."""
+    out = run_cli("catalogue", *argv, "--out", str(tmp_path / "out"))
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr.splitlines() == [f"error: {message}"], out.stderr
+    assert not (tmp_path / "out").exists()
+    assert out.stdout == ""
+
+
 # The shortcat modules a cold call loads, besides the package itself, for each
 # (command, input file) of the benchmark's cli-cold workload, plus a short-skew
 # file with swap tables, a braiding roundtrip and a catalogue generator.

@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import pytest
 
 from shortcat.catalogue import (
@@ -5,6 +8,7 @@ from shortcat.catalogue import (
     heyting2_skew_closed, heyting2_skew_monoidal, monoid_short_multi,
     poset2_base, poset2_first_short_skew, z2_monoid,
 )
+from shortcat.cli import GENERATORS, catalogue_files
 from shortcat.errors import ParseError, UnknownKind, VersionMismatch
 from shortcat.fileformat import (
     StructureFile, bind_morphism, parse, serialize, unbind_morphism,
@@ -107,3 +111,34 @@ def test_stray_keyword_is_reported_at_its_first_line():
     with pytest.raises(ParseError) as err:
         parse("format = 1\nkind = category\nname = x\nname = y\nobjects = a\n")
     assert err.value.line_no == 4 and "duplicate name line" in str(err.value)
+
+
+def _strings(value):
+    """Every string in the tables of a payload: dataclass fields other than
+    names, dict keys and values, and the members of tuples, lists and sets."""
+    if isinstance(value, str):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.name != "name":
+                yield from _strings(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _strings(key)
+            yield from _strings(item)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            yield from _strings(item)
+
+
+def test_parsed_ids_are_interned():
+    """Each id a parsed file holds is the interned string, so an id is one
+    object in every table that names it."""
+    generators = [g for g in GENERATORS if g != "comm-monoid"]
+    checked = 0
+    for sf in (sf for g in generators for sf in catalogue_files(g)):
+        payload = parse(serialize(sf))[0].payload
+        for x in _strings(payload):
+            assert sys.intern(x) is x, (sf.name, sf.kind, x)
+            checked += 1
+    assert checked > 10000

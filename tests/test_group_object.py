@@ -7,7 +7,7 @@ from shortcat.braiding import (
     ShortBraiding, braidings_equal, check_short_symmetry, s_from_short_braiding,
     short_braiding_from_s, short_braidings_equal, validate_short_braiding,
 )
-from shortcat.catalogue import z2_group_category
+from shortcat.catalogue import bz2_category
 from shortcat.classify import (
     certify, check_representable, derived_classifiers, find_closed_structure,
     sharp_laws, verify_left_iff_adjoint, verify_units_left_universal,
@@ -15,22 +15,11 @@ from shortcat.classify import (
 from shortcat.induce import induce_short_multi, induce_short_skew
 from shortcat.shortmulti import validate_short_multicategory
 from shortcat.shortskew import TIGHT, embed_plain, validate_short_skew
-from shortcat.skewmon import SkewMonCategory, check_symmetry, validate_braiding, validate_skew_monoidal
+from shortcat.skewmon import check_symmetry, validate_braiding, validate_skew_monoidal
 from shortcat.transport import (
     biclosed_subst_check, check_representable_iff_monoidal, ks_object,
     roundtrip_check, transport_closed,
 )
-
-
-def bz2_category() -> SkewMonCategory:
-    base = z2_group_category()
-    return SkewMonCategory(
-        "bz2", base,
-        tensor_obj={("o", "o"): "o"},
-        tensor_mor={(f, g): base.compose(f, g)
-                    for f in base.morphisms() for g in base.morphisms()},
-        unit="o",
-        alpha={("o", "o", "o"): "e"}, lam={"o": "e"}, rho={"o": "e"})
 
 
 @pytest.fixture(scope="module")

@@ -6,12 +6,11 @@ import re
 import pytest
 
 from reference_validators import induce_short_multi as reference_induce_short_multi
-from shortcat.catalogue import catalogue_short_multis, catalogue_skew_monoidals
+from shortcat.catalogue import bz2_category, catalogue_short_multis, catalogue_skew_monoidals
 from shortcat.errors import MalformedTable
 from shortcat.induce import induce_short_multi, induce_short_skew
 from shortcat.shortskew import embed_plain, plain_of
 from shortcat.skewmon import classify_flavour
-from test_group_object import bz2_category
 from test_kernel import _cyclic_of
 
 
