@@ -16,21 +16,25 @@ tabulated the plain structure itself instead of reading it off the skew one.
 It took the unit inverses from a field of skewmon.Flavour that is gone; here
 it computes them with is_iso.
 
-The file ends with the former line-by-line serializer and the former
-structure checks (check_structure and sub_case), which tests/test_ingest.py
-compares the package's table-driven ones with.
+Then come the former line-by-line serializer and the former structure
+checks (check_structure and sub_case), which tests/test_ingest.py compares
+the package's table-driven ones with. The file ends with the former parser,
+one hand-written function per kind, which tests/test_ingest.py compares
+the ROWS-driven one with.
 """
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Iterator, Optional
 
 from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
 from shortcat.classify import Certificate
 from shortcat.errors import (
-    DanglingId, InconsistentVerdicts, MalformedTable, TypingViolation, UnknownKind,
+    DanglingId, InconsistentVerdicts, MalformedTable, ParseError, TypingViolation, UnknownKind,
+    VersionMismatch,
 )
-from shortcat.fileformat import FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
+from shortcat.fileformat import KINDS, FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
 from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
 from shortcat.induce import _Bracketer, _wrap
 from shortcat.report import Check, ValidationReport, run_checks
@@ -1460,3 +1464,311 @@ def check_structure(m) -> None:
         if sub_flavour(x, i, y) not in m.info(h)[3]:
             raise TypingViolation(
                 f"{m.name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
+
+
+# --------------------------------------------------------------------------
+# the former parser
+# --------------------------------------------------------------------------
+# One hand-written parser per kind, with one loop per keyword. A later line
+# with the key of an earlier one overwrote it, and `kw =` read `=` as an
+# argument. Its canonical-form check is the former serializer above.
+
+class _Lines:
+    """The key = value rows of a file, grouped by keyword in file order.
+
+    Every argument and value token is interned, so an id is one object in
+    every table that names it and a tuple-key lookup matches on identity."""
+
+    def __init__(self, text: str):
+        self.rows: dict[str, list[tuple[int, list[str], list[str]]]] = {}
+        intern = sys.intern
+        for no, rawline in enumerate(text.splitlines(), start=1):
+            line = rawline.strip()
+            if not line or line.startswith("#"):
+                continue
+            head, sep, tail = line.partition(" = ")
+            if not sep and not line.endswith(" ="):
+                raise ParseError(no, f"expected 'key = value' in {line!r}")
+            toks = head.split()
+            if not toks:
+                raise ParseError(no, "empty key")
+            self.rows.setdefault(toks[0], []).append(
+                (no, [*map(intern, toks[1:])], [*map(intern, tail.split())]))
+
+    def take(self, keyword: str) -> list[tuple[int, list[str], list[str]]]:
+        return self.rows.pop(keyword, [])
+
+    def take_single(self, keyword: str, nargs: int = 0) -> Optional[tuple[int, list[str], list[str]]]:
+        rows = self.take(keyword)
+        if not rows:
+            return None
+        if len(rows) > 1:
+            raise ParseError(rows[1][0], f"duplicate {keyword} line")
+        no, args, vals = rows[0]
+        if len(args) != nargs:
+            raise ParseError(no, f"{keyword} expects {nargs} arguments")
+        return rows[0]
+
+
+def _one_value(no: int, keyword: str, vals: list[str]) -> str:
+    if len(vals) != 1:
+        raise ParseError(no, f"{keyword} expects exactly one value")
+    return vals[0]
+
+
+def _args(no: int, keyword: str, args: list[str], n: int) -> list[str]:
+    if len(args) != n:
+        raise ParseError(no, f"{keyword} expects {n} arguments, got {len(args)}")
+    return args
+
+
+def _parse_category(name: str, lines: _Lines) -> FinCategory:
+    row = lines.take_single("objects")
+    if row is None:
+        raise ParseError(0, "missing objects line")
+    objects = tuple(row[2])
+    declared = set(objects)
+    homs = {}
+    for no, args, vals in lines.take("hom"):
+        a, b = _args(no, "hom", args, 2)
+        for o in (a, b):
+            if o not in declared:
+                raise ParseError(no, f"undeclared object {o!r}")
+        homs[(a, b)] = tuple(vals)
+    ids = {}
+    for no, args, vals in lines.take("id"):
+        (a,) = _args(no, "id", args, 1)
+        if a not in declared:
+            raise ParseError(no, f"undeclared object {a!r}")
+        ids[a] = _one_value(no, "id", vals)
+    comp = {}
+    for no, args, vals in lines.take("comp"):
+        g, f = _args(no, "comp", args, 2)
+        comp[(g, f)] = _one_value(no, "comp", vals)
+    return FinCategory(name, objects, homs, comp, ids)
+
+
+def _parse_int(no: int, tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(no, f"expected a position, got {tok!r}")
+
+
+def _parse_actions(lines: _Lines):
+    pre, post, sub = {}, {}, {}
+    for no, args, vals in lines.take("pre"):
+        f, i, p = _args(no, "pre", args, 3)
+        pre[(f, _parse_int(no, i), p)] = _one_value(no, "pre", vals)
+    for no, args, vals in lines.take("post"):
+        q, f = _args(no, "post", args, 2)
+        post[(q, f)] = _one_value(no, "post", vals)
+    for no, args, vals in lines.take("sub"):
+        g, i, f = _args(no, "sub", args, 3)
+        sub[(g, _parse_int(no, i), f)] = _one_value(no, "sub", vals)
+    return pre, post, sub
+
+
+def _parse_multi(name: str, lines: _Lines) -> ShortMulticategory:
+    base = _parse_category(name, lines)
+    maps: dict[int, dict] = {n: {} for n in (0, 2, 3, 4)}
+    for n in (0, 2, 3, 4):
+        for no, args, vals in lines.take(f"map{n}"):
+            parts = _args(no, f"map{n}", args, n + 1)
+            maps[n][(tuple(parts[:-1]), parts[-1])] = tuple(vals)
+    pre, post, sub = _parse_actions(lines)
+    return ShortMulticategory(name, base, maps, pre, post, sub)
+
+
+def _parse_skew(name: str, lines: _Lines):
+    base = _parse_category(name, lines)
+    tight: dict[int, dict] = {n: {} for n in (2, 3, 4)}
+    loose: dict[int, dict] = {n: {} for n in (0, 1, 2)}
+    for n in (2, 3, 4):
+        for no, args, vals in lines.take(f"tmap{n}"):
+            parts = _args(no, f"tmap{n}", args, n + 1)
+            tight[n][(tuple(parts[:-1]), parts[-1])] = tuple(vals)
+    for n in (0, 1, 2):
+        for no, args, vals in lines.take(f"lmap{n}"):
+            parts = _args(no, f"lmap{n}", args, n + 1)
+            loose[n][(tuple(parts[:-1]), parts[-1])] = tuple(vals)
+    j = {}
+    for no, args, vals in lines.take("j"):
+        (f,) = _args(no, "j", args, 1)
+        j[f] = _one_value(no, "j", vals)
+    pre, post, sub = _parse_actions(lines)
+    beta_tables = {}
+    for tag in ("beta32", "beta42", "beta43"):
+        table = {}
+        for no, args, vals in lines.take(tag):
+            (f,) = _args(no, tag, args, 1)
+            table[f] = _one_value(no, tag, vals)
+        beta_tables[tag] = table
+    structure = ShortSkewMulticategory(name, base, tight, loose, j, pre, post, sub)
+    beta = None
+    if any(beta_tables.values()):
+        beta = ShortBraiding(name + ".beta", beta_tables["beta32"],
+                             beta_tables["beta42"], beta_tables["beta43"])
+    return structure, beta
+
+
+def _parse_monoidal(name: str, lines: _Lines, with_braiding: bool):
+    base = _parse_category(name, lines)
+    row = lines.take_single("unit")
+    if row is None:
+        raise ParseError(0, "missing unit line")
+    unit = _one_value(row[0], "unit", row[2])
+    tensor_obj, tensor_mor, alpha, lam, rho = {}, {}, {}, {}, {}
+    for no, args, vals in lines.take("tensor"):
+        a, b = _args(no, "tensor", args, 2)
+        tensor_obj[(a, b)] = _one_value(no, "tensor", vals)
+    for no, args, vals in lines.take("tensormor"):
+        f, g = _args(no, "tensormor", args, 2)
+        tensor_mor[(f, g)] = _one_value(no, "tensormor", vals)
+    for no, args, vals in lines.take("alpha"):
+        a, b, c = _args(no, "alpha", args, 3)
+        alpha[(a, b, c)] = _one_value(no, "alpha", vals)
+    for no, args, vals in lines.take("lambda"):
+        (a,) = _args(no, "lambda", args, 1)
+        lam[a] = _one_value(no, "lambda", vals)
+    for no, args, vals in lines.take("rho"):
+        (a,) = _args(no, "rho", args, 1)
+        rho[a] = _one_value(no, "rho", vals)
+    structure = SkewMonCategory(name, base, tensor_obj, tensor_mor, unit, alpha, lam, rho)
+    if not with_braiding:
+        return structure
+    s, s_inv = {}, {}
+    for no, args, vals in lines.take("s"):
+        x, a, b = _args(no, "s", args, 3)
+        s[(x, a, b)] = _one_value(no, "s", vals)
+    for no, args, vals in lines.take("sinv"):
+        x, a, b = _args(no, "sinv", args, 3)
+        s_inv[(x, a, b)] = _one_value(no, "sinv", vals)
+    return structure, Braiding(name + ".braid", s, s_inv)
+
+
+def _parse_closed(name: str, lines: _Lines) -> SkewClosedCategory:
+    base = _parse_category(name, lines)
+    row = lines.take_single("unit")
+    if row is None:
+        raise ParseError(0, "missing unit line")
+    unit = _one_value(row[0], "unit", row[2])
+    hom_obj, hom_mor, iu, ju, ell = {}, {}, {}, {}, {}
+    for no, args, vals in lines.take("homobj"):
+        a, b = _args(no, "homobj", args, 2)
+        hom_obj[(a, b)] = _one_value(no, "homobj", vals)
+    for no, args, vals in lines.take("hommor"):
+        f, g = _args(no, "hommor", args, 2)
+        hom_mor[(f, g)] = _one_value(no, "hommor", vals)
+    for no, args, vals in lines.take("I"):
+        (a,) = _args(no, "I", args, 1)
+        iu[a] = _one_value(no, "I", vals)
+    for no, args, vals in lines.take("J"):
+        (a,) = _args(no, "J", args, 1)
+        ju[a] = _one_value(no, "J", vals)
+    for no, args, vals in lines.take("L"):
+        a, b, c = _args(no, "L", args, 3)
+        ell[(a, b, c)] = _one_value(no, "L", vals)
+    return SkewClosedCategory(name, base, hom_obj, hom_mor, unit, iu, ju, ell)
+
+
+def _parse_morphism(lines: _Lines) -> RawMorphism:
+    def need(keyword):
+        row = lines.take_single(keyword)
+        if row is None:
+            raise ParseError(0, f"missing {keyword} line")
+        return _one_value(row[0], keyword, row[2])
+
+    source, target, variant = need("source"), need("target"), need("variant")
+    if variant not in ("plain", "skew"):
+        raise ParseError(0, f"variant must be plain or skew, got {variant!r}")
+    obj_map, mor_map = {}, {}
+    for no, args, vals in lines.take("obj"):
+        (a,) = _args(no, "obj", args, 1)
+        obj_map[a] = _one_value(no, "obj", vals)
+    for no, args, vals in lines.take("mor"):
+        (f,) = _args(no, "mor", args, 1)
+        mor_map[f] = _one_value(no, "mor", vals)
+    tables = {}
+    names = ("m0", "m2", "m3", "m4") if variant == "plain" else ("l0", "l1", "l2", "t2", "t3", "t4")
+    for tname in names:
+        table = {}
+        for no, args, vals in lines.take(tname):
+            (f,) = _args(no, tname, args, 1)
+            table[f] = _one_value(no, tname, vals)
+        tables[tname] = table
+    return RawMorphism(source, target, variant, obj_map, mor_map, tables)
+
+
+def _parse_lax(lines: _Lines) -> RawLaxFunctor:
+    def need(keyword):
+        row = lines.take_single(keyword)
+        if row is None:
+            raise ParseError(0, f"missing {keyword} line")
+        return _one_value(row[0], keyword, row[2])
+
+    source, target = need("source"), need("target")
+    obj_map, mor_map, f2 = {}, {}, {}
+    for no, args, vals in lines.take("obj"):
+        (a,) = _args(no, "obj", args, 1)
+        obj_map[a] = _one_value(no, "obj", vals)
+    for no, args, vals in lines.take("mor"):
+        (f,) = _args(no, "mor", args, 1)
+        mor_map[f] = _one_value(no, "mor", vals)
+    f0 = need("f0")
+    for no, args, vals in lines.take("f2"):
+        a, b = _args(no, "f2", args, 2)
+        f2[(a, b)] = _one_value(no, "f2", vals)
+    return RawLaxFunctor(source, target, obj_map, mor_map, f0, f2)
+
+
+def parse(text: str) -> tuple[StructureFile, list[str]]:
+    """Parse a structure file; returns the file and normalization warnings."""
+    lines = _Lines(text)
+    row = lines.take_single("format")
+    if row is None:
+        raise VersionMismatch(1, "missing format line")
+    version = _one_value(row[0], "format", row[2])
+    if version != FORMAT_VERSION:
+        raise VersionMismatch(row[0], f"unsupported format version {version}")
+    row = lines.take_single("kind")
+    if row is None:
+        raise UnknownKind(1, "missing kind line")
+    kind = _one_value(row[0], "kind", row[2])
+    if kind not in KINDS:
+        raise UnknownKind(row[0], f"unknown kind {kind!r}")
+    row = lines.take_single("name")
+    if row is None:
+        raise ParseError(1, "missing name line")
+    name = _one_value(row[0], "name", row[2])
+    provenance = {}
+    for no, args, vals in lines.take("provenance"):
+        (key,) = _args(no, "provenance", args, 1)
+        provenance[key] = " ".join(vals)
+
+    if kind == "category":
+        payload: object = _parse_category(name, lines)
+    elif kind == "short-multi":
+        payload = _parse_multi(name, lines)
+    elif kind == "short-skew":
+        payload = _parse_skew(name, lines)
+    elif kind == "skew-monoidal":
+        payload = _parse_monoidal(name, lines, with_braiding=False)
+    elif kind == "braiding":
+        payload = _parse_monoidal(name, lines, with_braiding=True)
+    elif kind == "skew-closed":
+        payload = _parse_closed(name, lines)
+    elif kind == "morphism":
+        payload = _parse_morphism(lines)
+    else:
+        payload = _parse_lax(lines)
+
+    if lines.rows:
+        no, kw = min((rows[0][0], kw) for kw, rows in lines.rows.items())
+        raise ParseError(no, f"unexpected keyword {kw!r} for kind {kind}")
+
+    sf = StructureFile(kind, name, payload, provenance)
+    warnings = []
+    if serialize(sf) != text:
+        warnings.append("input was not in canonical form; normalized on output")
+    return sf, warnings

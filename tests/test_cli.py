@@ -479,6 +479,8 @@ BAD_POST_LINE = "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"
 AXIOM_FAILURE = "validation of the structure fails 10 instances; construct needs one that passes"
 BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,1,0;1)"
 BAD_BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,0,1;1)"
+PRE_LINE = "pre m2(0,0;0) 1 1_0 = m2(0,0;0)"
+HOM_LINE = "hom 0 0 = 1_0"
 
 
 @pytest.mark.parametrize("generator,kind,edit,command,code,message", [
@@ -510,12 +512,22 @@ BAD_BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,0,1;1)"
     pytest.param("z2", "short-skew", lambda t: _replace_line(t, BETA43_LINE, BAD_BETA43_LINE),
                  ["construct", "--which", "braiding-forward"], 1, AXIOM_FAILURE,
                  id="swap-failure-construct-braiding-forward"),
+    pytest.param("z2", "short-multi",
+                 lambda t: _replace_line(t, PRE_LINE, "pre m2(0,0;0) 1 1_0 = zzz\n" + PRE_LINE),
+                 ["validate"], 2,
+                 "line 41: repeated key pre m2(0,0;0) 1 1_0, first given at line 40",
+                 id="repeated-pre-validate"),
+    pytest.param("z2", "short-multi",
+                 lambda t: _replace_line(t, HOM_LINE, "hom 0 0 = zzz\n" + HOM_LINE),
+                 ["validate"], 2, "line 6: repeated key hom 0 0, first given at line 5",
+                 id="repeated-hom-validate"),
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
                                           message):
-    """A key that names no object, a braiding value that names no morphism
-    (exit 2) and a structure that fails its axioms under certify or construct
-    (exit 1) each end in one error line, never in an internal error."""
+    """A key that names no object, a braiding value that names no morphism, a
+    key given twice (exit 2) and a structure that fails its axioms under
+    certify or construct (exit 1) each end in one error line, never in an
+    internal error."""
     path = tmp_path / f"bad.{kind}.txt"
     path.write_text(edit(_catalogue_text(generator, kind)))
     out = run_cli(command[0], str(path), *command[1:])

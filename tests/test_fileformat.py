@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,9 @@ from shortcat.catalogue import (
 from shortcat.cli import GENERATORS, catalogue_files
 from shortcat.errors import ParseError, UnknownKind, VersionMismatch
 from shortcat.fileformat import (
-    StructureFile, bind_morphism, parse, serialize, unbind_morphism,
+    MORPHISM_TABLES, ROWS, StructureFile, bind_morphism, parse, serialize, unbind_morphism,
 )
+from shortcat.fincat import FinCategory
 from shortcat.shortmulti import validate_multi_morphism
 
 
@@ -142,3 +145,60 @@ def test_parsed_ids_are_interned():
             assert sys.intern(x) is x, (sf.name, sf.kind, x)
             checked += 1
     assert checked > 10000
+
+
+def _z2_short_multi():
+    return serialize(next(sf for sf in catalogue_files("z2") if sf.kind == "short-multi"))
+
+
+@pytest.mark.parametrize("line,first", [
+    ("hom 0 0 = 1_0", "hom 0 0 = zzz"),
+    ("pre m2(0,0;0) 1 1_0 = m2(0,0;0)", "pre m2(0,0;0) 1 1_0 = zzz"),
+    ("pre m2(0,0;0) 1 1_0 = m2(0,0;0)", "pre m2(0,0;0) 01 1_0 = m2(0,0;0)"),
+], ids=["hom", "pre", "pre-same-slot"])
+def test_repeated_key_is_rejected_at_its_second_line(line, first):
+    """A file that gives one key twice says two things: it fails at the
+    second record, which names the first. A slot is the integer it spells."""
+    text = _z2_short_multi()
+    k = text.splitlines().index(line) + 1
+    with pytest.raises(ParseError) as err:
+        parse(text.replace(line + "\n", first + "\n" + line + "\n"))
+    head = line.partition(" = ")[0]
+    assert str(err.value) == f"line {k + 1}: repeated key {head}, first given at line {k}"
+    assert err.value.line_no == k + 1
+
+
+def test_record_without_values():
+    """`kw args =` is a record with no values. A category with no objects is
+    written `objects =` and reads back; an empty multimap set reads as the
+    empty set, which the canonical form leaves out."""
+    empty = StructureFile("category", "e", FinCategory("e", (), {}, {}, {}))
+    assert serialize(empty) == "format = 1\nkind = category\nname = e\nobjects =\n"
+    assert _roundtrip(empty).payload == empty.payload
+    sf, warnings = parse("format = 1\nkind = category\nname = e\nobjects =   \n")
+    assert sf.payload.objects == () and len(warnings) == 1
+    text = _z2_short_multi()
+    sf, warnings = parse(text + "map2 0 0 1 =\n")
+    assert sf.payload.maps[2][(("0", "0"), "1")] == () and len(warnings) == 1
+    assert serialize(sf) == text
+    with pytest.raises(ParseError, match="line 5: id expects exactly one value"):
+        parse("format = 1\nkind = category\nname = x\nobjects = a\nid a =\n")
+
+
+def _documented_keywords():
+    """Kind -> record keywords, from the table in docs/format.md."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "format.md").read_text()
+    table = doc.split("## Keywords per kind", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)`([^|]*) \| ([^|]+) \|$", table, re.M)
+    return {kind + variant: tuple(keywords.replace("`", "").split())
+            for kind, variant, keywords in rows}
+
+
+def test_docs_list_the_keywords_of_rows():
+    """The keywords docs/format.md lists for each kind, in canonical order,
+    are those of ROWS, so the two cannot drift apart."""
+    kinds = {kind: rows for kind, rows in ROWS.items() if kind != "morphism"}
+    kinds.update({f"morphism ({variant})": ROWS["morphism"] + tables
+                  for variant, tables in MORPHISM_TABLES.items()})
+    assert _documented_keywords() == {kind: tuple(row.keyword for row in rows)
+                                      for kind, rows in kinds.items()}

@@ -3,10 +3,10 @@
 A catalogue file with one line deleted, one line duplicated or two tokens
 swapped (within a line or between two lines) must end, under every command, in a report or in one
 `error:` line with a documented exit code: 0, 1 or 2, never 3 (an internal
-error) and never a traceback. And serializing a parsed catalogue file gives
-back the text it was parsed from. And `catalogue comm-monoid` on any
-arguments either refuses them in one `error:` line or writes files that
-validate.
+error) and never a traceback. And serializing a parsed catalogue file, or
+the category with no objects, gives back the text it was parsed from. And
+`catalogue comm-monoid` on any arguments either refuses them in one `error:`
+line or writes files that validate.
 """
 import tempfile
 from pathlib import Path
@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shortcat import cli
-from shortcat.fileformat import parse, serialize
+from shortcat.fileformat import StructureFile, parse, serialize
+from shortcat.fincat import FinCategory
 
 # The smaller catalogue entries: each command on one of them takes well under
 # a second, so the example budget below stays within a few seconds.
@@ -122,14 +123,15 @@ def test_morphism_with_an_edited_file_ends_in_a_documented_exit(work, capsys, en
 
 
 def test_serialize_parse_serialize_is_the_identity():
+    """On every catalogue file and on the category with no objects."""
+    empty = StructureFile("category", "empty", FinCategory("empty", (), {}, {}, {}))
     seen = 0
-    for generator in ALL_GENERATORS:
-        for sf in cli.catalogue_files(generator):
-            text = serialize(sf)
-            again, _ = parse(text)
-            assert serialize(again) == text, sf.name
-            seen += 1
-    assert seen >= 16
+    for sf in [empty, *(sf for g in ALL_GENERATORS for sf in cli.catalogue_files(g))]:
+        text = serialize(sf)
+        again, _ = parse(text)
+        assert serialize(again) == text, sf.name
+        seen += 1
+    assert seen >= 17
 
 
 # Characters of the drawn monoid names: with `,` two multimap ids can come out
