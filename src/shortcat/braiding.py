@@ -151,7 +151,7 @@ def s_from_short_braiding(m: ShortSkewMulticategory, cert: Certificate,
     universal ternary map of (x,a,b) into the swapped image of the one of
     (x,b,a); the inverse solves the mirrored equation."""
     from .skewmon import Braiding
-    from .transport import UniqueSolveSpec, solve_unique
+    from .transport import solve_unique
     v = cert.view
     base = v.base
     name = name or (beta.name + ".s")
@@ -162,15 +162,13 @@ def s_from_short_braiding(m: ShortSkewMulticategory, cert: Certificate,
         lhs_dom = cert.obj(cert.obj(x, a), b)
         rhs_dom = cert.obj(cert.obj(x, b), a)
         target = beta.b32.get(theta3(m, cert, x, b, a))
-        s[(x, a, b)] = solve_unique(UniqueSolveSpec(
-            f"braiding component ({x},{a},{b})", tuple(base.hom(lhs_dom, rhs_dom)),
-            lambda w, x=x, a=a, b=b, target=target: [
-                (v.safe_post(w, theta3(m, cert, x, a, b)), target)]))
-        back = b32_inv.get(theta3(m, cert, x, a, b))
-        s_inv[(x, a, b)] = solve_unique(UniqueSolveSpec(
-            f"braiding inverse ({x},{a},{b})", tuple(base.hom(rhs_dom, lhs_dom)),
-            lambda w, x=x, a=a, b=b, back=back: [
-                (v.safe_post(w, theta3(m, cert, x, b, a)), back)]))
+        s[(x, a, b)] = solve_unique(
+            f"braiding component ({x},{a},{b})", base.hom(lhs_dom, rhs_dom),
+            lambda w: v.safe_post(w, theta3(m, cert, x, a, b)), target)
+        s_inv[(x, a, b)] = solve_unique(
+            f"braiding inverse ({x},{a},{b})", base.hom(rhs_dom, lhs_dom),
+            lambda w: v.safe_post(w, theta3(m, cert, x, b, a)),
+            b32_inv.get(theta3(m, cert, x, a, b)))
     return Braiding(name, s, s_inv)
 
 

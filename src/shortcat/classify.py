@@ -1,11 +1,18 @@
 """Enumeration-based search and certification of universal structures:
 map classifiers, left universality, representability, closedness.
 
+Every universal property certified here is one rule: substitution into a
+fixed map is a bijection, scope by scope. A classifier, a left-universal
+extension, a hom object (left or right), a derived composite and a
+representability slot differ only in the scopes they list, each a
+(key, domain, substitution, target) tuple, and all of them go through
+bijection_scan. The tables it records are the witnesses, and they double as
+inverse tables: preimage reads one backwards.
+
 Everything here works on the tight/loose view: a plain short multicategory
 is certified through its embedding (all maps both tight and loose, j the
 identity), under which the tight/loose bijection scopes reduce to the plain
-ones. Bijections are always verified element by element between finite
-ordered sets; the recorded witness tables double as inverse tables.
+ones.
 
 Search order is canonical: candidate objects in sorted order, then
 candidate multimaps; the first certified hit is the classifier used
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InconsistentVerdicts, MalformedTable, UniversalityBroken
 from .report import ValidationReport
@@ -23,6 +30,10 @@ from .shortmulti import ShortMulticategory
 from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory
 
 Structure = Union[ShortMulticategory, ShortSkewMulticategory]
+
+# One scope of a universal property: its key, the maps substituted into,
+# the substitution, and the maps it must reach, each exactly once.
+Scope = tuple[Hashable, Sequence[str], Callable[[str], Optional[str]], Sequence[str]]
 
 
 def skew_view(m: Structure) -> ShortSkewMulticategory:
@@ -32,8 +43,8 @@ def skew_view(m: Structure) -> ShortSkewMulticategory:
     return m
 
 
-def bijection_table(domain: list[str], apply_fn: Callable[[str], Optional[str]],
-                    target: list[str]) -> Optional[dict[str, str]]:
+def bijection_table(domain: Sequence[str], apply_fn: Callable[[str], Optional[str]],
+                    target: Sequence[str]) -> Optional[dict[str, str]]:
     """The graph of apply_fn if it is a bijection domain -> target, else None."""
     table: dict[str, str] = {}
     seen: set[str] = set()
@@ -47,6 +58,30 @@ def bijection_table(domain: list[str], apply_fn: Callable[[str], Optional[str]],
     if len(seen) != len(target):
         return None
     return table
+
+
+def bijection_scan(scopes: Iterable[Scope], witness: Optional[dict] = None,
+                   stop: bool = True) -> list:
+    """Check every scope's substitution for a bijection from its domain onto
+    its target, recording each graph in witness (when given) under the
+    scope's key. Returns the keys of the scopes that fail; with stop, the
+    scan ends at the first, so scopes after it are never built."""
+    failed = []
+    for key, domain, apply_fn, target in scopes:
+        table = bijection_table(domain, apply_fn, target)
+        if table is None:
+            failed.append(key)
+            if stop:
+                break
+        elif witness is not None:
+            witness[key] = table
+    return failed
+
+
+def preimage(table: dict[str, str], image: Optional[str]) -> Optional[str]:
+    """The one key of table sent to image, or None when there is not exactly one."""
+    hits = [w for w, img in table.items() if img == image]
+    return hits[0] if len(hits) == 1 else None
 
 
 @dataclass
@@ -137,124 +172,88 @@ class Certificate:
 # classifier searches
 # --------------------------------------------------------------------------
 
-def _certify_binary(v: ShortSkewMulticategory, a: str, b: str,
-                    cand: str, theta: str) -> Optional[BinaryClassifier]:
-    witness: dict[tuple, dict[str, str]] = {}
-    for d in v.base.objects:
-        table = bijection_table(
-            list(v.base.hom(cand, d)),
-            lambda w: v.safe_subst(w, 1, theta),
-            list(v.mapset(TIGHT, 2, (a, b), d)))
-        if table is None:
-            return None
-        witness[("base", d)] = table
-    return BinaryClassifier((a, b), cand, theta, witness)
+def classifiers(m: Structure, inputs: tuple[str, ...] = ()
+                ) -> Iterator[Union[BinaryClassifier, NullaryClassifier]]:
+    """Every certified classifier of a pair of inputs (tight binary) or of no
+    input (loose nullary), in search order: substitution into the candidate
+    map is a bijection from the unary maps out of its object onto the maps of
+    the inputs, at every codomain."""
+    v = skew_view(m)
+    objs = v.base.objects
+    flavour, n = (TIGHT, 2) if inputs else (LOOSE, 0)
+    for cand in objs:
+        for theta in v.mapset(flavour, n, inputs, cand):
+            witness: dict[tuple, dict[str, str]] = {}
+            if bijection_scan(((("base", d), v.base.hom(cand, d),
+                                lambda w: v.safe_subst(w, 1, theta),
+                                v.mapset(flavour, n, inputs, d)) for d in objs), witness):
+                continue
+            if inputs:
+                yield BinaryClassifier(inputs, cand, theta, witness)
+            else:
+                yield NullaryClassifier(cand, theta, witness)
 
 
 def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[BinaryClassifier]:
-    v = skew_view(m)
-    for cand in v.base.objects:
-        for theta in v.mapset(TIGHT, 2, (a, b), cand):
-            cl = _certify_binary(v, a, b, cand, theta)
-            if cl is not None:
-                return cl
-    return None
+    return next(classifiers(m, (a, b)), None)
 
 
 def all_binary_classifiers(m: Structure, a: str, b: str) -> list[tuple[str, str]]:
-    v = skew_view(m)
-    found = []
-    for cand in v.base.objects:
-        for theta in v.mapset(TIGHT, 2, (a, b), cand):
-            if _certify_binary(v, a, b, cand, theta) is not None:
-                found.append((cand, theta))
-    return found
-
-
-def _certify_nullary(v: ShortSkewMulticategory, cand: str, u: str) -> Optional[NullaryClassifier]:
-    witness: dict[tuple, dict[str, str]] = {}
-    for d in v.base.objects:
-        table = bijection_table(
-            list(v.base.hom(cand, d)),
-            lambda w: v.safe_subst(w, 1, u),
-            list(v.mapset(LOOSE, 0, (), d)))
-        if table is None:
-            return None
-        witness[("base", d)] = table
-    return NullaryClassifier(cand, u, witness)
+    return [(cl.obj, cl.theta) for cl in classifiers(m, (a, b))]
 
 
 def find_nullary_classifier(m: Structure) -> Optional[NullaryClassifier]:
-    v = skew_view(m)
-    for cand in v.base.objects:
-        for u in v.mapset(LOOSE, 0, (), cand):
-            cl = _certify_nullary(v, cand, u)
-            if cl is not None:
-                return cl
-    return None
+    return next(classifiers(m), None)
 
 
 def all_nullary_classifiers(m: Structure) -> list[tuple[str, str]]:
-    v = skew_view(m)
-    return [(cand, u) for cand in v.base.objects
-            for u in v.mapset(LOOSE, 0, (), cand)
-            if _certify_nullary(v, cand, u) is not None]
+    return [(cl.obj, cl.u) for cl in classifiers(m)]
 
 
 def check_left_universal(m: Structure,
                          cl: Union[BinaryClassifier, NullaryClassifier]
                          ) -> tuple[bool, list[str]]:
     """Extend the witness tables of a certified classifier to the longer
-    position-1 bijections; returns the verdict and failing scopes."""
+    position-1 bijections, one or two more inputs after the classified ones;
+    returns the verdict and failing scopes."""
     v = skew_view(m)
-    failures: list[str] = []
+    objs = v.base.objects
     if isinstance(cl, BinaryClassifier):
-        a, b = cl.pair
-        for n in (2, 3):
-            for xs in itertools.product(v.base.objects, repeat=n - 1):
-                for d in v.base.objects:
-                    table = bijection_table(
-                        list(v.mapset(TIGHT, n, (cl.obj,) + xs, d)),
-                        lambda g: v.safe_subst(g, 1, cl.theta),
-                        list(v.mapset(TIGHT, n + 1, (a, b) + xs, d)))
-                    if table is None:
-                        failures.append(f"t{n}:{','.join(xs)};{d}")
-                    else:
-                        cl.witness[("ext", n, xs, d)] = table
+        tag, inputs, flavour, theta = "t", cl.pair, TIGHT, cl.theta
     else:
-        for n in (1, 2):
-            for xs in itertools.product(v.base.objects, repeat=n):
-                for d in v.base.objects:
-                    table = bijection_table(
-                        list(v.mapset(TIGHT, n + 1, (cl.obj,) + xs, d)),
-                        lambda g: v.safe_subst(g, 1, cl.u),
-                        list(v.mapset(LOOSE, n, xs, d)))
-                    if table is None:
-                        failures.append(f"l{n}:{','.join(xs)};{d}")
-                    else:
-                        cl.witness[("ext", n, xs, d)] = table
+        tag, inputs, flavour, theta = "l", (), LOOSE, cl.u
+    # a scope's arity n counts the classified map's object as one input
+    n0 = 1 if inputs else 0
+    failed = bijection_scan(
+        ((("ext", k + n0, xs, d), v.mapset(TIGHT, k + 1, (cl.obj,) + xs, d),
+          lambda g: v.safe_subst(g, 1, theta), v.mapset(flavour, len(inputs) + k, inputs + xs, d))
+         for k in (1, 2) for xs in itertools.product(objs, repeat=k) for d in objs),
+        cl.witness, stop=False)
+    failures = [f"{tag}{n}:{','.join(xs)};{d}" for _, n, xs, d in failed]
     cl.left_universal = not failures
     return (not failures, failures)
 
 
 def certify(m: Structure) -> Certificate:
-    """Run all classifier searches and left-universality extensions."""
+    """Run every classifier search once, keeping its first hit and all its
+    hits, and the left-universality extensions."""
     v = skew_view(m)
-    plain = isinstance(m, ShortMulticategory)
     binary: dict[tuple[str, str], Optional[BinaryClassifier]] = {}
     candidates: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for a, b in itertools.product(v.base.objects, repeat=2):
-        binary[(a, b)] = find_binary_classifier(m, a, b)
-        candidates[(a, b)] = all_binary_classifiers(m, a, b)
-    nullary = find_nullary_classifier(m)
+    for pair in itertools.product(v.base.objects, repeat=2):
+        hits = list(classifiers(m, pair))
+        binary[pair] = hits[0] if hits else None
+        candidates[pair] = [(cl.obj, cl.theta) for cl in hits]
+    nullary = list(classifiers(m))
     cert = Certificate(
-        name=getattr(m, "name"), structure=m, view=v, plain=plain,
+        name=getattr(m, "name"), structure=m, view=v, plain=isinstance(m, ShortMulticategory),
         binary=binary, binary_candidates=candidates,
-        nullary=nullary, nullary_candidates=all_nullary_classifiers(m))
+        nullary=nullary[0] if nullary else None,
+        nullary_candidates=[(cl.obj, cl.u) for cl in nullary])
     if cert.weakly_representable:
         for cl in binary.values():
             check_left_universal(m, cl)
-        check_left_universal(m, nullary)
+        check_left_universal(m, cert.nullary)
     return cert
 
 
@@ -263,19 +262,16 @@ def classifier_uniqueness_isos(m: Structure, cert: Certificate) -> dict[tuple, s
     the unique invertible unary map connecting them; raises if one is
     missing or not invertible."""
     v = cert.view
+    groups = [((a, b), cands, f"classifier candidates for ({a},{b})")
+              for (a, b), cands in cert.binary_candidates.items()]
+    groups.append((("nullary",), cert.nullary_candidates, "nullary candidates"))
     out: dict[tuple, str] = {}
-    for (a, b), cands in cert.binary_candidates.items():
+    for key, cands, what in groups:
         for (o1, t1), (o2, t2) in itertools.combinations(cands, 2):
-            links = [w for w in v.base.hom(o1, o2) if v.safe_subst(w, 1, t1) == t2]
-            if len(links) != 1 or v.base.is_iso(links[0]) is None:
-                raise UniversalityBroken(
-                    f"{cert.name}: classifier candidates for ({a},{b}) not uniquely isomorphic")
-            out[(a, b, o1, o2)] = links[0]
-    for (o1, u1), (o2, u2) in itertools.combinations(cert.nullary_candidates, 2):
-        links = [w for w in v.base.hom(o1, o2) if v.safe_subst(w, 1, u1) == u2]
-        if len(links) != 1 or v.base.is_iso(links[0]) is None:
-            raise UniversalityBroken(f"{cert.name}: nullary candidates not uniquely isomorphic")
-        out[("nullary", o1, o2)] = links[0]
+            link = preimage({w: v.safe_subst(w, 1, t1) for w in v.base.hom(o1, o2)}, t2)
+            if link is None or v.base.is_iso(link) is None:
+                raise UniversalityBroken(f"{cert.name}: {what} not uniquely isomorphic")
+            out[key + (o1, o2)] = link
     return out
 
 
@@ -286,79 +282,52 @@ def classifier_uniqueness_isos(m: Structure, cert: Certificate) -> dict[tuple, s
 def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifier]:
     """Materialize the composite ternary/quaternary classifiers and the
     unit-unary one, re-certifying each composite bijection directly and
-    against the composite of the stepwise witnesses."""
+    against the composite of the stepwise witnesses.
+
+    Each composite classifies its inputs one step at a time: theta(a,b) (or
+    the unit u for unit-unary), then the binary classifier of the object so
+    far with the next input. Its map is the last step with the earlier ones
+    substituted in position 1."""
     if not cert.left_representable:
         raise MalformedTable(f"{cert.name}: derived classifiers need left representability")
     v = cert.view
+    objs = v.base.objects
+
+    def along(w: Optional[str], steps: list[str]) -> Optional[str]:
+        for t in reversed(steps):
+            w = v.safe_subst(w, 1, t)
+        return w
+
+    keys = ([("ternary", key) for key in itertools.product(objs, repeat=3)]
+            + [("quaternary", key) for key in itertools.product(objs, repeat=4)]
+            + [("unit-unary", (a,)) for a in objs])
     out: list[DerivedClassifier] = []
-
-    def note(kind, key, obj, theta, n):
-        out.append(DerivedClassifier(kind, key, obj, theta, n))
-
-    for a, b, c in itertools.product(v.base.objects, repeat=3):
-        ab = cert.obj(a, b)
-        theta3 = v.safe_subst(cert.theta(ab, c), 1, cert.theta(a, b))
-        obj3 = cert.obj(ab, c)
-        if theta3 is None:
-            raise UniversalityBroken(f"{cert.name}: ternary composite undefined at ({a},{b},{c})")
-        count = 0
-        for d in v.base.objects:
-            table = bijection_table(
-                list(v.base.hom(obj3, d)),
-                lambda w: v.safe_subst(w, 1, theta3),
-                list(v.mapset(TIGHT, 3, (a, b, c), d)))
-            if table is None:
-                raise UniversalityBroken(
-                    f"{cert.name}: composite ternary classifier fails at ({a},{b},{c});{d}")
+    for kind, key in keys:
+        if kind == "unit-unary":
+            flavour, obj, steps, rest = LOOSE, cert.nullary.obj, [cert.nullary.u], key
+            at, what = key[0], "unit-unary classifier"
+        else:
+            flavour, obj, steps, rest = TIGHT, cert.obj(*key[:2]), [cert.theta(*key[:2])], key[2:]
+            at, what = f"({','.join(key)})", f"composite {kind} classifier"
+        for x in rest:
+            steps.append(cert.theta(obj, x))
+            obj = cert.obj(obj, x)
+        theta = along(steps[-1], steps[:-1])
+        if theta is None:
+            raise UniversalityBroken(f"{cert.name}: {kind} composite undefined at {at}")
+        witness: dict[str, dict[str, str]] = {}
+        failed = bijection_scan(((d, v.base.hom(obj, d), lambda w: v.safe_subst(w, 1, theta),
+                                  v.mapset(flavour, len(key), key, d)) for d in objs), witness)
+        # the codomains certified before a failing one are compared first
+        for table in witness.values():
             for w, img in table.items():
-                stepwise = v.safe_subst(v.safe_subst(w, 1, cert.theta(ab, c)), 1, cert.theta(a, b))
-                if stepwise != img:
+                if along(w, steps) != img:
                     raise UniversalityBroken(
-                        f"{cert.name}: ternary composite disagrees with stepwise at {w}")
-                count += 1
-        note("ternary", (a, b, c), obj3, theta3, count)
-
-    for a, b, c, d in itertools.product(v.base.objects, repeat=4):
-        ab = cert.obj(a, b)
-        abc = cert.obj(ab, c)
-        inner = v.safe_subst(cert.theta(abc, d), 1, cert.theta(ab, c))
-        theta4 = v.safe_subst(inner, 1, cert.theta(a, b))
-        obj4 = cert.obj(abc, d)
-        if theta4 is None:
-            raise UniversalityBroken(f"{cert.name}: quaternary composite undefined")
-        count = 0
-        for e in v.base.objects:
-            table = bijection_table(
-                list(v.base.hom(obj4, e)),
-                lambda w: v.safe_subst(w, 1, theta4),
-                list(v.mapset(TIGHT, 4, (a, b, c, d), e)))
-            if table is None:
-                raise UniversalityBroken(
-                    f"{cert.name}: composite quaternary classifier fails at ({a},{b},{c},{d});{e}")
-            count += len(table)
-        note("quaternary", (a, b, c, d), obj4, theta4, count)
-
-    i = cert.nullary.obj
-    for a in v.base.objects:
-        theta_ia = v.safe_subst(cert.theta(i, a), 1, cert.nullary.u)
-        obj_ia = cert.obj(i, a)
-        if theta_ia is None:
-            raise UniversalityBroken(f"{cert.name}: unit-unary composite undefined at {a}")
-        count = 0
-        for d in v.base.objects:
-            table = bijection_table(
-                list(v.base.hom(obj_ia, d)),
-                lambda w: v.safe_subst(w, 1, theta_ia),
-                list(v.mapset(LOOSE, 1, (a,), d)))
-            if table is None:
-                raise UniversalityBroken(f"{cert.name}: unit-unary classifier fails at {a};{d}")
-            for w, img in table.items():
-                stepwise = v.safe_subst(v.safe_subst(w, 1, cert.theta(i, a)), 1, cert.nullary.u)
-                if stepwise != img:
-                    raise UniversalityBroken(
-                        f"{cert.name}: unit-unary composite disagrees with stepwise at {w}")
-                count += 1
-        note("unit-unary", (a,), obj_ia, theta_ia, count)
+                        f"{cert.name}: {kind} composite disagrees with stepwise at {w}")
+        if failed:
+            raise UniversalityBroken(
+                f"{cert.name}: {what} fails at {at};{failed[0]}")
+        out.append(DerivedClassifier(kind, key, obj, theta, sum(map(len, witness.values()))))
     cert.derived = out
     return out
 
@@ -368,43 +337,27 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
 # --------------------------------------------------------------------------
 
 def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool, list[str]]:
-    """Positional bijections at every slot, arities 1 to 3."""
+    """Positional bijections at every slot, arities 1 to 3: substituting the
+    nullary classifier u, or a binary classifier theta(a,b), at slot j."""
     if not isinstance(m, ShortMulticategory):
         raise MalformedTable("representability is defined for plain short multicategories")
     if not cert.weakly_representable:
         cert.representable = False
         return False, ["missing classifiers"]
-    failures: list[str] = []
     objs = m.base.objects
-    i = cert.nullary.obj
-    u = cert.nullary.u
-    for n in (1, 2, 3):
-        for lx in range(0, n):
-            ly = n - 1 - lx
-            j = lx + 1
-            for xs in itertools.product(objs, repeat=lx):
-                for ys in itertools.product(objs, repeat=ly):
-                    for z in objs:
-                        if bijection_table(
-                                list(m.mapset(n, xs + (i,) + ys, z)),
-                                lambda g: m.safe_subst(g, j, u),
-                                list(m.mapset(n - 1, xs + ys, z))) is None:
-                            failures.append(f"u@{n}.{j}:{xs}{ys};{z}")
-    for a, b in itertools.product(objs, repeat=2):
-        ab = cert.obj(a, b)
-        theta = cert.theta(a, b)
-        for n in (1, 2, 3):
-            for lx in range(0, n):
-                ly = n - 1 - lx
-                j = lx + 1
-                for xs in itertools.product(objs, repeat=lx):
-                    for ys in itertools.product(objs, repeat=ly):
-                        for z in objs:
-                            if bijection_table(
-                                    list(m.mapset(n, xs + (ab,) + ys, z)),
-                                    lambda g: m.safe_subst(g, j, theta),
-                                    list(m.mapset(n + 1, xs + (a, b) + ys, z))) is None:
-                                failures.append(f"theta({a},{b})@{n}.{j}:{xs}{ys};{z}")
+    maps = [("u", cert.nullary.obj, cert.nullary.u, ())]
+    maps += [(f"theta({a},{b})", cert.obj(a, b), cert.theta(a, b), (a, b))
+             for a, b in itertools.product(objs, repeat=2)]
+    failed = bijection_scan(
+        (((label, n, xs, ys, z), m.mapset(n, xs + (obj,) + ys, z),
+          lambda g: m.safe_subst(g, len(xs) + 1, theta),
+          m.mapset(n - 1 + len(inputs), xs + inputs + ys, z))
+         for label, obj, theta, inputs in maps
+         for n in (1, 2, 3) for lx in range(n)
+         for xs in itertools.product(objs, repeat=lx)
+         for ys in itertools.product(objs, repeat=n - 1 - lx) for z in objs),
+        stop=False)
+    failures = [f"{label}@{n}.{len(xs) + 1}:{xs}{ys};{z}" for label, n, xs, ys, z in failed]
     cert.representable = not failures
     return (not failures, failures)
 
@@ -413,31 +366,26 @@ def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool,
 # closedness
 # --------------------------------------------------------------------------
 
+def _hom_object(pair: tuple[str, str], cand: str, e: str,
+                scopes: Iterable[Scope]) -> Optional[HomObject]:
+    """The hom object (cand, e) when every scope is a bijection; its witness
+    keeps the non-empty tables."""
+    witness: dict[tuple, dict[str, str]] = {}
+    if bijection_scan(scopes, witness):
+        return None
+    return HomObject(pair, cand, e, {key: table for key, table in witness.items() if table})
+
+
 def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
                  cand: str, e: str, include_nullary: bool = True) -> Optional[HomObject]:
-    witness: dict[tuple, dict[str, str]] = {}
-    for n in (1, 2, 3):
-        for xs in itertools.product(v.base.objects, repeat=n):
-            table = bijection_table(
-                list(v.mapset(TIGHT, n, xs, cand)),
-                lambda g: v.safe_subst(e, 1, g),
-                list(v.mapset(TIGHT, n + 1, xs + (b,), c)))
-            if table is None:
-                return None
-            if table:
-                witness[(TIGHT, n, xs)] = table
-    loose_arities = (0, 1) if include_nullary else (1,)
-    for n in loose_arities:
-        for xs in itertools.product(v.base.objects, repeat=n):
-            table = bijection_table(
-                list(v.mapset(LOOSE, n, xs, cand)),
-                lambda g: v.safe_subst(e, 1, g),
-                list(v.mapset(LOOSE, n + 1, xs + (b,), c)))
-            if table is None:
-                return None
-            if table:
-                witness[(LOOSE, n, xs)] = table
-    return HomObject((b, c), cand, e, witness)
+    """Substitution into position 1 of e: (cand, b) -> c, tight arities 1 to 3
+    and loose arities 0 (when include_nullary) and 1."""
+    arities = ((TIGHT, (1, 2, 3)), (LOOSE, (0, 1) if include_nullary else (1,)))
+    return _hom_object((b, c), cand, e, (
+        ((flavour, n, xs), v.mapset(flavour, n, xs, cand), lambda g: v.safe_subst(e, 1, g),
+         v.mapset(flavour, n + 1, xs + (b,), c))
+        for flavour, ns in arities for n in ns
+        for xs in itertools.product(v.base.objects, repeat=n)))
 
 
 def find_hom_object(m: Structure, b: str, c: str,
@@ -473,23 +421,12 @@ def find_right_hom_object(m: ShortMulticategory, b: str, c: str) -> Optional[Hom
     objs = m.base.objects
     for cand in objs:
         for e in m.mapset(2, (b, cand), c):
-            witness: dict[tuple, dict[str, str]] = {}
-            ok = True
-            for n in (0, 1, 2, 3):
-                for xs in itertools.product(objs, repeat=n):
-                    table = bijection_table(
-                        list(m.mapset(n, xs, cand)),
-                        lambda g: m.safe_subst(e, 2, g),
-                        list(m.mapset(n + 1, (b,) + xs, c)))
-                    if table is None:
-                        ok = False
-                        break
-                    if table:
-                        witness[(n, xs)] = table
-                if not ok:
-                    break
-            if ok:
-                return HomObject((b, c), cand, e, witness)
+            h = _hom_object((b, c), cand, e, (
+                ((n, xs), m.mapset(n, xs, cand), lambda g: m.safe_subst(e, 2, g),
+                 m.mapset(n + 1, (b,) + xs, c))
+                for n in (0, 1, 2, 3) for xs in itertools.product(objs, repeat=n)))
+            if h is not None:
+                return h
     return None
 
 
@@ -530,12 +467,11 @@ def inverses(m: Structure, cert: Certificate,
             dom = v.dom(f)
             cl = cert.classifier(dom[0], dom[1])
             key = ("base", v.cod(f)) if n == 2 else ("ext", n - 1, dom[2:], v.cod(f))
-            table = cl.witness.get(key, {})
-            hits = [w for w, img in table.items() if img == f]
-            if len(hits) != 1:
+            w = preimage(cl.witness.get(key, {}), f)
+            if w is None:
                 raise UniversalityBroken(f"{cert.name}: prime inverse missing for {f}")
-            prime[f] = hits[0]
-            if v.safe_subst(hits[0], 1, cl.theta) != f:
+            prime[f] = w
+            if v.safe_subst(w, 1, cl.theta) != f:
                 raise UniversalityBroken(f"{cert.name}: prime roundtrip failed at {f}")
     star: dict[str, str] = {}
     nu = cert.nullary
@@ -543,12 +479,11 @@ def inverses(m: Structure, cert: Certificate,
         for f in v.multimaps(LOOSE, n):
             dom, cod = v.dom(f), v.cod(f)
             key = ("base", cod) if n == 0 else ("ext", n, dom, cod)
-            table = nu.witness.get(key, {})
-            hits = [w for w, img in table.items() if img == f]
-            if len(hits) != 1:
+            w = preimage(nu.witness.get(key, {}), f)
+            if w is None:
                 raise UniversalityBroken(f"{cert.name}: star inverse missing for {f}")
-            star[f] = hits[0]
-            if v.safe_subst(hits[0], 1, nu.u) != f:
+            star[f] = w
+            if v.safe_subst(w, 1, nu.u) != f:
                 raise UniversalityBroken(f"{cert.name}: star roundtrip failed at {f}")
     sharp: dict[str, str] = {}
     if homs is not None:
@@ -558,13 +493,11 @@ def inverses(m: Structure, cert: Certificate,
                     if flavour == LOOSE and v.is_tight(f) and n >= 2:
                         continue  # handled through the tight tables
                     dom, cod = v.dom(f), v.cod(f)
-                    h = homs[(dom[-1], cod)]
-                    key = (flavour, n - 1, dom[:-1])
-                    table = h.witness.get(key, {})
-                    hits = [w for w, img in table.items() if img == f]
-                    if len(hits) != 1:
+                    table = homs[(dom[-1], cod)].witness.get((flavour, n - 1, dom[:-1]), {})
+                    w = preimage(table, f)
+                    if w is None:
                         raise UniversalityBroken(f"{cert.name}: sharp inverse missing for {f}")
-                    sharp[f] = hits[0]
+                    sharp[f] = w
     return Inverses(prime, star, sharp)
 
 
@@ -575,12 +508,11 @@ def hom_action(m: Structure, homs: dict[tuple[str, str], HomObject],
     v = skew_view(m)
     c, c2 = v.base.span(q)
     h, h2 = homs[(b, c)], homs[(b, c2)]
-    rhs = v.safe_post(q, h.e)
-    hits = [w for w in v.base.hom(h.obj, h2.obj)
-            if v.safe_subst(h2.e, 1, w) == rhs]
-    if len(hits) != 1:
+    link = preimage({w: v.safe_subst(h2.e, 1, w) for w in v.base.hom(h.obj, h2.obj)},
+                    v.safe_post(q, h.e))
+    if link is None:
         raise UniversalityBroken(f"hom action not uniquely determined for [{b},{q}]")
-    return hits[0]
+    return link
 
 
 # --------------------------------------------------------------------------
@@ -612,11 +544,8 @@ def sharp_laws(m: Structure) -> ValidationReport:
             if key[1] != a:
                 continue
             for w in v.mapset(LOOSE, 0, *key):
-                lhs = v.safe_subst(inv.sharp.get(f), 1, w)
-                rhs = inv.sharp.get(v.safe_subst(f, 1, w))
-                report.count("sharp-nullary")
-                if lhs is None or lhs != rhs:
-                    report.fail("sharp-nullary", (f, w), lhs, rhs)
+                report.check("sharp-nullary", (f, w), v.safe_subst(inv.sharp.get(f), 1, w),
+                             inv.sharp.get(v.safe_subst(f, 1, w)))
 
     for n in (2, 3):
         for g in v.multimaps(TIGHT, n):
@@ -624,11 +553,8 @@ def sharp_laws(m: Structure) -> ValidationReport:
             for f in v.multimaps(TIGHT, 2):
                 if v.cod(f) != x:
                     continue
-                lhs = inv.sharp.get(v.safe_subst(g, 1, f))
-                rhs = v.safe_subst(inv.sharp.get(g), 1, f)
-                report.count("sharp-subst")
-                if lhs is None or lhs != rhs:
-                    report.fail("sharp-subst", (g, f), lhs, rhs)
+                report.check("sharp-subst", (g, f), inv.sharp.get(v.safe_subst(g, 1, f)),
+                             v.safe_subst(inv.sharp.get(g), 1, f))
 
     for f in v.multimaps(TIGHT, 2):
         a = v.dom(f)[0]
@@ -637,10 +563,8 @@ def sharp_laws(m: Structure) -> ValidationReport:
             composed = base.compose_opt(fs, q)
             lhs = inv.sharp.get(v.safe_j(composed))
             action = hom_action(m, homs, base.dom(q), fs)
-            rhs = v.safe_post(action, inv.sharp.get(v.safe_j(q)))
-            report.count("sharp-precompose")
-            if lhs is None or lhs != rhs:
-                report.fail("sharp-precompose", (f, q), lhs, rhs)
+            report.check("sharp-precompose", (f, q), lhs,
+                         v.safe_post(action, inv.sharp.get(v.safe_j(q))))
     return report.finish()
 
 
@@ -664,31 +588,20 @@ def verify_left_iff_adjoint(m: Structure) -> ValidationReport:
     verdict_lr = cert.left_representable
     report.count("left-representable-route")
 
-    has_nullary = find_nullary_classifier(m) is not None
+    objs = v.base.objects
     adjoints_ok = True
-    for a, b in itertools.product(v.base.objects, repeat=2):
-        found = False
-        for t in v.base.objects:
-            for eta in v.base.hom(a, homs[(b, t)].obj):
-                ok = True
-                for c in v.base.objects:
-                    table = bijection_table(
-                        list(v.base.hom(t, c)),
-                        lambda w: v.base.compose_opt(hom_action(m, homs, b, w), eta),
-                        list(v.base.hom(a, homs[(b, c)].obj)))
-                    if table is None:
-                        ok = False
-                        break
-                if ok:
-                    found = True
-                    break
-            if found:
-                break
+    for a, b in itertools.product(objs, repeat=2):
+        # a unit eta: a -> [b,t] such that [b,-] o eta is a bijection
+        # hom(t,c) -> hom(a,[b,c]) at every c
+        found = any(not bijection_scan(
+            (c, v.base.hom(t, c), lambda w: v.base.compose_opt(hom_action(m, homs, b, w), eta),
+             v.base.hom(a, homs[(b, c)].obj)) for c in objs)
+            for t in objs for eta in v.base.hom(a, homs[(b, t)].obj))
         report.count("adjoint-search")
         if not found:
             adjoints_ok = False
             report.fail("adjoint-search", (a, b), None, "left adjoint witness")
-    verdict_adj = has_nullary and adjoints_ok
+    verdict_adj = cert.nullary is not None and adjoints_ok
     if verdict_lr != verdict_adj:
         raise InconsistentVerdicts(
             f"{getattr(m, 'name')}: left-representable={verdict_lr} but "
@@ -714,12 +627,9 @@ def verify_units_left_universal(m: Structure) -> ValidationReport:
     i, u = nu.obj, nu.u
 
     def sharp_of(f: str, flavour: str) -> Optional[str]:
-        dom, cod = v.dom(f), v.cod(f)
-        h = homs[(dom[-1], cod)]
-        n = len(dom)
-        table = h.witness.get((flavour, n - 1, dom[:-1]), {})
-        hits = [w for w, img in table.items() if img == f]
-        return hits[0] if len(hits) == 1 else None
+        dom = v.dom(f)
+        h = homs[(dom[-1], v.cod(f))]
+        return preimage(h.witness.get((flavour, len(dom) - 1, dom[:-1]), {}), f)
 
     objs = v.base.objects
     direct_ok, chain_ok = True, True

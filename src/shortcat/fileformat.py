@@ -291,6 +291,9 @@ def _read(records: dict, rows: tuple[Row, ...]) -> list:
             no, vals = _single(records, kw, ParseError(0, f"missing {kw} line"))
             if shape is LIST:
                 declared = frozenset(vals)
+                if len(declared) != len(vals):
+                    repeated = next(o for k, o in enumerate(vals) if o in vals[:k])
+                    raise ParseError(no, f"repeated object {repeated!r} in {kw}")
             out.append(_one(no, kw, vals) if shape is VALUE else vals)
             continue
         found = records.pop(kw, ())

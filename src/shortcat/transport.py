@@ -1,9 +1,12 @@
 """The constructive equivalences, executed as table-level algorithms.
 
-Every "unique morphism such that" is solved by exhaustive filtration of the
-target hom-set (solve_unique); construction failures carry the name of the
-defining diagram. All derived structures are fully tabulated immediately so
-they run through the ordinary validators.
+Every "unique morphism such that" is one equation lhs_of(w) = rhs, solved
+by exhaustive filtration of the target hom-set:
+solve_unique(label, candidates, lhs_of, rhs) keeps each candidate w whose
+lhs_of(w) is defined and equal to rhs, and raises NoSolution or
+MultipleSolutions, naming the defining diagram by its label, unless exactly
+one is kept. All derived structures are fully tabulated immediately so they
+run through the ordinary validators.
 
 Desk-scale equivalence checking is isomorphism-of-table-structures after
 canonical renaming: the catalogue is skeletal, so a general equivalence
@@ -12,12 +15,11 @@ search is not needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .classify import (
-    Certificate, HomObject, Inverses, bijection_table, certify,
-    find_closed_structure, find_right_closed, inverses, skew_view,
+    Certificate, HomObject, certify, find_closed_structure, find_right_closed, inverses,
+    preimage,
 )
 from .errors import (
     AxiomTransferFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions,
@@ -32,33 +34,35 @@ from .shortskew import (
 )
 from .skewmon import (
     LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
-    classify_flavour, validate_lax_functor, validate_skew_closed,
-    validate_skew_monoidal,
+    classify_flavour, validate_skew_closed, validate_skew_monoidal,
 )
 
 Structure = Union[ShortMulticategory, ShortSkewMulticategory]
 
 
-@dataclass(frozen=True)
-class UniqueSolveSpec:
-    label: str
-    candidates: tuple[str, ...]
-    equations: Callable[[str], list[tuple[Optional[str], Optional[str]]]]
-
-
-def solve_unique(spec: UniqueSolveSpec) -> str:
-    hits = [cand for cand in spec.candidates
-            if all(lhs is not None and lhs == rhs for lhs, rhs in spec.equations(cand))]
+def solve_unique(label: str, candidates: Iterable[str],
+                 lhs_of: Callable[[str], Optional[str]], rhs: Optional[str]) -> str:
+    """The one candidate w with lhs_of(w) defined and equal to rhs."""
+    hits = [w for w in candidates if (lhs := lhs_of(w)) is not None and lhs == rhs]
     if not hits:
-        raise NoSolution(f"no solution for {spec.label}")
+        raise NoSolution(f"no solution for {label}")
     if len(hits) > 1:
-        raise MultipleSolutions(f"{len(hits)} solutions for {spec.label}")
+        raise MultipleSolutions(f"{len(hits)} solutions for {label}")
     return hits[0]
 
 
 def _solve_hom(v: ShortSkewMulticategory, label: str, src: str, tgt: str,
-               equations: Callable[[str], list]) -> str:
-    return solve_unique(UniqueSolveSpec(label, tuple(v.base.hom(src, tgt)), equations))
+               lhs_of: Callable[[str], Optional[str]], rhs: Optional[str]) -> str:
+    return solve_unique(label, v.base.hom(src, tgt), lhs_of, rhs)
+
+
+def _solve_f0(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certificate) -> str:
+    """The unit comparison of a transported morphism: the unique map matching
+    the image of the source's nullary classifier."""
+    vt = cert_tgt.view
+    return _solve_hom(vt, "f0", cert_tgt.nullary.obj, F.functor.on_obj(cert_src.nullary.obj),
+                      lambda h: vt.safe_post(h, cert_tgt.nullary.u),
+                      F.safe_apply(cert_src.nullary.u, LOOSE))
 
 
 # --------------------------------------------------------------------------
@@ -87,7 +91,7 @@ def ks_object(m: Structure, cert: Certificate,
         rhs = v.safe_pre(v.safe_pre(cert.theta(b, y), 1, f), 2, g)
         tensor_mor[(f, g)] = _solve_hom(
             v, f"tensor of maps ({f},{g})", cert.obj(a, x), cert.obj(b, y),
-            lambda h, rhs=rhs, a=a, x=x: [(v.safe_post(h, cert.theta(a, x)), rhs)])
+            lambda h: v.safe_post(h, cert.theta(a, x)), rhs)
 
     alpha = {}
     for a, b, c in itertools.product(base.objects, repeat=3):
@@ -96,15 +100,14 @@ def ks_object(m: Structure, cert: Certificate,
         alpha[(a, b, c)] = _solve_hom(
             v, f"associator ({a},{b},{c})",
             cert.obj(cert.obj(a, b), c), cert.obj(a, cert.obj(b, c)),
-            lambda h, lhs3=lhs3, rhs3=rhs3: [(v.safe_post(h, lhs3), rhs3)])
+            lambda h: v.safe_post(h, lhs3), rhs3)
 
     lam = {}
     for a in base.objects:
-        target = v.safe_j(base.identity(a))
         lam[a] = _solve_hom(
             v, f"left unit map ({a})", cert.obj(unit, a), a,
-            lambda h, a=a, target=target: [
-                (v.safe_subst(v.safe_post(h, cert.theta(unit, a)), 1, u), target)])
+            lambda h: v.safe_subst(v.safe_post(h, cert.theta(unit, a)), 1, u),
+            v.safe_j(base.identity(a)))
 
     rho = {}
     for a in base.objects:
@@ -143,13 +146,9 @@ def ks_morphism(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certifica
         img = F.safe_apply(cert_src.theta(a, b), TIGHT)
         f2[(a, b)] = _solve_hom(
             vt, f"f2 ({a},{b})", cert_tgt.obj(fa, fb), fun.on_obj(cert_src.obj(a, b)),
-            lambda h, fa=fa, fb=fb, img=img: [
-                (vt.safe_post(h, cert_tgt.theta(fa, fb)), img)])
-    img_u = F.safe_apply(cert_src.nullary.u, LOOSE)
-    f0 = _solve_hom(
-        vt, "f0", cert_tgt.nullary.obj, fun.on_obj(cert_src.nullary.obj),
-        lambda h: [(vt.safe_post(h, cert_tgt.nullary.u), img_u)])
-    return LaxMonFunctor(F.name + ".lax", src_mon, tgt_mon, fun, f0, f2)
+            lambda h: vt.safe_post(h, cert_tgt.theta(fa, fb)), img)
+    return LaxMonFunctor(F.name + ".lax", src_mon, tgt_mon, fun,
+                         _solve_f0(F, cert_src, cert_tgt), f2)
 
 
 def k_morphism(F: MultiMorphism, cert_src: Certificate, cert_tgt: Certificate,
@@ -307,9 +306,8 @@ def check_representable_iff_monoidal(m: ShortMulticategory, cert: Certificate
                 cert.view,
                 f"associator inverse ({a},{b},{c})",
                 cert.obj(a, cert.obj(b, c)), cert.obj(cert.obj(a, b), c),
-                lambda w, a=a, b=b, c=c, lhs3=lhs3: [
-                    (m.safe_subst(m.safe_post(w, cert.theta(a, cert.obj(b, c))),
-                                  2, cert.theta(b, c)), lhs3)])
+                lambda w: m.safe_subst(m.safe_post(w, cert.theta(a, cert.obj(b, c))),
+                                       2, cert.theta(b, c)), lhs3)
             fwd = K.alpha[(a, b, c)]
             report.count("alpha-inverse")
             if (base.compose_opt(inv, fwd) != base.identity(base.dom(fwd))
@@ -318,9 +316,8 @@ def check_representable_iff_monoidal(m: ShortMulticategory, cert: Certificate
         for a in base.objects:
             inv = _solve_hom(
                 cert.view, f"right unit inverse ({a})", cert.obj(a, i), a,
-                lambda w, a=a: [
-                    (m.safe_subst(m.safe_post(w, cert.theta(a, i)), 2, u),
-                     base.identity(a))])
+                lambda w: m.safe_subst(m.safe_post(w, cert.theta(a, i)), 2, u),
+                base.identity(a))
             fwd = K.rho[a]
             report.count("rho-inverse")
             if (base.compose_opt(inv, fwd) != base.identity(a)
@@ -341,49 +338,37 @@ def check_representable_iff_monoidal(m: ShortMulticategory, cert: Certificate
                         m.safe_post(base.compose_opt(fp, K.alpha[(x, a, b)]),
                                     cert.theta(cert.obj(x, a), b)),
                         1, cert.theta(x, a))
-                    report.count("theta-slot2-recipe")
-                    if lhs is None or lhs != rhs:
-                        report.fail("theta-slot2-recipe", (f, a, b), lhs, rhs)
+                    report.check("theta-slot2-recipe", (f, a, b), lhs, rhs)
                 # theta in the last slot of a ternary map, via the binary case
                 for y in base.objects:
                     for f in m.mapset(3, (x, y, cert.obj(a, b)), z):
                         lhs = m.safe_subst(f, 3, theta)
                         rhs = m.safe_subst(m.safe_subst(inv.prime[f], 2, theta),
                                            1, cert.theta(x, y))
-                        report.count("theta-slot3-recipe")
-                        if lhs is None or lhs != rhs:
-                            report.fail("theta-slot3-recipe", (f, a, b), lhs, rhs)
+                        report.check("theta-slot3-recipe", (f, a, b), lhs, rhs)
                     for f in m.mapset(3, (x, cert.obj(a, b), y), z):
                         lhs = m.safe_subst(f, 2, theta)
                         rhs = m.safe_subst(
                             m.safe_subst(m.safe_pre(inv.prime[f], 1, K.alpha[(x, a, b)]),
                                          1, cert.theta(cert.obj(x, a), b)),
                             1, cert.theta(x, a))
-                        report.count("theta-slot2-middle-recipe")
-                        if lhs is None or lhs != rhs:
-                            report.fail("theta-slot2-middle-recipe", (f, a, b), lhs, rhs)
+                        report.check("theta-slot2-middle-recipe", (f, a, b), lhs, rhs)
         # the unit in later slots, via the right unit map
         for a, z in itertools.product(base.objects, repeat=2):
             for f in m.mapset(2, (a, i), z):
                 lhs = m.safe_subst(f, 2, u)
                 rhs = base.compose_opt(inv.prime[f], K.rho[a])
-                report.count("unit-slot2-recipe")
-                if lhs is None or lhs != rhs:
-                    report.fail("unit-slot2-recipe", (f,), lhs, rhs)
+                report.check("unit-slot2-recipe", (f,), lhs, rhs)
             for b in base.objects:
                 for f in m.mapset(3, (a, i, b), z):
                     lhs = m.safe_subst(f, 2, u)
                     rhs = m.safe_pre(inv.prime[f], 1, K.rho[a])
-                    report.count("unit-slot2-recipe")
-                    if lhs is None or lhs != rhs:
-                        report.fail("unit-slot2-recipe", (f,), lhs, rhs)
+                    report.check("unit-slot2-recipe", (f,), lhs, rhs)
                 for f in m.mapset(3, (a, b, i), z):
                     lhs = m.safe_subst(f, 3, u)
                     rhs = m.safe_post(m.safe_subst(inv.prime[f], 2, u),
                                       cert.theta(a, b))
-                    report.count("unit-slot3-recipe")
-                    if lhs is None or lhs != rhs:
-                        report.fail("unit-slot3-recipe", (f,), lhs, rhs)
+                    report.check("unit-slot3-recipe", (f,), lhs, rhs)
     return report.finish()
 
 
@@ -422,9 +407,9 @@ def _transport_closed_impl(m: Structure, cert: Certificate, skew: bool) -> Valid
         target = searched[(b, c)]
         report.count("derived-vs-searched")
         if (hom.obj, hom.e) != (target.obj, target.e):
-            links = [w for w in base.hom(hom.obj, target.obj)
-                     if v.safe_subst(target.e, 1, w) == hom.e]
-            if len(links) != 1 or base.is_iso(links[0]) is None:
+            link = preimage({w: v.safe_subst(target.e, 1, w)
+                             for w in base.hom(hom.obj, target.obj)}, hom.e)
+            if link is None or base.is_iso(link) is None:
                 report.fail("derived-vs-searched", (b, c),
                             f"{hom.obj}/{hom.e}", f"{target.obj}/{target.e}")
     return report.finish()
@@ -464,8 +449,7 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
         rhs = v.safe_pre(v.safe_post(g, homs[(b2, c)].e), 2, f)
         hom_mor[(f, g)] = _solve_hom(
             v, f"hom action ({f},{g})", hom_obj[(b2, c)], hom_obj[(b, c2)],
-            lambda w, b=b, c2=c2, rhs=rhs: [
-                (v.safe_subst(homs[(b, c2)].e, 1, w), rhs)])
+            lambda w: v.safe_subst(homs[(b, c2)].e, 1, w), rhs)
 
     iu = {}
     for a in base.objects:
@@ -476,11 +460,10 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
 
     ju = {}
     for a in base.objects:
-        target = v.safe_j(base.identity(a))
         ju[a] = _solve_hom(
             v, f"hom unit ({a})", unit, hom_obj[(a, a)],
-            lambda w, a=a, target=target: [
-                (v.safe_subst(v.safe_subst(homs[(a, a)].e, 1, w), 1, u), target)])
+            lambda w: v.safe_subst(v.safe_subst(homs[(a, a)].e, 1, w), 1, u),
+            v.safe_j(base.identity(a)))
 
     ell = {}
     for a, b, c in itertools.product(base.objects, repeat=3):
@@ -488,10 +471,9 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
         ell[(a, b, c)] = _solve_hom(
             v, f"hom associator ({a},{b},{c})",
             hom_obj[(b, c)], hom_obj[(homs[(a, b)].obj, homs[(a, c)].obj)],
-            lambda w, a=a, b=b, c=c, rhs=rhs: [
-                (v.safe_subst(homs[(a, c)].e, 1,
-                              v.safe_subst(homs[(homs[(a, b)].obj, homs[(a, c)].obj)].e, 1, w)),
-                 rhs)])
+            lambda w: v.safe_subst(homs[(a, c)].e, 1,
+                                   v.safe_subst(homs[(homs[(a, b)].obj, homs[(a, c)].obj)].e, 1, w)),
+            rhs)
 
     return SkewClosedCategory(name, base, hom_obj, hom_mor, unit, iu, ju, ell)
 
@@ -510,13 +492,9 @@ def kcl_morphism(F: SkewMultiMorphism, homs_src: dict, homs_tgt: dict,
         fh[(a, b)] = _solve_hom(
             vt, f"hom comparison ({a},{b})",
             fun.on_obj(homs_src[(a, b)].obj), homs_tgt[(fa, fb)].obj,
-            lambda w, fa=fa, fb=fb, img=img: [
-                (vt.safe_subst(homs_tgt[(fa, fb)].e, 1, w), img)])
-    img_u = F.safe_apply(cert_src.nullary.u, LOOSE)
-    f0 = _solve_hom(
-        vt, "f0", cert_tgt.nullary.obj, fun.on_obj(cert_src.nullary.obj),
-        lambda h: [(vt.safe_post(h, cert_tgt.nullary.u), img_u)])
-    return SkewClosedFunctor(F.name + ".closed", src_cl, tgt_cl, fun, f0, fh)
+            lambda w: vt.safe_subst(homs_tgt[(fa, fb)].e, 1, w), img)
+    return SkewClosedFunctor(F.name + ".closed", src_cl, tgt_cl, fun,
+                             _solve_f0(F, cert_src, cert_tgt), fh)
 
 
 def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
@@ -614,11 +592,10 @@ def biclosed_subst_check(m: ShortMulticategory) -> ValidationReport:
     def right_sharp(f):
         dom, cod = m.dom(f), m.cod(f)
         h = right[(dom[0], cod)]
-        table = h.witness.get((len(dom) - 1, dom[1:]), {})
-        hits = [w for w, img in table.items() if img == f]
-        if len(hits) != 1:
+        w = preimage(h.witness.get((len(dom) - 1, dom[1:]), {}), f)
+        if w is None:
             raise MalformedTable(f"{m.name}: right abstraction missing for {f}")
-        return hits[0]
+        return w
 
     for g in m.multimaps(2):
         b1, b2 = m.dom(g)
@@ -628,16 +605,12 @@ def biclosed_subst_check(m: ShortMulticategory) -> ValidationReport:
                 lhs = m.safe_subst(g, 1, f)
                 curried = m.safe_post(left_sharp(g), f)
                 rhs = m.safe_subst(left[(b2, c)].e, 1, curried)
-                report.count("left-curry")
-                if lhs is None or lhs != rhs:
-                    report.fail("left-curry", (g, f), lhs, rhs)
+                report.check("left-curry", (g, f), lhs, rhs)
             if m.cod(f) == b2:
                 lhs = m.safe_subst(g, 2, f)
                 curried = m.safe_post(right_sharp(g), f)
                 rhs = m.safe_subst(right[(b1, c)].e, 2, curried)
-                report.count("right-curry")
-                if lhs is None or lhs != rhs:
-                    report.fail("right-curry", (g, f), lhs, rhs)
+                report.check("right-curry", (g, f), lhs, rhs)
     return report.finish()
 
 

@@ -18,21 +18,30 @@ it computes them with is_iso.
 
 Then come the former line-by-line serializer and the former structure
 checks (check_structure and sub_case), which tests/test_ingest.py compares
-the package's table-driven ones with. The file ends with the former parser,
+the package's table-driven ones with. Then comes the former parser,
 one hand-written function per kind, which tests/test_ingest.py compares
 the ROWS-driven one with.
+
+The file ends with the former certification searches of classify.py,
+which wrote out each bijection scan by hand and ran every classifier search
+twice (first hit, then all hits); tests/test_classify.py compares the
+package's single scan helper and single search pass with them. They build
+the package's certificate dataclasses, so cli.render_certificate reads both.
 """
 from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
-from shortcat.classify import Certificate
+from shortcat.classify import (
+    BinaryClassifier, Certificate, DerivedClassifier, HomObject, Inverses, NullaryClassifier,
+    Structure, skew_view,
+)
 from shortcat.errors import (
     DanglingId, InconsistentVerdicts, MalformedTable, ParseError, TypingViolation, UnknownKind,
-    VersionMismatch,
+    UniversalityBroken, VersionMismatch,
 )
 from shortcat.fileformat import KINDS, FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
 from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
@@ -1772,3 +1781,411 @@ def parse(text: str) -> tuple[StructureFile, list[str]]:
     if serialize(sf) != text:
         warnings.append("input was not in canonical form; normalized on output")
     return sf, warnings
+
+
+# --------------------------------------------------------------------------
+# the former certification searches
+# --------------------------------------------------------------------------
+
+def bijection_table(domain: list[str], apply_fn: Callable[[str], Optional[str]],
+                    target: list[str]) -> Optional[dict[str, str]]:
+    """The graph of apply_fn if it is a bijection domain -> target, else None."""
+    table: dict[str, str] = {}
+    seen: set[str] = set()
+    target_set = set(target)
+    for v in domain:
+        img = apply_fn(v)
+        if img is None or img not in target_set or img in seen:
+            return None
+        table[v] = img
+        seen.add(img)
+    if len(seen) != len(target):
+        return None
+    return table
+
+
+def _certify_binary(v: ShortSkewMulticategory, a: str, b: str,
+                    cand: str, theta: str) -> Optional[BinaryClassifier]:
+    witness: dict[tuple, dict[str, str]] = {}
+    for d in v.base.objects:
+        table = bijection_table(
+            list(v.base.hom(cand, d)),
+            lambda w: v.safe_subst(w, 1, theta),
+            list(v.mapset(TIGHT, 2, (a, b), d)))
+        if table is None:
+            return None
+        witness[("base", d)] = table
+    return BinaryClassifier((a, b), cand, theta, witness)
+
+
+def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[BinaryClassifier]:
+    v = skew_view(m)
+    for cand in v.base.objects:
+        for theta in v.mapset(TIGHT, 2, (a, b), cand):
+            cl = _certify_binary(v, a, b, cand, theta)
+            if cl is not None:
+                return cl
+    return None
+
+
+def all_binary_classifiers(m: Structure, a: str, b: str) -> list[tuple[str, str]]:
+    v = skew_view(m)
+    found = []
+    for cand in v.base.objects:
+        for theta in v.mapset(TIGHT, 2, (a, b), cand):
+            if _certify_binary(v, a, b, cand, theta) is not None:
+                found.append((cand, theta))
+    return found
+
+
+def _certify_nullary(v: ShortSkewMulticategory, cand: str, u: str) -> Optional[NullaryClassifier]:
+    witness: dict[tuple, dict[str, str]] = {}
+    for d in v.base.objects:
+        table = bijection_table(
+            list(v.base.hom(cand, d)),
+            lambda w: v.safe_subst(w, 1, u),
+            list(v.mapset(LOOSE, 0, (), d)))
+        if table is None:
+            return None
+        witness[("base", d)] = table
+    return NullaryClassifier(cand, u, witness)
+
+
+def find_nullary_classifier(m: Structure) -> Optional[NullaryClassifier]:
+    v = skew_view(m)
+    for cand in v.base.objects:
+        for u in v.mapset(LOOSE, 0, (), cand):
+            cl = _certify_nullary(v, cand, u)
+            if cl is not None:
+                return cl
+    return None
+
+
+def all_nullary_classifiers(m: Structure) -> list[tuple[str, str]]:
+    v = skew_view(m)
+    return [(cand, u) for cand in v.base.objects
+            for u in v.mapset(LOOSE, 0, (), cand)
+            if _certify_nullary(v, cand, u) is not None]
+
+
+def check_left_universal(m: Structure,
+                         cl: Union[BinaryClassifier, NullaryClassifier]
+                         ) -> tuple[bool, list[str]]:
+    """Extend the witness tables of a certified classifier to the longer
+    position-1 bijections; returns the verdict and failing scopes."""
+    v = skew_view(m)
+    failures: list[str] = []
+    if isinstance(cl, BinaryClassifier):
+        a, b = cl.pair
+        for n in (2, 3):
+            for xs in itertools.product(v.base.objects, repeat=n - 1):
+                for d in v.base.objects:
+                    table = bijection_table(
+                        list(v.mapset(TIGHT, n, (cl.obj,) + xs, d)),
+                        lambda g: v.safe_subst(g, 1, cl.theta),
+                        list(v.mapset(TIGHT, n + 1, (a, b) + xs, d)))
+                    if table is None:
+                        failures.append(f"t{n}:{','.join(xs)};{d}")
+                    else:
+                        cl.witness[("ext", n, xs, d)] = table
+    else:
+        for n in (1, 2):
+            for xs in itertools.product(v.base.objects, repeat=n):
+                for d in v.base.objects:
+                    table = bijection_table(
+                        list(v.mapset(TIGHT, n + 1, (cl.obj,) + xs, d)),
+                        lambda g: v.safe_subst(g, 1, cl.u),
+                        list(v.mapset(LOOSE, n, xs, d)))
+                    if table is None:
+                        failures.append(f"l{n}:{','.join(xs)};{d}")
+                    else:
+                        cl.witness[("ext", n, xs, d)] = table
+    cl.left_universal = not failures
+    return (not failures, failures)
+
+
+def certify(m: Structure) -> Certificate:
+    """Run all classifier searches and left-universality extensions."""
+    v = skew_view(m)
+    plain = isinstance(m, ShortMulticategory)
+    binary: dict[tuple[str, str], Optional[BinaryClassifier]] = {}
+    candidates: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for a, b in itertools.product(v.base.objects, repeat=2):
+        binary[(a, b)] = find_binary_classifier(m, a, b)
+        candidates[(a, b)] = all_binary_classifiers(m, a, b)
+    nullary = find_nullary_classifier(m)
+    cert = Certificate(
+        name=getattr(m, "name"), structure=m, view=v, plain=plain,
+        binary=binary, binary_candidates=candidates,
+        nullary=nullary, nullary_candidates=all_nullary_classifiers(m))
+    if cert.weakly_representable:
+        for cl in binary.values():
+            check_left_universal(m, cl)
+        check_left_universal(m, nullary)
+    return cert
+
+
+def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifier]:
+    """Materialize the composite ternary/quaternary classifiers and the
+    unit-unary one, re-certifying each composite bijection directly and
+    against the composite of the stepwise witnesses."""
+    if not cert.left_representable:
+        raise MalformedTable(f"{cert.name}: derived classifiers need left representability")
+    v = cert.view
+    out: list[DerivedClassifier] = []
+
+    def note(kind, key, obj, theta, n):
+        out.append(DerivedClassifier(kind, key, obj, theta, n))
+
+    for a, b, c in itertools.product(v.base.objects, repeat=3):
+        ab = cert.obj(a, b)
+        theta3 = v.safe_subst(cert.theta(ab, c), 1, cert.theta(a, b))
+        obj3 = cert.obj(ab, c)
+        if theta3 is None:
+            raise UniversalityBroken(f"{cert.name}: ternary composite undefined at ({a},{b},{c})")
+        count = 0
+        for d in v.base.objects:
+            table = bijection_table(
+                list(v.base.hom(obj3, d)),
+                lambda w: v.safe_subst(w, 1, theta3),
+                list(v.mapset(TIGHT, 3, (a, b, c), d)))
+            if table is None:
+                raise UniversalityBroken(
+                    f"{cert.name}: composite ternary classifier fails at ({a},{b},{c});{d}")
+            for w, img in table.items():
+                stepwise = v.safe_subst(v.safe_subst(w, 1, cert.theta(ab, c)), 1, cert.theta(a, b))
+                if stepwise != img:
+                    raise UniversalityBroken(
+                        f"{cert.name}: ternary composite disagrees with stepwise at {w}")
+                count += 1
+        note("ternary", (a, b, c), obj3, theta3, count)
+
+    for a, b, c, d in itertools.product(v.base.objects, repeat=4):
+        ab = cert.obj(a, b)
+        abc = cert.obj(ab, c)
+        inner = v.safe_subst(cert.theta(abc, d), 1, cert.theta(ab, c))
+        theta4 = v.safe_subst(inner, 1, cert.theta(a, b))
+        obj4 = cert.obj(abc, d)
+        if theta4 is None:
+            raise UniversalityBroken(f"{cert.name}: quaternary composite undefined")
+        count = 0
+        for e in v.base.objects:
+            table = bijection_table(
+                list(v.base.hom(obj4, e)),
+                lambda w: v.safe_subst(w, 1, theta4),
+                list(v.mapset(TIGHT, 4, (a, b, c, d), e)))
+            if table is None:
+                raise UniversalityBroken(
+                    f"{cert.name}: composite quaternary classifier fails at ({a},{b},{c},{d});{e}")
+            count += len(table)
+        note("quaternary", (a, b, c, d), obj4, theta4, count)
+
+    i = cert.nullary.obj
+    for a in v.base.objects:
+        theta_ia = v.safe_subst(cert.theta(i, a), 1, cert.nullary.u)
+        obj_ia = cert.obj(i, a)
+        if theta_ia is None:
+            raise UniversalityBroken(f"{cert.name}: unit-unary composite undefined at {a}")
+        count = 0
+        for d in v.base.objects:
+            table = bijection_table(
+                list(v.base.hom(obj_ia, d)),
+                lambda w: v.safe_subst(w, 1, theta_ia),
+                list(v.mapset(LOOSE, 1, (a,), d)))
+            if table is None:
+                raise UniversalityBroken(f"{cert.name}: unit-unary classifier fails at {a};{d}")
+            for w, img in table.items():
+                stepwise = v.safe_subst(v.safe_subst(w, 1, cert.theta(i, a)), 1, cert.nullary.u)
+                if stepwise != img:
+                    raise UniversalityBroken(
+                        f"{cert.name}: unit-unary composite disagrees with stepwise at {w}")
+                count += 1
+        note("unit-unary", (a,), obj_ia, theta_ia, count)
+    cert.derived = out
+    return out
+
+
+def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool, list[str]]:
+    """Positional bijections at every slot, arities 1 to 3."""
+    if not isinstance(m, ShortMulticategory):
+        raise MalformedTable("representability is defined for plain short multicategories")
+    if not cert.weakly_representable:
+        cert.representable = False
+        return False, ["missing classifiers"]
+    failures: list[str] = []
+    objs = m.base.objects
+    i = cert.nullary.obj
+    u = cert.nullary.u
+    for n in (1, 2, 3):
+        for lx in range(0, n):
+            ly = n - 1 - lx
+            j = lx + 1
+            for xs in itertools.product(objs, repeat=lx):
+                for ys in itertools.product(objs, repeat=ly):
+                    for z in objs:
+                        if bijection_table(
+                                list(m.mapset(n, xs + (i,) + ys, z)),
+                                lambda g: m.safe_subst(g, j, u),
+                                list(m.mapset(n - 1, xs + ys, z))) is None:
+                            failures.append(f"u@{n}.{j}:{xs}{ys};{z}")
+    for a, b in itertools.product(objs, repeat=2):
+        ab = cert.obj(a, b)
+        theta = cert.theta(a, b)
+        for n in (1, 2, 3):
+            for lx in range(0, n):
+                ly = n - 1 - lx
+                j = lx + 1
+                for xs in itertools.product(objs, repeat=lx):
+                    for ys in itertools.product(objs, repeat=ly):
+                        for z in objs:
+                            if bijection_table(
+                                    list(m.mapset(n, xs + (ab,) + ys, z)),
+                                    lambda g: m.safe_subst(g, j, theta),
+                                    list(m.mapset(n + 1, xs + (a, b) + ys, z))) is None:
+                                failures.append(f"theta({a},{b})@{n}.{j}:{xs}{ys};{z}")
+    cert.representable = not failures
+    return (not failures, failures)
+
+
+def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
+                 cand: str, e: str, include_nullary: bool = True) -> Optional[HomObject]:
+    witness: dict[tuple, dict[str, str]] = {}
+    for n in (1, 2, 3):
+        for xs in itertools.product(v.base.objects, repeat=n):
+            table = bijection_table(
+                list(v.mapset(TIGHT, n, xs, cand)),
+                lambda g: v.safe_subst(e, 1, g),
+                list(v.mapset(TIGHT, n + 1, xs + (b,), c)))
+            if table is None:
+                return None
+            if table:
+                witness[(TIGHT, n, xs)] = table
+    loose_arities = (0, 1) if include_nullary else (1,)
+    for n in loose_arities:
+        for xs in itertools.product(v.base.objects, repeat=n):
+            table = bijection_table(
+                list(v.mapset(LOOSE, n, xs, cand)),
+                lambda g: v.safe_subst(e, 1, g),
+                list(v.mapset(LOOSE, n + 1, xs + (b,), c)))
+            if table is None:
+                return None
+            if table:
+                witness[(LOOSE, n, xs)] = table
+    return HomObject((b, c), cand, e, witness)
+
+
+def find_hom_object(m: Structure, b: str, c: str,
+                    include_nullary: bool = True) -> Optional[HomObject]:
+    v = skew_view(m)
+    for cand in v.base.objects:
+        for e in v.mapset(TIGHT, 2, (cand, b), c):
+            h = _certify_hom(v, b, c, cand, e, include_nullary=include_nullary)
+            if h is not None:
+                return h
+    return None
+
+
+def find_closed_structure(m: Structure,
+                          cert: Optional[Certificate] = None
+                          ) -> Optional[dict[tuple[str, str], HomObject]]:
+    """Exhaustive hom-object search for every pair; None when some pair
+    admits none. Records the inventory on the certificate when given."""
+    v = skew_view(m)
+    homs: dict[tuple[str, str], Optional[HomObject]] = {}
+    for b, c in itertools.product(v.base.objects, repeat=2):
+        homs[(b, c)] = find_hom_object(m, b, c)
+    if cert is not None:
+        cert.homs = homs
+    if any(h is None for h in homs.values()):
+        return None
+    return homs
+
+
+def find_right_hom_object(m: ShortMulticategory, b: str, c: str) -> Optional[HomObject]:
+    """Right-closed analogue on plain structures: e(b, r[b,c]) -> c with
+    substitution in position 2 inducing the bijections, arities 0 to 3."""
+    objs = m.base.objects
+    for cand in objs:
+        for e in m.mapset(2, (b, cand), c):
+            witness: dict[tuple, dict[str, str]] = {}
+            ok = True
+            for n in (0, 1, 2, 3):
+                for xs in itertools.product(objs, repeat=n):
+                    table = bijection_table(
+                        list(m.mapset(n, xs, cand)),
+                        lambda g: m.safe_subst(e, 2, g),
+                        list(m.mapset(n + 1, (b,) + xs, c)))
+                    if table is None:
+                        ok = False
+                        break
+                    if table:
+                        witness[(n, xs)] = table
+                if not ok:
+                    break
+            if ok:
+                return HomObject((b, c), cand, e, witness)
+    return None
+
+
+def find_right_closed(m: ShortMulticategory,
+                      cert: Optional[Certificate] = None
+                      ) -> Optional[dict[tuple[str, str], HomObject]]:
+    homs: dict[tuple[str, str], Optional[HomObject]] = {}
+    for b, c in itertools.product(m.base.objects, repeat=2):
+        homs[(b, c)] = find_right_hom_object(m, b, c)
+    if cert is not None:
+        cert.right_homs = homs
+    if any(h is None for h in homs.values()):
+        return None
+    return homs
+
+
+def inverses(m: Structure, cert: Certificate,
+             homs: Optional[dict[tuple[str, str], HomObject]] = None) -> Inverses:
+    """Build explicit inverse tables from the recorded witnesses and verify
+    the defining equations on every element."""
+    if not cert.left_representable:
+        raise MalformedTable(f"{cert.name}: inverse tables need left representability")
+    v = cert.view
+    prime: dict[str, str] = {}
+    for n in (2, 3, 4):
+        for f in v.multimaps(TIGHT, n):
+            dom = v.dom(f)
+            cl = cert.classifier(dom[0], dom[1])
+            key = ("base", v.cod(f)) if n == 2 else ("ext", n - 1, dom[2:], v.cod(f))
+            table = cl.witness.get(key, {})
+            hits = [w for w, img in table.items() if img == f]
+            if len(hits) != 1:
+                raise UniversalityBroken(f"{cert.name}: prime inverse missing for {f}")
+            prime[f] = hits[0]
+            if v.safe_subst(hits[0], 1, cl.theta) != f:
+                raise UniversalityBroken(f"{cert.name}: prime roundtrip failed at {f}")
+    star: dict[str, str] = {}
+    nu = cert.nullary
+    for n in (0, 1, 2):
+        for f in v.multimaps(LOOSE, n):
+            dom, cod = v.dom(f), v.cod(f)
+            key = ("base", cod) if n == 0 else ("ext", n, dom, cod)
+            table = nu.witness.get(key, {})
+            hits = [w for w, img in table.items() if img == f]
+            if len(hits) != 1:
+                raise UniversalityBroken(f"{cert.name}: star inverse missing for {f}")
+            star[f] = hits[0]
+            if v.safe_subst(hits[0], 1, nu.u) != f:
+                raise UniversalityBroken(f"{cert.name}: star roundtrip failed at {f}")
+    sharp: dict[str, str] = {}
+    if homs is not None:
+        for flavour, lo, hi in ((TIGHT, 2, 4), (LOOSE, 1, 2)):
+            for n in range(lo, hi + 1):
+                for f in v.multimaps(flavour, n):
+                    if flavour == LOOSE and v.is_tight(f) and n >= 2:
+                        continue  # handled through the tight tables
+                    dom, cod = v.dom(f), v.cod(f)
+                    h = homs[(dom[-1], cod)]
+                    key = (flavour, n - 1, dom[:-1])
+                    table = h.witness.get(key, {})
+                    hits = [w for w, img in table.items() if img == f]
+                    if len(hits) != 1:
+                        raise UniversalityBroken(f"{cert.name}: sharp inverse missing for {f}")
+                    sharp[f] = hits[0]
+    return Inverses(prime, star, sharp)

@@ -2,9 +2,12 @@ import dataclasses
 
 import pytest
 
+import reference_validators as ref
+from shortcat import classify, cli
 from shortcat.catalogue import (
-    _leq, _meet, catalogue_short_multis, discrete_base, monoid_short_multi,
-    poset2_base, poset2_first_short_skew, table_short_multi, z2_monoid,
+    _leq, _meet, bz2_category, catalogue_mutants, catalogue_short_multis,
+    catalogue_short_skews, discrete_base, monoid_short_multi, poset2_base,
+    poset2_first_short_skew, table_short_multi, z2_monoid,
 )
 from shortcat.classify import (
     all_binary_classifiers, certify, check_left_universal, check_representable,
@@ -13,8 +16,11 @@ from shortcat.classify import (
     find_right_closed, inverses, skew_view, verify_left_iff_adjoint,
     verify_units_left_universal,
 )
-from shortcat.errors import UniversalityBroken
+from shortcat.errors import ShortcatError, UniversalityBroken
+from shortcat.induce import induce_short_multi
+from shortcat.shortmulti import ShortMulticategory
 from shortcat.shortskew import ShortSkewMulticategory, embed_plain
+from test_kernel import _cyclic
 
 
 def indiscrete2_short_multi():
@@ -209,3 +215,64 @@ def test_replaced_structure_gets_its_own_view():
     fresh = embed_plain(m2)
     for f in dataclasses.fields(ShortSkewMulticategory):
         assert getattr(v2, f.name) == getattr(fresh, f.name), f.name
+
+
+# --------------------------------------------------------------------------
+# the certification searches against their former versions
+# --------------------------------------------------------------------------
+
+def _differential_inputs():
+    """Every catalogue short-multi and short-skew structure and mutant,
+    Z/2..Z/4, and the plain structure induced from BZ/2, the one base with
+    parallel morphisms."""
+    yield from catalogue_short_multis().items()
+    yield from catalogue_short_skews().items()
+    for mut in catalogue_mutants():
+        if mut.kind in ("short-multi", "short-skew"):
+            yield mut.name, mut.payload
+    for n in (2, 3, 4):
+        yield from _cyclic(n)
+    yield "bz2", induce_short_multi(bz2_category())
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except ShortcatError as exc:
+        return type(exc), str(exc)
+
+
+def _searches(mod, m):
+    """The left-universality verdicts of each first classifier, then certify,
+    the hom-object search, the derived classifiers and representability as
+    the certify command runs them, the rendered certificate, the inverse
+    tables, and the right hom objects, all through the functions of mod."""
+    objs = m.base.objects
+    firsts = [mod.find_binary_classifier(m, a, b) for a in objs for b in objs]
+    firsts.append(mod.find_nullary_classifier(m))
+    out = [[cl and mod.check_left_universal(m, cl) for cl in firsts]]
+    cert = mod.certify(m)
+    homs = mod.find_closed_structure(m, cert)
+    if cert.left_representable:
+        out.append(_outcome(mod.derived_classifiers, m, cert))
+        out.append(_outcome(lambda: vars(mod.inverses(m, cert, homs))))
+    if isinstance(m, ShortMulticategory):
+        if cert.weakly_representable:
+            out.append(mod.check_representable(m, cert))
+        mod.find_right_closed(m, cert)
+        out.append({k: h and (h.obj, h.e, h.witness) for k, h in cert.right_homs.items()})
+    out.append(cli.render_certificate(cert))
+    return out
+
+
+def test_searches_match_reference():
+    """The same verdicts, failure labels, witnesses and inverse tables as the
+    former searches, on passing and failing structures alike."""
+    tried, failing = 0, 0
+    for name, m in _differential_inputs():
+        got = _searches(classify, m)
+        assert got == _searches(ref, m), name
+        tried += 1
+        failing += any(verdict and not verdict[0] for verdict in got[0])
+    assert tried > 50 and failing > 5, (tried, failing)

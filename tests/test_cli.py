@@ -521,11 +521,15 @@ HOM_LINE = "hom 0 0 = 1_0"
                  lambda t: _replace_line(t, HOM_LINE, "hom 0 0 = zzz\n" + HOM_LINE),
                  ["validate"], 2, "line 6: repeated key hom 0 0, first given at line 5",
                  id="repeated-hom-validate"),
+    pytest.param("z2", "short-multi",
+                 lambda t: _replace_line(t, "objects = 0 1", "objects = 0 1 0"),
+                 ["validate"], 2, "line 4: repeated object '0' in objects",
+                 id="repeated-object-validate"),
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
                                           message):
     """A key that names no object, a braiding value that names no morphism, a
-    key given twice (exit 2) and a structure that fails its axioms under
+    key or an object given twice (exit 2) and a structure that fails its axioms under
     certify or construct (exit 1) each end in one error line, never in an
     internal error."""
     path = tmp_path / f"bad.{kind}.txt"

@@ -2,7 +2,7 @@
 ROWS-driven parser against their former versions in reference_validators.py:
 the same bytes from serialize, the same exception type and message, or none,
 from check_structure and sub_case, and the same outcome from parse apart
-from the two rules the format gained."""
+from the three rules the format gained."""
 import collections
 import dataclasses
 import itertools
@@ -154,13 +154,15 @@ def test_sub_case_matches_reference():
 # --------------------------------------------------------------------------
 # the parser against the former one
 # --------------------------------------------------------------------------
-# The format gained two rules: a key given twice is an error, and `kw args =`
+# The format gained three rules: a key given twice is an error, `kw args =`
 # is a record with no values, where the former parser read the `=` as one
-# more argument. Every other outcome must be the former one: the same
-# serialized payload and warnings, or the same exception type and message
-# (which holds the line number).
+# more argument, and an object listed twice in `objects` is an error, where
+# the former parser kept both. Every other outcome must be the former one:
+# the same serialized payload and warnings, or the same exception type and
+# message (which holds the line number).
 
 REPEAT = re.compile(r"line (\d+): repeated key (\S+) (.*), first given at line (\d+)")
+REPEATED_OBJECT = re.compile(r"line (\d+): repeated object '(\S+)' in objects")
 
 
 def _no_values(line):
@@ -216,7 +218,7 @@ def _edited(lines, changes):
 
 
 def _check(text, rules):
-    """Assert that parse agrees with the former parser on text once the two
+    """Assert that parse agrees with the former parser on text once the three
     rules are applied, and count in rules each rule a difference needed."""
     former, want = _former(text)
     if want != former:
@@ -224,10 +226,23 @@ def _check(text, rules):
     got = _parsed(parse, text)
     if got == want:
         return
+    lines = text.splitlines()
+    found = REPEATED_OBJECT.fullmatch(got[1]) if got[0] is ParseError else None
+    if found:
+        # The error names the first object its line lists a second time; with
+        # each object listed once, the two parsers must agree.
+        n, obj = int(found[1]), found[2]
+        head, sep, tail = lines[n - 1].partition(" = ")
+        members = tail.split()
+        first = next(m for k, m in enumerate(members) if m in members[:k])
+        assert head.split() == ["objects"] and obj == first, (got, want)
+        once = _edited(lines, {n - 1: head + sep + " ".join(dict.fromkeys(members))})
+        rules["repeated object"] += 1
+        _check(once, rules)
+        return
     found = REPEAT.fullmatch(got[1]) if got[0] is ParseError else None
     assert found, (got, want)
     n, keyword, key, k = int(found[1]), found[2], found[3], int(found[4])
-    lines = text.splitlines()
     assert k < n and _head(lines[k - 1], keyword) == _head(lines[n - 1], keyword)
     assert lines[n - 1].split()[:len(key.split()) + 1] == [keyword, *key.split()]
     # The former parser let line n overwrite line k: it read the text as if
@@ -274,6 +289,17 @@ def _double_faults(text):
             yield f"base and {k}", _edited(lines, {hom: twice, k: f"{head} x = {tail}"})
 
 
+def _repeated_objects(text):
+    """The objects line with each of its members listed a second time, on
+    its own and under every single-line deletion and duplication."""
+    lines = text.splitlines()
+    k = next((k for k, line in enumerate(lines) if line.startswith("objects =")), None)
+    for obj in lines[k].split()[2:] if k is not None else ():
+        twice = _edited(lines, {k: f"{lines[k]} {obj}"})
+        yield f"repeat {obj}", twice
+        yield from _line_edits(twice)
+
+
 def _parse_sources():
     """The files of every generator, Z/2..Z/4, and a skew morphism and a lax
     functor; with the smallest file of each kind, to be edited."""
@@ -308,7 +334,8 @@ def test_parse_matches_reference():
     for sf in edited:
         text = serialize(sf)
         for _, edit in itertools.chain(_line_edits(text), _token_swaps(text),
-                                       _double_faults(text)):
+                                       _double_faults(text), _repeated_objects(text)):
             _check(edit, rules)
             cases += 1
     assert rules["repeated key"] > 50 and rules["no values"] > 50, (rules, cases)
+    assert rules["repeated object"] > 50, (rules, cases)

@@ -15,7 +15,7 @@ from shortcat.skewmon import (
     validate_skew_monoidal,
 )
 from shortcat.transport import (
-    UniqueSolveSpec, biclosed_subst_check, check_representable_iff_monoidal,
+    biclosed_subst_check, check_representable_iff_monoidal,
     k_morphism, k_morphism_inverse, k_object, kcl_morphism, kcl_object,
     ks_object, lax_functor_equal, multi_morphism_equal, roundtrip_check,
     skew_monoidal_equal, solve_unique, transport_closed, transport_closed_skew,
@@ -23,12 +23,15 @@ from shortcat.transport import (
 
 
 def test_solve_unique_basics():
-    spec = UniqueSolveSpec("pick-a", ("a", "b"), lambda w: [(w, "a")])
-    assert solve_unique(spec) == "a"
+    """One solution, none, several; and an undefined left side never solves
+    the equation, not even when the right side is undefined too."""
+    assert solve_unique("pick-a", ("a", "b"), lambda w: w, "a") == "a"
     with pytest.raises(NoSolution):
-        solve_unique(UniqueSolveSpec("none", ("a", "b"), lambda w: [(w, "c")]))
+        solve_unique("none", ("a", "b"), lambda w: w, "c")
     with pytest.raises(MultipleSolutions):
-        solve_unique(UniqueSolveSpec("many", ("a", "b"), lambda w: [("x", "x")]))
+        solve_unique("many", ("a", "b"), lambda w: "x", "x")
+    with pytest.raises(NoSolution):
+        solve_unique("undefined", ("a", "b"), lambda w: None, None)
 
 
 def test_k_object_z2_recovers_strict_structure():
