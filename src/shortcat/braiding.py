@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import InconsistentVerdicts, MalformedTable, NoSolution
 from .report import ValidationReport
-from .shortmulti import lookup_tables, tally
+from .shortmulti import tally
 from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
 
 if TYPE_CHECKING:
@@ -36,16 +36,16 @@ _SPECS = (("b32", 3, 2), ("b42", 4, 2), ("b43", 4, 3))
 
 def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> ValidationReport:
     """Validate the swap tables beta on m, which must have passed
-    check_structure (validate_short_skew runs it): the laws read the lookup
-    dicts of shortmulti.lookup_tables, which give what the safe actions and
-    substitution give only on such a structure."""
+    check_structure (validate_short_skew runs it): the laws read m.lookups,
+    which give the actions and substitution only on such a structure, and
+    which validate_short_skew has already built."""
     base, info = m.base, m._index
     for tag, arity, _ in _SPECS:
         table = beta.table(tag)
         for f in m.multimaps(TIGHT, arity):
             if f not in table:
                 raise MalformedTable(f"{beta.name}: {tag} not total at {f}")
-    pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
+    pre, post, sub = m.lookups
     pget, qget, sget = pre.get, post.get, sub.get
     into, out_of = base.mors_into, base.mors_out_of
     report = ValidationReport(beta.name)

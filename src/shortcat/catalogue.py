@@ -409,28 +409,11 @@ def terminal_skew_closed() -> SkewClosedCategory:
 # catalogue morphisms
 # --------------------------------------------------------------------------
 
-def _monoid_hom_morphism(name: str, src: ShortMulticategory, tgt: ShortMulticategory,
-                         mon_src: Monoid, mon_tgt: Monoid,
-                         h: Callable[[str], str]) -> MultiMorphism:
-    """Short-multicategory morphism from a monoid homomorphism between
-    discrete monoid structures; every image set is a singleton."""
-    obj_map = {a: h(a) for a in mon_src.elements}
-    fun = FinFunctor(name + ".base", src.base, tgt.base,
-                     obj_map, {f"1_{a}": f"1_{h(a)}" for a in mon_src.elements})
-    maps: dict[int, dict[str, str]] = {}
-    for n in (0, 2, 3, 4):
-        maps[n] = {}
-        for f in src.multimaps(n):
-            _, dom, cod = src.info(f)
-            idom = tuple(h(a) for a in dom)
-            (img,) = tgt.mapset(n, idom, h(cod))
-            maps[n][f] = img
-    return MultiMorphism(name, src, tgt, fun, maps)
-
-
 def _thin_morphism(name: str, src: ShortMulticategory, tgt: ShortMulticategory,
                    obj_map: dict[str, str]) -> MultiMorphism:
-    """Morphism between thin structures determined by a monotone object map."""
+    """The morphism determined by an object map, between structures whose
+    image hom-sets and multimap sets are singletons: thin ones under a
+    monotone map, or discrete monoid ones under a monoid homomorphism."""
     mor_map = {}
     for f in src.base.morphisms():
         a, b = src.base.span(f)
@@ -717,18 +700,15 @@ def catalogue_morphisms() -> dict[str, MultiMorphism]:
     """At least ten short-multicategory morphisms between catalogue entries."""
     from .shortmulti import identity_multi_morphism
     ms = catalogue_short_multis()
-    z2m, z3m, km = z2_monoid(), z3_monoid(), klein_monoid()
     out: dict[str, MultiMorphism] = {}
     for name, m in ms.items():
         out[f"id[{name}]"] = identity_multi_morphism(m)
-    out["z2-into-klein"] = _monoid_hom_morphism(
-        "z2-into-klein", ms["z2"], ms["klein"], z2m, km, lambda a: a + "0")
-    out["klein-onto-z2"] = _monoid_hom_morphism(
-        "klein-onto-z2", ms["klein"], ms["z2"], km, z2m, lambda a: a[0])
-    out["z3-negate"] = _monoid_hom_morphism(
-        "z3-negate", ms["z3"], ms["z3"], z3m, z3m, lambda a: str((-int(a)) % 3))
-    out["klein-swap"] = _monoid_hom_morphism(
-        "klein-swap", ms["klein"], ms["klein"], km, km, lambda a: a[::-1])
+    for name, src, tgt, h in (("z2-into-klein", "z2", "klein", lambda a: a + "0"),
+                              ("klein-onto-z2", "klein", "z2", lambda a: a[0]),
+                              ("z3-negate", "z3", "z3", lambda a: str((-int(a)) % 3)),
+                              ("klein-swap", "klein", "klein", lambda a: a[::-1])):
+        out[name] = _thin_morphism(name, ms[src], ms[tgt],
+                                   {a: h(a) for a in ms[src].base.objects})
     out["z2-collapse"] = _thin_morphism(
         "z2-collapse", ms["z2"], ms["terminal"], {"0": "o", "1": "o"})
     out["heyting2-collapse"] = _thin_morphism(

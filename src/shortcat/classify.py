@@ -561,10 +561,10 @@ def sharp_laws(m: Structure) -> ValidationReport:
         fs = inv.sharp.get(f)
         for q in base.mors_into(a):
             composed = base.compose_opt(fs, q)
-            lhs = inv.sharp.get(v.safe_j(composed))
+            lhs = inv.sharp.get(v.j.get(composed))
             action = hom_action(m, homs, base.dom(q), fs)
             report.check("sharp-precompose", (f, q), lhs,
-                         v.safe_post(action, inv.sharp.get(v.safe_j(q))))
+                         v.safe_post(action, inv.sharp.get(v.j.get(q))))
     return report.finish()
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
-    AxiomFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions, NoIsomorphismFound,
+    InconsistentVerdicts, MalformedTable, MultipleSolutions, NoIsomorphismFound,
     ParseError, SearchBoundExceeded, ShortcatError, UniversalityBroken,
     UnknownGenerator,
 )
@@ -216,16 +216,13 @@ def _certify_payload(sf: StructureFile):
     raise MalformedTable(f"certify expects a short-multi or short-skew file, got {sf.kind}")
 
 
-def _require_valid(name: str, m, command: str, beta=None) -> None:
+def _require_valid(name: str, m, command: str) -> None:
     """Raise AxiomFailure (exit 1) unless the short-multi or short-skew
-    structure m, with its swap tables beta if given, passes validation;
-    check_structure errors raise as usual."""
+    structure m passes validation; check_structure errors raise as usual."""
     from .shortmulti import ShortMulticategory, validate_short_multicategory
     report = (validate_short_multicategory(m) if isinstance(m, ShortMulticategory)
-              else _short_skew_report(m, beta))
-    if not report.ok:
-        raise AxiomFailure(f"{name}: validation of the structure fails "
-                           f"{len(report.failures)} instances; {command} needs one that passes")
+              else _short_skew_report(m, None))
+    report.require_pass(name, command)
 
 
 def cmd_certify(args) -> int:
@@ -297,7 +294,7 @@ def cmd_construct(args) -> int:
             raise MalformedTable("construct braiding-forward expects a short-skew "
                                  "file with swap tables")
         m, beta = sf.payload
-        _require_valid(sf.name, m, "construct", beta)
+        _validate_file(sf, args).require_pass(sf.name, "construct")
         cert = certify(m)
         from .braiding import s_from_short_braiding
         mon = ks_object(m, cert, name=sf.name + ".ks")
@@ -307,11 +304,9 @@ def cmd_construct(args) -> int:
         if sf.kind != "braiding":
             raise MalformedTable("construct braiding-backward expects a braiding file")
         mon, s = sf.payload
-        mon.check_structure()
+        _validate_file(sf, args).require_pass(sf.name, "construct")
         from .braiding import short_braiding_from_s
         from .induce import induce_short_skew
-        from .skewmon import check_braiding_total
-        check_braiding_total(mon, s)
         m = induce_short_skew(mon, name=sf.name + ".induced")
         cert = certify(m)
         beta = short_braiding_from_s(m, cert, s, name=sf.name + ".beta")
@@ -336,10 +331,9 @@ def cmd_roundtrip(args) -> int:
         report = roundtrip_check(sf.payload)
     elif sf.kind == "braiding":
         from .braiding import braidings_equal, s_from_short_braiding, short_braiding_from_s
-        from .skewmon import check_braiding_total
         from .transport import skew_monoidal_roundtrip
         mon, s = sf.payload
-        check_braiding_total(mon, s)
+        _validate_file(sf, args).require_pass(sf.name, "roundtrip")
         report, m, cert = skew_monoidal_roundtrip(mon)
         beta = short_braiding_from_s(m, cert, s)
         back = s_from_short_braiding(m, cert, beta)

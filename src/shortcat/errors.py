@@ -27,11 +27,6 @@ class AxiomFailure(ShortcatError):
     fails validation."""
 
 
-class UnsupportedSubstitution(ShortcatError):
-    """The requested (outer arity, inner arity, position) case is not part
-    of the structure."""
-
-
 class SearchBoundExceeded(ShortcatError):
     """An exhaustive search was refused because the input exceeds the
     configured size bound."""

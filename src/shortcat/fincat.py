@@ -69,7 +69,8 @@ class FinCategory:
             raise MalformedTable(f"{self.name}: missing comp entry ({g}, {f})")
 
     def compose_opt(self, g: str, f: str) -> Optional[str]:
-        if f not in self._span or g not in self._span or self.cod(f) != self.dom(g):
+        span = self._span
+        if f not in span or g not in span or span[f][1] != span[g][0]:
             return None
         return self.comp.get((g, f))
 

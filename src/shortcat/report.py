@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from .errors import AxiomFailure
+
 MISSING = "<missing>"
 
 
@@ -85,6 +87,13 @@ class ValidationReport:
         for inst in other.failures:
             self.failures.append(AxiomInstance(prefix + inst.family, inst.subjects,
                                                inst.lhs, inst.rhs))
+
+    def require_pass(self, name: str, command: str) -> None:
+        """Raise AxiomFailure (exit 1) unless every instance passed: command
+        needs an input named name that passes validation."""
+        if self.failures:
+            raise AxiomFailure(f"{name}: validation of the structure fails "
+                               f"{len(self.failures)} instances; {command} needs one that passes")
 
     def finish(self) -> "ValidationReport":
         self.failures.sort(key=AxiomInstance.key)

@@ -12,7 +12,7 @@ substitution tables for exactly these cases:
 
 Substituting a unary map routes through the pre-action tables, and
 substituting into a unary map routes through the post-action tables, so
-`subst` is total on everything a short multicategory provides.
+`safe_subst` is defined on everything a short multicategory provides.
 
 Law checks compare identifiers and never raise on a mutated (wrongly
 typed) table value; a lookup that becomes impossible counts as a failed
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .errors import DanglingId, MalformedTable, UnsupportedSubstitution
+from .errors import DanglingId, MalformedTable
 from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
 from .report import ValidationReport
 
@@ -46,8 +46,10 @@ class MultiTables:
     `table_maps`, `required_sub_keys`, `_tables` (its multimap tables by
     arity, for the key-shape check) and `_stored` (whether (g, i, f), both
     ids known, is a stored substitution case). The routing rule is written
-    once: a base morphism, the only tight unary map, composes in the base,
-    and every other id reads the pre, post and sub tables.
+    once, in `lookups`: a base morphism, the only tight unary map, composes
+    in the base, and every other id reads the pre, post and sub tables.
+    `safe_pre`, `safe_post`, `safe_subst` and the validators all read those
+    dicts.
     """
 
     # -- typed lookups ------------------------------------------------------
@@ -66,67 +68,35 @@ class MultiTables:
     def cod(self, f: str) -> str:
         return self.info(f)[2]
 
-    # -- actions and substitution (strict: raise on missing) ----------------
-    def act_post(self, q: str, f: str) -> str:
-        if f in self.base._span:
-            return self.base.compose(q, f)
-        self.info(f)  # DanglingId on an unknown id
-        try:
-            return self.post[(q, f)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing post entry ({q}, {f})")
+    # -- the routing rule ----------------------------------------------------
+    # Built on first use; not a dataclass field, so dataclasses.replace never
+    # carries it into a redirected copy.
+    @cached_property
+    def lookups(self) -> tuple[dict, dict, dict]:
+        """The (pre, post, subst) dicts, keyed (f, i, p), (q, f) and (g, i, f),
+        with an absent key wherever no value is defined. A base morphism, the
+        only tight unary map, composes in the base, so a stored entry keyed
+        at one is dropped; every other id reads the pre, post and sub tables.
+        They give the structure's actions and substitution once it has
+        passed check_structure."""
+        span, comp = self.base._span, self.base.comp
+        post = {k: v for k, v in self.post.items() if k[1] not in span}
+        post.update(comp)
+        pre = {k: v for k, v in self.pre.items() if k[0] not in span}
+        pre.update(((g, 1, f), h) for (g, f), h in comp.items())
+        sub = {k: v for k, v in self.sub.items() if k[0] not in span and k[2] not in span}
+        sub.update(((q, 1, f), h) for (q, f), h in post.items() if f not in span)
+        sub.update(pre)
+        return pre, post, sub
 
-    def act_pre(self, f: str, i: int, p: str) -> str:
-        if f in self.base._span:
-            if i != 1:
-                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
-            return self.base.compose(f, p)
-        self.info(f)  # DanglingId on an unknown id
-        try:
-            return self.pre[(f, i, p)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing pre entry ({f}, {i}, {p})")
-
-    def subst(self, g: str, i: int, f: str) -> str:
-        self.info(g), self.info(f)  # an unknown id is dangling before anything else
-        span = self.base._span
-        if f in span:
-            return self.act_pre(g, i, f)
-        if g in span:
-            if i != 1:
-                raise UnsupportedSubstitution(f"{self.name}: unary map has one input")
-            return self.act_post(g, f)
-        if not self._stored(g, i, f):
-            raise UnsupportedSubstitution(
-                f"{self.name}: substitution ({g}, {i}, {f}) outside stored cases")
-        try:
-            return self.sub[(g, i, f)]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: missing sub entry ({g}, {i}, {f})")
-
-    # -- safe variants for law checking --------------------------------------
     def safe_post(self, q: Optional[str], f: Optional[str]) -> Optional[str]:
-        if q is None or f is None or f not in self._index or q not in self._index:
-            return None
-        if f in self.base._span:
-            return self.base.compose_opt(q, f)
-        return self.post.get((q, f))
+        return self.lookups[1].get((q, f))
 
     def safe_pre(self, f: Optional[str], i: int, p: Optional[str]) -> Optional[str]:
-        if f is None or p is None or f not in self._index:
-            return None
-        if f in self.base._span:
-            return self.base.compose_opt(f, p) if i == 1 else None
-        return self.pre.get((f, i, p))
+        return self.lookups[0].get((f, i, p))
 
     def safe_subst(self, g: Optional[str], i: int, f: Optional[str]) -> Optional[str]:
-        if g is None or f is None or g not in self._index or f not in self._index:
-            return None
-        if f in self.base._span:
-            return self.safe_pre(g, i, f)
-        if g in self.base._span:
-            return self.safe_post(g, f) if i == 1 else None
-        return self.sub.get((g, i, f))
+        return self.lookups[2].get((g, i, f))
 
     # -- structural totality --------------------------------------------------
     def required_pre_keys(self) -> Iterator[tuple[str, int, str]]:
@@ -303,23 +273,6 @@ def expected_sub_type(m: ShortMulticategory, g: str, i: int, f: str) -> tuple[in
 # --------------------------------------------------------------------------
 # validator
 # --------------------------------------------------------------------------
-
-def lookup_tables(base: FinCategory, pre: dict, post: dict, sub: dict) -> tuple[dict, dict, dict]:
-    """Total lookup dicts (pre, post, subst) that give exactly what safe_pre,
-    safe_post and safe_subst give on a structure that passed check_structure,
-    with an absent key for None. A base morphism routes through base
-    composition, as the dispatchers route it, so a stored entry keyed at one
-    is dropped."""
-    span, comp = base._span, base.comp
-    post_t = {k: v for k, v in post.items() if k[1] not in span}
-    post_t.update(comp)
-    pre_t = {k: v for k, v in pre.items() if k[0] not in span}
-    pre_t.update(((g, 1, f), h) for (g, f), h in comp.items())
-    sub_t = {k: v for k, v in sub.items() if k[0] not in span and k[2] not in span}
-    sub_t.update(((q, 1, f), h) for (q, f), h in post_t.items() if f not in span)
-    sub_t.update(pre_t)
-    return pre_t, post_t, sub_t
-
 
 def tally(report: ValidationReport, family: str, n: int) -> None:
     """Count n instances of a family; a family with none gets no line."""
@@ -531,7 +484,7 @@ def validate_short_multicategory(m: ShortMulticategory) -> ValidationReport:
     """Validate every axiom instance."""
     m.check_structure()
     base, info = m.base, m._index
-    pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
+    pre, post, sub = m.lookups
     cases = [((), n, k, _sub_pairs(m, n, k), m.multimaps(n),
               lambda x, k=k: m.maps_into(k, x)) for n, k in sorted(STORED_CASES)]
     report = ValidationReport(m.name)
@@ -558,15 +511,6 @@ class MultiMorphism:
     functor: FinFunctor
     maps: dict[int, dict[str, str]]   # arities 0, 2, 3, 4
 
-    def apply(self, f: str) -> str:
-        n = self.source.arity(f)
-        if n == 1:
-            return self.functor.on_mor(f)
-        try:
-            return self.maps[n][f]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: no image for multimap {f}")
-
     def safe_apply(self, f: Optional[str]) -> Optional[str]:
         if f is None or f not in self.source._index:
             return None
@@ -584,13 +528,14 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
     typing = []
     for n in (0, 2, 3, 4):
         for f in src.multimaps(n):
-            if F.maps.get(n, {}).get(f) is None:
+            img = F.maps.get(n, {}).get(f)
+            if img is None:
                 raise MalformedTable(f"{F.name}: no image for arity-{n} multimap {f}")
             _, dom, cod = src.info(f)
-            typing.append((f, (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))))
+            typing.append((f, img, (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))))
     report = ValidationReport(F.name)
-    for f, want in typing:
-        report.check("morphism-typing", (f,), str(tgt.info(F.apply(f))), str(want))
+    for f, img, want in typing:
+        report.check("morphism-typing", (f,), str(tgt.info(img)), str(want))
     morphism_law_checks(F, report)
     report.merge(base_report)
     return report.finish()

@@ -21,7 +21,7 @@ Loose unary maps are not base morphisms and have their own tables.
 
 A plain short multicategory embeds as the case where the loose tables are
 the tight ones and j is the identity; identifiers may then belong to both
-flavours, and the dispatcher prefers the tight route (which agrees with
+flavours, and the lookups prefer the tight route (which agrees with
 the loose one by j-naturality).
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
 from .report import ValidationReport
 from .shortmulti import (
     Key, MultiMorphism, MultiTables, ShortMulticategory, assoc_checks, identity_checks,
-    lookup_tables, morphism_law_checks, naturality_checks, profunctor_checks, tally,
+    morphism_law_checks, naturality_checks, profunctor_checks, tally,
 )
 
 TIGHT = "t"
@@ -169,11 +169,6 @@ class ShortSkewMulticategory(MultiTables):
         ng, _, _, flg = self.info(g)
         nf, _, _, flf = self.info(f)
         return _CASE_OF.get((ng, flg, nf, flf))
-
-    def safe_j(self, f: Optional[str]) -> Optional[str]:
-        if f is None:
-            return None
-        return self.j.get(f)
 
     # -- what the table core needs --------------------------------------------
     @cached_property
@@ -351,7 +346,7 @@ def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
     """Validate every axiom instance."""
     m.check_structure()
     base, info = m.base, m._index
-    pre, post, sub = lookup_tables(base, m.pre, m.post, m.sub)
+    pre, post, sub = m.lookups
     cases = [((f"{x}{n}-{y}{k}",), n, k, m.sub_pairs((n, x, k, y)), m.multimaps(x, n),
               lambda c, y=y, k=k: m.inner_into(y, k, c))
              for n, x, k, y in sorted(STORED_SKEW_CASES)]
@@ -435,18 +430,6 @@ class SkewMultiMorphism:
     tight_maps: dict[int, dict[str, str]]   # arities 2, 3, 4
     loose_maps: dict[int, dict[str, str]]   # arities 0, 1, 2
 
-    def apply(self, f: str, flavour: Optional[str] = None) -> str:
-        src = self.source
-        n = src.arity(f)
-        if n == 1 and src.is_tight(f) and flavour != LOOSE:
-            return self.functor.on_mor(f)
-        table = self.tight_maps if (flavour == TIGHT or
-                                    (flavour is None and src.is_tight(f) and n >= 2)) else self.loose_maps
-        try:
-            return table[n][f]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: no image for {f}")
-
     def safe_apply(self, f: Optional[str], flavour: Optional[str] = None) -> Optional[str]:
         if f is None or f not in self.source._index:
             return None
@@ -483,8 +466,8 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
 
     morphism_law_checks(F, report)
     for f in sorted(src.j):
-        check("morphism-j", (f,), F.safe_apply(src.safe_j(f), LOOSE),
-              tgt.safe_j(F.safe_apply(f)))
+        check("morphism-j", (f,), F.safe_apply(src.j.get(f), LOOSE),
+              tgt.j.get(F.safe_apply(f)))
 
     report.merge(base_report)
     return report.finish()

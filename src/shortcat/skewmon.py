@@ -88,8 +88,7 @@ def check_key_parts(name: str, table: str, entries: dict, members, what: str) ->
 
 def _comp_chain(base: FinCategory, *mors: Optional[str]) -> Optional[str]:
     """Compose left-to-right: _comp_chain(f, g, h) = h o g o f; None-safe."""
-    mors = [m for m in mors]
-    if any(m is None for m in mors):
+    if None in mors:
         return None
     acc = mors[0]
     for m in mors[1:]:

@@ -107,7 +107,7 @@ def ks_object(m: Structure, cert: Certificate,
         lam[a] = _solve_hom(
             v, f"left unit map ({a})", cert.obj(unit, a), a,
             lambda h: v.safe_subst(v.safe_post(h, cert.theta(unit, a)), 1, u),
-            v.safe_j(base.identity(a)))
+            v.j.get(base.identity(a)))
 
     rho = {}
     for a in base.objects:
@@ -230,8 +230,8 @@ def _check_transfer_rows(F: SkewMultiMorphism) -> None:
                     raise AxiomTransferFailure("associator axiom",
                                                f"binary into slot 1 of {g}")
     for p in src.base.morphisms():
-        lhs = F.safe_apply(src.safe_j(p), LOOSE)
-        rhs = tgt.safe_j(F.functor.mor_map.get(p))
+        lhs = F.safe_apply(src.j.get(p), LOOSE)
+        rhs = tgt.j.get(F.functor.mor_map.get(p))
         if lhs is None or lhs != rhs:
             raise AxiomTransferFailure("left unit axiom", f"j at {p}")
 
@@ -463,7 +463,7 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
         ju[a] = _solve_hom(
             v, f"hom unit ({a})", unit, hom_obj[(a, a)],
             lambda w: v.safe_subst(v.safe_subst(homs[(a, a)].e, 1, w), 1, u),
-            v.safe_j(base.identity(a)))
+            v.j.get(base.identity(a)))
 
     ell = {}
     for a, b, c in itertools.product(base.objects, repeat=3):
@@ -525,7 +525,7 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
     loose1 = {}
     for q in vs.multimaps(LOOSE, 1):
         if vs.is_tight(q):
-            loose1[q] = vt.safe_j(F1(q))
+            loose1[q] = vt.j.get(F1(q))
             continue
         qs, b, c = sharp_img(q)
         curried = loose0.get(qs)
@@ -666,15 +666,16 @@ def skew_closed_equal(x: SkewClosedCategory, y: SkewClosedCategory) -> bool:
 
 def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> ValidationReport:
     """Induce the multimap tables, certify, rebuild with the matching
-    construction, and compare with the original."""
+    construction, and compare with the original. AxiomFailure unless x
+    passes validation."""
     if not isinstance(x, SkewClosedCategory):
+        validate_skew_monoidal(x).require_pass(x.name, "roundtrip")
         return skew_monoidal_roundtrip(x)[0]
     from .induce import induce_closed_skew
     from .shortskew import validate_short_skew
 
     report = ValidationReport(x.name + ".roundtrip")
-    if not validate_skew_closed(x).ok:
-        raise MalformedTable(f"{x.name}: roundtrip input fails validation")
+    validate_skew_closed(x).require_pass(x.name, "roundtrip")
     sk = induce_closed_skew(x)
     if not validate_short_skew(sk).ok:
         raise MalformedTable(f"{x.name}: induced structure fails validation")
@@ -691,16 +692,16 @@ def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> Validation
 
 def skew_monoidal_roundtrip(x: SkewMonCategory
                             ) -> tuple[ValidationReport, ShortSkewMulticategory, Certificate]:
-    """The skew monoidal roundtrip: its report, plus the induced short skew
-    multicategory and its certificate, for callers that go on to transport
-    a braiding over the same induction."""
+    """The skew monoidal roundtrip of x, which must pass validation: its
+    report, plus the induced short skew multicategory and its certificate,
+    for callers that go on to transport a braiding over the same induction.
+    roundtrip_check validates x first; the CLI validates both halves of a
+    braiding file first."""
     from .induce import induce_short_skew
     from .shortmulti import validate_short_multicategory
     from .shortskew import plain_of, validate_short_skew
 
     report = ValidationReport(x.name + ".roundtrip")
-    if not validate_skew_monoidal(x).ok:
-        raise MalformedTable(f"{x.name}: roundtrip input fails validation")
     sk = induce_short_skew(x)
     if not validate_short_skew(sk).ok:
         raise MalformedTable(f"{x.name}: induced skew structure fails validation")

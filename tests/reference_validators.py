@@ -27,6 +27,14 @@ which wrote out each bijection scan by hand and ran every classifier search
 twice (first hit, then all hits); tests/test_classify.py compares the
 package's single scan helper and single search pass with them. They build
 the package's certificate dataclasses, so cli.render_certificate reads both.
+
+The routing helpers come first: the former safe_post, safe_pre and
+safe_subst of MultiTables and the former lookup_tables, which
+tests/test_kernel.py compares MultiTables.lookups with, and the former
+ShortSkewMulticategory.safe_j and MultiMorphism.apply, which the reference
+validators call. Each body is verbatim, taking the structure or morphism as
+`self`; safe_subst calls the reference safe_pre and safe_post, not the
+package's methods.
 """
 from __future__ import annotations
 
@@ -58,6 +66,69 @@ from shortcat.skewmon import (
     Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
     _comp_chain, check_braiding_total,
 )
+
+# --------------------------------------------------------------------------
+# routing helpers
+# --------------------------------------------------------------------------
+
+def safe_post(self, q: Optional[str], f: Optional[str]) -> Optional[str]:
+    if q is None or f is None or f not in self._index or q not in self._index:
+        return None
+    if f in self.base._span:
+        return self.base.compose_opt(q, f)
+    return self.post.get((q, f))
+
+
+def safe_pre(self, f: Optional[str], i: int, p: Optional[str]) -> Optional[str]:
+    if f is None or p is None or f not in self._index:
+        return None
+    if f in self.base._span:
+        return self.base.compose_opt(f, p) if i == 1 else None
+    return self.pre.get((f, i, p))
+
+
+def safe_subst(self, g: Optional[str], i: int, f: Optional[str]) -> Optional[str]:
+    if g is None or f is None or g not in self._index or f not in self._index:
+        return None
+    if f in self.base._span:
+        return safe_pre(self, g, i, f)
+    if g in self.base._span:
+        return safe_post(self, g, f) if i == 1 else None
+    return self.sub.get((g, i, f))
+
+
+def lookup_tables(base: FinCategory, pre: dict, post: dict, sub: dict) -> tuple[dict, dict, dict]:
+    """Total lookup dicts (pre, post, subst) that give exactly what safe_pre,
+    safe_post and safe_subst give on a structure that passed check_structure,
+    with an absent key for None. A base morphism routes through base
+    composition, as the dispatchers route it, so a stored entry keyed at one
+    is dropped."""
+    span, comp = base._span, base.comp
+    post_t = {k: v for k, v in post.items() if k[1] not in span}
+    post_t.update(comp)
+    pre_t = {k: v for k, v in pre.items() if k[0] not in span}
+    pre_t.update(((g, 1, f), h) for (g, f), h in comp.items())
+    sub_t = {k: v for k, v in sub.items() if k[0] not in span and k[2] not in span}
+    sub_t.update(((q, 1, f), h) for (q, f), h in post_t.items() if f not in span)
+    sub_t.update(pre_t)
+    return pre_t, post_t, sub_t
+
+
+def safe_j(self, f: Optional[str]) -> Optional[str]:
+    if f is None:
+        return None
+    return self.j.get(f)
+
+
+def multi_apply(self, f: str) -> str:
+    n = self.source.arity(f)
+    if n == 1:
+        return self.functor.on_mor(f)
+    try:
+        return self.maps[n][f]
+    except KeyError:
+        raise MalformedTable(f"{self.name}: no image for multimap {f}")
+
 
 # --------------------------------------------------------------------------
 # short multicategories
@@ -361,35 +432,35 @@ def skew_j_nat_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
         for g in m.multimaps(TIGHT, 2):
             if m.dom(g)[1] == b:
                 yield ("j-nat", ("g-pos2", g, p),
-                       lambda g=g, p=p: (m.safe_subst(g, 2, m.safe_j(p)), m.safe_pre(g, 2, p)))
+                       lambda g=g, p=p: (m.safe_subst(g, 2, safe_j(m, p)), m.safe_pre(g, 2, p)))
             if m.dom(g)[0] == b:
                 yield ("j-nat", ("g-pos1", g, p),
-                       lambda g=g, p=p: (m.safe_subst(g, 1, m.safe_j(p)),
-                                         m.safe_j(m.safe_pre(g, 1, p))))
+                       lambda g=g, p=p: (m.safe_subst(g, 1, safe_j(m, p)),
+                                         safe_j(m, m.safe_pre(g, 1, p))))
         for q in base.mors_out_of(b):
             yield ("j-nat", ("post", q, p),
-                   lambda q=q, p=p: (m.safe_post(q, m.safe_j(p)),
-                                     m.safe_j(base.compose_opt(q, p))))
+                   lambda q=q, p=p: (m.safe_post(q, safe_j(m, p)),
+                                     safe_j(m, base.compose_opt(q, p))))
         for g in m.multimaps(TIGHT, 2):
             if m.cod(g) == a:
                 yield ("j-nat", ("into-binary", p, g),
-                       lambda p=p, g=g: (m.safe_subst(m.safe_j(p), 1, g),
-                                         m.safe_j(m.safe_post(p, g))))
+                       lambda p=p, g=g: (m.safe_subst(safe_j(m, p), 1, g),
+                                         safe_j(m, m.safe_post(p, g))))
         for key in m.mapset_keys(LOOSE, 0):
             if key[1] != a:
                 continue
             for v in m.mapset(LOOSE, 0, *key):
                 yield ("j-nat", ("into-nullary", p, v),
-                       lambda p=p, v=v: (m.safe_subst(m.safe_j(p), 1, v),
+                       lambda p=p, v=v: (m.safe_subst(safe_j(m, p), 1, v),
                                          m.safe_post(p, v)))
     for g in m.multimaps(TIGHT, 2):
         a = m.dom(g)[0]
         yield ("j-derived", ("binary", g),
-               lambda g=g, a=a: (m.safe_j(g), m.safe_subst(g, 1, m.safe_j(base.identity(a)))))
+               lambda g=g, a=a: (safe_j(m, g), m.safe_subst(g, 1, safe_j(m, base.identity(a)))))
     for q in base.morphisms():
         a = base.dom(q)
         yield ("j-derived", ("unary", q),
-               lambda q=q, a=a: (m.safe_j(q), m.safe_post(q, m.safe_j(base.identity(a)))))
+               lambda q=q, a=a: (safe_j(m, q), m.safe_post(q, safe_j(m, base.identity(a)))))
 
 
 def skew_naturality_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
@@ -1086,7 +1157,7 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
             _, dom, cod = src.info(f)
             want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))
             checks.append(("morphism-typing", (f,),
-                           lambda f=f, want=want: (str(tgt.info(F.apply(f))), str(want))))
+                           lambda f=f, want=want: (str(tgt.info(multi_apply(F, f))), str(want))))
 
     # naturality: F(q o f) = F(q) o F(f) and F(f o_i p) = F(f) o_i F(p)
     for n in (0, 2, 3, 4):
@@ -1155,8 +1226,8 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
 
     for f in sorted(src.j):
         checks.append(("morphism-j", (f,),
-                       lambda f=f: (F.safe_apply(src.safe_j(f), LOOSE),
-                                    tgt.safe_j(F.safe_apply(f)))))
+                       lambda f=f: (F.safe_apply(safe_j(src, f), LOOSE),
+                                    safe_j(tgt, F.safe_apply(f)))))
 
     report = run_checks(F.name, checks)
     report.merge(base_report)

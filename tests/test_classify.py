@@ -130,6 +130,24 @@ def test_representability_flags():
         assert flag is expected, name
 
 
+def test_check_representable_visits_every_scope(monkeypatch):
+    """check_representable scans the 1 + k^2 maps u and theta(a,b) at every
+    slot of every arity 1-3 scope, k + 2k^2 + 3k^3 scopes on k objects. It
+    reports only the failing scopes, so the number of scans is what shows
+    that none is skipped."""
+    ms = catalogue_short_multis()
+    scans = []
+    real = classify.bijection_table
+    monkeypatch.setattr(classify, "bijection_table",
+                        lambda *args: scans.append(args) or real(*args))
+    for name, want in (("terminal", 12), ("z2", 170), ("heyting2", 170),
+                       ("poset2-second", 170), ("z3", 1020), ("klein", 3876)):
+        cert = certify(ms[name])
+        scans.clear()
+        check_representable(ms[name], cert)
+        assert len(scans) == want, name
+
+
 def test_closed_structures():
     ms = catalogue_short_multis()
     homs = find_closed_structure(ms["z2"])

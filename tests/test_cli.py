@@ -407,11 +407,12 @@ def test_braiding_roundtrip_induces_and_certifies_once(monkeypatch, capsys, tmp_
     """roundtrip on a braiding file transports the braiding over the skew
     induction of its own roundtrip: one induction and one certificate of
     the induced skew structure (the plain k-roundtrip certifies its own)."""
-    from shortcat import classify, induce
+    from shortcat import classify, induce, skewmon
     from shortcat.shortskew import ShortSkewMulticategory
 
-    induced, certified = [], []
+    induced, certified, validated = [], [], []
     real_induce, real_certify = induce.induce_short_skew, classify.certify
+    real_validate = skewmon.validate_skew_monoidal
 
     def counting_induce(c, name=None):
         induced.append(c.name)
@@ -421,10 +422,16 @@ def test_braiding_roundtrip_induces_and_certifies_once(monkeypatch, capsys, tmp_
         certified.append(isinstance(m, ShortSkewMulticategory))
         return real_certify(m)
 
+    def counting_validate(c):
+        validated.append(c.name)
+        return real_validate(c)
+
     monkeypatch.setattr(induce, "induce_short_skew", counting_induce)
     for name, mod in list(sys.modules.items()):
         if name.startswith("shortcat") and getattr(mod, "certify", None) is real_certify:
             monkeypatch.setattr(mod, "certify", counting_certify)
+        if name.startswith("shortcat") and getattr(mod, "validate_skew_monoidal", None) is real_validate:
+            monkeypatch.setattr(mod, "validate_skew_monoidal", counting_validate)
     path = tmp_path / "z2.sym.braiding.txt"
     path.write_text(_catalogue_text("z2", "braiding"))
     assert cli.main(["roundtrip", str(path)]) == cli.EXIT_PASS
@@ -433,6 +440,7 @@ def test_braiding_roundtrip_induces_and_certifies_once(monkeypatch, capsys, tmp_
     assert captured.err == ""
     assert induced == ["z2.sym"]
     assert certified == [True, False]
+    assert validated == ["z2.sym"]
 
 
 ROUNDTRIP_Z2_MON = """report z2.mon.roundtrip
@@ -463,6 +471,30 @@ def test_skew_monoidal_roundtrip_induces_once(monkeypatch, capsys, tmp_path):
     assert calls == ["induce_short_skew"]
 
 
+def test_short_skew_validate_builds_lookups_once(monkeypatch, capsys, tmp_path):
+    """validate on a short-skew file with swap tables checks the structure
+    and its swap tables on one set of lookup dicts."""
+    from functools import cached_property
+
+    from shortcat.shortmulti import MultiTables
+
+    built = []
+    real = MultiTables.lookups.func
+
+    def counting(self):
+        built.append(self.name)
+        return real(self)
+
+    lookups = cached_property(counting)
+    lookups.__set_name__(MultiTables, "lookups")
+    monkeypatch.setattr(MultiTables, "lookups", lookups)
+    path = tmp_path / "z2.skew.short-skew.txt"
+    path.write_text(_catalogue_text("z2", "short-skew"))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_PASS
+    assert "checked braiding-b32-nat" in capsys.readouterr().out
+    assert built == ["z2.skew"]
+
+
 def _catalogue_text(generator, kind):
     return serialize(next(sf for sf in catalogue_files(generator) if sf.kind == kind))
 
@@ -477,6 +509,8 @@ S_VALUE = "braiding component 1 at ('0', '0', '1') is not a morphism"
 POST_LINE = "post 1_0 m4(1,0,0,1;0) = m4(1,0,0,1;0)"
 BAD_POST_LINE = "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"
 AXIOM_FAILURE = "validation of the structure fails 10 instances; construct needs one that passes"
+ALPHA_LINE = "alpha 0 0 1 = 1_1"
+S_LINE = "s 0 0 1 = 1_1"
 BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,1,0;1)"
 BAD_BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,0,1;1)"
 PRE_LINE = "pre m2(0,0;0) 1 1_0 = m2(0,0;0)"
@@ -512,6 +546,22 @@ HOM_LINE = "hom 0 0 = 1_0"
     pytest.param("z2", "short-skew", lambda t: _replace_line(t, BETA43_LINE, BAD_BETA43_LINE),
                  ["construct", "--which", "braiding-forward"], 1, AXIOM_FAILURE,
                  id="swap-failure-construct-braiding-forward"),
+    # a braiding file is refused as validate judges its two halves: 20 failed
+    # instances whether the associator or the braiding is the broken one
+    *[pytest.param("z2", "braiding", lambda t, line=line: _replace_line(t, line, line[:-1] + "0"),
+                   command, 1,
+                   f"z2.sym: validation of the structure fails 20 instances; {command[0]} "
+                   f"needs one that passes", id=f"{line.split()[0]}-failure-{command[0]}-braiding")
+      for line in (ALPHA_LINE, S_LINE)
+      for command in (["construct", "--which", "braiding-backward"], ["roundtrip"])],
+    pytest.param("z2", "skew-monoidal", lambda t: _replace_line(t, ALPHA_LINE, "alpha 0 0 1 = 1_0"),
+                 ["roundtrip"], 1,
+                 "z2.mon: validation of the structure fails 10 instances; roundtrip needs one "
+                 "that passes", id="alpha-failure-roundtrip-skew-monoidal"),
+    pytest.param("heyting-2", "skew-closed", lambda t: _replace_line(t, "J 0 = 1_1", "J 0 = le"),
+                 ["roundtrip"], 1,
+                 "heyting2.cl: validation of the structure fails 3 instances; roundtrip needs "
+                 "one that passes", id="j-failure-roundtrip-skew-closed"),
     pytest.param("z2", "short-multi",
                  lambda t: _replace_line(t, PRE_LINE, "pre m2(0,0;0) 1 1_0 = zzz\n" + PRE_LINE),
                  ["validate"], 2,
@@ -530,8 +580,8 @@ def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, comma
                                           message):
     """A key that names no object, a braiding value that names no morphism, a
     key or an object given twice (exit 2) and a structure that fails its axioms under
-    certify or construct (exit 1) each end in one error line, never in an
-    internal error."""
+    certify, construct or roundtrip (exit 1) each end in one error line, never in
+    an internal error."""
     path = tmp_path / f"bad.{kind}.txt"
     path.write_text(edit(_catalogue_text(generator, kind)))
     out = run_cli(command[0], str(path), *command[1:])

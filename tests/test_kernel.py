@@ -5,6 +5,8 @@ the completeness redirects and on hand-built inputs where a totality error
 and a dangling value meet."""
 import argparse
 import dataclasses
+import functools
+import itertools
 
 import pytest
 
@@ -114,6 +116,45 @@ def test_kernel_matches_reference(group):
         tried += 1
     assert tried >= {"catalogue": 10, "cyclic": 6, "mutants": 30}.get(group, 40)
     assert not differ, differ
+
+
+def _lookup_differences(x, keys):
+    """The keys, over every pair and triple (slots 0-5) of the ids of x with
+    None and an unknown id among them, where the lookups of x differ from
+    the former per-call routing. keys keeps the pairs and triples of the
+    last id set, which the redirects of one structure share."""
+    ids = tuple(sorted(x._index)) + (None, "nowhere")
+    if ids not in keys:
+        keys.clear()
+        pairs = list(itertools.product(ids, repeat=2))
+        keys[ids] = pairs, [(g, i, f) for g, f in pairs for i in range(6)]
+    pairs, triples = keys[ids]
+    differ = []
+    for fn, table, domain in (("safe_pre", 0, triples), ("safe_post", 1, pairs),
+                              ("safe_subst", 2, triples)):
+        want = list(itertools.starmap(functools.partial(getattr(ref, fn), x), domain))
+        got = list(map(x.lookups[table].get, domain))
+        if got != want:
+            differ += [(fn, key) for key, a, b in zip(domain, got, want) if a != b]
+    return differ
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_lookups_match_reference(group):
+    """MultiTables.lookups equals the former lookup_tables and gives what the
+    former safe_pre, safe_post and safe_subst give on every pair and triple
+    of ids: on each structure of the group, all of which pass
+    check_structure, and on the plain-as-skew view of each catalogue one."""
+    tried, keys = 0, {}
+    for name, m in _structures(group):
+        m.check_structure()
+        views = (m, m.as_skew) if group == "catalogue" and isinstance(m, ShortMulticategory) else (m,)
+        for x in views:
+            assert x.lookups == ref.lookup_tables(x.base, x.pre, x.post, x.sub), name
+            differ = _lookup_differences(x, keys)
+            assert not differ, (name, x.name, differ[:5])
+            tried += 1
+    assert tried >= {"catalogue": 19, "cyclic": 6, "mutants": 30}.get(group, 40)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,9 @@
 import dataclasses
 
-import pytest
-
 from shortcat.catalogue import (
     catalogue_morphisms, catalogue_short_multis, monoid_short_multi,
     terminal_short_multi, z2_monoid,
 )
-from shortcat.errors import UnsupportedSubstitution
 from shortcat.shortmulti import (
     validate_multi_morphism, validate_short_multicategory,
 )
@@ -15,30 +12,29 @@ from shortcat.shortmulti import (
 def test_unary_identity_substitution_is_identity_action():
     m = monoid_short_multi(z2_monoid())
     g = "m2(0,1;1)"
-    assert m.subst(g, 2, "1_1") == g
-    assert m.subst(g, 1, "1_0") == g
+    assert m.safe_subst(g, 2, "1_1") == g
+    assert m.safe_subst(g, 1, "1_0") == g
 
 
 def test_terminal_substitution_always_lands_in_the_unique_map():
     m = terminal_short_multi()
     g = "m2(o,o;o)"
-    assert m.subst(g, 1, g) == "m3(o,o,o;o)"
-    assert m.subst(g, 2, "m0(;o)") == "1_o"
-    assert m.subst("m3(o,o,o;o)", 3, g) == "m4(o,o,o,o;o)"
+    assert m.safe_subst(g, 1, g) == "m3(o,o,o;o)"
+    assert m.safe_subst(g, 2, "m0(;o)") == "1_o"
+    assert m.safe_subst("m3(o,o,o;o)", 3, g) == "m4(o,o,o,o;o)"
 
 
 def test_z2_binary_into_binary_tracks_mod2_sum():
     m = monoid_short_multi(z2_monoid())
     g = "m2(1,1;0)"    # 1+1 = 0
     f = "m2(1,0;1)"    # lands in slot 1
-    assert m.subst(g, 1, f) == "m3(1,0,1;0)"
-    assert m.subst(g, 2, f) == "m3(1,1,0;0)"
+    assert m.safe_subst(g, 1, f) == "m3(1,0,1;0)"
+    assert m.safe_subst(g, 2, f) == "m3(1,1,0;0)"
 
 
-def test_unsupported_case_raises():
+def test_unsupported_case_is_undefined():
     m = monoid_short_multi(z2_monoid())
-    with pytest.raises(UnsupportedSubstitution):
-        m.subst("m3(0,0,0;0)", 1, "m3(0,0,0;0)")  # ternary into ternary
+    assert m.safe_subst("m3(0,0,0;0)", 1, "m3(0,0,0;0)") is None  # ternary into ternary
 
 
 def test_terminal_validates_with_positive_counts():
@@ -75,12 +71,12 @@ def test_subst_agrees_with_actions_on_unary_arguments():
         for n in (0, 2, 3):
             for f in m.multimaps(n):
                 for q in m.base.mors_out_of(m.cod(f)):
-                    assert m.subst(q, 1, f) == m.act_post(q, f)
+                    assert m.safe_subst(q, 1, f) == m.safe_post(q, f) is not None
             for f in m.multimaps(max(n, 2)):
                 dom = m.dom(f)
                 for i in range(1, len(dom) + 1):
                     for p in m.base.mors_into(dom[i - 1]):
-                        assert m.subst(f, i, p) == m.act_pre(f, i, p)
+                        assert m.safe_subst(f, i, p) == m.safe_pre(f, i, p) is not None
 
 
 def test_catalogue_morphisms_validate():
