@@ -44,8 +44,9 @@ class MultiTables:
     A subclass is a frozen dataclass with `name`, `base`, `pre`, `post`,
     `sub` and `_index` (id -> (arity, domain, codomain, ...)). It supplies
     `table_maps`, `required_sub_keys`, `_tables` (its multimap tables by
-    arity, for the key-shape check) and `_stored` (whether (g, i, f), both
-    ids known, is a stored substitution case). The routing rule is written
+    arity, for the key-shape check) and `_CASE_OF`, which maps the arities
+    of an outer and an inner id (with their flavours, when `_FLAVOURED`) to
+    the stored substitution case they fall in. The routing rule is written
     once, in `lookups`: a base morphism, the only tight unary map, composes
     in the base, and every other id reads the pre, post and sub tables.
     `safe_pre`, `safe_post`, `safe_subst` and the validators all read those
@@ -113,10 +114,11 @@ class MultiTables:
             for q in out_of.get(idx[f][2], ()):
                 yield (q, f)
 
-    def _check_tables(self) -> None:
+    def _check_tables(self) -> list[tuple]:
         """The structure checks both structures share: the base, key shapes,
         dangling ids, slot range, composability, stored cases and totality.
-        Each loop reads the index and the base spans directly."""
+        Each loop reads the index and the base spans directly. Returns the
+        stored case of each sub entry, in table order."""
         self.base.check_structure()
         name, idx, span = self.name, self._index, self.base._span
         objects = set(self.base.objects)
@@ -132,7 +134,7 @@ class MultiTables:
                 raise DanglingId(f"{name}: pre entry ({f},{i},{p}) dangles")
             n, dom = idx[f][:2]
             if not 1 <= i <= n:
-                check_slot(name, "pre", (f, i, p), i, n)
+                raise MalformedTable(f"{name}: pre key ({f},{i},{p}) has slot {i} outside 1..{n}")
             if p not in span or span[p][1] != dom[i - 1]:
                 raise MalformedTable(f"{name}: pre key ({f},{i},{p}) not composable")
         for (q, f), g in self.post.items():
@@ -140,23 +142,27 @@ class MultiTables:
                 raise DanglingId(f"{name}: post entry ({q},{f}) dangles")
             if q not in span or span[q][0] != idx[f][2]:
                 raise MalformedTable(f"{name}: post key ({q},{f}) not composable")
-        stored = self._stored
+        case_of, flavoured, cases = self._CASE_OF, self._FLAVOURED, []
         for (g, i, f), h in self.sub.items():
             if g not in idx or f not in idx or h not in idx:
                 raise DanglingId(f"{name}: sub entry ({g},{i},{f}) dangles")
-            n, dom = idx[g][:2]
+            gi, fi = idx[g], idx[f]
+            n = gi[0]
             if not 1 <= i <= n:
-                check_slot(name, "sub", (g, i, f), i, n)
-            if not stored(g, i, f):
+                raise MalformedTable(f"{name}: sub key ({g},{i},{f}) has slot {i} outside 1..{n}")
+            case = case_of.get((n, gi[3], fi[0], fi[3]) if flavoured else (n, fi[0]))
+            if case is None:
                 raise MalformedTable(f"{name}: sub key ({g},{i},{f}) outside stored cases")
-            if idx[f][2] != dom[i - 1]:
+            if fi[2] != gi[1][i - 1]:
                 raise MalformedTable(f"{name}: sub key ({g},{i},{f}) not composable")
+            cases.append(case)
         for label, table, keys in (("pre", self.pre, self.required_pre_keys()),
                                    ("post", self.post, self.required_post_keys()),
                                    ("sub", self.sub, self.required_sub_keys())):
             for key in keys:
                 if key not in table:
                     raise MalformedTable(f"{name}: {label} table not total at {key}")
+        return cases
 
 
 @dataclass(frozen=True)
@@ -217,9 +223,12 @@ class ShortMulticategory(MultiTables):
     @cached_property
     def as_skew(self) -> ShortSkewMulticategory:
         """The plain-as-skew view (shortskew.embed_plain), built on first use
-        and kept like the adjacency above."""
+        and kept like the adjacency above. It shares this structure's lookups:
+        embed_plain keeps the base, pre, post and sub they are built from."""
         from .shortskew import embed_plain
-        return embed_plain(self)
+        view = embed_plain(self)
+        object.__setattr__(view, "lookups", self.lookups)
+        return view
 
     def multimaps(self, n: int) -> tuple[str, ...]:
         if n == 1:
@@ -244,8 +253,8 @@ class ShortMulticategory(MultiTables):
     def _tables(self) -> Iterable[tuple[int, dict]]:
         return self.maps.items()
 
-    def _stored(self, g: str, i: int, f: str) -> bool:
-        return (self._index[g][0], self._index[f][0]) in STORED_CASES
+    _CASE_OF = {case: case for case in STORED_CASES}
+    _FLAVOURED = False
 
     def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
         for (n, k) in sorted(STORED_CASES):
@@ -253,21 +262,6 @@ class ShortMulticategory(MultiTables):
 
     def check_structure(self) -> None:
         self._check_tables()
-
-
-def check_slot(name: str, table: str, key: tuple, i: int, arity: int) -> None:
-    """A pre or sub key substitutes at slot i of a map with `arity` inputs."""
-    if not 1 <= i <= arity:
-        raise MalformedTable(
-            f"{name}: {table} key ({','.join(map(str, key))}) has slot {i} "
-            f"outside 1..{arity}")
-
-
-def expected_sub_type(m: ShortMulticategory, g: str, i: int, f: str) -> tuple[int, tuple[str, ...], str]:
-    n, gdom, gcod = m.info(g)
-    k, fdom, _ = m.info(f)
-    dom = gdom[:i - 1] + fdom + gdom[i:]
-    return (n + k - 1, dom, gcod)
 
 
 # --------------------------------------------------------------------------
@@ -307,23 +301,23 @@ def identity_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCatego
 def profunctor_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCategory,
                       pre: dict, post: dict, report: ValidationReport) -> None:
     """Functoriality and commutation of the pre/post actions on `maps`."""
-    span, comp, into, out_of = base._span, base.comp, base.mors_into, base.mors_out_of
+    span, comp, (_, into, out_of) = base._span, base.comp, base._adjacency
     pget, qget, fail = pre.get, post.get, report.fail
     count = 0
     for n, f in maps:
         dom, cod = info[f][1], info[f][2]
-        outs = out_of(cod)
+        outs = out_of.get(cod, ())
         for q in outs:
             qf = qget((q, f))
-            for q2 in out_of(span[q][1]):
+            for q2 in out_of.get(span[q][1], ()):
                 lhs, rhs = qget((q2, qf)), qget((comp[(q2, q)], f))
                 if lhs != rhs or lhs is None:
                     fail("profunctor", ("post-post", q2, q, f), lhs, rhs)
                 count += 1
         for i in range(1, n + 1):
-            for p in into(dom[i - 1]):
+            for p in into.get(dom[i - 1], ()):
                 fp = pget((f, i, p))
-                for p2 in into(span[p][0]):
+                for p2 in into.get(span[p][0], ()):
                     lhs, rhs = pget((fp, i, p2)), pget((f, i, comp[(p, p2)]))
                     if lhs != rhs or lhs is None:
                         fail("profunctor", ("pre-pre", f, str(i), p, p2), lhs, rhs)
@@ -336,9 +330,9 @@ def profunctor_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCate
                     fail("profunctor", ("pre-post", q, f, str(i), p), lhs, rhs)
                 count += 1
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            for p in into(dom[i - 1]):
+            for p in into.get(dom[i - 1], ()):
                 fp = pget((f, i, p))
-                for p2 in into(dom[j - 1]):
+                for p2 in into.get(dom[j - 1], ()):
                     lhs, rhs = pget((fp, j, p2)), pget((pget((f, j, p2)), i, p))
                     if lhs != rhs or lhs is None:
                         fail("profunctor", ("pre-commute", f, str(i), p, str(j), p2), lhs, rhs)
@@ -351,18 +345,18 @@ def naturality_checks(cases: Iterable[tuple], info: dict, base: FinCategory,
     """Naturality of each stored substitution in every variable, and
     dinaturality in the substituted one. A case is (subject prefix, outer
     arity n, inner arity k, its composable (g, i, f), its outer maps, and a
-    function from an object to the inner maps of arity k into it)."""
-    span, into, out_of = base._span, base.mors_into, base.mors_out_of
+    dict from an object to the inner maps of arity k into it)."""
+    span, (_, into, out_of) = base._span, base._adjacency
     pget, qget, sget, fail = pre.get, post.get, sub.get, report.fail
     na = nb = nc = dinat = 0
-    for tag, n, k, pairs, outers, inner_into in cases:
+    for tag, n, k, pairs, outers, inner in cases:
         for g, i, f in pairs:
             gdom, gcod = info[g][1], info[g][2]
             fdom = info[f][1]
             gif = sget((g, i, f))
             # naturality in the inner domain objects
             for t in range(1, k + 1):
-                for p in into(fdom[t - 1]):
+                for p in into.get(fdom[t - 1], ()):
                     lhs, rhs = sget((g, i, pget((f, t, p)))), pget((gif, i - 1 + t, p))
                     if lhs != rhs or lhs is None:
                         fail("nat-in-a", tag + (g, str(i), f, str(t), p), lhs, rhs)
@@ -372,13 +366,13 @@ def naturality_checks(cases: Iterable[tuple], info: dict, base: FinCategory,
                 if j == i:
                     continue
                 pos = j if j < i else j + k - 1
-                for p in into(gdom[j - 1]):
+                for p in into.get(gdom[j - 1], ()):
                     lhs, rhs = sget((pget((g, j, p)), i, f)), pget((gif, pos, p))
                     if lhs != rhs or lhs is None:
                         fail("nat-in-b", tag + (g, str(i), f, str(j), p), lhs, rhs)
                     nb += 1
             # naturality in the codomain
-            for q in out_of(gcod):
+            for q in out_of.get(gcod, ()):
                 lhs, rhs = qget((q, gif)), sget((qget((q, g)), i, f))
                 if lhs != rhs or lhs is None:
                     fail("nat-in-c", tag + (q, g, str(i), f), lhs, rhs)
@@ -388,9 +382,9 @@ def naturality_checks(cases: Iterable[tuple], info: dict, base: FinCategory,
         for gp in outers:
             gpdom = info[gp][1]
             for i in range(1, n + 1):
-                for w in into(gpdom[i - 1]):
+                for w in into.get(gpdom[i - 1], ()):
                     gw = pget((gp, i, w))
-                    for f in inner_into(span[w][0]):
+                    for f in inner.get(span[w][0], ()):
                         lhs, rhs = sget((gw, i, f)), sget((gp, i, qget((w, f))))
                         if lhs != rhs or lhs is None:
                             fail("dinat-in-b", tag + (gp, str(i), w, f), lhs, rhs)
@@ -447,36 +441,38 @@ def assoc_checks(binaries: Iterable[str], info: dict, maps_into: Callable[[int, 
 
 
 def _typing_checks(m: ShortMulticategory, report: ValidationReport) -> None:
-    info, span = m._index, m.base._span
-    for key in sorted(m.pre):
-        f, i, p = key
+    # The tables are walked unsorted: each key gives its own subjects, so
+    # finish() sorts the failures into the same report.
+    info, span, fail = m._index, m.base._span, report.fail
+    for (f, i, p), g in m.pre.items():
         n, dom, cod = info[f]
         want = (n, dom[:i - 1] + (span[p][0],) + dom[i:], cod)
-        have = info[m.pre[key]]
+        have = info[g]
         if have != want:
-            report.fail("typing", ("pre", f, str(i), p), str(have), str(want))
-    for key in sorted(m.post):
-        q, f = key
+            fail("typing", ("pre", f, str(i), p), str(have), str(want))
+    for (q, f), g in m.post.items():
         n, dom, _ = info[f]
         want = (n, dom, span[q][1])
-        have = info[m.post[key]]
+        have = info[g]
         if have != want:
-            report.fail("typing", ("post", q, f), str(have), str(want))
-    for key in sorted(m.sub):
-        want = expected_sub_type(m, *key)
-        have = info[m.sub[key]]
+            fail("typing", ("post", q, f), str(have), str(want))
+    for (g, i, f), h in m.sub.items():
+        n, gdom, gcod = info[g]
+        k, fdom, _ = info[f]
+        want = (n + k - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
+        have = info[h]
         if have != want:
-            g, i, f = key
-            report.fail("typing", ("sub", g, str(i), f), str(have), str(want))
+            fail("typing", ("sub", g, str(i), f), str(have), str(want))
     tally(report, "typing", len(m.pre) + len(m.post) + len(m.sub))
 
 
 def _sub_pairs(m: ShortMulticategory, n: int, k: int) -> Iterator[tuple[str, int, str]]:
     """All composable (g, i, f) with arity(g)=n, arity(f)=k."""
+    idx, by_cod = m._index, m._by_cod
     for g in m.multimaps(n):
-        dom = m.dom(g)
+        dom = idx[g][1]
         for i in range(1, n + 1):
-            for f in m.maps_into(k, dom[i - 1]):
+            for f in by_cod.get((k, dom[i - 1]), ()):
                 yield g, i, f
 
 
@@ -486,7 +482,8 @@ def validate_short_multicategory(m: ShortMulticategory) -> ValidationReport:
     base, info = m.base, m._index
     pre, post, sub = m.lookups
     cases = [((), n, k, _sub_pairs(m, n, k), m.multimaps(n),
-              lambda x, k=k: m.maps_into(k, x)) for n, k in sorted(STORED_CASES)]
+              {x: fs for (a, x), fs in m._by_cod.items() if a == k})
+             for n, k in sorted(STORED_CASES)]
     report = ValidationReport(m.name)
     _typing_checks(m, report)
     identity_checks(m.table_maps, info, base, pre, post, report)

@@ -183,22 +183,24 @@ class ShortSkewMulticategory(MultiTables):
                         arity.setdefault(f, n)
         return tuple((n, f) for f, n in arity.items())
 
-    def inner_into(self, flavour: str, k: int, cod: str) -> tuple[str, ...]:
-        """maps_into without the loose unary ids that are base morphisms:
-        substituting one routes through the pre-action."""
-        fs = self.maps_into(flavour, k, cod)
-        if k == 1 and flavour == LOOSE:
-            return tuple(f for f in fs if f not in self.base._span)
-        return fs
+    def inner_maps(self, flavour: str, k: int) -> dict[str, tuple[str, ...]]:
+        """Object -> the multimaps of a flavour and arity k into it that
+        substitute through the sub table: maps_into without the loose unary
+        ids that are base morphisms, which route through the pre-action."""
+        routed = self.base._span if (flavour, k) == (LOOSE, 1) else ()
+        return {cod: tuple(f for f in fs if f not in routed)
+                for (fl, n, cod), fs in self._by_cod.items() if fl == flavour and n == k}
 
     def sub_pairs(self, case: tuple[int, str, int, str]) -> Iterator[tuple[str, int, str]]:
         n, x, k, y = case
+        idx, inner = self._index, self.inner_maps(y, k)
         for g in self.multimaps(x, n):
-            if n == 1 and self.is_tight(g):
+            if n == 1 and TIGHT in idx[g][3]:
                 continue  # shared id: substitution into it routes through post-action
-            dom = self.dom(g)
+            dom = idx[g][1]
             for i in range(1, n + 1):
-                yield from ((g, i, f) for f in self.inner_into(y, k, dom[i - 1]))
+                for f in inner.get(dom[i - 1], ()):
+                    yield g, i, f
 
     def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
         for case in sorted(STORED_SKEW_CASES):
@@ -207,15 +209,15 @@ class ShortSkewMulticategory(MultiTables):
     def _tables(self) -> Iterator[tuple[int, dict]]:
         return itertools.chain(self.tight.items(), self.loose.items())
 
-    def _stored(self, g: str, i: int, f: str) -> bool:
-        return self.sub_case(g, i, f) is not None
+    _CASE_OF = _CASE_OF
+    _FLAVOURED = True
 
     def check_structure(self) -> None:
         """The shared table checks, then j and the tight/loose table of each
-        sub result."""
-        self._check_tables()
-        name, idx = self.name, self._index
-        for f, q in self.j.items():
+        sub result, read off the stored case the shared checks found."""
+        cases = self._check_tables()
+        name, idx, j = self.name, self._index, self.j
+        for f, q in j.items():
             if f not in idx or q not in idx:
                 raise DanglingId(f"{name}: j entry {f} -> {q} dangles")
             if TIGHT not in idx[f][3] or idx[f][0] not in (1, 2):
@@ -224,10 +226,9 @@ class ShortSkewMulticategory(MultiTables):
                 raise TypingViolation(f"{name}: j({f}) = {q} is not loose")
         for n in (1, 2):
             for f in self.multimaps(TIGHT, n):
-                if f not in self.j:
+                if f not in j:
                     raise MalformedTable(f"{name}: j not total at {f}")
-        for (g, i, f), h in self.sub.items():
-            _, x, _, y = self.sub_case(g, i, f)
+        for ((g, i, f), h), (_, x, _, y) in zip(self.sub.items(), cases):
             if sub_flavour(x, i, y) not in idx[h][3]:
                 raise TypingViolation(
                     f"{name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
@@ -260,31 +261,33 @@ def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
 # --------------------------------------------------------------------------
 
 def _typing_checks(m: ShortSkewMulticategory, report: ValidationReport) -> None:
-    info, span = m._index, m.base._span
-    for key in sorted(m.pre):
-        f, i, p = key
+    # The tables are walked unsorted: each key gives its own subjects, so
+    # finish() sorts the failures into the same report.
+    info, span, fail = m._index, m.base._span, report.fail
+    for (f, i, p), g in m.pre.items():
         n, dom, cod, fl = info[f]
         want = (n, dom[:i - 1] + (span[p][0],) + dom[i:], cod)
-        have = info[m.pre[key]]
+        have = info[g]
         if have[:3] != want or not fl <= have[3]:
-            report.fail("typing", ("pre", f, str(i), p),
-                        str(have[:3] + (fl <= have[3],)), str(want + (True,)))
-    for key in sorted(m.post):
-        q, f = key
+            fail("typing", ("pre", f, str(i), p),
+                 str(have[:3] + (fl <= have[3],)), str(want + (True,)))
+    for (q, f), g in m.post.items():
         n, dom, _, fl = info[f]
         want = (n, dom, span[q][1])
-        have = info[m.post[key]]
+        have = info[g]
         if have[:3] != want or not fl <= have[3]:
-            report.fail("typing", ("post", q, f),
-                        str(have[:3] + (fl <= have[3],)), str(want + (True,)))
-    for key in sorted(m.sub):
-        g, i, f = key
-        n, dom, cod, flavour = expected_skew_sub_type(m, g, i, f, m.sub_case(g, i, f))
-        want = (n, dom, cod)
-        have = info[m.sub[key]]
+            fail("typing", ("post", q, f),
+                 str(have[:3] + (fl <= have[3],)), str(want + (True,)))
+    for (g, i, f), h in m.sub.items():
+        n, gdom, gcod, xs = info[g]
+        k, fdom, _, ys = info[f]
+        _, x, _, y = _CASE_OF[(n, xs, k, ys)]
+        flavour = sub_flavour(x, i, y)
+        want = (n + k - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
+        have = info[h]
         if have[:3] != want or flavour not in have[3]:
-            report.fail("typing", ("sub", g, str(i), f),
-                        str(have[:3] + (flavour in have[3],)), str(want + (True,)))
+            fail("typing", ("sub", g, str(i), f),
+                 str(have[:3] + (flavour in have[3],)), str(want + (True,)))
     tally(report, "typing", len(m.pre) + len(m.post) + len(m.sub))
 
 
@@ -348,8 +351,7 @@ def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
     base, info = m.base, m._index
     pre, post, sub = m.lookups
     cases = [((f"{x}{n}-{y}{k}",), n, k, m.sub_pairs((n, x, k, y)), m.multimaps(x, n),
-              lambda c, y=y, k=k: m.inner_into(y, k, c))
-             for n, x, k, y in sorted(STORED_SKEW_CASES)]
+              m.inner_maps(y, k)) for n, x, k, y in sorted(STORED_SKEW_CASES)]
     # associativity ranges over tight maps and loose nullary ones, in id order
     pools: dict[tuple[int, str], list[str]] = {}
     for g in m.multimaps(LOOSE, 0) + m.multimaps(TIGHT, 2):

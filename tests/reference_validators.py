@@ -34,7 +34,9 @@ tests/test_kernel.py compares MultiTables.lookups with, and the former
 ShortSkewMulticategory.safe_j and MultiMorphism.apply, which the reference
 validators call. Each body is verbatim, taking the structure or morphism as
 `self`; safe_subst calls the reference safe_pre and safe_post, not the
-package's methods.
+package's methods. The former enumeration and typing helpers follow them
+(sub_pairs, the required keys, check_slot and the expected sub types), so
+the reference does not enumerate through the code it checks.
 """
 from __future__ import annotations
 
@@ -55,12 +57,9 @@ from shortcat.fileformat import KINDS, FORMAT_VERSION, RawLaxFunctor, RawMorphis
 from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
 from shortcat.induce import _Bracketer, _wrap
 from shortcat.report import Check, ValidationReport, run_checks
-from shortcat.shortmulti import (
-    STORED_CASES, MultiMorphism, ShortMulticategory, _sub_pairs, check_slot, expected_sub_type,
-)
+from shortcat.shortmulti import STORED_CASES, MultiMorphism, ShortMulticategory
 from shortcat.shortskew import (
-    LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, SkewMultiMorphism,
-    expected_skew_sub_type, sub_flavour,
+    LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, SkewMultiMorphism, sub_flavour,
 )
 from shortcat.skewmon import (
     Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
@@ -128,6 +127,94 @@ def multi_apply(self, f: str) -> str:
         return self.maps[n][f]
     except KeyError:
         raise MalformedTable(f"{self.name}: no image for multimap {f}")
+
+
+# --------------------------------------------------------------------------
+# enumeration and typing helpers
+# --------------------------------------------------------------------------
+# The former helpers that the reference validators, induce_short_multi and
+# check_structure below call: _sub_pairs, check_slot and expected_sub_type of
+# shortmulti.py, expected_skew_sub_type of shortskew.py, and the former
+# methods inner_into, sub_pairs, required_pre_keys, required_post_keys and
+# required_sub_keys, taking the structure as `self`. Each body is verbatim
+# (required_sub_keys holds the bodies of both classes), so the reference
+# enumerates the substitution pairs and the required keys on its own and a
+# slip in the package's enumeration shows as a difference.
+
+def _sub_pairs(m: ShortMulticategory, n: int, k: int) -> Iterator[tuple[str, int, str]]:
+    """All composable (g, i, f) with arity(g)=n, arity(f)=k."""
+    for g in m.multimaps(n):
+        dom = m.dom(g)
+        for i in range(1, n + 1):
+            for f in m.maps_into(k, dom[i - 1]):
+                yield g, i, f
+
+
+def inner_into(self, flavour: str, k: int, cod: str) -> tuple[str, ...]:
+    """maps_into without the loose unary ids that are base morphisms:
+    substituting one routes through the pre-action."""
+    fs = self.maps_into(flavour, k, cod)
+    if k == 1 and flavour == LOOSE:
+        return tuple(f for f in fs if f not in self.base._span)
+    return fs
+
+
+def sub_pairs(self, case: tuple[int, str, int, str]) -> Iterator[tuple[str, int, str]]:
+    n, x, k, y = case
+    for g in self.multimaps(x, n):
+        if n == 1 and self.is_tight(g):
+            continue  # shared id: substitution into it routes through post-action
+        dom = self.dom(g)
+        for i in range(1, n + 1):
+            yield from ((g, i, f) for f in inner_into(self, y, k, dom[i - 1]))
+
+
+def required_pre_keys(self) -> Iterator[tuple[str, int, str]]:
+    idx, into = self._index, self.base._adjacency[1]
+    for n, f in self.table_maps:
+        dom = idx[f][1]
+        for i in range(1, n + 1):
+            for p in into.get(dom[i - 1], ()):
+                yield (f, i, p)
+
+
+def required_post_keys(self) -> Iterator[tuple[str, str]]:
+    idx, out_of = self._index, self.base._adjacency[2]
+    for _, f in self.table_maps:
+        for q in out_of.get(idx[f][2], ()):
+            yield (q, f)
+
+
+def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
+    if isinstance(self, ShortSkewMulticategory):
+        for case in sorted(STORED_SKEW_CASES):
+            yield from sub_pairs(self, case)
+    else:
+        for (n, k) in sorted(STORED_CASES):
+            yield from _sub_pairs(self, n, k)
+
+
+def check_slot(name: str, table: str, key: tuple, i: int, arity: int) -> None:
+    """A pre or sub key substitutes at slot i of a map with `arity` inputs."""
+    if not 1 <= i <= arity:
+        raise MalformedTable(
+            f"{name}: {table} key ({','.join(map(str, key))}) has slot {i} "
+            f"outside 1..{arity}")
+
+
+def expected_sub_type(m: ShortMulticategory, g: str, i: int, f: str) -> tuple[int, tuple[str, ...], str]:
+    n, gdom, gcod = m.info(g)
+    k, fdom, _ = m.info(f)
+    dom = gdom[:i - 1] + fdom + gdom[i:]
+    return (n + k - 1, dom, gcod)
+
+
+def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
+                           case: tuple[int, str, int, str]) -> tuple[int, tuple[str, ...], str, str]:
+    n, x, k, y = case
+    gdom, gcod = m.dom(g), m.cod(g)
+    dom = gdom[:i - 1] + m.dom(f) + gdom[i:]
+    return (n + k - 1, dom, gcod, sub_flavour(x, i, y))
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +447,7 @@ def skew_typing_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
     def sub_t(g, i, f):
         def thunk():
             h = m.sub[(g, i, f)]
-            case = m.sub_case(g, i, f)
+            case = sub_case(m, g, i, f)
             n, dom, cod, flavour = expected_skew_sub_type(m, g, i, f, case)
             have = m.info(h)
             return (str((have[0], have[1], have[2], flavour in have[3])),
@@ -468,7 +555,7 @@ def skew_naturality_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
     for case in sorted(STORED_SKEW_CASES):
         n, x, k, y = case
         tag = f"{x}{n}-{y}{k}"
-        for g, i, f in m.sub_pairs(case):
+        for g, i, f in sub_pairs(m, case):
             fdom, gdom, gcod = m.dom(f), m.dom(g), m.cod(g)
             for t in range(1, k + 1):
                 for p in base.mors_into(fdom[t - 1]):
@@ -1219,7 +1306,7 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
                                                       tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
 
     for case in sorted(STORED_SKEW_CASES):
-        for g, i, f in src.sub_pairs(case):
+        for g, i, f in sub_pairs(src, case):
             checks.append(("morphism-sub", (g, str(i), f),
                            lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
                                                   tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
@@ -1273,18 +1360,18 @@ def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortM
 
     skeleton = ShortMulticategory(name, base, maps, {}, {}, {})
     pre = {}
-    for (f, i, p) in skeleton.required_pre_keys():
+    for (f, i, p) in required_pre_keys(skeleton):
         n, dom, cod = skeleton.info(f)
         newdom = dom[:i - 1] + (base.dom(p),) + dom[i:]
         pre[(f, i, p)] = rewrap(n, newdom, cod,
                                 base.compose(under[f], br.slot_mor(newdom, i, p)))
     post = {}
-    for (q, f) in skeleton.required_post_keys():
+    for (q, f) in required_post_keys(skeleton):
         n, dom, _ = skeleton.info(f)
         post[(q, f)] = rewrap(n, dom, base.cod(q), base.compose(q, under[f]))
 
     sub = {}
-    for (g, i, f) in skeleton.required_sub_keys():
+    for (g, i, f) in required_sub_keys(skeleton):
         ng, gdom, gcod = skeleton.info(g)
         nf, fdom, _ = skeleton.info(f)
         prefix, suffix = gdom[:i - 1], gdom[i:]
@@ -1520,9 +1607,9 @@ def check_structure(m) -> None:
             raise MalformedTable(f"{m.name}: sub key ({g},{i},{f}) outside stored cases")
         if m.cod(f) != m.dom(g)[i - 1]:
             raise MalformedTable(f"{m.name}: sub key ({g},{i},{f}) not composable")
-    for label, table, keys in (("pre", m.pre, m.required_pre_keys()),
-                               ("post", m.post, m.required_post_keys()),
-                               ("sub", m.sub, m.required_sub_keys())):
+    for label, table, keys in (("pre", m.pre, required_pre_keys(m)),
+                               ("post", m.post, required_post_keys(m)),
+                               ("sub", m.sub, required_sub_keys(m))):
         for key in keys:
             if key not in table:
                 raise MalformedTable(f"{m.name}: {label} table not total at {key}")

@@ -1,8 +1,9 @@
 """The table-driven serializer, the lean structure checks and the
 ROWS-driven parser against their former versions in reference_validators.py:
 the same bytes from serialize, the same exception type and message, or none,
-from check_structure and sub_case, and the same outcome from parse apart
-from the three rules the format gained."""
+from check_structure (on line edits of files and on pairs of faults) and
+sub_case, and the same outcome from parse apart from the three rules the
+format gained."""
 import collections
 import dataclasses
 import itertools
@@ -12,16 +13,16 @@ import pytest
 
 import reference_validators as ref
 from shortcat import cli
-from shortcat.catalogue import catalogue_short_skews
+from shortcat.catalogue import catalogue_short_skews, poset2_first_short_skew
 from shortcat.classify import certify
 from shortcat.errors import ParseError, ShortcatError
 from shortcat.fileformat import (
     ROWS, RawLaxFunctor, StructureFile, parse, serialize, unbind_morphism,
 )
-from shortcat.shortskew import identity_skew_morphism
+from shortcat.shortskew import LOOSE, TIGHT, ShortSkewMulticategory, identity_skew_morphism
 from shortcat.skewmon import identity_lax_functor
 from shortcat.transport import k_object, ks_object
-from test_kernel import _cyclic_files
+from test_kernel import _cyclic, _cyclic_files
 
 
 def _constructed(files):
@@ -149,6 +150,84 @@ def test_sub_case_matches_reference():
                 assert m.sub_case(g, i, f) == ref.sub_case(m, g, i, f), (m.name, g, i, f)
                 tried += 1
     assert tried > 1000
+
+
+def _faults(m):
+    """One structure fault per raise site of check_structure: the part of
+    the message it raises alone, and an edit of copies of the pre, post,
+    sub (and j) tables. Edits of one table touch different keys."""
+    idx, span = m._index, m.base._span
+    skew = isinstance(m, ShortSkewMulticategory)
+
+    def maps(n):
+        return m.multimaps(TIGHT, n) if skew else m.multimaps(n)
+
+    f2, g4 = maps(2)[0], maps(4)[0]
+    p = next(p for p in sorted(span) if span[p][1] != idx[f2][1][0])
+    q = next(q for q in sorted(span) if span[q][0] != idx[f2][2])
+    h2 = next(h for h in maps(2) if idx[h][2] != idx[f2][1][0])
+    first, last = {t: sorted(getattr(m, t))[0] for t in ("pre", "post", "sub")}, \
+        {t: sorted(getattr(m, t))[-1] for t in ("pre", "post", "sub")}
+    (pf, pi, pp), (sg, si, sf) = first["pre"], first["sub"]
+
+    def put(table, key, value):
+        return lambda t: t[table].__setitem__(key, value)
+
+    faults = {f"dangling {t}": ("dangles", put(t, first[t], "no-such-map"))
+              for t in ("pre", "post", "sub")}
+    faults.update({f"not total {t}": ("table not total", lambda t, tn=t: t[tn].pop(last[tn]))
+                   for t in ("pre", "post", "sub")})
+    faults.update({
+        "pre slot": ("has slot", put("pre", (pf, 7, pp), m.pre[first["pre"]])),
+        "sub slot": ("has slot", put("sub", (sg, 0, sf), m.sub[first["sub"]])),
+        "pre not composable": ("not composable", put("pre", (f2, 1, p), f2)),
+        "post not composable": ("not composable", put("post", (q, f2), f2)),
+        "sub not composable": ("not composable", put("sub", (f2, 1, h2), f2)),
+        "outside stored cases": ("outside stored cases", put("sub", (g4, 1, f2), g4)),
+    })
+    if skew:
+        js = sorted(m.j)
+        loose_only = next(f for f in sorted(idx) if idx[f][3] == {LOOSE})
+        landing = next(key for key in sorted(m.sub)[1:-1] if idx[m.sub[key]][3] == {TIGHT})
+        faults.update({
+            "j dangles": ("dangles", put("j", js[0], "no-such-map")),
+            "j not tight": ("non-tight or bad-arity", put("j", loose_only, m.j[js[0]])),
+            "j not loose": ("is not loose", put("j", js[1], maps(3)[0])),
+            "j missing": ("j not total", lambda t: t["j"].pop(js[-1])),
+            "wrong landing": ("wrong tight/loose table", put("sub", landing, loose_only)),
+        })
+    return faults
+
+
+def _with_faults(m, edits):
+    tables = {t: dict(getattr(m, t)) for t in ("pre", "post", "sub", "j") if hasattr(m, t)}
+    for edit in edits:
+        edit(tables)
+    return dataclasses.replace(m, **tables)
+
+
+@pytest.mark.parametrize("which", ["zmod3", "poset2-first"])
+def test_check_structure_double_faults_match_reference(which):
+    """Every ordered pair of faults from two raise sites, built with
+    dataclasses.replace rather than through the parser: the same exception
+    type and message as the former check_structure, so the same fault wins."""
+    m = poset2_first_short_skew() if which == "poset2-first" else dict(_cyclic(3))["zmod3"]
+    faults, alone = _faults(m), {}
+    for name, (part, edit) in faults.items():
+        alone[name] = _outcome(type(m).check_structure, _with_faults(m, [edit]))
+        assert alone[name] is not None and part in alone[name][1], (name, alone[name])
+    differ, winners = [], collections.Counter()
+    for (a, (_, ea)), (b, (_, eb)) in itertools.permutations(faults.items(), 2):
+        x = _with_faults(m, [ea, eb])
+        want = _outcome(ref.check_structure, x)
+        if _outcome(type(x).check_structure, x) != want:
+            differ.append((a, b, want))
+        winners[a if want == alone[a] else b if want == alone[b] else None] += 1
+    assert not differ, differ[:5]
+    # each pair ends in the outcome of one of its faults, and every fault but
+    # the one checked last wins against some other
+    assert None not in winners and len(winners) == len(faults) - 1, winners
+    assert len(faults) == (17 if which == "poset2-first" else 12)
 
 
 # --------------------------------------------------------------------------

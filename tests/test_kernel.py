@@ -1,8 +1,8 @@
 """Every validator against the closure-based reference in
 reference_validators.py: the same rendered report, or the same exception type
 and message, on every catalogue structure, on Z/2..Z/4, on every mutant, on
-the completeness redirects and on hand-built inputs where a totality error
-and a dangling value meet."""
+the completeness redirects (every well-typed one of BZ/2 among them) and on
+hand-built inputs where a totality error and a dangling value meet."""
 import argparse
 import dataclasses
 import functools
@@ -14,13 +14,14 @@ import reference_validators as ref
 from shortcat import braiding, cli, fincat, shortmulti, shortskew, skewmon
 from shortcat.braiding import ShortBraiding
 from shortcat.catalogue import (
-    catalogue_braidings, catalogue_morphisms, catalogue_mutants, catalogue_short_braidings,
-    catalogue_short_multis, catalogue_short_skews, catalogue_skew_closed,
-    catalogue_skew_monoidals, heyting2_skew_closed, monoid_skew_monoidal,
+    bz2_category, catalogue_braidings, catalogue_morphisms, catalogue_mutants,
+    catalogue_short_braidings, catalogue_short_multis, catalogue_short_skews,
+    catalogue_skew_closed, catalogue_skew_monoidals, heyting2_skew_closed, monoid_skew_monoidal,
     poset2_first_short_skew, z2_monoid,
 )
 from shortcat.classify import certify, find_closed_structure
 from shortcat.fincat import identity_functor
+from shortcat.induce import induce_short_multi, induce_short_skew
 from shortcat.shortmulti import (
     ShortMulticategory, identity_multi_morphism, validate_short_multicategory,
 )
@@ -30,6 +31,7 @@ from shortcat.shortskew import (
 )
 from shortcat.skewmon import SkewClosedFunctor, identity_lax_functor
 from shortcat.transport import k_morphism, k_object, kcl_morphism, kcl_object, ks_object
+from test_completeness import _each_redirect, _j_pool, _skew_pool
 
 
 def _cyclic_files(n):
@@ -76,6 +78,24 @@ def _poset2_first_redirects():
                           lambda cur: [x for x in m.multimaps(LOOSE, m.info(cur)[0]) if x != cur])
 
 
+def _bz2():
+    """BZ/2's induced plain and skew structures with every well-typed
+    single-entry redirect of each, as test_completeness.py enumerates them.
+    BZ/2 is the one base with parallel morphisms, so the kernel loops over
+    the morphisms into or out of an object run over more than one there."""
+    m = induce_short_multi(bz2_category())
+    redirects = _each_redirect(m, ("sub", "pre", "post"),
+                               lambda cur: [x for x in m.multimaps(m.arity(cur)) if x != cur], None)
+    sk = induce_short_skew(bz2_category())
+    skew_redirects = itertools.chain(
+        _each_redirect(sk, ("sub", "pre", "post"), _skew_pool(sk), None),
+        _each_redirect(sk, ("j",), _j_pool(sk), None))
+    for x, edits in ((m, redirects), (sk, skew_redirects)):
+        yield x.name, x
+        for tname, key, bad in edits:
+            yield f"{x.name}.{tname}{key}->{getattr(bad, tname)[key]}", bad
+
+
 def _structures(group):
     if group == "catalogue":
         yield from catalogue_short_multis().items()
@@ -89,6 +109,8 @@ def _structures(group):
                 yield mut.name, mut.payload
     elif group == "z2-redirects":
         yield from _z2_redirects()
+    elif group == "bz2":
+        yield from _bz2()
     else:
         yield from _poset2_first_redirects()
 
@@ -100,7 +122,7 @@ def _outcome(validate, *args):
         return type(exc), str(exc)
 
 
-GROUPS = ("catalogue", "cyclic", "mutants", "z2-redirects", "poset2-first-redirects")
+GROUPS = ("catalogue", "cyclic", "mutants", "z2-redirects", "poset2-first-redirects", "bz2")
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -114,7 +136,7 @@ def test_kernel_matches_reference(group):
         if _outcome(pair[0], m) != _outcome(pair[1], m):
             differ.append(name)
         tried += 1
-    assert tried >= {"catalogue": 10, "cyclic": 6, "mutants": 30}.get(group, 40)
+    assert tried >= {"catalogue": 10, "cyclic": 6, "mutants": 30, "bz2": 242}.get(group, 40)
     assert not differ, differ
 
 
@@ -154,7 +176,7 @@ def test_lookups_match_reference(group):
             differ = _lookup_differences(x, keys)
             assert not differ, (name, x.name, differ[:5])
             tried += 1
-    assert tried >= {"catalogue": 19, "cyclic": 6, "mutants": 30}.get(group, 40)
+    assert tried >= {"catalogue": 19, "cyclic": 6, "mutants": 30, "bz2": 242}.get(group, 40)
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from shortcat.catalogue import (
     catalogue_short_multis, catalogue_short_skews, monoid_short_multi,
     poset2_first_short_skew, z2_monoid,
 )
-from shortcat.shortmulti import validate_short_multicategory
+from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
 from shortcat.shortskew import (
     LOOSE, TIGHT, embed_plain, identity_skew_morphism, validate_short_skew,
     validate_skew_multi_morphism,
 )
+from test_kernel import _cyclic
 
 
 def test_embedded_catalogue_structures_pass():
@@ -87,3 +88,15 @@ def test_plain_lookups_are_the_embeddings():
                     assert m.safe_subst(g, i, f) == sk.safe_subst(g, i, f), (name, g, i, f)
                     triples += 1
     assert triples > 100_000
+
+
+def test_plain_as_skew_shares_the_lookups():
+    """The plain-as-skew view keeps the base, pre, post and sub of the plain
+    structure, so it takes the plain structure's lookups instead of building
+    equal dicts of its own."""
+    structures = list(catalogue_short_multis().items())
+    structures += [(name, m) for n in (2, 3, 4) for name, m in _cyclic(n)
+                   if isinstance(m, ShortMulticategory)]
+    for name, m in structures:
+        assert m.as_skew.lookups is m.lookups, name
+    assert len(structures) == 9
