@@ -17,12 +17,14 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, Hashable, Optional
 
 from .errors import MalformedTable, UnknownGenerator
 from .fincat import FinCategory, FinFunctor
 from .shortmulti import MultiMorphism, ShortMulticategory
-from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, embed_plain
+from .shortskew import (
+    LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, build, embed_plain, map_id,
+)
 from .skewmon import Braiding, SkewClosedCategory, SkewMonCategory
 
 
@@ -84,10 +86,6 @@ def bz2_category() -> SkewMonCategory:
 # thin table structures
 # --------------------------------------------------------------------------
 
-def _mm(n: int, dom: tuple[str, ...], cod: str) -> str:
-    return f"m{n}({','.join(dom)};{cod})"
-
-
 def table_short_multi(name: str, base: FinCategory,
                       inhabited: Callable[[int, tuple[str, ...], str], bool]) -> ShortMulticategory:
     """Build a thin short multicategory from an inhabitation predicate.
@@ -101,7 +99,7 @@ def table_short_multi(name: str, base: FinCategory,
         for dom in itertools.product(objs, repeat=n):
             for cod in objs:
                 if inhabited(n, dom, cod):
-                    maps[n][(dom, cod)] = (_mm(n, dom, cod),)
+                    maps[n][(dom, cod)] = (map_id("m", n, dom, cod),)
 
     def the(n: int, dom: tuple[str, ...], cod: str) -> str:
         if n == 1:
@@ -130,14 +128,6 @@ def table_short_multi(name: str, base: FinCategory,
     return ShortMulticategory(name, base, maps, pre, post, sub)
 
 
-def _tmm(n: int, dom: tuple[str, ...], cod: str) -> str:
-    return f"t{n}({','.join(dom)};{cod})"
-
-
-def _lmm(n: int, dom: tuple[str, ...], cod: str) -> str:
-    return f"l{n}({','.join(dom)};{cod})"
-
-
 def table_short_skew(name: str, base: FinCategory,
                      tight_inhabited: Callable[[int, tuple[str, ...], str], bool],
                      loose_inhabited: Callable[[int, tuple[str, ...], str], bool]
@@ -147,57 +137,22 @@ def table_short_skew(name: str, base: FinCategory,
     Requires tight sets to map into loose ones (j must exist) and both
     predicates to be closed under the typed substitutions.
     """
-    objs = base.objects
-    tight: dict[int, dict] = {n: {} for n in (2, 3, 4)}
-    loose: dict[int, dict] = {n: {} for n in (0, 1, 2)}
-    for n in (2, 3, 4):
-        for dom in itertools.product(objs, repeat=n):
-            for cod in objs:
-                if tight_inhabited(n, dom, cod):
-                    tight[n][(dom, cod)] = (_tmm(n, dom, cod),)
-    for n in (0, 1, 2):
-        for dom in itertools.product(objs, repeat=n):
-            for cod in objs:
-                if loose_inhabited(n, dom, cod):
-                    loose[n][(dom, cod)] = (_lmm(n, dom, cod),)
+    inhabited = {TIGHT: tight_inhabited, LOOSE: loose_inhabited}
+    # type -> its maps; the entries reuse these id objects, so a lookup in
+    # the finished tables matches on identity
+    typed: dict[tuple, tuple[str, ...]] = {}
 
-    def the(flavour: str, n: int, dom: tuple[str, ...], cod: str) -> str:
-        if flavour == TIGHT and n == 1:
-            fs = base.hom(dom[0], cod)
-        elif flavour == TIGHT:
-            fs = tight[n].get((dom, cod), ())
-        else:
-            fs = loose[n].get((dom, cod), ())
-        if len(fs) != 1:
-            raise MalformedTable(f"{name}: expected a unique {flavour}{n} multimap "
-                                 f"{dom};{cod}, found {len(fs)}")
-        return fs[0]
+    def members(flavour: str, n: int, dom: tuple[str, ...], cod: str) -> tuple[str, ...]:
+        fs = (map_id(flavour, n, dom, cod),) if inhabited[flavour](n, dom, cod) else ()
+        typed[flavour, n, dom, cod] = fs
+        return fs
 
-    j = {}
-    for f in base.morphisms():
-        a, b = base.span(f)
-        j[f] = the(LOOSE, 1, (a,), b)
-    for (dom, cod), fs in tight[2].items():
-        j[fs[0]] = the(LOOSE, 2, dom, cod)
+    def the(table: str, key: Hashable, ty: tuple[str, int, tuple[str, ...], str]) -> Optional[str]:
+        flavour, n, dom, cod = ty
+        fs = base.hom(dom[0], cod) if (flavour, n) == (TIGHT, 1) else typed[ty]
+        return fs[0] if len(fs) == 1 else None
 
-    skeleton = ShortSkewMulticategory(name, base, tight, loose, j, {}, {}, {})
-    pre = {}
-    for (f, i, p) in skeleton.required_pre_keys():
-        n, dom, cod, fl = skeleton.info(f)
-        flavour = TIGHT if TIGHT in fl else LOOSE
-        pre[(f, i, p)] = the(flavour, n, dom[:i - 1] + (base.dom(p),) + dom[i:], cod)
-    post = {}
-    for (q, f) in skeleton.required_post_keys():
-        n, dom, _, fl = skeleton.info(f)
-        flavour = TIGHT if TIGHT in fl else LOOSE
-        post[(q, f)] = the(flavour, n, dom, base.cod(q))
-    sub = {}
-    from .shortskew import expected_skew_sub_type
-    for (g, i, f) in skeleton.required_sub_keys():
-        case = skeleton.sub_case(g, i, f)
-        n, dom, cod, flavour = expected_skew_sub_type(skeleton, g, i, f, case)
-        sub[(g, i, f)] = the(flavour, n, dom, cod)
-    return ShortSkewMulticategory(name, base, tight, loose, j, pre, post, sub)
+    return build(name, base, members, the)
 
 
 # --------------------------------------------------------------------------

@@ -4,29 +4,25 @@ left-bracketed product (...(a1 a2)...)an, with loose maps carrying a leading
 unit factor; and from a skew closed category, the closed short skew
 multicategory whose maps are morphisms into iterated homs.
 
-Both skew inductions tabulate their maps through one helper. Substitutions
-are computed from the tensor (or hom) structure morphisms and then
-tabulated, so the derived structures run through the ordinary table
-validators. The plain induced structure of a left-normal skew monoidal
+Both skew inductions build their tables through shortskew.build, which
+types every entry; each supplies only its formulas, the underlying morphism
+of each j, pre, post and sub entry computed from the tensor (or hom)
+structure morphisms. So the derived structures run through the ordinary
+table validators. The plain induced structure of a left-normal skew monoidal
 category is the skew one read through its invertible j
 (shortskew.plain_of).
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from functools import reduce
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 from .errors import MalformedTable
 from .fincat import FinCategory
 from .shortmulti import ShortMulticategory
-from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, plain_of, sub_flavour
+from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, build, map_id, plain_of
 from .skewmon import SkewClosedCategory, SkewMonCategory
-
-
-def _wrap(flavour: str, n: int, dom: tuple[str, ...], cod: str, f: str) -> str:
-    return f"{flavour}{n}({','.join(dom)};{cod})#{f}"
 
 
 class _Bracketer:
@@ -90,42 +86,31 @@ class _Bracketer:
         return base.compose(c.tm_right(x, fm), base.compose(k, ins))
 
 
-def _tabulate(name: str, base: FinCategory,
-              span: Callable[[str, tuple[str, ...], str], tuple[str, str]]):
-    """The tables of an induced structure whose tight (arities 1-4) and loose
-    (arities 0-2) maps (dom; cod) are the base morphisms source -> target,
-    (source, target) = span(flavour, dom, cod).
+def _induce(name: str, base: FinCategory,
+            span: Callable[[str, tuple[str, ...], str], tuple[str, str]],
+            formula: Callable[[str, Hashable, tuple, dict], str]) -> ShortSkewMulticategory:
+    """The induced structure whose tight (arities 2-4) and loose (arities
+    0-2) maps (dom; cod) are the base morphisms source -> target,
+    (source, target) = span(flavour, dom, cod), each wrapped in an id of its
+    type; a tight unary map is its base morphism. The entry keyed `key` of
+    `table` with type `ty` (see shortskew.build) is the map of that type
+    whose underlying morphism is formula(table, key, ty, under), where under
+    takes each id to its underlying morphism, flavour and domain."""
+    under = {p: (p, TIGHT, (a,)) for p, (a, _) in base._span.items()}
+    wrap_of = {(TIGHT, 1, (a,), b, p): p for p, (a, b) in base._span.items()}
 
-    Returns a skeleton with those tables and no j or action entries, the
-    underlying morphism of every map, and rewrap, which names the map of a
-    type whose underlying morphism is f."""
-    tables = {TIGHT: {}, LOOSE: {}}
-    under: dict[str, str] = {}
-    wrap_of: dict[tuple, str] = {}
-    for flavour, arities in ((TIGHT, (1, 2, 3, 4)), (LOOSE, (0, 1, 2))):
-        for n in arities:
-            table = tables[flavour][n] = {}
-            for dom in itertools.product(base.objects, repeat=n):
-                for cod in base.objects:
-                    fs = []
-                    for f in base.hom(*span(flavour, dom, cod)):
-                        w = f if (flavour == TIGHT and n == 1) else _wrap(flavour, n, dom, cod, f)
-                        fs.append(w)
-                        under[w] = f
-                        wrap_of[(flavour, n, dom, cod, f)] = w
-                    if fs:
-                        table[(dom, cod)] = tuple(sorted(fs))
+    def members(flavour: str, n: int, dom: tuple[str, ...], cod: str) -> list[str]:
+        ws = []
+        for f in base.hom(*span(flavour, dom, cod)):
+            w = wrap_of[flavour, n, dom, cod, f] = f"{map_id(flavour, n, dom, cod)}#{f}"
+            under[w] = (f, flavour, dom)
+            ws.append(w)
+        return ws
 
-    def rewrap(flavour: str, n: int, dom: tuple[str, ...], cod: str, f: str) -> str:
-        try:
-            return wrap_of[(flavour, n, dom, cod, f)]
-        except KeyError:
-            raise MalformedTable(f"{name}: induced map {f} missing from {flavour}{n}{dom};{cod}")
+    def pick(table: str, key: Hashable, ty: tuple) -> Optional[str]:
+        return wrap_of.get(ty + (formula(table, key, ty, under),))
 
-    skeleton = ShortSkewMulticategory(
-        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)}, tables[LOOSE],
-        j={}, pre={}, post={}, sub={})
-    return skeleton, under, rewrap
+    return build(name, base, members, pick)
 
 
 def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSkewMulticategory:
@@ -134,54 +119,31 @@ def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSk
     j given by the left unit map."""
     br = _Bracketer(c)
     base = c.base
-    skeleton, under, rewrap = _tabulate(
-        name or (c.name + ".induced"), base,
-        lambda flavour, dom, cod: (br.lbr((c.unit,) + dom if flavour == LOOSE else dom), cod))
+    compose, identity = base.compose, base.identity
+    front = {TIGHT: (), LOOSE: (c.unit,)}  # loose maps carry a leading unit factor
 
-    j: dict[str, str] = {}
-    for n in (1, 2):
-        for f in skeleton.multimaps(TIGHT, n):
-            dom, cod = skeleton.dom(f), skeleton.cod(f)
-            lam_slot = br.lbr_mor([c.lam[dom[0]]] + [base.identity(o) for o in dom[1:]])
-            j[f] = rewrap(LOOSE, n, dom, cod, base.compose(under[f], lam_slot))
-
-    def front(f: str) -> tuple[str, ...]:
-        return (c.unit,) if skeleton.is_loose(f) and not skeleton.is_tight(f) else ()
-
-    pre = {}
-    for (f, i, p) in skeleton.required_pre_keys():
-        n, dom, cod, fl = skeleton.info(f)
-        flavour = LOOSE if LOOSE in fl else TIGHT
-        full = front(f) + dom
-        slot = i + len(front(f))
-        newdom = dom[:i - 1] + (base.dom(p),) + dom[i:]
-        pre[(f, i, p)] = rewrap(flavour, n, newdom, cod,
-                                base.compose(under[f], br.slot_mor(
-                                    full[:slot - 1] + (base.dom(p),) + full[slot:], slot, p)))
-    post = {}
-    for (q, f) in skeleton.required_post_keys():
-        n, dom, _, fl = skeleton.info(f)
-        flavour = LOOSE if LOOSE in fl else TIGHT
-        post[(q, f)] = rewrap(flavour, n, dom, base.cod(q), base.compose(q, under[f]))
-
-    sub = {}
-    for (g, i, f) in skeleton.required_sub_keys():
-        case = skeleton.sub_case(g, i, f)
-        ng, x, nf, y = case
-        gdom, gcod = skeleton.dom(g), skeleton.cod(g)
-        fdom = skeleton.dom(f)
-        blist = ((c.unit,) if x == LOOSE else ()) + gdom
-        idx = (1 if x == LOOSE else 0) + i - 1
-        prefix, suffix = blist[:idx], blist[idx + 1:]
-        ext = br.gamma(prefix, under[f], fdom, y == LOOSE, blist[idx]) if prefix else under[f]
-        for sobj in suffix:
+    def formula(table: str, key: Hashable, ty: tuple, under: dict) -> str:
+        flavour, _, dom, _ = ty
+        if table == "j":
+            lam_slot = br.lbr_mor([c.lam[dom[0]]] + [identity(o) for o in dom[1:]])
+            return compose(under[key][0], lam_slot)
+        if table == "pre":
+            f, i, p = key
+            lead = front[flavour]
+            return compose(under[f][0], br.slot_mor(lead + dom, len(lead) + i, p))
+        if table == "post":
+            q, f = key
+            return compose(q, under[f][0])
+        g, i, f = key
+        (gm, x, gdom), (fm, y, fdom) = under[g], under[f]
+        prefix = front[x] + gdom[:i - 1]
+        ext = br.gamma(prefix, fm, fdom, y == LOOSE, gdom[i - 1]) if prefix else fm
+        for sobj in gdom[i:]:
             ext = c.tm_left(ext, sobj)
-        result = base.compose(under[g], ext)
-        flavour = sub_flavour(x, i, y)
-        newdom = gdom[:i - 1] + fdom + gdom[i:]
-        sub[(g, i, f)] = rewrap(flavour, ng + nf - 1, newdom, gcod, result)
+        return compose(gm, ext)
 
-    return replace(skeleton, j=j, pre=pre, post=post, sub=sub)
+    return _induce(name or (c.name + ".induced"), base,
+                   lambda flavour, dom, cod: (br.lbr(front[flavour] + dom), cod), formula)
 
 
 def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortMulticategory:
@@ -273,6 +235,7 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
     are morphisms out of the unit into the full curried hom."""
     c = x
     base = c.base
+    compose = base.compose
     cur = _Currier(c)
 
     def span(flavour: str, dom: tuple[str, ...], cod: str) -> tuple[str, str]:
@@ -280,58 +243,27 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
             return dom[0], cur.curry(dom[1:], cod)
         return c.unit, cur.curry(dom, cod)
 
-    skeleton, under, rewrap = _tabulate(name or (c.name + ".induced"), base, span)
-
-    j: dict[str, str] = {}
-    for n in (1, 2):
-        for f in skeleton.multimaps(TIGHT, n):
-            dom, cod = skeleton.dom(f), skeleton.cod(f)
-            a1 = dom[0]
-            lifted = base.compose(c.hm_right(a1, under[f]), c.ju[a1])
-            j[f] = rewrap(LOOSE, n, dom, cod, lifted)
-
-    def pre_action(f: str, i: int, p: str) -> str:
-        _, dom, cod, fl = skeleton.info(f)
-        loose = LOOSE in fl and TIGHT not in fl
-        if not loose and i == 1:
-            return base.compose(under[f], p)
-        before = dom[:i - 1] if loose else dom[1:i - 1]
-        rest = cur.curry(dom[i:], cod)
-        action = c.hm(p, base.identity(rest))
-        return base.compose(cur.nest(before, action), under[f])
-
-    pre = {}
-    for (f, i, p) in skeleton.required_pre_keys():
-        n, dom, cod, fl = skeleton.info(f)
-        flavour = LOOSE if (LOOSE in fl and TIGHT not in fl) else TIGHT
-        newdom = dom[:i - 1] + (base.dom(p),) + dom[i:]
-        pre[(f, i, p)] = rewrap(flavour, n, newdom, cod, pre_action(f, i, p))
-
-    post = {}
-    for (q, f) in skeleton.required_post_keys():
-        n, dom, _, fl = skeleton.info(f)
-        flavour = LOOSE if (LOOSE in fl and TIGHT not in fl) else TIGHT
-        layers = dom[1:] if flavour == TIGHT else dom
-        post[(q, f)] = rewrap(flavour, n, dom, base.cod(q),
-                              base.compose(cur.nest(layers, q), under[f]))
-
-    sub = {}
-    for (g, i, f) in skeleton.required_sub_keys():
-        case = skeleton.sub_case(g, i, f)
-        ng, xfl, nf, yfl = case
-        gdom, gcod = skeleton.dom(g), skeleton.cod(g)
-        fdom = skeleton.dom(f)
-        flavour = sub_flavour(xfl, i, yfl)
-        newdom = gdom[:i - 1] + fdom + gdom[i:]
-        tail = cur.curry(gdom[i:], gcod)
+    def formula(table: str, key: Hashable, ty: tuple, under: dict) -> str:
+        flavour, _, dom, cod = ty
+        if table == "j":
+            return compose(c.hm_right(dom[0], under[key][0]), c.ju[dom[0]])
+        if table == "pre":
+            f, i, p = key
+            if flavour == TIGHT and i == 1:
+                return compose(under[f][0], p)
+            before = dom[:i - 1] if flavour == LOOSE else dom[1:i - 1]
+            action = c.hm(p, base.identity(cur.curry(dom[i:], cod)))
+            return compose(cur.nest(before, action), under[f][0])
+        if table == "post":
+            q, f = key
+            return compose(cur.nest(dom[1:] if flavour == TIGHT else dom, q), under[f][0])
+        g, i, f = key
+        (gm, xfl, gdom), (fm, yfl, fdom) = under[g], under[f]
         if xfl == TIGHT and i == 1:
             # feed the whole consumer through the inner map's codomain layer
-            lifted = cur.nest(fdom[1:] if yfl == TIGHT else fdom, under[g])
-            result = base.compose(lifted, under[f])
-        else:
-            outer_layers = gdom[1:i - 1] if xfl == TIGHT else gdom[:i - 1]
-            action = cur.sub_map(under[f], fdom, yfl == LOOSE, gdom[i - 1], tail)
-            result = base.compose(cur.nest(outer_layers, action), under[g])
-        sub[(g, i, f)] = rewrap(flavour, ng + nf - 1, newdom, gcod, result)
+            return compose(cur.nest(fdom[1:] if yfl == TIGHT else fdom, gm), fm)
+        outer_layers = gdom[1:i - 1] if xfl == TIGHT else gdom[:i - 1]
+        action = cur.sub_map(fm, fdom, yfl == LOOSE, gdom[i - 1], cur.curry(gdom[i:], cod))
+        return compose(cur.nest(outer_layers, action), gm)
 
-    return replace(skeleton, j=j, pre=pre, post=post, sub=sub)
+    return _induce(name or (c.name + ".induced"), base, span, formula)

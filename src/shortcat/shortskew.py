@@ -27,9 +27,9 @@ the loose one by j-naturality).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import DanglingId, MalformedTable, TypingViolation
 from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
@@ -164,12 +164,6 @@ class ShortSkewMulticategory(MultiTables):
         tables = self.tight if flavour == TIGHT else self.loose
         return sorted(tables.get(n, {}))
 
-    def sub_case(self, g: str, i: int, f: str) -> Optional[tuple[int, str, int, str]]:
-        """The stored-case descriptor for (g, i, f), or None."""
-        ng, _, _, flg = self.info(g)
-        nf, _, _, flf = self.info(f)
-        return _CASE_OF.get((ng, flg, nf, flf))
-
     # -- what the table core needs --------------------------------------------
     @cached_property
     def table_maps(self) -> tuple[tuple[int, str], ...]:
@@ -248,12 +242,72 @@ class ShortBraiding:
         return {"b32": self.b32, "b42": self.b42, "b43": self.b43}[tag]
 
 
-def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
-                           case: tuple[int, str, int, str]) -> tuple[int, tuple[str, ...], str, str]:
-    n, x, k, y = case
-    gdom, gcod = m.dom(g), m.cod(g)
-    dom = gdom[:i - 1] + m.dom(f) + gdom[i:]
-    return (n + k - 1, dom, gcod, sub_flavour(x, i, y))
+# --------------------------------------------------------------------------
+# constructed structures
+# --------------------------------------------------------------------------
+
+def map_id(tag: str, n: int, dom: tuple[str, ...], cod: str) -> str:
+    """The id a constructed structure gives a multimap of arity n, (dom; cod):
+    the tag is the flavour, or m for a plain map."""
+    return f"{tag}{n}({','.join(dom)};{cod})"
+
+
+def build(name: str, base: FinCategory,
+          members: Callable[[str, int, tuple[str, ...], str], Sequence[str]],
+          pick: Callable[[str, Hashable, tuple[str, int, tuple[str, ...], str]], Optional[str]]
+          ) -> ShortSkewMulticategory:
+    """The short skew multicategory whose tight (arities 2-4) and loose
+    (arities 0-2) maps (dom; cod) are members(flavour, n, dom, cod), with
+    every required j, pre, post and sub entry.
+
+    Each entry is typed here and only here: j sends a tight unary or binary
+    map to a loose one of its type, a pre or post result keeps the flavour
+    of its map (the first in sorted flavour order, as for the stored
+    cases), and a sub result takes sub_flavour of its stored case. The
+    entry keyed `key` of
+    `table` ("j", "pre", "post" or "sub") is pick(table, key, type), which
+    names a map of type = (flavour, arity, domain, codomain), or gives None
+    when it finds none; MalformedTable then."""
+    tight: dict[int, dict] = {}
+    loose: dict[int, dict] = {}
+    for flavour, arities, tables in ((TIGHT, (2, 3, 4), tight), (LOOSE, (0, 1, 2), loose)):
+        for n in arities:
+            table = tables[n] = {}
+            for dom in itertools.product(base.objects, repeat=n):
+                for cod in base.objects:
+                    fs = members(flavour, n, dom, cod)
+                    if fs:
+                        table[dom, cod] = fs
+    m = ShortSkewMulticategory(name, base, tight, loose, {}, {}, {}, {})
+    idx, span = m._index, base._span
+    j, pre, post, sub = {}, {}, {}, {}
+
+    def entries():
+        for f in m.multimaps(TIGHT, 1) + m.multimaps(TIGHT, 2):
+            yield j, "j", f, (LOOSE,) + idx[f][:3]
+        for key in m.required_pre_keys():
+            f, i, p = key
+            n, dom, cod, fl = idx[f]
+            yield pre, "pre", key, (min(fl), n, dom[:i - 1] + (span[p][0],) + dom[i:], cod)
+        for key in m.required_post_keys():
+            q, f = key
+            n, dom, _, fl = idx[f]
+            yield post, "post", key, (min(fl), n, dom, span[q][1])
+        for key in m.required_sub_keys():
+            g, i, f = key
+            n, gdom, gcod, xs = idx[g]
+            k, fdom, _, ys = idx[f]
+            _, x, _, y = _CASE_OF[n, xs, k, ys]
+            yield sub, "sub", key, (sub_flavour(x, i, y), n + k - 1,
+                                    gdom[:i - 1] + fdom + gdom[i:], gcod)
+
+    for out, table, key, ty in entries():
+        h = pick(table, key, ty)
+        if h is None:
+            flavour, n, dom, cod = ty
+            raise MalformedTable(f"{name}: no {flavour}{n} map {dom};{cod} for {table} entry {key}")
+        out[key] = h
+    return replace(m, j=j, pre=pre, post=post, sub=sub)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     AxiomTransferFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions,
     NoIsomorphismFound, NoSolution, SearchBoundExceeded,
 )
-from .fincat import find_isomorphism
+from .fincat import _extend_mor_bijection
 from .report import ValidationReport
 from .shortmulti import MultiMorphism, ShortMulticategory
 from .shortskew import (
@@ -630,10 +630,9 @@ def compare_skew_monoidal(x: SkewMonCategory, y: SkewMonCategory,
     """'equal', 'isomorphic', or None."""
     if skew_monoidal_equal(x, y):
         return "equal"
-    if len(x.base.objects) > max_objects:
+    if max(len(x.base.objects), len(y.base.objects)) > max_objects:
         raise SearchBoundExceeded("comparison bounded")
-    pair = find_isomorphism(x.base, y.base, max_objects=max_objects)
-    if pair is None:
+    if len(x.base.objects) != len(y.base.objects):
         return None
     # search object/morphism isomorphisms compatible with all structure
     for perm in itertools.permutations(y.base.objects):
@@ -643,7 +642,6 @@ def compare_skew_monoidal(x: SkewMonCategory, y: SkewMonCategory,
         if any(obj[x.t(a, b)] != y.t(obj[a], obj[b])
                for a in x.base.objects for b in x.base.objects):
             continue
-        from .fincat import _extend_mor_bijection
         mor = _extend_mor_bijection(x.base, y.base, obj)
         if mor is None:
             continue

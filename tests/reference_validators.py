@@ -14,11 +14,15 @@ the reference versions below, so every report here is evaluated the old way.
 Then comes the package's former plain induction, induce_short_multi, which
 tabulated the plain structure itself instead of reading it off the skew one.
 It took the unit inverses from a field of skewmon.Flavour that is gone; here
-it computes them with is_iso.
+it computes them with is_iso. The former skew builders follow it: the thin
+table_short_skew and both skew inductions, each of which typed its j, pre,
+post and sub entries in its own loops; tests/test_induce.py compares
+shortskew.build, which all three now go through, with them table for table.
 
 Then come the former line-by-line serializer and the former structure
-checks (check_structure and sub_case), which tests/test_ingest.py compares
-the package's table-driven ones with. Then comes the former parser,
+checks (check_structure, with the former sub_case it and the former
+builders call), which tests/test_ingest.py compares the package's
+table-driven ones with. Then comes the former parser,
 one hand-written function per kind, which tests/test_ingest.py compares
 the ROWS-driven one with.
 
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from dataclasses import replace
 from typing import Callable, Iterator, Optional, Union
 
 from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
@@ -55,7 +60,7 @@ from shortcat.errors import (
 )
 from shortcat.fileformat import KINDS, FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
 from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
-from shortcat.induce import _Bracketer, _wrap
+from shortcat.induce import _Bracketer, _Currier
 from shortcat.report import Check, ValidationReport, run_checks
 from shortcat.shortmulti import STORED_CASES, MultiMorphism, ShortMulticategory
 from shortcat.shortskew import (
@@ -1397,6 +1402,253 @@ def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortM
         sub[(g, i, f)] = rewrap(ng + nf - 1, newdom, gcod, result)
 
     return ShortMulticategory(name, base, maps, pre, post, sub)
+
+
+# --------------------------------------------------------------------------
+# the former skew builders
+# --------------------------------------------------------------------------
+# The former thin builder table_short_skew of catalogue.py and the former
+# _tabulate, induce_short_skew and induce_closed_skew of induce.py, each of
+# which typed the j, pre, post and sub entries in its own loops. The bodies
+# are verbatim, with two edits: the required keys, sub_case and
+# expected_skew_sub_type come from the reference helpers in this file, and
+# _wrap, _tmm and _lmm are the former naming helpers, copied here.
+
+def _wrap(flavour: str, n: int, dom: tuple[str, ...], cod: str, f: str) -> str:
+    return f"{flavour}{n}({','.join(dom)};{cod})#{f}"
+
+
+def _tmm(n: int, dom: tuple[str, ...], cod: str) -> str:
+    return f"t{n}({','.join(dom)};{cod})"
+
+
+def _lmm(n: int, dom: tuple[str, ...], cod: str) -> str:
+    return f"l{n}({','.join(dom)};{cod})"
+
+
+def table_short_skew(name: str, base: FinCategory,
+                     tight_inhabited: Callable[[int, tuple[str, ...], str], bool],
+                     loose_inhabited: Callable[[int, tuple[str, ...], str], bool]
+                     ) -> ShortSkewMulticategory:
+    """Build a thin short skew multicategory from inhabitation predicates.
+
+    Requires tight sets to map into loose ones (j must exist) and both
+    predicates to be closed under the typed substitutions.
+    """
+    objs = base.objects
+    tight: dict[int, dict] = {n: {} for n in (2, 3, 4)}
+    loose: dict[int, dict] = {n: {} for n in (0, 1, 2)}
+    for n in (2, 3, 4):
+        for dom in itertools.product(objs, repeat=n):
+            for cod in objs:
+                if tight_inhabited(n, dom, cod):
+                    tight[n][(dom, cod)] = (_tmm(n, dom, cod),)
+    for n in (0, 1, 2):
+        for dom in itertools.product(objs, repeat=n):
+            for cod in objs:
+                if loose_inhabited(n, dom, cod):
+                    loose[n][(dom, cod)] = (_lmm(n, dom, cod),)
+
+    def the(flavour: str, n: int, dom: tuple[str, ...], cod: str) -> str:
+        if flavour == TIGHT and n == 1:
+            fs = base.hom(dom[0], cod)
+        elif flavour == TIGHT:
+            fs = tight[n].get((dom, cod), ())
+        else:
+            fs = loose[n].get((dom, cod), ())
+        if len(fs) != 1:
+            raise MalformedTable(f"{name}: expected a unique {flavour}{n} multimap "
+                                 f"{dom};{cod}, found {len(fs)}")
+        return fs[0]
+
+    j = {}
+    for f in base.morphisms():
+        a, b = base.span(f)
+        j[f] = the(LOOSE, 1, (a,), b)
+    for (dom, cod), fs in tight[2].items():
+        j[fs[0]] = the(LOOSE, 2, dom, cod)
+
+    skeleton = ShortSkewMulticategory(name, base, tight, loose, j, {}, {}, {})
+    pre = {}
+    for (f, i, p) in required_pre_keys(skeleton):
+        n, dom, cod, fl = skeleton.info(f)
+        flavour = TIGHT if TIGHT in fl else LOOSE
+        pre[(f, i, p)] = the(flavour, n, dom[:i - 1] + (base.dom(p),) + dom[i:], cod)
+    post = {}
+    for (q, f) in required_post_keys(skeleton):
+        n, dom, _, fl = skeleton.info(f)
+        flavour = TIGHT if TIGHT in fl else LOOSE
+        post[(q, f)] = the(flavour, n, dom, base.cod(q))
+    sub = {}
+    for (g, i, f) in required_sub_keys(skeleton):
+        case = sub_case(skeleton, g, i, f)
+        n, dom, cod, flavour = expected_skew_sub_type(skeleton, g, i, f, case)
+        sub[(g, i, f)] = the(flavour, n, dom, cod)
+    return ShortSkewMulticategory(name, base, tight, loose, j, pre, post, sub)
+
+
+def _tabulate(name: str, base: FinCategory,
+              span: Callable[[str, tuple[str, ...], str], tuple[str, str]]):
+    """The tables of an induced structure whose tight (arities 1-4) and loose
+    (arities 0-2) maps (dom; cod) are the base morphisms source -> target,
+    (source, target) = span(flavour, dom, cod).
+
+    Returns a skeleton with those tables and no j or action entries, the
+    underlying morphism of every map, and rewrap, which names the map of a
+    type whose underlying morphism is f."""
+    tables = {TIGHT: {}, LOOSE: {}}
+    under: dict[str, str] = {}
+    wrap_of: dict[tuple, str] = {}
+    for flavour, arities in ((TIGHT, (1, 2, 3, 4)), (LOOSE, (0, 1, 2))):
+        for n in arities:
+            table = tables[flavour][n] = {}
+            for dom in itertools.product(base.objects, repeat=n):
+                for cod in base.objects:
+                    fs = []
+                    for f in base.hom(*span(flavour, dom, cod)):
+                        w = f if (flavour == TIGHT and n == 1) else _wrap(flavour, n, dom, cod, f)
+                        fs.append(w)
+                        under[w] = f
+                        wrap_of[(flavour, n, dom, cod, f)] = w
+                    if fs:
+                        table[(dom, cod)] = tuple(sorted(fs))
+
+    def rewrap(flavour: str, n: int, dom: tuple[str, ...], cod: str, f: str) -> str:
+        try:
+            return wrap_of[(flavour, n, dom, cod, f)]
+        except KeyError:
+            raise MalformedTable(f"{name}: induced map {f} missing from {flavour}{n}{dom};{cod}")
+
+    skeleton = ShortSkewMulticategory(
+        name, base, {n: tables[TIGHT][n] for n in (2, 3, 4)}, tables[LOOSE],
+        j={}, pre={}, post={}, sub={})
+    return skeleton, under, rewrap
+
+
+def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSkewMulticategory:
+    """The short skew multicategory of a skew monoidal category: tight maps
+    out of left-bracketed products, loose maps with a leading unit factor,
+    j given by the left unit map."""
+    br = _Bracketer(c)
+    base = c.base
+    skeleton, under, rewrap = _tabulate(
+        name or (c.name + ".induced"), base,
+        lambda flavour, dom, cod: (br.lbr((c.unit,) + dom if flavour == LOOSE else dom), cod))
+
+    j: dict[str, str] = {}
+    for n in (1, 2):
+        for f in skeleton.multimaps(TIGHT, n):
+            dom, cod = skeleton.dom(f), skeleton.cod(f)
+            lam_slot = br.lbr_mor([c.lam[dom[0]]] + [base.identity(o) for o in dom[1:]])
+            j[f] = rewrap(LOOSE, n, dom, cod, base.compose(under[f], lam_slot))
+
+    def front(f: str) -> tuple[str, ...]:
+        return (c.unit,) if skeleton.is_loose(f) and not skeleton.is_tight(f) else ()
+
+    pre = {}
+    for (f, i, p) in required_pre_keys(skeleton):
+        n, dom, cod, fl = skeleton.info(f)
+        flavour = LOOSE if LOOSE in fl else TIGHT
+        full = front(f) + dom
+        slot = i + len(front(f))
+        newdom = dom[:i - 1] + (base.dom(p),) + dom[i:]
+        pre[(f, i, p)] = rewrap(flavour, n, newdom, cod,
+                                base.compose(under[f], br.slot_mor(
+                                    full[:slot - 1] + (base.dom(p),) + full[slot:], slot, p)))
+    post = {}
+    for (q, f) in required_post_keys(skeleton):
+        n, dom, _, fl = skeleton.info(f)
+        flavour = LOOSE if LOOSE in fl else TIGHT
+        post[(q, f)] = rewrap(flavour, n, dom, base.cod(q), base.compose(q, under[f]))
+
+    sub = {}
+    for (g, i, f) in required_sub_keys(skeleton):
+        case = sub_case(skeleton, g, i, f)
+        ng, x, nf, y = case
+        gdom, gcod = skeleton.dom(g), skeleton.cod(g)
+        fdom = skeleton.dom(f)
+        blist = ((c.unit,) if x == LOOSE else ()) + gdom
+        idx = (1 if x == LOOSE else 0) + i - 1
+        prefix, suffix = blist[:idx], blist[idx + 1:]
+        ext = br.gamma(prefix, under[f], fdom, y == LOOSE, blist[idx]) if prefix else under[f]
+        for sobj in suffix:
+            ext = c.tm_left(ext, sobj)
+        result = base.compose(under[g], ext)
+        flavour = sub_flavour(x, i, y)
+        newdom = gdom[:i - 1] + fdom + gdom[i:]
+        sub[(g, i, f)] = rewrap(flavour, ng + nf - 1, newdom, gcod, result)
+
+    return replace(skeleton, j=j, pre=pre, post=post, sub=sub)
+
+
+def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> ShortSkewMulticategory:
+    """The closed short skew multicategory of a skew closed category: tight
+    n-ary maps (a1,...,an;b) are morphisms a1 -> [a2,...[an,b]], loose ones
+    are morphisms out of the unit into the full curried hom."""
+    c = x
+    base = c.base
+    cur = _Currier(c)
+
+    def span(flavour: str, dom: tuple[str, ...], cod: str) -> tuple[str, str]:
+        if flavour == TIGHT:
+            return dom[0], cur.curry(dom[1:], cod)
+        return c.unit, cur.curry(dom, cod)
+
+    skeleton, under, rewrap = _tabulate(name or (c.name + ".induced"), base, span)
+
+    j: dict[str, str] = {}
+    for n in (1, 2):
+        for f in skeleton.multimaps(TIGHT, n):
+            dom, cod = skeleton.dom(f), skeleton.cod(f)
+            a1 = dom[0]
+            lifted = base.compose(c.hm_right(a1, under[f]), c.ju[a1])
+            j[f] = rewrap(LOOSE, n, dom, cod, lifted)
+
+    def pre_action(f: str, i: int, p: str) -> str:
+        _, dom, cod, fl = skeleton.info(f)
+        loose = LOOSE in fl and TIGHT not in fl
+        if not loose and i == 1:
+            return base.compose(under[f], p)
+        before = dom[:i - 1] if loose else dom[1:i - 1]
+        rest = cur.curry(dom[i:], cod)
+        action = c.hm(p, base.identity(rest))
+        return base.compose(cur.nest(before, action), under[f])
+
+    pre = {}
+    for (f, i, p) in required_pre_keys(skeleton):
+        n, dom, cod, fl = skeleton.info(f)
+        flavour = LOOSE if (LOOSE in fl and TIGHT not in fl) else TIGHT
+        newdom = dom[:i - 1] + (base.dom(p),) + dom[i:]
+        pre[(f, i, p)] = rewrap(flavour, n, newdom, cod, pre_action(f, i, p))
+
+    post = {}
+    for (q, f) in required_post_keys(skeleton):
+        n, dom, _, fl = skeleton.info(f)
+        flavour = LOOSE if (LOOSE in fl and TIGHT not in fl) else TIGHT
+        layers = dom[1:] if flavour == TIGHT else dom
+        post[(q, f)] = rewrap(flavour, n, dom, base.cod(q),
+                              base.compose(cur.nest(layers, q), under[f]))
+
+    sub = {}
+    for (g, i, f) in required_sub_keys(skeleton):
+        case = sub_case(skeleton, g, i, f)
+        ng, xfl, nf, yfl = case
+        gdom, gcod = skeleton.dom(g), skeleton.cod(g)
+        fdom = skeleton.dom(f)
+        flavour = sub_flavour(xfl, i, yfl)
+        newdom = gdom[:i - 1] + fdom + gdom[i:]
+        tail = cur.curry(gdom[i:], gcod)
+        if xfl == TIGHT and i == 1:
+            # feed the whole consumer through the inner map's codomain layer
+            lifted = cur.nest(fdom[1:] if yfl == TIGHT else fdom, under[g])
+            result = base.compose(lifted, under[f])
+        else:
+            outer_layers = gdom[1:i - 1] if xfl == TIGHT else gdom[:i - 1]
+            action = cur.sub_map(under[f], fdom, yfl == LOOSE, gdom[i - 1], tail)
+            result = base.compose(cur.nest(outer_layers, action), under[g])
+        sub[(g, i, f)] = rewrap(flavour, ng + nf - 1, newdom, gcod, result)
+
+    return replace(skeleton, j=j, pre=pre, post=post, sub=sub)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,22 @@
-"""The plain induction is the skew one read through its invertible j: it
-matches the former, separately tabulated plain induction, plain_of inverts
-embed_plain, and a j that is no bijection is refused."""
+"""The skew builders all go through shortskew.build and give the tables the
+former builders gave, each of which typed its entries itself; an induced
+map of the wrong type is refused. The plain induction is the skew one read
+through its invertible j: it matches the former, separately tabulated plain
+induction, plain_of inverts embed_plain, and a j that is no bijection is
+refused."""
+import dataclasses
 import re
 
 import pytest
 
+import reference_validators as ref
 from reference_validators import induce_short_multi as reference_induce_short_multi
-from shortcat.catalogue import bz2_category, catalogue_short_multis, catalogue_skew_monoidals
+from shortcat import catalogue
+from shortcat.catalogue import (
+    bz2_category, catalogue_short_multis, catalogue_skew_closed, catalogue_skew_monoidals,
+)
 from shortcat.errors import MalformedTable
-from shortcat.induce import induce_short_multi, induce_short_skew
+from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
 from shortcat.shortskew import embed_plain, plain_of
 from shortcat.skewmon import classify_flavour
 from test_kernel import _cyclic_of
@@ -37,6 +45,43 @@ def _tables(m, rename=lambda f: f):
             {ids(key): rename(h) for key, h in m.pre.items()},
             {ids(key): rename(h) for key, h in m.post.items()},
             {ids(key): rename(h) for key, h in m.sub.items()})
+
+
+def _skew_tables(m):
+    return m.name, m.base, m.tight, m.loose, m.j, m.pre, m.post, m.sub
+
+
+def test_skew_builders_match_reference(monkeypatch):
+    """The thin poset2-first, the induction of every catalogue skew monoidal
+    category, Z/2-Z/4 and BZ/2, and the closed induction of both catalogue
+    skew closed categories."""
+    thin = _skew_tables(catalogue.poset2_first_short_skew())
+    monkeypatch.setattr(catalogue, "table_short_skew", ref.table_short_skew)
+    assert thin == _skew_tables(catalogue.poset2_first_short_skew())
+    monoidal = [*catalogue_skew_monoidals().items(), *_cyclic_of("skew-monoidal"),
+                ("bz2", bz2_category())]
+    for name, c in monoidal:
+        assert _skew_tables(induce_short_skew(c)) == _skew_tables(ref.induce_short_skew(c)), name
+    for name, x in catalogue_skew_closed().items():
+        assert _skew_tables(induce_closed_skew(x)) == _skew_tables(ref.induce_closed_skew(x)), name
+    assert (len(monoidal), len(catalogue_skew_closed())) == (11, 2)
+
+
+def test_a_tight_unary_result_with_the_wrong_span_is_refused():
+    """With rho_0 (resp. i at 0) redirected, substituting a nullary map into
+    slot 2 of a tight binary one composes to a base morphism of another span,
+    so no tight unary map of the entry's type exists."""
+    second = catalogue_skew_monoidals()["poset2-second"]
+    heyting = catalogue_skew_closed()["heyting2.cl"]
+    for induce, reference, x in (
+            (induce_short_skew, ref.induce_short_skew,
+             dataclasses.replace(second, rho={**second.rho, "0": "1_1"})),
+            (induce_closed_skew, ref.induce_closed_skew,
+             dataclasses.replace(heyting, iu={**heyting.iu, "0": "le"}))):
+        with pytest.raises(MalformedTable, match=r"no t1 map \('0',\);\d for sub entry"):
+            induce(x)
+        with pytest.raises(MalformedTable, match=r"missing from t1\('0',\)"):
+            reference(x)
 
 
 def test_plain_induction_matches_reference():

@@ -1,9 +1,8 @@
 """The table-driven serializer, the lean structure checks and the
 ROWS-driven parser against their former versions in reference_validators.py:
 the same bytes from serialize, the same exception type and message, or none,
-from check_structure (on line edits of files and on pairs of faults) and
-sub_case, and the same outcome from parse apart from the three rules the
-format gained."""
+from check_structure (on line edits of files and on pairs of faults), and
+the same outcome from parse apart from the three rules the format gained."""
 import collections
 import dataclasses
 import itertools
@@ -13,7 +12,7 @@ import pytest
 
 import reference_validators as ref
 from shortcat import cli
-from shortcat.catalogue import catalogue_short_skews, poset2_first_short_skew
+from shortcat.catalogue import poset2_first_short_skew
 from shortcat.classify import certify
 from shortcat.errors import ParseError, ShortcatError
 from shortcat.fileformat import (
@@ -138,18 +137,6 @@ def test_check_structure_matches_reference(source):
         raised += want is not None
     assert not differ, differ[:5]
     assert tried >= 6 and raised >= 4, (tried, raised)
-
-
-def test_sub_case_matches_reference():
-    """On every pair of ids of each catalogue short skew structure, at every
-    slot of the outer one."""
-    tried = 0
-    for m in catalogue_short_skews().values():
-        for g, f in itertools.product(sorted(m._index), repeat=2):
-            for i in range(1, max(m.arity(g), 1) + 1):
-                assert m.sub_case(g, i, f) == ref.sub_case(m, g, i, f), (m.name, g, i, f)
-                tried += 1
-    assert tried > 1000
 
 
 def _faults(m):

@@ -1,7 +1,7 @@
 import pytest
 
 from shortcat.catalogue import (
-    catalogue_morphisms, catalogue_short_multis, catalogue_short_skews,
+    Monoid, catalogue_morphisms, catalogue_short_multis, catalogue_short_skews,
     catalogue_skew_closed, catalogue_skew_monoidals, monoid_skew_monoidal,
     poset2_skew_second, z2_monoid,
 )
@@ -15,7 +15,7 @@ from shortcat.skewmon import (
     validate_skew_monoidal,
 )
 from shortcat.transport import (
-    biclosed_subst_check, check_representable_iff_monoidal,
+    biclosed_subst_check, check_representable_iff_monoidal, compare_skew_monoidal,
     k_morphism, k_morphism_inverse, k_object, kcl_morphism, kcl_object,
     ks_object, lax_functor_equal, multi_morphism_equal, roundtrip_check,
     skew_monoidal_equal, solve_unique, transport_closed, transport_closed_skew,
@@ -160,6 +160,21 @@ def test_roundtrips_all_catalogue_entries():
         assert roundtrip_check(x).ok, name
     for name, x in catalogue_skew_closed().items():
         assert roundtrip_check(x).ok, name
+
+
+def test_compare_skew_monoidal_verdicts():
+    """equal on the same category, isomorphic on Z/2 relabelled a, b, and
+    None on two tensors of one base and on bases of different sizes, which
+    the object-count guard answers before any object bijection is tried."""
+    mons = catalogue_skew_monoidals()
+    z2 = monoid_skew_monoidal(z2_monoid())
+    ab = monoid_skew_monoidal(Monoid("z2ab", ("a", "b"), "a", {
+        ("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "a"}))
+    assert compare_skew_monoidal(z2, mons["z2.mon"]) == "equal"
+    assert compare_skew_monoidal(z2, ab) == "isomorphic"
+    assert compare_skew_monoidal(mons["poset2-first"], mons["poset2-second"]) is None
+    assert compare_skew_monoidal(z2, mons["z3.mon"]) is None
+    assert compare_skew_monoidal(mons["z3.mon"], z2) is None
 
 
 def test_induced_poset_second_tables_and_flags():
