@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Optional
 
-from .errors import InconsistentVerdicts, MalformedTable, NoSolution
+from .errors import InconsistentVerdicts, NoSolution
+from .fincat import check_tables
 from .report import ValidationReport
 from .shortmulti import tally
 from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
@@ -40,11 +41,10 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> V
     which give the actions and substitution only on such a structure, and
     which validate_short_skew has already built."""
     base, info = m.base, m._index
-    for tag, arity, _ in _SPECS:
-        table = beta.table(tag)
-        for f in m.multimaps(TIGHT, arity):
-            if f not in table:
-                raise MalformedTable(f"{beta.name}: {tag} not total at {f}")
+    check_tables(beta.name, [
+        (tag, beta.table(tag), 1,
+         (m.multimaps(TIGHT, arity), f"a tight multimap of arity {arity}"), (info, "a multimap"))
+        for tag, arity, _ in _SPECS])
     pre, post, sub = m.lookups
     pget, qget, sget = pre.get, post.get, sub.get
     into, out_of = base.mors_into, base.mors_out_of
@@ -60,14 +60,14 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> V
         family = f"{tag}-typing"
         for f in m.multimaps(TIGHT, arity):
             _, dom, cod, _ = info[f]
-            n, idom, icod, flavours = m.info(table[f])
+            n, idom, icod, flavours = info[table[f]]
             have, want = (n, idom, icod, TIGHT in flavours), (arity, _swap(dom, slot), cod, True)
             if have != want:
                 fail(family, (f,), str(have), str(want))
         tally(report, family, len(m.multimaps(TIGHT, arity)))
         family, sets = f"{tag}-bijective", m.tight.get(arity, {})
         for (dom, cod), source in sets.items():
-            have = sorted({table[f] for f in source}) if all(f in table for f in source) else None
+            have = sorted({table[f] for f in source})
             want = sorted(sets.get((_swap(dom, slot), cod), ()))
             if have != want:
                 fail(family, (",".join(dom), cod), str(have), str(want))

@@ -123,6 +123,44 @@ class FinCategory:
                 raise MalformedTable(f"{self.name}: comp not total at ({g},{f})")
 
 
+def _show(key) -> str:
+    return f"({','.join(key)})" if isinstance(key, tuple) else key
+
+
+def table_domains(c: FinCategory) -> tuple[tuple, tuple, tuple]:
+    """The objects and the morphisms of c as the keys or values of a row of
+    check_tables: (objects, morphisms to key by, morphisms as values)."""
+    return ((c.objects, "an object"), (c.morphisms(), "a morphism"), (c._span, "a morphism"))
+
+
+def check_tables(name: str, rows) -> None:
+    """Raise MalformedTable at the first key missing from any row, then
+    DanglingId as check_members does. A row (label, table, k, (members, what),
+    (values, what)) says the table is keyed by exactly the k-tuples of members
+    in their listed order (by the members when k is 1) and valued in values."""
+    for label, table, k, (members, _), _ in rows:
+        for key in members if k == 1 else itertools.product(members, repeat=k):
+            if key not in table:
+                raise MalformedTable(f"{name}: {label} not total at {_show(key)}")
+    check_members(name, rows)
+
+
+def check_members(name: str, rows) -> None:
+    """Raise DanglingId at the first key of a row that names a part outside
+    its members, or the first value outside its values. The values of a row
+    must answer `in` quickly: a dict, a set or a short tuple."""
+    for label, table, k, (members, what), (values, value_what) in rows:
+        allowed = set(members)
+        for key, v in table.items():
+            for part in key if k > 1 else (key,):
+                if part not in allowed:
+                    raise DanglingId(f"{name}: {label} key {_show(key)} names {part}, "
+                                     f"which is not {what}")
+            if v not in values:
+                raise DanglingId(f"{name}: {label} component {v} at {_show(key)} "
+                                 f"is not {value_what}")
+
+
 def composable_pairs(c: FinCategory) -> Iterator[tuple[str, str]]:
     for f in c.morphisms():
         for g in c.mors_out_of(c.cod(f)):
@@ -178,14 +216,9 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     """Validate totality of the maps plus preservation of spans, identities
     and composition."""
     src, tgt = fun.source, fun.target
-    for a in src.objects:
-        if fun.obj_map.get(a) not in tgt.objects:
-            raise MalformedTable(f"{fun.name}: object {a} has no valid image")
-    for f in src.morphisms():
-        g = fun.mor_map.get(f)
-        if g is None or g not in tgt._span:
-            raise DanglingId(f"{fun.name}: morphism {f} has no valid image")
-
+    (objs, mors, _), (images, _, arrows) = table_domains(src), table_domains(tgt)
+    check_tables(fun.name, [("obj_map", fun.obj_map, 1, objs, images),
+                            ("mor_map", fun.mor_map, 1, mors, arrows)])
     report = ValidationReport(fun.name)
     for f in src.morphisms():
         a, b = src.span(f)

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import DanglingId, MalformedTable
-from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
+from .fincat import FinCategory, FinFunctor, check_members, validate_category, validate_functor
 from .report import ValidationReport
 
 if TYPE_CHECKING:
@@ -518,8 +518,8 @@ class MultiMorphism:
 
 
 def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
-    """Validate table totality, typing, naturality in every variable, and
-    commutation with every stored substitution."""
+    """Validate that each image table is keyed by exactly its source maps,
+    typing, naturality in every variable and commutation with substitution."""
     src, tgt, fun = F.source, F.target, F.functor
     base_report = validate_functor(fun)
     typing = []
@@ -530,6 +530,9 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
                 raise MalformedTable(f"{F.name}: no image for arity-{n} multimap {f}")
             _, dom, cod = src.info(f)
             typing.append((f, img, (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))))
+    check_members(F.name, [
+        (f"m{n}", table, 1, (src.multimaps(n), f"a source multimap of arity {n}"),
+         (tgt._index, "a multimap")) for n, table in F.maps.items()])
     report = ValidationReport(F.name)
     for f, img, want in typing:
         report.check("morphism-typing", (f,), str(tgt.info(img)), str(want))

@@ -27,12 +27,12 @@ the loose one by j-naturality).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import DanglingId, MalformedTable, TypingViolation
-from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
+from .fincat import FinCategory, FinFunctor, check_members, validate_category, validate_functor
 from .report import ValidationReport
 from .shortmulti import (
     Key, MultiMorphism, MultiTables, ShortMulticategory, assoc_checks, identity_checks,
@@ -278,9 +278,10 @@ def build(name: str, base: FinCategory,
                     fs = members(flavour, n, dom, cod)
                     if fs:
                         table[dom, cod] = fs
-    m = ShortSkewMulticategory(name, base, tight, loose, {}, {}, {}, {})
-    idx, span = m._index, base._span
+    # built once: the loop below reads its tables and fills j, pre, post, sub
     j, pre, post, sub = {}, {}, {}, {}
+    m = ShortSkewMulticategory(name, base, tight, loose, j, pre, post, sub)
+    idx, span = m._index, base._span
 
     def entries():
         for f in m.multimaps(TIGHT, 1) + m.multimaps(TIGHT, 2):
@@ -307,7 +308,7 @@ def build(name: str, base: FinCategory,
             flavour, n, dom, cod = ty
             raise MalformedTable(f"{name}: no {flavour}{n} map {dom};{cod} for {table} entry {key}")
         out[key] = h
-    return replace(m, j=j, pre=pre, post=post, sub=sub)
+    return m
 
 
 # --------------------------------------------------------------------------
@@ -513,6 +514,12 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
             _, dom, cod, _ = src.info(f)
             want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod), True)
             typing.append((flavour, n, f, img, want))
+    check_members(F.name, [
+        (f"{flavour}{n}", table, 1,
+         (src.multimaps(flavour, n), f"a source multimap of type {flavour}{n}"),
+         (tgt._index, "a multimap"))
+        for flavour, tables in ((TIGHT, F.tight_maps), (LOOSE, F.loose_maps))
+        for n, table in tables.items()])
     report = ValidationReport(F.name)
     check = report.check
     for flavour, n, f, img, want in typing:

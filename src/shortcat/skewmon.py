@@ -13,8 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DanglingId, MalformedTable
-from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
+from .errors import MalformedTable
+from .fincat import (
+    FinCategory, FinFunctor, check_tables, table_domains, validate_category, validate_functor,
+)
 from .report import ValidationReport
 
 
@@ -47,43 +49,15 @@ class SkewMonCategory:
 
     def check_structure(self) -> None:
         self.base.check_structure()
-        objs, span = self.base.objects, self.base._span
-        if self.unit not in objs:
+        objs, mors, arrows = table_domains(self.base)
+        if self.unit not in objs[0]:
             raise MalformedTable(f"{self.name}: unit {self.unit} undeclared")
-        for (a, b) in itertools.product(objs, repeat=2):
-            if (a, b) not in self.tensor_obj:
-                raise MalformedTable(f"{self.name}: tensor_obj not total at ({a},{b})")
-            if self.tensor_obj[(a, b)] not in objs:
-                raise DanglingId(f"{self.name}: tensor_obj({a},{b}) dangles")
-        for f, g in itertools.product(self.base.morphisms(), repeat=2):
-            if (f, g) not in self.tensor_mor:
-                raise MalformedTable(f"{self.name}: tensor_mor not total at ({f},{g})")
-        for (f, g), h in self.tensor_mor.items():
-            if f not in span or g not in span or h not in span:
-                raise DanglingId(f"{self.name}: tensor_mor entry ({f},{g}) dangles")
-        for (a, b, c) in itertools.product(objs, repeat=3):
-            if (a, b, c) not in self.alpha:
-                raise MalformedTable(f"{self.name}: alpha not total at ({a},{b},{c})")
-        for a in objs:
-            if a not in self.lam or a not in self.rho:
-                raise MalformedTable(f"{self.name}: unit maps not total at {a}")
-        for table in (self.alpha, self.lam, self.rho):
-            for v in table.values():
-                if v not in span:
-                    raise DanglingId(f"{self.name}: structure morphism {v} dangles")
-        for table in ("tensor_obj", "alpha", "lam", "rho"):
-            check_key_parts(self.name, table, getattr(self, table), objs, "an object")
-
-
-def check_key_parts(name: str, table: str, entries: dict, members, what: str) -> None:
-    """Raise DanglingId unless every component of every key of the table
-    named `table` is in members (the objects or the morphisms of the base)."""
-    for key in entries:
-        parts = key if isinstance(key, tuple) else (key,)
-        for part in parts:
-            if part not in members:
-                raise DanglingId(f"{name}: {table} key ({','.join(parts)}) names {part}, "
-                                 f"which is not {what}")
+        check_tables(self.name, [
+            ("tensor_obj", self.tensor_obj, 2, objs, objs),
+            ("tensor_mor", self.tensor_mor, 2, mors, arrows),
+            ("alpha", self.alpha, 3, objs, arrows),
+            ("lam", self.lam, 1, objs, arrows),
+            ("rho", self.rho, 1, objs, arrows)])
 
 
 def _comp_chain(base: FinCategory, *mors: Optional[str]) -> Optional[str]:
@@ -240,9 +214,7 @@ def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
     base = tgt.base
     functor_report = validate_functor(fun)
     fi = fun.on_obj(src.unit)
-    for a, b in itertools.product(src.base.objects, repeat=2):
-        if (a, b) not in t.f2:
-            raise MalformedTable(f"{t.name}: f2 not total at ({a},{b})")
+    check_tables(t.name, [("f2", t.f2, 2, table_domains(src.base)[0], table_domains(base)[2])])
     report = ValidationReport(t.name)
     check = report.check
 
@@ -301,17 +273,13 @@ class Braiding:
 
 
 def check_braiding_total(c: SkewMonCategory, braid: Braiding) -> None:
-    """Raise MalformedTable unless s and its inverse are defined on every
-    triple of objects, and DanglingId unless every value is a base morphism.
-    Whether a value has the right type is the s-typing family's question."""
-    for key in itertools.product(c.base.objects, repeat=3):
-        if key not in braid.s or key not in braid.s_inv:
-            raise MalformedTable(f"{braid.name}: braiding not total at {key}")
-    for table in (braid.s, braid.s_inv):
-        for key, v in table.items():
-            if v not in c.base._span:
-                raise DanglingId(f"{braid.name}: braiding component {v} at {key} "
-                                 f"is not a morphism")
+    """Raise MalformedTable unless s and its inverse are defined on exactly
+    the triples of objects, and DanglingId unless every value is a base
+    morphism. Whether a value has the right type is the s-typing family's
+    question."""
+    objs, _, arrows = table_domains(c.base)
+    check_tables(braid.name, [("braiding", braid.s, 3, objs, arrows),
+                              ("braiding", braid.s_inv, 3, objs, arrows)])
 
 
 def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
@@ -419,28 +387,15 @@ class SkewClosedCategory:
 
     def check_structure(self) -> None:
         self.base.check_structure()
-        objs, span = self.base.objects, self.base._span
-        if self.unit not in objs:
+        objs, mors, arrows = table_domains(self.base)
+        if self.unit not in objs[0]:
             raise MalformedTable(f"{self.name}: unit undeclared")
-        for a, b in itertools.product(objs, repeat=2):
-            if (a, b) not in self.hom_obj or self.hom_obj[(a, b)] not in objs:
-                raise MalformedTable(f"{self.name}: hom_obj not total at ({a},{b})")
-        for f, g in itertools.product(self.base.morphisms(), repeat=2):
-            if (f, g) not in self.hom_mor:
-                raise MalformedTable(f"{self.name}: hom_mor not total at ({f},{g})")
-        for v in itertools.chain(self.hom_mor.values(), self.iu.values(),
-                                 self.ju.values(), self.ell.values()):
-            if v not in span:
-                raise DanglingId(f"{self.name}: structure morphism {v} dangles")
-        for a in objs:
-            if a not in self.iu or a not in self.ju:
-                raise MalformedTable(f"{self.name}: unit maps not total at {a}")
-        for key in itertools.product(objs, repeat=3):
-            if key not in self.ell:
-                raise MalformedTable(f"{self.name}: L not total at {key}")
-        for table in ("hom_obj", "iu", "ju", "ell"):
-            check_key_parts(self.name, table, getattr(self, table), objs, "an object")
-        check_key_parts(self.name, "hom_mor", self.hom_mor, span, "a morphism")
+        check_tables(self.name, [
+            ("hom_obj", self.hom_obj, 2, objs, objs),
+            ("hom_mor", self.hom_mor, 2, mors, arrows),
+            ("iu", self.iu, 1, objs, arrows),
+            ("ju", self.ju, 1, objs, arrows),
+            ("ell", self.ell, 3, objs, arrows)])
 
 
 def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
@@ -550,9 +505,8 @@ def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
     base = tgt.base
     F = fun.on_obj
     functor_report = validate_functor(fun)
-    for a, b in itertools.product(src.base.objects, repeat=2):
-        if (a, b) not in t.fh:
-            raise MalformedTable(f"{t.name}: hom comparison not total at ({a},{b})")
+    check_tables(t.name, [("hom comparison", t.fh, 2, table_domains(src.base)[0],
+                           table_domains(base)[2])])
     report = ValidationReport(t.name)
     check = report.check
 

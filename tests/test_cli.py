@@ -333,7 +333,7 @@ def test_missing_braiding_entry_is_a_malformed_table(tmp_path, command):
     assert out.returncode == 2, out.stdout + out.stderr
     errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
     assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
-    assert "braiding not total at ('1', '0', '1')" in errors[0], out.stderr
+    assert "braiding not total at (1,0,1)" in errors[0], out.stderr
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path):
@@ -505,7 +505,7 @@ def _replace_line(text, old, new):
 
 
 ALPHA_KEY = "alpha key (0,0,1_0) names 1_0, which is not an object"
-S_VALUE = "braiding component 1 at ('0', '0', '1') is not a morphism"
+S_VALUE = "braiding component 1 at (0,0,1) is not a morphism"
 POST_LINE = "post 1_0 m4(1,0,0,1;0) = m4(1,0,0,1;0)"
 BAD_POST_LINE = "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"
 AXIOM_FAILURE = "validation of the structure fails 10 instances; construct needs one that passes"

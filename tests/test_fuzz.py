@@ -6,7 +6,8 @@ swapped (within a line or between two lines) must end, under every command, in a
 error) and never a traceback. And serializing a parsed catalogue file, or
 the category with no objects, gives back the text it was parsed from. And
 `catalogue comm-monoid` on any arguments either refuses them in one `error:`
-line or writes files that validate.
+line or writes files that validate. And a record that names an id its file
+does not declare, in any keyed table of any kind, is refused with exit 2.
 """
 import tempfile
 from pathlib import Path
@@ -16,8 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shortcat import cli
-from shortcat.fileformat import StructureFile, parse, serialize
+from shortcat.fileformat import (
+    MAP, MORPHISM_TABLES, ROWS, RawLaxFunctor, StructureFile, parse, serialize, unbind_morphism,
+)
 from shortcat.fincat import FinCategory
+from shortcat.shortskew import identity_skew_morphism
+from shortcat.skewmon import identity_lax_functor
 
 # The smaller catalogue entries: each command on one of them takes well under
 # a second, so the example budget below stays within a few seconds.
@@ -120,6 +125,67 @@ def test_morphism_with_an_edited_file_ends_in_a_documented_exit(work, capsys, en
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(errors) <= 1, (name, which, how, err)
     assert "Traceback" not in err
+
+
+def _stray_key_cases():
+    """(label, file text, text of its --source and --target or None): the
+    z2 files of every kind the z2 generator writes, its base as a category
+    file, heyting2.cl, id[z2] as a plain and as a skew morphism file, and
+    the identity lax functor on z2.mon."""
+    z2 = {sf.kind: sf for sf in cli.catalogue_files("z2")}
+    closed = next(sf for sf in cli.catalogue_files("heyting-2") if sf.kind == "skew-closed")
+    base, (skew, _) = z2["short-multi"].payload.base, z2["short-skew"].payload
+    mon = z2["skew-monoidal"].payload
+    t = identity_lax_functor(mon)
+    files = [StructureFile("category", base.name, base), *z2.values(), closed]
+    cases = [(sf.name, serialize(sf), None) for sf in files]
+    name, text, source, _ = next(entry for entry in MORPHISM_FILES if entry[0] == "id[z2]")
+    cases.append((name, text, source))
+    skew_morphism = StructureFile("morphism", f"id[{skew.name}]",
+                                  unbind_morphism(identity_skew_morphism(skew)))
+    cases.append((skew_morphism.name, serialize(skew_morphism), serialize(z2["short-skew"])))
+    lax = RawLaxFunctor(mon.name, mon.name, dict(t.functor.obj_map), dict(t.functor.mor_map),
+                        t.f0, dict(t.f2))
+    cases.append((t.name, serialize(StructureFile("lax-functor", t.name, lax)),
+                  serialize(z2["skew-monoidal"])))
+    return cases
+
+
+STRAY_KEY_CASES = _stray_key_cases()
+
+
+@pytest.mark.parametrize("label,text,ends", STRAY_KEY_CASES,
+                         ids=[case[0] for case in STRAY_KEY_CASES])
+def test_a_stray_key_is_refused(work, capsys, label, text, ends):
+    """For every keyed record of the file, a copy of its first record whose
+    last key argument is an id the file does not declare makes validate
+    exit 2 with one error line, which names that id unless the record lists
+    a multimap set: its ids are then declared twice. provenance keys are
+    free-form."""
+    sf, _ = parse(text)
+    keyed = {row.keyword: row.shape for row in ROWS[sf.kind] + MORPHISM_TABLES.get(
+        getattr(sf.payload, "variant", None), ()) if row.nargs}
+    firsts = {}
+    for line in text.splitlines():
+        head, _, tail = line.partition(" = ")
+        keyword, *args = head.split()
+        if args and keyword != "provenance":
+            firsts.setdefault(keyword, (args, tail))
+    assert set(firsts) == set(keyed), label
+    options = []
+    if ends is not None:
+        (work / "end.txt").write_text(ends, encoding="utf-8")
+        options = ["--source", str(work / "end.txt"), "--target", str(work / "end.txt")]
+    path, refused = work / f"stray.{sf.kind}.txt", []
+    for keyword, (args, tail) in firsts.items():
+        path.write_text(f"{text}{keyword} {' '.join(args[:-1] + ['nosuch'])} = {tail}\n",
+                        encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["validate", str(path), *options])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        if code != 2 or len(errors) != 1 or (keyed[keyword] != MAP and "nosuch" not in errors[0]):
+            refused.append((keyword, code, errors))
+    assert not refused, (label, refused)
 
 
 def test_serialize_parse_serialize_is_the_identity():

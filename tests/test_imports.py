@@ -1,12 +1,17 @@
 """No module of the package imports a name it never uses. The scan is
 lenient about scope: a name counts as used when any expression in the
-module reads it, annotations included."""
+module reads it, annotations included. And every module of the package,
+the tests and the bench parses under the Python 3.10 grammar, the oldest
+pyproject.toml claims."""
 import ast
 from pathlib import Path
+
+import pytest
 
 import shortcat
 
 PACKAGE = Path(shortcat.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:
@@ -31,3 +36,27 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text()) for path in modules}
     assert {name: found for name, found in unused.items() if found} == {}
     assert len(modules) > 10
+
+
+def _grammar_errors(path: Path) -> list[str]:
+    """The syntax errors of a module under the Python 3.10 grammar. The
+    grammar only: a standard-library name added after 3.10 passes."""
+    try:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    except SyntaxError as exc:
+        return [f"{path.name}:{exc.lineno}: {exc.msg}"]
+    return []
+
+
+def test_the_grammar_check_finds_newer_syntax(tmp_path):
+    path = tmp_path / "newer.py"
+    path.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    (error,) = _grammar_errors(path)
+    assert error.startswith("newer.py:") and "Python 3.11" in error
+
+
+@pytest.mark.parametrize("tree", ["src", "tests", "bench"])
+def test_every_module_parses_under_the_3_10_grammar(tree):
+    modules = sorted((ROOT / tree).rglob("*.py"))
+    assert modules
+    assert [error for path in modules for error in _grammar_errors(path)] == []

@@ -17,7 +17,7 @@ from shortcat.catalogue import (
 )
 from shortcat.errors import MalformedTable
 from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
-from shortcat.shortskew import embed_plain, plain_of
+from shortcat.shortskew import ShortSkewMulticategory, embed_plain, plain_of
 from shortcat.skewmon import classify_flavour
 from test_kernel import _cyclic_of
 
@@ -65,6 +65,24 @@ def test_skew_builders_match_reference(monkeypatch):
     for name, x in catalogue_skew_closed().items():
         assert _skew_tables(induce_closed_skew(x)) == _skew_tables(ref.induce_closed_skew(x)), name
     assert (len(monoidal), len(catalogue_skew_closed())) == (11, 2)
+
+
+def test_each_build_constructs_its_structure_once(monkeypatch):
+    """build fills the j, pre, post and sub dicts of the structure it has
+    already made, so __post_init__, which loads and sorts every table and
+    indexes every id, runs once per built structure."""
+    built = []
+    post_init = ShortSkewMulticategory.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(ShortSkewMulticategory, "__post_init__", counted)
+    thin = catalogue.poset2_first_short_skew()
+    tensor = induce_short_skew(catalogue_skew_monoidals()["poset2-first"])
+    closed = induce_closed_skew(catalogue_skew_closed()["heyting2.cl"])
+    assert built == [thin.name, tensor.name, closed.name]
 
 
 def test_a_tight_unary_result_with_the_wrong_span_is_refused():
