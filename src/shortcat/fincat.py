@@ -103,28 +103,21 @@ class FinCategory:
 
     # -- structural checks --------------------------------------------------
     def check_structure(self) -> None:
-        """Raise MalformedTable unless tables are well-formed and total."""
+        """Raise MalformedTable unless id is keyed by exactly the objects and
+        comp by exactly the composable pairs, both valued in the morphisms,
+        and each identity is an endomorphism of its object."""
+        check_tables(self.name, [
+            ("id", self.ids, 1, (self.objects, "an object"), (self._span, "a morphism")),
+            ("comp", self.comp, 1, (list(composable_pairs(self)), "a composable pair"),
+             (self._span, "a morphism"))])
+        span = self._span
         for a in self.objects:
-            i = self.ids.get(a)
-            if i is None:
-                raise MalformedTable(f"{self.name}: missing identity for {a}")
-            if i not in self._span:
-                raise DanglingId(f"{self.name}: identity {i} of {a} is not a morphism")
-            if self._span[i] != (a, a):
-                raise MalformedTable(f"{self.name}: identity of {a} has span {self._span[i]}")
-        for (g, f), h in self.comp.items():
-            for m in (g, f, h):
-                if m not in self._span:
-                    raise DanglingId(f"{self.name}: comp entry ({g},{f})={h} references unknown morphism")
-            if self.cod(f) != self.dom(g):
-                raise MalformedTable(f"{self.name}: comp key ({g},{f}) is not composable")
-        for g, f in composable_pairs(self):
-            if (g, f) not in self.comp:
-                raise MalformedTable(f"{self.name}: comp not total at ({g},{f})")
+            if span[self.ids[a]] != (a, a):
+                raise MalformedTable(f"{self.name}: identity of {a} has span {span[self.ids[a]]}")
 
 
 def _show(key) -> str:
-    return f"({','.join(key)})" if isinstance(key, tuple) else key
+    return f"({','.join(map(str, key))})" if isinstance(key, tuple) else key
 
 
 def table_domains(c: FinCategory) -> tuple[tuple, tuple, tuple]:
@@ -146,13 +139,16 @@ def check_tables(name: str, rows) -> None:
 
 
 def check_members(name: str, rows) -> None:
-    """Raise DanglingId at the first key of a row that names a part outside
-    its members, or the first value outside its values. The values of a row
-    must answer `in` quickly: a dict, a set or a short tuple."""
+    """Raise DanglingId at the first key of a row that is no member (when k
+    is 1) or names a part outside its members, or the first value outside
+    its values. The values of a row must answer `in` quickly: a dict, a set
+    or a short tuple."""
     for label, table, k, (members, what), (values, value_what) in rows:
         allowed = set(members)
         for key, v in table.items():
-            for part in key if k > 1 else (key,):
+            if k == 1 and key not in allowed:
+                raise DanglingId(f"{name}: {label} key {_show(key)} is not {what}")
+            for part in key if k > 1 else ():
                 if part not in allowed:
                     raise DanglingId(f"{name}: {label} key {_show(key)} names {part}, "
                                      f"which is not {what}")

@@ -26,7 +26,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import DanglingId, MalformedTable
-from .fincat import FinCategory, FinFunctor, check_members, validate_category, validate_functor
+from .fincat import (
+    FinCategory, FinFunctor, check_members, check_tables, validate_category, validate_functor,
+)
 from .report import ValidationReport
 
 if TYPE_CHECKING:
@@ -43,10 +45,10 @@ class MultiTables:
 
     A subclass is a frozen dataclass with `name`, `base`, `pre`, `post`,
     `sub` and `_index` (id -> (arity, domain, codomain, ...)). It supplies
-    `table_maps`, `required_sub_keys`, `_tables` (its multimap tables by
-    arity, for the key-shape check) and `_CASE_OF`, which maps the arities
-    of an outer and an inner id (with their flavours, when `_FLAVOURED`) to
-    the stored substitution case they fall in. The routing rule is written
+    `table_maps`, `required_sub_keys` and `_tables` (its multimap tables by
+    arity, for the key-shape check). The pre, post and sub tables are keyed
+    by exactly the required keys, which are also what the builders fill
+    and the morphism laws walk. The routing rule is written
     once, in `lookups`: a base morphism, the only tight unary map, composes
     in the base, and every other id reads the pre, post and sub tables.
     `safe_pre`, `safe_post`, `safe_subst` and the validators all read those
@@ -114,14 +116,13 @@ class MultiTables:
             for q in out_of.get(idx[f][2], ()):
                 yield (q, f)
 
-    def _check_tables(self) -> list[tuple]:
-        """The structure checks both structures share: the base, key shapes,
-        dangling ids, slot range, composability, stored cases and totality.
-        Each loop reads the index and the base spans directly. Returns the
-        stored case of each sub entry, in table order."""
+    def _check_rows(self, *rows: tuple) -> None:
+        """The structure checks both structures share: the base, the key
+        shape of every multimap table, then check_tables on the pre, post
+        and sub tables, each keyed by exactly its required keys and valued
+        in the multimaps, and on `rows`."""
         self.base.check_structure()
-        name, idx, span = self.name, self._index, self.base._span
-        objects = set(self.base.objects)
+        name, objects = self.name, set(self.base.objects)
         for n, table in self._tables():
             for dom, cod in table:
                 if len(dom) != n:
@@ -129,40 +130,16 @@ class MultiTables:
                 for a in dom + (cod,):
                     if a not in objects:
                         raise MalformedTable(f"{name}: unknown object {a} in multimap key")
-        for (f, i, p), g in self.pre.items():
-            if f not in idx or g not in idx:
-                raise DanglingId(f"{name}: pre entry ({f},{i},{p}) dangles")
-            n, dom = idx[f][:2]
-            if not 1 <= i <= n:
-                raise MalformedTable(f"{name}: pre key ({f},{i},{p}) has slot {i} outside 1..{n}")
-            if p not in span or span[p][1] != dom[i - 1]:
-                raise MalformedTable(f"{name}: pre key ({f},{i},{p}) not composable")
-        for (q, f), g in self.post.items():
-            if f not in idx or g not in idx:
-                raise DanglingId(f"{name}: post entry ({q},{f}) dangles")
-            if q not in span or span[q][0] != idx[f][2]:
-                raise MalformedTable(f"{name}: post key ({q},{f}) not composable")
-        case_of, flavoured, cases = self._CASE_OF, self._FLAVOURED, []
-        for (g, i, f), h in self.sub.items():
-            if g not in idx or f not in idx or h not in idx:
-                raise DanglingId(f"{name}: sub entry ({g},{i},{f}) dangles")
-            gi, fi = idx[g], idx[f]
-            n = gi[0]
-            if not 1 <= i <= n:
-                raise MalformedTable(f"{name}: sub key ({g},{i},{f}) has slot {i} outside 1..{n}")
-            case = case_of.get((n, gi[3], fi[0], fi[3]) if flavoured else (n, fi[0]))
-            if case is None:
-                raise MalformedTable(f"{name}: sub key ({g},{i},{f}) outside stored cases")
-            if fi[2] != gi[1][i - 1]:
-                raise MalformedTable(f"{name}: sub key ({g},{i},{f}) not composable")
-            cases.append(case)
-        for label, table, keys in (("pre", self.pre, self.required_pre_keys()),
-                                   ("post", self.post, self.required_post_keys()),
-                                   ("sub", self.sub, self.required_sub_keys())):
-            for key in keys:
-                if key not in table:
-                    raise MalformedTable(f"{name}: {label} table not total at {key}")
-        return cases
+        maps = (self._index, "a multimap")
+        check_tables(name, [
+            ("pre", self.pre, 1, (list(self.required_pre_keys()),
+                                  "a slot of a non-base map with a morphism into it"), maps),
+            ("post", self.post, 1, (list(self.required_post_keys()),
+                                    "a morphism out of a non-base map with that map"), maps),
+            ("sub", self.sub, 1, (list(self.required_sub_keys()),
+                                  "a slot of an outer map with an inner map into it, "
+                                  "in a stored case"), maps),
+            *rows])
 
 
 @dataclass(frozen=True)
@@ -253,15 +230,12 @@ class ShortMulticategory(MultiTables):
     def _tables(self) -> Iterable[tuple[int, dict]]:
         return self.maps.items()
 
-    _CASE_OF = {case: case for case in STORED_CASES}
-    _FLAVOURED = False
-
     def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
         for (n, k) in sorted(STORED_CASES):
             yield from _sub_pairs(self, n, k)
 
     def check_structure(self) -> None:
-        self._check_tables()
+        self._check_rows()
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .errors import DanglingId, MalformedTable, TypingViolation
+from .errors import MalformedTable, TypingViolation
 from .fincat import FinCategory, FinFunctor, check_members, validate_category, validate_functor
 from .report import ValidationReport
 from .shortmulti import (
@@ -203,26 +203,20 @@ class ShortSkewMulticategory(MultiTables):
     def _tables(self) -> Iterator[tuple[int, dict]]:
         return itertools.chain(self.tight.items(), self.loose.items())
 
-    _CASE_OF = _CASE_OF
-    _FLAVOURED = True
-
     def check_structure(self) -> None:
-        """The shared table checks, then j and the tight/loose table of each
-        sub result, read off the stored case the shared checks found."""
-        cases = self._check_tables()
+        """The shared table checks with j keyed by exactly the tight unary
+        and binary maps, then that j lands loose and each sub result lands in
+        the tight/loose table of its stored case."""
         name, idx, j = self.name, self._index, self.j
+        self._check_rows(("j", j, 1, (self.multimaps(TIGHT, 1) + self.multimaps(TIGHT, 2),
+                                      "a tight unary or binary map"), (idx, "a multimap")))
         for f, q in j.items():
-            if f not in idx or q not in idx:
-                raise DanglingId(f"{name}: j entry {f} -> {q} dangles")
-            if TIGHT not in idx[f][3] or idx[f][0] not in (1, 2):
-                raise MalformedTable(f"{name}: j keyed by non-tight or bad-arity id {f}")
             if LOOSE not in idx[q][3]:
                 raise TypingViolation(f"{name}: j({f}) = {q} is not loose")
-        for n in (1, 2):
-            for f in self.multimaps(TIGHT, n):
-                if f not in j:
-                    raise MalformedTable(f"{name}: j not total at {f}")
-        for ((g, i, f), h), (_, x, _, y) in zip(self.sub.items(), cases):
+        for (g, i, f), h in self.sub.items():
+            n, _, _, xs = idx[g]
+            k, _, _, ys = idx[f]
+            _, x, _, y = _CASE_OF[n, xs, k, ys]
             if sub_flavour(x, i, y) not in idx[h][3]:
                 raise TypingViolation(
                     f"{name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")

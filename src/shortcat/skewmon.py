@@ -279,7 +279,7 @@ def check_braiding_total(c: SkewMonCategory, braid: Braiding) -> None:
     question."""
     objs, _, arrows = table_domains(c.base)
     check_tables(braid.name, [("braiding", braid.s, 3, objs, arrows),
-                              ("braiding", braid.s_inv, 3, objs, arrows)])
+                              ("sinv", braid.s_inv, 3, objs, arrows)])
 
 
 def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:

@@ -279,6 +279,12 @@ SLOT_CASES = [
 ]
 
 
+# what the key of a pre, post or sub entry must be
+KEY_DOMAINS = {"pre": "a slot of a non-base map with a morphism into it",
+               "post": "a morphism out of a non-base map with that map",
+               "sub": "a slot of an outer map with an inner map into it, in a stored case"}
+
+
 @pytest.mark.parametrize("kind,table,slot,command", SLOT_CASES)
 def test_out_of_range_slot_is_a_malformed_table(tmp_path, kind, table, slot, command):
     """A pre or sub key must substitute at a slot of its map: an extra line
@@ -298,7 +304,8 @@ def test_out_of_range_slot_is_a_malformed_table(tmp_path, kind, table, slot, com
     assert out.returncode == 2, out.stdout + out.stderr
     errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
     assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
-    assert f"slot {slot} outside 1..2" in errors[0], out.stderr
+    name, what = "z2" if kind == "short-multi" else "z2.skew", KEY_DOMAINS[table]
+    assert errors[0] == f"error: {name}: {table} key ({words[1]},{slot},{words[3]}) is not {what}"
 
 
 def test_jobs_is_at_least_one_and_capped_at_the_cpu_count(tmp_path):
@@ -562,6 +569,19 @@ HOM_LINE = "hom 0 0 = 1_0"
                  ["roundtrip"], 1,
                  "heyting2.cl: validation of the structure fails 3 instances; roundtrip needs "
                  "one that passes", id="j-failure-roundtrip-skew-closed"),
+    # an entry keyed at a base morphism, which composes in the base
+    *[pytest.param("z2", "short-multi", lambda t: t + "pre 1_0 1 1_0 = 1_0\n", [command], 2,
+                   f"z2: pre key (1_0,1,1_0) is not {KEY_DOMAINS['pre']}",
+                   id=f"base-pre-key-{command}") for command in ("validate", "certify")],
+    *[pytest.param("z2", "short-skew", lambda t: t + "post 1_1 1_1 = 1_1\n", [command], 2,
+                   f"z2.skew: post key (1_1,1_1) is not {KEY_DOMAINS['post']}",
+                   id=f"base-post-key-{command}") for command in ("validate", "certify")],
+    # the inverse braiding names its own table
+    pytest.param("z2", "braiding", lambda t: _replace_line(t, "sinv 0 0 1 = 1_1", ""),
+                 ["validate"], 2, "z2.sym.braid: sinv not total at (0,0,1)", id="sinv-missing"),
+    pytest.param("z2", "braiding", lambda t: t + "sinv 0 0 nosuch = 1_0\n", ["validate"], 2,
+                 "z2.sym.braid: sinv key (0,0,nosuch) names nosuch, which is not an object",
+                 id="sinv-stray-key"),
     pytest.param("z2", "short-multi",
                  lambda t: _replace_line(t, PRE_LINE, "pre m2(0,0;0) 1 1_0 = zzz\n" + PRE_LINE),
                  ["validate"], 2,
@@ -612,7 +632,7 @@ def _morphism_text(name):
                  id="plain-morphism-skew-monoidal-source"),
     pytest.param(("morphism", "z2-into-klein"),
                  ("z2", "short-multi", lambda t: _replace_line(t, "post 1_0 m2(0,0;0) = m2(0,0;0)", "")),
-                 [], 2, "post table not total at ('1_0', 'm2(0,0;0)')",
+                 [], 2, "post not total at (1_0,m2(0,0;0))",
                  id="plain-morphism-partial-source"),
     pytest.param(("morphism", "z2-into-klein"), ("z2", "short-multi", None), ["--max-objects", "1"],
                  2, "z2: 2 objects exceeds --max-objects 1", id="plain-morphism-source-too-big"),

@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses. The scan is
 lenient about scope: a name counts as used when any expression in the
-module reads it, annotations included. And every module of the package,
-the tests and the bench parses under the Python 3.10 grammar, the oldest
-pyproject.toml claims."""
+module reads it, annotations included. Every module of the package, the
+tests and the bench parses under the Python 3.10 grammar, the oldest
+pyproject.toml claims. And only fincat.check_tables raises a "not total"
+error: every finite table is checked there."""
 import ast
 from pathlib import Path
 
@@ -60,3 +61,44 @@ def test_every_module_parses_under_the_3_10_grammar(tree):
     modules = sorted((ROOT / tree).rglob("*.py"))
     assert modules
     assert [error for path in modules for error in _grammar_errors(path)] == []
+
+
+def _not_total_raises(source: str) -> list[str]:
+    """The qualified names of the functions with a raise whose message
+    holds the words `not total`. Docstrings and other strings do not count."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None and any(
+                    isinstance(part, ast.Constant) and "not total" in str(part.value)
+                    for part in ast.walk(child.exc)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_scan_finds_a_hand_written_totality_raise():
+    source = (
+        'class C:\n'
+        '    """Raise unless j is not total."""\n'
+        '    def check_structure(self):\n'
+        '        if f not in self.j:\n'
+        '            raise MalformedTable(f"{self.name}: j not total at {f}")\n'
+        '        note = "not total"\n'
+        '        raise MalformedTable(note)\n'
+        'def check_tables(name, rows):\n'
+        '    raise MalformedTable(f"{name}: {label} not total at {key}")\n')
+    assert _not_total_raises(source) == ["C.check_structure", "check_tables"]
+
+
+def test_only_check_tables_raises_not_total():
+    found = {path.name: _not_total_raises(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: raises for name, raises in found.items() if raises} == {
+        "fincat.py": ["check_tables"]}
