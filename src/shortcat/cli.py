@@ -102,13 +102,14 @@ def _validate_file(sf: StructureFile, args) -> ValidationReport:
     if kind in ("morphism", "lax-functor"):
         if not args.source or not args.target:
             raise MalformedTable(f"validating a {kind} file needs --source and --target")
+        plain = kind == "morphism" and payload.variant == "plain"
+        end = "skew-monoidal" if kind == "lax-functor" else "short-multi" if plain else "short-skew"
+        # one path names one structure, loaded and checked once
+        ends = {path: _end(path, end, args) for path in dict.fromkeys((args.source, args.target))}
+        src, tgt = ends[args.source], ends[args.target]
         if kind == "lax-functor":
             from .skewmon import validate_lax_functor
-            src, tgt = (_end(path, "skew-monoidal", args) for path in (args.source, args.target))
             return validate_lax_functor(bind_lax_functor(payload, sf.name, src, tgt))
-        plain = payload.variant == "plain"
-        src, tgt = (_end(path, "short-multi" if plain else "short-skew", args)
-                    for path in (args.source, args.target))
         F = bind_morphism(payload, sf.name, src, tgt)
         if plain:
             from .shortmulti import validate_multi_morphism
@@ -535,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", help="source structure file (morphism kinds)")
     p.add_argument("--target", help="target structure file (morphism kinds)")
     common(p)
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("certify", help="search classifiers, hom objects, flags")
     p.add_argument("path")
@@ -543,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-witnesses", action="store_true",
                    help="omit witness bijection tables")
     common(p)
-    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("construct", help="run a transport construction")
     p.add_argument("path")
@@ -551,12 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("k", "ks", "kcl", "braiding-forward", "braiding-backward"))
     p.add_argument("--out", help="write the constructed structure here")
     common(p)
-    p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("roundtrip", help="induce, certify, rebuild, compare")
     p.add_argument("path")
     common(p)
-    p.set_defaults(fn=cmd_roundtrip)
 
     p = sub.add_parser("catalogue", help="emit generator output")
     p.add_argument("name", choices=GENERATORS)
@@ -566,15 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="comm-monoid: semicolon-separated table rows")
     p.add_argument("--monoid-name", help="comm-monoid: structure name")
     common(p)
-    p.set_defaults(fn=cmd_catalogue)
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so a replaced cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, SearchBoundExceeded, MalformedTable, UnknownGenerator, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,8 @@ class FinCategory:
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(sorted(self.objects)))
+        if len(set(self.objects)) != len(self.objects):
+            raise MalformedTable(f"{self.name}: an object is declared twice")
         span: dict[str, tuple[str, str]] = {}
         for (a, b), fs in self.homs.items():
             if a not in self.objects or b not in self.objects:
@@ -120,6 +122,10 @@ def _show(key) -> str:
     return f"({','.join(map(str, key))})" if isinstance(key, tuple) else key
 
 
+def _dangling_value(name: str, label: str, v, key, what: str) -> DanglingId:
+    return DanglingId(f"{name}: {label} component {v} at {_show(key)} is not {what}")
+
+
 def table_domains(c: FinCategory) -> tuple[tuple, tuple, tuple]:
     """The objects and the morphisms of c as the keys or values of a row of
     check_tables: (objects, morphisms to key by, morphisms as values)."""
@@ -130,12 +136,20 @@ def check_tables(name: str, rows) -> None:
     """Raise MalformedTable at the first key missing from any row, then
     DanglingId as check_members does. A row (label, table, k, (members, what),
     (values, what)) says the table is keyed by exactly the k-tuples of members
-    in their listed order (by the members when k is 1) and valued in values."""
+    in their listed order (by the members when k is 1) and valued in values.
+    No domain lists a key twice, so a total row holds a stray key only when it
+    has more keys than its domain; only such a row has its keys scanned."""
     for label, table, k, (members, _), _ in rows:
         for key in members if k == 1 else itertools.product(members, repeat=k):
             if key not in table:
                 raise MalformedTable(f"{name}: {label} not total at {_show(key)}")
-    check_members(name, rows)
+    for row in rows:
+        label, table, k, (members, _), (values, what) = row
+        if len(table) > len(members) ** k:
+            check_members(name, [row])  # scans the keys as before
+        for key, v in table.items():
+            if v not in values:
+                raise _dangling_value(name, label, v, key, what)
 
 
 def check_members(name: str, rows) -> None:
@@ -153,8 +167,7 @@ def check_members(name: str, rows) -> None:
                     raise DanglingId(f"{name}: {label} key {_show(key)} names {part}, "
                                      f"which is not {what}")
             if v not in values:
-                raise DanglingId(f"{name}: {label} component {v} at {_show(key)} "
-                                 f"is not {value_what}")
+                raise _dangling_value(name, label, v, key, value_what)
 
 
 def composable_pairs(c: FinCategory) -> Iterator[tuple[str, str]]:

@@ -353,6 +353,102 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path
     assert captured.err == "internal error: KeyError: 'x'\n"
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys, tmp_path):
+    """main parses with one parser built at import: two calls in one process
+    build no parser, a --jobs of the first call does not leak into the
+    second, and each prints what a fresh interpreter prints."""
+    import argparse
+
+    path = tmp_path / "z2.short-multi.txt"
+    path.write_text(_catalogue_text("z2", "short-multi"))
+    built, jobs = [], []
+    real_init, real_validate = argparse.ArgumentParser.__init__, cli.cmd_validate
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    def recording_validate(args):
+        jobs.append(args.jobs)
+        return real_validate(args)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "cmd_validate", recording_validate)
+    outputs = []
+    for argv in (["validate", str(path), "--jobs", "3"], ["validate", str(path)]):
+        assert cli.main(argv) == cli.EXIT_PASS
+        outputs.append(capsys.readouterr().out)
+        fresh = run_cli(*argv)
+        assert fresh.returncode == cli.EXIT_PASS and outputs[-1] == fresh.stdout, argv
+    assert built == []
+    assert jobs == [min(3, os.cpu_count() or 1), 1]
+
+
+def _id_skew_morphism_text(generator):
+    """A skew morphism file: the identity on a catalogue short-skew structure."""
+    from shortcat.fileformat import unbind_morphism
+    from shortcat.shortskew import identity_skew_morphism
+    m, _ = next(sf.payload for sf in catalogue_files(generator) if sf.kind == "short-skew")
+    F = identity_skew_morphism(m)
+    return serialize(StructureFile("morphism", F.name, unbind_morphism(F)))
+
+
+@pytest.mark.parametrize("file,end", [
+    pytest.param(lambda: _morphism_text("id[z2]"), ("z2", "short-multi"), id="plain"),
+    pytest.param(lambda: _id_skew_morphism_text("terminal"), ("terminal", "short-skew"),
+                 id="skew"),
+    pytest.param(lambda: _id_lax_functor_text("z2"), ("z2", "skew-monoidal"),
+                 id="lax-functor"),
+])
+def test_one_end_file_is_loaded_once(monkeypatch, capsys, tmp_path, file, end):
+    """validate with --source equal to --target parses the end file once,
+    two parses in all, and prints what it prints when the target is a copy
+    of the source at another path."""
+    path, source, copy = tmp_path / "map.txt", tmp_path / "end.txt", tmp_path / "copy.txt"
+    path.write_text(file())
+    source.write_text(_catalogue_text(*end))
+    copy.write_text(source.read_text())
+    parsed, real_parse = [], cli.parse
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(cli, "parse", counting_parse)
+    outputs = []
+    for target in (source, copy):
+        parsed.clear()
+        assert cli.main(["validate", str(path), "--source", str(source),
+                         "--target", str(target)]) == cli.EXIT_PASS
+        outputs.append(capsys.readouterr().out)
+        assert len(parsed) == (2 if target == source else 3), target.name
+    assert "status PASS" in outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda t: _replace_line(t, "tmap2 0 0 0 = m2(0,0;0)",
+                                         "tmap2 0 0 0 = m2(0,0;0) m2(0,0;0)"),
+                 "z2.skew: t2 multimap id m2(0,0;0) declared twice", id="repeated-member"),
+    pytest.param(lambda t: _replace_line(t, "tmap2 0 0 0 = m2(0,0;0)",
+                                         "tmap2 0 0 0 = m2(0,0;0) m2(0,0;0)")
+                 + "j nosuch = m2(0,0;0)\n",
+                 "z2.skew: t2 multimap id m2(0,0;0) declared twice",
+                 id="repeated-member-and-stray-j-key"),
+    pytest.param(lambda t: _replace_line(t, "lmap1 0 0 = 1_0", "lmap1 0 0 = 1_0 1_0"),
+                 "z2.skew: l1 multimap id 1_0 declared twice", id="repeated-loose-unary"),
+])
+def test_a_short_skew_map_listed_twice_is_refused(tmp_path, edit, message):
+    """A multimap id listed twice in the tables of one flavour ends in one
+    error line with exit 2, so no table domain lists a key twice and a stray
+    key beside the repeat cannot pass as a required one."""
+    path = tmp_path / "bad.short-skew.txt"
+    path.write_text(edit(_catalogue_text("z2", "short-skew")))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 2, out.stdout + out.stderr
+    errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
+    assert errors == [f"error: {message}"], out.stderr
+
+
 def test_no_validator_calls_run_checks(monkeypatch, capsys, tmp_path):
     """Every validator records its instances itself: with report.run_checks,
     the reference evaluator, made to raise wherever a module holds it,

@@ -3,7 +3,7 @@ import pytest
 from shortcat.catalogue import (
     discrete_base, poset2_base, terminal_category, z2_group_category,
 )
-from shortcat.errors import SearchBoundExceeded
+from shortcat.errors import MalformedTable, SearchBoundExceeded
 from shortcat.fincat import (
     FinCategory, FinFunctor, find_isomorphism, identity_functor,
     validate_category, validate_functor,
@@ -30,6 +30,15 @@ def test_poset2_identity_mutation_fails_at_named_instance():
     r = validate_category(bad)
     assert not r.ok
     assert r.has_failure("identity", ("1_1", "le"))
+
+
+def test_an_object_listed_twice_is_refused():
+    """check_tables checks only the values of an id table with as many keys
+    as there are objects, so the objects must be distinct: a category that
+    lists one twice is refused, stray id entry or not."""
+    c = terminal_category()
+    with pytest.raises(MalformedTable, match="an object is declared twice"):
+        FinCategory(c.name, c.objects * 2, c.homs, c.comp, {**c.ids, "nosuch": "1_o"})
 
 
 def test_identity_functor_on_poset2_passes():

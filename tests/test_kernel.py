@@ -179,6 +179,28 @@ def test_lookups_match_reference(group):
     assert tried >= {"catalogue": 19, "cyclic": 6, "mutants": 30, "bz2": 242}.get(group, 40)
 
 
+@pytest.mark.parametrize("group", ("catalogue", "cyclic", "mutants"))
+def test_table_domains_list_no_key_twice(group):
+    """check_tables checks only the values of a total row with as many keys
+    as its domain, which is sound only if no domain lists a key twice: the
+    required pre, post and sub keys, the skew j domain and the composable
+    pairs of the base, on every structure of the group and on the
+    plain-as-skew view of each plain one."""
+    tried = 0
+    for name, m in _structures(group):
+        views = (m, m.as_skew) if isinstance(m, ShortMulticategory) else (m,)
+        for x in views:
+            domains = {"pre": list(x.required_pre_keys()), "post": list(x.required_post_keys()),
+                       "sub": list(x.required_sub_keys()),
+                       "comp": list(fincat.composable_pairs(x.base))}
+            if isinstance(x, ShortSkewMulticategory):
+                domains["j"] = list(x.multimaps(TIGHT, 1) + x.multimaps(TIGHT, 2))
+            for label, keys in domains.items():
+                assert len(set(keys)) == len(keys), (name, x.name, label)
+            tried += 1
+    assert tried >= {"catalogue": 19, "cyclic": 9, "mutants": 72}[group]
+
+
 # --------------------------------------------------------------------------
 # the other validators: one list of inputs per validator
 # --------------------------------------------------------------------------
