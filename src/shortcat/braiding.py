@@ -19,7 +19,7 @@ from .shortmulti import tally
 from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
 
 if TYPE_CHECKING:
-    from .classify import Certificate, Inverses
+    from .classify import Certificate
     from .skewmon import Braiding, SkewMonCategory
 
 # validate_short_braiding reads only the swap tables; the transports below
@@ -126,11 +126,11 @@ def theta3(m: ShortSkewMulticategory, cert: Certificate,
 
 
 def derive_beta2(m: ShortSkewMulticategory, cert: Certificate,
-                 beta: ShortBraiding, inv: Optional[Inverses] = None) -> dict[str, str]:
+                 beta: ShortBraiding) -> dict[str, str]:
     """The induced swap on loose binary maps: abstract the unit, swap with
     b32, and substitute the unit back."""
     from .classify import inverses
-    inv = inv or inverses(m, cert)
+    inv = inverses(m, cert)
     out = {}
     for r in m.multimaps(LOOSE, 2):
         swapped = beta.b32.get(inv.star[r])
@@ -173,14 +173,13 @@ def s_from_short_braiding(m: ShortSkewMulticategory, cert: Certificate,
 
 
 def short_braiding_from_s(m: ShortSkewMulticategory, cert: Certificate,
-                          s: Braiding, name: Optional[str] = None,
-                          inv: Optional[Inverses] = None) -> ShortBraiding:
+                          s: Braiding, name: Optional[str] = None) -> ShortBraiding:
     """Rebuild the three swap families from a braiding on the constructed
     category, through double abstraction against the classifiers."""
     from .classify import inverses
     v = cert.view
     base = v.base
-    inv = inv or inverses(m, cert)
+    inv = inverses(m, cert)
     name = name or (s.name + ".beta")
 
     def dprime(f: str) -> str:

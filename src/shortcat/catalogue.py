@@ -112,19 +112,21 @@ def table_short_multi(name: str, base: FinCategory,
         return fs[0]
 
     skeleton = ShortMulticategory(name, base, maps, {}, {}, {})
+    pre_keys, post_keys, cases = skeleton.domains
     pre = {}
-    for (f, i, p) in skeleton.required_pre_keys():
+    for (f, i, p) in pre_keys:
         n, dom, cod = skeleton.info(f)
         pre[(f, i, p)] = the(n, dom[:i - 1] + (base.dom(p),) + dom[i:], cod)
     post = {}
-    for (q, f) in skeleton.required_post_keys():
+    for (q, f) in post_keys:
         n, dom, _ = skeleton.info(f)
         post[(q, f)] = the(n, dom, base.cod(q))
     sub = {}
-    for (g, i, f) in skeleton.required_sub_keys():
-        ng, gdom, gcod = skeleton.info(g)
-        nf, fdom, _ = skeleton.info(f)
-        sub[(g, i, f)] = the(ng + nf - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
+    for case in cases:
+        for (g, i, f) in case[3]:
+            ng, gdom, gcod = skeleton.info(g)
+            nf, fdom, _ = skeleton.info(f)
+            sub[(g, i, f)] = the(ng + nf - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
     return ShortMulticategory(name, base, maps, pre, post, sub)
 
 

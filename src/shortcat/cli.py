@@ -37,12 +37,11 @@ if TYPE_CHECKING:
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _load(path: str, quiet: bool = False) -> StructureFile:
+def _load(path: str) -> StructureFile:
     text = Path(path).read_text(encoding="utf-8")
     sf, warnings = parse(text)
-    if not quiet:
-        for w in warnings:
-            print(f"warning: {path}: {w}", file=sys.stderr)
+    for w in warnings:
+        print(f"warning: {path}: {w}", file=sys.stderr)
     return sf
 
 
@@ -461,12 +460,14 @@ def catalogue_files(name: str, args=None) -> list[StructureFile]:
     if name == "mutants":
         out = []
         for idx, mut in enumerate(cat.catalogue_mutants()):
-            payload = mut.payload
+            payload, family = mut.payload, mut.family
             if mut.kind == "short-skew":
                 payload = (payload, None)
+            if mut.kind == "braiding":
+                family = "braiding-" + family  # as _validate_file reports it
             out.append(StructureFile(
                 mut.kind, mut.name, payload,
-                {"expect-fail-family": mut.family,
+                {"expect-fail-family": family,
                  "expect-fail-subjects": "|".join(mut.subjects),
                  "index": f"{idx:03d}"}))
         return out

@@ -14,6 +14,10 @@ from typing import Iterator, Optional
 from .errors import DanglingId, MalformedTable, SearchBoundExceeded
 from .report import ValidationReport
 
+# The most objects an isomorphism search permutes; a larger base raises
+# SearchBoundExceeded.
+ISO_SEARCH_MAX_OBJECTS = 6
+
 
 @dataclass(frozen=True)
 class FinCategory:
@@ -301,13 +305,12 @@ def _extend_mor_bijection(c: FinCategory, d: FinCategory, obj_bij: dict[str, str
     return m
 
 
-def find_isomorphism(c: FinCategory, d: FinCategory,
-                     max_objects: int = 6) -> Optional[tuple[FinFunctor, FinFunctor]]:
+def find_isomorphism(c: FinCategory, d: FinCategory) -> Optional[tuple[FinFunctor, FinFunctor]]:
     """Exhaustive search for an isomorphism of categories; returns a
     mutually inverse functor pair or None."""
-    if len(c.objects) > max_objects or len(d.objects) > max_objects:
+    if max(len(c.objects), len(d.objects)) > ISO_SEARCH_MAX_OBJECTS:
         raise SearchBoundExceeded(
-            f"isomorphism search bounded at {max_objects} objects")
+            f"isomorphism search bounded at {ISO_SEARCH_MAX_OBJECTS} objects")
     if len(c.objects) != len(d.objects) or len(c.morphisms()) != len(d.morphisms()):
         return None
     for perm in itertools.permutations(d.objects):

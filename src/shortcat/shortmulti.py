@@ -45,14 +45,14 @@ class MultiTables:
 
     A subclass is a frozen dataclass with `name`, `base`, `pre`, `post`,
     `sub` and `_index` (id -> (arity, domain, codomain, ...)). It supplies
-    `table_maps`, `required_sub_keys` and `_tables` (its multimap tables by
+    `table_maps`, `_stored_cases` and `_tables` (its multimap tables by
     arity, for the key-shape check). The pre, post and sub tables are keyed
-    by exactly the required keys, which are also what the builders fill
-    and the morphism laws walk. The routing rule is written
-    once, in `lookups`: a base morphism, the only tight unary map, composes
-    in the base, and every other id reads the pre, post and sub tables.
-    `safe_pre`, `safe_post`, `safe_subst` and the validators all read those
-    dicts.
+    by exactly the keys of `domains`, which is also what the structure
+    check, the builders, the naturality cases and the morphism laws walk.
+    The routing rule is written once, in `lookups`: a base morphism, the
+    only tight unary map, composes in the base, and every other id reads
+    the pre, post and sub tables. `safe_pre`, `safe_post`, `safe_subst` and
+    the validators all read those dicts.
     """
 
     # -- typed lookups ------------------------------------------------------
@@ -100,20 +100,31 @@ class MultiTables:
     def safe_subst(self, g: Optional[str], i: int, f: Optional[str]) -> Optional[str]:
         return self.lookups[2].get((g, i, f))
 
-    # -- structural totality --------------------------------------------------
-    def required_pre_keys(self) -> Iterator[tuple[str, int, str]]:
-        idx, into = self._index, self.base._adjacency[1]
-        for n, f in self.table_maps:
-            dom = idx[f][1]
-            for i in range(1, n + 1):
-                for p in into.get(dom[i - 1], ()):
-                    yield (f, i, p)
-
-    def required_post_keys(self) -> Iterator[tuple[str, str]]:
-        idx, out_of = self._index, self.base._adjacency[2]
-        for _, f in self.table_maps:
-            for q in out_of.get(idx[f][2], ()):
-                yield (q, f)
+    # -- the table domains ----------------------------------------------------
+    # Built on first use, like lookups.
+    @cached_property
+    def domains(self) -> tuple[list, list, list]:
+        """(pre keys, post keys, stored cases): the only enumeration of the
+        pre, post and sub table domains. A pre key is (f, i, p), f a map of
+        table_maps and p a base morphism into its slot i; a post key is
+        (q, f), q a base morphism out of f. A stored case is (subject prefix,
+        outer arity n, inner arity k, its sub keys, its outer maps, a dict
+        from an object to the inner maps into it); its sub keys are the
+        (g, i, f) with g an outer map and f an inner one into slot i. A base
+        morphism substitutes and is substituted into through pre and post,
+        so it is in no sub key and in no inner dict."""
+        idx, (_, into, out_of) = self._index, self.base._adjacency
+        routed = self.base._span
+        pre = [(f, i, p) for n, f in self.table_maps
+               for i, a in enumerate(idx[f][1], 1) for p in into.get(a, ())]
+        post = [(q, f) for _, f in self.table_maps for q in out_of.get(idx[f][2], ())]
+        cases = []
+        for tag, n, k, outers, maps_into in self._stored_cases():
+            inner = {x: [f for f in fs if f not in routed] for x, fs in maps_into.items()}
+            keys = [(g, i, f) for g in outers if g not in routed
+                    for i, a in enumerate(idx[g][1], 1) for f in inner.get(a, ())]
+            cases.append((tag, n, k, keys, outers, inner))
+        return pre, post, cases
 
     def _check_rows(self, *rows: tuple) -> None:
         """The structure checks both structures share: the base, the key
@@ -129,13 +140,11 @@ class MultiTables:
                 for a in dom + (cod,):
                     if a not in objects:
                         raise MalformedTable(f"{name}: unknown object {a} in multimap key")
-        maps = (self._index, "a multimap")
+        maps, (pre, post, cases) = (self._index, "a multimap"), self.domains
         check_tables(name, [
-            ("pre", self.pre, 1, (list(self.required_pre_keys()),
-                                  "a slot of a non-base map with a morphism into it"), maps),
-            ("post", self.post, 1, (list(self.required_post_keys()),
-                                    "a morphism out of a non-base map with that map"), maps),
-            ("sub", self.sub, 1, (list(self.required_sub_keys()),
+            ("pre", self.pre, 1, (pre, "a slot of a non-base map with a morphism into it"), maps),
+            ("post", self.post, 1, (post, "a morphism out of a non-base map with that map"), maps),
+            ("sub", self.sub, 1, ([key for case in cases for key in case[3]],
                                   "a slot of an outer map with an inner map into it, "
                                   "in a stored case"), maps),
             *rows])
@@ -229,9 +238,10 @@ class ShortMulticategory(MultiTables):
     def _tables(self) -> Iterable[tuple[int, dict]]:
         return self.maps.items()
 
-    def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
-        for (n, k) in sorted(STORED_CASES):
-            yield from _sub_pairs(self, n, k)
+    def _stored_cases(self) -> Iterator[tuple]:
+        for n, k in sorted(STORED_CASES):
+            yield ((), n, k, self.multimaps(n),
+                   {x: fs for (a, x), fs in self._by_cod.items() if a == k})
 
     def check_structure(self) -> None:
         self._check_rows()
@@ -253,6 +263,47 @@ def tally(report: ValidationReport, family: str, n: int) -> None:
 # then. `info` maps an id to (arity, domain, codomain, ...). Every loop keeps
 # the enumeration order of the law definitions, so the stable failure sort
 # gives the same report.
+
+def typing_checks(m: MultiTables, report: ValidationReport) -> None:
+    """Each pre, post and sub result has the type its key gives it. A type
+    is an _index entry: (arity, domain, codomain), followed in a skew
+    structure by the map's flavours, of which a pre or post result must hold
+    those of its map. A sub result's flavour is not tested: the landing check
+    of check_structure has refused a wrong one, so a failure line shows it
+    as True."""
+    # The tables are walked unsorted: each key gives its own subjects, so
+    # finish() sorts the failures into the same report. Each entry compares
+    # the parts of its type; only a mismatch builds the wanted type and tells
+    # a skew flavour mismatch that still holds from a failure.
+    info, span, fail = m._index, m.base._span, report.fail
+
+    def mismatch(subjects: tuple, have: tuple, want: tuple, of: Optional[tuple]) -> None:
+        # of: the type whose flavours the result must hold, or None
+        if len(have) == 3:
+            fail("typing", subjects, str(have), str(want))
+            return
+        held = of is None or of[3] <= have[3]
+        if have[:3] != want or not held:
+            fail("typing", subjects, str(have[:3] + (held,)), str(want + (True,)))
+
+    for (f, i, p), g in m.pre.items():
+        t, have = info[f], info[g]
+        dom = t[1][:i - 1] + (span[p][0],) + t[1][i:]
+        # the last part: the codomain again in a plain type, the flavours in a skew one
+        if have[1] != dom or have[0] != t[0] or have[2] != t[2] or have[-1] != t[-1]:
+            mismatch(("pre", f, str(i), p), have, (t[0], dom, t[2]), t)
+    for (q, f), g in m.post.items():
+        t, have = info[f], info[g]
+        cod = span[q][1]
+        if have[2] != cod or have[1] != t[1] or have[0] != t[0] or have[3:] != t[3:]:
+            mismatch(("post", q, f), have, (t[0], t[1], cod), t)
+    for (g, i, f), h in m.sub.items():
+        tg, tf, have = info[g], info[f], info[h]
+        dom = tg[1][:i - 1] + tf[1] + tg[1][i:]
+        if have[1] != dom or have[0] != tg[0] + tf[0] - 1 or have[2] != tg[2]:
+            mismatch(("sub", g, str(i), f), have, (tg[0] + tf[0] - 1, dom, tg[2]), None)
+    tally(report, "typing", len(m.pre) + len(m.post) + len(m.sub))
+
 
 def identity_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCategory,
                     pre: dict, post: dict, report: ValidationReport) -> None:
@@ -413,55 +464,16 @@ def assoc_checks(binaries: Iterable[str], info: dict, maps_into: Callable[[int, 
     notline("d", 0, 0)
 
 
-def _typing_checks(m: ShortMulticategory, report: ValidationReport) -> None:
-    # The tables are walked unsorted: each key gives its own subjects, so
-    # finish() sorts the failures into the same report.
-    info, span, fail = m._index, m.base._span, report.fail
-    for (f, i, p), g in m.pre.items():
-        n, dom, cod = info[f]
-        want = (n, dom[:i - 1] + (span[p][0],) + dom[i:], cod)
-        have = info[g]
-        if have != want:
-            fail("typing", ("pre", f, str(i), p), str(have), str(want))
-    for (q, f), g in m.post.items():
-        n, dom, _ = info[f]
-        want = (n, dom, span[q][1])
-        have = info[g]
-        if have != want:
-            fail("typing", ("post", q, f), str(have), str(want))
-    for (g, i, f), h in m.sub.items():
-        n, gdom, gcod = info[g]
-        k, fdom, _ = info[f]
-        want = (n + k - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
-        have = info[h]
-        if have != want:
-            fail("typing", ("sub", g, str(i), f), str(have), str(want))
-    tally(report, "typing", len(m.pre) + len(m.post) + len(m.sub))
-
-
-def _sub_pairs(m: ShortMulticategory, n: int, k: int) -> Iterator[tuple[str, int, str]]:
-    """All composable (g, i, f) with arity(g)=n, arity(f)=k."""
-    idx, by_cod = m._index, m._by_cod
-    for g in m.multimaps(n):
-        dom = idx[g][1]
-        for i in range(1, n + 1):
-            for f in by_cod.get((k, dom[i - 1]), ()):
-                yield g, i, f
-
-
 def validate_short_multicategory(m: ShortMulticategory) -> ValidationReport:
     """Validate every axiom instance."""
     m.check_structure()
     base, info = m.base, m._index
     pre, post, sub = m.lookups
-    cases = [((), n, k, _sub_pairs(m, n, k), m.multimaps(n),
-              {x: fs for (a, x), fs in m._by_cod.items() if a == k})
-             for n, k in sorted(STORED_CASES)]
     report = ValidationReport(m.name)
-    _typing_checks(m, report)
+    typing_checks(m, report)
     identity_checks(m.table_maps, info, base, pre, post, report)
     profunctor_checks(m.table_maps, info, base, pre, post, report)
-    naturality_checks(cases, info, base, pre, post, sub, report)
+    naturality_checks(m.domains[2], info, base, pre, post, sub, report)
     assoc_checks(m.multimaps(2), info, m.maps_into, sub, report)
     report.merge_prefixed(validate_category(m.base), "base-")
     return report.finish()
@@ -497,18 +509,23 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
     base_report = validate_functor(fun)
     typing = []
     for n in (0, 2, 3, 4):
+        table = F.maps.get(n, {})
         for f in src.multimaps(n):
-            img = F.maps.get(n, {}).get(f)
+            img = table.get(f)
             if img is None:
                 raise MalformedTable(f"{F.name}: no image for arity-{n} multimap {f}")
-            _, dom, cod = src.info(f)
-            typing.append((f, img, (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))))
+            typing.append((f, img))
     check_members(F.name, [
         (f"m{n}", table, 1, (src.multimaps(n), f"a source multimap of arity {n}"),
          (tgt._index, "a multimap")) for n, table in F.maps.items()])
     report = ValidationReport(F.name)
-    for f, img, want in typing:
-        report.check("morphism-typing", (f,), str(tgt.info(img)), str(want))
+    sidx, tidx, obj = src._index, tgt._index, fun.obj_map
+    for f, img in typing:
+        n, dom, cod = sidx[f]
+        want = (n, tuple(obj[a] for a in dom), obj[cod])
+        if tidx[img] != want:
+            report.fail("morphism-typing", (f,), str(tidx[img]), str(want))
+    tally(report, "morphism-typing", len(typing))
     morphism_law_checks(F, report)
     report.merge(base_report)
     return report.finish()
@@ -522,28 +539,24 @@ def morphism_law_checks(F, report: ValidationReport) -> dict:
     src, fail = F.source, report.fail
     image = {f: F.safe_apply(f) for f in src._index}
     img = image.get
-    info, (_, into, out_of) = src._index, src.base._adjacency
     (spre, spost, ssub), (tpre, tpost, tsub) = src.lookups, F.target.lookups
-    nat = subs = 0
-    for n, f in src.table_maps:
-        dom, cod, Ff = info[f][1], info[f][2], image[f]
-        for q in out_of.get(cod, ()):
-            lhs, rhs = img(spost.get((q, f))), tpost.get((image[q], Ff))
-            if lhs != rhs or lhs is None:
-                fail("morphism-nat", ("post", q, f), lhs, rhs)
-            nat += 1
-        for i in range(1, n + 1):
-            for p in into.get(dom[i - 1], ()):
-                lhs, rhs = img(spre.get((f, i, p))), tpre.get((Ff, i, image[p]))
-                if lhs != rhs or lhs is None:
-                    fail("morphism-nat", ("pre", f, str(i), p), lhs, rhs)
-                nat += 1
-    for g, i, f in src.required_sub_keys():
-        lhs, rhs = img(ssub.get((g, i, f))), tsub.get((image[g], i, image[f]))
+    pre_keys, post_keys, cases = src.domains
+    for q, f in post_keys:
+        lhs, rhs = img(spost.get((q, f))), tpost.get((image[q], image[f]))
         if lhs != rhs or lhs is None:
-            fail("morphism-sub", (g, str(i), f), lhs, rhs)
-        subs += 1
-    tally(report, "morphism-nat", nat)
+            fail("morphism-nat", ("post", q, f), lhs, rhs)
+    for f, i, p in pre_keys:
+        lhs, rhs = img(spre.get((f, i, p))), tpre.get((image[f], i, image[p]))
+        if lhs != rhs or lhs is None:
+            fail("morphism-nat", ("pre", f, str(i), p), lhs, rhs)
+    subs = 0
+    for case in cases:
+        for g, i, f in case[3]:
+            lhs, rhs = img(ssub.get((g, i, f))), tsub.get((image[g], i, image[f]))
+            if lhs != rhs or lhs is None:
+                fail("morphism-sub", (g, str(i), f), lhs, rhs)
+        subs += len(case[3])
+    tally(report, "morphism-nat", len(pre_keys) + len(post_keys))
     tally(report, "morphism-sub", subs)
     return image
 

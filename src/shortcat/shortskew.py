@@ -36,7 +36,7 @@ from .fincat import FinCategory, FinFunctor, check_members, validate_category, v
 from .report import ValidationReport
 from .shortmulti import (
     Key, MultiMorphism, MultiTables, ShortMulticategory, assoc_checks, identity_checks,
-    morphism_law_checks, naturality_checks, profunctor_checks, tally,
+    morphism_law_checks, naturality_checks, profunctor_checks, tally, typing_checks,
 )
 
 TIGHT = "t"
@@ -180,28 +180,10 @@ class ShortSkewMulticategory(MultiTables):
                         arity.setdefault(f, n)
         return tuple((n, f) for f, n in arity.items())
 
-    def inner_maps(self, flavour: str, k: int) -> dict[str, tuple[str, ...]]:
-        """Object -> the multimaps of a flavour and arity k into it that
-        substitute through the sub table: maps_into without the loose unary
-        ids that are base morphisms, which route through the pre-action."""
-        routed = self.base._span if (flavour, k) == (LOOSE, 1) else ()
-        return {cod: tuple(f for f in fs if f not in routed)
-                for (fl, n, cod), fs in self._by_cod.items() if fl == flavour and n == k}
-
-    def sub_pairs(self, case: tuple[int, str, int, str]) -> Iterator[tuple[str, int, str]]:
-        n, x, k, y = case
-        idx, inner = self._index, self.inner_maps(y, k)
-        for g in self.multimaps(x, n):
-            if n == 1 and TIGHT in idx[g][3]:
-                continue  # shared id: substitution into it routes through post-action
-            dom = idx[g][1]
-            for i in range(1, n + 1):
-                for f in inner.get(dom[i - 1], ()):
-                    yield g, i, f
-
-    def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
-        for case in sorted(STORED_SKEW_CASES):
-            yield from self.sub_pairs(case)
+    def _stored_cases(self) -> Iterator[tuple]:
+        for n, x, k, y in sorted(STORED_SKEW_CASES):
+            yield ((f"{x}{n}-{y}{k}",), n, k, self.multimaps(x, n),
+                   {cod: fs for (fl, a, cod), fs in self._by_cod.items() if (fl, a) == (y, k)})
 
     def _tables(self) -> Iterator[tuple[int, dict]]:
         return itertools.chain(self.tight.items(), self.loose.items())
@@ -279,25 +261,27 @@ def build(name: str, base: FinCategory,
     j, pre, post, sub = {}, {}, {}, {}
     m = ShortSkewMulticategory(name, base, tight, loose, j, pre, post, sub)
     idx, span = m._index, base._span
+    pre_keys, post_keys, cases = m.domains
 
     def entries():
         for f in m.multimaps(TIGHT, 1) + m.multimaps(TIGHT, 2):
             yield j, "j", f, (LOOSE,) + idx[f][:3]
-        for key in m.required_pre_keys():
+        for key in pre_keys:
             f, i, p = key
             n, dom, cod, fl = idx[f]
             yield pre, "pre", key, (min(fl), n, dom[:i - 1] + (span[p][0],) + dom[i:], cod)
-        for key in m.required_post_keys():
+        for key in post_keys:
             q, f = key
             n, dom, _, fl = idx[f]
             yield post, "post", key, (min(fl), n, dom, span[q][1])
-        for key in m.required_sub_keys():
-            g, i, f = key
-            n, gdom, gcod, xs = idx[g]
-            k, fdom, _, ys = idx[f]
-            _, x, _, y = _CASE_OF[n, xs, k, ys]
-            yield sub, "sub", key, (sub_flavour(x, i, y), n + k - 1,
-                                    gdom[:i - 1] + fdom + gdom[i:], gcod)
+        for case in cases:
+            for key in case[3]:
+                g, i, f = key
+                n, gdom, gcod, xs = idx[g]
+                k, fdom, _, ys = idx[f]
+                _, x, _, y = _CASE_OF[n, xs, k, ys]
+                yield sub, "sub", key, (sub_flavour(x, i, y), n + k - 1,
+                                        gdom[:i - 1] + fdom + gdom[i:], gcod)
 
     for out, table, key, ty in entries():
         h = pick(table, key, ty)
@@ -311,36 +295,6 @@ def build(name: str, base: FinCategory,
 # --------------------------------------------------------------------------
 # validator
 # --------------------------------------------------------------------------
-
-def _typing_checks(m: ShortSkewMulticategory, report: ValidationReport) -> None:
-    # The tables are walked unsorted: each key gives its own subjects, so
-    # finish() sorts the failures into the same report. A sub result's
-    # flavour is not tested here: the landing loop of check_structure has
-    # refused a wrong one, so a failure line shows it as True.
-    info, span, fail = m._index, m.base._span, report.fail
-    for (f, i, p), g in m.pre.items():
-        n, dom, cod, fl = info[f]
-        want = (n, dom[:i - 1] + (span[p][0],) + dom[i:], cod)
-        have = info[g]
-        if have[:3] != want or not fl <= have[3]:
-            fail("typing", ("pre", f, str(i), p),
-                 str(have[:3] + (fl <= have[3],)), str(want + (True,)))
-    for (q, f), g in m.post.items():
-        n, dom, _, fl = info[f]
-        want = (n, dom, span[q][1])
-        have = info[g]
-        if have[:3] != want or not fl <= have[3]:
-            fail("typing", ("post", q, f),
-                 str(have[:3] + (fl <= have[3],)), str(want + (True,)))
-    for (g, i, f), h in m.sub.items():
-        n, gdom, gcod, _ = info[g]
-        k, fdom, _, _ = info[f]
-        want = (n + k - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
-        have = info[h][:3]
-        if have != want:
-            fail("typing", ("sub", g, str(i), f), str(have + (True,)), str(want + (True,)))
-    tally(report, "typing", len(m.pre) + len(m.post) + len(m.sub))
-
 
 def _j_nat_checks(m: ShortSkewMulticategory, pre: dict, post: dict, sub: dict,
                   report: ValidationReport) -> None:
@@ -401,18 +355,16 @@ def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
     m.check_structure()
     base, info = m.base, m._index
     pre, post, sub = m.lookups
-    cases = [((f"{x}{n}-{y}{k}",), n, k, m.sub_pairs((n, x, k, y)), m.multimaps(x, n),
-              m.inner_maps(y, k)) for n, x, k, y in sorted(STORED_SKEW_CASES)]
     # associativity ranges over tight maps and loose nullary ones, in id order
     pools: dict[tuple[int, str], list[str]] = {}
     for g in m.multimaps(LOOSE, 0) + m.multimaps(TIGHT, 2):
         pools.setdefault((info[g][0], info[g][2]), []).append(g)
     report = ValidationReport(m.name)
-    _typing_checks(m, report)
+    typing_checks(m, report)
     identity_checks(m.table_maps, info, base, pre, post, report)
     profunctor_checks(m.table_maps, info, base, pre, post, report)
     _j_nat_checks(m, pre, post, sub, report)
-    naturality_checks(cases, info, base, pre, post, sub, report)
+    naturality_checks(m.domains[2], info, base, pre, post, sub, report)
     assoc_checks(m.multimaps(TIGHT, 2), info, lambda n, x: pools.get((n, x), ()), sub, report)
     report.merge_prefixed(validate_category(m.base), "base-")
     return report.finish()
@@ -498,18 +450,17 @@ class SkewMultiMorphism:
 def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
     src, tgt, fun = F.source, F.target, F.functor
     base_report = validate_functor(fun)
-    typing = []
-    for flavour, n in [(TIGHT, n) for n in (2, 3, 4)] + [(LOOSE, n) for n in (0, 1, 2)]:
-        for f in src.multimaps(flavour, n):
-            if n == 1 and flavour == LOOSE and src.is_tight(f):
-                img = F.safe_apply(f)  # shared id under j = identity
-            else:
-                img = F.safe_apply(f, flavour)
-            if img is None:
-                raise MalformedTable(f"{F.name}: no image for {flavour}{n} multimap {f}")
-            _, dom, cod, _ = src.info(f)
-            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod), True)
-            typing.append((flavour, n, f, img, want))
+    typing, span = [], src.base._span
+    for flavour, tables, arities in ((TIGHT, F.tight_maps, (2, 3, 4)),
+                                     (LOOSE, F.loose_maps, (0, 1, 2))):
+        for n in arities:
+            table = tables.get(n, {})
+            for f in src.multimaps(flavour, n):
+                # a shared loose unary id (j = identity) is a base morphism
+                img = fun.mor_map.get(f) if n == 1 and f in span else table.get(f)
+                if img is None:
+                    raise MalformedTable(f"{F.name}: no image for {flavour}{n} multimap {f}")
+                typing.append((flavour, f, img))
     check_members(F.name, [
         (f"{flavour}{n}", table, 1,
          (src.multimaps(flavour, n), f"a source multimap of type {flavour}{n}"),
@@ -517,15 +468,21 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
         for flavour, tables in ((TIGHT, F.tight_maps), (LOOSE, F.loose_maps))
         for n, table in tables.items()])
     report = ValidationReport(F.name)
-    check = report.check
-    for flavour, n, f, img, want in typing:
-        k, dom, cod, flavours = tgt.info(img)
-        check("morphism-typing", (flavour + str(n), f),
-              str((k, dom, cod, flavour in flavours or tgt.is_tight(img))), str(want))
+    sidx, tidx, obj = src._index, tgt._index, fun.obj_map
+    for flavour, f, img in typing:
+        n, dom, cod, _ = sidx[f]
+        want = (n, tuple(obj[a] for a in dom), obj[cod])
+        have = tidx[img]
+        held = flavour in have[3] or TIGHT in have[3]
+        if have[:3] != want or not held:
+            report.fail("morphism-typing", (flavour + str(n), f),
+                        str(have[:3] + (held,)), str(want + (True,)))
+    tally(report, "morphism-typing", len(typing))
 
     image = morphism_law_checks(F, report)
     for f in sorted(src.j):
-        check("morphism-j", (f,), F.safe_apply(src.j.get(f), LOOSE), tgt.j.get(image.get(f)))
+        report.check("morphism-j", (f,), F.safe_apply(src.j.get(f), LOOSE),
+                     tgt.j.get(image.get(f)))
 
     report.merge(base_report)
     return report.finish()

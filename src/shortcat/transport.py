@@ -25,7 +25,7 @@ from .errors import (
     AxiomTransferFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions,
     NoIsomorphismFound, NoSolution, SearchBoundExceeded,
 )
-from .fincat import _extend_mor_bijection
+from .fincat import ISO_SEARCH_MAX_OBJECTS, _extend_mor_bijection
 from .report import ValidationReport
 from .shortmulti import MultiMorphism, ShortMulticategory
 from .shortskew import (
@@ -376,9 +376,11 @@ def check_representable_iff_monoidal(m: ShortMulticategory, cert: Certificate
 # closedness transfer
 # --------------------------------------------------------------------------
 
-def _transport_closed_impl(m: Structure, cert: Certificate, skew: bool) -> ValidationReport:
+def transport_closed(m: Structure, cert: Certificate) -> ValidationReport:
+    """K(m) is closed exactly when m is, and each derived evaluation
+    certifies the hom object the multimap-side search found, up to iso."""
     from .classify import _certify_hom
-    name = cert.name + (".closed-transfer-skew" if skew else ".closed-transfer")
+    name = cert.name + (".closed-transfer" if cert.plain else ".closed-transfer-skew")
     report = ValidationReport(name)
     v = cert.view
     base = v.base
@@ -415,12 +417,8 @@ def _transport_closed_impl(m: Structure, cert: Certificate, skew: bool) -> Valid
     return report.finish()
 
 
-def transport_closed(m: ShortMulticategory, cert: Certificate) -> ValidationReport:
-    return _transport_closed_impl(m, cert, skew=False)
-
-
-def transport_closed_skew(m: ShortSkewMulticategory, cert: Certificate) -> ValidationReport:
-    return _transport_closed_impl(m, cert, skew=True)
+# one check for both structures; a skew caller may import it under this name
+transport_closed_skew = transport_closed
 
 
 # --------------------------------------------------------------------------
@@ -625,12 +623,11 @@ def skew_monoidal_equal(x: SkewMonCategory, y: SkewMonCategory) -> bool:
             and x.alpha == y.alpha and x.lam == y.lam and x.rho == y.rho)
 
 
-def compare_skew_monoidal(x: SkewMonCategory, y: SkewMonCategory,
-                          max_objects: int = 6) -> Optional[str]:
+def compare_skew_monoidal(x: SkewMonCategory, y: SkewMonCategory) -> Optional[str]:
     """'equal', 'isomorphic', or None."""
     if skew_monoidal_equal(x, y):
         return "equal"
-    if max(len(x.base.objects), len(y.base.objects)) > max_objects:
+    if max(len(x.base.objects), len(y.base.objects)) > ISO_SEARCH_MAX_OBJECTS:
         raise SearchBoundExceeded("comparison bounded")
     if len(x.base.objects) != len(y.base.objects):
         return None

@@ -190,8 +190,9 @@ def test_table_domains_list_no_key_twice(group):
     for name, m in _structures(group):
         views = (m, m.as_skew) if isinstance(m, ShortMulticategory) else (m,)
         for x in views:
-            domains = {"pre": list(x.required_pre_keys()), "post": list(x.required_post_keys()),
-                       "sub": list(x.required_sub_keys()),
+            pre, post, cases = x.domains
+            domains = {"pre": list(pre), "post": list(post),
+                       "sub": [key for case in cases for key in case[3]],
                        "comp": list(fincat.composable_pairs(x.base))}
             if isinstance(x, ShortSkewMulticategory):
                 domains["j"] = list(x.multimaps(TIGHT, 1) + x.multimaps(TIGHT, 2))

@@ -1,9 +1,11 @@
 import dataclasses
 
+import reference_validators as ref
 from shortcat.catalogue import (
     catalogue_short_multis, catalogue_short_skews, monoid_short_multi,
     poset2_first_short_skew, z2_monoid,
 )
+from shortcat.report import run_checks
 from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
 from shortcat.shortskew import (
     LOOSE, TIGHT, embed_plain, identity_skew_morphism, validate_short_skew,
@@ -49,6 +51,22 @@ def test_embed_counts_match_plain_on_shared_families():
         assert plain.counts[family] == skew.counts[family]
     assert skew.counts["j-nat"] > 0 and skew.counts["j-derived"] > 0
     assert skew.total_checked() > plain.total_checked()
+
+
+def test_a_tight_action_result_redirected_to_a_loose_map_fails_typing():
+    """A pre or post result keeps its map's flavours: a tight entry sent to
+    the loose map of the same type fails typing with a False flavour flag,
+    on the lines the reference typing check renders."""
+    m = poset2_first_short_skew()
+    pre, post = dict(m.pre), dict(m.post)
+    pre[("t2(0,0;0)", 1, "1_0")] = "l2(0,0;0)"
+    post[("1_0", "t2(0,0;0)")] = "l2(0,0;0)"
+    bad = dataclasses.replace(m, pre=pre, post=post)
+    lines = [f.render() for f in validate_short_skew(bad).failures if f.family == "typing"]
+    assert lines == [f.render() for f in run_checks(bad.name, ref.skew_typing_checks(bad)).failures]
+    flags = "(2, ('0', '0'), '0', False) != (2, ('0', '0'), '0', True)"
+    assert lines == [f"fail typing @ post,1_0,t2(0,0;0) : {flags}",
+                     f"fail typing @ pre,t2(0,0;0),1,1_0 : {flags}"]
 
 
 def test_j_naturality_mutation_fails_at_named_instance():
