@@ -38,8 +38,16 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def _load(path: str) -> StructureFile:
-    text = Path(path).read_text(encoding="utf-8")
-    sf, warnings = parse(text)
+    """The structure file at path. A file that is not UTF-8 is a parse error
+    at the line of its first bad byte; line ends are translated to \\n as
+    open() translates them in text mode."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, f"not UTF-8: byte {data[exc.start]:#04x}") from None
+    sf, warnings = parse(text.replace("\r\n", "\n").replace("\r", "\n"))
     for w in warnings:
         print(f"warning: {path}: {w}", file=sys.stderr)
     return sf

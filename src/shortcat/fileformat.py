@@ -7,13 +7,14 @@ of each; docs/format.md describes the format. `serialize` walks ROWS over a
 payload's tables, `parse` reads the records of ROWS back into the same
 tables, and `_build` calls the constructor of the kind. Parsing a canonical
 file and reserializing returns it byte for byte; anything else parses with a
-normalization warning. A key given twice is an error.
+normalization warning. A key given twice is an error, and so is an argument
+or value token that holds `=`.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .errors import ParseError, UnknownKind, VersionMismatch
 from .fincat import FinCategory, FinFunctor
@@ -233,35 +234,140 @@ def serialize(sf: StructureFile) -> str:
 
 Record = tuple[int, tuple[str, ...], tuple[str, ...]]   # line number, arguments, values
 
+# The record keywords of every kind. Only their runs are tried as blocks, so
+# a file tries at most this many runs, however many keywords it invents.
+_KEYWORDS = frozenset(kw for rows in (*ROWS.values(), *MORPHISM_TABLES.values())
+                      for kw, _, _ in rows)
+# The line breaks of str.splitlines other than "\n".
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-def _records(text: str) -> dict[str, list[Record]]:
+
+class _Block(NamedTuple):
+    """A run of n lines `kw ARG* = VALUE*` of one width, read as columns:
+    the number of its first line and its interned argument and value columns."""
+    no: int
+    n: int
+    args: list
+    vals: list
+
+    def records(self) -> list[Record]:
+        """The records of the lines of the block."""
+        rows = zip(_rows(self.args, self.n), _rows(self.vals, self.n))
+        return [(self.no + k, a, v) for k, (a, v) in enumerate(rows)]
+
+
+def _rows(columns: list, n: int):
+    """The n tuples of a block's columns, one per line."""
+    return zip(*columns) if columns else [()] * n
+
+
+def _block(run: str, kw: str, no: int) -> Optional[_Block]:
+    """The whole lines of run as one block, when the line reader would read
+    each as `kw`, the same arguments, ` = ` and the same values: every line
+    starts with `kw `, the run splits into n times the width w of its first
+    line, kw is every w-th token from the first and no other token, and the
+    n `=` of the run are the tokens of one column, each between spaces.
+    Then line k holds exactly the tokens k*w to k*w + w - 1."""
+    n = run.count("\n") + (run[-1] != "\n")
+    if (run.count("\n" + kw + " ") != n - 1 or run.count("=") != n
+            or run.count(" = ") != n):
+        return None
+    toks = run.split()
+    w = len(run[:run.find("\n")].split())
+    e = len(run[:run.find(" = ")].split())
+    if (len(toks) != n * w or toks.count(kw) != n or toks[::w].count(kw) != n
+            or toks[e::w].count("=") != n):
+        return None
+    cols = [list(map(sys.intern, toks[c::w])) for c in range(1, w) if c != e]
+    return _Block(no, n, cols[:e - 1], cols[e - 1:])
+
+
+def _expanded(found: list) -> list[Record]:
+    """The records of one keyword, with its block read back into lines."""
+    return found[0].records() if found and type(found[0]) is _Block else found
+
+
+def _line(records: dict, no: int, rawline: str) -> None:
+    """Add the record of one line, if it holds one, to records."""
+    line = rawline.strip()
+    if not line or line.startswith("#"):
+        return
+    head, sep, tail = line.partition(" = ")
+    if not sep:
+        if not line.endswith(" ="):
+            raise ParseError(no, f"expected 'key = value' in {line!r}")
+        head = line[:-2]
+    toks = head.split()
+    if not toks:
+        raise ParseError(no, "empty key")
+    args, vals = toks[1:], tail.split()
+    if line.count("=") > 1:
+        for tok in (*args, *vals):
+            if "=" in tok:
+                raise ParseError(no, f"token {tok!r} holds '='")
+    found = records.setdefault(toks[0], [])
+    if found and type(found[0]) is _Block:
+        found[:] = found[0].records()
+    found.append((no, tuple(map(sys.intern, args)), tuple(map(sys.intern, vals))))
+
+
+def _line_records(text: str) -> dict[str, list[Record]]:
+    """The records of a file, read by the line reader alone."""
+    records: dict[str, list] = {}
+    for no, rawline in enumerate(text.splitlines(), start=1):
+        _line(records, no, rawline)
+    return records
+
+
+def _run_end(text: str, start: int, prefix: str) -> int:
+    """The end of a run of lines that start with prefix, from the line at
+    start: steps double until one lands past the run and then halve, so the
+    run is found in a number of steps logarithmic in its size. _block checks
+    every line of it."""
+    last, step, grow = start, 64, True
+    while step:
+        at = text.find("\n", last + step) + 1
+        if at and text.startswith(prefix, at):
+            last = at
+        else:
+            grow = False
+        step = step * 2 if grow else step // 2
+    return text.find("\n", last) + 1 or len(text)
+
+
+def _records(text: str) -> dict[str, list]:
     """The records of a file, grouped by keyword in file order.
 
-    Every argument and value token is interned, so an id is one object in
-    every table that names it and a tuple-key lookup matches on identity.
-    `kw args =` has no values."""
-    records: dict[str, list[Record]] = {}
-    intern = sys.intern
-    for no, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, tail = line.partition(" = ")
-        if not sep:
-            if not line.endswith(" ="):
-                raise ParseError(no, f"expected 'key = value' in {line!r}")
-            head = line[:-2]
-        toks = head.split()
-        if not toks:
-            raise ParseError(no, "empty key")
-        records.setdefault(toks[0], []).append(
-            (no, tuple(map(intern, toks[1:])), tuple(map(intern, tail.split()))))
+    The first run of consecutive lines that start with one record keyword
+    is read as one _Block when _block proves that the line reader would read
+    it the same; any other line goes through the line reader, and a block
+    whose keyword meets another line is read back into lines. Every argument
+    and value token is interned, so an id is one object in every table that
+    names it and a tuple-key lookup matches on identity. `kw args =` has no
+    values."""
+    if any(c in text for c in _BREAKS):
+        return _line_records(text)
+    records: dict[str, list] = {}
+    pos, no, size = 0, 1, len(text)
+    while pos < size:
+        stop = text.find("\n", pos) + 1 or size
+        line = text[pos:stop]
+        kw = line.partition(" ")[0]
+        if kw in _KEYWORDS and kw not in records and text.startswith(kw + " ", stop):
+            end = _run_end(text, stop, kw + " ")
+            block = _block(text[pos:end], kw, no)
+            if block is not None:
+                records[kw] = [block]
+                pos, no = end, no + block.n
+                continue
+        _line(records, no, line)
+        pos, no = stop, no + 1
     return records
 
 
 def _single(records: dict, keyword: str, missing: ParseError) -> tuple[int, tuple[str, ...]]:
     """The line number and values of a record given once, without arguments."""
-    found = records.pop(keyword, None)
+    found = _expanded(records.pop(keyword, None))
     if not found:
         raise missing
     if len(found) > 1:
@@ -281,8 +387,10 @@ def _one(no: int, keyword: str, vals: tuple[str, ...]) -> str:
 def _read(records: dict, rows: tuple[Row, ...]) -> list:
     """Pop the records of each row and return their tables, in row order.
 
-    Each shape is read by one comprehension; when it fails, or a count shows
-    a bad record, _reject finds the first bad record in file order."""
+    A row read as one block is zipped from its columns. Any other row, and
+    a block that fails one of the same checks, is read by the comprehension
+    of its shape; when it fails, or a count shows a bad record, _reject
+    finds the first bad record in file order."""
     out: list = []
     declared: frozenset = frozenset()
     for row in rows:
@@ -297,6 +405,12 @@ def _read(records: dict, rows: tuple[Row, ...]) -> list:
             out.append(_one(no, kw, vals) if shape is VALUE else vals)
             continue
         found = records.pop(kw, ())
+        if found and type(found[0]) is _Block:
+            table = _columns(row, found[0], declared)
+            if table is not None:
+                out.append(table)
+                continue
+            found = found[0].records()
         try:
             if shape is MAP:
                 table = {(a[:-1], a[-1]): v for _, a, v in found}
@@ -322,6 +436,36 @@ def _read(records: dict, rows: tuple[Row, ...]) -> list:
             _reject(row, found, declared)
         out.append(table)
     return out
+
+
+def _columns(row: Row, block: _Block, declared: frozenset) -> Optional[dict]:
+    """The table of a row read from the columns of a block, or None when a
+    check of the comprehensions of _read fails."""
+    kw, nargs, shape = row
+    n, args, vals = block.n, block.args, block.vals
+    if len(args) != nargs or shape is TEXT:
+        return None
+    if shape is MAP:
+        table = dict(zip(zip(_rows(args[:-1], n), args[-1]), _rows(vals, n)))
+    elif shape is HOM:
+        table = dict(zip(zip(*args), _rows(vals, n)))
+        if not all(map(declared.issuperset, args)):
+            return None
+    elif len(vals) != 1:
+        return None
+    elif shape is SLOT:
+        f, i, p = args
+        try:
+            table = dict(zip(zip(f, map(int, i), p), vals[0]))
+        except ValueError:
+            return None
+    elif nargs == 1:
+        table = dict(zip(args[0], vals[0]))
+        if shape is ID and not declared.issuperset(table):
+            return None
+    else:
+        table = dict(zip(zip(*args), vals[0]))
+    return table if len(table) == n else None
 
 
 def _reject(row: Row, found: list[Record], declared: frozenset) -> None:

@@ -692,15 +692,27 @@ HOM_LINE = "hom 0 0 = 1_0"
                  lambda t: _replace_line(t, "objects = 0 1", "objects = 0 1 0"),
                  ["validate"], 2, "line 4: repeated object '0' in objects",
                  id="repeated-object-validate"),
+    # a token may not hold '='; the first such line fails
+    *[pytest.param("z2", "skew-monoidal", lambda t: t.replace("1_0", "a=b"), [command], 2,
+                   "line 5: token 'a=b' holds '='", id=f"equals-in-token-{command}")
+      for command in ("validate", "roundtrip")],
+    pytest.param("z2", "short-multi",
+                 lambda t: _replace_line(t, "map2 0 0 0 = m2(0,0;0)", "map2 0 0 0 = f = g"),
+                 ["validate"], 2, "line 12: token '=' holds '='", id="second-equals-validate"),
+    # the name's byte 0xff, written through surrogateescape
+    pytest.param("z2", "short-multi", lambda t: _replace_line(t, "name = z2", "name = \udcff"),
+                 ["validate"], 2, "line 3: not UTF-8: byte 0xff", id="not-utf8-validate"),
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
                                           message):
     """A key that names no object, a braiding value that names no morphism, a
-    key or an object given twice (exit 2) and a structure that fails its axioms under
+    key or an object given twice, a token that holds '=', a file that is not
+    UTF-8 (exit 2) and a structure that fails its axioms under
     certify, construct or roundtrip (exit 1) each end in one error line, never in
     an internal error."""
     path = tmp_path / f"bad.{kind}.txt"
-    path.write_text(edit(_catalogue_text(generator, kind)))
+    path.write_text(edit(_catalogue_text(generator, kind)), encoding="utf-8",
+                    errors="surrogateescape")
     out = run_cli(command[0], str(path), *command[1:])
     assert out.returncode == code, out.stdout + out.stderr
     errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
@@ -721,6 +733,16 @@ def _morphism_text(name):
     return serialize(next(sf for sf in catalogue_files("morphisms") if sf.name == name))
 
 
+def test_crlf_file_reads_as_canonical(capsys, tmp_path):
+    """Line ends are read as text mode reads them: a file with CRLF line ends
+    validates without the normalization warning."""
+    path = tmp_path / "z2.txt"
+    path.write_bytes(_catalogue_text("z2", "short-multi").replace("\n", "\r\n").encode())
+    assert cli.main(["validate", str(path)]) == cli.EXIT_PASS
+    out, err = capsys.readouterr()
+    assert "status PASS" in out and err == ""
+
+
 @pytest.mark.parametrize("file,source,extra,code,message", [
     pytest.param(("morphism", "z2-into-klein"), ("z2", "short-skew", None), [], 2,
                  "expected a short-multi file, got short-skew", id="plain-morphism-skew-source"),
@@ -737,6 +759,9 @@ def _morphism_text(name):
                  id="lax-functor"),
     pytest.param(("lax-functor", "z2"), ("z2", "braiding", None), [], 2,
                  "expected a skew-monoidal file, got braiding", id="lax-functor-braiding-source"),
+    pytest.param(("morphism", "z2-into-klein"),
+                 ("z2", "short-multi", lambda t: _replace_line(t, "name = z2", "name = z2\udcff")),
+                 [], 2, "line 3: not UTF-8: byte 0xff", id="plain-morphism-source-not-utf8"),
 ])
 def test_bad_morphism_end_ends_in_one_error_line(tmp_path, file, source, extra, code, message):
     """A morphism or lax-functor file validates only against a --source of
@@ -750,7 +775,8 @@ def test_bad_morphism_end_ends_in_one_error_line(tmp_path, file, source, extra, 
     target.write_text(_catalogue_text("klein-four" if kind == "morphism" else generator,
                                       "short-multi" if kind == "morphism" else "skew-monoidal"))
     src = tmp_path / "source.txt"
-    src.write_text((edit or (lambda t: t))(_catalogue_text(generator, source_kind)))
+    src.write_text((edit or (lambda t: t))(_catalogue_text(generator, source_kind)),
+                   encoding="utf-8", errors="surrogateescape")
     out = run_cli("validate", str(path), "--source", str(src), "--target", str(target), *extra)
     assert out.returncode == code, out.stdout + out.stderr
     errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]

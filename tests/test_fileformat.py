@@ -111,6 +111,14 @@ def test_stray_keyword_is_reported_at_its_first_line():
         parse(text)
     assert err.value.line_no == 6
     assert "unexpected keyword 'pre' for kind category" in str(err.value)
+    # a run of stray lines, which the parser reads as one block
+    run = text.replace("alpha a = a\n", "alpha a = a\nalpha b = b\n")
+    for stray, message in ((run, "line 6: unexpected keyword 'pre'"),
+                           (run.replace("pre a 1 a = a\n", ""),
+                            "line 8: unexpected keyword 'alpha'")):
+        with pytest.raises(ParseError) as err:
+            parse(stray)
+        assert str(err.value) == message + " for kind category"
     with pytest.raises(ParseError) as err:
         parse("format = 1\nkind = category\nname = x\nname = y\nobjects = a\n")
     assert err.value.line_no == 4 and "duplicate name line" in str(err.value)
@@ -183,6 +191,23 @@ def test_record_without_values():
     assert serialize(sf) == text
     with pytest.raises(ParseError, match="line 5: id expects exactly one value"):
         parse("format = 1\nkind = category\nname = x\nobjects = a\nid a =\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("map2 0 0 0 = f = g", "token '=' holds '='"),
+    ("map2 0 0 0 = m2(0,0;0) a=b", "token 'a=b' holds '='"),
+    ("map2 0 0=0 0 = m2(0,0;0)", "token '0=0' holds '='"),
+    ("map2 0 0 0 a=b =", "token 'a=b' holds '='"),
+    ("map2=x 0 0 0 = f", "unexpected keyword 'map2=x' for kind short-multi"),
+], ids=["second-equals", "value", "argument", "no-values", "keyword"])
+def test_a_token_holding_equals_is_rejected_at_its_line(line, message):
+    """No argument or value token holds '=', as the grammar of docs/format.md
+    says; a keyword that does is one that no kind has."""
+    text = _z2_short_multi()
+    k = text.splitlines().index("map2 0 0 0 = m2(0,0;0)") + 1
+    with pytest.raises(ParseError) as err:
+        parse(text.replace("map2 0 0 0 = m2(0,0;0)\n", line + "\n"))
+    assert str(err.value) == f"line {k}: {message}"
 
 
 def _documented_keywords():

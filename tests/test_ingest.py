@@ -4,7 +4,7 @@ the same bytes from serialize, a raise from check_structure exactly when the
 former one raises, of its class or DanglingId for its MalformedTable (on line
 edits of files and on single faults), the pinned message of the fault met
 first on pairs of faults, and the same outcome from parse apart from the
-three rules the format gained."""
+four rules the format gained."""
 import collections
 import dataclasses
 import itertools
@@ -13,14 +13,14 @@ import re
 import pytest
 
 import reference_validators as ref
-from shortcat import cli
+from shortcat import cli, fileformat
 from shortcat.catalogue import poset2_first_short_skew
 from shortcat.classify import certify
 from shortcat.errors import (
     DanglingId, MalformedTable, ParseError, ShortcatError, TypingViolation,
 )
 from shortcat.fileformat import (
-    ROWS, RawLaxFunctor, StructureFile, parse, serialize, unbind_morphism,
+    MORPHISM_TABLES, ROWS, RawLaxFunctor, StructureFile, parse, serialize, unbind_morphism,
 )
 from shortcat.shortskew import LOOSE, TIGHT, ShortSkewMulticategory, identity_skew_morphism
 from shortcat.skewmon import identity_lax_functor
@@ -277,15 +277,17 @@ def test_check_structure_double_faults_match_reference(which):
 # --------------------------------------------------------------------------
 # the parser against the former one
 # --------------------------------------------------------------------------
-# The format gained three rules: a key given twice is an error, `kw args =`
+# The format gained four rules: a key given twice is an error, `kw args =`
 # is a record with no values, where the former parser read the `=` as one
-# more argument, and an object listed twice in `objects` is an error, where
-# the former parser kept both. Every other outcome must be the former one:
-# the same serialized payload and warnings, or the same exception type and
-# message (which holds the line number).
+# more argument, an object listed twice in `objects` is an error, where
+# the former parser kept both, and an argument or value token that holds
+# `=` is an error, where the former parser kept it. Every other outcome must
+# be the former one: the same serialized payload and warnings, or the same
+# exception type and message (which holds the line number).
 
 REPEAT = re.compile(r"line (\d+): repeated key (\S+) (.*), first given at line (\d+)")
 REPEATED_OBJECT = re.compile(r"line (\d+): repeated object '(\S+)' in objects")
+EQUALS = re.compile(r"line (\d+): token (.+) holds '='")
 
 
 def _no_values(line):
@@ -326,6 +328,17 @@ def _former(text):
         ref._Lines = lines_class
 
 
+def _equals_token(line):
+    """The first argument or value token of a record line that holds '=', or
+    None."""
+    line = line.strip()
+    head, sep, tail = line.partition(" = ")
+    if line.startswith("#") or not sep and not line.endswith(" ="):
+        return None
+    toks = (head if sep else line[:-2]).split()[1:] + tail.split()
+    return next((tok for tok in toks if "=" in tok), None)
+
+
 def _head(line, keyword):
     """The key tokens of a record, with the slot of a pre or sub record read
     as the integer it names."""
@@ -362,6 +375,17 @@ def _check(text, rules):
         once = _edited(lines, {n - 1: head + sep + " ".join(dict.fromkeys(members))})
         rules["repeated object"] += 1
         _check(once, rules)
+        return
+    found = EQUALS.fullmatch(got[1]) if got[0] is ParseError else None
+    if found:
+        # The error names the first line that holds such a token, and the
+        # first such token of that line; with that line a comment, the two
+        # parsers must agree.
+        n = int(found[1])
+        assert not any(map(_equals_token, lines[:n - 1])), (got, want)
+        assert repr(_equals_token(lines[n - 1])) == found[2], (got, want)
+        rules["token with ="] += 1
+        _check(_edited(lines, {n - 1: "#"}), rules)
         return
     found = REPEAT.fullmatch(got[1]) if got[0] is ParseError else None
     assert found, (got, want)
@@ -461,4 +485,106 @@ def test_parse_matches_reference():
             _check(edit, rules)
             cases += 1
     assert rules["repeated key"] > 50 and rules["no values"] > 50, (rules, cases)
-    assert rules["repeated object"] > 50, (rules, cases)
+    assert rules["repeated object"] > 50 and rules["token with ="] >= 50, (rules, cases)
+
+
+# --------------------------------------------------------------------------
+# the block reader against the line reader
+# --------------------------------------------------------------------------
+# _records reads a run of lines that share a keyword as one block of columns
+# only when its guards prove that the line reader would read the run the
+# same. Each edit below breaks one guard within a run, so a guard that let a
+# wrong run through shows as a parse that differs from the parse through the
+# line reader alone, _line_records.
+
+def _block_sources():
+    """A larger file of each kind: Z/3 in the short kinds, the Klein four
+    group and its base, its symmetric braiding and identity morphism, the
+    identity lax functor on it and the Heyting skew closed category."""
+    z3 = {sf.kind: sf for sf in _cyclic_files(3)}
+    klein = {sf.kind: sf for sf in cli.catalogue_files("klein-four-sym")}
+    files = [z3["short-multi"], z3["short-skew"], klein["skew-monoidal"], klein["braiding"],
+             StructureFile("category", "klein.base", klein["short-multi"].payload.base),
+             next(sf for sf in cli.catalogue_files("heyting-2") if sf.kind == "skew-closed"),
+             next(sf for sf in cli.catalogue_files("morphisms") if sf.name == "id[klein]")]
+    return files + list(_identity_lax_functors([klein["skew-monoidal"]]))
+
+
+def _runs(lines):
+    """The first and last index of each run of two or more lines that share
+    their first token."""
+    keys = [line.split(" ", 1)[0] for line in lines]
+    starts = [k for k in range(len(lines)) if k == 0 or keys[k] != keys[k - 1]]
+    return [(a, b - 1) for a, b in zip(starts, starts[1:] + [len(lines)]) if b - a > 1]
+
+
+def _line_guard_edits(line):
+    """Edits of one line, each aimed at one guard of the block reader."""
+    head, _, tail = line.partition(" = ")
+    kw, *args = head.split()
+    yield from (line.replace(" ", "\t", 1), line.replace(" ", "  ", 1), head + "\t= " + tail)
+    yield from (" " + line, line + " ", "# x = y\n" + line, "\n" + line, line + "\n" + line)
+    yield from (head + " = x=y", line + " = z", line + " z", head + " =", head + " =" + tail,
+                f"{head} z = {tail}", f"{kw} = {tail}")
+    if args:
+        yield from (" ".join((kw, tok, *args[1:])) + " = " + tail for tok in ("x=y", kw))
+    if kw in ("pre", "sub"):
+        yield from (" ".join((kw, args[0], slot, args[2])) + " = " + tail
+                    for slot in ("x", "0" + args[1]))
+
+
+# The argument count and shape of each record keyword.
+SHAPES = {kw: (nargs, shape) for rows in (*ROWS.values(), *MORPHISM_TABLES.values())
+          for kw, nargs, shape in rows}
+
+
+def _guard_edits(text):
+    """The guard edits of the first and the last line of the first run of
+    each record shape and argument count in text, each such line moved to
+    the end, and pairs of its lines shifted into rows that still align; a
+    line break other than \\n in a line; the text with CRLF line ends and
+    without its final newline."""
+    lines = text.splitlines()
+    runs = _runs(lines)
+    shapes = {SHAPES[lines[first].split()[0]]: (first, last) for first, last in runs[::-1]}
+    for first, last in shapes.values():
+        for k in (first, last):
+            for edit in _line_guard_edits(lines[k]):
+                yield _edited(lines, {k: edit})
+            yield _edited(lines[:k] + lines[k + 1:] + [lines[k]], {})
+        # Two lines that still split into twice the width, with kw and `=`
+        # in their columns: line k ends in kw, and line k + 1 lacks its
+        # keyword or its first argument.
+        for k in {first, (first + last) // 2, last - 1}:
+            kw, *rest = lines[k + 1].split()
+            for shifted in (rest, [kw, *rest[1:]]):
+                yield _edited(lines, {k: f"{lines[k]} {kw}", k + 1: " ".join(shifted)})
+    k = runs[0][1]
+    for brk in ("\r", "\x0c", "\x85", "\u2028", "\x1c"):
+        yield _edited(lines, {k: lines[k][:-1] + brk + lines[k][-1]})
+    yield text.replace("\n", "\r\n")
+    yield text[:-1]
+
+
+@pytest.mark.parametrize("sf", _block_sources(), ids=lambda sf: f"{sf.name}.{sf.kind}")
+def test_block_reader_matches_line_reader(sf, monkeypatch):
+    """Every run of two or more lines of the unedited file is read as one
+    block, and every guard edit parses as the line reader parses it: the same
+    serialized payload and warnings, or the same exception and message."""
+    blocks, block_reader = [], fileformat._block
+
+    def counted(run, kw, no):
+        block = block_reader(run, kw, no)
+        blocks.append(block)
+        return block
+
+    text = serialize(sf)
+    monkeypatch.setattr(fileformat, "_block", counted)
+    assert _parsed(parse, text) == (text, [])
+    assert blocks and None not in blocks and len(blocks) == len(_runs(text.splitlines()))
+    edits = list(_guard_edits(text))
+    have = [_parsed(parse, edit) for edit in edits]
+    monkeypatch.setattr(fileformat, "_records", fileformat._line_records)
+    differ = [(edit, got) for edit, got in zip(edits, have) if got != _parsed(parse, edit)]
+    assert not differ, differ[:3]
+    assert len(edits) > 40
