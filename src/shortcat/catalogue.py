@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Hashable, Optional
 
-from .errors import MalformedTable, UnknownGenerator
+from .errors import MalformedTable
+from .fileformat import validate
 from .fincat import FinCategory, FinFunctor
 from .shortmulti import MultiMorphism, ShortMulticategory
 from .shortskew import (
@@ -630,27 +631,12 @@ def catalogue_mutants() -> list[Mutant]:
 
 
 def validate_mutant(mut: Mutant):
-    """Run the kind-appropriate validator on a mutant."""
-    from .fincat import validate_category
-    from .shortmulti import validate_short_multicategory
-    from .shortskew import validate_short_skew
-    from .skewmon import validate_braiding, validate_skew_closed, validate_skew_monoidal
-    if mut.kind == "category":
-        return validate_category(mut.payload)
-    if mut.kind == "short-multi":
-        return validate_short_multicategory(mut.payload)
-    if mut.kind == "short-skew":
-        return validate_short_skew(mut.payload)
-    if mut.kind == "skew-monoidal":
-        return validate_skew_monoidal(mut.payload)
-    if mut.kind == "braiding":
-        mon, braid = mut.payload
-        report = validate_skew_monoidal(mon)
-        report.merge(validate_braiding(mon, braid))
-        return report.finish()
-    if mut.kind == "skew-closed":
-        return validate_skew_closed(mut.payload)
-    raise UnknownGenerator(mut.kind)
+    """Run the validators of the mutant's kind on it: a braiding mutant's
+    own families are merged into the report without a prefix."""
+    report, swap = validate(mut.kind, mut.payload)
+    if swap is not None:
+        report.merge(swap)
+    return report.finish()
 
 
 def catalogue_morphisms() -> dict[str, MultiMorphism]:

@@ -20,15 +20,13 @@ from .errors import (
     UnknownGenerator,
 )
 from .fileformat import (
-    StructureFile, bind_lax_functor, bind_morphism, parse, serialize,
-    unbind_morphism,
+    StructureFile, bind_lax_functor, bind_morphism, parse, serialize, unbind_morphism, validate,
 )
 
 if TYPE_CHECKING:
     from .catalogue import Monoid
     from .classify import Certificate
     from .report import ValidationReport
-    from .shortskew import ShortSkewMulticategory
 
 # Each command, and each file kind within a command, imports the modules it
 # runs in its own body: a one-shot call then compiles only those, which is
@@ -37,106 +35,81 @@ if TYPE_CHECKING:
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _load(path: str) -> StructureFile:
-    """The structure file at path. A file that is not UTF-8 is a parse error
-    at the line of its first bad byte; line ends are translated to \\n as
-    open() translates them in text mode."""
+def _load(path: str, args) -> StructureFile:
+    """The structure file at path, within the size guard of args. A file that
+    is not UTF-8 is a parse error at the line of its first bad byte, and one
+    that begins with a byte-order mark a parse error at line 1; line ends are
+    translated to \\n as open() translates them in text mode."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
         raise ParseError(line, f"not UTF-8: byte {data[exc.start]:#04x}") from None
+    if text.startswith("\ufeff"):
+        raise ParseError(1, "the file begins with a byte-order mark (U+FEFF)")
     sf, warnings = parse(text.replace("\r\n", "\n").replace("\r", "\n"))
     for w in warnings:
         print(f"warning: {path}: {w}", file=sys.stderr)
+    _guard_size(sf, args)
     return sf
 
 
-def _guard_size(sf: StructureFile, max_objects: int, max_multimaps: int) -> None:
-    payload = sf.payload
-    structure = payload[0] if isinstance(payload, tuple) else payload
+def _guard_size(sf: StructureFile, args) -> None:
+    structure = sf.structure
     base = getattr(structure, "base", structure)
-    if hasattr(base, "objects") and len(base.objects) > max_objects:
+    if hasattr(base, "objects") and len(base.objects) > args.max_objects:
         raise SearchBoundExceeded(
-            f"{sf.name}: {len(base.objects)} objects exceeds --max-objects {max_objects}")
-    if sf.kind == "short-multi":
-        sizes = [len(fs) for t in structure.maps.values() for fs in t.values()]
-    elif sf.kind == "short-skew":
-        sizes = [len(fs) for side in (structure.tight, structure.loose)
-                 for t in side.values() for fs in t.values()]
-    else:
-        sizes = []
-    if sizes and max(sizes) > max_multimaps:
+            f"{sf.name}: {len(base.objects)} objects exceeds --max-objects {args.max_objects}")
+    tables = structure._tables() if hasattr(structure, "_tables") else ()
+    size = max((len(fs) for _, t in tables for fs in t.values()), default=0)
+    if size > args.max_multimaps:
         raise SearchBoundExceeded(
-            f"{sf.name}: a multimap set of size {max(sizes)} exceeds "
-            f"--max-multimaps {max_multimaps}")
+            f"{sf.name}: a multimap set of size {size} exceeds "
+            f"--max-multimaps {args.max_multimaps}")
 
 
-def _short_skew_report(m: ShortSkewMulticategory, beta) -> ValidationReport:
-    """The report of a short-skew file: its structure and, when it has swap
-    tables, their instances under the braiding- prefix."""
-    from .shortskew import validate_short_skew
-    report = validate_short_skew(m)
-    if beta is not None:
-        from .braiding import validate_short_braiding
-        report.merge_prefixed(validate_short_braiding(m, beta), "braiding-")
-    return report.finish()
+def _expect(sf: StructureFile, command: str, kinds: tuple[str, ...]) -> None:
+    if sf.kind not in kinds:
+        raise MalformedTable(f"{command} expects a {' or '.join(kinds)} file, got {sf.kind}")
 
 
 def _validate_file(sf: StructureFile, args) -> ValidationReport:
+    """The report validate prints: a structure's own families, and then
+    those of its swap tables, if it has them, under the braiding- prefix."""
     kind, payload = sf.kind, sf.payload
-    if kind == "category":
-        from .fincat import validate_category
-        return validate_category(payload)
-    if kind == "short-multi":
-        from .shortmulti import validate_short_multicategory
-        return validate_short_multicategory(payload)
-    if kind == "short-skew":
-        return _short_skew_report(*payload)
-    if kind == "skew-monoidal":
-        from .skewmon import validate_skew_monoidal
-        return validate_skew_monoidal(payload)
-    if kind == "braiding":
-        from .skewmon import validate_braiding, validate_skew_monoidal
-        structure, braid = payload
-        report = validate_skew_monoidal(structure)
-        report.merge_prefixed(validate_braiding(structure, braid), "braiding-")
+    if kind not in ("morphism", "lax-functor"):
+        report, swap = validate(kind, payload)
+        if swap is not None:
+            report.merge_prefixed(swap, "braiding-")
         return report.finish()
-    if kind == "skew-closed":
-        from .skewmon import validate_skew_closed
-        return validate_skew_closed(payload)
-    if kind in ("morphism", "lax-functor"):
-        if not args.source or not args.target:
-            raise MalformedTable(f"validating a {kind} file needs --source and --target")
-        plain = kind == "morphism" and payload.variant == "plain"
-        end = "skew-monoidal" if kind == "lax-functor" else "short-multi" if plain else "short-skew"
-        # one path names one structure, loaded and checked once
-        ends = {path: _end(path, end, args) for path in dict.fromkeys((args.source, args.target))}
-        src, tgt = ends[args.source], ends[args.target]
-        if kind == "lax-functor":
-            from .skewmon import validate_lax_functor
-            return validate_lax_functor(bind_lax_functor(payload, sf.name, src, tgt))
-        F = bind_morphism(payload, sf.name, src, tgt)
-        if plain:
-            from .shortmulti import validate_multi_morphism
-            return validate_multi_morphism(F)
-        from .shortskew import validate_skew_multi_morphism
-        return validate_skew_multi_morphism(F)
-    raise MalformedTable(f"cannot validate kind {kind}")
+    if not args.source or not args.target:
+        raise MalformedTable(f"validating a {kind} file needs --source and --target")
+    plain = kind == "morphism" and payload.variant == "plain"
+    end = "skew-monoidal" if kind == "lax-functor" else "short-multi" if plain else "short-skew"
+    # one path names one structure, loaded and checked once
+    ends = {path: _end(path, end, args) for path in dict.fromkeys((args.source, args.target))}
+    src, tgt = ends[args.source], ends[args.target]
+    if kind == "lax-functor":
+        from .skewmon import validate_lax_functor
+        return validate_lax_functor(bind_lax_functor(payload, sf.name, src, tgt))
+    F = bind_morphism(payload, sf.name, src, tgt)
+    if plain:
+        from .shortmulti import validate_multi_morphism
+        return validate_multi_morphism(F)
+    from .shortskew import validate_skew_multi_morphism
+    return validate_skew_multi_morphism(F)
 
 
 def _end(path: str, kind: str, args):
     """The structure in the --source or --target file at path, which must be
     of the given kind (the structure half of a short-skew file), within the
     size guard and pass its check_structure."""
-    sf = _load(path)
+    sf = _load(path, args)
     if sf.kind != kind:
         raise MalformedTable(f"{path}: expected a {kind} file, got {sf.kind}")
-    _guard_size(sf, args.max_objects, args.max_multimaps)
-    structure = sf.payload[0] if kind == "short-skew" else sf.payload
-    structure.check_structure()
-    return structure
+    sf.structure.check_structure()
+    return sf.structure
 
 
 def _report_path(out: str) -> Path:
@@ -148,8 +121,7 @@ def _report_path(out: str) -> Path:
 
 
 def cmd_validate(args) -> int:
-    sf = _load(args.path)
-    _guard_size(sf, args.max_objects, args.max_multimaps)
+    sf = _load(args.path, args)
     report = _validate_file(sf, args)
     text = report.render()
     if args.report:
@@ -216,28 +188,11 @@ def render_certificate(cert: Certificate, witnesses: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _certify_payload(sf: StructureFile):
-    if sf.kind == "short-multi":
-        return sf.payload
-    if sf.kind == "short-skew":
-        return sf.payload[0]
-    raise MalformedTable(f"certify expects a short-multi or short-skew file, got {sf.kind}")
-
-
-def _require_valid(name: str, m, command: str) -> None:
-    """Raise AxiomFailure (exit 1) unless the short-multi or short-skew
-    structure m passes validation; check_structure errors raise as usual."""
-    from .shortmulti import ShortMulticategory, validate_short_multicategory
-    report = (validate_short_multicategory(m) if isinstance(m, ShortMulticategory)
-              else _short_skew_report(m, None))
-    report.require_pass(name, command)
-
-
 def cmd_certify(args) -> int:
     from .classify import certify, check_representable, derived_classifiers, find_closed_structure
-    sf = _load(args.path)
-    _guard_size(sf, args.max_objects, args.max_multimaps)
-    m = _certify_payload(sf)
+    sf = _load(args.path, args)
+    _expect(sf, "certify", ("short-multi", "short-skew"))
+    m = sf.structure
     m.check_structure()
     try:
         cert = certify(m)
@@ -249,7 +204,7 @@ def cmd_certify(args) -> int:
     except (InconsistentVerdicts, UniversalityBroken):
         # The search's own cross-checks assume the axioms hold; on a
         # structure that fails them the failure is the input's, not ours.
-        _require_valid(sf.name, m, "certify")
+        validate(sf.kind, m)[0].require_pass(sf.name, "certify")
         raise
     text = render_certificate(cert, witnesses=not args.no_witnesses)
     if args.out:
@@ -262,65 +217,52 @@ def cmd_certify(args) -> int:
 # construction
 # --------------------------------------------------------------------------
 
+# The kind of file each construction reads. A braiding- construction
+# validates the structure and its swap tables, as validate does; any other
+# the structure alone.
+CONSTRUCTIONS = {"k": "short-multi", "ks": "short-skew", "kcl": "short-skew",
+                 "braiding-forward": "short-skew", "braiding-backward": "braiding"}
+
+
 def cmd_construct(args) -> int:
     from .classify import certify, find_closed_structure
     from .transport import k_object, kcl_object, ks_object
-    sf = _load(args.path)
-    _guard_size(sf, args.max_objects, args.max_multimaps)
-    which = args.which
-    provenance = {"source": sf.name, "construction": which}
+    sf = _load(args.path, args)
+    which, name = args.which, sf.name
+    _expect(sf, f"construct {which}", (CONSTRUCTIONS[which],))
+    if which.startswith("braiding-"):
+        if sf.payload[1] is None:
+            raise MalformedTable(f"construct {which} expects a short-skew file with swap "
+                                 f"tables, got none")
+        report = _validate_file(sf, args)
+    else:
+        report = validate(sf.kind, sf.structure)[0]
+    report.require_pass(name, "construct")
+    m = sf.structure
+    provenance = {"source": name, "construction": which}
+    if which == "braiding-backward":
+        from .induce import induce_short_skew
+        m = induce_short_skew(m, name=name + ".induced")
+    cert = certify(m)
 
-    if which == "k":
-        if sf.kind != "short-multi":
-            raise MalformedTable("construct k expects a short-multi file")
-        m = sf.payload
-        _require_valid(sf.name, m, "construct")
-        cert = certify(m)
-        out = StructureFile("skew-monoidal", sf.name + ".k",
-                            k_object(m, cert, name=sf.name + ".k"), provenance)
-    elif which == "ks":
-        if sf.kind != "short-skew":
-            raise MalformedTable("construct ks expects a short-skew file")
-        m = sf.payload[0]
-        _require_valid(sf.name, m, "construct")
-        cert = certify(m)
-        out = StructureFile("skew-monoidal", sf.name + ".ks",
-                            ks_object(m, cert, name=sf.name + ".ks"), provenance)
+    if which in ("k", "ks"):
+        built = (k_object if which == "k" else ks_object)(m, cert, name=f"{name}.{which}")
+        out = StructureFile("skew-monoidal", f"{name}.{which}", built, provenance)
     elif which == "kcl":
-        if sf.kind != "short-skew":
-            raise MalformedTable("construct kcl expects a short-skew file")
-        m = sf.payload[0]
-        _require_valid(sf.name, m, "construct")
-        cert = certify(m)
         homs = find_closed_structure(m, cert)
         if homs is None:
-            raise MalformedTable(f"{sf.name}: not closed, cannot construct the hom side")
-        out = StructureFile("skew-closed", sf.name + ".kcl",
-                            kcl_object(m, cert, homs, name=sf.name + ".kcl"), provenance)
+            raise MalformedTable(f"{name}: not closed, cannot construct the hom side")
+        out = StructureFile("skew-closed", name + ".kcl",
+                            kcl_object(m, cert, homs, name=name + ".kcl"), provenance)
     elif which == "braiding-forward":
-        if sf.kind != "short-skew" or sf.payload[1] is None:
-            raise MalformedTable("construct braiding-forward expects a short-skew "
-                                 "file with swap tables")
-        m, beta = sf.payload
-        _validate_file(sf, args).require_pass(sf.name, "construct")
-        cert = certify(m)
         from .braiding import s_from_short_braiding
-        mon = ks_object(m, cert, name=sf.name + ".ks")
-        s = s_from_short_braiding(m, cert, beta, name=sf.name + ".s")
-        out = StructureFile("braiding", sf.name + ".braided", (mon, s), provenance)
-    elif which == "braiding-backward":
-        if sf.kind != "braiding":
-            raise MalformedTable("construct braiding-backward expects a braiding file")
-        mon, s = sf.payload
-        _validate_file(sf, args).require_pass(sf.name, "construct")
-        from .braiding import short_braiding_from_s
-        from .induce import induce_short_skew
-        m = induce_short_skew(mon, name=sf.name + ".induced")
-        cert = certify(m)
-        beta = short_braiding_from_s(m, cert, s, name=sf.name + ".beta")
-        out = StructureFile("short-skew", sf.name + ".induced", (m, beta), provenance)
+        mon = ks_object(m, cert, name=name + ".ks")
+        s = s_from_short_braiding(m, cert, sf.payload[1], name=name + ".s")
+        out = StructureFile("braiding", name + ".braided", (mon, s), provenance)
     else:
-        raise UnknownGenerator(which)
+        from .braiding import short_braiding_from_s
+        beta = short_braiding_from_s(m, cert, sf.payload[1], name=name + ".beta")
+        out = StructureFile("short-skew", name + ".induced", (m, beta), provenance)
 
     text = serialize(out)
     if args.out:
@@ -332,12 +274,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    sf = _load(args.path)
-    _guard_size(sf, args.max_objects, args.max_multimaps)
-    if sf.kind in ("skew-monoidal", "skew-closed"):
+    sf = _load(args.path, args)
+    _expect(sf, "roundtrip", ("skew-monoidal", "skew-closed", "braiding"))
+    if sf.kind != "braiding":
         from .transport import roundtrip_check
         report = roundtrip_check(sf.payload)
-    elif sf.kind == "braiding":
+    else:
         from .braiding import braidings_equal, s_from_short_braiding, short_braiding_from_s
         from .transport import skew_monoidal_roundtrip
         mon, s = sf.payload
@@ -348,9 +290,6 @@ def cmd_roundtrip(args) -> int:
         report.count("braiding-roundtrip")
         if not braidings_equal(back, s):
             report.fail("braiding-roundtrip", (sf.name,), back.name, "table equality")
-    else:
-        raise MalformedTable(f"roundtrip expects a skew-monoidal, braiding or "
-                             f"skew-closed file, got {sf.kind}")
     print(report.render(), end="")
     return EXIT_PASS if report.ok else EXIT_FAIL
 
@@ -443,7 +382,7 @@ def catalogue_files(name: str, args=None) -> list[StructureFile]:
         return _monoid_files(cat.z2_monoid(), symmetric=True)
     if name == "z3":
         return _monoid_files(cat.z3_monoid(), symmetric=True)
-    if name in ("klein-four", "klein-four-sym"):
+    if name == "klein-four":
         return _monoid_files(cat.klein_monoid(), symmetric=True)
     if name == "poset-skew-second":
         return [
@@ -485,9 +424,8 @@ def catalogue_files(name: str, args=None) -> list[StructureFile]:
     raise UnknownGenerator(f"unknown generator {name!r}")
 
 
-GENERATORS = ("terminal", "z2", "z3", "klein-four", "klein-four-sym",
-              "poset-skew-second", "poset-skew-first", "heyting-2",
-              "comm-monoid", "mutants", "morphisms")
+GENERATORS = ("terminal", "z2", "z3", "klein-four", "poset-skew-second", "poset-skew-first",
+              "heyting-2", "comm-monoid", "mutants", "morphisms")
 
 
 def cmd_catalogue(args) -> int:
@@ -498,7 +436,7 @@ def cmd_catalogue(args) -> int:
                 f"comm-monoid: {count} elements exceeds --max-objects {args.max_objects}")
     files = catalogue_files(args.name, args)
     for sf in files:
-        _guard_size(sf, args.max_objects, args.max_multimaps)
+        _guard_size(sf, args)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     for sf in files:

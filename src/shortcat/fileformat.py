@@ -8,20 +8,23 @@ payload's tables, `parse` reads the records of ROWS back into the same
 tables, and `_build` calls the constructor of the kind. Parsing a canonical
 file and reserializing returns it byte for byte; anything else parses with a
 normalization warning. A key given twice is an error, and so is an argument
-or value token that holds `=`.
+or value token that holds `=`. VALIDATORS names the validators of each
+structure kind, and `validate` runs them on a payload.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .errors import ParseError, UnknownKind, VersionMismatch
 from .fincat import FinCategory, FinFunctor
 
-# `_build` and the binders import the module of a kind when they run, so
-# reading a file loads only the structures that file holds.
+# `_build`, `validate` and the binders import the module of a kind when they
+# run, so reading a file loads only the structures that file holds.
 if TYPE_CHECKING:
+    from .report import ValidationReport
     from .shortmulti import MultiMorphism, ShortMulticategory
     from .shortskew import SkewMultiMorphism
     from .skewmon import LaxMonFunctor, SkewClosedCategory, SkewMonCategory
@@ -29,6 +32,17 @@ if TYPE_CHECKING:
 FORMAT_VERSION = "1"
 KINDS = ("category", "short-multi", "short-skew", "skew-monoidal",
          "skew-closed", "braiding", "morphism", "lax-functor")
+
+# The validators of each structure kind, as (module, function): the
+# structure's and, for a kind that may carry swap tables, the swap tables'.
+VALIDATORS = {
+    "category": (("fincat", "validate_category"), None),
+    "short-multi": (("shortmulti", "validate_short_multicategory"), None),
+    "short-skew": (("shortskew", "validate_short_skew"), ("braiding", "validate_short_braiding")),
+    "skew-monoidal": (("skewmon", "validate_skew_monoidal"), None),
+    "skew-closed": (("skewmon", "validate_skew_closed"), None),
+    "braiding": (("skewmon", "validate_skew_monoidal"), ("skewmon", "validate_braiding")),
+}
 
 
 @dataclass(frozen=True)
@@ -55,12 +69,36 @@ Payload = Union[FinCategory, "ShortMulticategory", "SkewMonCategory",
                 "SkewClosedCategory", RawMorphism, RawLaxFunctor, tuple]
 
 
+def _halves(payload) -> tuple:
+    """The structure of a payload and its swap tables, or None: a short-skew
+    or braiding payload is the pair (structure, swap tables or None)."""
+    return payload if isinstance(payload, tuple) else (payload, None)
+
+
 @dataclass
 class StructureFile:
     kind: str
     name: str
     payload: Payload
     provenance: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def structure(self):
+        """The payload without its swap tables."""
+        return _halves(self.payload)[0]
+
+
+def validate(kind: str, payload) -> tuple[ValidationReport, Optional[ValidationReport]]:
+    """The report of the structure of a payload of a structure kind, and the
+    report of its swap tables or None. Each validator is looked up on its
+    module when it runs, so that a rebound one is the one called."""
+    structure, swap = _halves(payload)
+    (module, name), swap_validator = VALIDATORS[kind]
+    report = getattr(import_module(f".{module}", __package__), name)(structure)
+    if swap is None:
+        return report, None
+    module, name = swap_validator
+    return report, getattr(import_module(f".{module}", __package__), name)(structure, swap)
 
 
 # --------------------------------------------------------------------------
@@ -134,7 +172,7 @@ def _tables(kind: str, payload) -> tuple:
                 payload.f2)
     if kind == "category":
         return (payload.objects, payload.homs, payload.ids, payload.comp)
-    structure, extra = payload if isinstance(payload, tuple) else (payload, None)
+    structure, extra = _halves(payload)
     base = _tables("category", structure.base)
     if kind == "short-multi":
         return (*base, *(structure.maps.get(n, {}) for n in (0, 2, 3, 4)),

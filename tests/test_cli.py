@@ -9,7 +9,7 @@ import pytest
 from childenv import child_env
 from shortcat import cli
 from shortcat.cli import build_parser, catalogue_files
-from shortcat.fileformat import RawLaxFunctor, StructureFile, serialize
+from shortcat.fileformat import KINDS, RawLaxFunctor, StructureFile, serialize
 from shortcat.skewmon import identity_lax_functor
 
 
@@ -76,6 +76,29 @@ def test_mutant_files_fail_at_their_annotation(capsys, tmp_path):
         assert family and subjects, sample.name
         assert cli.main(["validate", str(sample)]) == cli.EXIT_FAIL, sample.name
         assert f"fail {family} @ {subjects} :" in capsys.readouterr().out, sample.name
+
+
+def test_validate_mutant_reports_what_validate_prints(capsys, tmp_path):
+    """For every catalogue mutant, the report validate prints on its written
+    file is validate_mutant's below the report line, which names the file's
+    structure. The one difference left: a braiding mutant's own families
+    carry the braiding- prefix only in the printed report."""
+    from shortcat.catalogue import catalogue_mutants, validate_mutant
+
+    assert cli.main(["catalogue", "mutants", "--out", str(tmp_path)]) == cli.EXIT_PASS
+    capsys.readouterr()
+    prefixed = []
+    for idx, mut in enumerate(catalogue_mutants()):
+        (path,) = tmp_path.glob(f"mutant-{idx:03d}-*.txt")
+        assert cli.main(["validate", str(path)]) == cli.EXIT_FAIL, path.name
+        printed = capsys.readouterr().out.splitlines()[1:]
+        expected = validate_mutant(mut).render().splitlines()[1:]
+        if printed != expected:
+            prefixed.append(idx)
+            assert sorted(ln.replace("braiding-", "") for ln in printed) == sorted(expected), \
+                path.name
+    assert prefixed == [58, 59, 60]
+    assert {catalogue_mutants()[idx].kind for idx in prefixed} == {"braiding"}
 
 
 def test_morphism_validation_needs_source_and_target(tmp_path):
@@ -702,14 +725,24 @@ HOM_LINE = "hom 0 0 = 1_0"
     # the name's byte 0xff, written through surrogateescape
     pytest.param("z2", "short-multi", lambda t: _replace_line(t, "name = z2", "name = \udcff"),
                  ["validate"], 2, "line 3: not UTF-8: byte 0xff", id="not-utf8-validate"),
+    # a short-skew file without swap tables
+    pytest.param("terminal", "short-skew", lambda t: t,
+                 ["construct", "--which", "braiding-forward"], 2,
+                 "construct braiding-forward expects a short-skew file with swap tables, got none",
+                 id="no-swap-tables-construct-braiding-forward"),
+    # a UTF-8 byte-order mark before the format line
+    pytest.param("z2", "short-multi", lambda t: "\ufeff" + t, ["validate"], 2,
+                 "line 1: the file begins with a byte-order mark (U+FEFF)",
+                 id="byte-order-mark-validate"),
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
                                           message):
     """A key that names no object, a braiding value that names no morphism, a
     key or an object given twice, a token that holds '=', a file that is not
-    UTF-8 (exit 2) and a structure that fails its axioms under
-    certify, construct or roundtrip (exit 1) each end in one error line, never in
-    an internal error."""
+    UTF-8 or begins with a byte-order mark, a short-skew file without swap
+    tables given to braiding-forward (exit 2) and a structure that fails its
+    axioms under certify, construct or roundtrip (exit 1) each end in one
+    error line, never in an internal error."""
     path = tmp_path / f"bad.{kind}.txt"
     path.write_text(edit(_catalogue_text(generator, kind)), encoding="utf-8",
                     errors="surrogateescape")
@@ -785,3 +818,72 @@ def test_bad_morphism_end_ends_in_one_error_line(tmp_path, file, source, extra, 
     else:
         assert len(errors) == 1 and errors[0].startswith("error: "), out.stderr
         assert message in errors[0], out.stderr
+
+
+def _kind_texts():
+    """A file of every kind, by kind."""
+    texts = {kind: _catalogue_text("z2", kind)
+             for kind in ("short-multi", "short-skew", "skew-monoidal", "braiding")}
+    texts["skew-closed"] = _catalogue_text("terminal", "skew-closed")
+    z2 = next(sf for sf in catalogue_files("z2") if sf.kind == "short-multi").payload
+    texts["category"] = serialize(StructureFile("category", "z2.base", z2.base))
+    texts["morphism"] = _morphism_text("id[z2]")
+    texts["lax-functor"] = _id_lax_functor_text("z2")
+    return texts
+
+
+# the kinds of file each command reads
+ACCEPTED = {
+    ("certify",): ("short-multi", "short-skew"),
+    ("roundtrip",): ("skew-monoidal", "skew-closed", "braiding"),
+    ("construct", "--which", "k"): ("short-multi",),
+    ("construct", "--which", "ks"): ("short-skew",),
+    ("construct", "--which", "kcl"): ("short-skew",),
+    ("construct", "--which", "braiding-forward"): ("short-skew",),
+    ("construct", "--which", "braiding-backward"): ("braiding",),
+}
+
+
+def test_a_file_of_another_kind_is_refused(capsys, tmp_path):
+    """certify, roundtrip and each construction refuse a file of every kind
+    they do not read with one error line that names the kinds they read and
+    the kind they got, and exit 2."""
+    texts = _kind_texts()
+    assert set(texts) == set(KINDS)
+    for command, accepted in ACCEPTED.items():
+        name = " ".join(part for part in command if part != "--which")
+        for kind, text in texts.items():
+            if kind in accepted:
+                continue
+            path = tmp_path / f"{kind}.txt"
+            path.write_text(text)
+            assert cli.main([command[0], str(path), *command[1:]]) == cli.EXIT_USAGE, (name, kind)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {name} expects a {' or '.join(accepted)} file, "
+                                    f"got {kind}\n"), (name, kind)
+
+
+BETA43_00_LINE = "beta43 m4(0,0,0,0;0) = m4(0,0,0,0;0)"
+
+
+@pytest.mark.parametrize("command,code", [
+    (["validate"], 1),
+    (["construct", "--which", "ks"], 0),
+    (["construct", "--which", "kcl"], 0),
+    (["construct", "--which", "braiding-forward"], 1),
+])
+def test_only_the_braiding_constructions_validate_swap_tables(capsys, tmp_path, command, code):
+    """ks and kcl validate the structure of a short-skew file alone, so swap
+    tables that fail validate do not stop them; braiding-forward reads the
+    swap tables and validates them too."""
+    path = tmp_path / "z2.skew.short-skew.txt"
+    path.write_text(_replace_line(_catalogue_text("z2", "short-skew"), BETA43_00_LINE,
+                                  "beta43 m4(0,0,0,0;0) = m4(0,0,1,0;1)"))
+    assert cli.main([command[0], str(path), *command[1:]]) == code
+    captured = capsys.readouterr()
+    if command == ["validate"]:
+        assert "status FAIL" in captured.out and "fail braiding-b43-" in captured.out
+    elif code == 1:
+        assert captured.err == ("error: z2.skew: validation of the structure fails 8 "
+                                "instances; construct needs one that passes\n")

@@ -502,7 +502,7 @@ def _block_sources():
     group and its base, its symmetric braiding and identity morphism, the
     identity lax functor on it and the Heyting skew closed category."""
     z3 = {sf.kind: sf for sf in _cyclic_files(3)}
-    klein = {sf.kind: sf for sf in cli.catalogue_files("klein-four-sym")}
+    klein = {sf.kind: sf for sf in cli.catalogue_files("klein-four")}
     files = [z3["short-multi"], z3["short-skew"], klein["skew-monoidal"], klein["braiding"],
              StructureFile("category", "klein.base", klein["short-multi"].payload.base),
              next(sf for sf in cli.catalogue_files("heyting-2") if sf.kind == "skew-closed"),
