@@ -45,19 +45,24 @@ def skew_view(m: Structure) -> ShortSkewMulticategory:
 
 def bijection_table(domain: Sequence[str], apply_fn: Callable[[str], Optional[str]],
                     target: Sequence[str]) -> Optional[dict[str, str]]:
-    """The graph of apply_fn if it is a bijection domain -> target, else None."""
+    """The graph of apply_fn if it is a bijection domain -> target, else None;
+    sequences of different lengths are refused before any image is taken."""
+    if len(domain) != len(target):
+        return None
     table: dict[str, str] = {}
-    seen: set[str] = set()
-    target_set = set(target)
+    unmet = set(target)
     for v in domain:
         img = apply_fn(v)
-        if img is None or img not in target_set or img in seen:
+        if img is None or img not in unmet:
             return None
+        unmet.remove(img)
         table[v] = img
-        seen.add(img)
-    if len(seen) != len(target):
-        return None
     return table
+
+
+def _into(sub: Callable, i: int, theta: str) -> Callable[[str], Optional[str]]:
+    """w -> w o_i theta, read through sub, the get of a subst lookup dict."""
+    return lambda w: sub((w, i, theta))
 
 
 def bijection_scan(scopes: Iterable[Scope], witness: Optional[dict] = None,
@@ -179,14 +184,15 @@ def classifiers(m: Structure, inputs: tuple[str, ...] = ()
     map is a bijection from the unary maps out of its object onto the maps of
     the inputs, at every codomain."""
     v = skew_view(m)
-    objs = v.base.objects
+    maps, sub = v._mapsets.get, v.lookups[2].get
     flavour, n = (TIGHT, 2) if inputs else (LOOSE, 0)
-    for cand in objs:
-        for theta in v.mapset(flavour, n, inputs, cand):
+    targets = [(d, maps((flavour, n, inputs, d), ())) for d in v.base.objects]
+    for cand, thetas in targets:
+        for theta in thetas:
             witness: dict[tuple, dict[str, str]] = {}
-            if bijection_scan(((("base", d), v.base.hom(cand, d),
-                                lambda w: v.safe_subst(w, 1, theta),
-                                v.mapset(flavour, n, inputs, d)) for d in objs), witness):
+            image = _into(sub, 1, theta)
+            if bijection_scan(((("base", d), maps((TIGHT, 1, (cand,), d), ()), image, target)
+                               for d, target in targets), witness):
                 continue
             if inputs:
                 yield BinaryClassifier(inputs, cand, theta, witness)
@@ -198,16 +204,8 @@ def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[BinaryClass
     return next(classifiers(m, (a, b)), None)
 
 
-def all_binary_classifiers(m: Structure, a: str, b: str) -> list[tuple[str, str]]:
-    return [(cl.obj, cl.theta) for cl in classifiers(m, (a, b))]
-
-
 def find_nullary_classifier(m: Structure) -> Optional[NullaryClassifier]:
     return next(classifiers(m), None)
-
-
-def all_nullary_classifiers(m: Structure) -> list[tuple[str, str]]:
-    return [(cl.obj, cl.u) for cl in classifiers(m)]
 
 
 def check_left_universal(m: Structure,
@@ -217,16 +215,16 @@ def check_left_universal(m: Structure,
     position-1 bijections, one or two more inputs after the classified ones;
     returns the verdict and failing scopes."""
     v = skew_view(m)
-    objs = v.base.objects
+    objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
     if isinstance(cl, BinaryClassifier):
-        tag, inputs, flavour, theta = "t", cl.pair, TIGHT, cl.theta
+        tag, inputs, flavour, image = "t", cl.pair, TIGHT, _into(sub, 1, cl.theta)
     else:
-        tag, inputs, flavour, theta = "l", (), LOOSE, cl.u
+        tag, inputs, flavour, image = "l", (), LOOSE, _into(sub, 1, cl.u)
     # a scope's arity n counts the classified map's object as one input
     n0 = 1 if inputs else 0
     failed = bijection_scan(
-        ((("ext", k + n0, xs, d), v.mapset(TIGHT, k + 1, (cl.obj,) + xs, d),
-          lambda g: v.safe_subst(g, 1, theta), v.mapset(flavour, len(inputs) + k, inputs + xs, d))
+        ((("ext", k + n0, xs, d), maps((TIGHT, k + 1, (cl.obj,) + xs, d), ()),
+          image, maps((flavour, len(inputs) + k, inputs + xs, d), ()))
          for k in (1, 2) for xs in itertools.product(objs, repeat=k) for d in objs),
         cl.witness, stop=False)
     failures = [f"{tag}{n}:{','.join(xs)};{d}" for _, n, xs, d in failed]
@@ -291,11 +289,11 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
     if not cert.left_representable:
         raise MalformedTable(f"{cert.name}: derived classifiers need left representability")
     v = cert.view
-    objs = v.base.objects
+    objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
 
     def along(w: Optional[str], steps: list[str]) -> Optional[str]:
         for t in reversed(steps):
-            w = v.safe_subst(w, 1, t)
+            w = sub((w, 1, t))
         return w
 
     keys = ([("ternary", key) for key in itertools.product(objs, repeat=3)]
@@ -316,8 +314,9 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
         if theta is None:
             raise UniversalityBroken(f"{cert.name}: {kind} composite undefined at {at}")
         witness: dict[str, dict[str, str]] = {}
-        failed = bijection_scan(((d, v.base.hom(obj, d), lambda w: v.safe_subst(w, 1, theta),
-                                  v.mapset(flavour, len(key), key, d)) for d in objs), witness)
+        image = _into(sub, 1, theta)
+        failed = bijection_scan(((d, maps((TIGHT, 1, (obj,), d), ()), image,
+                                  maps((flavour, len(key), key, d), ())) for d in objs), witness)
         # the codomains certified before a failing one are compared first
         for table in witness.values():
             for w, img in table.items():
@@ -344,19 +343,25 @@ def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool,
     if not cert.weakly_representable:
         cert.representable = False
         return False, ["missing classifiers"]
-    objs = m.base.objects
-    maps = [("u", cert.nullary.obj, cert.nullary.u, ())]
-    maps += [(f"theta({a},{b})", cert.obj(a, b), cert.theta(a, b), (a, b))
-             for a, b in itertools.product(objs, repeat=2)]
-    failed = bijection_scan(
-        (((label, n, xs, ys, z), m.mapset(n, xs + (obj,) + ys, z),
-          lambda g: m.safe_subst(g, len(xs) + 1, theta),
-          m.mapset(n - 1 + len(inputs), xs + inputs + ys, z))
-         for label, obj, theta, inputs in maps
-         for n in (1, 2, 3) for lx in range(n)
-         for xs in itertools.product(objs, repeat=lx)
-         for ys in itertools.product(objs, repeat=n - 1 - lx) for z in objs),
-        stop=False)
+    objs, maps, sub = m.base.objects, m.as_skew._mapsets.get, m.lookups[2].get
+    classified = [("u", cert.nullary.obj, cert.nullary.u, ())]
+    classified += [(f"theta({a},{b})", cert.obj(a, b), cert.theta(a, b), (a, b))
+                   for a, b in itertools.product(objs, repeat=2)]
+
+    def scopes() -> Iterator[Scope]:
+        for label, obj, theta, inputs in classified:
+            for n in (1, 2, 3):
+                k = n - 1 + len(inputs)
+                flavour = TIGHT if k else LOOSE  # the one nullary table is loose
+                for lx in range(n):
+                    image = _into(sub, lx + 1, theta)
+                    for xs in itertools.product(objs, repeat=lx):
+                        for ys in itertools.product(objs, repeat=n - 1 - lx):
+                            dom, target = xs + (obj,) + ys, xs + inputs + ys
+                            for z in objs:
+                                yield ((label, n, xs, ys, z), maps((TIGHT, n, dom, z), ()),
+                                       image, maps((flavour, k, target, z), ()))
+    failed = bijection_scan(scopes(), stop=False)
     failures = [f"{label}@{n}.{len(xs) + 1}:{xs}{ys};{z}" for label, n, xs, ys, z in failed]
     cert.representable = not failures
     return (not failures, failures)
@@ -381,9 +386,13 @@ def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
     """Substitution into position 1 of e: (cand, b) -> c, tight arities 1 to 3
     and loose arities 0 (when include_nullary) and 1."""
     arities = ((TIGHT, (1, 2, 3)), (LOOSE, (0, 1) if include_nullary else (1,)))
+    maps, sub = v._mapsets.get, v.lookups[2].get
+
+    def image(g: str) -> Optional[str]:
+        return sub((e, 1, g))
     return _hom_object((b, c), cand, e, (
-        ((flavour, n, xs), v.mapset(flavour, n, xs, cand), lambda g: v.safe_subst(e, 1, g),
-         v.mapset(flavour, n + 1, xs + (b,), c))
+        ((flavour, n, xs), maps((flavour, n, xs, cand), ()), image,
+         maps((flavour, n + 1, xs + (b,), c), ()))
         for flavour, ns in arities for n in ns
         for xs in itertools.product(v.base.objects, repeat=n)))
 
@@ -392,7 +401,7 @@ def find_hom_object(m: Structure, b: str, c: str,
                     include_nullary: bool = True) -> Optional[HomObject]:
     v = skew_view(m)
     for cand in v.base.objects:
-        for e in v.mapset(TIGHT, 2, (cand, b), c):
+        for e in v._mapsets.get((TIGHT, 2, (cand, b), c), ()):
             h = _certify_hom(v, b, c, cand, e, include_nullary=include_nullary)
             if h is not None:
                 return h
@@ -625,39 +634,28 @@ def verify_units_left_universal(m: Structure) -> ValidationReport:
     if nu is None:
         raise MalformedTable(f"{name}: verify_units_left_universal needs a nullary classifier")
     i, u = nu.obj, nu.u
+    objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
+    drop = _into(sub, 1, u)
 
-    def sharp_of(f: str, flavour: str) -> Optional[str]:
-        dom = v.dom(f)
-        h = homs[(dom[-1], v.cod(f))]
-        return preimage(h.witness.get((flavour, len(dom) - 1, dom[:-1]), {}), f)
+    def chain(g: str) -> Optional[str]:
+        # g#, with u substituted, then fed back through the evaluation map
+        dom = v.dom(g)
+        h = homs[(dom[-1], v.cod(g))]
+        dropped = drop(preimage(h.witness.get((TIGHT, len(dom) - 1, dom[:-1]), {}), g))
+        return None if dropped is None else sub((h.e, 1, dropped))
 
-    objs = v.base.objects
     direct_ok, chain_ok = True, True
     for n in (2, 3):
         for xs in itertools.product(objs, repeat=n - 1):
             for y in objs:
-                dom = (i,) + xs
-                direct = bijection_table(
-                    list(v.mapset(TIGHT, n, dom, y)),
-                    lambda g: v.safe_subst(g, 1, u),
-                    list(v.mapset(LOOSE, n - 1, xs, y)))
+                domain, target = maps((TIGHT, n, (i,) + xs, y), ()), maps((LOOSE, n - 1, xs, y), ())
+                direct = bijection_table(domain, drop, target)
                 report.count("direct-enumeration")
                 if direct is None:
                     direct_ok = False
                     report.fail("direct-enumeration", (str(n),) + xs + (y,), None, "bijection")
                     continue
-
-                def chain(g):
-                    gs = sharp_of(g, TIGHT)
-                    dropped = v.safe_subst(gs, 1, u)
-                    if dropped is None:
-                        return None
-                    e = homs[(v.dom(g)[-1], v.cod(g))].e
-                    return v.safe_subst(e, 1, dropped)
-
-                chained = bijection_table(
-                    list(v.mapset(TIGHT, n, dom, y)), chain,
-                    list(v.mapset(LOOSE, n - 1, xs, y)))
+                chained = bijection_table(domain, chain, target)
                 report.count("chain-derivation")
                 if chained is None or chained != direct:
                     chain_ok = False

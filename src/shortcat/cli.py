@@ -170,21 +170,16 @@ def render_certificate(cert: Certificate, witnesses: bool = True) -> str:
         lines.append(f"derived {rec.kind} {' '.join(rec.key)} = {rec.obj} via "
                      f"{rec.theta} checked {rec.instances}")
     if witnesses:
-        def witness_lines(owner: str, table: dict):
-            for key in sorted(table, key=str):
-                pairs = " ".join(f"{v}:{img}" for v, img in sorted(table[key].items()))
-                yield f"witness {owner} {key} = {pairs}"
-        if cert.nullary is not None:
-            lines.extend(witness_lines("nullary", cert.nullary.witness))
-        for (a, b) in sorted(cert.binary):
-            cl = cert.binary[(a, b)]
-            if cl is not None:
-                lines.extend(witness_lines(f"binary({a},{b})", cl.witness))
-        if cert.homs is not None:
-            for (b, c) in sorted(cert.homs):
-                h = cert.homs[(b, c)]
-                if h is not None:
-                    lines.extend(witness_lines(f"hom({b},{c})", h.witness))
+        owners = [("nullary", cert.nullary)]
+        owners += [(f"binary({a},{b})", cert.binary[a, b]) for a, b in sorted(cert.binary)]
+        owners += [(f"hom({b},{c})", cert.homs[b, c]) for b, c in sorted(cert.homs or {})]
+        for owner, held in owners:
+            # keys in the order of their shown form, each shown once
+            table = {} if held is None else held.witness
+            for shown, key in sorted((str(k), k) for k in table):
+                pairs = table[key]
+                lines.append(f"witness {owner} {shown} = "
+                             + " ".join([f"{v}:{pairs[v]}" for v in sorted(pairs)]))
     return "\n".join(lines) + "\n"
 
 

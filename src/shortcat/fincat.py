@@ -67,6 +67,9 @@ class FinCategory:
 
     def compose(self, g: str, f: str) -> str:
         """g after f; raises if the pair is not composable or the entry is absent."""
+        h, sf, sg = self.comp.get((g, f)), self._span.get(f), self._span.get(g)
+        if h is not None and sf and sg and sf[1] == sg[0]:
+            return h
         if self.cod(f) != self.dom(g):
             raise MalformedTable(f"{self.name}: {g} o {f} is not composable")
         try:

@@ -32,8 +32,7 @@ class _Bracketer:
     products and canonical maps many times over."""
 
     def __init__(self, c: SkewMonCategory):
-        self.c = c
-        self.base = c.base
+        self.c, self.base, self.tm = c, c.base, c.tensor_mor.get
         self._lbr: dict[tuple[str, ...], str] = {}
         self._kappa: dict[tuple[str, tuple[str, ...]], str] = {}
 
@@ -41,17 +40,17 @@ class _Bracketer:
         out = self._lbr.get(objs)
         if out is None:
             if not objs:
-                raise MalformedTable("empty left-bracketed product")
+                raise MalformedTable(f"{self.c.name}: empty left-bracketed product")
             out = self._lbr[objs] = reduce(self.c.t, objs)
         return out
 
     def lbr_mor(self, mors: list[str]) -> str:
-        def pair(f, g):
-            h = self.c.tm(f, g)
-            if h is None:
-                raise MalformedTable("tensor of morphisms undefined")
-            return h
-        return reduce(pair, mors)
+        tm, out = self.tm, mors[0]
+        for g in mors[1:]:
+            f, out = out, tm((out, g))
+            if out is None:
+                raise MalformedTable(f"{self.c.name}: tensor of morphisms ({f},{g}) undefined")
+        return out
 
     def slot_mor(self, objs: tuple[str, ...], k: int, p: str) -> str:
         """Identity on the left-bracketed product with p in slot k (1-based)."""
@@ -66,7 +65,7 @@ class _Bracketer:
             if len(objs) == 1:
                 out = self.base.identity(self.c.t(x, objs[0]))
             else:
-                step = self.c.tm_left(self.kappa(x, objs[:-1]), objs[-1])
+                step = self.tm((self.kappa(x, objs[:-1]), self.base.identity(objs[-1])))
                 out = self.base.compose(self.c.alpha[(x, self.lbr(objs[:-1]), objs[-1])], step)
             self._kappa[(x, objs)] = out
         return out
@@ -80,10 +79,10 @@ class _Bracketer:
         x = self.lbr(prefix)
         if not loose_inner:
             k = self.kappa(x, fdom)
-            return base.compose(c.tm_right(x, fm), k)
+            return base.compose(self.tm((base.identity(x), fm)), k)
         ins = self.lbr_mor([c.rho[x]] + [base.identity(o) for o in fdom])
         k = self.kappa(x, (c.unit,) + fdom)
-        return base.compose(c.tm_right(x, fm), base.compose(k, ins))
+        return base.compose(self.tm((base.identity(x), fm)), base.compose(k, ins))
 
 
 def _induce(name: str, base: FinCategory,
@@ -119,7 +118,7 @@ def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSk
     j given by the left unit map."""
     br = _Bracketer(c)
     base = c.base
-    compose, identity = base.compose, base.identity
+    compose, identity, tm = base.compose, base.identity, br.tm
     front = {TIGHT: (), LOOSE: (c.unit,)}  # loose maps carry a leading unit factor
 
     def formula(table: str, key: Hashable, ty: tuple, under: dict) -> str:
@@ -139,7 +138,7 @@ def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSk
         prefix = front[x] + gdom[:i - 1]
         ext = br.gamma(prefix, fm, fdom, y == LOOSE, gdom[i - 1]) if prefix else fm
         for sobj in gdom[i:]:
-            ext = c.tm_left(ext, sobj)
+            ext = tm((ext, identity(sobj)))
         return compose(gm, ext)
 
     return _induce(name or (c.name + ".induced"), base,
@@ -191,8 +190,7 @@ class _Currier:
     """Iterated-hom calculus over a skew closed category."""
 
     def __init__(self, c: SkewClosedCategory):
-        self.c = c
-        self.base = c.base
+        self.c, self.base, self.hm = c, c.base, c.hom_mor.get
 
     def curry(self, objs: tuple[str, ...], cod: str) -> str:
         """[a1,[a2,...[an,cod]...]] (cod itself when the list is empty)."""
@@ -203,11 +201,11 @@ class _Currier:
 
     def nest(self, objs: tuple[str, ...], f: str) -> str:
         """[a1,[...,[an, f]...]]: the covariant action under hom layers."""
-        out = f
+        hm, identity, out = self.hm, self.base.identity, f
         for o in reversed(objs):
-            out = self.c.hm_right(o, out)
+            g, out = out, hm((identity(o), out))
             if out is None:
-                raise MalformedTable("hom action undefined")
+                raise MalformedTable(f"{self.c.name}: hom action [{o},{g}] undefined")
         return out
 
     def sub_map(self, fm: str, fdom: tuple[str, ...], loose_inner: bool,
@@ -223,7 +221,7 @@ class _Currier:
         for o in reversed(layers):
             acc = base.compose(c.ell[(o, cur_in, cur_tail)], acc)
             cur_in, cur_tail = c.h(o, cur_in), c.h(o, cur_tail)
-        acc = base.compose(c.hm(fm, base.identity(cur_tail)), acc)
+        acc = base.compose(self.hm((fm, base.identity(cur_tail))), acc)
         if loose_inner:
             acc = base.compose(c.iu[cur_tail], acc)
         return acc
@@ -235,8 +233,8 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
     are morphisms out of the unit into the full curried hom."""
     c = x
     base = c.base
-    compose = base.compose
     cur = _Currier(c)
+    compose, identity, hm = base.compose, base.identity, cur.hm
 
     def span(flavour: str, dom: tuple[str, ...], cod: str) -> tuple[str, str]:
         if flavour == TIGHT:
@@ -246,13 +244,13 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
     def formula(table: str, key: Hashable, ty: tuple, under: dict) -> str:
         flavour, _, dom, cod = ty
         if table == "j":
-            return compose(c.hm_right(dom[0], under[key][0]), c.ju[dom[0]])
+            return compose(hm((identity(dom[0]), under[key][0])), c.ju[dom[0]])
         if table == "pre":
             f, i, p = key
             if flavour == TIGHT and i == 1:
                 return compose(under[f][0], p)
             before = dom[:i - 1] if flavour == LOOSE else dom[1:i - 1]
-            action = c.hm(p, base.identity(cur.curry(dom[i:], cod)))
+            action = hm((p, identity(cur.curry(dom[i:], cod))))
             return compose(cur.nest(before, action), under[f][0])
         if table == "post":
             q, f = key

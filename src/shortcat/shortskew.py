@@ -127,14 +127,20 @@ class ShortSkewMulticategory(MultiTables):
         return LOOSE in self.info(f)[3]
 
     def mapset(self, flavour: str, n: int, dom: tuple[str, ...], cod: str) -> tuple[str, ...]:
-        if flavour == TIGHT:
-            if n == 1:
-                return self.base.hom(dom[0], cod)
-            return self.tight.get(n, {}).get((tuple(dom), cod), ())
-        return self.loose.get(n, {}).get((tuple(dom), cod), ())
+        return self._mapsets.get((flavour, n, tuple(dom), cod), ())
 
-    # Sorted adjacency, computed on first use; not a dataclass field, so
-    # dataclasses.replace never carries it into a redirected copy.
+    # Derived tables, built on first use; not dataclass fields, so
+    # dataclasses.replace never carries them into a redirected copy.
+    @cached_property
+    def _mapsets(self) -> dict[tuple[str, int, tuple[str, ...], str], tuple[str, ...]]:
+        """Every multimap set, keyed (flavour, arity, domain, codomain): the
+        tables' own tuples, and the base hom-sets as the tight unary ones."""
+        out = {(TIGHT, 1, (a,), b): fs for (a, b), fs in self.base.homs.items()}
+        for flavour, tables in ((TIGHT, self.tight), (LOOSE, self.loose)):
+            for n, table in tables.items():
+                out.update(((flavour, n, dom, cod), fs) for (dom, cod), fs in table.items())
+        return out
+
     @cached_property
     def _by_arity(self) -> dict[tuple[str, int], tuple[str, ...]]:
         return {(flavour, n): tuple(sorted(f for fs in table.values() for f in fs))

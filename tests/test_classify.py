@@ -10,7 +10,7 @@ from shortcat.catalogue import (
     poset2_first_short_skew, table_short_multi, z2_monoid,
 )
 from shortcat.classify import (
-    all_binary_classifiers, certify, check_left_universal, check_representable,
+    certify, check_left_universal, check_representable,
     classifier_uniqueness_isos, derived_classifiers, find_binary_classifier,
     find_closed_structure, find_hom_object, find_nullary_classifier,
     find_right_closed, inverses, skew_view, verify_left_iff_adjoint,
@@ -90,9 +90,8 @@ def test_left_universality_failure_is_reported():
 
 def test_classifier_uniqueness_on_indiscrete_structure():
     m = indiscrete2_short_multi()
-    cands = all_binary_classifiers(m, "x", "y")
-    assert len(cands) == 2  # both objects classify
     cert = certify(m)
+    assert len(cert.binary_candidates[("x", "y")]) == 2  # both objects classify
     isos = classifier_uniqueness_isos(m, cert)
     assert isos  # connecting isomorphisms found and invertible
 
@@ -146,6 +145,65 @@ def test_check_representable_visits_every_scope(monkeypatch):
         scans.clear()
         check_representable(ms[name], cert)
         assert len(scans) == want, name
+
+
+def test_left_universal_closed_and_derived_scans_visit_every_scope(monkeypatch):
+    """On k objects, check_left_universal scans k^2 + k^3 scopes per
+    classifier (one or two more inputs, at every codomain). Here
+    find_closed_structure certifies the first candidate of each of the k^2
+    pairs, in its 1 + 2k + k^2 + k^3 scopes (tight arities 1-3, loose 0
+    and 1). derived_classifiers checks k^3 + k^4 + k composites at every
+    codomain. Every scope passes, so the number of scans shows that none is
+    skipped."""
+    ms = catalogue_short_multis()
+    scans = []
+    real = classify.bijection_table
+    monkeypatch.setattr(classify, "bijection_table",
+                        lambda *args: scans.append(args) or real(*args))
+    for name, k, classified in (("terminal", 1, 2), ("z2", 2, 5), ("z3", 3, 10),
+                                ("klein", 4, 17)):
+        m = ms[name]
+        cert = certify(m)
+        assert cert.left_representable, name
+        cls = [cl for cl in cert.binary.values() if cl is not None] + [cert.nullary]
+        assert len(cls) == classified, name
+        scans.clear()
+        for cl in cls:
+            check_left_universal(m, cl)
+        assert len(scans) == classified * (k ** 2 + k ** 3), name
+        scans.clear()
+        find_closed_structure(m)
+        assert len(scans) == k ** 2 * (1 + 2 * k + k ** 2 + k ** 3), name
+        scans.clear()
+        derived_classifiers(m, cert)
+        assert len(scans) == k * (k ** 3 + k ** 4 + k), name
+
+
+@pytest.mark.parametrize("domain, images, target", [
+    (["a", "b"], {"a": "x", "b": "y"}, ["y", "x"]),
+    (["a", "a"], {"a": "x"}, ["x", "y"]),
+    (["a", "a"], {"a": "x"}, ["x", "x"]),
+    (["a", "b"], {"a": "x", "b": "x"}, ["x", "y"]),
+    (["a", "b"], {"a": "x", "b": "x"}, ["x", "x"]),
+    (["a"], {"a": "x"}, ["x", "x"]),
+    (["a", "b"], {"a": "x"}, ["x", "y"]),
+    (["a", "b"], {"a": "x", "b": None}, ["x", None]),
+    (["a", "b"], {"a": "x", "b": "z"}, ["x", "y"]),
+    (["a"], {"a": "z"}, ["x"]),
+    ([], {}, ["x"]),
+    (["a"], {"a": "x"}, []),
+    ([], {}, []),
+    (["a", "b", "c"], {"a": "x", "b": "y", "c": "z"}, ["x", "y"]),
+    (["a", "b"], {"a": "x", "b": "y"}, ["x", "y", "z"]),
+], ids=["bijection", "duplicate-domain-id", "duplicate-domain-and-target",
+        "duplicate-image", "duplicate-target", "short-domain-duplicate-target",
+        "none-image", "none-image-none-in-target", "image-outside-target",
+        "only-image-outside-target", "empty-domain", "empty-target", "both-empty",
+        "long-domain", "long-target"])
+def test_bijection_table_matches_reference(domain, images, target):
+    """The same table, or None, as the former bijection_table."""
+    assert (classify.bijection_table(domain, images.get, target)
+            == ref.bijection_table(domain, images.get, target))
 
 
 def test_closed_structures():

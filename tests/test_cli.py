@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import runpy
 import subprocess
@@ -887,3 +889,41 @@ def test_only_the_braiding_constructions_validate_swap_tables(capsys, tmp_path, 
     elif code == 1:
         assert captured.err == ("error: z2.skew: validation of the structure fails 8 "
                                 "instances; construct needs one that passes\n")
+
+
+# The catalogue generators whose files the benchmark ladder writes.
+LEDGER_GENERATORS = ("terminal", "z2", "z3", "klein-four", "poset-skew-second",
+                     "poset-skew-first", "heyting-2", "morphisms")
+
+
+def _cyclic_files(n: int) -> list[StructureFile]:
+    rows = ";".join(" ".join(str((a + b) % n) for b in range(n)) for a in range(n))
+    args = build_parser().parse_args(
+        ["catalogue", "comm-monoid", "--elements", " ".join(map(str, range(n))),
+         "--unit", "0", "--table", rows, "--monoid-name", f"zmod{n}"])
+    return catalogue_files("comm-monoid", args)
+
+
+def test_certify_and_roundtrip_match_the_ledger(capsys, tmp_path):
+    """certify and roundtrip print, byte for byte, the output whose SHA-256
+    bench/ledger.json records under `certify <stem>` or `roundtrip <stem>`,
+    on the catalogue files and on Z/2 to Z/4."""
+    ledger = json.loads((Path(__file__).resolve().parents[1] / "bench" / "ledger.json")
+                        .read_text(encoding="utf-8"))
+    files = [sf for g in LEDGER_GENERATORS for sf in catalogue_files(g)]
+    files += [sf for n in (2, 3, 4) for sf in _cyclic_files(n)]
+    checked = 0
+    for sf in files:
+        command = {"short-multi": "certify", "short-skew": "certify", "skew-monoidal": "roundtrip",
+                   "braiding": "roundtrip", "skew-closed": "roundtrip"}.get(sf.kind)
+        if command is None:
+            continue
+        stem = f"{sf.name}.{sf.kind}"
+        path = tmp_path / f"{stem}.txt"
+        path.write_text(serialize(sf), encoding="utf-8")
+        assert cli.main([command, str(path)]) == 0, stem
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            ledger[f"{command} {stem}"]["sha256"], stem
+        checked += 1
+    assert checked == 36, checked

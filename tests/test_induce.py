@@ -16,7 +16,7 @@ from shortcat.catalogue import (
     bz2_category, catalogue_short_multis, catalogue_skew_closed, catalogue_skew_monoidals,
 )
 from shortcat.errors import MalformedTable
-from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
+from shortcat.induce import _Bracketer, induce_closed_skew, induce_short_multi, induce_short_skew
 from shortcat.shortskew import ShortSkewMulticategory, embed_plain, plain_of
 from shortcat.skewmon import classify_flavour
 from test_kernel import _cyclic_of
@@ -100,6 +100,38 @@ def test_a_tight_unary_result_with_the_wrong_span_is_refused():
             induce(x)
         with pytest.raises(MalformedTable, match=r"missing from t1\('0',\)"):
             reference(x)
+
+
+def _without(table: dict, key) -> dict:
+    return {k: v for k, v in table.items() if k != key}
+
+
+def test_induce_errors_name_the_structure_and_operands():
+    """A tensor of morphisms or a hom action that the tables leave undefined
+    is a MalformedTable naming the structure and the operands. A missing
+    comp or identity entry raises what base.compose and base.identity raise.
+    Every command validates first, so only the API reaches these."""
+    mon = catalogue_skew_monoidals()["z2.mon"]
+    for f, g in mon.tensor_mor:
+        with pytest.raises(MalformedTable,
+                           match=rf"^z2\.mon: tensor of morphisms \({f},{g}\) undefined$"):
+            induce_short_skew(dataclasses.replace(mon, tensor_mor=_without(mon.tensor_mor, (f, g))))
+    with pytest.raises(MalformedTable, match=r"^z2\.mon: empty left-bracketed product$"):
+        _Bracketer(mon).lbr(())
+    closed = catalogue_skew_closed()["heyting2.cl"]
+    with pytest.raises(MalformedTable, match=r"^heyting2\.cl: hom action \[1,le\] undefined$"):
+        induce_closed_skew(dataclasses.replace(
+            closed, hom_mor=_without(closed.hom_mor, ("1_1", "le"))))
+    for induce, c in ((induce_short_skew, mon), (induce_closed_skew, closed)):
+        name = c.base.name
+        for key in c.base.comp:
+            with pytest.raises(MalformedTable, match=re.escape(
+                    f"{name}: missing comp entry ({key[0]}, {key[1]})")):
+                induce(dataclasses.replace(c, base=dataclasses.replace(
+                    c.base, comp=_without(c.base.comp, key))))
+        with pytest.raises(MalformedTable, match=f"{name}: no identity for object 0"):
+            induce(dataclasses.replace(c, base=dataclasses.replace(
+                c.base, ids=_without(c.base.ids, "0"))))
 
 
 def test_plain_induction_matches_reference():

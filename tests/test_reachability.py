@@ -17,7 +17,7 @@ PACKAGE = Path(shortcat.__file__).parent
 
 # def -> why it stays: the acceptance gate (tests/test_acceptance.py) calls
 # it, the bench names it (bench/), or other tests call it. A def that only
-# another def of the list calls takes that def's reason. 803 lines in all.
+# another def of the list calls takes that def's reason. 788 lines in all.
 TEST_ONLY = {
     "braiding.check_short_symmetry": "gate",
     "braiding.derive_beta2": "tests",
@@ -29,8 +29,6 @@ TEST_ONLY = {
     "catalogue.catalogue_skew_closed": "gate",
     "catalogue.validate_mutant": "gate",
     "catalogue.z2_group_category": "tests",
-    "classify.all_binary_classifiers": "tests",
-    "classify.all_nullary_classifiers": "tests",
     "classify.classifier_uniqueness_isos": "tests",
     "classify.find_binary_classifier": "gate",
     "classify.find_nullary_classifier": "gate",
