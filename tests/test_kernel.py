@@ -49,15 +49,12 @@ def _cyclic(n):
             yield sf.name, sf.payload[0]
 
 
-def _redirects(m, table_names, pool_of):
-    """Every single-entry redirect to the first alternative, as
+def _redirects(x, table_names, pool_of, alternatives=1):
+    """Every single-entry redirect of the named tables of x to the first
+    `alternatives` of its pool (to every one with None), as
     test_completeness.py enumerates them."""
-    for tname in table_names:
-        table = getattr(m, tname)
-        for key in sorted(table):
-            pool = pool_of(table[key])
-            if pool:
-                yield f"{tname}{key}", dataclasses.replace(m, **{tname: {**table, key: pool[0]}})
+    for tname, key, bad in _each_redirect(x, table_names, pool_of, alternatives):
+        yield f"{tname}{key}->{getattr(bad, tname)[key]}", bad
 
 
 def _z2_redirects():
@@ -206,17 +203,6 @@ def test_table_domains_list_no_key_twice(group):
 # the other validators: one list of inputs per validator
 # --------------------------------------------------------------------------
 
-def _first_redirects(x, table_names, pool_of):
-    """Every single-entry redirect of the named tables to the first
-    alternative that pool_of(current value) offers."""
-    for tname in table_names:
-        table = getattr(x, tname)
-        for key in sorted(table):
-            pool = pool_of(table[key])
-            if pool:
-                yield f"{tname}{key}", dataclasses.replace(x, **{tname: {**table, key: pool[0]}})
-
-
 def _cyclic_of(kind):
     for n in (2, 3, 4):
         for sf in _cyclic_files(n):
@@ -234,24 +220,37 @@ def _skew_monoidals():
     yield from _mutants_of("skew-monoidal")
     yield from ((name, mon) for name, (mon, _) in _mutants_of("braiding"))
     mon = monoid_skew_monoidal(z2_monoid())
-    yield from _first_redirects(mon, ("alpha", "lam", "rho", "tensor_mor"),
-                                lambda cur: [x for x in mon.base.morphisms() if x != cur])
-    yield from _first_redirects(mon, ("tensor_obj",),
-                                lambda cur: [o for o in mon.base.objects if o != cur])
+    yield from _redirects(mon, ("alpha", "lam", "rho", "tensor_mor"),
+                          lambda cur: [x for x in mon.base.morphisms() if x != cur], None)
+    yield from _redirects(mon, ("tensor_obj",),
+                          lambda cur: [o for o in mon.base.objects if o != cur], None)
 
 
 def _braidings():
     yield from catalogue_braidings().items()
     yield from _cyclic_of("braiding")
     yield from _mutants_of("braiding")
+    mon, braid = catalogue_braidings()["z2.sym"]
+    for label, redirected in _redirects(
+            braid, ("s", "s_inv"), lambda cur: [x for x in mon.base.morphisms() if x != cur], None):
+        yield label, (mon, redirected)
+
+
+def _lax_redirects():
+    """Every single-entry redirect of the identity lax functor on z2.mon."""
+    t = identity_lax_functor(catalogue_skew_monoidals()["z2.mon"])
+    others = [x for x in t.target.base.morphisms() if x != t.f0]
+    yield from ((f"f0->{x}", dataclasses.replace(t, f0=x)) for x in others)
+    yield from _redirects(t, ("f2",),
+                          lambda cur: [x for x in t.target.base.morphisms() if x != cur], None)
 
 
 def _skew_closeds():
     yield from catalogue_skew_closed().items()
     yield from _mutants_of("skew-closed")
     cl = heyting2_skew_closed()
-    yield from _first_redirects(cl, ("hom_mor", "iu", "ju", "ell"),
-                                lambda cur: [x for x in cl.base.morphisms() if x != cur])
+    yield from _redirects(cl, ("hom_mor", "iu", "ju", "ell"),
+                          lambda cur: [x for x in cl.base.morphisms() if x != cur], None)
 
 
 def _identity_closed_functor(c):
@@ -265,8 +264,9 @@ def _short_braidings():
     yield from _cyclic_of("short-skew")
     m, beta = catalogue_short_braidings()["z2.beta"]
     for tag, arity in (("b32", 3), ("b42", 4), ("b43", 4)):
-        for label, redirected in _first_redirects(
-                beta, (tag,), lambda cur: [x for x in m.multimaps(TIGHT, arity) if x != cur]):
+        for label, redirected in _redirects(
+                beta, (tag,), lambda cur: [x for x in m.multimaps(TIGHT, arity) if x != cur],
+                None):
             yield label, (m, redirected)
 
 
@@ -365,7 +365,7 @@ def _validator_inputs(name):
                     + [(n, t.functor) for n, (t,) in _validator_inputs("validate_lax_functor")])
         for n in ("z2-into-klein", "klein-onto-z2"):
             fun = catalogue_morphisms()[n].functor
-            functors += _first_redirects(
+            functors += _redirects(
                 fun, ("mor_map",), lambda cur: [x for x in fun.target.morphisms() if x != cur])
         return [(f"{n}.functor", (fun,)) for n, fun in functors]
     if name == "validate_skew_monoidal":
@@ -378,6 +378,7 @@ def _validator_inputs(name):
                 + [(n, (k_morphism(F, certs[F.source.name], certs[F.target.name],
                                    mons[F.source.name], mons[F.target.name]),))
                    for n, F in catalogue_morphisms().items()]
+                + [(n, (t,)) for n, t in _lax_redirects()]
                 + [(HAND_BUILT, (_lax_totality_and_dangling(),))])
     if name == "validate_braiding":
         return list(_braidings())
