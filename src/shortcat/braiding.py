@@ -14,8 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import InconsistentVerdicts, NoSolution
 from .fincat import check_tables
-from .report import ValidationReport
-from .shortmulti import tally
+from .report import ValidationReport, tally
 from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
 
 if TYPE_CHECKING:
@@ -47,7 +46,7 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> V
         for tag, arity, _ in _SPECS])
     pre, post, sub = m.lookups
     pget, qget, sget = pre.get, post.get, sub.get
-    into, out_of = base.mors_into, base.mors_out_of
+    _, into, out_of = base._adjacency
     report = ValidationReport(beta.name)
     fail = report.fail
 
@@ -64,14 +63,12 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> V
             have, want = (n, idom, icod, TIGHT in flavours), (arity, _swap(dom, slot), cod, True)
             if have != want:
                 fail(family, (f,), str(have), str(want))
-        tally(report, family, len(m.multimaps(TIGHT, arity)))
         family, sets = f"{tag}-bijective", m.tight.get(arity, {})
         for (dom, cod), source in sets.items():
             have = sorted({table[f] for f in source})
             want = sorted(sets.get((_swap(dom, slot), cod), ()))
             if have != want:
                 fail(family, (",".join(dom), cod), str(have), str(want))
-        tally(report, family, len(sets))
         # naturality in every slot and in the codomain
         perm = {k: k for k in range(1, arity + 1)}
         perm[slot], perm[slot + 1] = slot + 1, slot
@@ -79,40 +76,49 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> V
         for f in m.multimaps(TIGHT, arity):
             _, dom, cod, _ = info[f]
             image = tget(f)
-            for q in out_of(cod):
+            for q in out_of[cod]:
                 lhs, rhs = tget(qget((q, f))), qget((q, image))
                 if lhs != rhs or lhs is None:
                     fail(family, ("post", q, f), lhs, rhs)
                 count += 1
-            for i in range(1, arity + 1):
-                for p in into(dom[i - 1]):
+            for i, a in enumerate(dom, 1):
+                for p in into[a]:
                     lhs, rhs = tget(pget((f, i, p))), pget((image, perm[i], p))
                     if lhs != rhs or lhs is None:
                         fail(family, ("pre", f, str(i), p), lhs, rhs)
                     count += 1
-        tally(report, family, count)
+        tally(report, {f"{tag}-typing": len(m.multimaps(TIGHT, arity)),
+                       f"{tag}-bijective": len(sets), family: count})
 
     b32, b42, b43 = beta.b32.get, beta.b42.get, beta.b43.get
-    check = report.check
+    # the two composite swaps of quaternary maps: b42 after b43, b43 after b42
+    b42_43 = {h: b42(v) for h, v in beta.b43.items()}.get
+    b43_42 = {h: b43(v) for h, v in beta.b42.items()}.get
     # Yang-Baxter style relation on quaternary maps
     for h in m.multimaps(TIGHT, 4):
-        check("braid-yang-baxter", (h,), b42(b43(b42(h))), b43(b42(b43(h))))
-    # ternary maps into binary ones
-    for g in m.multimaps(TIGHT, 2):
-        a, b = info[g][1]
-        for f in m.maps_into(TIGHT, 3, a):
-            check("braid-3-in-2-slot1", (g, f), sget((g, 1, b32(f))), b42(sget((g, 1, f))))
-        for f in m.maps_into(TIGHT, 3, b):
-            check("braid-3-in-2-slot2", (g, f), sget((g, 2, b32(f))), b43(sget((g, 2, f))))
-    # binary maps into ternary ones
-    for g in m.multimaps(TIGHT, 3):
-        (a, b, c), image = info[g][1], b32(g)
-        for f in m.maps_into(TIGHT, 2, a):
-            check("braid-2-in-3-slot1", (g, f), b43(sget((g, 1, f))), sget((image, 1, f)))
-        for f in m.maps_into(TIGHT, 2, b):
-            check("braid-2-in-3-slot2", (g, f), b42(b43(sget((g, 2, f)))), sget((image, 3, f)))
-        for f in m.maps_into(TIGHT, 2, c):
-            check("braid-2-in-3-slot3", (g, f), b43(b42(sget((g, 3, f)))), sget((image, 2, f)))
+        if (lhs := b42(b43_42(h))) != (rhs := b43(b42_43(h))) or lhs is None:
+            fail("braid-yang-baxter", (h,), lhs, rhs)
+    tally(report, {"braid-yang-baxter": len(m.multimaps(TIGHT, 4))})
+    # ternary maps into binary ones at slot i, then binary maps into ternary
+    # ones at slot i, which the swapped ternary map has at slot j
+    for i, after in ((1, b42), (2, b43)):
+        family, count = f"braid-3-in-2-slot{i}", 0
+        for g in m.multimaps(TIGHT, 2):
+            fs = m.maps_into(TIGHT, 3, info[g][1][i - 1])
+            for f in fs:
+                if (lhs := sget((g, i, b32(f)))) != (rhs := after(sget((g, i, f)))) or lhs is None:
+                    fail(family, (g, f), lhs, rhs)
+            count += len(fs)
+        tally(report, {family: count})
+    for i, j, swap in ((1, 1, b43), (2, 3, b42_43), (3, 2, b43_42)):
+        family, count = f"braid-2-in-3-slot{i}", 0
+        for g in m.multimaps(TIGHT, 3):
+            fs, image = m.maps_into(TIGHT, 2, info[g][1][i - 1]), b32(g)
+            for f in fs:
+                if (lhs := swap(sget((g, i, f)))) != (rhs := sget((image, j, f))) or lhs is None:
+                    fail(family, (g, f), lhs, rhs)
+            count += len(fs)
+        tally(report, {family: count})
     return report.finish()
 
 

@@ -17,7 +17,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterator, Optional
 
 from .errors import MalformedTable
 from .fileformat import validate
@@ -141,18 +141,19 @@ def table_short_skew(name: str, base: FinCategory,
     predicates to be closed under the typed substitutions.
     """
     inhabited = {TIGHT: tight_inhabited, LOOSE: loose_inhabited}
-    # type -> its maps; the entries reuse these id objects, so a lookup in
-    # the finished tables matches on identity
+    # inhabited type -> its one map; the entries reuse these id objects, so
+    # a lookup in the finished tables matches on identity
     typed: dict[tuple, tuple[str, ...]] = {}
 
-    def members(flavour: str, n: int, dom: tuple[str, ...], cod: str) -> tuple[str, ...]:
-        fs = (map_id(flavour, n, dom, cod),) if inhabited[flavour](n, dom, cod) else ()
-        typed[flavour, n, dom, cod] = fs
-        return fs
+    def members(flavour: str, n: int, dom: tuple[str, ...]) -> Iterator[tuple[str, tuple[str]]]:
+        for cod in base.objects:
+            if inhabited[flavour](n, dom, cod):
+                fs = typed[flavour, n, dom, cod] = (map_id(flavour, n, dom, cod),)
+                yield cod, fs
 
     def the(table: str, key: Hashable, ty: tuple[str, int, tuple[str, ...], str]) -> Optional[str]:
         flavour, n, dom, cod = ty
-        fs = base.hom(dom[0], cod) if (flavour, n) == (TIGHT, 1) else typed[ty]
+        fs = base.hom(dom[0], cod) if (flavour, n) == (TIGHT, 1) else typed.get(ty, ())
         return fs[0] if len(fs) == 1 else None
 
     return build(name, base, members, the)

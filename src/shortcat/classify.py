@@ -568,7 +568,7 @@ def sharp_laws(m: Structure) -> ValidationReport:
     for f in v.multimaps(TIGHT, 2):
         a = v.dom(f)[0]
         fs = inv.sharp.get(f)
-        for q in base.mors_into(a):
+        for q in base._adjacency[1][a]:
             composed = base.compose_opt(fs, q)
             lhs = inv.sharp.get(v.j.get(composed))
             action = hom_action(m, homs, base.dom(q), fs)

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import DanglingId, MalformedTable, SearchBoundExceeded
-from .report import ValidationReport
+from .report import ValidationReport, tally
 
 # The most objects an isomorphism search permutes; a larger base raises
 # SearchBoundExceeded.
@@ -95,9 +95,6 @@ class FinCategory:
 
     def morphisms(self) -> tuple[str, ...]:
         return self._adjacency[0]
-
-    def mors_into(self, a: str) -> tuple[str, ...]:
-        return self._adjacency[1].get(a, ())
 
     def mors_out_of(self, a: str) -> tuple[str, ...]:
         return self._adjacency[2].get(a, ())
@@ -184,26 +181,28 @@ def composable_pairs(c: FinCategory) -> Iterator[tuple[str, str]]:
 
 
 def validate_category(c: FinCategory) -> ValidationReport:
-    """Exhaustive check of typing, identity and associativity laws."""
+    """Exhaustive check of typing, identity and associativity laws. Once
+    check_structure has passed, comp is keyed by exactly the composable
+    pairs and the laws read it directly."""
     c.check_structure()
-    comp = c.comp
-    report = ValidationReport(c.name)
-    for g, f in composable_pairs(c):
-        report.check("comp-typing", (g, f), str(c.span(comp[(g, f)])),
-                     str((c.dom(f), c.cod(g))))
-
-    for f in c.morphisms():
-        a, b = c.span(f)
-        report.check("identity", (c.identity(b), f), comp.get((c.identity(b), f)), f)
-        report.check("identity", (f, c.identity(a)), comp.get((f, c.identity(a))), f)
-
-    for g, f in composable_pairs(c):
-        inner = comp.get((g, f))
-        for h in c.mors_out_of(c.cod(g)):
-            lhs = comp.get((h, inner)) if inner is not None else None
-            mid = comp.get((h, g))
-            rhs = comp.get((mid, f)) if mid is not None else None
-            report.check("assoc", (h, g, f), lhs, rhs)
+    comp, span, ids, (mors, _, out_of) = c.comp, c._span, c.ids, c._adjacency
+    cget, report, assoc = comp.get, ValidationReport(c.name), 0
+    fail = report.fail
+    for f in mors:
+        a, b = span[f]
+        for subjects in ((ids[b], f), (f, ids[a])):
+            if cget(subjects) != f:
+                fail("identity", subjects, cget(subjects), f)
+        for g in out_of[b]:
+            gf, x = comp[g, f], span[g][1]
+            if span[gf] != (a, x):
+                fail("comp-typing", (g, f), str(span[gf]), str((a, x)))
+            for h in out_of[x]:
+                lhs, rhs = cget((h, gf)), cget((comp[h, g], f))
+                if lhs != rhs or lhs is None:
+                    fail("assoc", (h, g, f), lhs, rhs)
+                assoc += 1
+    tally(report, {"comp-typing": len(comp), "identity": 2 * len(mors), "assoc": assoc})
     return report.finish()
 
 
@@ -215,37 +214,31 @@ class FinFunctor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
 
-    def on_obj(self, a: str) -> str:
-        try:
-            return self.obj_map[a]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: no image for object {a}")
-
-    def on_mor(self, f: str) -> str:
-        try:
-            return self.mor_map[f]
-        except KeyError:
-            raise MalformedTable(f"{self.name}: no image for morphism {f}")
-
 
 def validate_functor(fun: FinFunctor) -> ValidationReport:
     """Validate totality of the maps plus preservation of spans, identities
-    and composition."""
+    and composition. Both ends must have passed check_structure: the laws
+    read their tables directly."""
     src, tgt = fun.source, fun.target
     (objs, mors, _), (images, _, arrows) = table_domains(src), table_domains(tgt)
     check_tables(fun.name, [("obj_map", fun.obj_map, 1, objs, images),
                             ("mor_map", fun.mor_map, 1, mors, arrows)])
+    F, Fm, span, cget = fun.obj_map, fun.mor_map, tgt._span, tgt.comp.get
     report = ValidationReport(fun.name)
+    fail = report.fail
     for f in src.morphisms():
-        a, b = src.span(f)
-        report.check("functor-span", (f,), str(tgt.span(fun.on_mor(f))),
-                     str((fun.on_obj(a), fun.on_obj(b))))
+        a, b = src._span[f]
+        if span[Fm[f]] != (F[a], F[b]):
+            fail("functor-span", (f,), str(span[Fm[f]]), str((F[a], F[b])))
     for a in src.objects:
-        report.check("functor-id", (a,), fun.on_mor(src.identity(a)),
-                     tgt.ids.get(fun.on_obj(a)))
-    for g, f in composable_pairs(src):
-        report.check("functor-comp", (g, f), fun.mor_map.get(src.comp[(g, f)]),
-                     tgt.compose_opt(fun.on_mor(g), fun.on_mor(f)))
+        if Fm[src.ids[a]] != tgt.ids[F[a]]:
+            fail("functor-id", (a,), Fm[src.ids[a]], tgt.ids[F[a]])
+    for (g, f), gf in src.comp.items():
+        lhs, rhs = Fm[gf], cget((Fm[g], Fm[f]))
+        if lhs != rhs or lhs is None:
+            fail("functor-comp", (g, f), lhs, rhs)
+    tally(report, {"functor-span": len(src._span), "functor-id": len(src.objects),
+                   "functor-comp": len(src.comp)})
     return report.finish()
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .errors import MalformedTable
 from .fincat import FinCategory
@@ -86,25 +86,27 @@ class _Bracketer:
 
 
 def _induce(name: str, base: FinCategory,
-            span: Callable[[str, tuple[str, ...], str], tuple[str, str]],
+            homs: Callable[[str, tuple[str, ...]], Iterable[tuple[str, tuple[str, ...]]]],
             formula: Callable[[str, Hashable, tuple, dict], str]) -> ShortSkewMulticategory:
     """The induced structure whose tight (arities 2-4) and loose (arities
-    0-2) maps (dom; cod) are the base morphisms source -> target,
-    (source, target) = span(flavour, dom, cod), each wrapped in an id of its
-    type; a tight unary map is its base morphism. The entry keyed `key` of
-    `table` with type `ty` (see shortskew.build) is the map of that type
-    whose underlying morphism is formula(table, key, ty, under), where under
-    takes each id to its underlying morphism, flavour and domain."""
+    0-2) maps (dom; cod) are the base morphisms of the pair (cod, morphisms)
+    of homs(flavour, dom), which gives the inhabited codomains in
+    base.objects order, each wrapped in an id of its type; a tight unary map
+    is its base morphism. The entry keyed `key` of `table` with type `ty`
+    (see shortskew.build) is the map of that type whose underlying morphism
+    is formula(table, key, ty, under), where under takes each id to its
+    underlying morphism, flavour and domain."""
     under = {p: (p, TIGHT, (a,)) for p, (a, _) in base._span.items()}
     wrap_of = {(TIGHT, 1, (a,), b, p): p for p, (a, b) in base._span.items()}
 
-    def members(flavour: str, n: int, dom: tuple[str, ...], cod: str) -> list[str]:
-        ws = []
-        for f in base.hom(*span(flavour, dom, cod)):
-            w = wrap_of[flavour, n, dom, cod, f] = f"{map_id(flavour, n, dom, cod)}#{f}"
-            under[w] = (f, flavour, dom)
-            ws.append(w)
-        return ws
+    def members(flavour: str, n: int, dom: tuple[str, ...]) -> Iterator[tuple[str, list[str]]]:
+        for cod, fs in homs(flavour, dom):
+            ws = []
+            for f in fs:
+                w = wrap_of[flavour, n, dom, cod, f] = f"{map_id(flavour, n, dom, cod)}#{f}"
+                under[w] = (f, flavour, dom)
+                ws.append(w)
+            yield cod, ws
 
     def pick(table: str, key: Hashable, ty: tuple) -> Optional[str]:
         return wrap_of.get(ty + (formula(table, key, ty, under),))
@@ -141,8 +143,11 @@ def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSk
             ext = tm((ext, identity(sobj)))
         return compose(gm, ext)
 
-    return _induce(name or (c.name + ".induced"), base,
-                   lambda flavour, dom, cod: (br.lbr(front[flavour] + dom), cod), formula)
+    def homs(flavour: str, dom: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
+        source = br.lbr(front[flavour] + dom)
+        return [(cod, fs) for cod in base.objects if (fs := base.hom(source, cod))]
+
+    return _induce(name or (c.name + ".induced"), base, homs, formula)
 
 
 def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortMulticategory:
@@ -236,10 +241,9 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
     cur = _Currier(c)
     compose, identity, hm = base.compose, base.identity, cur.hm
 
-    def span(flavour: str, dom: tuple[str, ...], cod: str) -> tuple[str, str]:
-        if flavour == TIGHT:
-            return dom[0], cur.curry(dom[1:], cod)
-        return c.unit, cur.curry(dom, cod)
+    def homs(flavour: str, dom: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
+        source, rest = (dom[0], dom[1:]) if flavour == TIGHT else (c.unit, dom)
+        return [(cod, fs) for cod in base.objects if (fs := base.hom(source, cur.curry(rest, cod)))]
 
     def formula(table: str, key: Hashable, ty: tuple, under: dict) -> str:
         flavour, _, dom, cod = ty
@@ -264,4 +268,4 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
         action = cur.sub_map(fm, fdom, yfl == LOOSE, gdom[i - 1], cur.curry(gdom[i:], cod))
         return compose(cur.nest(outer_layers, action), gm)
 
-    return _induce(name or (c.name + ".induced"), base, span, formula)
+    return _induce(name or (c.name + ".induced"), base, homs, formula)

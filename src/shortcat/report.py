@@ -1,10 +1,11 @@
 """Validation reports: per-family instance counts plus every failed instance.
 
-Validators record each law instance directly, as they enumerate it, through
-`ValidationReport.check` (or, in the shared kernel loops, `count`/`fail`).
-Reports are deterministic: failures and counts are sorted before rendering,
-so the same structure produces byte-identical text regardless of instance
-generation order.
+Validators compare the two sides of each law instance in their own loops
+over the tables, record a failing instance with `ValidationReport.fail`,
+building its subjects and printed sides only then, and count each family
+once with `tally`. Reports are deterministic: failures and counts are sorted
+before rendering, so the same structure produces byte-identical text
+regardless of instance generation order.
 
 `Check` and `run_checks` are the reference evaluator: a list of
 (family, subjects, thunk) instances evaluated in order. No validator uses
@@ -108,6 +109,13 @@ class ValidationReport:
         lines.append(f"total-checked = {self.total_checked()}")
         lines.append(f"total-failed = {len(self.failures)}")
         return "\n".join(lines) + "\n"
+
+
+def tally(report: ValidationReport, counts: dict[str, int]) -> None:
+    """Count the instances of each family; a family with none gets no line."""
+    for family, n in counts.items():
+        if n:
+            report.count(family, n)
 
 
 def run_checks(structure: str, checks: Iterable[Check]) -> ValidationReport:

@@ -29,7 +29,7 @@ from .errors import DanglingId, MalformedTable
 from .fincat import (
     FinCategory, FinFunctor, check_members, check_tables, validate_category, validate_functor,
 )
-from .report import ValidationReport
+from .report import ValidationReport, tally
 
 if TYPE_CHECKING:
     from .shortskew import ShortSkewMulticategory
@@ -251,12 +251,6 @@ class ShortMulticategory(MultiTables):
 # validator
 # --------------------------------------------------------------------------
 
-def tally(report: ValidationReport, family: str, n: int) -> None:
-    """Count n instances of a family; a family with none gets no line."""
-    if n:
-        report.count(family, n)
-
-
 # The check kernel, shared by the plain and the skew validator: one loop per
 # family over the finite tables. A law instance compares two lookups and
 # fails when they differ or either is missing; its subjects are built only
@@ -302,7 +296,7 @@ def typing_checks(m: MultiTables, report: ValidationReport) -> None:
         dom = tg[1][:i - 1] + tf[1] + tg[1][i:]
         if have[1] != dom or have[0] != tg[0] + tf[0] - 1 or have[2] != tg[2]:
             mismatch(("sub", g, str(i), f), have, (tg[0] + tf[0] - 1, dom, tg[2]), None)
-    tally(report, "typing", len(m.pre) + len(m.post) + len(m.sub))
+    tally(report, {"typing": len(m.pre) + len(m.post) + len(m.sub)})
 
 
 def identity_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCategory,
@@ -319,7 +313,7 @@ def identity_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCatego
             if lhs != f:
                 report.fail("identity", ("pre", f, str(i)), lhs, f)
         count += n + 1
-    tally(report, "identity", count)
+    tally(report, {"identity": count})
 
 
 def profunctor_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCategory,
@@ -330,9 +324,8 @@ def profunctor_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCate
     count = 0
     for n, f in maps:
         dom, cod = info[f][1], info[f][2]
-        outs = out_of.get(cod, ())
-        for q in outs:
-            qf = qget((q, f))
+        posts = [(q, qget((q, f))) for q in out_of.get(cod, ())]
+        for q, qf in posts:
             for q2 in out_of.get(span[q][1], ()):
                 lhs, rhs = qget((q2, qf)), qget((comp[(q2, q)], f))
                 if lhs != rhs or lhs is None:
@@ -348,8 +341,8 @@ def profunctor_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCate
                     count += 1
             # pre-post takes only the last p of the slot: the law's loop over
             # q sits beside the loop over p, not in it, and reports pin that.
-            for q in outs:
-                lhs, rhs = qget((q, pget((f, i, p)))), pget((qget((q, f)), i, p))
+            for q, qf in posts:
+                lhs, rhs = qget((q, fp)), pget((qf, i, p))
                 if lhs != rhs or lhs is None:
                     fail("profunctor", ("pre-post", q, f, str(i), p), lhs, rhs)
                 count += 1
@@ -361,7 +354,7 @@ def profunctor_checks(maps: Iterable[tuple[int, str]], info: dict, base: FinCate
                     if lhs != rhs or lhs is None:
                         fail("profunctor", ("pre-commute", f, str(i), p, str(j), p2), lhs, rhs)
                     count += 1
-    tally(report, "profunctor", count)
+    tally(report, {"profunctor": count})
 
 
 def naturality_checks(cases: Iterable[tuple], info: dict, base: FinCategory,
@@ -373,50 +366,54 @@ def naturality_checks(cases: Iterable[tuple], info: dict, base: FinCategory,
     span, (_, into, out_of) = base._span, base._adjacency
     pget, qget, sget, fail = pre.get, post.get, sub.get, report.fail
     na = nb = nc = dinat = 0
+    # Each map's pre row, per slot t the (p, x o_t p), and each outer map's
+    # post column, the (q, q o g), read once per call for all their keys.
+    rows: dict[str, list] = {}
+    cols: dict[str, list] = {}
     for tag, n, k, pairs, outers, inner in cases:
+        for x in itertools.chain(outers, *inner.values()):
+            if x not in rows:
+                rows[x] = [[(p, pget((x, t, p))) for p in into.get(a, ())]
+                           for t, a in enumerate(info[x][1], 1)]
+        for g in outers:
+            if g not in cols:
+                cols[g] = [(q, qget((q, g))) for q in out_of.get(info[g][2], ())]
         for g, i, f in pairs:
-            gdom, gcod = info[g][1], info[g][2]
-            fdom = info[f][1]
             gif = sget((g, i, f))
             # naturality in the inner domain objects
-            for t in range(1, k + 1):
-                for p in into.get(fdom[t - 1], ()):
-                    lhs, rhs = sget((g, i, pget((f, t, p)))), pget((gif, i - 1 + t, p))
+            for t, slot in enumerate(rows[f], i):
+                for p, fp in slot:
+                    lhs, rhs = sget((g, i, fp)), pget((gif, t, p))
                     if lhs != rhs or lhs is None:
-                        fail("nat-in-a", tag + (g, str(i), f, str(t), p), lhs, rhs)
+                        fail("nat-in-a", tag + (g, str(i), f, str(t - i + 1), p), lhs, rhs)
                     na += 1
             # naturality in the outer, non-substituted domain objects
-            for j in range(1, n + 1):
+            for j, slot in enumerate(rows[g], 1):
                 if j == i:
                     continue
                 pos = j if j < i else j + k - 1
-                for p in into.get(gdom[j - 1], ()):
-                    lhs, rhs = sget((pget((g, j, p)), i, f)), pget((gif, pos, p))
+                for p, gp in slot:
+                    lhs, rhs = sget((gp, i, f)), pget((gif, pos, p))
                     if lhs != rhs or lhs is None:
                         fail("nat-in-b", tag + (g, str(i), f, str(j), p), lhs, rhs)
                     nb += 1
             # naturality in the codomain
-            for q in out_of.get(gcod, ()):
-                lhs, rhs = qget((q, gif)), sget((qget((q, g)), i, f))
+            for q, qg in cols[g]:
+                lhs, rhs = qget((q, gif)), sget((qg, i, f))
                 if lhs != rhs or lhs is None:
                     fail("nat-in-c", tag + (q, g, str(i), f), lhs, rhs)
                 nc += 1
         # dinaturality in the substituted variable: for w : x -> e,
         # (g' o_i w) o_i f  =  g' o_i (w o f)  with g' having e at slot i.
         for gp in outers:
-            gpdom = info[gp][1]
-            for i in range(1, n + 1):
-                for w in into.get(gpdom[i - 1], ()):
-                    gw = pget((gp, i, w))
+            for i, slot in enumerate(rows[gp], 1):
+                for w, gw in slot:
                     for f in inner.get(span[w][0], ()):
                         lhs, rhs = sget((gw, i, f)), sget((gp, i, qget((w, f))))
                         if lhs != rhs or lhs is None:
                             fail("dinat-in-b", tag + (gp, str(i), w, f), lhs, rhs)
                         dinat += 1
-    tally(report, "nat-in-a", na)
-    tally(report, "nat-in-b", nb)
-    tally(report, "nat-in-c", nc)
-    tally(report, "dinat-in-b", dinat)
+    tally(report, {"nat-in-a": na, "nat-in-b": nb, "nat-in-c": nc, "dinat-in-b": dinat})
 
 
 def assoc_checks(binaries: Iterable[str], info: dict, maps_into: Callable[[int, str], Iterable[str]],
@@ -441,7 +438,7 @@ def assoc_checks(binaries: Iterable[str], info: dict, maps_into: Callable[[int, 
                             if lhs != rhs or lhs is None:
                                 fail(family, (f, str(i), g, str(j), h), lhs, rhs)
                             count += 1
-        tally(report, family, count)
+        tally(report, {family: count})
 
     def notline(case: str, gn: int, hn: int) -> None:
         family, count = f"assoc-notline-{case}", 0
@@ -454,7 +451,7 @@ def assoc_checks(binaries: Iterable[str], info: dict, maps_into: Callable[[int, 
                     if lhs != rhs or lhs is None:
                         fail(family, (f, g, h), lhs, rhs)
                     count += 1
-        tally(report, family, count)
+        tally(report, {family: count})
 
     line("a", 2, 2)
     line("b", 2, 0)
@@ -525,7 +522,7 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
         want = (n, tuple(obj[a] for a in dom), obj[cod])
         if tidx[img] != want:
             report.fail("morphism-typing", (f,), str(tidx[img]), str(want))
-    tally(report, "morphism-typing", len(typing))
+    tally(report, {"morphism-typing": len(typing)})
     morphism_law_checks(F, report)
     report.merge(base_report)
     return report.finish()
@@ -556,8 +553,7 @@ def morphism_law_checks(F, report: ValidationReport) -> dict:
             if lhs != rhs or lhs is None:
                 fail("morphism-sub", (g, str(i), f), lhs, rhs)
         subs += len(case[3])
-    tally(report, "morphism-nat", len(pre_keys) + len(post_keys))
-    tally(report, "morphism-sub", subs)
+    tally(report, {"morphism-nat": len(pre_keys) + len(post_keys), "morphism-sub": subs})
     return image
 
 

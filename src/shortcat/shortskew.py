@@ -29,14 +29,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import MalformedTable, TypingViolation
 from .fincat import FinCategory, FinFunctor, check_members, validate_category, validate_functor
-from .report import ValidationReport
+from .report import ValidationReport, tally
 from .shortmulti import (
     Key, MultiMorphism, MultiTables, ShortMulticategory, assoc_checks, identity_checks,
-    morphism_law_checks, naturality_checks, profunctor_checks, tally, typing_checks,
+    morphism_law_checks, naturality_checks, profunctor_checks, typing_checks,
 )
 
 TIGHT = "t"
@@ -68,6 +68,13 @@ def sub_flavour(x: str, i: int, y: str) -> str:
     if x == TIGHT and i != 1:
         return TIGHT
     return LOOSE
+
+
+# (outer arity, outer flavours, inner arity, inner flavours, slot) -> the
+# flavour a substitution between maps of those types lands in: sub_flavour
+# of its stored case at that slot.
+_LANDING = {(n, xs, k, ys, i): sub_flavour(x, i, y)
+            for (n, xs, k, ys), (_, x, _, y) in _CASE_OF.items() for i in range(1, n + 1)}
 
 
 @dataclass(frozen=True)
@@ -207,8 +214,7 @@ class ShortSkewMulticategory(MultiTables):
         for (g, i, f), h in self.sub.items():
             n, _, _, xs = idx[g]
             k, _, _, ys = idx[f]
-            _, x, _, y = _CASE_OF[n, xs, k, ys]
-            if sub_flavour(x, i, y) not in idx[h][3]:
+            if _LANDING[n, xs, k, ys, i] not in idx[h][3]:
                 raise TypingViolation(
                     f"{name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
 
@@ -238,12 +244,14 @@ def map_id(tag: str, n: int, dom: tuple[str, ...], cod: str) -> str:
 
 
 def build(name: str, base: FinCategory,
-          members: Callable[[str, int, tuple[str, ...], str], Sequence[str]],
+          members: Callable[[str, int, tuple[str, ...]], Iterable[tuple[str, Sequence[str]]]],
           pick: Callable[[str, Hashable, tuple[str, int, tuple[str, ...], str]], Optional[str]]
           ) -> ShortSkewMulticategory:
     """The short skew multicategory whose tight (arities 2-4) and loose
-    (arities 0-2) maps (dom; cod) are members(flavour, n, dom, cod), with
-    every required j, pre, post and sub entry.
+    (arities 0-2) maps out of dom are members(flavour, n, dom): a (cod,
+    maps (dom; cod)) pair for each codomain with maps, in base.objects
+    order, asked once per domain. It has every required j, pre, post and
+    sub entry.
 
     Each entry is typed here and only here: j sends a tight unary or binary
     map to a loose one of its type, a pre or post result keeps the flavour
@@ -259,10 +267,8 @@ def build(name: str, base: FinCategory,
         for n in arities:
             table = tables[n] = {}
             for dom in itertools.product(base.objects, repeat=n):
-                for cod in base.objects:
-                    fs = members(flavour, n, dom, cod)
-                    if fs:
-                        table[dom, cod] = fs
+                for cod, fs in members(flavour, n, dom):
+                    table[dom, cod] = fs
     # built once: the loop below reads its tables and fills j, pre, post, sub
     j, pre, post, sub = {}, {}, {}, {}
     m = ShortSkewMulticategory(name, base, tight, loose, j, pre, post, sub)
@@ -285,8 +291,7 @@ def build(name: str, base: FinCategory,
                 g, i, f = key
                 n, gdom, gcod, xs = idx[g]
                 k, fdom, _, ys = idx[f]
-                _, x, _, y = _CASE_OF[n, xs, k, ys]
-                yield sub, "sub", key, (sub_flavour(x, i, y), n + k - 1,
+                yield sub, "sub", key, (_LANDING[n, xs, k, ys, i], n + k - 1,
                                         gdom[:i - 1] + fdom + gdom[i:], gcod)
 
     for out, table, key, ty in entries():
@@ -352,8 +357,7 @@ def _j_nat_checks(m: ShortSkewMulticategory, pre: dict, post: dict, sub: dict,
         if lhs != rhs or lhs is None:
             fail("j-derived", ("unary", q), lhs, rhs)
         derived += 1
-    tally(report, "j-nat", nat)
-    tally(report, "j-derived", derived)
+    tally(report, {"j-nat": nat, "j-derived": derived})
 
 
 def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
@@ -483,7 +487,7 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
         if have[:3] != want or not held:
             report.fail("morphism-typing", (flavour + str(n), f),
                         str(have[:3] + (held,)), str(want + (True,)))
-    tally(report, "morphism-typing", len(typing))
+    tally(report, {"morphism-typing": len(typing)})
 
     image = morphism_law_checks(F, report)
     for f in sorted(src.j):

@@ -17,7 +17,7 @@ from .errors import MalformedTable
 from .fincat import (
     FinCategory, FinFunctor, check_tables, table_domains, validate_category, validate_functor,
 )
-from .report import ValidationReport
+from .report import ValidationReport, tally
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class SkewMonCategory:
         """f tensored with the identity of b."""
         return self.tm(f, self.base.identity(b))
 
-    def tm_right(self, a: str, g: str) -> Optional[str]:
-        return self.tm(self.base.identity(a), g)
-
     def check_structure(self) -> None:
         self.base.check_structure()
         objs, mors, arrows = table_domains(self.base)
@@ -61,78 +58,87 @@ class SkewMonCategory:
 
 
 def _comp_chain(base: FinCategory, *mors: Optional[str]) -> Optional[str]:
-    """Compose left-to-right: _comp_chain(f, g, h) = h o g o f; None-safe."""
-    if None in mors:
-        return None
+    """Compose left-to-right: _comp_chain(f, g, h) = h o g o f; None-safe,
+    as compose_opt is None when either side is."""
     acc = mors[0]
     for m in mors[1:]:
         acc = base.compose_opt(m, acc)
-        if acc is None:
-            return None
     return acc
 
 
 def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
+    """Once check_structure has passed, every table is total and comp is keyed
+    by exactly the composable pairs: the laws read the tables directly."""
     c.check_structure()
-    base = c.base
-    objs = base.objects
-    report = ValidationReport(c.name)
-    check = report.check
+    base, i = c.base, c.unit
+    objs, (mors, _, out_of), span, ids = base.objects, base._adjacency, base._span, base.ids
+    to, tm, alpha, lam, rho = c.tensor_obj, c.tensor_mor, c.alpha, c.lam, c.rho
+    comp, cget, report = base.comp, base.comp.get, ValidationReport(c.name)
+    fail, n = report.fail, 0
 
     # tensor functoriality
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        (a, b), (x, y) = base.span(f), base.span(g)
-        check("tensor-typing", (f, g), str(base._span.get(c.tensor_mor[(f, g)])),
-              str((c.t(a, x), c.t(b, y))))
-    for a, b in itertools.product(objs, repeat=2):
-        check("tensor-id", (a, b), c.tm(base.identity(a), base.identity(b)),
-              base.ids.get(c.t(a, b)))
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        for f2 in base.mors_out_of(base.cod(f)):
-            for g2 in base.mors_out_of(base.cod(g)):
-                check("tensor-comp", (f2, f, g2, g),
-                      c.tm(base.compose(f2, f), base.compose(g2, g)),
-                      base.compose_opt(c.tm(f2, g2), c.tm(f, g)))
+    for fg in itertools.product(mors, repeat=2):
+        f, g = fg
+        (a, b), (x, y), h = span[f], span[g], tm[fg]
+        if span[h] != (want := (to[a, x], to[b, y])):
+            fail("tensor-typing", fg, str(span[h]), str(want))
+        for f2 in out_of[b]:
+            f2f = comp[f2, f]
+            for g2 in out_of[y]:
+                if (lhs := tm[f2f, comp[g2, g]]) != (rhs := cget((tm[f2, g2], h))) or lhs is None:
+                    fail("tensor-comp", (f2, f, g2, g), lhs, rhs)
+                n += 1
 
     # spans of the structure morphisms
-    for a, b, x in itertools.product(objs, repeat=3):
-        check("alpha-typing", (a, b, x), str(base._span.get(c.alpha[(a, b, x)])),
-              str((c.t(c.t(a, b), x), c.t(a, c.t(b, x)))))
+    for abx in itertools.product(objs, repeat=3):
+        a, b, x = abx
+        if span[alpha[abx]] != (want := (to[to[a, b], x], to[a, to[b, x]])):
+            fail("alpha-typing", abx, str(span[alpha[abx]]), str(want))
     for a in objs:
-        check("lambda-typing", (a,), str(base._span.get(c.lam[a])), str((c.t(c.unit, a), a)))
-        check("rho-typing", (a,), str(base._span.get(c.rho[a])), str((a, c.t(a, c.unit))))
+        if span[lam[a]] != (to[i, a], a):
+            fail("lambda-typing", (a,), str(span[lam[a]]), str((to[i, a], a)))
+        if span[rho[a]] != (a, to[a, i]):
+            fail("rho-typing", (a,), str(span[rho[a]]), str((a, to[a, i])))
 
     # naturality of alpha, lambda, rho
-    for f, g, h in itertools.product(base.morphisms(), repeat=3):
-        (a, a2), (b, b2), (x, x2) = base.span(f), base.span(g), base.span(h)
-        check("nat-alpha", (f, g, h),
-              _comp_chain(base, c.tm(c.tm(f, g), h), c.alpha[(a2, b2, x2)]),
-              _comp_chain(base, c.alpha[(a, b, x)], c.tm(f, c.tm(g, h))))
-    for f in base.morphisms():
-        a, b = base.span(f)
-        check("nat-lambda", (f,), _comp_chain(base, c.tm_right(c.unit, f), c.lam[b]),
-              _comp_chain(base, c.lam[a], f))
-        check("nat-rho", (f,), _comp_chain(base, f, c.rho[b]),
-              _comp_chain(base, c.rho[a], c.tm_left(f, c.unit)))
+    for fgh in itertools.product(mors, repeat=3):
+        f, g, h = fgh
+        (a, a2), (b, b2), (x, x2) = span[f], span[g], span[h]
+        lhs = cget((alpha[a2, b2, x2], tm[tm[f, g], h]))
+        if lhs != (rhs := cget((tm[f, tm[g, h]], alpha[a, b, x]))) or lhs is None:
+            fail("nat-alpha", fgh, lhs, rhs)
+    for f in mors:
+        a, b = span[f]
+        if (lhs := cget((lam[b], tm[ids[i], f]))) != (rhs := cget((f, lam[a]))) or lhs is None:
+            fail("nat-lambda", (f,), lhs, rhs)
+        if (lhs := cget((rho[b], f))) != (rhs := cget((tm[f, ids[i]], rho[a]))) or lhs is None:
+            fail("nat-rho", (f,), lhs, rhs)
 
     # the five structure axioms
-    i = c.unit
-    for a, b, x, d in itertools.product(objs, repeat=4):
-        check("pentagon", (a, b, x, d),
-              _comp_chain(base, c.alpha[(c.t(a, b), x, d)], c.alpha[(a, b, c.t(x, d))]),
-              _comp_chain(base, c.tm_left(c.alpha[(a, b, x)], d),
-                          c.alpha[(a, c.t(b, x), d)],
-                          c.tm_right(a, c.alpha[(b, x, d)])))
-    for a, b in itertools.product(objs, repeat=2):
-        check("left-unit", (a, b), _comp_chain(base, c.alpha[(i, a, b)], c.lam[c.t(a, b)]),
-              c.tm_left(c.lam[a], b))
-        check("right-unit", (a, b), _comp_chain(base, c.rho[c.t(a, b)], c.alpha[(a, b, i)]),
-              c.tm_right(a, c.rho[b]))
-        check("middle-unit", (a, b),
-              _comp_chain(base, c.tm_left(c.rho[a], b), c.alpha[(a, i, b)],
-                          c.tm_right(a, c.lam[b])),
-              base.ids.get(c.t(a, b)))
-    check("unit-unit", (i,), _comp_chain(base, c.rho[i], c.lam[i]), base.ids.get(i))
+    for abxd in itertools.product(objs, repeat=4):
+        a, b, x, d = abxd
+        lhs = cget((alpha[a, b, to[x, d]], alpha[to[a, b], x, d]))
+        rhs = cget((tm[ids[a], alpha[b, x, d]],
+                    cget((alpha[a, to[b, x], d], tm[alpha[a, b, x], ids[d]]))))
+        if lhs != rhs or lhs is None:
+            fail("pentagon", abxd, lhs, rhs)
+    for ab in itertools.product(objs, repeat=2):
+        a, b = ab
+        for family, lhs, rhs in (
+                ("tensor-id", tm[ids[a], ids[b]], ids[to[ab]]),
+                ("left-unit", cget((lam[to[ab]], alpha[i, a, b])), tm[lam[a], ids[b]]),
+                ("right-unit", cget((alpha[a, b, i], rho[to[ab]])), tm[ids[a], rho[b]]),
+                ("middle-unit", cget((tm[ids[a], lam[b]],
+                                      cget((alpha[a, i, b], tm[rho[a], ids[b]])))), ids[to[ab]])):
+            if lhs != rhs or lhs is None:
+                fail(family, ab, lhs, rhs)
+    if cget((lam[i], rho[i])) != ids[i]:
+        fail("unit-unit", (i,), cget((lam[i], rho[i])), ids[i])
+    o, m = len(objs), len(mors)
+    tally(report, {"tensor-typing": m * m, "tensor-comp": n, "alpha-typing": o ** 3,
+                   "lambda-typing": o, "rho-typing": o, "nat-alpha": m ** 3, "nat-lambda": m,
+                   "nat-rho": m, "pentagon": o ** 4, "tensor-id": o * o, "left-unit": o * o,
+                   "right-unit": o * o, "middle-unit": o * o, "unit-unit": 1})
 
     report.merge_prefixed(validate_category(base), "base-")
     return report.finish()
@@ -210,43 +216,43 @@ class LaxMonFunctor:
 
 
 def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
+    """Both ends must have passed check_structure (the CLI checks each end
+    as it loads it): the laws read their tables directly."""
     src, tgt, fun = t.source, t.target, t.functor
-    base = tgt.base
     functor_report = validate_functor(fun)
-    fi = fun.on_obj(src.unit)
-    check_tables(t.name, [("f2", t.f2, 2, table_domains(src.base)[0], table_domains(base)[2])])
+    objs, sspan = src.base.objects, src.base._span
+    check_tables(t.name, [("f2", t.f2, 2, table_domains(src.base)[0], table_domains(tgt.base)[2])])
+    span, ids, cget, tm = tgt.base._span, tgt.base.ids, tgt.base.comp.get, tgt.tensor_mor
+    F, Fm, f0, f2, i, to = fun.obj_map, fun.mor_map, t.f0, t.f2, src.unit, src.tensor_obj
     report = ValidationReport(t.name)
-    check = report.check
+    fail = report.fail
 
-    check("f0-typing", (t.f0,), str(base._span.get(t.f0)), str((tgt.unit, fi)))
-    for a, b in itertools.product(src.base.objects, repeat=2):
-        check("f2-typing", (a, b), str(base._span.get(t.f2[(a, b)])),
-              str((tgt.t(fun.on_obj(a), fun.on_obj(b)), fun.on_obj(src.t(a, b)))))
-    for f, g in itertools.product(src.base.morphisms(), repeat=2):
-        (a, a2), (b, b2) = src.base.span(f), src.base.span(g)
-        check("f2-nat", (f, g),
-              _comp_chain(base, tgt.tm(fun.on_mor(f), fun.on_mor(g)), t.f2[(a2, b2)]),
-              _comp_chain(base, t.f2[(a, b)], fun.mor_map.get(src.tm(f, g))))
-
-    F = fun.on_obj
-    for a, b, x in itertools.product(src.base.objects, repeat=3):
-        check("lax-assoc", (a, b, x),
-              _comp_chain(base, tgt.tm_left(t.f2[(a, b)], F(x)),
-                          t.f2[(src.t(a, b), x)],
-                          fun.mor_map.get(src.alpha[(a, b, x)])),
-              _comp_chain(base, tgt.alpha[(F(a), F(b), F(x))],
-                          tgt.tm_right(F(a), t.f2[(b, x)]),
-                          t.f2[(a, src.t(b, x))]))
-    for a in src.base.objects:
-        check("lax-left-unit", (a,),
-              _comp_chain(base, tgt.tm_left(t.f0, F(a)), t.f2[(src.unit, a)],
-                          fun.mor_map.get(src.lam[a])),
-              tgt.lam.get(F(a)))
-        check("lax-right-unit", (a,),
-              _comp_chain(base, tgt.rho[F(a)], tgt.tm_right(F(a), t.f0),
-                          t.f2[(a, src.unit)]),
-              fun.mor_map.get(src.rho[a]))
-
+    if span.get(f0) != (want := (tgt.unit, F[i])):
+        fail("f0-typing", (f0,), str(span.get(f0)), str(want))
+    for ab in itertools.product(objs, repeat=2):
+        if span[f2[ab]] != (want := (tgt.tensor_obj[F[ab[0]], F[ab[1]]], F[to[ab]])):
+            fail("f2-typing", ab, str(span[f2[ab]]), str(want))
+    for fg in itertools.product(sspan, repeat=2):
+        (a, a2), (b, b2) = sspan[fg[0]], sspan[fg[1]]
+        lhs = cget((f2[a2, b2], tm[Fm[fg[0]], Fm[fg[1]]]))
+        if lhs != (rhs := cget((Fm[src.tensor_mor[fg]], f2[a, b]))) or lhs is None:
+            fail("f2-nat", fg, lhs, rhs)
+    for abx in itertools.product(objs, repeat=3):
+        a, b, x = abx
+        lhs = cget((Fm[src.alpha[abx]], cget((f2[to[a, b], x], tm[f2[a, b], ids[F[x]]]))))
+        rhs = cget((f2[a, to[b, x]], cget((tm[ids[F[a]], f2[b, x]], tgt.alpha[F[a], F[b], F[x]]))))
+        if lhs != rhs or lhs is None:
+            fail("lax-assoc", abx, lhs, rhs)
+    for a in objs:
+        lhs = cget((Fm[src.lam[a]], cget((f2[i, a], tm.get((f0, ids[F[a]]))))))
+        if lhs != (rhs := tgt.lam[F[a]]) or lhs is None:
+            fail("lax-left-unit", (a,), lhs, rhs)
+        lhs = cget((f2[a, i], cget((tm.get((ids[F[a]], f0)), tgt.rho[F[a]]))))
+        if lhs != (rhs := Fm[src.rho[a]]) or lhs is None:
+            fail("lax-right-unit", (a,), lhs, rhs)
+    o = len(objs)
+    tally(report, {"f0-typing": 1, "f2-typing": o * o, "f2-nat": len(sspan) ** 2,
+                   "lax-assoc": o ** 3, "lax-left-unit": o, "lax-right-unit": o})
     report.merge(functor_report)
     return report.finish()
 
@@ -283,53 +289,51 @@ def check_braiding_total(c: SkewMonCategory, braid: Braiding) -> None:
 
 
 def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
+    """Validate the braiding on c, which must have passed check_structure
+    (validate_skew_monoidal runs it): the laws read its tables directly."""
     check_braiding_total(c, braid)
-    base = c.base
-    objs = base.objects
+    base, s, si = c.base, braid.s, braid.s_inv
+    objs, mors, span, ids = base.objects, base.morphisms(), base._span, base.ids
+    to, tm, alpha, cget = c.tensor_obj, c.tensor_mor, c.alpha, base.comp.get
     report = ValidationReport(braid.name)
-    check = report.check
+    fail = report.fail
 
-    def lhs_obj(x, a, b):
-        return c.t(c.t(x, a), b)
-
-    for (x, a, b) in itertools.product(objs, repeat=3):
-        s = braid.s[(x, a, b)]
-        si = braid.s_inv[(x, a, b)]
-        check("s-typing", (x, a, b), str(base._span.get(s)),
-              str((lhs_obj(x, a, b), lhs_obj(x, b, a))))
-        check("s-inverse", (x, a, b),
-              str((base.compose_opt(si, s), base.compose_opt(s, si))),
-              str((base.ids.get(lhs_obj(x, a, b)), base.ids.get(lhs_obj(x, b, a)))))
-
-    for f, g, h in itertools.product(base.morphisms(), repeat=3):
-        (x, x2), (a, a2), (b, b2) = base.span(f), base.span(g), base.span(h)
-        check("s-nat", (f, g, h),
-              _comp_chain(base, c.tm(c.tm(f, g), h), braid.s[(x2, a2, b2)]),
-              _comp_chain(base, braid.s[(x, a, b)], c.tm(c.tm(f, h), g)))
-
-    s = braid.s
-    for (x, a, b, e) in itertools.product(objs, repeat=4):
-        check("braid-hexagon", (x, a, b, e),
-              _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
-                          s[(c.t(x, e), a, b)]),
-              _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
-                          c.tm_left(s[(x, b, e)], a)))
-        check("braid-alpha-right", (x, a, b, e),
-              _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
-                          c.tm_left(c.alpha[(x, b, e)], a)),
-              _comp_chain(base, c.alpha[(c.t(x, a), b, e)], s[(x, a, c.t(b, e))]))
-        check("braid-alpha-left", (x, a, b, e),
-              _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
-                          c.alpha[(c.t(x, e), a, b)]),
-              _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
-                          s[(x, c.t(a, b), e)]))
-        check("braid-alpha-inner", (x, a, b, e),
-              _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
-                          c.alpha[(x, c.t(a, b), e)],
-                          c.tm_right(x, s[(a, b, e)])),
-              _comp_chain(base, s[(c.t(x, a), b, e)],
-                          c.tm_left(c.alpha[(x, a, e)], b),
-                          c.alpha[(x, c.t(a, e), b)]))
+    for xab in itertools.product(objs, repeat=3):
+        x, a, b = xab
+        u, v, w = s[xab], si[xab], (to[to[x, a], b], to[to[x, b], a])
+        if span[u] != w:
+            fail("s-typing", xab, str(span[u]), str(w))
+        if (have := (cget((v, u)), cget((u, v)))) != (want := (ids[w[0]], ids[w[1]])):
+            fail("s-inverse", xab, str(have), str(want))
+    for fgh in itertools.product(mors, repeat=3):
+        f, g, h = fgh
+        (x, x2), (a, a2), (b, b2) = span[f], span[g], span[h]
+        lhs, rhs = cget((s[x2, a2, b2], tm[tm[f, g], h])), cget((tm[tm[f, h], g], s[x, a, b]))
+        if lhs != rhs or lhs is None:
+            fail("s-nat", fgh, lhs, rhs)
+    for xabe in itertools.product(objs, repeat=4):
+        x, a, b, e = xabe
+        # the composites that more than one law reads
+        sae = cget((tm[s[x, a, e], ids[b]], s[to[x, a], b, e]))
+        sbe = cget((s[to[x, b], a, e], tm[s[x, a, b], ids[e]]))
+        axe = tm[alpha[x, a, b], ids[e]]
+        for family, lhs, rhs in (
+                ("braid-hexagon", cget((s[to[x, e], a, b], sae)),
+                 cget((tm[s[x, b, e], ids[a]], sbe))),
+                ("braid-alpha-right", cget((tm[alpha[x, b, e], ids[a]], sbe)),
+                 cget((s[x, a, to[b, e]], alpha[to[x, a], b, e]))),
+                ("braid-alpha-left", cget((alpha[to[x, e], a, b], sae)),
+                 cget((s[x, to[a, b], e], axe))),
+                ("braid-alpha-inner", cget((tm[ids[x], s[a, b, e]],
+                                            cget((alpha[x, to[a, b], e], axe)))),
+                 cget((alpha[x, to[a, e], b],
+                       cget((tm[alpha[x, a, e], ids[b]], s[to[x, a], b, e])))))):
+            if lhs != rhs or lhs is None:
+                fail(family, xabe, lhs, rhs)
+    o = len(objs)
+    tally(report, {"s-typing": o ** 3, "s-inverse": o ** 3, "s-nat": len(mors) ** 3,
+                   "braid-hexagon": o ** 4, "braid-alpha-right": o ** 4,
+                   "braid-alpha-left": o ** 4, "braid-alpha-inner": o ** 4})
     return report.finish()
 
 
@@ -341,14 +345,14 @@ def check_symmetry(c: SkewMonCategory, braid: Braiding) -> bool:
 def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
-    F = fun.on_obj
+    F = fun.obj_map
     report = ValidationReport(t.name + ".braided")
     for (x, a, b) in itertools.product(src.base.objects, repeat=3):
         report.check("braided-functor", (x, a, b),
-                     _comp_chain(base, s_tgt.s[(F(x), F(a), F(b))],
-                                 tgt.tm_left(t.f2[(x, b)], F(a)),
+                     _comp_chain(base, s_tgt.s[(F[x], F[a], F[b])],
+                                 tgt.tm_left(t.f2[(x, b)], F[a]),
                                  t.f2[(src.t(x, b), a)]),
-                     _comp_chain(base, tgt.tm_left(t.f2[(x, a)], F(b)),
+                     _comp_chain(base, tgt.tm_left(t.f2[(x, a)], F[b]),
                                  t.f2[(src.t(x, a), b)],
                                  fun.mor_map.get(s_src.s[(x, a, b)])))
     return report.finish()
@@ -378,13 +382,6 @@ class SkewClosedCategory:
     def hm(self, f: str, g: str) -> Optional[str]:
         return self.hom_mor.get((f, g))
 
-    def hm_left(self, f: str, c: str) -> Optional[str]:
-        """[f, 1_c]: contravariant action in the first argument."""
-        return self.hm(f, self.base.identity(c))
-
-    def hm_right(self, b: str, g: str) -> Optional[str]:
-        return self.hm(self.base.identity(b), g)
-
     def check_structure(self) -> None:
         self.base.check_structure()
         objs, mors, arrows = table_domains(self.base)
@@ -401,86 +398,90 @@ class SkewClosedCategory:
 def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
     """Naturality of the hom functor and of I, J, L, plus the five
     structure axioms of a left skew closed category (the J/L triangle among
-    them) as axiom schemas."""
+    them) as axiom schemas, read from the tables once check_structure passed."""
     c.check_structure()
-    base = c.base
-    objs = base.objects
-    i = c.unit
-    report = ValidationReport(c.name)
-    check = report.check
+    base, i = c.base, c.unit
+    objs, (mors, _, out_of), span, ids = base.objects, base._adjacency, base._span, base.ids
+    ho, hm, iu, ju, ell = c.hom_obj, c.hom_mor, c.iu, c.ju, c.ell
+    comp, cget, report = base.comp, base.comp.get, ValidationReport(c.name)
+    fail, n = report.fail, 0
 
-    # hom functoriality: contravariant first argument, covariant second
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        (b, b2), (x, x2) = base.span(f), base.span(g)
-        check("hom-typing", (f, g), str(base._span.get(c.hom_mor[(f, g)])),
-              str((c.h(b2, x), c.h(b, x2))))
-    for a, b in itertools.product(objs, repeat=2):
-        check("hom-id", (a, b), c.hm(base.identity(a), base.identity(b)),
-              base.ids.get(c.h(a, b)))
+    # hom functoriality: contravariant first argument, covariant second;
     # contravariance crosses the pairing: [f2 o f, g2 o g] = [f,g2] o [f2,g]
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        for f2 in base.mors_out_of(base.cod(f)):
-            for g2 in base.mors_out_of(base.cod(g)):
-                check("hom-comp", (f2, f, g2, g),
-                      c.hm(base.compose(f2, f), base.compose(g2, g)),
-                      base.compose_opt(c.hm(f, g2), c.hm(f2, g)))
+    for fg in itertools.product(mors, repeat=2):
+        f, g = fg
+        (b, b2), (x, x2), h = span[f], span[g], hm[fg]
+        if span[h] != (want := (ho[b2, x], ho[b, x2])):
+            fail("hom-typing", fg, str(span[h]), str(want))
+        for f2 in out_of[b2]:
+            f2f = comp[f2, f]
+            for g2 in out_of[x2]:
+                lhs, rhs = hm[f2f, comp[g2, g]], cget((hm[f, g2], hm[f2, g]))
+                if lhs != rhs or lhs is None:
+                    fail("hom-comp", (f2, f, g2, g), lhs, rhs)
+                n += 1
 
     # spans of the structure morphisms
     for a in objs:
-        check("I-typing", (a,), str(base._span.get(c.iu[a])), str((c.h(i, a), a)))
-        check("J-typing", (a,), str(base._span.get(c.ju[a])), str((i, c.h(a, a))))
-    for a, b, x in itertools.product(objs, repeat=3):
-        check("L-typing", (a, b, x), str(base._span.get(c.ell[(a, b, x)])),
-              str((c.h(b, x), c.h(c.h(a, b), c.h(a, x)))))
+        if span[iu[a]] != (ho[i, a], a):
+            fail("I-typing", (a,), str(span[iu[a]]), str((ho[i, a], a)))
+        if span[ju[a]] != (i, ho[a, a]):
+            fail("J-typing", (a,), str(span[ju[a]]), str((i, ho[a, a])))
+    for abx in itertools.product(objs, repeat=3):
+        a, b, x = abx
+        if span[ell[abx]] != (want := (ho[b, x], ho[ho[a, b], ho[a, x]])):
+            fail("L-typing", abx, str(span[ell[abx]]), str(want))
 
     # naturality of I, J (dinatural), L
-    for f in base.morphisms():
-        a, b = base.span(f)
-        check("nat-I", (f,), _comp_chain(base, c.hm_right(i, f), c.iu[b]),
-              _comp_chain(base, c.iu[a], f))
-        check("dinat-J", (f,), _comp_chain(base, c.ju[a], c.hm_right(a, f)),
-              _comp_chain(base, c.ju[b], c.hm_left(f, b)))
-    for f in base.morphisms():
-        b, b2 = base.span(f)
+    for f in mors:
+        b, b2 = span[f]
+        if (lhs := cget((iu[b2], hm[ids[i], f]))) != (rhs := cget((f, iu[b]))) or lhs is None:
+            fail("nat-I", (f,), lhs, rhs)
+        lhs, rhs = cget((hm[ids[b], f], ju[b])), cget((hm[f, ids[b2]], ju[b2]))
+        if lhs != rhs or lhs is None:
+            fail("dinat-J", (f,), lhs, rhs)
         for a, x in itertools.product(objs, repeat=2):
             # contravariant: [f,x] then L  =  L then [[a,f],1]
-            check("nat-L-contra", (a, f, x),
-                  _comp_chain(base, c.hm_left(f, x), c.ell[(a, b, x)]),
-                  _comp_chain(base, c.ell[(a, b2, x)],
-                              c.hm(c.hm_right(a, f), base.identity(c.h(a, x)))))
+            lhs, rhs = (cget((ell[a, b, x], hm[f, ids[x]])),
+                        cget((hm[hm[ids[a], f], ids[ho[a, x]]], ell[a, b2, x])))
+            if lhs != rhs or lhs is None:
+                fail("nat-L-contra", (a, f, x), lhs, rhs)
             # covariant: L then [1,[a,f]]  =  [x,f] then L
-            check("nat-L-co", (a, x, f),
-                  _comp_chain(base, c.ell[(a, x, b)],
-                              c.hm(base.identity(c.h(a, x)), c.hm_right(a, f))),
-                  _comp_chain(base, c.hm_right(x, f), c.ell[(a, x, b2)]))
+            lhs = cget((hm[ids[ho[a, x]], hm[ids[a], f]], ell[a, x, b]))
+            if lhs != (rhs := cget((ell[a, x, b2], hm[ids[x], f]))) or lhs is None:
+                fail("nat-L-co", (a, x, f), lhs, rhs)
             # dinatural in a: L^a then [[f,a-slot],1]  =  L^{a'} then [1,[f,x]]
-            check("dinat-L", (f, a, x),
-                  _comp_chain(base, c.ell[(b, a, x)],
-                              c.hm(c.hm_left(f, a), base.identity(c.h(b, x)))),
-                  _comp_chain(base, c.ell[(b2, a, x)],
-                              c.hm(base.identity(c.h(b2, a)), c.hm_left(f, x))))
+            lhs, rhs = (cget((hm[hm[f, ids[a]], ids[ho[b, x]]], ell[b, a, x])),
+                        cget((hm[ids[ho[b2, a]], hm[f, ids[x]]], ell[b2, a, x])))
+            if lhs != rhs or lhs is None:
+                fail("dinat-L", (f, a, x), lhs, rhs)
 
     # the five structure axioms
-    for a, b, x, d in itertools.product(objs, repeat=4):
-        check("L-pentagon", (a, b, x, d),
-              _comp_chain(base, c.ell[(a, x, d)],
-                          c.ell[(c.h(a, b), c.h(a, x), c.h(a, d))],
-                          c.hm(c.ell[(a, b, x)], base.identity(c.h(c.h(a, b), c.h(a, d))))),
-              _comp_chain(base, c.ell[(b, x, d)],
-                          c.hm(base.identity(c.h(b, x)), c.ell[(a, b, d)])))
-    for a, b in itertools.product(objs, repeat=2):
-        check("L-J-collapse", (a, b),
-              _comp_chain(base, c.ell[(a, a, b)],
-                          c.hm(c.ju[a], base.identity(c.h(a, b))),
-                          c.iu[c.h(a, b)]),
-              base.ids.get(c.h(a, b)))
-        check("J-L-triangle", (a, b), _comp_chain(base, c.ju[b], c.ell[(a, b, b)]),
-              c.ju.get(c.h(a, b)))
-        check("L-I-compat", (a, b),
-              _comp_chain(base, c.ell[(i, a, b)],
-                          c.hm(base.identity(c.h(i, a)), c.iu[b])),
-              c.hm(c.iu[a], base.identity(b)))
-    check("I-J-unit", (i,), _comp_chain(base, c.ju[i], c.iu[i]), base.ids.get(i))
+    for abxd in itertools.product(objs, repeat=4):
+        a, b, x, d = abxd
+        hab, had = ho[a, b], ho[a, d]
+        lhs = cget((hm[ell[a, b, x], ids[ho[hab, had]]],
+                    cget((ell[hab, ho[a, x], had], ell[a, x, d]))))
+        if lhs != (rhs := cget((hm[ids[ho[b, x]], ell[a, b, d]], ell[b, x, d]))) or lhs is None:
+            fail("L-pentagon", abxd, lhs, rhs)
+    for ab in itertools.product(objs, repeat=2):
+        a, b = ab
+        for family, lhs, rhs in (
+                ("hom-id", hm[ids[a], ids[b]], ids[ho[ab]]),
+                ("L-J-collapse", cget((iu[ho[ab]], cget((hm[ju[a], ids[ho[ab]]], ell[a, a, b])))),
+                 ids[ho[ab]]),
+                ("J-L-triangle", cget((ell[a, b, b], ju[b])), ju[ho[ab]]),
+                ("L-I-compat", cget((hm[ids[ho[i, a]], iu[b]], ell[i, a, b])), hm[iu[a], ids[b]])):
+            if lhs != rhs or lhs is None:
+                fail(family, ab, lhs, rhs)
+    if cget((iu[i], ju[i])) != ids[i]:
+        fail("I-J-unit", (i,), cget((iu[i], ju[i])), ids[i])
+    o, m = len(objs), len(mors)
+    tally(report, {"hom-typing": m * m, "hom-comp": n, "I-typing": o, "J-typing": o,
+                   "L-typing": o ** 3, "nat-I": m, "dinat-J": m, "nat-L-contra": m * o * o,
+                   "nat-L-co": m * o * o, "dinat-L": m * o * o, "L-pentagon": o ** 4,
+                   "hom-id": o * o, "L-J-collapse": o * o, "J-L-triangle": o * o,
+                   "L-I-compat": o * o, "I-J-unit": 1})
 
     report.merge_prefixed(validate_category(base), "base-")
     return report.finish()
@@ -503,36 +504,37 @@ class SkewClosedFunctor:
 def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
-    F = fun.on_obj
+    F = fun.obj_map
     functor_report = validate_functor(fun)
     check_tables(t.name, [("hom comparison", t.fh, 2, table_domains(src.base)[0],
                            table_domains(base)[2])])
     report = ValidationReport(t.name)
     check = report.check
 
-    check("f0-typing", (t.f0,), str(base._span.get(t.f0)), str((tgt.unit, F(src.unit))))
+    check("f0-typing", (t.f0,), str(base._span.get(t.f0)), str((tgt.unit, F[src.unit])))
     for a, b in itertools.product(src.base.objects, repeat=2):
         check("fh-typing", (a, b), str(base._span.get(t.fh[(a, b)])),
-              str((F(src.h(a, b)), tgt.h(F(a), F(b)))))
+              str((F[src.h(a, b)], tgt.h(F[a], F[b]))))
     for f, g in itertools.product(src.base.morphisms(), repeat=2):
         (b, b2), (x, x2) = src.base.span(f), src.base.span(g)
         check("fh-nat", (f, g),
               _comp_chain(base, fun.mor_map.get(src.hm(f, g)), t.fh[(b, x2)]),
-              _comp_chain(base, t.fh[(b2, x)], tgt.hm(fun.on_mor(f), fun.on_mor(g))))
+              _comp_chain(base, t.fh[(b2, x)], tgt.hm(fun.mor_map[f], fun.mor_map[g])))
 
     for a in src.base.objects:
         check("closed-I", (a,),
-              _comp_chain(base, t.fh[(src.unit, a)], tgt.hm_left(t.f0, F(a)), tgt.iu[F(a)]),
+              _comp_chain(base, t.fh[(src.unit, a)], tgt.hm(t.f0, base.identity(F[a])),
+                          tgt.iu[F[a]]),
               fun.mor_map.get(src.iu[a]))
         check("closed-J", (a,),
               _comp_chain(base, t.f0, fun.mor_map.get(src.ju[a]), t.fh[(a, a)]),
-              tgt.ju.get(F(a)))
+              tgt.ju.get(F[a]))
     for a, b, x in itertools.product(src.base.objects, repeat=3):
         check("closed-L", (a, b, x),
-              _comp_chain(base, t.fh[(b, x)], tgt.ell[(F(a), F(b), F(x))],
-                          tgt.hm(t.fh[(a, b)], base.identity(tgt.h(F(a), F(x))))),
+              _comp_chain(base, t.fh[(b, x)], tgt.ell[(F[a], F[b], F[x])],
+                          tgt.hm(t.fh[(a, b)], base.identity(tgt.h(F[a], F[x])))),
               _comp_chain(base, fun.mor_map.get(src.ell[(a, b, x)]),
                           t.fh[(src.h(a, b), src.h(a, x))],
-                          tgt.hm(base.identity(F(src.h(a, b))), t.fh[(a, x)])))
+                          tgt.hm(base.identity(F[src.h(a, b)]), t.fh[(a, x)])))
     report.merge(functor_report)
     return report.finish()

@@ -60,7 +60,7 @@ def _solve_f0(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certificate
     """The unit comparison of a transported morphism: the unique map matching
     the image of the source's nullary classifier."""
     vt = cert_tgt.view
-    return _solve_hom(vt, "f0", cert_tgt.nullary.obj, F.functor.on_obj(cert_src.nullary.obj),
+    return _solve_hom(vt, "f0", cert_tgt.nullary.obj, F.functor.obj_map[cert_src.nullary.obj],
                       lambda h: vt.safe_post(h, cert_tgt.nullary.u),
                       F.safe_apply(cert_src.nullary.u, LOOSE))
 
@@ -142,10 +142,10 @@ def ks_morphism(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certifica
     fun = F.functor
     f2 = {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
-        fa, fb = fun.on_obj(a), fun.on_obj(b)
+        fa, fb = fun.obj_map[a], fun.obj_map[b]
         img = F.safe_apply(cert_src.theta(a, b), TIGHT)
         f2[(a, b)] = _solve_hom(
-            vt, f"f2 ({a},{b})", cert_tgt.obj(fa, fb), fun.on_obj(cert_src.obj(a, b)),
+            vt, f"f2 ({a},{b})", cert_tgt.obj(fa, fb), fun.obj_map[cert_src.obj(a, b)],
             lambda h: vt.safe_post(h, cert_tgt.theta(fa, fb)), img)
     return LaxMonFunctor(F.name + ".lax", src_mon, tgt_mon, fun,
                          _solve_f0(F, cert_src, cert_tgt), f2)
@@ -178,7 +178,7 @@ def _reconstruct_families(t: LaxMonFunctor, cert_src: Certificate, cert_tgt: Cer
         a, b = vs.dom(g)
         tight2[g] = vt.safe_post(
             vt.base.compose_opt(F1(inv_src.prime[g]), t.f2[(a, b)]),
-            cert_tgt.theta(fun.on_obj(a), fun.on_obj(b)))
+            cert_tgt.theta(fun.obj_map[a], fun.obj_map[b]))
 
     tight3 = {}
     for h in vs.multimaps(TIGHT, 3):
@@ -485,11 +485,11 @@ def kcl_morphism(F: SkewMultiMorphism, homs_src: dict, homs_tgt: dict,
     fun = F.functor
     fh = {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
-        fa, fb = fun.on_obj(a), fun.on_obj(b)
+        fa, fb = fun.obj_map[a], fun.obj_map[b]
         img = F.safe_apply(homs_src[(a, b)].e, TIGHT)
         fh[(a, b)] = _solve_hom(
             vt, f"hom comparison ({a},{b})",
-            fun.on_obj(homs_src[(a, b)].obj), homs_tgt[(fa, fb)].obj,
+            fun.obj_map[homs_src[(a, b)].obj], homs_tgt[(fa, fb)].obj,
             lambda w: vt.safe_subst(homs_tgt[(fa, fb)].e, 1, w), img)
     return SkewClosedFunctor(F.name + ".closed", src_cl, tgt_cl, fun,
                              _solve_f0(F, cert_src, cert_tgt), fh)
@@ -519,7 +519,7 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
     for g in vs.multimaps(TIGHT, 2):
         gs, b, c = sharp_img(g)
         carrier = vt.base.compose_opt(t.fh[(b, c)], F1(gs))
-        tight2[g] = vt.safe_subst(homs_tgt[(fun.on_obj(b), fun.on_obj(c))].e, 1, carrier)
+        tight2[g] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
     loose1 = {}
     for q in vs.multimaps(LOOSE, 1):
         if vs.is_tight(q):
@@ -529,7 +529,7 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
         curried = loose0.get(qs)
         if curried is None:
             raise NoSolution(f"loose unary reconstruction needs nullary image of {qs}")
-        fb, fc = fun.on_obj(b), fun.on_obj(c)
+        fb, fc = fun.obj_map[b], fun.obj_map[c]
         carrier = vt.safe_post(t.fh[(b, c)], curried)
         loose1[q] = vt.safe_subst(homs_tgt[(fb, fc)].e, 1, carrier)
     tight3 = {}
@@ -537,13 +537,13 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
         hs, b, c = sharp_img(h)
         img = tight2.get(hs)
         carrier = vt.safe_post(t.fh[(b, c)], img) if img else None
-        tight3[h] = vt.safe_subst(homs_tgt[(fun.on_obj(b), fun.on_obj(c))].e, 1, carrier)
+        tight3[h] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
     tight4 = {}
     for k in vs.multimaps(TIGHT, 4):
         ks, b, c = sharp_img(k)
         img = tight3.get(ks)
         carrier = vt.safe_post(t.fh[(b, c)], img) if img else None
-        tight4[k] = vt.safe_subst(homs_tgt[(fun.on_obj(b), fun.on_obj(c))].e, 1, carrier)
+        tight4[k] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
     loose2 = {}
     for r in vs.multimaps(LOOSE, 2):
         if vs.is_tight(r):
@@ -552,7 +552,7 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
         rs, b, c = sharp_img(r)
         img = loose1.get(rs)
         carrier = vt.safe_post(t.fh[(b, c)], img) if img else None
-        loose2[r] = vt.safe_subst(homs_tgt[(fun.on_obj(b), fun.on_obj(c))].e, 1, carrier)
+        loose2[r] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
 
     for table in (loose0, tight2, tight3, tight4, loose1, loose2):
         for key, val in table.items():

@@ -44,6 +44,7 @@ the reference does not enumerate through the code it checks.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import replace
@@ -70,6 +71,42 @@ from shortcat.skewmon import (
     Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
     _comp_chain, check_braiding_total,
 )
+
+# --------------------------------------------------------------------------
+# table accessors of categories, functors and skew monoidal and skew closed
+# categories that only the reference reads through
+# --------------------------------------------------------------------------
+
+def mors_into(c: FinCategory, a: str) -> tuple[str, ...]:
+    return c._adjacency[1].get(a, ())
+
+
+def on_obj(fun: FinFunctor, a: str) -> str:
+    try:
+        return fun.obj_map[a]
+    except KeyError:
+        raise MalformedTable(f"{fun.name}: no image for object {a}")
+
+
+def on_mor(fun: FinFunctor, f: str) -> str:
+    try:
+        return fun.mor_map[f]
+    except KeyError:
+        raise MalformedTable(f"{fun.name}: no image for morphism {f}")
+
+
+def tm_right(c: SkewMonCategory, a: str, g: str) -> Optional[str]:
+    return c.tm(c.base.identity(a), g)
+
+
+def hm_left(c: SkewClosedCategory, f: str, x: str) -> Optional[str]:
+    """[f, 1_x]: contravariant action in the first argument."""
+    return c.hm(f, c.base.identity(x))
+
+
+def hm_right(c: SkewClosedCategory, b: str, g: str) -> Optional[str]:
+    return c.hm(c.base.identity(b), g)
+
 
 # --------------------------------------------------------------------------
 # routing helpers
@@ -127,7 +164,7 @@ def safe_j(self, f: Optional[str]) -> Optional[str]:
 def multi_apply(self, f: str) -> str:
     n = self.source.arity(f)
     if n == 1:
-        return self.functor.on_mor(f)
+        return on_mor(self.functor, f)
     try:
         return self.maps[n][f]
     except KeyError:
@@ -278,8 +315,8 @@ def multi_profunctor_checks(m: ShortMulticategory) -> Iterator[Check]:
                            lambda q2=q2, q=q, f=f: (m.safe_post(q2, m.safe_post(q, f)),
                                                     m.safe_post(base.compose(q2, q), f)))
             for i in range(1, n + 1):
-                for p in base.mors_into(dom[i - 1]):
-                    for p2 in base.mors_into(base.dom(p)):
+                for p in mors_into(base, dom[i - 1]):
+                    for p2 in mors_into(base, base.dom(p)):
                         yield ("profunctor", ("pre-pre", f, str(i), p, p2),
                                lambda f=f, i=i, p=p, p2=p2: (
                                    m.safe_pre(m.safe_pre(f, i, p), i, p2),
@@ -290,8 +327,8 @@ def multi_profunctor_checks(m: ShortMulticategory) -> Iterator[Check]:
                                m.safe_post(q, m.safe_pre(f, i, p)),
                                m.safe_pre(m.safe_post(q, f), i, p)))
             for i, j in itertools.combinations(range(1, n + 1), 2):
-                for p in base.mors_into(dom[i - 1]):
-                    for p2 in base.mors_into(dom[j - 1]):
+                for p in mors_into(base, dom[i - 1]):
+                    for p2 in mors_into(base, dom[j - 1]):
                         yield ("profunctor", ("pre-commute", f, str(i), p, str(j), p2),
                                lambda f=f, i=i, p=p, j=j, p2=p2: (
                                    m.safe_pre(m.safe_pre(f, i, p), j, p2),
@@ -319,7 +356,7 @@ def multi_naturality_checks(m: ShortMulticategory) -> Iterator[Check]:
             gcod = m.cod(g)
             # naturality in the inner domain objects
             for t in range(1, k + 1):
-                for p in base.mors_into(fdom[t - 1]):
+                for p in mors_into(base, fdom[t - 1]):
                     yield ("nat-in-a", (g, str(i), f, str(t), p),
                            lambda g=g, i=i, f=f, t=t, p=p: (
                                m.safe_subst(g, i, m.safe_pre(f, t, p)),
@@ -329,7 +366,7 @@ def multi_naturality_checks(m: ShortMulticategory) -> Iterator[Check]:
                 if j == i:
                     continue
                 pos = j if j < i else j + k - 1
-                for p in base.mors_into(gdom[j - 1]):
+                for p in mors_into(base, gdom[j - 1]):
                     yield ("nat-in-b", (g, str(i), f, str(j), p),
                            lambda g=g, i=i, f=f, j=j, p=p, pos=pos: (
                                m.safe_subst(m.safe_pre(g, j, p), i, f),
@@ -346,7 +383,7 @@ def multi_naturality_checks(m: ShortMulticategory) -> Iterator[Check]:
             gpdom = m.dom(gp)
             for i in range(1, n + 1):
                 e = gpdom[i - 1]
-                for w in base.mors_into(e):
+                for w in mors_into(base, e):
                     x = base.dom(w)
                     for key in m.mapset_keys(k):
                         if key[1] != x:
@@ -495,8 +532,8 @@ def skew_profunctor_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
                        lambda q2=q2, q=q, f=f: (m.safe_post(q2, m.safe_post(q, f)),
                                                 m.safe_post(base.compose(q2, q), f)))
         for i in range(1, n + 1):
-            for p in base.mors_into(dom[i - 1]):
-                for p2 in base.mors_into(base.dom(p)):
+            for p in mors_into(base, dom[i - 1]):
+                for p2 in mors_into(base, base.dom(p)):
                     yield ("profunctor", ("pre-pre", f, str(i), p, p2),
                            lambda f=f, i=i, p=p, p2=p2: (
                                m.safe_pre(m.safe_pre(f, i, p), i, p2),
@@ -507,8 +544,8 @@ def skew_profunctor_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
                            m.safe_post(q, m.safe_pre(f, i, p)),
                            m.safe_pre(m.safe_post(q, f), i, p)))
         for i, jx in itertools.combinations(range(1, n + 1), 2):
-            for p in base.mors_into(dom[i - 1]):
-                for p2 in base.mors_into(dom[jx - 1]):
+            for p in mors_into(base, dom[i - 1]):
+                for p2 in mors_into(base, dom[jx - 1]):
                     yield ("profunctor", ("pre-commute", f, str(i), p, str(jx), p2),
                            lambda f=f, i=i, p=p, jx=jx, p2=p2: (
                                m.safe_pre(m.safe_pre(f, i, p), jx, p2),
@@ -563,7 +600,7 @@ def skew_naturality_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
         for g, i, f in sub_pairs(m, case):
             fdom, gdom, gcod = m.dom(f), m.dom(g), m.cod(g)
             for t in range(1, k + 1):
-                for p in base.mors_into(fdom[t - 1]):
+                for p in mors_into(base, fdom[t - 1]):
                     yield ("nat-in-a", (tag, g, str(i), f, str(t), p),
                            lambda g=g, i=i, f=f, t=t, p=p: (
                                m.safe_subst(g, i, m.safe_pre(f, t, p)),
@@ -572,7 +609,7 @@ def skew_naturality_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
                 if jx == i:
                     continue
                 pos = jx if jx < i else jx + k - 1
-                for p in base.mors_into(gdom[jx - 1]):
+                for p in mors_into(base, gdom[jx - 1]):
                     yield ("nat-in-b", (tag, g, str(i), f, str(jx), p),
                            lambda g=g, i=i, f=f, jx=jx, p=p, pos=pos: (
                                m.safe_subst(m.safe_pre(g, jx, p), i, f),
@@ -586,7 +623,7 @@ def skew_naturality_checks(m: ShortSkewMulticategory) -> Iterator[Check]:
             gpdom = m.dom(gp)
             for i in range(1, n + 1):
                 e = gpdom[i - 1]
-                for w in base.mors_into(e):
+                for w in mors_into(base, e):
                     xobj = base.dom(w)
                     for key in m.mapset_keys(y, k):
                         if key[1] != xobj:
@@ -710,16 +747,16 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     for f in src.morphisms():
         a, b = src.span(f)
         checks.append(("functor-span", (f,),
-                       lambda f=f, a=a, b=b: (str(tgt.span(fun.on_mor(f))),
-                                              str((fun.on_obj(a), fun.on_obj(b))))))
+                       lambda f=f, a=a, b=b: (str(tgt.span(on_mor(fun, f))),
+                                              str((on_obj(fun, a), on_obj(fun, b))))))
     for a in src.objects:
         checks.append(("functor-id", (a,),
-                       lambda a=a: (fun.on_mor(src.identity(a)),
-                                    tgt.ids.get(fun.on_obj(a)))))
+                       lambda a=a: (on_mor(fun, src.identity(a)),
+                                    tgt.ids.get(on_obj(fun, a)))))
     for g, f in composable_pairs(src):
         checks.append(("functor-comp", (g, f),
                        lambda g=g, f=f: (fun.mor_map.get(src.comp[(g, f)]),
-                                         tgt.compose_opt(fun.on_mor(g), fun.on_mor(f)))))
+                                         tgt.compose_opt(on_mor(fun, g), on_mor(fun, f)))))
     return run_checks(fun.name, checks)
 
 
@@ -777,7 +814,7 @@ def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
         a, b = base.span(f)
         checks.append(("nat-lambda", (f,),
                        lambda f=f, a=a, b=b: (
-                           _comp_chain(base, c.tm_right(c.unit, f), c.lam[b]),
+                           _comp_chain(base, tm_right(c, c.unit, f), c.lam[b]),
                            _comp_chain(base, c.lam[a], f))))
         checks.append(("nat-rho", (f,),
                        lambda f=f, a=a, b=b: (
@@ -792,7 +829,7 @@ def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
                            _comp_chain(base, c.alpha[(c.t(a, b), x, d)], c.alpha[(a, b, c.t(x, d))]),
                            _comp_chain(base, c.tm_left(c.alpha[(a, b, x)], d),
                                        c.alpha[(a, c.t(b, x), d)],
-                                       c.tm_right(a, c.alpha[(b, x, d)])))))
+                                       tm_right(c, a, c.alpha[(b, x, d)])))))
     for a, b in itertools.product(objs, repeat=2):
         checks.append(("left-unit", (a, b),
                        lambda a=a, b=b: (
@@ -801,11 +838,11 @@ def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
         checks.append(("right-unit", (a, b),
                        lambda a=a, b=b: (
                            _comp_chain(base, c.rho[c.t(a, b)], c.alpha[(a, b, i)]),
-                           c.tm_right(a, c.rho[b]))))
+                           tm_right(c, a, c.rho[b]))))
         checks.append(("middle-unit", (a, b),
                        lambda a=a, b=b: (
                            _comp_chain(base, c.tm_left(c.rho[a], b), c.alpha[(a, i, b)],
-                                       c.tm_right(a, c.lam[b])),
+                                       tm_right(c, a, c.lam[b])),
                            base.ids.get(c.t(a, b)))))
     checks.append(("unit-unit", (i,),
                    lambda: (_comp_chain(base, c.rho[i], c.lam[i]), base.ids.get(i))))
@@ -821,7 +858,7 @@ def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
     report = validate_functor(fun)
     checks: list[Check] = []
 
-    fi = fun.on_obj(src.unit)
+    fi = on_obj(fun, src.unit)
     checks.append(("f0-typing", (t.f0,),
                    lambda: (str(base._span.get(t.f0)), str((tgt.unit, fi)))))
     for a, b in itertools.product(src.base.objects, repeat=2):
@@ -829,16 +866,16 @@ def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
             raise MalformedTable(f"{t.name}: f2 not total at ({a},{b})")
         checks.append(("f2-typing", (a, b),
                        lambda a=a, b=b: (str(base._span.get(t.f2[(a, b)])),
-                                         str((tgt.t(fun.on_obj(a), fun.on_obj(b)),
-                                              fun.on_obj(src.t(a, b)))))))
+                                         str((tgt.t(on_obj(fun, a), on_obj(fun, b)),
+                                              on_obj(fun, src.t(a, b)))))))
     for f, g in itertools.product(src.base.morphisms(), repeat=2):
         (a, a2), (b, b2) = src.base.span(f), src.base.span(g)
         checks.append(("f2-nat", (f, g),
                        lambda f=f, g=g, a=a, b=b, a2=a2, b2=b2: (
-                           _comp_chain(base, tgt.tm(fun.on_mor(f), fun.on_mor(g)), t.f2[(a2, b2)]),
+                           _comp_chain(base, tgt.tm(on_mor(fun, f), on_mor(fun, g)), t.f2[(a2, b2)]),
                            _comp_chain(base, t.f2[(a, b)], fun.mor_map.get(src.tm(f, g))))))
 
-    F = fun.on_obj
+    F = functools.partial(on_obj, fun)
     for a, b, x in itertools.product(src.base.objects, repeat=3):
         checks.append(("lax-assoc", (a, b, x),
                        lambda a=a, b=b, x=x: (
@@ -846,7 +883,7 @@ def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
                                        t.f2[(src.t(a, b), x)],
                                        fun.mor_map.get(src.alpha[(a, b, x)])),
                            _comp_chain(base, tgt.alpha[(F(a), F(b), F(x))],
-                                       tgt.tm_right(F(a), t.f2[(b, x)]),
+                                       tm_right(tgt, F(a), t.f2[(b, x)]),
                                        t.f2[(a, src.t(b, x))]))))
     for a in src.base.objects:
         checks.append(("lax-left-unit", (a,),
@@ -856,7 +893,7 @@ def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
                            tgt.lam.get(F(a)))))
         checks.append(("lax-right-unit", (a,),
                        lambda a=a: (
-                           _comp_chain(base, tgt.rho[F(a)], tgt.tm_right(F(a), t.f0),
+                           _comp_chain(base, tgt.rho[F(a)], tm_right(tgt, F(a), t.f0),
                                        t.f2[(a, src.unit)]),
                            fun.mor_map.get(src.rho[a]))))
 
@@ -915,7 +952,7 @@ def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
                        lambda x=x, a=a, b=b, e=e: (
                            _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
                                        c.alpha[(x, c.t(a, b), e)],
-                                       c.tm_right(x, s[(a, b, e)])),
+                                       tm_right(c, x, s[(a, b, e)])),
                            _comp_chain(base, s[(c.t(x, a), b, e)],
                                        c.tm_left(c.alpha[(x, a, e)], b),
                                        c.alpha[(x, c.t(a, e), b)]))))
@@ -925,7 +962,7 @@ def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
 def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
-    F = fun.on_obj
+    F = functools.partial(on_obj, fun)
     checks: list[Check] = []
     for (x, a, b) in itertools.product(src.base.objects, repeat=3):
         checks.append(("braided-functor", (x, a, b),
@@ -986,35 +1023,35 @@ def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
         a, b = base.span(f)
         checks.append(("nat-I", (f,),
                        lambda f=f, a=a, b=b: (
-                           _comp_chain(base, c.hm_right(i, f), c.iu[b]),
+                           _comp_chain(base, hm_right(c, i, f), c.iu[b]),
                            _comp_chain(base, c.iu[a], f))))
         checks.append(("dinat-J", (f,),
                        lambda f=f, a=a, b=b: (
-                           _comp_chain(base, c.ju[a], c.hm_right(a, f)),
-                           _comp_chain(base, c.ju[b], c.hm_left(f, b)))))
+                           _comp_chain(base, c.ju[a], hm_right(c, a, f)),
+                           _comp_chain(base, c.ju[b], hm_left(c, f, b)))))
     for f in base.morphisms():
         b, b2 = base.span(f)
         for a, x in itertools.product(objs, repeat=2):
             # contravariant: [f,x] then L  =  L then [[a,f],1]
             checks.append(("nat-L-contra", (a, f, x),
                            lambda a=a, f=f, x=x, b=b, b2=b2: (
-                               _comp_chain(base, c.hm_left(f, x), c.ell[(a, b, x)]),
+                               _comp_chain(base, hm_left(c, f, x), c.ell[(a, b, x)]),
                                _comp_chain(base, c.ell[(a, b2, x)],
-                                           c.hm(c.hm_right(a, f),
+                                           c.hm(hm_right(c, a, f),
                                                 base.identity(c.h(a, x)))))))
             # covariant: L then [1,[a,f]]  =  [x,f] then L
             checks.append(("nat-L-co", (a, x, f),
                            lambda a=a, x=x, f=f, b=b, b2=b2: (
                                _comp_chain(base, c.ell[(a, x, b)],
-                                           c.hm(base.identity(c.h(a, x)), c.hm_right(a, f))),
-                               _comp_chain(base, c.hm_right(x, f), c.ell[(a, x, b2)]))))
+                                           c.hm(base.identity(c.h(a, x)), hm_right(c, a, f))),
+                               _comp_chain(base, hm_right(c, x, f), c.ell[(a, x, b2)]))))
             # dinatural in a: L^a then [[f,a-slot],1]  =  L^{a'} then [1,[f,x]]
             checks.append(("dinat-L", (f, a, x),
                            lambda f=f, a=a, x=x, b=b, b2=b2: (
                                _comp_chain(base, c.ell[(b, a, x)],
-                                           c.hm(c.hm_left(f, a), base.identity(c.h(b, x)))),
+                                           c.hm(hm_left(c, f, a), base.identity(c.h(b, x)))),
                                _comp_chain(base, c.ell[(b2, a, x)],
-                                           c.hm(base.identity(c.h(b2, a)), c.hm_left(f, x))))))
+                                           c.hm(base.identity(c.h(b2, a)), hm_left(c, f, x))))))
 
     # the five structure axioms
     for a, b, x, d in itertools.product(objs, repeat=4):
@@ -1052,7 +1089,7 @@ def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
 def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
-    F = fun.on_obj
+    F = functools.partial(on_obj, fun)
     report = validate_functor(fun)
     checks: list[Check] = []
 
@@ -1070,12 +1107,12 @@ def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
                        lambda f=f, g=g, b=b, b2=b2, x=x, x2=x2: (
                            _comp_chain(base, fun.mor_map.get(src.hm(f, g)), t.fh[(b, x2)]),
                            _comp_chain(base, t.fh[(b2, x)],
-                                       tgt.hm(fun.on_mor(f), fun.on_mor(g))))))
+                                       tgt.hm(on_mor(fun, f), on_mor(fun, g))))))
 
     for a in src.base.objects:
         checks.append(("closed-I", (a,),
                        lambda a=a: (
-                           _comp_chain(base, t.fh[(src.unit, a)], tgt.hm_left(t.f0, F(a)),
+                           _comp_chain(base, t.fh[(src.unit, a)], hm_left(tgt, t.f0, F(a)),
                                        tgt.iu[F(a)]),
                            fun.mor_map.get(src.iu[a]))))
         checks.append(("closed-J", (a,),
@@ -1137,7 +1174,7 @@ def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> V
                                    table.get(m.safe_post(q, f)),
                                    m.safe_post(q, table.get(f)))))
             for i in range(1, arity + 1):
-                for p in base.mors_into(dom[i - 1]):
+                for p in mors_into(base, dom[i - 1]):
                     checks.append((f"{tag}-nat", ("pre", f, str(i), p),
                                    lambda f=f, i=i, p=p, table=table, perm=perm: (
                                        table.get(m.safe_pre(f, i, p)),
@@ -1247,7 +1284,7 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
             if F.maps.get(n, {}).get(f) is None:
                 raise MalformedTable(f"{F.name}: no image for arity-{n} multimap {f}")
             _, dom, cod = src.info(f)
-            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))
+            want = (n, tuple(on_obj(fun, a) for a in dom), on_obj(fun, cod))
             checks.append(("morphism-typing", (f,),
                            lambda f=f, want=want: (str(tgt.info(multi_apply(F, f))), str(want))))
 
@@ -1260,7 +1297,7 @@ def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
                                lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
                                                  tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
             for i in range(1, n + 1):
-                for p in src.base.mors_into(dom[i - 1]):
+                for p in mors_into(src.base, dom[i - 1]):
                     checks.append(("morphism-nat", ("pre", f, str(i), p),
                                    lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
                                                           tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
@@ -1291,7 +1328,7 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
             if img is None:
                 raise MalformedTable(f"{F.name}: no image for {flavour}{n} multimap {f}")
             _, dom, cod, _ = src.info(f)
-            want = (n, tuple(fun.on_obj(a) for a in dom), fun.on_obj(cod))
+            want = (n, tuple(on_obj(fun, a) for a in dom), on_obj(fun, cod))
             checks.append(("morphism-typing", (flavour + str(n), f),
                            lambda img=img, want=want, flavour=flavour: (
                                str((tgt.info(img)[0], tgt.info(img)[1], tgt.info(img)[2],
@@ -1305,7 +1342,7 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
                            lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
                                              tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
         for i in range(1, n + 1):
-            for p in src.base.mors_into(dom[i - 1]):
+            for p in mors_into(src.base, dom[i - 1]):
                 checks.append(("morphism-nat", ("pre", f, str(i), p),
                                lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
                                                       tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
@@ -1601,7 +1638,7 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
         for f in skeleton.multimaps(TIGHT, n):
             dom, cod = skeleton.dom(f), skeleton.cod(f)
             a1 = dom[0]
-            lifted = base.compose(c.hm_right(a1, under[f]), c.ju[a1])
+            lifted = base.compose(hm_right(c, a1, under[f]), c.ju[a1])
             j[f] = rewrap(LOOSE, n, dom, cod, lifted)
 
     def pre_action(f: str, i: int, p: str) -> str:

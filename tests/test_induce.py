@@ -11,13 +11,13 @@ import pytest
 
 import reference_validators as ref
 from reference_validators import induce_short_multi as reference_induce_short_multi
-from shortcat import catalogue
+from shortcat import catalogue, induce
 from shortcat.catalogue import (
     bz2_category, catalogue_short_multis, catalogue_skew_closed, catalogue_skew_monoidals,
 )
 from shortcat.errors import MalformedTable
 from shortcat.induce import _Bracketer, induce_closed_skew, induce_short_multi, induce_short_skew
-from shortcat.shortskew import ShortSkewMulticategory, embed_plain, plain_of
+from shortcat.shortskew import ShortSkewMulticategory, build, embed_plain, plain_of
 from shortcat.skewmon import classify_flavour
 from test_kernel import _cyclic_of
 
@@ -65,6 +65,23 @@ def test_skew_builders_match_reference(monkeypatch):
     for name, x in catalogue_skew_closed().items():
         assert _skew_tables(induce_closed_skew(x)) == _skew_tables(ref.induce_closed_skew(x)), name
     assert (len(monoidal), len(catalogue_skew_closed())) == (11, 2)
+
+
+def test_build_asks_members_once_per_domain(monkeypatch):
+    """build asks its members callback once per (flavour, arity, domain),
+    for all the codomains at once: on Z/3, 3^2 + 3^3 + 3^4 tight domains and
+    1 + 3 + 3^2 loose ones."""
+    calls = []
+
+    def counted(name, base, members, pick):
+        def asked(*args):
+            calls.append(args)
+            return members(*args)
+        return build(name, base, asked, pick)
+
+    monkeypatch.setattr(induce, "build", counted)
+    induce_short_skew(catalogue_skew_monoidals()["z3.mon"])
+    assert len(calls) == len(set(calls)) == 130
 
 
 def test_each_build_constructs_its_structure_once(monkeypatch):

@@ -447,7 +447,7 @@ def test_adjacency_matches_its_definition():
         base = m.base
         assert base.morphisms() == tuple(sorted(base._span)), name
         for a in base.objects:
-            assert base.mors_into(a) == tuple(sorted(
+            assert base._adjacency[1][a] == tuple(sorted(
                 f for f, (_, c) in base._span.items() if c == a)), name
             assert base.mors_out_of(a) == tuple(sorted(
                 f for f, (d, _) in base._span.items() if d == a)), name

@@ -75,7 +75,7 @@ def test_subst_agrees_with_actions_on_unary_arguments():
             for f in m.multimaps(max(n, 2)):
                 dom = m.dom(f)
                 for i in range(1, len(dom) + 1):
-                    for p in m.base.mors_into(dom[i - 1]):
+                    for p in m.base._adjacency[1][dom[i - 1]]:
                         assert m.safe_subst(f, i, p) == m.safe_pre(f, i, p) is not None
 
 

@@ -8,8 +8,8 @@ from shortcat.catalogue import (
 from shortcat.report import run_checks
 from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
 from shortcat.shortskew import (
-    LOOSE, TIGHT, embed_plain, identity_skew_morphism, validate_short_skew,
-    validate_skew_multi_morphism,
+    _CASE_OF, _LANDING, LOOSE, TIGHT, embed_plain, identity_skew_morphism, sub_flavour,
+    validate_short_skew, validate_skew_multi_morphism,
 )
 from test_kernel import _cyclic
 
@@ -120,3 +120,13 @@ def test_plain_as_skew_shares_the_lookups():
     for name, m in structures:
         assert m.as_skew.lookups is m.lookups, name
     assert len(structures) == 9
+
+
+def test_landing_table_agrees_with_sub_flavour():
+    """_LANDING, which the structure check and build read, gives for each
+    type pair of _CASE_OF and each slot of its outer map the flavour that
+    sub_flavour gives the stored case there, and holds no other key."""
+    for (n, xs, k, ys), (_, x, _, y) in _CASE_OF.items():
+        for i in range(1, n + 1):
+            assert _LANDING[n, xs, k, ys, i] == sub_flavour(x, i, y), (n, xs, k, ys, i)
+    assert len(_LANDING) == sum(n for n, _, _, _ in _CASE_OF)
