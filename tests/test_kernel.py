@@ -434,16 +434,42 @@ def test_validator_matches_reference(name):
     assert tried >= 4 and failing >= 1, (tried, failing)
 
 
-def _grouped(keys_and_maps):
-    out = {}
-    for key, fs in keys_and_maps:
-        out.setdefault(key, []).extend(fs)
-    return {key: tuple(fs) for key, fs in out.items()}
+def _index_inputs():
+    """The catalogue structures, Z/2..Z/4 in both kinds, the skew induction
+    of each catalogue skew monoidal category, BZ/2 (whose hom-set holds two
+    parallel morphisms) in both kinds, and copies with one table emptied."""
+    yield from catalogue_short_multis().items()
+    yield from catalogue_short_skews().items()
+    for n in (2, 3, 4):
+        yield from _cyclic(n)
+    for name, c in catalogue_skew_monoidals().items():
+        yield f"{name}.induced", induce_short_skew(c)
+    yield "bz2", induce_short_multi(bz2_category())
+    yield "bz2.skew", induce_short_skew(bz2_category())
+    m = catalogue_short_multis()["z2"]
+    yield "z2 without nullaries", dataclasses.replace(m, maps={**m.maps, 0: {}})
+    s = poset2_first_short_skew()
+    yield "poset2-first without loose nullaries", dataclasses.replace(s, loose={**s.loose, 0: {}})
+
+
+def _raw_tables(m):
+    """Each multimap table of m by head, read from the dataclass fields: a
+    head is the arity, after the flavour in a skew structure, and the base
+    hom-sets are the (tight) unary table."""
+    homs = {((a,), b): fs for (a, b), fs in m.base.homs.items()}
+    if isinstance(m, ShortMulticategory):
+        return {(1,): homs, **{(n,): m.maps.get(n, {}) for n in (0, 2, 3, 4)}}
+    return {(TIGHT, 1): homs, **{(TIGHT, n): m.tight.get(n, {}) for n in (2, 3, 4)},
+            **{(LOOSE, n): m.loose.get(n, {}) for n in (0, 1, 2)}}
 
 
 def test_adjacency_matches_its_definition():
-    """The cached adjacency equals sorting and filtering the tables."""
-    for name, m in list(catalogue_short_multis().items()) + list(catalogue_short_skews().items()):
+    """The cached adjacency and the multimap index equal sorting and
+    filtering the dataclass fields: multimaps are the sorted ids of a head's
+    table, maps_into concatenates its sets of one codomain in key order,
+    mapset reads one set and mapset_keys sorts the keys."""
+    tried = 0
+    for name, m in _index_inputs():
         base = m.base
         assert base.morphisms() == tuple(sorted(base._span)), name
         for a in base.objects:
@@ -451,24 +477,18 @@ def test_adjacency_matches_its_definition():
                 f for f, (_, c) in base._span.items() if c == a)), name
             assert base.mors_out_of(a) == tuple(sorted(
                 f for f, (d, _) in base._span.items() if d == a)), name
-        if isinstance(m, ShortMulticategory):
-            for n in (0, 2, 3, 4):
-                assert m.multimaps(n) == tuple(sorted(
-                    f for f, (k, _, _) in m._index.items() if k == n)), name
-            for n in (0, 1, 2, 3, 4):
-                want = _grouped(((n, key[1]), m.mapset(n, *key)) for key in m.mapset_keys(n))
-                for (_, cod), fs in want.items():
-                    assert m.maps_into(n, cod) == fs, name
-        else:
-            for flavour, arities in ((TIGHT, (2, 3, 4)), (LOOSE, (0, 1, 2))):
-                tables = m.tight if flavour == TIGHT else m.loose
-                for n in arities:
-                    assert m.multimaps(flavour, n) == tuple(sorted(
-                        f for fs in tables.get(n, {}).values() for f in fs)), name
-                    want = _grouped(((n, key[1]), m.mapset(flavour, n, *key))
-                                    for key in m.mapset_keys(flavour, n))
-                    for (_, cod), fs in want.items():
-                        assert m.maps_into(flavour, n, cod) == fs, name
+        for head, table in _raw_tables(m).items():
+            keys = sorted(table)
+            assert m.multimaps(*head) == tuple(sorted(f for fs in table.values() for f in fs)), name
+            assert m.mapset_keys(*head) == keys, (name, head)
+            for dom, cod in keys:
+                assert m.mapset(*head, dom, cod) == table[dom, cod], (name, head, dom, cod)
+            assert m.mapset(*head, (base.objects[0],) * head[-1], "nowhere") == (), (name, head)
+            for x in base.objects:
+                assert m.maps_into(*head, x) == tuple(
+                    f for dom, cod in keys if cod == x for f in table[dom, cod]), (name, head, x)
+        tried += 1
+    assert tried == 6 + 7 + 6 + 7 + 2 + 2, tried
 
 
 def test_replace_does_not_carry_adjacency():
