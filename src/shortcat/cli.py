@@ -293,22 +293,19 @@ def cmd_roundtrip(args) -> int:
 # catalogue
 # --------------------------------------------------------------------------
 
-def _monoid_files(mon: Monoid, symmetric: bool) -> list[StructureFile]:
+def _monoid_files(mon: Monoid) -> list[StructureFile]:
     from . import catalogue as cat
     from .shortskew import embed_plain
     short = cat.monoid_short_multi(mon)
     skew = embed_plain(short)
-    out = [
+    return [
         StructureFile("short-multi", mon.name, short),
         StructureFile("skew-monoidal", mon.name + ".mon", cat.monoid_skew_monoidal(mon)),
+        StructureFile("short-skew", mon.name + ".skew",
+                      (skew, cat.forced_short_braiding(skew, mon.name + ".beta"))),
+        StructureFile("braiding", mon.name + ".sym",
+                      (cat.monoid_skew_monoidal(mon), cat.monoid_symmetry(mon))),
     ]
-    beta = cat.forced_short_braiding(skew, mon.name + ".beta") if symmetric else None
-    out.append(StructureFile("short-skew", mon.name + ".skew", (skew, beta)))
-    if symmetric:
-        out.append(StructureFile(
-            "braiding", mon.name + ".sym",
-            (cat.monoid_skew_monoidal(mon), cat.monoid_symmetry(mon))))
-    return out
 
 
 # Characters a generated name may not hold: `=` splits a file line, and a
@@ -374,11 +371,11 @@ def catalogue_files(name: str, args=None) -> list[StructureFile]:
             StructureFile("skew-closed", "terminal.cl", cat.terminal_skew_closed()),
         ]
     if name == "z2":
-        return _monoid_files(cat.z2_monoid(), symmetric=True)
+        return _monoid_files(cat.z2_monoid())
     if name == "z3":
-        return _monoid_files(cat.z3_monoid(), symmetric=True)
+        return _monoid_files(cat.z3_monoid())
     if name == "klein-four":
-        return _monoid_files(cat.klein_monoid(), symmetric=True)
+        return _monoid_files(cat.klein_monoid())
     if name == "poset-skew-second":
         return [
             StructureFile("skew-monoidal", "poset2-second", cat.poset2_skew_second()),
@@ -398,7 +395,7 @@ def catalogue_files(name: str, args=None) -> list[StructureFile]:
             StructureFile("skew-closed", "heyting2.cl", cat.heyting2_skew_closed()),
         ]
     if name == "comm-monoid":
-        return _monoid_files(_comm_monoid(args), symmetric=True)
+        return _monoid_files(_comm_monoid(args))
     if name == "mutants":
         out = []
         for idx, mut in enumerate(cat.catalogue_mutants()):

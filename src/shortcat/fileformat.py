@@ -272,10 +272,11 @@ def serialize(sf: StructureFile) -> str:
 
 Record = tuple[int, tuple[str, ...], tuple[str, ...]]   # line number, arguments, values
 
-# The record keywords of every kind. Only their runs are tried as blocks, so
-# a file tries at most this many runs, however many keywords it invents.
+# The keywords of every table record, VALUE and LIST ones left out. Only
+# their runs are tried as blocks, so a file tries at most this many runs,
+# however many keywords it invents.
 _KEYWORDS = frozenset(kw for rows in (*ROWS.values(), *MORPHISM_TABLES.values())
-                      for kw, _, _ in rows)
+                      for kw, _, shape in rows if shape is not VALUE and shape is not LIST)
 # The line breaks of str.splitlines other than "\n".
 _BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -318,11 +319,6 @@ def _block(run: str, kw: str, no: int) -> Optional[_Block]:
         return None
     cols = [list(map(sys.intern, toks[c::w])) for c in range(1, w) if c != e]
     return _Block(no, n, cols[:e - 1], cols[e - 1:])
-
-
-def _expanded(found: list) -> list[Record]:
-    """The records of one keyword, with its block read back into lines."""
-    return found[0].records() if found and type(found[0]) is _Block else found
 
 
 def _line(records: dict, no: int, rawline: str) -> None:
@@ -405,7 +401,7 @@ def _records(text: str) -> dict[str, list]:
 
 def _single(records: dict, keyword: str, missing: ParseError) -> tuple[int, tuple[str, ...]]:
     """The line number and values of a record given once, without arguments."""
-    found = _expanded(records.pop(keyword, None))
+    found = records.pop(keyword, None)
     if not found:
         raise missing
     if len(found) > 1:
@@ -425,10 +421,9 @@ def _one(no: int, keyword: str, vals: tuple[str, ...]) -> str:
 def _read(records: dict, rows: tuple[Row, ...]) -> list:
     """Pop the records of each row and return their tables, in row order.
 
-    A row read as one block is zipped from its columns. Any other row, and
-    a block that fails one of the same checks, is read by the comprehension
-    of its shape; when it fails, or a count shows a bad record, _reject
-    finds the first bad record in file order."""
+    A row read as one block is zipped from its columns by _columns. Any
+    other row, and a block that fails one of its checks, is read record by
+    record by _table."""
     out: list = []
     declared: frozenset = frozenset()
     for row in rows:
@@ -449,36 +444,13 @@ def _read(records: dict, rows: tuple[Row, ...]) -> list:
                 out.append(table)
                 continue
             found = found[0].records()
-        try:
-            if shape is MAP:
-                table = {(a[:-1], a[-1]): v for _, a, v in found}
-                ok = all(len(dom) == nargs - 1 for dom, _ in table)
-            elif shape is HOM:
-                table = {a: v for _, a, v in found}
-                ok = all(len(a) == nargs and declared.issuperset(a) for a in table)
-            elif shape is SLOT:
-                table = {(f, int(i), p): v for _, (f, i, p), (v,) in found}
-                ok = True
-            elif shape is TEXT:
-                table = {a: " ".join(v) for _, (a,), v in found}
-                ok = True
-            elif nargs == 1:
-                table = {a: v for _, (a,), (v,) in found}
-                ok = shape is ONE or declared.issuperset(table)
-            else:
-                table = {a: v for _, a, (v,) in found}
-                ok = all(len(a) == nargs for a in table)
-        except (ValueError, IndexError):
-            ok = False
-        if not ok or len(table) != len(found):
-            _reject(row, found, declared)
-        out.append(table)
+        out.append(_table(row, found, declared))
     return out
 
 
 def _columns(row: Row, block: _Block, declared: frozenset) -> Optional[dict]:
-    """The table of a row read from the columns of a block, or None when a
-    check of the comprehensions of _read fails."""
+    """The table of a row read from the columns of a block, or None when one
+    of the checks of _table fails or a key repeats."""
     kw, nargs, shape = row
     n, args, vals = block.n, block.args, block.vals
     if len(args) != nargs or shape is TEXT:
@@ -506,11 +478,13 @@ def _columns(row: Row, block: _Block, declared: frozenset) -> Optional[dict]:
     return table if len(table) == n else None
 
 
-def _reject(row: Row, found: list[Record], declared: frozenset) -> None:
-    """Raise the error of the first bad record of a row, in file order. Within
-    a record the argument count, the declared objects, the value count, the
-    slot and the key are checked in that order."""
+def _table(row: Row, found: list[Record], declared: frozenset) -> dict:
+    """The table of a row read record by record, in file order; the first
+    bad record raises its error. Within a record the argument count, the
+    declared objects, the value count, the slot and the key are checked in
+    that order."""
     kw, nargs, shape = row
+    table: dict = {}
     first: dict = {}
     for no, args, vals in found:
         if len(args) != nargs:
@@ -519,19 +493,25 @@ def _reject(row: Row, found: list[Record], declared: frozenset) -> None:
             for o in args:
                 if o not in declared:
                     raise ParseError(no, f"undeclared object {o!r}")
-        if shape not in (HOM, MAP, TEXT):
-            _one(no, kw, vals)
-        key = args
-        if shape is SLOT:
-            try:
-                key = (args[0], int(args[1]), args[2])
-            except ValueError:
-                raise ParseError(no, f"expected a position, got {args[1]!r}")
+        if shape is MAP:
+            key, value = (args[:-1], args[-1]), vals
+        elif shape is HOM:
+            key, value = args, vals
+        elif shape is TEXT:
+            key, value = args[0], " ".join(vals)
+        else:
+            key, value = (args[0] if nargs == 1 else args), _one(no, kw, vals)
+            if shape is SLOT:
+                try:
+                    key = (args[0], int(args[1]), args[2])
+                except ValueError:
+                    raise ParseError(no, f"expected a position, got {args[1]!r}")
         if key in first:
             raise ParseError(no, f"repeated key {kw} {' '.join(args)}, "
                                  f"first given at line {first[key]}")
         first[key] = no
-    raise AssertionError(f"no bad {kw} record")
+        table[key] = value
+    return table
 
 
 def parse(text: str) -> tuple[StructureFile, list[str]]:

@@ -45,14 +45,19 @@ class MultiTables:
 
     A subclass is a frozen dataclass with `name`, `base`, `pre`, `post`,
     `sub` and `_index` (id -> (arity, domain, codomain, ...)). It supplies
-    `table_maps`, `_stored_cases` and `_tables` (its multimap tables by
-    arity, for the key-shape check). The pre, post and sub tables are keyed
-    by exactly the keys of `domains`, which is also what the structure
-    check, the builders, the naturality cases and the morphism laws walk.
-    The routing rule is written once, in `lookups`: a base morphism, the
-    only tight unary map, composes in the base, and every other id reads
-    the pre, post and sub tables. `safe_pre`, `safe_post`, `safe_subst` and
-    the validators all read those dicts.
+    `table_maps`, `_BASE_HEAD`, `_CASES` and `_tables()`. A *head* is an
+    arity, after the flavour in a skew structure, and a type is a head
+    followed by a domain and a codomain: `_tables()` gives the (head, table)
+    pair of each multimap table, `_BASE_HEAD` is the head of the base
+    hom-sets and `_CASES` the (subject prefix, outer head, inner head) of
+    each stored substitution case. The multimap index is written once, over
+    heads. The pre, post and sub tables are keyed by exactly the keys of
+    `domains`, which is also what the structure check, the builders, the
+    naturality cases and the morphism laws walk. The routing rule is written
+    once, in `lookups`: a base morphism, the only tight unary map, composes
+    in the base, and every other id reads the pre, post and sub tables.
+    `safe_pre`, `safe_post`, `safe_subst` and the validators all read those
+    dicts.
     """
 
     # -- typed lookups ------------------------------------------------------
@@ -70,6 +75,50 @@ class MultiTables:
 
     def cod(self, f: str) -> str:
         return self.info(f)[2]
+
+    # -- the multimap index ----------------------------------------------------
+    # Built on first use; not dataclass fields, so dataclasses.replace never
+    # carries them into a redirected copy. Validation reads only _by_arity
+    # and _by_cod; mapset and the classifier scans read the flat _mapsets.
+    @cached_property
+    def _by_head(self) -> dict[tuple, dict[Key, tuple[str, ...]]]:
+        """Every multimap table by head, the base hom-sets under _BASE_HEAD."""
+        homs = {((a,), b): fs for (a, b), fs in self.base.homs.items()}
+        return {self._BASE_HEAD: homs, **dict(self._tables())}
+
+    @cached_property
+    def _by_arity(self) -> dict[tuple, tuple[str, ...]]:
+        return {head: tuple(sorted(f for fs in table.values() for f in fs))
+                for head, table in self._by_head.items()}
+
+    @cached_property
+    def _by_cod(self) -> dict[tuple, tuple[str, ...]]:
+        out: dict[tuple, list[str]] = {}
+        for head, table in self._by_head.items():
+            for dom, cod in sorted(table):
+                out.setdefault(head + (cod,), []).extend(table[dom, cod])
+        return {key: tuple(fs) for key, fs in out.items()}
+
+    @cached_property
+    def _mapsets(self) -> dict[tuple, tuple[str, ...]]:
+        """Every multimap set, keyed by its type: the tables' own tuples."""
+        return {head + key: fs for head, table in self._by_head.items()
+                for key, fs in table.items()}
+
+    def mapset(self, *ty) -> tuple[str, ...]:
+        """The multimaps of a type: its head, then (domain, codomain)."""
+        return self._mapsets.get(ty, ())
+
+    def multimaps(self, *head) -> tuple[str, ...]:
+        return self._by_arity.get(head, ())
+
+    def maps_into(self, *key) -> tuple[str, ...]:
+        """The multimaps of a head (key without its last item) with codomain
+        the last item, by domain and then id."""
+        return self._by_cod.get(key, ())
+
+    def mapset_keys(self, *head) -> list[Key]:
+        return sorted(self._by_head.get(head, {}))
 
     # -- the routing rule ----------------------------------------------------
     # Built on first use; not a dataclass field, so dataclasses.replace never
@@ -119,11 +168,13 @@ class MultiTables:
                for i, a in enumerate(idx[f][1], 1) for p in into.get(a, ())]
         post = [(q, f) for _, f in self.table_maps for q in out_of.get(idx[f][2], ())]
         cases = []
-        for tag, n, k, outers, maps_into in self._stored_cases():
-            inner = {x: [f for f in fs if f not in routed] for x, fs in maps_into.items()}
+        for tag, outer_head, inner_head in self._CASES:
+            outers = self.multimaps(*outer_head)
+            inner = {key[-1]: [f for f in fs if f not in routed]
+                     for key, fs in self._by_cod.items() if key[:-1] == inner_head}
             keys = [(g, i, f) for g in outers if g not in routed
                     for i, a in enumerate(idx[g][1], 1) for f in inner.get(a, ())]
-            cases.append((tag, n, k, keys, outers, inner))
+            cases.append((tag, outer_head[-1], inner_head[-1], keys, outers, inner))
         return pre, post, cases
 
     def _check_rows(self, *rows: tuple) -> None:
@@ -133,7 +184,7 @@ class MultiTables:
         in the multimaps, and on `rows`."""
         self.base.check_structure()
         name, objects = self.name, set(self.base.objects)
-        for n, table in self._tables():
+        for (*_, n), table in self._tables():
             for dom, cod in table:
                 if len(dom) != n:
                     raise MalformedTable(f"{name}: arity-{n} key with {len(dom)} inputs")
@@ -161,6 +212,9 @@ class ShortMulticategory(MultiTables):
     _index: dict[str, tuple[int, tuple[str, ...], str]] = field(
         default_factory=dict, repr=False, compare=False)
 
+    _BASE_HEAD = (1,)
+    _CASES = tuple(((), (n,), (k,)) for n, k in sorted(STORED_CASES))
+
     def __post_init__(self):
         index: dict[str, tuple[int, tuple[str, ...], str]] = {}
         for f in self.base.morphisms():
@@ -185,49 +239,15 @@ class ShortMulticategory(MultiTables):
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_index", index)
 
-    def mapset(self, n: int, dom: tuple[str, ...], cod: str) -> tuple[str, ...]:
-        if n == 1:
-            return self.base.hom(dom[0], cod)
-        return self.maps.get(n, {}).get((tuple(dom), cod), ())
-
-    # Sorted adjacency, computed on first use; not a dataclass field, so
-    # dataclasses.replace never carries it into a redirected copy.
-    @cached_property
-    def _by_arity(self) -> dict[int, tuple[str, ...]]:
-        return {n: tuple(sorted(f for f, (k, _, _) in self._index.items() if k == n))
-                for n in self.maps}
-
-    @cached_property
-    def _by_cod(self) -> dict[tuple[int, str], tuple[str, ...]]:
-        out: dict[tuple[int, str], list[str]] = {}
-        for n in (0, 1, 2, 3, 4):
-            for dom, cod in self.mapset_keys(n):
-                out.setdefault((n, cod), []).extend(self.mapset(n, dom, cod))
-        return {key: tuple(fs) for key, fs in out.items()}
-
     @cached_property
     def as_skew(self) -> ShortSkewMulticategory:
         """The plain-as-skew view (shortskew.embed_plain), built on first use
-        and kept like the adjacency above. It shares this structure's lookups:
+        and kept like the multimap index. It shares this structure's lookups:
         embed_plain keeps the base, pre, post and sub they are built from."""
         from .shortskew import embed_plain
         view = embed_plain(self)
         object.__setattr__(view, "lookups", self.lookups)
         return view
-
-    def multimaps(self, n: int) -> tuple[str, ...]:
-        if n == 1:
-            return self.base.morphisms()
-        return self._by_arity.get(n, ())
-
-    def maps_into(self, n: int, cod: str) -> tuple[str, ...]:
-        """The arity-n multimaps with codomain cod, by domain and then id."""
-        return self._by_cod.get((n, cod), ())
-
-    def mapset_keys(self, n: int) -> list[Key]:
-        if n == 1:
-            return sorted(((a,), b) for (a, b) in self.base.homs)
-        return sorted(self.maps.get(n, {}))
 
     # -- what the table core needs --------------------------------------------
     @cached_property
@@ -235,13 +255,8 @@ class ShortMulticategory(MultiTables):
         """(arity, multimap) over arities 0, 2, 3 and 4, by arity and then id."""
         return tuple((n, f) for n in (0, 2, 3, 4) for f in self.multimaps(n))
 
-    def _tables(self) -> Iterable[tuple[int, dict]]:
-        return self.maps.items()
-
-    def _stored_cases(self) -> Iterator[tuple]:
-        for n, k in sorted(STORED_CASES):
-            yield ((), n, k, self.multimaps(n),
-                   {x: fs for (a, x), fs in self._by_cod.items() if a == k})
+    def _tables(self) -> Iterator[tuple[tuple, dict]]:
+        return (((n,), table) for n, table in self.maps.items())
 
     def check_structure(self) -> None:
         self._check_rows()

@@ -90,6 +90,10 @@ class ShortSkewMulticategory(MultiTables):
     _index: dict[str, tuple[int, tuple[str, ...], str, frozenset]] = field(
         default_factory=dict, repr=False, compare=False)
 
+    _BASE_HEAD = (TIGHT, 1)
+    _CASES = tuple(((f"{x}{n}-{y}{k}",), (x, n), (y, k))
+                   for n, x, k, y in sorted(STORED_SKEW_CASES))
+
     def __post_init__(self):
         index: dict[str, tuple[int, tuple[str, ...], str, set]] = {}
         for f in self.base.morphisms():
@@ -133,53 +137,6 @@ class ShortSkewMulticategory(MultiTables):
     def is_loose(self, f: str) -> bool:
         return LOOSE in self.info(f)[3]
 
-    def mapset(self, flavour: str, n: int, dom: tuple[str, ...], cod: str) -> tuple[str, ...]:
-        return self._mapsets.get((flavour, n, tuple(dom), cod), ())
-
-    # Derived tables, built on first use; not dataclass fields, so
-    # dataclasses.replace never carries them into a redirected copy.
-    @cached_property
-    def _mapsets(self) -> dict[tuple[str, int, tuple[str, ...], str], tuple[str, ...]]:
-        """Every multimap set, keyed (flavour, arity, domain, codomain): the
-        tables' own tuples, and the base hom-sets as the tight unary ones."""
-        out = {(TIGHT, 1, (a,), b): fs for (a, b), fs in self.base.homs.items()}
-        for flavour, tables in ((TIGHT, self.tight), (LOOSE, self.loose)):
-            for n, table in tables.items():
-                out.update(((flavour, n, dom, cod), fs) for (dom, cod), fs in table.items())
-        return out
-
-    @cached_property
-    def _by_arity(self) -> dict[tuple[str, int], tuple[str, ...]]:
-        return {(flavour, n): tuple(sorted(f for fs in table.values() for f in fs))
-                for flavour, tables in ((TIGHT, self.tight), (LOOSE, self.loose))
-                for n, table in tables.items()}
-
-    @cached_property
-    def _by_cod(self) -> dict[tuple[str, int, str], tuple[str, ...]]:
-        out: dict[tuple[str, int, str], list[str]] = {}
-        for flavour, arities in ((TIGHT, (1, 2, 3, 4)), (LOOSE, (0, 1, 2))):
-            for n in arities:
-                for dom, cod in self.mapset_keys(flavour, n):
-                    out.setdefault((flavour, n, cod), []).extend(
-                        self.mapset(flavour, n, dom, cod))
-        return {key: tuple(fs) for key, fs in out.items()}
-
-    def multimaps(self, flavour: str, n: int) -> tuple[str, ...]:
-        if flavour == TIGHT and n == 1:
-            return self.base.morphisms()
-        return self._by_arity.get((flavour, n), ())
-
-    def maps_into(self, flavour: str, n: int, cod: str) -> tuple[str, ...]:
-        """The multimaps of a flavour and arity n with codomain cod, by domain
-        and then id."""
-        return self._by_cod.get((flavour, n, cod), ())
-
-    def mapset_keys(self, flavour: str, n: int) -> list[Key]:
-        if flavour == TIGHT and n == 1:
-            return sorted(((a,), b) for (a, b) in self.base.homs)
-        tables = self.tight if flavour == TIGHT else self.loose
-        return sorted(tables.get(n, {}))
-
     # -- what the table core needs --------------------------------------------
     @cached_property
     def table_maps(self) -> tuple[tuple[int, str], ...]:
@@ -193,13 +150,10 @@ class ShortSkewMulticategory(MultiTables):
                         arity.setdefault(f, n)
         return tuple((n, f) for f, n in arity.items())
 
-    def _stored_cases(self) -> Iterator[tuple]:
-        for n, x, k, y in sorted(STORED_SKEW_CASES):
-            yield ((f"{x}{n}-{y}{k}",), n, k, self.multimaps(x, n),
-                   {cod: fs for (fl, a, cod), fs in self._by_cod.items() if (fl, a) == (y, k)})
-
-    def _tables(self) -> Iterator[tuple[int, dict]]:
-        return itertools.chain(self.tight.items(), self.loose.items())
+    def _tables(self) -> Iterator[tuple[tuple, dict]]:
+        return (((flavour, n), table)
+                for flavour, tables in ((TIGHT, self.tight), (LOOSE, self.loose))
+                for n, table in tables.items())
 
     def check_structure(self) -> None:
         """The shared table checks with j keyed by exactly the tight unary

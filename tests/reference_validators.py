@@ -1870,7 +1870,7 @@ def _stored(m, g: str, i: int, f: str) -> bool:
 def check_structure(m) -> None:
     m.base.check_structure()
     idx, span = m._index, m.base._span
-    for n, table in m._tables():
+    for (*_, n), table in m._tables():
         for dom, cod in table:
             if len(dom) != n:
                 raise MalformedTable(f"{m.name}: arity-{n} key with {len(dom)} inputs")

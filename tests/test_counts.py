@@ -4,6 +4,7 @@ objects and hom-sets, the multimap tables), never the structure's index,
 adjacency, table domains or lookups, nor any helper of the package or of
 the reference validators."""
 import argparse
+import functools
 import itertools
 from collections import Counter
 
@@ -143,16 +144,14 @@ def _structures() -> dict:
 
 
 STRUCTURES = _structures()
-_REPORTS: dict = {}
 
 
+@functools.cache
 def _counts(name: str) -> dict:
-    if name not in _REPORTS:
-        m = STRUCTURES[name]
-        validate = validate_short_multicategory if isinstance(m, ShortMulticategory) \
-            else validate_short_skew
-        _REPORTS[name] = validate(m).counts
-    return _REPORTS[name]
+    m = STRUCTURES[name]
+    validate = validate_short_multicategory if isinstance(m, ShortMulticategory) \
+        else validate_short_skew
+    return validate(m).counts
 
 
 # The pre-post loop checks only the last p into each slot, so where more
