@@ -9,16 +9,19 @@ from shortcat.classify import certify, check_representable, find_closed_structur
 from shortcat.errors import MultipleSolutions, NoSolution
 from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
 from shortcat.shortmulti import validate_short_multicategory
-from shortcat.shortskew import validate_short_skew
+from shortcat.shortskew import (
+    SkewMultiMorphism, embed_multi_morphism, identity_skew_morphism, validate_short_skew,
+)
 from shortcat.skewmon import (
     classify_flavour, validate_lax_functor, validate_skew_closed,
-    validate_skew_monoidal,
+    validate_skew_closed_functor, validate_skew_monoidal,
 )
 from shortcat.transport import (
     biclosed_subst_check, check_representable_iff_monoidal, compare_skew_monoidal,
-    k_morphism, k_morphism_inverse, k_object, kcl_morphism, kcl_object,
-    ks_object, lax_functor_equal, multi_morphism_equal, roundtrip_check,
-    skew_monoidal_equal, solve_unique, transport_closed, transport_closed_skew,
+    k_morphism, k_morphism_inverse, k_object, kcl_morphism, kcl_morphism_inverse, kcl_object,
+    ks_morphism, ks_morphism_inverse, ks_object, lax_functor_equal, multi_morphism_equal,
+    roundtrip_check, skew_monoidal_equal, solve_unique, transport_closed,
+    transport_closed_skew,
 )
 
 
@@ -105,36 +108,54 @@ def test_morphism_transport_roundtrips():
     assert count >= 10
 
 
-def test_skew_morphism_transport_roundtrip():
-    from shortcat.catalogue import poset2_first_short_skew
-    from shortcat.shortskew import identity_skew_morphism
-    from shortcat.transport import ks_morphism, ks_morphism_inverse
-    sk = poset2_first_short_skew()
-    cert = certify(sk)
-    mon = ks_object(sk, cert)
-    F = identity_skew_morphism(sk)
-    t = ks_morphism(F, cert, cert, mon, mon)
+def _skew_morphism(name: str) -> SkewMultiMorphism:
+    """The identity of the catalogue short skew multicategory `name`, or the
+    catalogue morphism `name` embedded between the embeddings of its ends."""
+    skews = catalogue_short_skews()
+    if name in skews:
+        return identity_skew_morphism(skews[name])
+    F = catalogue_morphisms()[name]
+    return embed_multi_morphism(F, skews[F.source.name + ".skew"],
+                                skews[F.target.name + ".skew"])
+
+
+SKEW_MORPHISMS = [*catalogue_short_skews(), *catalogue_morphisms()]
+# poset2-second is not closed: no hom-side construction for it or its identity
+CLOSED_SKEW_MORPHISMS = [name for name in SKEW_MORPHISMS if "poset2-second" not in name]
+
+
+@pytest.mark.parametrize("name", SKEW_MORPHISMS)
+def test_skew_morphism_transport_roundtrip(name):
+    """ks_morphism_inverse gives back every tight and loose family of the
+    morphism that ks_morphism transported."""
+    F = _skew_morphism(name)
+    cs, ct = certify(F.source), certify(F.target)
+    t = ks_morphism(F, cs, ct, ks_object(F.source, cs), ks_object(F.target, ct))
     assert validate_lax_functor(t).ok
-    back = ks_morphism_inverse(t, cert, cert)
-    assert all(back.tight_maps[n] == F.tight_maps[n] for n in (2, 3, 4))
-    assert all(back.loose_maps[n] == F.loose_maps[n] for n in (0, 1, 2))
+    back = ks_morphism_inverse(t, cs, ct)
+    assert back.tight_maps == F.tight_maps
+    assert back.loose_maps == F.loose_maps
 
 
-def test_kcl_object_and_morphism():
-    sk = catalogue_short_skews()["heyting2.skew"]
-    cert = certify(sk)
-    homs = find_closed_structure(sk, cert)
-    cl = kcl_object(sk, cert, homs)
-    assert validate_skew_closed(cl).ok
-    from shortcat.shortskew import identity_skew_morphism
-    from shortcat.skewmon import validate_skew_closed_functor
-    F = identity_skew_morphism(sk)
-    t = kcl_morphism(F, homs, homs, cert, cert, cl, cl)
+@pytest.mark.parametrize("name", CLOSED_SKEW_MORPHISMS)
+def test_kcl_object_and_morphism(name):
+    """The hom-side construction of each end validates, and
+    kcl_morphism_inverse gives back every tight and loose family of the
+    morphism that kcl_morphism transported."""
+    F = _skew_morphism(name)
+    ends = []
+    for sk in (F.source, F.target):
+        cert = certify(sk)
+        homs = find_closed_structure(sk, cert)
+        cl = kcl_object(sk, cert, homs)
+        assert validate_skew_closed(cl).ok
+        ends.append((cert, homs, cl))
+    (cs, hs, cls), (ct, ht, clt) = ends
+    t = kcl_morphism(F, hs, ht, cs, ct, cls, clt)
     assert validate_skew_closed_functor(t).ok
-    from shortcat.transport import kcl_morphism_inverse
-    back = kcl_morphism_inverse(t, cert, cert, homs, homs)
-    assert all(back.tight_maps[n] == F.tight_maps[n] for n in (2, 3, 4))
-    assert all(back.loose_maps[n] == F.loose_maps[n] for n in (0, 1, 2))
+    back = kcl_morphism_inverse(t, cs, ct, hs, ht)
+    assert back.tight_maps == F.tight_maps
+    assert back.loose_maps == F.loose_maps
 
 
 def test_closed_induction_recovers_structure():
