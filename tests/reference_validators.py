@@ -32,6 +32,11 @@ twice (first hit, then all hits); tests/test_classify.py compares the
 package's single scan helper and single search pass with them. They build
 the package's certificate dataclasses, so cli.render_certificate reads both.
 
+The former skewmon.right_adjoint_witness, which checked each object's
+bijection with a seen-dict loop of its own, closes the file;
+tests/test_skewmon.py compares classify_flavour through it with the
+package's, which goes through classify.bijection_table.
+
 The routing helpers come first: the former safe_post, safe_pre and
 safe_subst of MultiTables and the former lookup_tables, which
 tests/test_kernel.py compares MultiTables.lookups with, and the former
@@ -2636,3 +2641,30 @@ def inverses(m: Structure, cert: Certificate,
                         raise UniversalityBroken(f"{cert.name}: sharp inverse missing for {f}")
                     sharp[f] = hits[0]
     return Inverses(prime, star, sharp)
+
+
+# --------------------------------------------------------------------------
+# the former closed search of classify_flavour
+# --------------------------------------------------------------------------
+
+def right_adjoint_witness(c: SkewMonCategory, b: str, cod: str) -> Optional[tuple[str, str]]:
+    """Search for (h, eps) with eps: h(x)b -> cod such that composing
+    (- tensor b) with eps is a bijection hom(a, h) -> hom(ab, cod) for all a."""
+    base = c.base
+    for h in base.objects:
+        for eps in base.hom(c.t(h, b), cod):
+            ok = True
+            for a in base.objects:
+                seen = {}
+                for v in base.hom(a, h):
+                    img = _comp_chain(base, c.tm_left(v, b), eps)
+                    if img is None or img in seen:
+                        ok = False
+                        break
+                    seen[img] = v
+                if not ok or len(seen) != len(base.hom(c.t(a, b), cod)):
+                    ok = False
+                    break
+            if ok:
+                return (h, eps)
+    return None

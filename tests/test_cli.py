@@ -475,6 +475,27 @@ def test_a_short_skew_map_listed_twice_is_refused(tmp_path, edit, message):
     assert errors == [f"error: {message}"], out.stderr
 
 
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda t: _replace_line(t, "map2 0 0 0 = m2(0,0;0)",
+                                         "map2 0 0 0 = m2(0,0;0) m2(0,0;0)"),
+                 "z2: multimap id m2(0,0;0) declared twice", id="repeated-member"),
+    pytest.param(lambda t: _replace_line(t, "map0 0 = m0(;0)", "map0 0 = 1_0"),
+                 "z2: multimap id 1_0 declared twice", id="base-morphism-as-nullary"),
+    pytest.param(lambda t: _replace_line(t, "map3 0 0 0 0 = m3(0,0,0;0)",
+                                         "map3 0 0 0 0 = m3(0,0,0;0) m2(0,0;0)"),
+                 "z2: multimap id m2(0,0;0) declared twice", id="binary-as-ternary"),
+])
+def test_a_short_multi_map_listed_twice_is_refused(tmp_path, edit, message):
+    """A multimap id listed twice, or under a second type, in a short-multi
+    file ends in one error line with exit 2."""
+    path = tmp_path / "bad.short-multi.txt"
+    path.write_text(edit(_catalogue_text("z2", "short-multi")))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 2, out.stdout + out.stderr
+    errors = [ln for ln in out.stderr.splitlines() if not ln.startswith("warning: ")]
+    assert errors == [f"error: {message}"], out.stderr
+
+
 def test_no_validator_calls_run_checks(monkeypatch, capsys, tmp_path):
     """Every validator records its instances itself: with report.run_checks,
     the reference evaluator, made to raise wherever a module holds it,

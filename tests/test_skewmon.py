@@ -1,7 +1,9 @@
 import dataclasses
 
+import reference_validators as ref
+from shortcat import skewmon
 from shortcat.catalogue import (
-    catalogue_braidings, catalogue_skew_closed, catalogue_skew_monoidals,
+    bz2_category, catalogue_braidings, catalogue_mutants, catalogue_skew_closed, catalogue_skew_monoidals,
     heyting2_skew_closed, heyting2_skew_monoidal, klein_monoid,
     monoid_skew_monoidal, monoid_symmetry, poset2_skew_first,
     poset2_skew_second, terminal_skew_monoidal, z2_monoid,
@@ -11,6 +13,7 @@ from shortcat.skewmon import (
     identity_lax_functor, validate_braided_functor, validate_braiding,
     validate_lax_functor, validate_skew_closed, validate_skew_monoidal,
 )
+from test_kernel import _cyclic_files
 
 
 def test_poset2_second_passes_left_normal_not_right():
@@ -146,3 +149,42 @@ def test_mutated_ell_fails_jl_triangle():
     r = validate_skew_closed(bad)
     assert not r.ok
     assert r.has_failure("J-L-triangle", ("0", "1"))
+
+
+def _flavour_inputs():
+    """Every catalogue skew monoidal category, the skew monoidal mutants, the
+    skew monoidal category of each Z/2-Z/6 monoidal and braiding file, and
+    BZ/2."""
+    yield from catalogue_skew_monoidals().items()
+    for mut in catalogue_mutants():
+        if mut.kind == "skew-monoidal":
+            yield mut.name, mut.payload
+    for n in range(2, 7):
+        for sf in _cyclic_files(n):
+            if sf.kind == "skew-monoidal":
+                yield sf.name, sf.payload
+            elif sf.kind == "braiding":
+                yield sf.name, sf.payload[0]
+    yield "bz2", bz2_category()
+
+
+def _outcome(c):
+    try:
+        return classify_flavour(c)
+    except Exception as exc:  # a refusal must be the same refusal
+        return type(exc), str(exc)
+
+
+def test_classify_flavour_matches_reference(monkeypatch):
+    """classify_flavour gives the same Flavour, every field, or the same
+    refusal, with the closed search through classify.bijection_table as with
+    the former search, which checked each bijection with its own loop."""
+    names = []
+    for name, c in _flavour_inputs():
+        got = _outcome(c)
+        with monkeypatch.context() as patch:
+            patch.setattr(skewmon, "right_adjoint_witness", ref.right_adjoint_witness)
+            want = _outcome(c)
+        assert got == want, name
+        names.append(name)
+    assert len(names) == 34
