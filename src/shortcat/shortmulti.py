@@ -50,8 +50,8 @@ class MultiTables:
     followed by a domain and a codomain: `_tables()` gives the (head, table)
     pair of each multimap table, `_BASE_HEAD` is the head of the base
     hom-sets and `_CASES` the (subject prefix, outer head, inner head) of
-    each stored substitution case. The multimap index is written once, over
-    heads. The pre, post and sub tables are keyed by exactly the keys of
+    each stored substitution case. The table loader, `_load`, and the
+    multimap index are written once, over heads. The pre, post and sub tables are keyed by exactly the keys of
     `domains`, which is also what the structure check, the builders, the
     naturality cases and the morphism laws walk. The routing rule is written
     once, in `lookups`: a base morphism, the only tight unary map, composes
@@ -59,6 +59,48 @@ class MultiTables:
     `safe_pre`, `safe_post`, `safe_subst` and the validators all read those
     dicts.
     """
+
+    # -- the table loader -----------------------------------------------------
+    def _load(self, tables: Iterable[tuple[tuple, dict]]) -> dict[tuple, dict]:
+        """Load the (head, table) pairs and write `_index`: every multimap set
+        sorted, and a stored copy of the base hom-sets, at _BASE_HEAD, the
+        base's own. An id's type is (arity, domain, codomain), followed in a
+        skew structure by the frozenset of the flavours whose tables list
+        it, and the ids of one table key share one type tuple. An id listed
+        again under another type, or in the same flavour, is refused.
+        Returns the tables by head, without the base hom-sets."""
+        name, base, skew = self.name, self.base, len(self._BASE_HEAD) > 1
+        index: dict[str, tuple] = {}
+        flavour = frozenset(self._BASE_HEAD[:-1])
+        for (a, b), fs in base.homs.items():
+            index.update(dict.fromkeys(fs, (1, (a,), b, flavour) if skew else (1, (a,), b)))
+        loaded = {}
+        for head, table in tables:
+            if head == self._BASE_HEAD:
+                for (dom, cod), fs in table.items():
+                    if tuple(sorted(fs)) != base.hom(dom[0], cod):
+                        raise MalformedTable(
+                            f"{name}: arity-1 table disagrees with base homs at {dom[0]},{cod}")
+                continue
+            n, flavour, out = head[-1], frozenset(head[:-1]), loaded.setdefault(head, {})
+            for (dom, cod), fs in table.items():
+                dom = tuple(dom)
+                out[dom, cod] = tuple(sorted(fs))
+                ty, joined = (n, dom, cod), {}
+                first = ty + (flavour,) if skew else ty
+                for f in fs:
+                    have = index.get(f)
+                    if have is None:
+                        index[f] = first
+                    elif have[:3] != ty:
+                        raise MalformedTable(f"{name}: id {f} declared with two different types")
+                    elif not skew or flavour <= have[3]:
+                        label = "".join(map(str, head)) + " " if skew else ""
+                        raise MalformedTable(f"{name}: {label}multimap id {f} declared twice")
+                    else:
+                        index[f] = joined.setdefault(have[3], ty + (have[3] | flavour,))
+        object.__setattr__(self, "_index", index)
+        return loaded
 
     # -- typed lookups ------------------------------------------------------
     def info(self, f: str) -> tuple:
@@ -216,28 +258,8 @@ class ShortMulticategory(MultiTables):
     _CASES = tuple(((), (n,), (k,)) for n, k in sorted(STORED_CASES))
 
     def __post_init__(self):
-        index: dict[str, tuple[int, tuple[str, ...], str]] = {}
-        for f in self.base.morphisms():
-            a, b = self.base.span(f)
-            index[f] = (1, (a,), b)
-        maps = {}
-        for n, table in self.maps.items():
-            if n == 1:
-                # the arity-1 table is the base hom-sets; a stored copy must agree
-                for (dom, cod), fs in table.items():
-                    if tuple(sorted(fs)) != self.base.hom(dom[0], cod):
-                        raise MalformedTable(
-                            f"{self.name}: arity-1 table disagrees with base homs at {dom[0]},{cod}")
-                continue
-            maps[n] = {}
-            for (dom, cod), fs in table.items():
-                maps[n][(tuple(dom), cod)] = tuple(sorted(fs))
-                for f in fs:
-                    if f in index:
-                        raise MalformedTable(f"{self.name}: multimap id {f} declared twice")
-                    index[f] = (n, tuple(dom), cod)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_index", index)
+        loaded = self._load(((n,), table) for n, table in self.maps.items())
+        object.__setattr__(self, "maps", {n: table for (n,), table in loaded.items()})
 
     @cached_property
     def as_skew(self) -> ShortSkewMulticategory:

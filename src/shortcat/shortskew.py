@@ -95,41 +95,13 @@ class ShortSkewMulticategory(MultiTables):
                    for n, x, k, y in sorted(STORED_SKEW_CASES))
 
     def __post_init__(self):
-        index: dict[str, tuple[int, tuple[str, ...], str, set]] = {}
-        for f in self.base.morphisms():
-            a, b = self.base.span(f)
-            index[f] = (1, (a,), b, {TIGHT})
-
-        def load(tables, flavour, arities):
-            out = {}
-            for n in arities:
-                out[n] = {}
-                for (dom, cod), fs in tables.get(n, {}).items():
-                    out[n][(tuple(dom), cod)] = tuple(sorted(fs))
-                    for f in fs:
-                        if f in index:
-                            k, d, c, fl = index[f]
-                            if (k, d, c) != (n, tuple(dom), cod):
-                                raise MalformedTable(
-                                    f"{self.name}: id {f} declared with two different types")
-                            if flavour in fl:
-                                raise MalformedTable(
-                                    f"{self.name}: {flavour}{n} multimap id {f} declared twice")
-                            fl.add(flavour)
-                        else:
-                            index[f] = (n, tuple(dom), cod, {flavour})
-            return out
-
-        tight = load(self.tight, TIGHT, (2, 3, 4))
-        if 1 in self.tight:
-            for (dom, cod), fs in self.tight[1].items():
-                if tuple(sorted(fs)) != self.base.hom(dom[0], cod):
-                    raise MalformedTable(f"{self.name}: tight arity-1 table disagrees with base homs")
-        loose = load(self.loose, LOOSE, (0, 1, 2))
-        object.__setattr__(self, "tight", tight)
-        object.__setattr__(self, "loose", loose)
-        object.__setattr__(self, "_index",
-                           {f: (n, d, c, frozenset(fl)) for f, (n, d, c, fl) in index.items()})
+        # a stored tight arity-1 table is checked after tight arities 2-4
+        loaded = self._load(((flavour, n), tables.get(n, {}))
+                            for flavour, tables, arities in ((TIGHT, self.tight, (2, 3, 4, 1)),
+                                                             (LOOSE, self.loose, (0, 1, 2)))
+                            for n in arities)
+        object.__setattr__(self, "tight", {n: loaded[TIGHT, n] for n in (2, 3, 4)})
+        object.__setattr__(self, "loose", {n: loaded[LOOSE, n] for n in (0, 1, 2)})
 
     def is_tight(self, f: str) -> bool:
         return TIGHT in self.info(f)[3]

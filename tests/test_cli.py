@@ -480,10 +480,10 @@ def test_a_short_skew_map_listed_twice_is_refused(tmp_path, edit, message):
                                          "map2 0 0 0 = m2(0,0;0) m2(0,0;0)"),
                  "z2: multimap id m2(0,0;0) declared twice", id="repeated-member"),
     pytest.param(lambda t: _replace_line(t, "map0 0 = m0(;0)", "map0 0 = 1_0"),
-                 "z2: multimap id 1_0 declared twice", id="base-morphism-as-nullary"),
+                 "z2: id 1_0 declared with two different types", id="base-morphism-as-nullary"),
     pytest.param(lambda t: _replace_line(t, "map3 0 0 0 0 = m3(0,0,0;0)",
                                          "map3 0 0 0 0 = m3(0,0,0;0) m2(0,0;0)"),
-                 "z2: multimap id m2(0,0;0) declared twice", id="binary-as-ternary"),
+                 "z2: id m2(0,0;0) declared with two different types", id="binary-as-ternary"),
 ])
 def test_a_short_multi_map_listed_twice_is_refused(tmp_path, edit, message):
     """A multimap id listed twice, or under a second type, in a short-multi
