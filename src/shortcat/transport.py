@@ -18,8 +18,8 @@ import itertools
 from typing import Callable, Iterable, Optional, Union
 
 from .classify import (
-    Certificate, HomObject, certify, find_closed_structure, find_right_closed, inverses,
-    preimage,
+    Certificate, HomObject, Inverses, certify, find_closed_structure, find_right_closed,
+    inverses, preimage,
 )
 from .errors import (
     AxiomTransferFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions,
@@ -157,53 +157,48 @@ def k_morphism(F: MultiMorphism, cert_src: Certificate, cert_tgt: Certificate,
                        cert_src, cert_tgt, src_mon, tgt_mon)
 
 
-def _reconstruct_families(t: LaxMonFunctor, cert_src: Certificate, cert_tgt: Certificate
-                          ) -> tuple[dict[int, dict[str, str]], dict[int, dict[str, str]]]:
-    """From lax monoidal data, rebuild the tight families (arities 2-4) and
-    loose families (arities 0-2) of the corresponding structure morphism."""
-    vs, vt = cert_src.view, cert_tgt.view
-    fun = t.functor
-    inv_src = inverses(cert_src.structure, cert_src)
-    u_t = cert_tgt.nullary.u
-
-    def F1(f: str) -> Optional[str]:
-        return fun.mor_map.get(f)
-
-    loose0 = {}
-    for w in vs.multimaps(LOOSE, 0):
-        loose0[w] = vt.safe_post(vt.base.compose_opt(F1(inv_src.star[w]), t.f0), u_t)
-
-    tight2 = {}
-    for g in vs.multimaps(TIGHT, 2):
-        a, b = vs.dom(g)
-        tight2[g] = vt.safe_post(
-            vt.base.compose_opt(F1(inv_src.prime[g]), t.f2[(a, b)]),
-            cert_tgt.theta(fun.obj_map[a], fun.obj_map[b]))
-
-    tight3 = {}
-    for h in vs.multimaps(TIGHT, 3):
-        a, b = vs.dom(h)[0], vs.dom(h)[1]
-        tight3[h] = vt.safe_subst(tight2.get(inv_src.prime[h]), 1, tight2[cert_src.theta(a, b)])
-
-    tight4 = {}
-    for k in vs.multimaps(TIGHT, 4):
-        a, b = vs.dom(k)[0], vs.dom(k)[1]
-        tight4[k] = vt.safe_subst(tight3.get(inv_src.prime[k]), 1, tight2[cert_src.theta(a, b)])
-
-    u_img = loose0[cert_src.nullary.u]
-    loose1 = {}
-    for q in vs.multimaps(LOOSE, 1):
-        # q* is the tight binary map with q* o_1 u = q
-        loose1[q] = vt.safe_subst(tight2.get(inv_src.star[q]), 1, u_img)
-    loose2 = {}
-    for r in vs.multimaps(LOOSE, 2):
-        loose2[r] = vt.safe_subst(tight3.get(inv_src.star[r]), 1, u_img)
-
-    for table in (loose0, tight2, tight3, tight4, loose1, loose2):
+def _rebuilt_morphism(t: Union[LaxMonFunctor, SkewClosedFunctor], cert_src: Certificate,
+                      cert_tgt: Certificate, inv: Inverses, label: str,
+                      families: Callable[[dict], tuple[dict, dict]]) -> SkewMultiMorphism:
+    """The structure morphism of transported data t. The image of a loose
+    nullary w is u o (f0 then F(w*)); families(those images) gives the tight
+    families (arities 2-4) and the loose unary and binary ones. NoSolution
+    names the first undefined image: loose 0, tight 2-4, loose 1-2."""
+    vt, F1 = cert_tgt.view, t.functor.mor_map.get
+    loose0 = {w: vt.safe_post(vt.base.compose_opt(F1(inv.star[w]), t.f0), cert_tgt.nullary.u)
+              for w in cert_src.view.multimaps(LOOSE, 0)}
+    tight, loose = families(loose0)
+    for table in (loose0, tight[2], tight[3], tight[4], loose[1], loose[2]):
         for key, val in table.items():
             if val is None:
-                raise NoSolution(f"reconstruction undefined at {key}")
-    return ({2: tight2, 3: tight3, 4: tight4}, {0: loose0, 1: loose1, 2: loose2})
+                raise NoSolution(f"{label} undefined at {key}")
+    return SkewMultiMorphism(t.name + ".multi", cert_src.view, vt, t.functor,
+                             tight, {0: loose0, **loose})
+
+
+def _reconstruct_families(t: LaxMonFunctor, cert_src: Certificate, cert_tgt: Certificate
+                          ) -> SkewMultiMorphism:
+    """From lax monoidal data, rebuild the structure morphism: a tight
+    binary g is theta o (f2 then F(g')), a tight h of arity 3 or 4 is the
+    image of h' with the image of theta in its first slot, and a loose q of
+    arity 1 or 2 the image of q* with the image of u in its first slot."""
+    vs, vt, fun = cert_src.view, cert_tgt.view, t.functor
+    inv = inverses(cert_src.structure, cert_src)
+
+    def families(loose0: dict) -> tuple[dict, dict]:
+        tight = {2: {g: vt.safe_post(vt.base.compose_opt(fun.mor_map.get(inv.prime[g]),
+                                                         t.f2[vs.dom(g)]),
+                                     cert_tgt.theta(*(fun.obj_map[a] for a in vs.dom(g))))
+                     for g in vs.multimaps(TIGHT, 2)}}
+        for n in (3, 4):
+            tight[n] = {h: vt.safe_subst(tight[n - 1].get(inv.prime[h]), 1,
+                                         tight[2][cert_src.theta(*vs.dom(h)[:2])])
+                        for h in vs.multimaps(TIGHT, n)}
+        u = loose0[cert_src.nullary.u]
+        return tight, {n: {q: vt.safe_subst(tight[n + 1].get(inv.star[q]), 1, u)
+                           for q in vs.multimaps(LOOSE, n)} for n in (1, 2)}
+
+    return _rebuilt_morphism(t, cert_src, cert_tgt, inv, "reconstruction", families)
 
 
 def _check_transfer_rows(F: SkewMultiMorphism) -> None:
@@ -238,14 +233,11 @@ def _check_transfer_rows(F: SkewMultiMorphism) -> None:
 
 def ks_morphism_inverse(t: LaxMonFunctor, cert_src: Certificate,
                         cert_tgt: Certificate) -> SkewMultiMorphism:
-    tight, loose = _reconstruct_families(t, cert_src, cert_tgt)
-    F = SkewMultiMorphism(t.name + ".multi", cert_src.view, cert_tgt.view,
-                          t.functor, tight, loose)
+    F = _reconstruct_families(t, cert_src, cert_tgt)
     _check_transfer_rows(F)
     report = validate_skew_multi_morphism(F)
     if not report.ok:
-        raise AxiomTransferFailure("full commutation",
-                                   report.failures[0].render())
+        raise AxiomTransferFailure("full commutation", report.failures[0].render())
     return F
 
 
@@ -499,68 +491,29 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
                          cert_tgt: Certificate, homs_src: dict, homs_tgt: dict
                          ) -> SkewMultiMorphism:
     """Reconstruct the multimap families from closed-functor data by
-    currying: every map is the evaluation applied to its abstraction."""
-    vs, vt = cert_src.view, cert_tgt.view
-    fun = t.functor
-    inv_src = inverses(cert_src.structure, cert_src, homs_src)
+    currying: every map is the evaluation applied to its abstraction, the
+    image of the abstraction one arity below after the hom comparison. A
+    loose map that is also tight takes its tight image, through j if
+    unary."""
+    vs, vt, fun = cert_src.view, cert_tgt.view, t.functor
+    inv = inverses(cert_src.structure, cert_src, homs_src)
 
-    def sharp_img(f: str) -> tuple[str, str, str]:
-        dom, cod = vs.dom(f), vs.cod(f)
-        return inv_src.sharp[f], dom[-1], cod
+    def uncurry(f: str, below: dict) -> Optional[str]:
+        b, c = vs.dom(f)[-1], vs.cod(f)
+        return vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1,
+                             vt.safe_post(t.fh[(b, c)], below.get(inv.sharp[f])))
 
-    def F1(f):
-        return fun.mor_map.get(f)
+    def families(loose0: dict) -> tuple[dict, dict]:
+        tight, loose, below = {}, {}, fun.mor_map
+        for n in (2, 3, 4):
+            below = tight[n] = {h: uncurry(h, below) for h in vs.multimaps(TIGHT, n)}
+        below = loose0
+        for n, shared in ((1, lambda q: vt.j.get(fun.mor_map.get(q))), (2, tight[2].get)):
+            below = loose[n] = {q: shared(q) if vs.is_tight(q) else uncurry(q, below)
+                                for q in vs.multimaps(LOOSE, n)}
+        return tight, loose
 
-    loose0 = {}
-    for w in vs.multimaps(LOOSE, 0):
-        loose0[w] = vt.safe_post(vt.base.compose_opt(F1(inv_src.star[w]), t.f0),
-                                 cert_tgt.nullary.u)
-    tight2 = {}
-    for g in vs.multimaps(TIGHT, 2):
-        gs, b, c = sharp_img(g)
-        carrier = vt.base.compose_opt(t.fh[(b, c)], F1(gs))
-        tight2[g] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
-    loose1 = {}
-    for q in vs.multimaps(LOOSE, 1):
-        if vs.is_tight(q):
-            loose1[q] = vt.j.get(F1(q))
-            continue
-        qs, b, c = sharp_img(q)
-        curried = loose0.get(qs)
-        if curried is None:
-            raise NoSolution(f"loose unary reconstruction needs nullary image of {qs}")
-        fb, fc = fun.obj_map[b], fun.obj_map[c]
-        carrier = vt.safe_post(t.fh[(b, c)], curried)
-        loose1[q] = vt.safe_subst(homs_tgt[(fb, fc)].e, 1, carrier)
-    tight3 = {}
-    for h in vs.multimaps(TIGHT, 3):
-        hs, b, c = sharp_img(h)
-        img = tight2.get(hs)
-        carrier = vt.safe_post(t.fh[(b, c)], img) if img else None
-        tight3[h] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
-    tight4 = {}
-    for k in vs.multimaps(TIGHT, 4):
-        ks, b, c = sharp_img(k)
-        img = tight3.get(ks)
-        carrier = vt.safe_post(t.fh[(b, c)], img) if img else None
-        tight4[k] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
-    loose2 = {}
-    for r in vs.multimaps(LOOSE, 2):
-        if vs.is_tight(r):
-            loose2[r] = tight2[r]
-            continue
-        rs, b, c = sharp_img(r)
-        img = loose1.get(rs)
-        carrier = vt.safe_post(t.fh[(b, c)], img) if img else None
-        loose2[r] = vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1, carrier)
-
-    for table in (loose0, tight2, tight3, tight4, loose1, loose2):
-        for key, val in table.items():
-            if val is None:
-                raise NoSolution(f"closed reconstruction undefined at {key}")
-    F = SkewMultiMorphism(t.name + ".multi", vs, vt, fun,
-                          {2: tight2, 3: tight3, 4: tight4},
-                          {0: loose0, 1: loose1, 2: loose2})
+    F = _rebuilt_morphism(t, cert_src, cert_tgt, inv, "closed reconstruction", families)
     report = validate_skew_multi_morphism(F)
     if not report.ok:
         raise AxiomTransferFailure("full commutation", report.failures[0].render())

@@ -17,7 +17,7 @@ PACKAGE = Path(shortcat.__file__).parent
 
 # def -> why it stays: the acceptance gate (tests/test_acceptance.py) calls
 # it, the bench names it (bench/), or other tests call it. A def that only
-# another def of the list calls takes that def's reason. 790 lines in all.
+# another def of the list calls takes that def's reason. 742 lines in all.
 TEST_ONLY = {
     "braiding.check_short_symmetry": "gate",
     "braiding.derive_beta2": "tests",
@@ -55,6 +55,7 @@ TEST_ONLY = {
     "skewmon.validate_braided_functor": "bench",
     "skewmon.validate_skew_closed_functor": "bench",
     "transport._check_transfer_rows": "tests",
+    "transport._rebuilt_morphism": "tests",
     "transport._reconstruct_families": "tests",
     "transport._solve_f0": "gate",
     "transport.biclosed_subst_check": "gate",
