@@ -160,22 +160,14 @@ class Flavour:
 def right_adjoint_witness(c: SkewMonCategory, b: str, cod: str) -> Optional[tuple[str, str]]:
     """Search for (h, eps) with eps: h(x)b -> cod such that composing
     (- tensor b) with eps is a bijection hom(a, h) -> hom(ab, cod) for all a."""
+    from .classify import bijection_table
     base = c.base
     for h in base.objects:
         for eps in base.hom(c.t(h, b), cod):
-            ok = True
-            for a in base.objects:
-                seen = {}
-                for v in base.hom(a, h):
-                    img = _comp_chain(base, c.tm_left(v, b), eps)
-                    if img is None or img in seen:
-                        ok = False
-                        break
-                    seen[img] = v
-                if not ok or len(seen) != len(base.hom(c.t(a, b), cod)):
-                    ok = False
-                    break
-            if ok:
+            if all(bijection_table(base.hom(a, h),
+                                   lambda v: _comp_chain(base, c.tm_left(v, b), eps),
+                                   base.hom(c.t(a, b), cod)) is not None
+                   for a in base.objects):
                 return (h, eps)
     return None
 
