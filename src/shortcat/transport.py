@@ -161,7 +161,7 @@ def _rebuilt_morphism(t: Union[LaxMonFunctor, SkewClosedFunctor], cert_src: Cert
                       cert_tgt: Certificate, inv: Inverses, label: str,
                       families: Callable[[dict], tuple[dict, dict]]) -> SkewMultiMorphism:
     """The structure morphism of transported data t. The image of a loose
-    nullary w is u o (f0 then F(w*)); families(those images) gives the tight
+    nullary w is (F(w*) o f0) o u; families(those images) gives the tight
     families (arities 2-4) and the loose unary and binary ones. NoSolution
     names the first undefined image: loose 0, tight 2-4, loose 1-2."""
     vt, F1 = cert_tgt.view, t.functor.mor_map.get
@@ -179,7 +179,7 @@ def _rebuilt_morphism(t: Union[LaxMonFunctor, SkewClosedFunctor], cert_src: Cert
 def _reconstruct_families(t: LaxMonFunctor, cert_src: Certificate, cert_tgt: Certificate
                           ) -> SkewMultiMorphism:
     """From lax monoidal data, rebuild the structure morphism: a tight
-    binary g is theta o (f2 then F(g')), a tight h of arity 3 or 4 is the
+    binary g is (F(g') o f2) o theta, a tight h of arity 3 or 4 is the
     image of h' with the image of theta in its first slot, and a loose q of
     arity 1 or 2 the image of q* with the image of u in its first slot."""
     vs, vt, fun = cert_src.view, cert_tgt.view, t.functor
@@ -237,7 +237,8 @@ def ks_morphism_inverse(t: LaxMonFunctor, cert_src: Certificate,
     _check_transfer_rows(F)
     report = validate_skew_multi_morphism(F)
     if not report.ok:
-        raise AxiomTransferFailure("full commutation", report.failures[0].render())
+        raise AxiomTransferFailure("full commutation",
+                                   report.failures[0].render())
     return F
 
 

@@ -3,11 +3,12 @@ import dataclasses
 import reference_validators as ref
 from shortcat import skewmon
 from shortcat.catalogue import (
-    bz2_category, catalogue_braidings, catalogue_mutants, catalogue_skew_closed, catalogue_skew_monoidals,
-    heyting2_skew_closed, heyting2_skew_monoidal, klein_monoid,
+    bz2_category, catalogue_braidings, catalogue_mutants, catalogue_skew_closed,
+    catalogue_skew_monoidals, heyting2_skew_closed, heyting2_skew_monoidal, klein_monoid,
     monoid_skew_monoidal, monoid_symmetry, poset2_skew_first,
     poset2_skew_second, terminal_skew_monoidal, z2_monoid,
 )
+from shortcat.errors import ShortcatError
 from shortcat.skewmon import (
     Braiding, LaxMonFunctor, check_symmetry, classify_flavour,
     identity_lax_functor, validate_braided_functor, validate_braiding,
@@ -171,7 +172,7 @@ def _flavour_inputs():
 def _outcome(c):
     try:
         return classify_flavour(c)
-    except Exception as exc:  # a refusal must be the same refusal
+    except ShortcatError as exc:  # a refusal must be the same refusal
         return type(exc), str(exc)
 
 
