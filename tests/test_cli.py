@@ -948,3 +948,33 @@ def test_certify_and_roundtrip_match_the_ledger(capsys, tmp_path):
             ledger[f"{command} {stem}"]["sha256"], stem
         checked += 1
     assert checked == 36, checked
+
+
+# SHA-256 of the concatenated bytes each generator writes: a change to how
+# an entry is built must leave its files byte for byte as they are.
+CATALOGUE_DIGESTS = {
+    "terminal": "3d1311bbb213470307c885d4f53431a88f388e9543b40dd10eeee2baca4c35e9",
+    "z2": "562e5a18acae6403b78e6ca0f24284d45c34e6c2b3dabf051594c5adf2e6a7ea",
+    "z3": "d24926480ef85d9aa3d97e06451708af49a270213ac16c7f6f16611e376f11a6",
+    "klein-four": "3fff9119d84f4ac063820a20b985c4ec0375249fa0702859a3819fd267790887",
+    "poset-skew-second": "8d7b901979c0480846da70b773237cf2d05a0b633f298b6db1587cfa5b819ec9",
+    "poset-skew-first": "5613623f2f1230accbdebe3653f53f55348ce66e702cc1352feaedcbb205a55c",
+    "heyting-2": "7ddd9fd34f1ac8d94caff251553c531ee9a8f90037add4d6fb4bebb90c30f305",
+    "mutants": "eea0240d4923de6724e63539919c7d53055daec344ba41cdf53454e5242f820b",
+    "morphisms": "68518c5fe31e46fef20d4cc795e14e7444c54a114dd4f4d596fa687826ba22e6",
+}
+
+
+def _digest(files: list[StructureFile]) -> str:
+    return hashlib.sha256("".join(serialize(sf) for sf in files).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("generator", sorted(CATALOGUE_DIGESTS))
+def test_catalogue_files_are_pinned(generator):
+    assert _digest(catalogue_files(generator)) == CATALOGUE_DIGESTS[generator]
+
+
+def test_cyclic_comm_monoid_files_are_pinned():
+    """The comm-monoid files of Z/2..Z/6, the tables the benchmark ladder uses."""
+    files = [sf for n in range(2, 7) for sf in _cyclic_files(n)]
+    assert _digest(files) == "020f60fdb5ee42ece5c255d70fc0cdab4ff00faf3a0a377210fc4f9453114d20"
