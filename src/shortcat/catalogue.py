@@ -7,8 +7,12 @@ structure (meet, implication) on the same poset, and the delooping BZ/2 of
 the group Z/2 as a monoidal category. Negative entries are single-entry
 mutants with an annotated expected failure.
 
-Every table-backed structure here is thin: each multimap set has at most
-one element, so all actions and substitutions are forced and tabulated by
+Every thin entry is given as (base, tensor or hom, unit). On a thin base
+each structure map is the unique morphism of its type, so
+thin_skew_monoidal and thin_skew_closed derive them all. The short
+structure of a thin skew monoidal category has a map dom -> cod exactly
+when base.hom(lbr(dom), cod) is nonempty, so its multimap sets have at most
+one element, and all actions and substitutions are forced and tabulated by
 picking the unique inhabitant of the expected type.
 """
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Hashable, Iterator, Optional
 
 from .errors import MalformedTable
@@ -159,6 +163,73 @@ def table_short_skew(name: str, base: FinCategory,
     return build(name, base, members, the)
 
 
+def _the_morphism(name: str, base: FinCategory, table: str, a: str, b: str) -> str:
+    """The unique morphism a -> b of a thin base, as the entry of a structure
+    map table; MalformedTable naming the structure and the pair if none."""
+    fs = base.hom(a, b)
+    if len(fs) != 1:
+        raise MalformedTable(f"{name}: {table}: expected a unique morphism {a} -> {b}, "
+                             f"found {len(fs)}")
+    return fs[0]
+
+
+def thin_skew_monoidal(name: str, base: FinCategory, tensor: Callable[[str, str], str],
+                       unit: str) -> SkewMonCategory:
+    """The skew monoidal category on a thin base with the given tensor of
+    objects and unit: the tensor of morphisms, alpha, lambda and rho are
+    each the unique morphism of their type."""
+    objs, mors = base.objects, base.morphisms()
+    the = partial(_the_morphism, name, base)
+    return SkewMonCategory(
+        name, base,
+        tensor_obj={(a, b): tensor(a, b) for a in objs for b in objs},
+        tensor_mor={(f, g): the("tensor_mor", tensor(base.dom(f), base.dom(g)),
+                                tensor(base.cod(f), base.cod(g)))
+                    for f in mors for g in mors},
+        unit=unit,
+        alpha={(a, b, c): the("alpha", tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+               for a, b, c in itertools.product(objs, repeat=3)},
+        lam={a: the("lam", tensor(unit, a), a) for a in objs},
+        rho={a: the("rho", a, tensor(a, unit)) for a in objs})
+
+
+def thin_skew_closed(name: str, base: FinCategory, hom: Callable[[str, str], str],
+                     unit: str) -> SkewClosedCategory:
+    """The skew closed category on a thin base with the given internal hom of
+    objects and unit: the hom of morphisms, I, J and L are each the unique
+    morphism of their type."""
+    objs, mors = base.objects, base.morphisms()
+    the = partial(_the_morphism, name, base)
+    return SkewClosedCategory(
+        name, base,
+        hom_obj={(a, b): hom(a, b) for a in objs for b in objs},
+        # f: b -> b' and g: c -> c' give [b', c] -> [b, c']
+        hom_mor={(f, g): the("hom_mor", hom(base.cod(f), base.dom(g)),
+                             hom(base.dom(f), base.cod(g)))
+                 for f in mors for g in mors},
+        unit=unit,
+        iu={a: the("iu", hom(unit, a), a) for a in objs},
+        ju={a: the("ju", unit, hom(a, a)) for a in objs},
+        ell={(a, b, c): the("ell", hom(b, c), hom(hom(a, b), hom(a, c)))
+             for a, b, c in itertools.product(objs, repeat=3)})
+
+
+def thin_inhabited(sm: SkewMonCategory, loose: bool = False
+                   ) -> Callable[[int, tuple[str, ...], str], bool]:
+    """The multimap predicate of a thin skew monoidal category: dom -> cod is
+    inhabited when base.hom(lbr(dom), cod) is nonempty, where lbr brackets
+    to the left, with the unit in front of a loose or an empty domain."""
+    def inhabited(n: int, dom: tuple[str, ...], cod: str) -> bool:
+        xs = (sm.unit,) + dom if loose or not dom else dom
+        return bool(sm.base.hom(reduce(sm.t, xs[1:], xs[0]), cod))
+    return inhabited
+
+
+def thin_short_multi(name: str, sm: SkewMonCategory) -> ShortMulticategory:
+    """The short multicategory of a thin skew monoidal category."""
+    return table_short_multi(name, sm.base, thin_inhabited(sm))
+
+
 # --------------------------------------------------------------------------
 # commutative monoids: Z/2, Z/3, Klein four
 # --------------------------------------------------------------------------
@@ -196,23 +267,13 @@ def klein_monoid() -> Monoid:
 
 
 def monoid_short_multi(mon: Monoid) -> ShortMulticategory:
-    base = discrete_base(mon.name, list(mon.elements))
-    return table_short_multi(
-        mon.name, base,
-        lambda n, dom, cod: mon.fold(dom) == cod)
+    return thin_short_multi(mon.name, monoid_skew_monoidal(mon))
 
 
 def monoid_skew_monoidal(mon: Monoid) -> SkewMonCategory:
     """The strict monoidal category of a commutative monoid on a discrete base."""
-    base = discrete_base(mon.name, list(mon.elements))
-    objs = base.objects
-    tensor_obj = {(a, b): mon.op(a, b) for a in objs for b in objs}
-    tensor_mor = {(f"1_{a}", f"1_{b}"): f"1_{mon.op(a, b)}" for a in objs for b in objs}
-    alpha = {(a, b, c): f"1_{mon.fold((a, b, c))}" for a in objs for b in objs for c in objs}
-    lam = {a: f"1_{a}" for a in objs}
-    rho = {a: f"1_{a}" for a in objs}
-    return SkewMonCategory(mon.name + ".mon", base, tensor_obj, tensor_mor,
-                           mon.unit, alpha, lam, rho)
+    return thin_skew_monoidal(mon.name + ".mon", discrete_base(mon.name, list(mon.elements)),
+                              mon.op, mon.unit)
 
 
 def monoid_symmetry(mon: Monoid) -> Braiding:
@@ -226,142 +287,59 @@ def monoid_symmetry(mon: Monoid) -> Braiding:
 # --------------------------------------------------------------------------
 # poset-2 structures
 # --------------------------------------------------------------------------
-
-def _leq(a: str, b: str) -> bool:
-    return not (a == "1" and b == "0")
-
-
-def _p2(a: str, b: str) -> str:
-    """The unique poset-2 morphism a -> b (requires a <= b)."""
-    if a == b:
-        return f"1_{a}"
-    if a == "0" and b == "1":
-        return "le"
-    raise MalformedTable(f"no poset-2 morphism {a} -> {b}")
-
+# The objects "0" < "1" compare as strings the way they do in the poset, so
+# min is the meet and b <= c decides the implication.
 
 def poset2_skew_second() -> SkewMonCategory:
     """a (x) b := b with unit 1; left normal, rho not invertible."""
-    base = poset2_base("poset2-second")
-    objs = base.objects
-    return SkewMonCategory(
-        "poset2-second", base,
-        tensor_obj={(a, b): b for a in objs for b in objs},
-        tensor_mor={(f, g): g for f in base.morphisms() for g in base.morphisms()},
-        unit="1",
-        alpha={(a, b, c): f"1_{c}" for a in objs for b in objs for c in objs},
-        lam={a: f"1_{a}" for a in objs},
-        rho={a: _p2(a, "1") for a in objs},
-    )
+    return thin_skew_monoidal("poset2-second", poset2_base("poset2-second"),
+                              lambda a, b: b, "1")
 
 
 def poset2_skew_first() -> SkewMonCategory:
     """a (x) b := a with unit 0; rho invertible, lambda not."""
-    base = poset2_base("poset2-first")
-    objs = base.objects
-    return SkewMonCategory(
-        "poset2-first", base,
-        tensor_obj={(a, b): a for a in objs for b in objs},
-        tensor_mor={(f, g): f for f in base.morphisms() for g in base.morphisms()},
-        unit="0",
-        alpha={(a, b, c): f"1_{a}" for a in objs for b in objs for c in objs},
-        lam={a: _p2("0", a) for a in objs},
-        rho={a: f"1_{a}" for a in objs},
-    )
-
-
-def _meet(xs: tuple[str, ...]) -> str:
-    return "0" if "0" in xs else "1"
+    return thin_skew_monoidal("poset2-first", poset2_base("poset2-first"),
+                              lambda a, b: a, "0")
 
 
 def heyting2_skew_monoidal() -> SkewMonCategory:
     """Meet-semilattice structure on poset 2: monoidal and closed."""
-    base = poset2_base("heyting2")
-    objs = base.objects
-
-    def tmor(f, g):
-        (a, a2), (b, b2) = base.span(f), base.span(g)
-        return _p2(_meet((a, b)), _meet((a2, b2)))
-
-    return SkewMonCategory(
-        "heyting2", base,
-        tensor_obj={(a, b): _meet((a, b)) for a in objs for b in objs},
-        tensor_mor={(f, g): tmor(f, g) for f in base.morphisms() for g in base.morphisms()},
-        unit="1",
-        alpha={(a, b, c): f"1_{_meet((a, b, c))}" for a in objs for b in objs for c in objs},
-        lam={a: f"1_{a}" for a in objs},
-        rho={a: f"1_{a}" for a in objs},
-    )
-
-
-def _imp(b: str, c: str) -> str:
-    return "1" if _leq(b, c) else "0"
+    return thin_skew_monoidal("heyting2", poset2_base("heyting2"), min, "1")
 
 
 def heyting2_short_multi() -> ShortMulticategory:
-    base = poset2_base("heyting2")
-    return table_short_multi(
-        "heyting2", base,
-        lambda n, dom, cod: _leq(_meet(dom), cod))
+    return thin_short_multi("heyting2", heyting2_skew_monoidal())
 
 
 def poset2_second_short_multi() -> ShortMulticategory:
     """Multimap tables of the (x) := second-argument tensor: inhabited when
     the last input is below the output (empty tuples need the unit 1)."""
-    base = poset2_base("poset2-second")
-    return table_short_multi(
-        "poset2-second", base,
-        lambda n, dom, cod: _leq(dom[-1] if dom else "1", cod))
+    return thin_short_multi("poset2-second", poset2_skew_second())
 
 
 def poset2_first_short_skew() -> ShortSkewMulticategory:
     """Tight tables of the (x) := first-argument tensor with unit 0: tight
     inhabited when the first input is below the output, loose always."""
-    base = poset2_base("poset2-first")
-    return table_short_skew(
-        "poset2-first", base,
-        lambda n, dom, cod: _leq(dom[0], cod),
-        lambda n, dom, cod: True)
+    sm = poset2_skew_first()
+    return table_short_skew("poset2-first", sm.base, thin_inhabited(sm),
+                            thin_inhabited(sm, loose=True))
 
 
 def heyting2_skew_closed() -> SkewClosedCategory:
-    base = poset2_base("heyting2")
-    objs = base.objects
-
-    def hmor(f, g):
-        (b, b2), (x, x2) = base.span(f), base.span(g)
-        return _p2(_imp(b2, x), _imp(b, x2))
-
-    return SkewClosedCategory(
-        "heyting2.cl", base,
-        hom_obj={(a, b): _imp(a, b) for a in objs for b in objs},
-        hom_mor={(f, g): hmor(f, g) for f in base.morphisms() for g in base.morphisms()},
-        unit="1",
-        iu={a: f"1_{a}" for a in objs},
-        ju={a: "1_1" for a in objs},
-        ell={(a, b, c): _p2(_imp(b, c), _imp(_imp(a, b), _imp(a, c)))
-             for a in objs for b in objs for c in objs},
-    )
+    return thin_skew_closed("heyting2.cl", poset2_base("heyting2"),
+                            lambda b, c: "1" if b <= c else "0", "1")
 
 
 def terminal_short_multi() -> ShortMulticategory:
-    return table_short_multi("terminal", terminal_category(), lambda n, dom, cod: True)
+    return thin_short_multi("terminal", terminal_skew_monoidal())
 
 
 def terminal_skew_monoidal() -> SkewMonCategory:
-    base = terminal_category()
-    return SkewMonCategory(
-        "terminal.mon", base,
-        tensor_obj={("o", "o"): "o"}, tensor_mor={("1_o", "1_o"): "1_o"},
-        unit="o", alpha={("o", "o", "o"): "1_o"}, lam={"o": "1_o"}, rho={"o": "1_o"})
+    return thin_skew_monoidal("terminal.mon", terminal_category(), lambda a, b: "o", "o")
 
 
 def terminal_skew_closed() -> SkewClosedCategory:
-    base = terminal_category()
-    return SkewClosedCategory(
-        "terminal.cl", base,
-        hom_obj={("o", "o"): "o"}, hom_mor={("1_o", "1_o"): "1_o"},
-        unit="o", iu={"o": "1_o"}, ju={"o": "1_o"}, ell={("o", "o", "o"): "1_o"})
+    return thin_skew_closed("terminal.cl", terminal_category(), lambda a, b: "o", "o")
 
 
 # --------------------------------------------------------------------------
@@ -449,9 +427,10 @@ def forced_short_braiding(m: ShortSkewMulticategory, name: str):
 def catalogue_short_braidings():
     """Braided catalogue entries: (structure, short braiding) pairs."""
     out = {}
-    for key in ("z2", "klein", "terminal"):
-        sk = embed_plain(monoid_short_multi({"z2": z2_monoid, "klein": klein_monoid}[key]())
-                         if key != "terminal" else terminal_short_multi())
+    for key, m in (("z2", monoid_short_multi(z2_monoid())),
+                   ("klein", monoid_short_multi(klein_monoid())),
+                   ("terminal", terminal_short_multi())):
+        sk = embed_plain(m)
         out[key + ".beta"] = (sk, forced_short_braiding(sk, key + ".beta"))
     return out
 
@@ -499,10 +478,8 @@ def _bulk_table_mutants(name: str, kind: str, m, tables: list[str],
                         per_table: int, subject_of) -> list[Mutant]:
     """Redirect the first few entries of each table to a same-arity map of a
     different type; annotated at the typing instance of the edited key."""
-    from .shortskew import ShortSkewMulticategory as _Skew
-
     def pool_of(current: str) -> list[str]:
-        if isinstance(m, _Skew):
+        if isinstance(m, ShortSkewMulticategory):
             n, _, _, fl = m.info(current)
             return [x for x in sorted(m._index)
                     if x != current and m.info(x)[0] == n and fl <= m.info(x)[3]]
@@ -600,14 +577,15 @@ def catalogue_mutants() -> list[Mutant]:
                      _redirect(tmon.base.morphisms(), tmon.tensor_mor[tkey])),
         "tensor-typing", tkey))
 
+    braidings = catalogue_braidings()
     for bname in ("z2.sym", "klein.sym"):
-        mon, braid = catalogue_braidings()[bname]
+        mon, braid = braidings[bname]
         skey = sorted(braid.s)[1]
         s = dict(braid.s)
         s[skey] = _redirect(mon.base.morphisms(), s[skey])
         out.append(Mutant(f"{bname}.s", "braiding", (mon, Braiding(braid.name, s, dict(braid.s_inv))),
                           "s-typing", skey))
-    mon, braid = catalogue_braidings()["klein.sym"]
+    mon, braid = braidings["klein.sym"]
     s = dict(braid.s)
     s[("01", "10", "00")] = "1_00"
     out.append(Mutant("klein.sym.alpha-compat", "braiding",

@@ -296,15 +296,15 @@ def cmd_roundtrip(args) -> int:
 def _monoid_files(mon: Monoid) -> list[StructureFile]:
     from . import catalogue as cat
     from .shortskew import embed_plain
-    short = cat.monoid_short_multi(mon)
+    sm = cat.monoid_skew_monoidal(mon)
+    short = cat.thin_short_multi(mon.name, sm)
     skew = embed_plain(short)
     return [
         StructureFile("short-multi", mon.name, short),
-        StructureFile("skew-monoidal", mon.name + ".mon", cat.monoid_skew_monoidal(mon)),
+        StructureFile("skew-monoidal", mon.name + ".mon", sm),
         StructureFile("short-skew", mon.name + ".skew",
                       (skew, cat.forced_short_braiding(skew, mon.name + ".beta"))),
-        StructureFile("braiding", mon.name + ".sym",
-                      (cat.monoid_skew_monoidal(mon), cat.monoid_symmetry(mon))),
+        StructureFile("braiding", mon.name + ".sym", (sm, cat.monoid_symmetry(mon))),
     ]
 
 

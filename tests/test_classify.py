@@ -5,9 +5,9 @@ import pytest
 import reference_validators as ref
 from shortcat import classify, cli
 from shortcat.catalogue import (
-    _leq, _meet, bz2_category, catalogue_mutants, catalogue_short_multis,
-    catalogue_short_skews, discrete_base, monoid_short_multi, poset2_base,
-    poset2_first_short_skew, table_short_multi, z2_monoid,
+    bz2_category, catalogue_mutants, catalogue_short_multis, catalogue_short_skews,
+    discrete_base, heyting2_skew_monoidal, monoid_short_multi, poset2_base,
+    poset2_first_short_skew, table_short_multi, thin_inhabited, z2_monoid,
 )
 from shortcat.classify import (
     certify, check_left_universal, check_representable,
@@ -243,9 +243,10 @@ def test_left_iff_adjoint_positive_and_stripped():
     ms = catalogue_short_multis()
     assert verify_left_iff_adjoint(ms["heyting2"]).ok
     assert verify_left_iff_adjoint(ms["z2"]).ok
+    inhabited = thin_inhabited(heyting2_skew_monoidal())
     stripped = table_short_multi(
         "heyting2-nounits", poset2_base(),
-        lambda n, dom, cod: False if n == 0 else _leq(_meet(dom), cod))
+        lambda n, dom, cod: n > 0 and inhabited(n, dom, cod))
     r = verify_left_iff_adjoint(stripped)
     assert not r.ok  # both routes answer no, recorded as a failed verdict
     assert r.has_failure("verdict", ("left-representable",))

@@ -1,14 +1,17 @@
 import dataclasses
 
+import pytest
+
 import reference_validators as ref
 from shortcat import skewmon
 from shortcat.catalogue import (
     bz2_category, catalogue_braidings, catalogue_mutants, catalogue_skew_closed,
     catalogue_skew_monoidals, heyting2_skew_closed, heyting2_skew_monoidal, klein_monoid,
-    monoid_skew_monoidal, monoid_symmetry, poset2_skew_first,
-    poset2_skew_second, terminal_skew_monoidal, z2_monoid,
+    monoid_skew_monoidal, monoid_symmetry, poset2_base, poset2_skew_first,
+    poset2_skew_second, terminal_skew_monoidal, thin_skew_closed, thin_skew_monoidal,
+    z2_monoid,
 )
-from shortcat.errors import ShortcatError
+from shortcat.errors import MalformedTable, ShortcatError
 from shortcat.skewmon import (
     Braiding, LaxMonFunctor, check_symmetry, classify_flavour,
     identity_lax_functor, validate_braided_functor, validate_braiding,
@@ -41,6 +44,20 @@ def test_z2_strict_monoidal_passes_with_identity_structure_maps():
                [((a, b), c.tensor_mor[(c.base.identity(a), c.base.identity(b))])
                 for a in c.base.objects for b in c.base.objects])
     assert classify_flavour(c).monoidal
+
+
+@pytest.mark.parametrize("build", [
+    # a (x) b := b with unit 0 has no rho: 1 -> 1 (x) 0 = 0
+    lambda: thin_skew_monoidal("second-0", poset2_base(), lambda a, b: b, "0"),
+    # a tensor that is not monotone has no tensor of le (x) 1_0: 1 -> 0
+    lambda: thin_skew_monoidal("flip", poset2_base(),
+                               lambda a, b: "1" if a == "0" else "0", "1"),
+    # [b, x] := x with unit 1 has no J: 1 -> [0, 0] = 0
+    lambda: thin_skew_closed("target", poset2_base(), lambda b, x: x, "1"),
+])
+def test_thin_generators_refuse_a_missing_structure_map(build):
+    with pytest.raises(MalformedTable, match="1 -> 0"):
+        build()
 
 
 def test_all_catalogue_monoidals_pass_with_counts():
