@@ -33,9 +33,14 @@ package's single scan helper and single search pass with them. They build
 the package's certificate dataclasses, so cli.render_certificate reads both.
 
 The former skewmon.right_adjoint_witness, which checked each object's
-bijection with a seen-dict loop of its own, closes the file;
+bijection with a seen-dict loop of its own, follows them;
 tests/test_skewmon.py compares classify_flavour through it with the
 package's, which goes through classify.bijection_table.
+
+The former transport._check_transfer_rows, a three-row pre-check that
+ks_morphism_inverse ran before validate_skew_multi_morphism, closes the
+file; tests/test_transport.py shows on single-entry image redirects that
+validation refuses every morphism these rows refuse.
 
 The routing helpers come first: the former safe_post, safe_pre and
 safe_subst of MultiTables and the former lookup_tables, which
@@ -61,8 +66,8 @@ from shortcat.classify import (
     Structure, skew_view,
 )
 from shortcat.errors import (
-    DanglingId, InconsistentVerdicts, MalformedTable, ParseError, TypingViolation, UnknownKind,
-    UniversalityBroken, VersionMismatch,
+    AxiomTransferFailure, DanglingId, InconsistentVerdicts, MalformedTable, ParseError,
+    TypingViolation, UnknownKind, UniversalityBroken, VersionMismatch,
 )
 from shortcat.fileformat import KINDS, FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
 from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
@@ -2668,3 +2673,37 @@ def right_adjoint_witness(c: SkewMonCategory, b: str, cod: str) -> Optional[tupl
             if ok:
                 return (h, eps)
     return None
+
+
+# --------------------------------------------------------------------------
+# the former row pre-check of ks_morphism_inverse
+# --------------------------------------------------------------------------
+
+def _check_transfer_rows(F: SkewMultiMorphism) -> None:
+    """The three conditions that characterise a morphism: substitution of a
+    nullary map into the second slot of a binary one, substitution of a
+    binary map into the first slot of a binary one, and compatibility with
+    the comparison j (which in the plain case is substitution of a nullary
+    map into the first slot)."""
+    src, tgt = F.source, F.target
+    for g in src.multimaps(TIGHT, 2):
+        dom = src.dom(g)
+        for v0 in src.multimaps(LOOSE, 0):
+            if src.cod(v0) == dom[1]:
+                lhs = F.safe_apply(src.safe_subst(g, 2, v0))
+                rhs = tgt.safe_subst(F.safe_apply(g), 2, F.safe_apply(v0, LOOSE))
+                if lhs is None or lhs != rhs:
+                    raise AxiomTransferFailure("right unit axiom",
+                                               f"nullary into slot 2 of {g}")
+        for f in src.multimaps(TIGHT, 2):
+            if src.cod(f) == dom[0]:
+                lhs = F.safe_apply(src.safe_subst(g, 1, f))
+                rhs = tgt.safe_subst(F.safe_apply(g), 1, F.safe_apply(f))
+                if lhs is None or lhs != rhs:
+                    raise AxiomTransferFailure("associator axiom",
+                                               f"binary into slot 1 of {g}")
+    for p in src.base.morphisms():
+        lhs = F.safe_apply(src.j.get(p), LOOSE)
+        rhs = tgt.j.get(F.functor.mor_map.get(p))
+        if lhs is None or lhs != rhs:
+            raise AxiomTransferFailure("left unit axiom", f"j at {p}")

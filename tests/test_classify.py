@@ -152,7 +152,8 @@ def test_left_universal_closed_and_derived_scans_visit_every_scope(monkeypatch):
     classifier (one or two more inputs, at every codomain). Here
     find_closed_structure certifies the first candidate of each of the k^2
     pairs, in its 1 + 2k + k^2 + k^3 scopes (tight arities 1-3, loose 0
-    and 1). derived_classifiers checks k^3 + k^4 + k composites at every
+    and 1), and find_right_closed in its 1 + k + k^2 + k^3 (loose 0, tight
+    1-3). derived_classifiers checks k^3 + k^4 + k composites at every
     codomain. Every scope passes, so the number of scans shows that none is
     skipped."""
     ms = catalogue_short_multis()
@@ -174,6 +175,9 @@ def test_left_universal_closed_and_derived_scans_visit_every_scope(monkeypatch):
         scans.clear()
         find_closed_structure(m)
         assert len(scans) == k ** 2 * (1 + 2 * k + k ** 2 + k ** 3), name
+        scans.clear()
+        find_right_closed(m)
+        assert len(scans) == k ** 2 * (1 + k + k ** 2 + k ** 3), name
         scans.clear()
         derived_classifiers(m, cert)
         assert len(scans) == k * (k ** 3 + k ** 4 + k), name

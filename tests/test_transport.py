@@ -1,19 +1,24 @@
+import dataclasses
+
 import pytest
 
+import reference_validators as ref
 from shortcat.catalogue import (
-    Monoid, catalogue_morphisms, catalogue_short_multis, catalogue_short_skews,
+    Monoid, bz2_category, catalogue_morphisms, catalogue_short_multis, catalogue_short_skews,
     catalogue_skew_closed, catalogue_skew_monoidals, monoid_skew_monoidal,
     poset2_skew_second, z2_monoid,
 )
 from shortcat.classify import certify, check_representable, find_closed_structure
-from shortcat.errors import MultipleSolutions, NoSolution
+from shortcat.errors import AxiomTransferFailure, MultipleSolutions, NoSolution
+from shortcat.fincat import identity_functor
 from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
 from shortcat.shortmulti import validate_short_multicategory
 from shortcat.shortskew import (
-    SkewMultiMorphism, embed_multi_morphism, identity_skew_morphism, validate_short_skew,
+    LOOSE, TIGHT, SkewMultiMorphism, embed_multi_morphism, identity_skew_morphism,
+    validate_short_skew, validate_skew_multi_morphism,
 )
 from shortcat.skewmon import (
-    classify_flavour, validate_lax_functor, validate_skew_closed,
+    SkewClosedFunctor, classify_flavour, identity_lax_functor, validate_lax_functor, validate_skew_closed,
     validate_skew_closed_functor, validate_skew_monoidal,
 )
 from shortcat.transport import (
@@ -157,6 +162,89 @@ def test_kcl_object_and_morphism(name):
     assert back.tight_maps == F.tight_maps
     assert back.loose_maps == F.loose_maps
 
+
+
+def _bz2_lax_functor(f0: str, f2: str):
+    """The identity lax functor of the skew monoidal category rebuilt from
+    the induction of BZ/2, with f0 and every f2 entry replaced; and the
+    certificate and category of that induction."""
+    sk = induce_short_skew(bz2_category())
+    cert = certify(sk)
+    K = ks_object(sk, cert)
+    t = identity_lax_functor(K)
+    return dataclasses.replace(t, f0=f0, f2={key: f2 for key in t.f2}), cert, K
+
+
+def test_ks_inverse_rebuilds_a_non_identity_lax_functor():
+    """On BZ/2, whose hom-set has two parallel morphisms, the lax functor
+    with f0 = f2 = g is lax monoidal, and the forward transport of its
+    reconstruction gives it back."""
+    t, cert, K = _bz2_lax_functor("g", "g")
+    assert validate_lax_functor(t).ok
+    back = ks_morphism_inverse(t, cert, cert)
+    assert lax_functor_equal(ks_morphism(back, cert, cert, K, K), t)
+
+
+def test_ks_inverse_refuses_data_that_is_not_lax_monoidal():
+    """f0 = e with f2 = g fails the lax functor laws, and the reconstruction
+    refuses it with the row and the instance its validation fails."""
+    t, cert, _ = _bz2_lax_functor("e", "g")
+    assert not validate_lax_functor(t).ok
+    with pytest.raises(AxiomTransferFailure) as info:
+        ks_morphism_inverse(t, cert, cert)
+    assert info.value.row == "right unit axiom"
+
+
+def test_kcl_inverse_names_the_first_undefined_image():
+    """An identity closed functor on heyting2.cl with its hom comparison at
+    (1,0) moved onto le has no image for the binary evaluation into 0."""
+    sk = induce_closed_skew(catalogue_skew_closed()["heyting2.cl"])
+    cert = certify(sk)
+    homs = find_closed_structure(sk, cert)
+    cl = kcl_object(sk, cert, homs)
+    fh = {key: cl.base.identity(h) for key, h in cl.hom_obj.items()}
+    t = SkewClosedFunctor("id[heyting2.cl]", cl, cl, identity_functor(cl.base),
+                          cl.base.identity(cl.unit), {**fh, ("1", "0"): "le"})
+    with pytest.raises(NoSolution, match=r"^closed reconstruction undefined at "
+                                         r"t2\(0,1;0\)#1_0$"):
+        kcl_morphism_inverse(t, cert, cert, homs, homs)
+
+
+def _image_redirects(F: SkewMultiMorphism):
+    """F with one entry of one tight or loose image table moved to another
+    target id of its flavour and arity, for each entry and each of the first
+    two such ids, those of the image's own type first."""
+    tgt = F.target
+    for field, flavour in (("tight_maps", TIGHT), ("loose_maps", LOOSE)):
+        tables = getattr(F, field)
+        for n, table in tables.items():
+            for f, img in table.items():
+                others = sorted((h for h in tgt.multimaps(flavour, n) if h != img),
+                                key=lambda h: tgt.info(h)[:3] != tgt.info(img)[:3])
+                for other in others[:2]:
+                    yield dataclasses.replace(F, **{field: {**tables, n: {**table, f: other}}})
+
+
+def test_validation_refuses_whatever_the_transfer_rows_refuse():
+    """The three rows that ks_morphism_inverse once checked before
+    validating are instances of morphism-sub and morphism-j: on every
+    single-entry image redirect of 19 morphisms (the catalogue morphisms
+    between the embeddings of their ends, and the identities of the
+    catalogue short skew multicategories), validation fails wherever the
+    rows fail."""
+    morphisms = [embed_multi_morphism(F, F.source.as_skew, F.target.as_skew)
+                 for F in catalogue_morphisms().values()]
+    morphisms += [identity_skew_morphism(m) for m in catalogue_short_skews().values()]
+    tried = refused = 0
+    for F in morphisms:
+        for G in _image_redirects(F):
+            tried += 1
+            try:
+                ref._check_transfer_rows(G)
+            except AxiomTransferFailure:
+                refused += 1
+                assert not validate_skew_multi_morphism(G).ok, G.name
+    assert (len(morphisms), tried, refused) == (19, 4384, 1210)
 
 def test_closed_induction_recovers_structure():
     for name, x in catalogue_skew_closed().items():
