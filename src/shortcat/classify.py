@@ -27,7 +27,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, U
 from .errors import InconsistentVerdicts, MalformedTable, UniversalityBroken
 from .report import ValidationReport
 from .shortmulti import ShortMulticategory
-from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory
+from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, sub_flavour
 
 Structure = Union[ShortMulticategory, ShortSkewMulticategory]
 
@@ -371,85 +371,71 @@ def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool,
 # closedness
 # --------------------------------------------------------------------------
 
-def _hom_object(pair: tuple[str, str], cand: str, e: str,
-                scopes: Iterable[Scope]) -> Optional[HomObject]:
-    """The hom object (cand, e) when every scope is a bijection; its witness
-    keeps the non-empty tables."""
-    witness: dict[tuple, dict[str, str]] = {}
-    if bijection_scan(scopes, witness):
-        return None
-    return HomObject(pair, cand, e, {key: table for key, table in witness.items() if table})
+# A side of closedness: the slot of the evaluation map e that takes the
+# candidate hom object (b takes the other), and the (flavour, arity) of the
+# maps substituted into that slot, one scope per inputs xs.
+HomSide = tuple[int, tuple[tuple[str, int], ...]]
+# e: (cand, b) -> c; tight arities 1 to 3, loose 0 and 1, or loose 1 only
+LEFT: HomSide = (1, ((TIGHT, 1), (TIGHT, 2), (TIGHT, 3), (LOOSE, 0), (LOOSE, 1)))
+LEFT_POSITIVE: HomSide = (1, ((TIGHT, 1), (TIGHT, 2), (TIGHT, 3), (LOOSE, 1)))
+# e: (b, cand) -> c, on the view of a plain structure; loose 0, tight 1 to 3
+RIGHT: HomSide = (2, ((LOOSE, 0), (TIGHT, 1), (TIGHT, 2), (TIGHT, 3)))
 
 
 def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
-                 cand: str, e: str, include_nullary: bool = True) -> Optional[HomObject]:
-    """Substitution into position 1 of e: (cand, b) -> c, tight arities 1 to 3
-    and loose arities 0 (when include_nullary) and 1."""
-    arities = ((TIGHT, (1, 2, 3)), (LOOSE, (0, 1) if include_nullary else (1,)))
+                 cand: str, e: str, side: HomSide = LEFT) -> Optional[HomObject]:
+    """The hom object (cand, e) when substitution into e's slot is a
+    bijection at every scope of the side: from the maps xs -> cand onto the
+    maps into c whose inputs are e's with xs in cand's place, of the flavour
+    that substitution into a tight map gives. Its witness keeps the
+    non-empty tables, keyed (flavour, n, xs) on the left and (n, xs) on the
+    right, where the plain structure's arity fixes the flavour."""
+    slot, flavours = side
     maps, sub = v._mapsets.get, v.lookups[2].get
+    before, after = v.dom(e)[:slot - 1], v.dom(e)[slot:]
+    scopes = [(flavour, n, sub_flavour(TIGHT, slot, flavour)) for flavour, n in flavours]
 
     def image(g: str) -> Optional[str]:
-        return sub((e, 1, g))
-    return _hom_object((b, c), cand, e, (
-        ((flavour, n, xs), maps((flavour, n, xs, cand), ()), image,
-         maps((flavour, n + 1, xs + (b,), c), ()))
-        for flavour, ns in arities for n in ns
-        for xs in itertools.product(v.base.objects, repeat=n)))
+        return sub((e, slot, g))
+    witness: dict[tuple, dict[str, str]] = {}
+    if bijection_scan((((flavour, n, xs) if slot == 1 else (n, xs),
+                        maps((flavour, n, xs, cand), ()), image,
+                        maps((landing, n + 1, before + xs + after, c), ()))
+                       for flavour, n, landing in scopes
+                       for xs in itertools.product(v.base.objects, repeat=n)), witness):
+        return None
+    return HomObject((b, c), cand, e, {key: table for key, table in witness.items() if table})
 
 
 def find_hom_object(m: Structure, b: str, c: str,
-                    include_nullary: bool = True) -> Optional[HomObject]:
+                    side: HomSide = LEFT) -> Optional[HomObject]:
     v = skew_view(m)
     for cand in v.base.objects:
-        for e in v._mapsets.get((TIGHT, 2, (cand, b), c), ()):
-            h = _certify_hom(v, b, c, cand, e, include_nullary=include_nullary)
+        dom = (cand, b) if side[0] == 1 else (b, cand)
+        for e in v._mapsets.get((TIGHT, 2, dom, c), ()):
+            h = _certify_hom(v, b, c, cand, e, side)
             if h is not None:
                 return h
     return None
 
 
-def find_closed_structure(m: Structure,
-                          cert: Optional[Certificate] = None
+def find_closed_structure(m: Structure, cert: Optional[Certificate] = None,
+                          side: HomSide = LEFT
                           ) -> Optional[dict[tuple[str, str], HomObject]]:
-    """Exhaustive hom-object search for every pair; None when some pair
-    admits none. Records the inventory on the certificate when given."""
-    v = skew_view(m)
-    homs: dict[tuple[str, str], Optional[HomObject]] = {}
-    for b, c in itertools.product(v.base.objects, repeat=2):
-        homs[(b, c)] = find_hom_object(m, b, c)
+    """Exhaustive hom-object search on one side for every pair; None when
+    some pair admits none. Records the inventory on the certificate when
+    given, as its right_homs for the right side."""
+    objs = skew_view(m).base.objects
+    homs = {(b, c): find_hom_object(m, b, c, side) for b, c in itertools.product(objs, repeat=2)}
     if cert is not None:
-        cert.homs = homs
-    if any(h is None for h in homs.values()):
-        return None
-    return homs
-
-
-def find_right_hom_object(m: ShortMulticategory, b: str, c: str) -> Optional[HomObject]:
-    """Right-closed analogue on plain structures: e(b, r[b,c]) -> c with
-    substitution in position 2 inducing the bijections, arities 0 to 3."""
-    objs = m.base.objects
-    for cand in objs:
-        for e in m.mapset(2, (b, cand), c):
-            h = _hom_object((b, c), cand, e, (
-                ((n, xs), m.mapset(n, xs, cand), lambda g: m.safe_subst(e, 2, g),
-                 m.mapset(n + 1, (b,) + xs, c))
-                for n in (0, 1, 2, 3) for xs in itertools.product(objs, repeat=n)))
-            if h is not None:
-                return h
-    return None
+        setattr(cert, "right_homs" if side is RIGHT else "homs", homs)
+    return None if any(h is None for h in homs.values()) else homs
 
 
 def find_right_closed(m: ShortMulticategory,
                       cert: Optional[Certificate] = None
                       ) -> Optional[dict[tuple[str, str], HomObject]]:
-    homs: dict[tuple[str, str], Optional[HomObject]] = {}
-    for b, c in itertools.product(m.base.objects, repeat=2):
-        homs[(b, c)] = find_right_hom_object(m, b, c)
-    if cert is not None:
-        cert.right_homs = homs
-    if any(h is None for h in homs.values()):
-        return None
-    return homs
+    return find_closed_structure(m, cert, RIGHT)
 
 
 # --------------------------------------------------------------------------
@@ -587,10 +573,8 @@ def verify_left_iff_adjoint(m: Structure) -> ValidationReport:
     pair of verdicts."""
     v = skew_view(m)
     report = ValidationReport(getattr(m, "name") + ".left-iff-adjoint")
-    homs = {}
-    for b, c in itertools.product(v.base.objects, repeat=2):
-        homs[(b, c)] = find_hom_object(m, b, c, include_nullary=False)
-    if any(h is None for h in homs.values()):
+    homs = find_closed_structure(m, side=LEFT_POSITIVE)
+    if homs is None:
         raise MalformedTable(f"{getattr(m, 'name')}: verify_left_iff_adjoint needs closedness")
 
     cert = certify(m)

@@ -53,7 +53,8 @@ class InconsistentVerdicts(ShortcatError):
 
 
 class AxiomTransferFailure(ShortcatError):
-    """Morphism reconstruction failed one of the correspondence-table rows."""
+    """A morphism rebuilt by an inverse transport fails its validator: the
+    row is "full commutation" and the detail the first failing instance."""
 
     def __init__(self, row: str, detail: str = ""):
         self.row = row

@@ -163,7 +163,9 @@ def _rebuilt_morphism(t: Union[LaxMonFunctor, SkewClosedFunctor], cert_src: Cert
     """The structure morphism of transported data t. The image of a loose
     nullary w is (F(w*) o f0) o u; families(those images) gives the tight
     families (arities 2-4) and the loose unary and binary ones. NoSolution
-    names the first undefined image: loose 0, tight 2-4, loose 1-2."""
+    names the first undefined image: loose 0, tight 2-4, loose 1-2; then
+    AxiomTransferFailure names the first instance at which the rebuilt
+    morphism fails validate_skew_multi_morphism."""
     vt, F1 = cert_tgt.view, t.functor.mor_map.get
     loose0 = {w: vt.safe_post(vt.base.compose_opt(F1(inv.star[w]), t.f0), cert_tgt.nullary.u)
               for w in cert_src.view.multimaps(LOOSE, 0)}
@@ -172,12 +174,16 @@ def _rebuilt_morphism(t: Union[LaxMonFunctor, SkewClosedFunctor], cert_src: Cert
         for key, val in table.items():
             if val is None:
                 raise NoSolution(f"{label} undefined at {key}")
-    return SkewMultiMorphism(t.name + ".multi", cert_src.view, vt, t.functor,
-                             tight, {0: loose0, **loose})
+    F = SkewMultiMorphism(t.name + ".multi", cert_src.view, vt, t.functor,
+                          tight, {0: loose0, **loose})
+    report = validate_skew_multi_morphism(F)
+    if not report.ok:
+        raise AxiomTransferFailure("full commutation", report.failures[0].render())
+    return F
 
 
-def _reconstruct_families(t: LaxMonFunctor, cert_src: Certificate, cert_tgt: Certificate
-                          ) -> SkewMultiMorphism:
+def ks_morphism_inverse(t: LaxMonFunctor, cert_src: Certificate,
+                        cert_tgt: Certificate) -> SkewMultiMorphism:
     """From lax monoidal data, rebuild the structure morphism: a tight
     binary g is (F(g') o f2) o theta, a tight h of arity 3 or 4 is the
     image of h' with the image of theta in its first slot, and a loose q of
@@ -199,47 +205,6 @@ def _reconstruct_families(t: LaxMonFunctor, cert_src: Certificate, cert_tgt: Cer
                            for q in vs.multimaps(LOOSE, n)} for n in (1, 2)}
 
     return _rebuilt_morphism(t, cert_src, cert_tgt, inv, "reconstruction", families)
-
-
-def _check_transfer_rows(F: SkewMultiMorphism) -> None:
-    """The three conditions that characterise a morphism: substitution of a
-    nullary map into the second slot of a binary one, substitution of a
-    binary map into the first slot of a binary one, and compatibility with
-    the comparison j (which in the plain case is substitution of a nullary
-    map into the first slot)."""
-    src, tgt = F.source, F.target
-    for g in src.multimaps(TIGHT, 2):
-        dom = src.dom(g)
-        for v0 in src.multimaps(LOOSE, 0):
-            if src.cod(v0) == dom[1]:
-                lhs = F.safe_apply(src.safe_subst(g, 2, v0))
-                rhs = tgt.safe_subst(F.safe_apply(g), 2, F.safe_apply(v0, LOOSE))
-                if lhs is None or lhs != rhs:
-                    raise AxiomTransferFailure("right unit axiom",
-                                               f"nullary into slot 2 of {g}")
-        for f in src.multimaps(TIGHT, 2):
-            if src.cod(f) == dom[0]:
-                lhs = F.safe_apply(src.safe_subst(g, 1, f))
-                rhs = tgt.safe_subst(F.safe_apply(g), 1, F.safe_apply(f))
-                if lhs is None or lhs != rhs:
-                    raise AxiomTransferFailure("associator axiom",
-                                               f"binary into slot 1 of {g}")
-    for p in src.base.morphisms():
-        lhs = F.safe_apply(src.j.get(p), LOOSE)
-        rhs = tgt.j.get(F.functor.mor_map.get(p))
-        if lhs is None or lhs != rhs:
-            raise AxiomTransferFailure("left unit axiom", f"j at {p}")
-
-
-def ks_morphism_inverse(t: LaxMonFunctor, cert_src: Certificate,
-                        cert_tgt: Certificate) -> SkewMultiMorphism:
-    F = _reconstruct_families(t, cert_src, cert_tgt)
-    _check_transfer_rows(F)
-    report = validate_skew_multi_morphism(F)
-    if not report.ok:
-        raise AxiomTransferFailure("full commutation",
-                                   report.failures[0].render())
-    return F
 
 
 def k_morphism_inverse(t: LaxMonFunctor, cert_src: Certificate,
@@ -514,11 +479,7 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
                                 for q in vs.multimaps(LOOSE, n)}
         return tight, loose
 
-    F = _rebuilt_morphism(t, cert_src, cert_tgt, inv, "closed reconstruction", families)
-    report = validate_skew_multi_morphism(F)
-    if not report.ok:
-        raise AxiomTransferFailure("full commutation", report.failures[0].render())
-    return F
+    return _rebuilt_morphism(t, cert_src, cert_tgt, inv, "closed reconstruction", families)
 
 
 # --------------------------------------------------------------------------

@@ -187,12 +187,13 @@ def test_ks_inverse_rebuilds_a_non_identity_lax_functor():
 
 def test_ks_inverse_refuses_data_that_is_not_lax_monoidal():
     """f0 = e with f2 = g fails the lax functor laws, and the reconstruction
-    refuses it with the row and the instance its validation fails."""
+    refuses it with the first instance at which its validation fails."""
     t, cert, _ = _bz2_lax_functor("e", "g")
     assert not validate_lax_functor(t).ok
     with pytest.raises(AxiomTransferFailure) as info:
         ks_morphism_inverse(t, cert, cert)
-    assert info.value.row == "right unit axiom"
+    assert info.value.row == "full commutation"
+    assert str(info.value).endswith("(fail morphism-j @ e : l1(o;o)#g != l1(o;o)#e)")
 
 
 def test_kcl_inverse_names_the_first_undefined_image():
