@@ -62,22 +62,17 @@ def terminal_category() -> FinCategory:
     return discrete_base("terminal", ["o"])
 
 
-def z2_group_category(suffix: str = "") -> FinCategory:
-    """Z/2 as a one-object category."""
-    e, g = f"e{suffix}", f"g{suffix}"
-    return FinCategory(
-        name=f"z2group{suffix}", objects=("o",),
-        homs={("o", "o"): (e, g)},
-        comp={(e, e): e, (e, g): g, (g, e): g, (g, g): e},
-        ids={"o": e},
-    )
-
-
 def bz2_category() -> SkewMonCategory:
     """The delooping of Z/2: one object, the group Z/2 as its hom-set, and the
     group product as the tensor of morphisms. Its hom-set has two parallel
     morphisms, where every other base here is discrete or thin."""
-    base = z2_group_category()
+    base = FinCategory(
+        name="z2group", objects=("o",),
+        homs={("o", "o"): ("e", "g")},
+        comp={("e", "e"): "e", ("e", "g"): "g",
+              ("g", "e"): "g", ("g", "g"): "e"},
+        ids={"o": "e"},
+    )
     return SkewMonCategory(
         "bz2", base,
         tensor_obj={("o", "o"): "o"},

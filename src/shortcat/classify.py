@@ -7,7 +7,7 @@ extension, a hom object (left or right), a derived composite and a
 representability slot differ only in the scopes they list, each a
 (key, domain, substitution, target) tuple, and all of them go through
 bijection_scan. The tables it records are the witnesses, and they double as
-inverse tables: preimage reads one backwards.
+inverse tables: read_back reads them backwards.
 
 Everything here works on the tight/loose view: a plain short multicategory
 is certified through its embedding (all maps both tight and loose, j the
@@ -449,51 +449,29 @@ class Inverses:
     sharp: dict[str, str]   # f with last input b, cod c -> f# into [b,c]
 
 
+def read_back(owners: Iterable[Union[BinaryClassifier, NullaryClassifier, HomObject]]
+              ) -> dict[str, str]:
+    """The witness tables of owners read backwards: each map a substitution
+    reached -> the map whose substitution reached it. The first scope to
+    reach a map names it; tight scopes are recorded before loose ones, so a
+    map both tight and loose takes its tight abstraction."""
+    back: dict[str, str] = {}
+    for owner in owners:
+        for table in owner.witness.values():
+            for w, img in table.items():
+                back.setdefault(img, w)
+    return back
+
+
 def inverses(m: Structure, cert: Certificate,
              homs: Optional[dict[tuple[str, str], HomObject]] = None) -> Inverses:
-    """Build explicit inverse tables from the recorded witnesses and verify
-    the defining equations on every element."""
+    """The inverse tables, read off the recorded witnesses. Every scope of a
+    certified classifier or hom object is a bijection onto all the maps of
+    its type, so each map in a table's range is reached exactly once."""
     if not cert.left_representable:
         raise MalformedTable(f"{cert.name}: inverse tables need left representability")
-    v = cert.view
-    prime: dict[str, str] = {}
-    for n in (2, 3, 4):
-        for f in v.multimaps(TIGHT, n):
-            dom = v.dom(f)
-            cl = cert.classifier(dom[0], dom[1])
-            key = ("base", v.cod(f)) if n == 2 else ("ext", n - 1, dom[2:], v.cod(f))
-            w = preimage(cl.witness.get(key, {}), f)
-            if w is None:
-                raise UniversalityBroken(f"{cert.name}: prime inverse missing for {f}")
-            prime[f] = w
-            if v.safe_subst(w, 1, cl.theta) != f:
-                raise UniversalityBroken(f"{cert.name}: prime roundtrip failed at {f}")
-    star: dict[str, str] = {}
-    nu = cert.nullary
-    for n in (0, 1, 2):
-        for f in v.multimaps(LOOSE, n):
-            dom, cod = v.dom(f), v.cod(f)
-            key = ("base", cod) if n == 0 else ("ext", n, dom, cod)
-            w = preimage(nu.witness.get(key, {}), f)
-            if w is None:
-                raise UniversalityBroken(f"{cert.name}: star inverse missing for {f}")
-            star[f] = w
-            if v.safe_subst(w, 1, nu.u) != f:
-                raise UniversalityBroken(f"{cert.name}: star roundtrip failed at {f}")
-    sharp: dict[str, str] = {}
-    if homs is not None:
-        for flavour, lo, hi in ((TIGHT, 2, 4), (LOOSE, 1, 2)):
-            for n in range(lo, hi + 1):
-                for f in v.multimaps(flavour, n):
-                    if flavour == LOOSE and v.is_tight(f) and n >= 2:
-                        continue  # handled through the tight tables
-                    dom, cod = v.dom(f), v.cod(f)
-                    table = homs[(dom[-1], cod)].witness.get((flavour, n - 1, dom[:-1]), {})
-                    w = preimage(table, f)
-                    if w is None:
-                        raise UniversalityBroken(f"{cert.name}: sharp inverse missing for {f}")
-                    sharp[f] = w
-    return Inverses(prime, star, sharp)
+    return Inverses(read_back(cert.binary.values()), read_back([cert.nullary]),
+                    read_back((homs or {}).values()))
 
 
 def hom_action(m: Structure, homs: dict[tuple[str, str], HomObject],
@@ -503,8 +481,7 @@ def hom_action(m: Structure, homs: dict[tuple[str, str], HomObject],
     v = skew_view(m)
     c, c2 = v.base.span(q)
     h, h2 = homs[(b, c)], homs[(b, c2)]
-    link = preimage({w: v.safe_subst(h2.e, 1, w) for w in v.base.hom(h.obj, h2.obj)},
-                    v.safe_post(q, h.e))
+    link = preimage(h2.witness.get((TIGHT, 1, (h.obj,)), {}), v.safe_post(q, h.e))
     if link is None:
         raise UniversalityBroken(f"hom action not uniquely determined for [{b},{q}]")
     return link
@@ -620,13 +597,13 @@ def verify_units_left_universal(m: Structure) -> ValidationReport:
     i, u = nu.obj, nu.u
     objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
     drop = _into(sub, 1, u)
+    sharp = read_back(homs.values())
 
     def chain(g: str) -> Optional[str]:
         # g#, with u substituted, then fed back through the evaluation map
-        dom = v.dom(g)
-        h = homs[(dom[-1], v.cod(g))]
-        dropped = drop(preimage(h.witness.get((TIGHT, len(dom) - 1, dom[:-1]), {}), g))
-        return None if dropped is None else sub((h.e, 1, dropped))
+        dropped = drop(sharp.get(g))
+        e = homs[(v.dom(g)[-1], v.cod(g))].e
+        return None if dropped is None else sub((e, 1, dropped))
 
     direct_ok, chain_ok = True, True
     for n in (2, 3):

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import DanglingId, MalformedTable, SearchBoundExceeded
+from .errors import DanglingId, MalformedTable
 from .report import ValidationReport, tally
 
-# The most objects an isomorphism search permutes; a larger base raises
-# SearchBoundExceeded.
+# The most objects transport.compare_skew_monoidal's isomorphism search
+# permutes; a larger base raises SearchBoundExceeded.
 ISO_SEARCH_MAX_OBJECTS = 6
 
 
@@ -299,27 +299,3 @@ def _extend_mor_bijection(c: FinCategory, d: FinCategory, obj_bij: dict[str, str
     if not consistent(m):
         return None
     return m
-
-
-def find_isomorphism(c: FinCategory, d: FinCategory) -> Optional[tuple[FinFunctor, FinFunctor]]:
-    """Exhaustive search for an isomorphism of categories; returns a
-    mutually inverse functor pair or None."""
-    if max(len(c.objects), len(d.objects)) > ISO_SEARCH_MAX_OBJECTS:
-        raise SearchBoundExceeded(
-            f"isomorphism search bounded at {ISO_SEARCH_MAX_OBJECTS} objects")
-    if len(c.objects) != len(d.objects) or len(c.morphisms()) != len(d.morphisms()):
-        return None
-    for perm in itertools.permutations(d.objects):
-        obj_bij = dict(zip(c.objects, perm))
-        mor_map = _extend_mor_bijection(c, d, obj_bij)
-        if mor_map is None:
-            continue
-        fwd = FinFunctor(f"iso[{c.name}->{d.name}]", c, d, obj_bij, mor_map)
-        if not validate_functor(fwd).ok:
-            continue
-        back = FinFunctor(f"iso[{d.name}->{c.name}]", d, c,
-                          {v: k for k, v in obj_bij.items()},
-                          {v: k for k, v in mor_map.items()})
-        if validate_functor(back).ok:
-            return fwd, back
-    return None

@@ -14,7 +14,6 @@ category is the skew one read through its invertible j
 """
 from __future__ import annotations
 
-import itertools
 from functools import reduce
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
@@ -157,34 +156,6 @@ def induce_short_multi(c: SkewMonCategory, name: Optional[str] = None) -> ShortM
     if not classify_flavour(c).left_normal:
         raise MalformedTable(f"{c.name}: plain induction needs an invertible left unit map")
     return plain_of(induce_short_skew(c, name))
-
-
-def induced_multimap_sets(c: SkewMonCategory, cap: int = 4):
-    """Induced multimap families up to an arity cap.
-
-    With cap <= 4 this returns the short structure (plain when the left unit
-    map is invertible, skew otherwise). Larger caps return the raw table
-    family, keyed (flavour, arity, domain, codomain), listing the underlying
-    morphisms out of the left-bracketed products."""
-    if cap <= 4:
-        from .skewmon import classify_flavour
-        if classify_flavour(c).left_normal:
-            return induce_short_multi(c)
-        return induce_short_skew(c)
-    br = _Bracketer(c)
-    base = c.base
-    out: dict[tuple, tuple[str, ...]] = {}
-    for n in range(0, cap + 1):
-        for dom in itertools.product(base.objects, repeat=n):
-            for cod in base.objects:
-                if n >= 1:
-                    tight = base.hom(br.lbr(dom), cod)
-                    if tight:
-                        out[(TIGHT, n, dom, cod)] = tight
-                loose = base.hom(br.lbr((c.unit,) + dom), cod)
-                if loose:
-                    out[(LOOSE, n, dom, cod)] = loose
-    return out
 
 
 # --------------------------------------------------------------------------

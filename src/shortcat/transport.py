@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .classify import (
     Certificate, HomObject, Inverses, certify, find_closed_structure, find_right_closed,
-    inverses, preimage,
+    inverses, preimage, read_back,
 )
 from .errors import (
     AxiomTransferFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions,
@@ -367,8 +367,7 @@ def transport_closed(m: Structure, cert: Certificate) -> ValidationReport:
         target = searched[(b, c)]
         report.count("derived-vs-searched")
         if (hom.obj, hom.e) != (target.obj, target.e):
-            link = preimage({w: v.safe_subst(target.e, 1, w)
-                             for w in base.hom(hom.obj, target.obj)}, hom.e)
+            link = preimage(target.witness.get((TIGHT, 1, (hom.obj,)), {}), hom.e)
             if link is None or base.is_iso(link) is None:
                 report.fail("derived-vs-searched", (b, c),
                             f"{hom.obj}/{hom.e}", f"{target.obj}/{target.e}")
@@ -497,18 +496,7 @@ def biclosed_subst_check(m: ShortMulticategory) -> ValidationReport:
     right = find_right_closed(m, cert)
     if left is None or right is None:
         raise MalformedTable(f"{m.name}: biclosed check needs both closednesses")
-    inv = inverses(m, cert, left)
-
-    def left_sharp(f):
-        return inv.sharp[f]
-
-    def right_sharp(f):
-        dom, cod = m.dom(f), m.cod(f)
-        h = right[(dom[0], cod)]
-        w = preimage(h.witness.get((len(dom) - 1, dom[1:]), {}), f)
-        if w is None:
-            raise MalformedTable(f"{m.name}: right abstraction missing for {f}")
-        return w
+    left_sharp, right_sharp = inverses(m, cert, left).sharp, read_back(right.values())
 
     for g in m.multimaps(2):
         b1, b2 = m.dom(g)
@@ -516,12 +504,12 @@ def biclosed_subst_check(m: ShortMulticategory) -> ValidationReport:
         for f in m.multimaps(2):
             if m.cod(f) == b1:
                 lhs = m.safe_subst(g, 1, f)
-                curried = m.safe_post(left_sharp(g), f)
+                curried = m.safe_post(left_sharp[g], f)
                 rhs = m.safe_subst(left[(b2, c)].e, 1, curried)
                 report.check("left-curry", (g, f), lhs, rhs)
             if m.cod(f) == b2:
                 lhs = m.safe_subst(g, 2, f)
-                curried = m.safe_post(right_sharp(g), f)
+                curried = m.safe_post(right_sharp[g], f)
                 rhs = m.safe_subst(right[(b1, c)].e, 2, curried)
                 report.check("right-curry", (g, f), lhs, rhs)
     return report.finish()

@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 
 import pytest
 
 import reference_validators as ref
-from shortcat import classify, cli
+from shortcat import classify, cli, transport
 from shortcat.catalogue import (
     bz2_category, catalogue_mutants, catalogue_short_multis, catalogue_short_skews,
     discrete_base, heyting2_skew_monoidal, monoid_short_multi, poset2_base,
@@ -357,3 +358,28 @@ def test_searches_match_reference():
         tried += 1
         failing += any(verdict and not verdict[0] for verdict in got[0])
     assert tried > 50 and failing > 5, (tried, failing)
+
+
+def _consumer_outcomes():
+    """The rendered report of every consumer of the inverse tables on every
+    differential input, or the type and message of what it raises; the
+    biclosed check runs on the plain inputs only."""
+    for _, m in _differential_inputs():
+        consumers = [classify.sharp_laws, classify.verify_left_iff_adjoint,
+                     classify.verify_units_left_universal]
+        if isinstance(m, ShortMulticategory):
+            consumers.append(transport.biclosed_subst_check)
+        for fn in consumers:
+            try:
+                yield fn(m).render()
+            except ShortcatError as exc:
+                yield type(exc).__name__, str(exc)
+
+
+def test_inverse_table_consumers_are_pinned():
+    """The law suite, both adjoint checks and the biclosed check answer as
+    they did when the inverse tables were still rebuilt by substitution."""
+    outcomes = list(_consumer_outcomes())
+    assert len(outcomes) == 224
+    assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
+        "622605cced2ba60a1d342c7e958c83ce61f786f61ee686e7f7c81802c500a230"

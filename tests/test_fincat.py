@@ -1,12 +1,9 @@
 import pytest
 
-from shortcat.catalogue import (
-    discrete_base, poset2_base, terminal_category, z2_group_category,
-)
-from shortcat.errors import MalformedTable, SearchBoundExceeded
+from shortcat.catalogue import discrete_base, poset2_base, terminal_category
+from shortcat.errors import MalformedTable
 from shortcat.fincat import (
-    FinCategory, FinFunctor, find_isomorphism, identity_functor,
-    validate_category, validate_functor,
+    FinCategory, FinFunctor, identity_functor, validate_category, validate_functor,
 )
 
 
@@ -63,35 +60,3 @@ def test_object_swap_with_forced_mor_map_fails():
     assert not r.ok
     assert r.has_failure("functor-span", ("le",))
 
-
-def test_find_isomorphism_identity_pair():
-    c = poset2_base()
-    pair = find_isomorphism(c, c)
-    assert pair is not None
-    fwd, back = pair
-    assert fwd.obj_map == {"0": "0", "1": "1"}
-    assert validate_functor(fwd).ok and validate_functor(back).ok
-
-
-def test_find_isomorphism_rejects_different_hom_counts():
-    assert find_isomorphism(poset2_base(), discrete_base("d2", ["0", "1"])) is None
-
-
-def test_find_isomorphism_z2_relabelled():
-    pair = find_isomorphism(z2_group_category(), z2_group_category("x"))
-    assert pair is not None
-    fwd, back = pair
-    assert fwd.mor_map == {"e": "ex", "g": "gx"}
-    assert back.mor_map == {"ex": "e", "gx": "g"}
-
-
-def test_find_isomorphism_self_always_succeeds():
-    for c in (terminal_category(), poset2_base(), discrete_base("d3", ["a", "b", "c"]),
-              z2_group_category()):
-        assert find_isomorphism(c, c) is not None
-
-
-def test_find_isomorphism_bound():
-    big = discrete_base("big", [f"o{i}" for i in range(7)])
-    with pytest.raises(SearchBoundExceeded):
-        find_isomorphism(big, big)

@@ -9,7 +9,9 @@ from shortcat.catalogue import (
     poset2_skew_second, z2_monoid,
 )
 from shortcat.classify import certify, check_representable, find_closed_structure
-from shortcat.errors import AxiomTransferFailure, MultipleSolutions, NoSolution
+from shortcat.errors import (
+    AxiomTransferFailure, MultipleSolutions, NoSolution, SearchBoundExceeded,
+)
 from shortcat.fincat import identity_functor
 from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
 from shortcat.shortmulti import validate_short_multicategory
@@ -275,7 +277,8 @@ def test_roundtrips_all_catalogue_entries():
 def test_compare_skew_monoidal_verdicts():
     """equal on the same category, isomorphic on Z/2 relabelled a, b, and
     None on two tensors of one base and on bases of different sizes, which
-    the object-count guard answers before any object bijection is tried."""
+    the object-count guard answers before any object bijection is tried.
+    Past the object bound a relabelled Z/7 refuses the permutation search."""
     mons = catalogue_skew_monoidals()
     z2 = monoid_skew_monoidal(z2_monoid())
     ab = monoid_skew_monoidal(Monoid("z2ab", ("a", "b"), "a", {
@@ -285,6 +288,13 @@ def test_compare_skew_monoidal_verdicts():
     assert compare_skew_monoidal(mons["poset2-first"], mons["poset2-second"]) is None
     assert compare_skew_monoidal(z2, mons["z3.mon"]) is None
     assert compare_skew_monoidal(mons["z3.mon"], z2) is None
+
+    def z7(labels):
+        table = {(a, b): labels[(i + j) % 7]
+                 for i, a in enumerate(labels) for j, b in enumerate(labels)}
+        return monoid_skew_monoidal(Monoid(f"z7{labels[0]}", tuple(labels), labels[0], table))
+    with pytest.raises(SearchBoundExceeded, match="comparison bounded"):
+        compare_skew_monoidal(z7("0123456"), z7("abcdefg"))
 
 
 def test_induced_poset_second_tables_and_flags():
@@ -296,20 +306,6 @@ def test_induced_poset_second_tables_and_flags():
             assert not (dom[-1] == "1" and cod == "0")
     cert = certify(m)
     assert cert.left_representable and not check_representable(m, cert)[0]
-
-
-def test_induced_multimap_sets_cap():
-    from shortcat.induce import induced_multimap_sets
-    from shortcat.shortmulti import ShortMulticategory
-    from shortcat.shortskew import ShortSkewMulticategory
-    assert isinstance(induced_multimap_sets(monoid_skew_monoidal(z2_monoid())),
-                      ShortMulticategory)
-    from shortcat.catalogue import poset2_skew_first
-    assert isinstance(induced_multimap_sets(poset2_skew_first()),
-                      ShortSkewMulticategory)
-    family = induced_multimap_sets(monoid_skew_monoidal(z2_monoid()), cap=6)
-    assert ("t", 6, ("1",) * 6, "0") in family
-    assert ("t", 5, ("1",) * 5, "1") in family
 
 
 def test_terminal_lambda_solve_and_inclusion_f2():
