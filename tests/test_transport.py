@@ -1,20 +1,22 @@
 import dataclasses
+import hashlib
 
 import pytest
 
 import reference_validators as ref
+from shortcat.braiding import s_from_short_braiding
 from shortcat.catalogue import (
-    Monoid, bz2_category, catalogue_morphisms, catalogue_short_multis, catalogue_short_skews,
-    catalogue_skew_closed, catalogue_skew_monoidals, monoid_skew_monoidal,
-    poset2_skew_second, z2_monoid,
+    Monoid, bz2_category, catalogue_morphisms, catalogue_short_braidings,
+    catalogue_short_multis, catalogue_short_skews, catalogue_skew_closed,
+    catalogue_skew_monoidals, monoid_skew_monoidal, poset2_skew_second, z2_monoid,
 )
 from shortcat.classify import certify, check_representable, find_closed_structure
 from shortcat.errors import (
-    AxiomTransferFailure, MultipleSolutions, NoSolution, SearchBoundExceeded,
+    AxiomTransferFailure, MultipleSolutions, NoSolution, SearchBoundExceeded, ShortcatError,
 )
 from shortcat.fincat import identity_functor
 from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
-from shortcat.shortmulti import validate_short_multicategory
+from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
 from shortcat.shortskew import (
     LOOSE, TIGHT, SkewMultiMorphism, embed_multi_morphism, identity_skew_morphism,
     validate_short_skew, validate_skew_multi_morphism,
@@ -248,6 +250,73 @@ def test_validation_refuses_whatever_the_transfer_rows_refuse():
                 refused += 1
                 assert not validate_skew_multi_morphism(G).ok, G.name
     assert (len(morphisms), tried, refused) == (19, 4384, 1210)
+
+def _outcome(fn, *args):
+    """The rendered report fn returns, or the name and every table of the
+    structure, functor or braiding it returns, tables as sorted items; or
+    the type name and message of what it raises."""
+    try:
+        out = fn(*args)
+    except ShortcatError as exc:
+        return type(exc).__name__, str(exc)
+    if hasattr(out, "render"):
+        return out.render()
+    return [(f.name, sorted(v.items()) if isinstance(v, dict) else v)
+            for f in dataclasses.fields(out) if isinstance(v := getattr(out, f.name), (dict, str))]
+
+
+def _construction_outcomes():
+    """ks_object, k_object and check_representable_iff_monoidal (plain
+    inputs) and kcl_object (closed inputs) on the 13 catalogue short
+    structures and the plain and skew inductions of BZ/2; ks_morphism and
+    kcl_morphism (closed ends) on the 19 embedded catalogue morphisms and
+    identities, and on every single-entry image redirect of them; and
+    s_from_short_braiding on the three catalogue short braidings and every
+    single-entry redirect of their b32 tables."""
+    structures = [*catalogue_short_multis().values(), *catalogue_short_skews().values(),
+                  induce_short_multi(bz2_category()), induce_short_skew(bz2_category())]
+    for m in structures:
+        cert = certify(m)
+        homs = find_closed_structure(m, cert)
+        yield _outcome(ks_object, m, cert)
+        if isinstance(m, ShortMulticategory):
+            yield _outcome(k_object, m, cert)
+            yield _outcome(check_representable_iff_monoidal, m, cert)
+        if homs is not None:
+            yield _outcome(kcl_object, m, cert, homs)
+
+    for name in SKEW_MORPHISMS:
+        F = _skew_morphism(name)
+        ends = []
+        for sk in (F.source, F.target):
+            cert = certify(sk)
+            homs = find_closed_structure(sk, cert)
+            ends.append((cert, ks_object(sk, cert), homs, homs and kcl_object(sk, cert, homs)))
+        (cs, ms, hs, cls), (ct, mt, ht, clt) = ends
+        for G in (F, *_image_redirects(F)):
+            yield _outcome(ks_morphism, G, cs, ct, ms, mt)
+            if cls and clt:
+                yield _outcome(kcl_morphism, G, hs, ht, cs, ct, cls, clt)
+
+    for sk, beta in catalogue_short_braidings().values():
+        cert = certify(sk)
+        yield _outcome(s_from_short_braiding, sk, cert, beta)
+        for f in sorted(beta.b32):
+            for g in sorted(sk.multimaps(TIGHT, 3)):
+                if g != beta.b32[f]:
+                    yield _outcome(s_from_short_braiding, sk, cert,
+                                   dataclasses.replace(beta, b32={**beta.b32, f: g}))
+
+
+def test_construction_outcomes_are_pinned():
+    """Every constructed map of the object, morphism and braiding transports,
+    and every failure they raise, as when each was found by filtering its
+    hom-set."""
+    outcomes = list(_construction_outcomes())
+    assert len(outcomes) == 12733
+    assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
+        "08698fba36b852771525c807c6a5b8229590268cb19d9453c351e26019d795a0"
+
 
 def test_closed_induction_recovers_structure():
     for name, x in catalogue_skew_closed().items():
