@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .skewmon import Braiding, SkewMonCategory
 
 # validate_short_braiding reads only the swap tables; the transports below
-# import the classifier, solver and skew monoidal modules when they run.
+# import the classifier and skew monoidal modules when they run.
 
 
 def _swap(dom: tuple[str, ...], i: int) -> tuple[str, ...]:
@@ -155,26 +155,25 @@ def s_from_short_braiding(m: ShortSkewMulticategory, cert: Certificate,
                           beta: ShortBraiding, name: Optional[str] = None) -> Braiding:
     """The braiding component at (x,a,b) is the unique map turning the
     universal ternary map of (x,a,b) into the swapped image of the one of
-    (x,b,a); the inverse solves the mirrored equation."""
+    (x,b,a); the inverse solves the mirrored equation. m must pass
+    validation and cert be certify(m), whose scopes were all recorded."""
+    from .classify import read_solution
     from .skewmon import Braiding
-    from .transport import solve_unique
-    v = cert.view
-    base = v.base
     name = name or (beta.name + ".s")
     b32_inv = {img: f for f, img in beta.b32.items()}
-    s: dict[tuple[str, str, str], str] = {}
-    s_inv: dict[tuple[str, str, str], str] = {}
-    for x, a, b in itertools.product(base.objects, repeat=3):
-        lhs_dom = cert.obj(cert.obj(x, a), b)
-        rhs_dom = cert.obj(cert.obj(x, b), a)
-        target = beta.b32.get(theta3(m, cert, x, b, a))
-        s[(x, a, b)] = solve_unique(
-            f"braiding component ({x},{a},{b})", base.hom(lhs_dom, rhs_dom),
-            lambda w: v.safe_post(w, theta3(m, cert, x, a, b)), target)
-        s_inv[(x, a, b)] = solve_unique(
-            f"braiding inverse ({x},{a},{b})", base.hom(rhs_dom, lhs_dom),
-            lambda w: v.safe_post(w, theta3(m, cert, x, b, a)),
-            b32_inv.get(theta3(m, cert, x, a, b)))
+
+    def read(label: str, x: str, a: str, b: str, image: Optional[str]) -> str:
+        # w o theta3(x,a,b) = image: w o theta(xa,b) off theta(x,a), then w
+        t = cert.obj(cert.obj(x, b), a)
+        return read_solution(label, cert.classifier(cert.obj(x, a), b), ("base", t),
+                             read_solution(label, cert.classifier(x, a), ("ext", 2, (b,), t), image))
+
+    s, s_inv = {}, {}
+    for x, a, b in itertools.product(cert.view.base.objects, repeat=3):
+        s[(x, a, b)] = read(f"braiding component ({x},{a},{b})", x, a, b,
+                            beta.b32.get(theta3(m, cert, x, b, a)))
+        s_inv[(x, a, b)] = read(f"braiding inverse ({x},{a},{b})", x, b, a,
+                                b32_inv.get(theta3(m, cert, x, a, b)))
     return Braiding(name, s, s_inv)
 
 

@@ -7,7 +7,7 @@ extension, a hom object (left or right), a derived composite and a
 representability slot differ only in the scopes they list, each a
 (key, domain, substitution, target) tuple, and all of them go through
 bijection_scan. The tables it records are the witnesses, and they double as
-inverse tables: read_back reads them backwards.
+inverse tables: read_back reads them backwards, read_solution one entry.
 
 Everything here works on the tight/loose view: a plain short multicategory
 is certified through its embedding (all maps both tight and loose, j the
@@ -24,10 +24,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import InconsistentVerdicts, MalformedTable, UniversalityBroken
+from .errors import InconsistentVerdicts, MalformedTable, NoSolution, UniversalityBroken
 from .report import ValidationReport
-from .shortmulti import ShortMulticategory
-from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, sub_flavour
+from .shortmulti import ShortMulticategory, validate_short_multicategory
+from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, sub_flavour, validate_short_skew
 
 Structure = Union[ShortMulticategory, ShortSkewMulticategory]
 
@@ -463,6 +463,16 @@ def read_back(owners: Iterable[Union[BinaryClassifier, NullaryClassifier, HomObj
     return back
 
 
+def read_solution(label: str, owner: Union[BinaryClassifier, NullaryClassifier, HomObject],
+                  key: Hashable, image: Optional[str]) -> str:
+    """The map whose substitution reaches image in owner's witness table under
+    key, or NoSolution naming the defining equation label if none does."""
+    w = preimage(owner.witness.get(key, {}), image)
+    if w is None:
+        raise NoSolution(f"no solution for {label}")
+    return w
+
+
 def inverses(m: Structure, cert: Certificate,
              homs: Optional[dict[tuple[str, str], HomObject]] = None) -> Inverses:
     """The inverse tables, read off the recorded witnesses. Every scope of a
@@ -560,22 +570,27 @@ def verify_left_iff_adjoint(m: Structure) -> ValidationReport:
 
     objs = v.base.objects
     adjoints_ok = True
-    for a, b in itertools.product(objs, repeat=2):
-        # a unit eta: a -> [b,t] such that [b,-] o eta is a bijection
-        # hom(t,c) -> hom(a,[b,c]) at every c
-        found = any(not bijection_scan(
-            (c, v.base.hom(t, c), lambda w: v.base.compose_opt(hom_action(m, homs, b, w), eta),
-             v.base.hom(a, homs[(b, c)].obj)) for c in objs)
-            for t in objs for eta in v.base.hom(a, homs[(b, t)].obj))
-        report.count("adjoint-search")
-        if not found:
-            adjoints_ok = False
-            report.fail("adjoint-search", (a, b), None, "left adjoint witness")
-    verdict_adj = cert.nullary is not None and adjoints_ok
-    if verdict_lr != verdict_adj:
-        raise InconsistentVerdicts(
-            f"{getattr(m, 'name')}: left-representable={verdict_lr} but "
-            f"nullary+adjoints={verdict_adj}")
+    try:
+        for a, b in itertools.product(objs, repeat=2):
+            # a unit eta: a -> [b,t] such that [b,-] o eta is a bijection
+            # hom(t,c) -> hom(a,[b,c]) at every c
+            found = any(not bijection_scan(
+                (c, v.base.hom(t, c), lambda w: v.base.compose_opt(hom_action(m, homs, b, w), eta),
+                 v.base.hom(a, homs[(b, c)].obj)) for c in objs)
+                for t in objs for eta in v.base.hom(a, homs[(b, t)].obj))
+            report.count("adjoint-search")
+            if not found:
+                adjoints_ok = False
+                report.fail("adjoint-search", (a, b), None, "left adjoint witness")
+        verdict_adj = cert.nullary is not None and adjoints_ok
+        if verdict_lr != verdict_adj:
+            raise InconsistentVerdicts(
+                f"{getattr(m, 'name')}: left-representable={verdict_lr} but "
+                f"nullary+adjoints={verdict_adj}")
+    except (InconsistentVerdicts, UniversalityBroken):
+        validate = validate_short_multicategory if cert.plain else validate_short_skew
+        validate(m).require_pass(getattr(m, "name"), "verify_left_iff_adjoint")
+        raise
     if not verdict_lr:
         report.fail("verdict", ("left-representable",), str(verdict_lr), "True")
     return report.finish()

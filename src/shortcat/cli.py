@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
-    InconsistentVerdicts, MalformedTable, MultipleSolutions, NoIsomorphismFound,
-    ParseError, SearchBoundExceeded, ShortcatError, UniversalityBroken,
-    UnknownGenerator,
+    InconsistentVerdicts, MalformedTable, NoIsomorphismFound, ParseError,
+    SearchBoundExceeded, ShortcatError, UniversalityBroken, UnknownGenerator,
 )
 from .fileformat import (
     StructureFile, bind_lax_functor, bind_morphism, parse, serialize, unbind_morphism, validate,
@@ -517,8 +516,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, SearchBoundExceeded, MalformedTable, UnknownGenerator, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InconsistentVerdicts, UniversalityBroken, MultipleSolutions,
-            NoIsomorphismFound) as exc:
+    except (InconsistentVerdicts, UniversalityBroken, NoIsomorphismFound) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ShortcatError as exc:

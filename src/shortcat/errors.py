@@ -33,13 +33,8 @@ class SearchBoundExceeded(ShortcatError):
 
 
 class NoSolution(ShortcatError):
-    """A unique-solve found no morphism satisfying its equations; a
-    universal property was violated upstream."""
-
-
-class MultipleSolutions(ShortcatError):
-    """A unique-solve found several solutions; a classifier witness is
-    broken."""
+    """A constructed map does not exist: a defining equation's right side is
+    not in the witness table that solves it, or an image is undefined or mistyped."""
 
 
 class UniversalityBroken(ShortcatError):

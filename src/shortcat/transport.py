@@ -1,12 +1,12 @@
 """The constructive equivalences, executed as table-level algorithms.
 
-Every "unique morphism such that" is one equation lhs_of(w) = rhs, solved
-by exhaustive filtration of the target hom-set:
-solve_unique(label, candidates, lhs_of, rhs) keeps each candidate w whose
-lhs_of(w) is defined and equal to rhs, and raises NoSolution or
-MultipleSolutions, naming the defining diagram by its label, unless exactly
-one is kept. All derived structures are fully tabulated immediately so they
-run through the ordinary validators.
+Every "unique morphism such that" is the map whose substitution into a
+universal multimap (theta, u or an evaluation e) gives a stated multimap,
+read off the witness table certify recorded for that bijection by
+read_solution(label, owner, key, image), which raises NoSolution naming the
+defining diagram when image is not reached; a composite universal multimap
+takes two reads, by sequential associativity. All derived structures are
+fully tabulated immediately so they run through the ordinary validators.
 
 Desk-scale equivalence checking is isomorphism-of-table-structures after
 canonical renaming: the catalogue is skeletal, so a general equivalence
@@ -15,15 +15,15 @@ search is not needed.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 from .classify import (
     Certificate, HomObject, Inverses, certify, find_closed_structure, find_right_closed,
-    inverses, preimage, read_back,
+    inverses, preimage, read_back, read_solution,
 )
 from .errors import (
-    AxiomTransferFailure, InconsistentVerdicts, MalformedTable, MultipleSolutions,
-    NoIsomorphismFound, NoSolution, SearchBoundExceeded,
+    AxiomTransferFailure, InconsistentVerdicts, MalformedTable, NoIsomorphismFound,
+    NoSolution, SearchBoundExceeded,
 )
 from .fincat import ISO_SEARCH_MAX_OBJECTS, _extend_mor_bijection
 from .report import ValidationReport
@@ -40,29 +40,11 @@ from .skewmon import (
 Structure = Union[ShortMulticategory, ShortSkewMulticategory]
 
 
-def solve_unique(label: str, candidates: Iterable[str],
-                 lhs_of: Callable[[str], Optional[str]], rhs: Optional[str]) -> str:
-    """The one candidate w with lhs_of(w) defined and equal to rhs."""
-    hits = [w for w in candidates if (lhs := lhs_of(w)) is not None and lhs == rhs]
-    if not hits:
-        raise NoSolution(f"no solution for {label}")
-    if len(hits) > 1:
-        raise MultipleSolutions(f"{len(hits)} solutions for {label}")
-    return hits[0]
-
-
-def _solve_hom(v: ShortSkewMulticategory, label: str, src: str, tgt: str,
-               lhs_of: Callable[[str], Optional[str]], rhs: Optional[str]) -> str:
-    return solve_unique(label, v.base.hom(src, tgt), lhs_of, rhs)
-
-
 def _solve_f0(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certificate) -> str:
     """The unit comparison of a transported morphism: the unique map matching
     the image of the source's nullary classifier."""
-    vt = cert_tgt.view
-    return _solve_hom(vt, "f0", cert_tgt.nullary.obj, F.functor.obj_map[cert_src.nullary.obj],
-                      lambda h: vt.safe_post(h, cert_tgt.nullary.u),
-                      F.safe_apply(cert_src.nullary.u, LOOSE))
+    return read_solution("f0", cert_tgt.nullary, ("base", F.functor.obj_map[cert_src.nullary.obj]),
+                         F.safe_apply(cert_src.nullary.u, LOOSE))
 
 
 # --------------------------------------------------------------------------
@@ -73,7 +55,8 @@ def ks_object(m: Structure, cert: Certificate,
               name: Optional[str] = None) -> SkewMonCategory:
     """The skew monoidal category carried by a left representable structure:
     tensor = classifier object, unit = nullary classifier object, with the
-    structure morphisms solved against their defining diagrams."""
+    structure morphisms read off the classifiers' witnesses. m must pass
+    validation and cert be certify(m), whose scopes were all recorded."""
     if not cert.left_representable:
         raise MalformedTable(f"{cert.name}: construction needs left representability")
     v = cert.view
@@ -89,25 +72,24 @@ def ks_object(m: Structure, cert: Certificate,
     for f, g in itertools.product(base.morphisms(), repeat=2):
         (a, b), (x, y) = base.span(f), base.span(g)
         rhs = v.safe_pre(v.safe_pre(cert.theta(b, y), 1, f), 2, g)
-        tensor_mor[(f, g)] = _solve_hom(
-            v, f"tensor of maps ({f},{g})", cert.obj(a, x), cert.obj(b, y),
-            lambda h: v.safe_post(h, cert.theta(a, x)), rhs)
+        tensor_mor[(f, g)] = read_solution(f"tensor of maps ({f},{g})", cert.classifier(a, x),
+                                           ("base", cert.obj(b, y)), rhs)
 
+    # h o theta(ab,c) off theta(a,b)'s extension by c, then h off theta(ab,c)
     alpha = {}
     for a, b, c in itertools.product(base.objects, repeat=3):
-        lhs3 = v.safe_subst(cert.theta(cert.obj(a, b), c), 1, cert.theta(a, b))
+        t, label = cert.obj(a, cert.obj(b, c)), f"associator ({a},{b},{c})"
         rhs3 = v.safe_subst(cert.theta(a, cert.obj(b, c)), 2, cert.theta(b, c))
-        alpha[(a, b, c)] = _solve_hom(
-            v, f"associator ({a},{b},{c})",
-            cert.obj(cert.obj(a, b), c), cert.obj(a, cert.obj(b, c)),
-            lambda h: v.safe_post(h, lhs3), rhs3)
+        alpha[(a, b, c)] = read_solution(
+            label, cert.classifier(cert.obj(a, b), c), ("base", t),
+            read_solution(label, cert.classifier(a, b), ("ext", 2, (c,), t), rhs3))
 
     lam = {}
     for a in base.objects:
-        lam[a] = _solve_hom(
-            v, f"left unit map ({a})", cert.obj(unit, a), a,
-            lambda h: v.safe_subst(v.safe_post(h, cert.theta(unit, a)), 1, u),
-            v.j.get(base.identity(a)))
+        label = f"left unit map ({a})"
+        lam[a] = read_solution(
+            label, cert.classifier(unit, a), ("base", a),
+            read_solution(label, cert.nullary, ("ext", 1, (a,), a), v.j.get(base.identity(a))))
 
     rho = {}
     for a in base.objects:
@@ -137,16 +119,14 @@ def k_object(m: ShortMulticategory, cert: Certificate,
 def ks_morphism(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certificate,
                 src_mon: SkewMonCategory, tgt_mon: SkewMonCategory) -> LaxMonFunctor:
     """Forward transport: f2 and f0 are the unique maps matching the images
-    of the universal multimaps."""
-    vt = cert_tgt.view
+    of the universal multimaps, read off the target's witnesses."""
     fun = F.functor
     f2 = {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
-        fa, fb = fun.obj_map[a], fun.obj_map[b]
         img = F.safe_apply(cert_src.theta(a, b), TIGHT)
-        f2[(a, b)] = _solve_hom(
-            vt, f"f2 ({a},{b})", cert_tgt.obj(fa, fb), fun.obj_map[cert_src.obj(a, b)],
-            lambda h: vt.safe_post(h, cert_tgt.theta(fa, fb)), img)
+        f2[(a, b)] = read_solution(
+            f"f2 ({a},{b})", cert_tgt.classifier(fun.obj_map[a], fun.obj_map[b]),
+            ("base", fun.obj_map[cert_src.obj(a, b)]), img)
     return LaxMonFunctor(F.name + ".lax", src_mon, tgt_mon, fun,
                          _solve_f0(F, cert_src, cert_tgt), f2)
 
@@ -256,26 +236,21 @@ def check_representable_iff_monoidal(m: ShortMulticategory, cert: Certificate
 
     base = m.base
     if rep:
-        i = cert.nullary.obj
-        u = cert.nullary.u
+        i, u = cert.nullary.obj, cert.nullary.u
         for a, b, c in itertools.product(base.objects, repeat=3):
             lhs3 = m.safe_subst(cert.theta(cert.obj(a, b), c), 1, cert.theta(a, b))
-            inv = _solve_hom(
-                cert.view,
-                f"associator inverse ({a},{b},{c})",
-                cert.obj(a, cert.obj(b, c)), cert.obj(cert.obj(a, b), c),
-                lambda w: m.safe_subst(m.safe_post(w, cert.theta(a, cert.obj(b, c))),
-                                       2, cert.theta(b, c)), lhs3)
+            inv = preimage({w: m.safe_subst(m.safe_post(w, cert.theta(a, cert.obj(b, c))),
+                                            2, cert.theta(b, c))
+                            for w in base.hom(cert.obj(a, cert.obj(b, c)),
+                                              cert.obj(cert.obj(a, b), c))}, lhs3)
             fwd = K.alpha[(a, b, c)]
             report.count("alpha-inverse")
             if (base.compose_opt(inv, fwd) != base.identity(base.dom(fwd))
                     or base.compose_opt(fwd, inv) != base.identity(base.cod(fwd))):
                 report.fail("alpha-inverse", (a, b, c), inv, "two-sided inverse")
         for a in base.objects:
-            inv = _solve_hom(
-                cert.view, f"right unit inverse ({a})", cert.obj(a, i), a,
-                lambda w: m.safe_subst(m.safe_post(w, cert.theta(a, i)), 2, u),
-                base.identity(a))
+            inv = preimage({w: m.safe_subst(m.safe_post(w, cert.theta(a, i)), 2, u)
+                            for w in base.hom(cert.obj(a, i), a)}, base.identity(a))
             fwd = K.rho[a]
             report.count("rho-inverse")
             if (base.compose_opt(inv, fwd) != base.identity(a)
@@ -385,7 +360,9 @@ transport_closed_skew = transport_closed
 def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
                homs: dict[tuple[str, str], HomObject],
                name: Optional[str] = None) -> SkewClosedCategory:
-    """The skew closed category carried by a closed structure with units."""
+    """The skew closed category carried by a closed structure with units: m
+    must pass validation, cert be certify(m) and homs its left hom objects,
+    whose scopes were all recorded."""
     v = cert.view
     base = v.base
     nu = cert.nullary
@@ -400,11 +377,10 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
     hom_mor = {}
     for f, g in itertools.product(base.morphisms(), repeat=2):
         (b, b2), (c, c2) = base.span(f), base.span(g)
-        # [f,g] = [f,1];[1,g]: solve against e o_1 w = (g o e) o_2 f
+        # [f,g] = [f,1];[1,g]: the w with e o_1 w = (g o e) o_2 f
         rhs = v.safe_pre(v.safe_post(g, homs[(b2, c)].e), 2, f)
-        hom_mor[(f, g)] = _solve_hom(
-            v, f"hom action ({f},{g})", hom_obj[(b2, c)], hom_obj[(b, c2)],
-            lambda w: v.safe_subst(homs[(b, c2)].e, 1, w), rhs)
+        hom_mor[(f, g)] = read_solution(f"hom action ({f},{g})", homs[(b, c2)],
+                                        (TIGHT, 1, (hom_obj[(b2, c)],)), rhs)
 
     iu = {}
     for a in base.objects:
@@ -413,22 +389,22 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
             raise NoSolution(f"unit evaluation ({a}) is not a tight unary map")
         iu[a] = r
 
+    # w o_1 u off [a,a]'s loose nullary scope, then w off the unit
     ju = {}
     for a in base.objects:
-        ju[a] = _solve_hom(
-            v, f"hom unit ({a})", unit, hom_obj[(a, a)],
-            lambda w: v.safe_subst(v.safe_subst(homs[(a, a)].e, 1, w), 1, u),
-            v.j.get(base.identity(a)))
+        label = f"hom unit ({a})"
+        ju[a] = read_solution(
+            label, nu, ("base", hom_obj[(a, a)]),
+            read_solution(label, homs[(a, a)], (LOOSE, 0, ()), v.j.get(base.identity(a))))
 
+    # e o_1 w off [a,c]'s binary scope, then w off [[a,b],[a,c]]'s unary one
     ell = {}
     for a, b, c in itertools.product(base.objects, repeat=3):
+        ab, ac, label = hom_obj[(a, b)], hom_obj[(a, c)], f"hom associator ({a},{b},{c})"
         rhs = v.safe_subst(homs[(b, c)].e, 2, homs[(a, b)].e)
-        ell[(a, b, c)] = _solve_hom(
-            v, f"hom associator ({a},{b},{c})",
-            hom_obj[(b, c)], hom_obj[(homs[(a, b)].obj, homs[(a, c)].obj)],
-            lambda w: v.safe_subst(homs[(a, c)].e, 1,
-                                   v.safe_subst(homs[(homs[(a, b)].obj, homs[(a, c)].obj)].e, 1, w)),
-            rhs)
+        ell[(a, b, c)] = read_solution(
+            label, homs[(ab, ac)], (TIGHT, 1, (hom_obj[(b, c)],)),
+            read_solution(label, homs[(a, c)], (TIGHT, 2, (hom_obj[(b, c)], ab)), rhs))
 
     return SkewClosedCategory(name, base, hom_obj, hom_mor, unit, iu, ju, ell)
 
@@ -438,16 +414,13 @@ def kcl_morphism(F: SkewMultiMorphism, homs_src: dict, homs_tgt: dict,
                  src_cl: SkewClosedCategory, tgt_cl: SkewClosedCategory) -> SkewClosedFunctor:
     """Forward hom-side transport: the hom comparison is the unique map
     matching the image of the evaluation map."""
-    vt = cert_tgt.view
     fun = F.functor
     fh = {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
-        fa, fb = fun.obj_map[a], fun.obj_map[b]
         img = F.safe_apply(homs_src[(a, b)].e, TIGHT)
-        fh[(a, b)] = _solve_hom(
-            vt, f"hom comparison ({a},{b})",
-            fun.obj_map[homs_src[(a, b)].obj], homs_tgt[(fa, fb)].obj,
-            lambda w: vt.safe_subst(homs_tgt[(fa, fb)].e, 1, w), img)
+        fh[(a, b)] = read_solution(f"hom comparison ({a},{b})",
+                                   homs_tgt[(fun.obj_map[a], fun.obj_map[b])],
+                                   (TIGHT, 1, (fun.obj_map[homs_src[(a, b)].obj],)), img)
     return SkewClosedFunctor(F.name + ".closed", src_cl, tgt_cl, fun,
                              _solve_f0(F, cert_src, cert_tgt), fh)
 

@@ -17,7 +17,7 @@ from shortcat.classify import (
     find_right_closed, inverses, skew_view, verify_left_iff_adjoint,
     verify_units_left_universal,
 )
-from shortcat.errors import ShortcatError, UniversalityBroken
+from shortcat.errors import AxiomFailure, ShortcatError, UniversalityBroken
 from shortcat.induce import induce_short_multi
 from shortcat.shortmulti import ShortMulticategory
 from shortcat.shortskew import ShortSkewMulticategory, embed_plain
@@ -376,10 +376,23 @@ def _consumer_outcomes():
                 yield type(exc).__name__, str(exc)
 
 
+@pytest.mark.parametrize("name", ["z2.sub[m2(0,0;0)|1|m0(;0)]", "z2.post[1_0|m2(0,0;0)]"])
+def test_left_iff_adjoint_refuses_a_structure_failing_validation(name):
+    """Disagreeing routes (sub) and a broken hom action (post) on a mutant
+    are the input's failure, not an internal one."""
+    (mut,) = [mut for mut in catalogue_mutants() if mut.name == name]
+    with pytest.raises(AxiomFailure, match="verify_left_iff_adjoint needs one that passes"):
+        verify_left_iff_adjoint(mut.payload)
+
+
 def test_inverse_table_consumers_are_pinned():
     """The law suite, both adjoint checks and the biclosed check answer as
-    they did when the inverse tables were still rebuilt by substitution."""
+    they did when the inverse tables were still rebuilt by substitution,
+    except that verify_left_iff_adjoint refuses, with AxiomFailure, the 15
+    mutants failing validation on which its two routes disagree or its hom
+    action breaks."""
     outcomes = list(_consumer_outcomes())
     assert len(outcomes) == 224
+    assert sum(outcome[0] == "AxiomFailure" for outcome in outcomes) == 15
     assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
-        "622605cced2ba60a1d342c7e958c83ce61f786f61ee686e7f7c81802c500a230"
+        "b74b589679791f0c424e4f2cac0b0b9b1b8a51ac5170d8e671f1952f2415eda7"

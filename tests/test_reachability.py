@@ -66,7 +66,7 @@ TEST_ONLY = {
 
 # The source lines of the defs TEST_ONLY lists, as test_only_lines_only_shrink
 # counts them; a change may lower this, never raise it.
-TEST_ONLY_LINES = 625
+TEST_ONLY_LINES = 618
 
 
 class Def:

@@ -12,7 +12,7 @@ from shortcat.catalogue import (
 )
 from shortcat.classify import certify, check_representable, find_closed_structure
 from shortcat.errors import (
-    AxiomTransferFailure, MultipleSolutions, NoSolution, SearchBoundExceeded, ShortcatError,
+    AxiomTransferFailure, NoSolution, SearchBoundExceeded, ShortcatError,
 )
 from shortcat.fincat import identity_functor
 from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
@@ -29,21 +29,9 @@ from shortcat.transport import (
     biclosed_subst_check, check_representable_iff_monoidal, compare_skew_monoidal,
     k_morphism, k_morphism_inverse, k_object, kcl_morphism, kcl_morphism_inverse, kcl_object,
     ks_morphism, ks_morphism_inverse, ks_object, lax_functor_equal, multi_morphism_equal,
-    roundtrip_check, skew_monoidal_equal, solve_unique, transport_closed,
+    roundtrip_check, skew_monoidal_equal, transport_closed,
     transport_closed_skew,
 )
-
-
-def test_solve_unique_basics():
-    """One solution, none, several; and an undefined left side never solves
-    the equation, not even when the right side is undefined too."""
-    assert solve_unique("pick-a", ("a", "b"), lambda w: w, "a") == "a"
-    with pytest.raises(NoSolution):
-        solve_unique("none", ("a", "b"), lambda w: w, "c")
-    with pytest.raises(MultipleSolutions):
-        solve_unique("many", ("a", "b"), lambda w: "x", "x")
-    with pytest.raises(NoSolution):
-        solve_unique("undefined", ("a", "b"), lambda w: None, None)
 
 
 def test_k_object_z2_recovers_strict_structure():
@@ -250,6 +238,7 @@ def test_validation_refuses_whatever_the_transfer_rows_refuse():
                 refused += 1
                 assert not validate_skew_multi_morphism(G).ok, G.name
     assert (len(morphisms), tried, refused) == (19, 4384, 1210)
+
 
 def _outcome(fn, *args):
     """The rendered report fn returns, or the name and every table of the
