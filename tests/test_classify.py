@@ -18,7 +18,7 @@ from shortcat.classify import (
     verify_units_left_universal,
 )
 from shortcat.errors import AxiomFailure, ShortcatError, UniversalityBroken
-from shortcat.induce import induce_short_multi
+from shortcat.induce import induce_short_multi, induce_short_skew
 from shortcat.shortmulti import ShortMulticategory
 from shortcat.shortskew import ShortSkewMulticategory, embed_plain
 from test_kernel import _cyclic
@@ -396,3 +396,34 @@ def test_inverse_table_consumers_are_pinned():
     assert sum(outcome[0] == "AxiomFailure" for outcome in outcomes) == 15
     assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
         "b74b589679791f0c424e4f2cac0b0b9b1b8a51ac5170d8e671f1952f2415eda7"
+
+
+def _certificate_outcomes():
+    """The certificate of each of the 13 catalogue short structures, the plain
+    and skew inductions of BZ/2 and the indiscrete structure on two objects,
+    as the certify command builds it, rendered with and without witnesses;
+    then its classifier_uniqueness_isos, or the type and message raised. The
+    last three are the inputs with several candidates per classified input."""
+    structures = [*catalogue_short_multis().values(), *catalogue_short_skews().values(),
+                  induce_short_multi(bz2_category()), induce_short_skew(bz2_category()),
+                  indiscrete2_short_multi()]
+    for m in structures:
+        cert = certify(m)
+        find_closed_structure(m, cert)
+        if cert.left_representable:
+            derived_classifiers(m, cert)
+        if isinstance(m, ShortMulticategory) and cert.weakly_representable:
+            check_representable(m, cert)
+        yield cli.render_certificate(cert)
+        yield cli.render_certificate(cert, witnesses=False)
+        yield _outcome(classifier_uniqueness_isos, m, cert)
+
+
+def test_certificates_with_several_candidates_are_pinned():
+    """Every candidate line, witness table and connecting isomorphism, on
+    the inputs whose classifiers are certified more than once."""
+    outcomes = list(_certificate_outcomes())
+    assert len(outcomes) == 48
+    assert [len(isos) for isos in outcomes[2::3] if isos] == [2, 2, 5]
+    assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
+        "679e4e894e551b6698eda2b166c2318904a83591f9d4003e9adced53bfb92475"
