@@ -136,11 +136,11 @@ def derive_beta2(m: ShortSkewMulticategory, cert: Certificate,
     """The induced swap on loose binary maps: abstract the unit, swap with
     b32, and substitute the unit back."""
     from .classify import inverses
-    inv = inverses(m, cert)
+    inv = inverses(cert)
     out = {}
     for r in m.multimaps(LOOSE, 2):
         swapped = beta.b32.get(inv.star[r])
-        img = m.safe_subst(swapped, 1, cert.nullary.u)
+        img = m.safe_subst(swapped, 1, cert.nullary.via)
         if img is None:
             raise NoSolution(f"{beta.name}: unit swap undefined at {r}")
         out[r] = img
@@ -184,7 +184,7 @@ def short_braiding_from_s(m: ShortSkewMulticategory, cert: Certificate,
     from .classify import inverses
     v = cert.view
     base = v.base
-    inv = inverses(m, cert)
+    inv = inverses(cert)
     name = name or (s.name + ".beta")
 
     def dprime(f: str) -> str:

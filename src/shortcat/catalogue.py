@@ -225,6 +225,11 @@ def thin_short_multi(name: str, sm: SkewMonCategory) -> ShortMulticategory:
     return table_short_multi(name, sm.base, thin_inhabited(sm))
 
 
+def _thin_short_skew(name: str, sm: SkewMonCategory) -> ShortSkewMulticategory:
+    """The short skew multicategory of a thin skew monoidal category."""
+    return table_short_skew(name, sm.base, thin_inhabited(sm), thin_inhabited(sm, loose=True))
+
+
 # --------------------------------------------------------------------------
 # commutative monoids: Z/2, Z/3, Klein four
 # --------------------------------------------------------------------------
@@ -259,10 +264,6 @@ def klein_monoid() -> Monoid:
     def add(a, b):
         return str(int(a[0]) ^ int(b[0])) + str(int(a[1]) ^ int(b[1]))
     return Monoid("klein", els, "00", {(a, b): add(a, b) for a in els for b in els})
-
-
-def monoid_short_multi(mon: Monoid) -> ShortMulticategory:
-    return thin_short_multi(mon.name, monoid_skew_monoidal(mon))
 
 
 def monoid_skew_monoidal(mon: Monoid) -> SkewMonCategory:
@@ -315,9 +316,7 @@ def poset2_second_short_multi() -> ShortMulticategory:
 def poset2_first_short_skew() -> ShortSkewMulticategory:
     """Tight tables of the (x) := first-argument tensor with unit 0: tight
     inhabited when the first input is below the output, loose always."""
-    sm = poset2_skew_first()
-    return table_short_skew("poset2-first", sm.base, thin_inhabited(sm),
-                            thin_inhabited(sm, loose=True))
+    return _thin_short_skew("poset2-first", poset2_skew_first())
 
 
 def heyting2_skew_closed() -> SkewClosedCategory:
@@ -363,19 +362,22 @@ def _thin_morphism(name: str, src: ShortMulticategory, tgt: ShortMulticategory,
 
 
 def catalogue_short_multis() -> dict[str, ShortMulticategory]:
-    return {
-        "terminal": terminal_short_multi(),
-        "z2": monoid_short_multi(z2_monoid()),
-        "z3": monoid_short_multi(z3_monoid()),
-        "klein": monoid_short_multi(klein_monoid()),
-        "heyting2": heyting2_short_multi(),
-        "poset2-second": poset2_second_short_multi(),
-    }
+    return _short_multis(catalogue_skew_monoidals())
+
+
+def _short_multis(mons: dict[str, SkewMonCategory]) -> dict[str, ShortMulticategory]:
+    """The catalogue short multicategories, of the catalogue skew monoidal
+    categories mons."""
+    return {name: thin_short_multi(name, mons[key])
+            for name, key in (("terminal", "terminal.mon"), ("z2", "z2.mon"), ("z3", "z3.mon"),
+                              ("klein", "klein.mon"), ("heyting2", "heyting2.mon"),
+                              ("poset2-second", "poset2-second"))}
 
 
 def catalogue_short_skews() -> dict[str, ShortSkewMulticategory]:
-    out = {name + ".skew": embed_plain(m) for name, m in catalogue_short_multis().items()}
-    out["poset2-first"] = poset2_first_short_skew()
+    mons = catalogue_skew_monoidals()
+    out = {name + ".skew": embed_plain(m) for name, m in _short_multis(mons).items()}
+    out["poset2-first"] = _thin_short_skew("poset2-first", mons["poset2-first"])
     return out
 
 
@@ -391,11 +393,13 @@ def catalogue_skew_monoidals() -> dict[str, SkewMonCategory]:
     }
 
 
-def catalogue_braidings() -> dict[str, tuple[SkewMonCategory, Braiding]]:
+def catalogue_braidings(mons: dict[str, SkewMonCategory]
+                        ) -> dict[str, tuple[SkewMonCategory, Braiding]]:
+    """The catalogue braidings, on mons = catalogue_skew_monoidals()."""
     return {
-        "z2.sym": (monoid_skew_monoidal(z2_monoid()), monoid_symmetry(z2_monoid())),
-        "klein.sym": (monoid_skew_monoidal(klein_monoid()), monoid_symmetry(klein_monoid())),
-        "terminal.sym": (terminal_skew_monoidal(),
+        "z2.sym": (mons["z2.mon"], monoid_symmetry(z2_monoid())),
+        "klein.sym": (mons["klein.mon"], monoid_symmetry(klein_monoid())),
+        "terminal.sym": (mons["terminal.mon"],
                          Braiding("terminal.sym", {("o", "o", "o"): "1_o"},
                                   {("o", "o", "o"): "1_o"})),
     }
@@ -421,11 +425,9 @@ def forced_short_braiding(m: ShortSkewMulticategory, name: str):
 
 def catalogue_short_braidings():
     """Braided catalogue entries: (structure, short braiding) pairs."""
-    out = {}
-    for key, m in (("z2", monoid_short_multi(z2_monoid())),
-                   ("klein", monoid_short_multi(klein_monoid())),
-                   ("terminal", terminal_short_multi())):
-        sk = embed_plain(m)
+    out, ms = {}, catalogue_short_multis()
+    for key in ("z2", "klein", "terminal"):
+        sk = embed_plain(ms[key])
         out[key + ".beta"] = (sk, forced_short_braiding(sk, key + ".beta"))
     return out
 
@@ -520,7 +522,8 @@ def catalogue_mutants() -> list[Mutant]:
                       FinCategory(c.name, c.objects, c.homs, comp, c.ids),
                       "identity", ("1_1", "le")))
 
-    ms = catalogue_short_multis()
+    mons = catalogue_skew_monoidals()
+    ms = _short_multis(mons)
     per = {"z2": 2, "z3": 2, "klein": 2, "heyting2": 2, "poset2-second": 2}
     for mname, k in per.items():
         out.extend(_bulk_table_mutants(mname, "short-multi", ms[mname],
@@ -532,7 +535,7 @@ def catalogue_mutants() -> list[Mutant]:
     out.append(Mutant("z2.interchange", "short-multi", mutated,
                       "assoc-notline-a", ("m2(1,1;0)", "m2(1,0;1)", "m2(0,1;1)")))
 
-    sk = poset2_first_short_skew()
+    sk = _thin_short_skew("poset2-first", mons["poset2-first"])
     out.extend(_bulk_table_mutants("poset2-first", "short-skew", sk,
                                    ["sub", "pre", "post"], 2, _multi_subject))
     mutated = mutate_entry(sk, "sub", ("l1(0;1)", 1, "l0(;0)"), "l0(;0)")
@@ -543,7 +546,6 @@ def catalogue_mutants() -> list[Mutant]:
     out.extend(_bulk_table_mutants("z2.skew", "short-skew", z2sk,
                                    ["sub", "pre", "post"], 1, _multi_subject))
 
-    mons = catalogue_skew_monoidals()
     for mname in ("z2.mon", "klein.mon", "heyting2.mon", "poset2-second", "poset2-first"):
         mon = mons[mname]
         akey = sorted(mon.alpha)[0]
@@ -572,7 +574,7 @@ def catalogue_mutants() -> list[Mutant]:
                      _redirect(tmon.base.morphisms(), tmon.tensor_mor[tkey])),
         "tensor-typing", tkey))
 
-    braidings = catalogue_braidings()
+    braidings = catalogue_braidings(mons)
     for bname in ("z2.sym", "klein.sym"):
         mon, braid = braidings[bname]
         skey = sorted(braid.s)[1]

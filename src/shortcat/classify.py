@@ -6,8 +6,10 @@ fixed map is a bijection, scope by scope. A classifier, a left-universal
 extension, a hom object (left or right), a derived composite and a
 representability slot differ only in the scopes they list, each a
 (key, domain, substitution, target) tuple, and all of them go through
-bijection_scan. The tables it records are the witnesses, and they double as
-inverse tables: read_back reads them backwards, read_solution one entry.
+bijection_scan. The tables it records are the witnesses, kept with each
+certified classifier, candidate and hom object on one Universal record, and
+they double as inverse tables: read_back reads them backwards, read_solution
+one entry.
 
 Everything here works on the tight/loose view: a plain short multicategory
 is certified through its embedding (all maps both tight and loose, j the
@@ -90,28 +92,16 @@ def preimage(table: dict[str, str], image: Optional[str]) -> Optional[str]:
 
 
 @dataclass
-class BinaryClassifier:
-    pair: tuple[str, str]
+class Universal:
+    """A certified universal map via, substitution into which is a bijection
+    at every scope. key is what it is universal for: the inputs (a, b) or ()
+    that a classifier via into obj classifies, or the pair (b, c) of a hom
+    object obj with evaluation via. witness holds each scope's bijection."""
+    key: tuple[str, ...]
     obj: str
-    theta: str
-    witness: dict[tuple, dict[str, str]] = field(default_factory=dict)
+    via: str
+    witness: dict[tuple, dict[str, str]]
     left_universal: Optional[bool] = None
-
-
-@dataclass
-class NullaryClassifier:
-    obj: str
-    u: str
-    witness: dict[tuple, dict[str, str]] = field(default_factory=dict)
-    left_universal: Optional[bool] = None
-
-
-@dataclass
-class HomObject:
-    pair: tuple[str, str]
-    obj: str
-    e: str
-    witness: dict[tuple, dict[str, str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -129,12 +119,12 @@ class Certificate:
     structure: Structure
     view: ShortSkewMulticategory
     plain: bool
-    binary: dict[tuple[str, str], Optional[BinaryClassifier]]
-    binary_candidates: dict[tuple[str, str], list[tuple[str, str]]]
-    nullary: Optional[NullaryClassifier]
-    nullary_candidates: list[tuple[str, str]]
-    homs: Optional[dict[tuple[str, str], Optional[HomObject]]] = None
-    right_homs: Optional[dict[tuple[str, str], Optional[HomObject]]] = None
+    binary: dict[tuple[str, str], Optional[Universal]]
+    binary_candidates: dict[tuple[str, str], list[Universal]]  # binary[pair] first
+    nullary: Optional[Universal]
+    nullary_candidates: list[Universal]  # nullary first
+    homs: Optional[dict[tuple[str, str], Optional[Universal]]] = None
+    right_homs: Optional[dict[tuple[str, str], Optional[Universal]]] = None
     derived: list[DerivedClassifier] = field(default_factory=list)
     representable: Optional[bool] = None
 
@@ -154,19 +144,19 @@ class Certificate:
         return (self.homs is not None
                 and all(h is not None for h in self.homs.values()))
 
-    def classifier(self, a: str, b: str) -> BinaryClassifier:
+    def classifier(self, a: str, b: str) -> Universal:
         c = self.binary.get((a, b))
         if c is None:
             raise MalformedTable(f"{self.name}: no binary classifier for ({a},{b})")
         return c
 
     def theta(self, a: str, b: str) -> str:
-        return self.classifier(a, b).theta
+        return self.classifier(a, b).via
 
     def obj(self, a: str, b: str) -> str:
         return self.classifier(a, b).obj
 
-    def hom(self, b: str, c: str) -> HomObject:
+    def hom(self, b: str, c: str) -> Universal:
         h = (self.homs or {}).get((b, c))
         if h is None:
             raise MalformedTable(f"{self.name}: no hom object for ({b},{c})")
@@ -177,8 +167,7 @@ class Certificate:
 # classifier searches
 # --------------------------------------------------------------------------
 
-def classifiers(m: Structure, inputs: tuple[str, ...] = ()
-                ) -> Iterator[Union[BinaryClassifier, NullaryClassifier]]:
+def classifiers(m: Structure, inputs: tuple[str, ...] = ()) -> Iterator[Universal]:
     """Every certified classifier of a pair of inputs (tight binary) or of no
     input (loose nullary), in search order: substitution into the candidate
     map is a bijection from the unary maps out of its object onto the maps of
@@ -191,37 +180,29 @@ def classifiers(m: Structure, inputs: tuple[str, ...] = ()
         for theta in thetas:
             witness: dict[tuple, dict[str, str]] = {}
             image = _into(sub, 1, theta)
-            if bijection_scan(((("base", d), maps((TIGHT, 1, (cand,), d), ()), image, target)
-                               for d, target in targets), witness):
-                continue
-            if inputs:
-                yield BinaryClassifier(inputs, cand, theta, witness)
-            else:
-                yield NullaryClassifier(cand, theta, witness)
+            if not bijection_scan(((("base", d), maps((TIGHT, 1, (cand,), d), ()), image, target)
+                                   for d, target in targets), witness):
+                yield Universal(inputs, cand, theta, witness)
 
 
-def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[BinaryClassifier]:
+def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[Universal]:
     return next(classifiers(m, (a, b)), None)
 
 
-def find_nullary_classifier(m: Structure) -> Optional[NullaryClassifier]:
+def find_nullary_classifier(m: Structure) -> Optional[Universal]:
     return next(classifiers(m), None)
 
 
-def check_left_universal(m: Structure,
-                         cl: Union[BinaryClassifier, NullaryClassifier]
-                         ) -> tuple[bool, list[str]]:
+def check_left_universal(m: Structure, cl: Universal) -> tuple[bool, list[str]]:
     """Extend the witness tables of a certified classifier to the longer
     position-1 bijections, one or two more inputs after the classified ones;
     returns the verdict and failing scopes."""
     v = skew_view(m)
     objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
-    if isinstance(cl, BinaryClassifier):
-        tag, inputs, flavour, image = "t", cl.pair, TIGHT, _into(sub, 1, cl.theta)
-    else:
-        tag, inputs, flavour, image = "l", (), LOOSE, _into(sub, 1, cl.u)
-    # a scope's arity n counts the classified map's object as one input
-    n0 = 1 if inputs else 0
+    inputs, image = cl.key, _into(sub, 1, cl.via)
+    # tight binary or loose nullary; a scope's arity n counts the classified
+    # map's object as one input
+    tag, flavour, n0 = ("t", TIGHT, 1) if inputs else ("l", LOOSE, 0)
     failed = bijection_scan(
         ((("ext", k + n0, xs, d), maps((TIGHT, k + 1, (cl.obj,) + xs, d), ()),
           image, maps((flavour, len(inputs) + k, inputs + xs, d), ()))
@@ -233,43 +214,38 @@ def check_left_universal(m: Structure,
 
 
 def certify(m: Structure) -> Certificate:
-    """Run every classifier search once, keeping its first hit and all its
-    hits, and the left-universality extensions."""
+    """Run every classifier search once, keeping every hit's record, the
+    first as the classifier, and the classifiers' left-universality
+    extensions."""
     v = skew_view(m)
-    binary: dict[tuple[str, str], Optional[BinaryClassifier]] = {}
-    candidates: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for pair in itertools.product(v.base.objects, repeat=2):
-        hits = list(classifiers(m, pair))
-        binary[pair] = hits[0] if hits else None
-        candidates[pair] = [(cl.obj, cl.theta) for cl in hits]
+    candidates = {pair: list(classifiers(m, pair))
+                  for pair in itertools.product(v.base.objects, repeat=2)}
     nullary = list(classifiers(m))
     cert = Certificate(
         name=getattr(m, "name"), structure=m, view=v, plain=isinstance(m, ShortMulticategory),
-        binary=binary, binary_candidates=candidates,
-        nullary=nullary[0] if nullary else None,
-        nullary_candidates=[(cl.obj, cl.u) for cl in nullary])
+        binary={pair: hits[0] if hits else None for pair, hits in candidates.items()},
+        binary_candidates=candidates,
+        nullary=nullary[0] if nullary else None, nullary_candidates=nullary)
     if cert.weakly_representable:
-        for cl in binary.values():
+        for cl in (*cert.binary.values(), cert.nullary):
             check_left_universal(m, cl)
-        check_left_universal(m, cert.nullary)
     return cert
 
 
 def classifier_uniqueness_isos(m: Structure, cert: Certificate) -> dict[tuple, str]:
-    """For every pair of certified classifier candidates over the same input,
-    the unique invertible unary map connecting them; raises if one is
-    missing or not invertible."""
-    v = cert.view
+    """For every pair c1, c2 of certified candidates over the same input, the
+    unique invertible unary map connecting them: the w with w o_1 c1.via =
+    c2.via in c1's base witness at c2.obj; raises if none or not invertible."""
     groups = [((a, b), cands, f"classifier candidates for ({a},{b})")
               for (a, b), cands in cert.binary_candidates.items()]
     groups.append((("nullary",), cert.nullary_candidates, "nullary candidates"))
     out: dict[tuple, str] = {}
     for key, cands, what in groups:
-        for (o1, t1), (o2, t2) in itertools.combinations(cands, 2):
-            link = preimage({w: v.safe_subst(w, 1, t1) for w in v.base.hom(o1, o2)}, t2)
-            if link is None or v.base.is_iso(link) is None:
+        for c1, c2 in itertools.combinations(cands, 2):
+            link = preimage(c1.witness[("base", c2.obj)], c2.via)
+            if link is None or cert.view.base.is_iso(link) is None:
                 raise UniversalityBroken(f"{cert.name}: {what} not uniquely isomorphic")
-            out[key + (o1, o2)] = link
+            out[key + (c1.obj, c2.obj)] = link
     return out
 
 
@@ -302,7 +278,7 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
     out: list[DerivedClassifier] = []
     for kind, key in keys:
         if kind == "unit-unary":
-            flavour, obj, steps, rest = LOOSE, cert.nullary.obj, [cert.nullary.u], key
+            flavour, obj, steps, rest = LOOSE, cert.nullary.obj, [cert.nullary.via], key
             at, what = key[0], "unit-unary classifier"
         else:
             flavour, obj, steps, rest = TIGHT, cert.obj(*key[:2]), [cert.theta(*key[:2])], key[2:]
@@ -344,7 +320,7 @@ def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool,
         cert.representable = False
         return False, ["missing classifiers"]
     objs, maps, sub = m.base.objects, m.as_skew._mapsets.get, m.lookups[2].get
-    classified = [("u", cert.nullary.obj, cert.nullary.u, ())]
+    classified = [("u", cert.nullary.obj, cert.nullary.via, ())]
     classified += [(f"theta({a},{b})", cert.obj(a, b), cert.theta(a, b), (a, b))
                    for a, b in itertools.product(objs, repeat=2)]
 
@@ -383,7 +359,7 @@ RIGHT: HomSide = (2, ((LOOSE, 0), (TIGHT, 1), (TIGHT, 2), (TIGHT, 3)))
 
 
 def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
-                 cand: str, e: str, side: HomSide = LEFT) -> Optional[HomObject]:
+                 cand: str, e: str, side: HomSide = LEFT) -> Optional[Universal]:
     """The hom object (cand, e) when substitution into e's slot is a
     bijection at every scope of the side: from the maps xs -> cand onto the
     maps into c whose inputs are e's with xs in cand's place, of the flavour
@@ -404,11 +380,11 @@ def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
                        for flavour, n, landing in scopes
                        for xs in itertools.product(v.base.objects, repeat=n)), witness):
         return None
-    return HomObject((b, c), cand, e, {key: table for key, table in witness.items() if table})
+    return Universal((b, c), cand, e, {key: table for key, table in witness.items() if table})
 
 
 def find_hom_object(m: Structure, b: str, c: str,
-                    side: HomSide = LEFT) -> Optional[HomObject]:
+                    side: HomSide = LEFT) -> Optional[Universal]:
     v = skew_view(m)
     for cand in v.base.objects:
         dom = (cand, b) if side[0] == 1 else (b, cand)
@@ -421,7 +397,7 @@ def find_hom_object(m: Structure, b: str, c: str,
 
 def find_closed_structure(m: Structure, cert: Optional[Certificate] = None,
                           side: HomSide = LEFT
-                          ) -> Optional[dict[tuple[str, str], HomObject]]:
+                          ) -> Optional[dict[tuple[str, str], Universal]]:
     """Exhaustive hom-object search on one side for every pair; None when
     some pair admits none. Records the inventory on the certificate when
     given, as its right_homs for the right side."""
@@ -434,7 +410,7 @@ def find_closed_structure(m: Structure, cert: Optional[Certificate] = None,
 
 def find_right_closed(m: ShortMulticategory,
                       cert: Optional[Certificate] = None
-                      ) -> Optional[dict[tuple[str, str], HomObject]]:
+                      ) -> Optional[dict[tuple[str, str], Universal]]:
     return find_closed_structure(m, cert, RIGHT)
 
 
@@ -449,8 +425,7 @@ class Inverses:
     sharp: dict[str, str]   # f with last input b, cod c -> f# into [b,c]
 
 
-def read_back(owners: Iterable[Union[BinaryClassifier, NullaryClassifier, HomObject]]
-              ) -> dict[str, str]:
+def read_back(owners: Iterable[Universal]) -> dict[str, str]:
     """The witness tables of owners read backwards: each map a substitution
     reached -> the map whose substitution reached it. The first scope to
     reach a map names it; tight scopes are recorded before loose ones, so a
@@ -463,8 +438,7 @@ def read_back(owners: Iterable[Union[BinaryClassifier, NullaryClassifier, HomObj
     return back
 
 
-def read_solution(label: str, owner: Union[BinaryClassifier, NullaryClassifier, HomObject],
-                  key: Hashable, image: Optional[str]) -> str:
+def read_solution(label: str, owner: Universal, key: Hashable, image: Optional[str]) -> str:
     """The map whose substitution reaches image in owner's witness table under
     key, or NoSolution naming the defining equation label if none does."""
     w = preimage(owner.witness.get(key, {}), image)
@@ -473,8 +447,8 @@ def read_solution(label: str, owner: Union[BinaryClassifier, NullaryClassifier, 
     return w
 
 
-def inverses(m: Structure, cert: Certificate,
-             homs: Optional[dict[tuple[str, str], HomObject]] = None) -> Inverses:
+def inverses(cert: Certificate,
+             homs: Optional[dict[tuple[str, str], Universal]] = None) -> Inverses:
     """The inverse tables, read off the recorded witnesses. Every scope of a
     certified classifier or hom object is a bijection onto all the maps of
     its type, so each map in a table's range is reached exactly once."""
@@ -484,14 +458,14 @@ def inverses(m: Structure, cert: Certificate,
                     read_back((homs or {}).values()))
 
 
-def hom_action(m: Structure, homs: dict[tuple[str, str], HomObject],
+def hom_action(m: Structure, homs: dict[tuple[str, str], Universal],
                b: str, q: str) -> str:
     """The map [b, q]: [b,c] -> [b,c'] induced by q: c -> c', the unique
     solution of e o_1 [b,q] = q o e."""
     v = skew_view(m)
     c, c2 = v.base.span(q)
     h, h2 = homs[(b, c)], homs[(b, c2)]
-    link = preimage(h2.witness.get((TIGHT, 1, (h.obj,)), {}), v.safe_post(q, h.e))
+    link = preimage(h2.witness.get((TIGHT, 1, (h.obj,)), {}), v.safe_post(q, h.via))
     if link is None:
         raise UniversalityBroken(f"hom action not uniquely determined for [{b},{q}]")
     return link
@@ -517,7 +491,7 @@ def sharp_laws(m: Structure) -> ValidationReport:
     if homs is None or not cert.left_representable:
         raise MalformedTable(f"{name}: the law suite needs a closed left "
                              f"representable structure")
-    inv = inverses(m, cert, homs)
+    inv = inverses(cert, homs)
     base = v.base
 
     for f in v.multimaps(TIGHT, 2):
@@ -609,7 +583,7 @@ def verify_units_left_universal(m: Structure) -> ValidationReport:
     nu = find_nullary_classifier(m)
     if nu is None:
         raise MalformedTable(f"{name}: verify_units_left_universal needs a nullary classifier")
-    i, u = nu.obj, nu.u
+    i, u = nu.obj, nu.via
     objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
     drop = _into(sub, 1, u)
     sharp = read_back(homs.values())
@@ -617,7 +591,7 @@ def verify_units_left_universal(m: Structure) -> ValidationReport:
     def chain(g: str) -> Optional[str]:
         # g#, with u substituted, then fed back through the evaluation map
         dropped = drop(sharp.get(g))
-        e = homs[(v.dom(g)[-1], v.cod(g))].e
+        e = homs[(v.dom(g)[-1], v.cod(g))].via
         return None if dropped is None else sub((e, 1, dropped))
 
     direct_ok, chain_ok = True, True

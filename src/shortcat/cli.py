@@ -147,24 +147,24 @@ def render_certificate(cert: Certificate, witnesses: bool = True) -> str:
         shown = "n/a" if value is None else ("yes" if value else "no")
         lines.append(f"flag {key} = {shown}")
     if cert.nullary is not None:
-        lines.append(f"nullary-classifier = {cert.nullary.obj} via {cert.nullary.u}")
-        for cand, u in cert.nullary_candidates:
-            lines.append(f"nullary-candidate = {cand} via {u}")
+        lines.append(f"nullary-classifier = {cert.nullary.obj} via {cert.nullary.via}")
+        for cl in cert.nullary_candidates:
+            lines.append(f"nullary-candidate = {cl.obj} via {cl.via}")
     for (a, b) in sorted(cert.binary):
         cl = cert.binary[(a, b)]
         if cl is None:
             lines.append(f"binary-classifier {a} {b} = none")
         else:
-            lines.append(f"binary-classifier {a} {b} = {cl.obj} via {cl.theta}")
-        for cand, theta in cert.binary_candidates.get((a, b), []):
-            lines.append(f"binary-candidate {a} {b} = {cand} via {theta}")
+            lines.append(f"binary-classifier {a} {b} = {cl.obj} via {cl.via}")
+        for cand in cert.binary_candidates.get((a, b), []):
+            lines.append(f"binary-candidate {a} {b} = {cand.obj} via {cand.via}")
     if cert.homs is not None:
         for (b, c) in sorted(cert.homs):
             h = cert.homs[(b, c)]
             if h is None:
                 lines.append(f"hom {b} {c} = none")
             else:
-                lines.append(f"hom {b} {c} = {h.obj} via {h.e}")
+                lines.append(f"hom {b} {c} = {h.obj} via {h.via}")
     for rec in cert.derived:
         lines.append(f"derived {rec.kind} {' '.join(rec.key)} = {rec.obj} via "
                      f"{rec.theta} checked {rec.instances}")

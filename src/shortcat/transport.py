@@ -18,7 +18,7 @@ import itertools
 from typing import Callable, Optional, Union
 
 from .classify import (
-    Certificate, HomObject, Inverses, certify, find_closed_structure, find_right_closed,
+    Certificate, Inverses, Universal, certify, find_closed_structure, find_right_closed,
     inverses, preimage, read_back, read_solution,
 )
 from .errors import (
@@ -44,7 +44,7 @@ def _solve_f0(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certificate
     """The unit comparison of a transported morphism: the unique map matching
     the image of the source's nullary classifier."""
     return read_solution("f0", cert_tgt.nullary, ("base", F.functor.obj_map[cert_src.nullary.obj]),
-                         F.safe_apply(cert_src.nullary.u, LOOSE))
+                         F.safe_apply(cert_src.nullary.via, LOOSE))
 
 
 # --------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def ks_object(m: Structure, cert: Certificate,
     base = v.base
     name = name or (cert.name + ".ks")
     unit = cert.nullary.obj
-    u = cert.nullary.u
+    u = cert.nullary.via
 
     tensor_obj = {(a, b): cert.obj(a, b)
                   for a, b in itertools.product(base.objects, repeat=2)}
@@ -119,7 +119,8 @@ def k_object(m: ShortMulticategory, cert: Certificate,
 def ks_morphism(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certificate,
                 src_mon: SkewMonCategory, tgt_mon: SkewMonCategory) -> LaxMonFunctor:
     """Forward transport: f2 and f0 are the unique maps matching the images
-    of the universal multimaps, read off the target's witnesses."""
+    of the universal multimaps, read off the target's witnesses. F must pass
+    validate_skew_multi_morphism and each certificate be certify of its end."""
     fun = F.functor
     f2 = {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
@@ -147,7 +148,7 @@ def _rebuilt_morphism(t: Union[LaxMonFunctor, SkewClosedFunctor], cert_src: Cert
     AxiomTransferFailure names the first instance at which the rebuilt
     morphism fails validate_skew_multi_morphism."""
     vt, F1 = cert_tgt.view, t.functor.mor_map.get
-    loose0 = {w: vt.safe_post(vt.base.compose_opt(F1(inv.star[w]), t.f0), cert_tgt.nullary.u)
+    loose0 = {w: vt.safe_post(vt.base.compose_opt(F1(inv.star[w]), t.f0), cert_tgt.nullary.via)
               for w in cert_src.view.multimaps(LOOSE, 0)}
     tight, loose = families(loose0)
     for table in (loose0, tight[2], tight[3], tight[4], loose[1], loose[2]):
@@ -169,7 +170,7 @@ def ks_morphism_inverse(t: LaxMonFunctor, cert_src: Certificate,
     image of h' with the image of theta in its first slot, and a loose q of
     arity 1 or 2 the image of q* with the image of u in its first slot."""
     vs, vt, fun = cert_src.view, cert_tgt.view, t.functor
-    inv = inverses(cert_src.structure, cert_src)
+    inv = inverses(cert_src)
 
     def families(loose0: dict) -> tuple[dict, dict]:
         tight = {2: {g: vt.safe_post(vt.base.compose_opt(fun.mor_map.get(inv.prime[g]),
@@ -180,7 +181,7 @@ def ks_morphism_inverse(t: LaxMonFunctor, cert_src: Certificate,
             tight[n] = {h: vt.safe_subst(tight[n - 1].get(inv.prime[h]), 1,
                                          tight[2][cert_src.theta(*vs.dom(h)[:2])])
                         for h in vs.multimaps(TIGHT, n)}
-        u = loose0[cert_src.nullary.u]
+        u = loose0[cert_src.nullary.via]
         return tight, {n: {q: vt.safe_subst(tight[n + 1].get(inv.star[q]), 1, u)
                            for q in vs.multimaps(LOOSE, n)} for n in (1, 2)}
 
@@ -236,7 +237,7 @@ def check_representable_iff_monoidal(m: ShortMulticategory, cert: Certificate
 
     base = m.base
     if rep:
-        i, u = cert.nullary.obj, cert.nullary.u
+        i, u = cert.nullary.obj, cert.nullary.via
         for a, b, c in itertools.product(base.objects, repeat=3):
             lhs3 = m.safe_subst(cert.theta(cert.obj(a, b), c), 1, cert.theta(a, b))
             inv = preimage({w: m.safe_subst(m.safe_post(w, cert.theta(a, cert.obj(b, c))),
@@ -258,8 +259,8 @@ def check_representable_iff_monoidal(m: ShortMulticategory, cert: Certificate
                 report.fail("rho-inverse", (a,), inv, "two-sided inverse")
 
     if fl.monoidal:
-        inv = inverses(m, cert)
-        i, u = cert.nullary.obj, cert.nullary.u
+        inv = inverses(cert)
+        i, u = cert.nullary.obj, cert.nullary.via
         # theta in the second slot of a binary map, via the associator inverse
         for a, b in itertools.product(base.objects, repeat=2):
             theta = cert.theta(a, b)
@@ -341,11 +342,11 @@ def transport_closed(m: Structure, cert: Certificate) -> ValidationReport:
             continue
         target = searched[(b, c)]
         report.count("derived-vs-searched")
-        if (hom.obj, hom.e) != (target.obj, target.e):
-            link = preimage(target.witness.get((TIGHT, 1, (hom.obj,)), {}), hom.e)
+        if (hom.obj, hom.via) != (target.obj, target.via):
+            link = preimage(target.witness.get((TIGHT, 1, (hom.obj,)), {}), hom.via)
             if link is None or base.is_iso(link) is None:
                 report.fail("derived-vs-searched", (b, c),
-                            f"{hom.obj}/{hom.e}", f"{target.obj}/{target.e}")
+                            f"{hom.obj}/{hom.via}", f"{target.obj}/{target.via}")
     return report.finish()
 
 
@@ -358,7 +359,7 @@ transport_closed_skew = transport_closed
 # --------------------------------------------------------------------------
 
 def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
-               homs: dict[tuple[str, str], HomObject],
+               homs: dict[tuple[str, str], Universal],
                name: Optional[str] = None) -> SkewClosedCategory:
     """The skew closed category carried by a closed structure with units: m
     must pass validation, cert be certify(m) and homs its left hom objects,
@@ -369,7 +370,7 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
     if nu is None:
         raise MalformedTable(f"{getattr(m, 'name')}: hom-side construction needs a unit")
     name = name or (getattr(m, "name") + ".kcl")
-    unit, u = nu.obj, nu.u
+    unit, u = nu.obj, nu.via
 
     hom_obj = {(b, c): homs[(b, c)].obj
                for b, c in itertools.product(base.objects, repeat=2)}
@@ -378,13 +379,13 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
     for f, g in itertools.product(base.morphisms(), repeat=2):
         (b, b2), (c, c2) = base.span(f), base.span(g)
         # [f,g] = [f,1];[1,g]: the w with e o_1 w = (g o e) o_2 f
-        rhs = v.safe_pre(v.safe_post(g, homs[(b2, c)].e), 2, f)
+        rhs = v.safe_pre(v.safe_post(g, homs[(b2, c)].via), 2, f)
         hom_mor[(f, g)] = read_solution(f"hom action ({f},{g})", homs[(b, c2)],
                                         (TIGHT, 1, (hom_obj[(b2, c)],)), rhs)
 
     iu = {}
     for a in base.objects:
-        r = v.safe_subst(homs[(unit, a)].e, 2, u)
+        r = v.safe_subst(homs[(unit, a)].via, 2, u)
         if r is None or v.arity(r) != 1 or not v.is_tight(r):
             raise NoSolution(f"unit evaluation ({a}) is not a tight unary map")
         iu[a] = r
@@ -401,7 +402,7 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
     ell = {}
     for a, b, c in itertools.product(base.objects, repeat=3):
         ab, ac, label = hom_obj[(a, b)], hom_obj[(a, c)], f"hom associator ({a},{b},{c})"
-        rhs = v.safe_subst(homs[(b, c)].e, 2, homs[(a, b)].e)
+        rhs = v.safe_subst(homs[(b, c)].via, 2, homs[(a, b)].via)
         ell[(a, b, c)] = read_solution(
             label, homs[(ab, ac)], (TIGHT, 1, (hom_obj[(b, c)],)),
             read_solution(label, homs[(a, c)], (TIGHT, 2, (hom_obj[(b, c)], ab)), rhs))
@@ -412,12 +413,13 @@ def kcl_object(m: ShortSkewMulticategory, cert: Certificate,
 def kcl_morphism(F: SkewMultiMorphism, homs_src: dict, homs_tgt: dict,
                  cert_src: Certificate, cert_tgt: Certificate,
                  src_cl: SkewClosedCategory, tgt_cl: SkewClosedCategory) -> SkewClosedFunctor:
-    """Forward hom-side transport: the hom comparison is the unique map
-    matching the image of the evaluation map."""
+    """Forward hom-side transport: the hom comparison is the unique map matching
+    the image of the evaluation map. F must pass validate_skew_multi_morphism
+    and the homs and certificates be find_closed_structure's and certify's of its ends."""
     fun = F.functor
     fh = {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
-        img = F.safe_apply(homs_src[(a, b)].e, TIGHT)
+        img = F.safe_apply(homs_src[(a, b)].via, TIGHT)
         fh[(a, b)] = read_solution(f"hom comparison ({a},{b})",
                                    homs_tgt[(fun.obj_map[a], fun.obj_map[b])],
                                    (TIGHT, 1, (fun.obj_map[homs_src[(a, b)].obj],)), img)
@@ -434,11 +436,11 @@ def kcl_morphism_inverse(t: SkewClosedFunctor, cert_src: Certificate,
     loose map that is also tight takes its tight image, through j if
     unary."""
     vs, vt, fun = cert_src.view, cert_tgt.view, t.functor
-    inv = inverses(cert_src.structure, cert_src, homs_src)
+    inv = inverses(cert_src, homs_src)
 
     def uncurry(f: str, below: dict) -> Optional[str]:
         b, c = vs.dom(f)[-1], vs.cod(f)
-        return vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].e, 1,
+        return vt.safe_subst(homs_tgt[(fun.obj_map[b], fun.obj_map[c])].via, 1,
                              vt.safe_post(t.fh[(b, c)], below.get(inv.sharp[f])))
 
     def families(loose0: dict) -> tuple[dict, dict]:
@@ -469,7 +471,7 @@ def biclosed_subst_check(m: ShortMulticategory) -> ValidationReport:
     right = find_right_closed(m, cert)
     if left is None or right is None:
         raise MalformedTable(f"{m.name}: biclosed check needs both closednesses")
-    left_sharp, right_sharp = inverses(m, cert, left).sharp, read_back(right.values())
+    left_sharp, right_sharp = inverses(cert, left).sharp, read_back(right.values())
 
     for g in m.multimaps(2):
         b1, b2 = m.dom(g)
@@ -478,12 +480,12 @@ def biclosed_subst_check(m: ShortMulticategory) -> ValidationReport:
             if m.cod(f) == b1:
                 lhs = m.safe_subst(g, 1, f)
                 curried = m.safe_post(left_sharp[g], f)
-                rhs = m.safe_subst(left[(b2, c)].e, 1, curried)
+                rhs = m.safe_subst(left[(b2, c)].via, 1, curried)
                 report.check("left-curry", (g, f), lhs, rhs)
             if m.cod(f) == b2:
                 lhs = m.safe_subst(g, 2, f)
                 curried = m.safe_post(right_sharp[g], f)
-                rhs = m.safe_subst(right[(b1, c)].e, 2, curried)
+                rhs = m.safe_subst(right[(b1, c)].via, 2, curried)
                 report.check("right-curry", (g, f), lhs, rhs)
     return report.finish()
 

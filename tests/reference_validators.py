@@ -58,12 +58,11 @@ import functools
 import itertools
 import sys
 from dataclasses import replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
 from shortcat.classify import (
-    BinaryClassifier, Certificate, DerivedClassifier, HomObject, Inverses, NullaryClassifier,
-    Structure, skew_view,
+    Certificate, DerivedClassifier, Inverses, Structure, Universal, skew_view,
 )
 from shortcat.errors import (
     AxiomTransferFailure, DanglingId, InconsistentVerdicts, MalformedTable, ParseError,
@@ -2262,7 +2261,7 @@ def bijection_table(domain: list[str], apply_fn: Callable[[str], Optional[str]],
 
 
 def _certify_binary(v: ShortSkewMulticategory, a: str, b: str,
-                    cand: str, theta: str) -> Optional[BinaryClassifier]:
+                    cand: str, theta: str) -> Optional[Universal]:
     witness: dict[tuple, dict[str, str]] = {}
     for d in v.base.objects:
         table = bijection_table(
@@ -2272,10 +2271,10 @@ def _certify_binary(v: ShortSkewMulticategory, a: str, b: str,
         if table is None:
             return None
         witness[("base", d)] = table
-    return BinaryClassifier((a, b), cand, theta, witness)
+    return Universal((a, b), cand, theta, witness)
 
 
-def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[BinaryClassifier]:
+def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[Universal]:
     v = skew_view(m)
     for cand in v.base.objects:
         for theta in v.mapset(TIGHT, 2, (a, b), cand):
@@ -2285,17 +2284,18 @@ def find_binary_classifier(m: Structure, a: str, b: str) -> Optional[BinaryClass
     return None
 
 
-def all_binary_classifiers(m: Structure, a: str, b: str) -> list[tuple[str, str]]:
+def all_binary_classifiers(m: Structure, a: str, b: str) -> list[Universal]:
     v = skew_view(m)
     found = []
     for cand in v.base.objects:
         for theta in v.mapset(TIGHT, 2, (a, b), cand):
-            if _certify_binary(v, a, b, cand, theta) is not None:
-                found.append((cand, theta))
+            cl = _certify_binary(v, a, b, cand, theta)
+            if cl is not None:
+                found.append(cl)
     return found
 
 
-def _certify_nullary(v: ShortSkewMulticategory, cand: str, u: str) -> Optional[NullaryClassifier]:
+def _certify_nullary(v: ShortSkewMulticategory, cand: str, u: str) -> Optional[Universal]:
     witness: dict[tuple, dict[str, str]] = {}
     for d in v.base.objects:
         table = bijection_table(
@@ -2305,10 +2305,10 @@ def _certify_nullary(v: ShortSkewMulticategory, cand: str, u: str) -> Optional[N
         if table is None:
             return None
         witness[("base", d)] = table
-    return NullaryClassifier(cand, u, witness)
+    return Universal((), cand, u, witness)
 
 
-def find_nullary_classifier(m: Structure) -> Optional[NullaryClassifier]:
+def find_nullary_classifier(m: Structure) -> Optional[Universal]:
     v = skew_view(m)
     for cand in v.base.objects:
         for u in v.mapset(LOOSE, 0, (), cand):
@@ -2318,28 +2318,28 @@ def find_nullary_classifier(m: Structure) -> Optional[NullaryClassifier]:
     return None
 
 
-def all_nullary_classifiers(m: Structure) -> list[tuple[str, str]]:
+def all_nullary_classifiers(m: Structure) -> list[Universal]:
     v = skew_view(m)
-    return [(cand, u) for cand in v.base.objects
+    return [cl for cand in v.base.objects
             for u in v.mapset(LOOSE, 0, (), cand)
-            if _certify_nullary(v, cand, u) is not None]
+            if (cl := _certify_nullary(v, cand, u)) is not None]
 
 
 def check_left_universal(m: Structure,
-                         cl: Union[BinaryClassifier, NullaryClassifier]
+                         cl: Universal
                          ) -> tuple[bool, list[str]]:
     """Extend the witness tables of a certified classifier to the longer
     position-1 bijections; returns the verdict and failing scopes."""
     v = skew_view(m)
     failures: list[str] = []
-    if isinstance(cl, BinaryClassifier):
-        a, b = cl.pair
+    if cl.key:
+        a, b = cl.key
         for n in (2, 3):
             for xs in itertools.product(v.base.objects, repeat=n - 1):
                 for d in v.base.objects:
                     table = bijection_table(
                         list(v.mapset(TIGHT, n, (cl.obj,) + xs, d)),
-                        lambda g: v.safe_subst(g, 1, cl.theta),
+                        lambda g: v.safe_subst(g, 1, cl.via),
                         list(v.mapset(TIGHT, n + 1, (a, b) + xs, d)))
                     if table is None:
                         failures.append(f"t{n}:{','.join(xs)};{d}")
@@ -2351,7 +2351,7 @@ def check_left_universal(m: Structure,
                 for d in v.base.objects:
                     table = bijection_table(
                         list(v.mapset(TIGHT, n + 1, (cl.obj,) + xs, d)),
-                        lambda g: v.safe_subst(g, 1, cl.u),
+                        lambda g: v.safe_subst(g, 1, cl.via),
                         list(v.mapset(LOOSE, n, xs, d)))
                     if table is None:
                         failures.append(f"l{n}:{','.join(xs)};{d}")
@@ -2365,8 +2365,8 @@ def certify(m: Structure) -> Certificate:
     """Run all classifier searches and left-universality extensions."""
     v = skew_view(m)
     plain = isinstance(m, ShortMulticategory)
-    binary: dict[tuple[str, str], Optional[BinaryClassifier]] = {}
-    candidates: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    binary: dict[tuple[str, str], Optional[Universal]] = {}
+    candidates: dict[tuple[str, str], list[Universal]] = {}
     for a, b in itertools.product(v.base.objects, repeat=2):
         binary[(a, b)] = find_binary_classifier(m, a, b)
         candidates[(a, b)] = all_binary_classifiers(m, a, b)
@@ -2439,7 +2439,7 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
 
     i = cert.nullary.obj
     for a in v.base.objects:
-        theta_ia = v.safe_subst(cert.theta(i, a), 1, cert.nullary.u)
+        theta_ia = v.safe_subst(cert.theta(i, a), 1, cert.nullary.via)
         obj_ia = cert.obj(i, a)
         if theta_ia is None:
             raise UniversalityBroken(f"{cert.name}: unit-unary composite undefined at {a}")
@@ -2452,7 +2452,7 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
             if table is None:
                 raise UniversalityBroken(f"{cert.name}: unit-unary classifier fails at {a};{d}")
             for w, img in table.items():
-                stepwise = v.safe_subst(v.safe_subst(w, 1, cert.theta(i, a)), 1, cert.nullary.u)
+                stepwise = v.safe_subst(v.safe_subst(w, 1, cert.theta(i, a)), 1, cert.nullary.via)
                 if stepwise != img:
                     raise UniversalityBroken(
                         f"{cert.name}: unit-unary composite disagrees with stepwise at {w}")
@@ -2472,7 +2472,7 @@ def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool,
     failures: list[str] = []
     objs = m.base.objects
     i = cert.nullary.obj
-    u = cert.nullary.u
+    u = cert.nullary.via
     for n in (1, 2, 3):
         for lx in range(0, n):
             ly = n - 1 - lx
@@ -2505,7 +2505,7 @@ def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool,
 
 
 def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
-                 cand: str, e: str, include_nullary: bool = True) -> Optional[HomObject]:
+                 cand: str, e: str, include_nullary: bool = True) -> Optional[Universal]:
     witness: dict[tuple, dict[str, str]] = {}
     for n in (1, 2, 3):
         for xs in itertools.product(v.base.objects, repeat=n):
@@ -2528,11 +2528,11 @@ def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
                 return None
             if table:
                 witness[(LOOSE, n, xs)] = table
-    return HomObject((b, c), cand, e, witness)
+    return Universal((b, c), cand, e, witness)
 
 
 def find_hom_object(m: Structure, b: str, c: str,
-                    include_nullary: bool = True) -> Optional[HomObject]:
+                    include_nullary: bool = True) -> Optional[Universal]:
     v = skew_view(m)
     for cand in v.base.objects:
         for e in v.mapset(TIGHT, 2, (cand, b), c):
@@ -2544,11 +2544,11 @@ def find_hom_object(m: Structure, b: str, c: str,
 
 def find_closed_structure(m: Structure,
                           cert: Optional[Certificate] = None
-                          ) -> Optional[dict[tuple[str, str], HomObject]]:
+                          ) -> Optional[dict[tuple[str, str], Universal]]:
     """Exhaustive hom-object search for every pair; None when some pair
     admits none. Records the inventory on the certificate when given."""
     v = skew_view(m)
-    homs: dict[tuple[str, str], Optional[HomObject]] = {}
+    homs: dict[tuple[str, str], Optional[Universal]] = {}
     for b, c in itertools.product(v.base.objects, repeat=2):
         homs[(b, c)] = find_hom_object(m, b, c)
     if cert is not None:
@@ -2558,7 +2558,7 @@ def find_closed_structure(m: Structure,
     return homs
 
 
-def find_right_hom_object(m: ShortMulticategory, b: str, c: str) -> Optional[HomObject]:
+def find_right_hom_object(m: ShortMulticategory, b: str, c: str) -> Optional[Universal]:
     """Right-closed analogue on plain structures: e(b, r[b,c]) -> c with
     substitution in position 2 inducing the bijections, arities 0 to 3."""
     objs = m.base.objects
@@ -2580,14 +2580,14 @@ def find_right_hom_object(m: ShortMulticategory, b: str, c: str) -> Optional[Hom
                 if not ok:
                     break
             if ok:
-                return HomObject((b, c), cand, e, witness)
+                return Universal((b, c), cand, e, witness)
     return None
 
 
 def find_right_closed(m: ShortMulticategory,
                       cert: Optional[Certificate] = None
-                      ) -> Optional[dict[tuple[str, str], HomObject]]:
-    homs: dict[tuple[str, str], Optional[HomObject]] = {}
+                      ) -> Optional[dict[tuple[str, str], Universal]]:
+    homs: dict[tuple[str, str], Optional[Universal]] = {}
     for b, c in itertools.product(m.base.objects, repeat=2):
         homs[(b, c)] = find_right_hom_object(m, b, c)
     if cert is not None:
@@ -2598,7 +2598,7 @@ def find_right_closed(m: ShortMulticategory,
 
 
 def inverses(m: Structure, cert: Certificate,
-             homs: Optional[dict[tuple[str, str], HomObject]] = None) -> Inverses:
+             homs: Optional[dict[tuple[str, str], Universal]] = None) -> Inverses:
     """Build explicit inverse tables from the recorded witnesses and verify
     the defining equations on every element."""
     if not cert.left_representable:
@@ -2615,7 +2615,7 @@ def inverses(m: Structure, cert: Certificate,
             if len(hits) != 1:
                 raise UniversalityBroken(f"{cert.name}: prime inverse missing for {f}")
             prime[f] = hits[0]
-            if v.safe_subst(hits[0], 1, cl.theta) != f:
+            if v.safe_subst(hits[0], 1, cl.via) != f:
                 raise UniversalityBroken(f"{cert.name}: prime roundtrip failed at {f}")
     star: dict[str, str] = {}
     nu = cert.nullary
@@ -2628,7 +2628,7 @@ def inverses(m: Structure, cert: Certificate,
             if len(hits) != 1:
                 raise UniversalityBroken(f"{cert.name}: star inverse missing for {f}")
             star[f] = hits[0]
-            if v.safe_subst(hits[0], 1, nu.u) != f:
+            if v.safe_subst(hits[0], 1, nu.via) != f:
                 raise UniversalityBroken(f"{cert.name}: star roundtrip failed at {f}")
     sharp: dict[str, str] = {}
     if homs is not None:

@@ -7,8 +7,8 @@ import reference_validators as ref
 from shortcat import classify, cli, transport
 from shortcat.catalogue import (
     bz2_category, catalogue_mutants, catalogue_short_multis, catalogue_short_skews,
-    discrete_base, heyting2_skew_monoidal, monoid_short_multi, poset2_base,
-    poset2_first_short_skew, table_short_multi, thin_inhabited, z2_monoid,
+    discrete_base, heyting2_skew_monoidal, poset2_base, poset2_first_short_skew,
+    table_short_multi, thin_inhabited, z2_monoid,
 )
 from shortcat.classify import (
     certify, check_left_universal, check_representable,
@@ -43,7 +43,7 @@ def test_z2_binary_classifier_is_the_sum():
     m = catalogue_short_multis()["z2"]
     cl = find_binary_classifier(m, "1", "1")
     assert cl is not None and cl.obj == "0"
-    assert cl.theta == "m2(1,1;0)"
+    assert cl.via == "m2(1,1;0)"
     cl = find_binary_classifier(m, "0", "1")
     assert cl.obj == "1"
 
@@ -233,15 +233,15 @@ def test_inverse_tables():
     m = catalogue_short_multis()["z2"]
     cert = certify(m)
     homs = find_closed_structure(m, cert)
-    inv = inverses(m, cert, homs)
+    inv = inverses(cert, homs)
     # the abstraction of a classifier is the identity on its apex
     for (a, b), cl in cert.binary.items():
-        assert inv.prime[cl.theta] == m.base.identity(cl.obj)
+        assert inv.prime[cl.via] == m.base.identity(cl.obj)
     # the unique ternary (1,1,0) -> 0 abstracts to the unique binary (0,0) -> 0
     assert inv.prime["m3(1,1,0;0)"] == "m2(0,0;0)"
     # the abstraction of an evaluation map is the identity on the hom object
     for (b, c), h in homs.items():
-        assert inv.sharp[h.e] == m.base.identity(h.obj)
+        assert inv.sharp[h.via] == m.base.identity(h.obj)
 
 
 def test_left_iff_adjoint_positive_and_stripped():
@@ -338,12 +338,14 @@ def _searches(mod, m):
     homs = mod.find_closed_structure(m, cert)
     if cert.left_representable:
         out.append(_outcome(mod.derived_classifiers, m, cert))
-        out.append(_outcome(lambda: vars(mod.inverses(m, cert, homs))))
+        # the reference keeps its former signature, with the unread m
+        args = (cert, homs) if mod is classify else (m, cert, homs)
+        out.append(_outcome(lambda: vars(mod.inverses(*args))))
     if isinstance(m, ShortMulticategory):
         if cert.weakly_representable:
             out.append(mod.check_representable(m, cert))
         mod.find_right_closed(m, cert)
-        out.append({k: h and (h.obj, h.e, h.witness) for k, h in cert.right_homs.items()})
+        out.append({k: h and (h.obj, h.via, h.witness) for k, h in cert.right_homs.items()})
     out.append(cli.render_certificate(cert))
     return out
 

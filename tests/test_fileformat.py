@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from shortcat.catalogue import (
-    catalogue_braidings, catalogue_morphisms, catalogue_short_braidings,
-    heyting2_skew_closed, heyting2_skew_monoidal, monoid_short_multi,
-    poset2_base, poset2_first_short_skew, z2_monoid,
+    catalogue_braidings, catalogue_morphisms, catalogue_short_braidings, catalogue_short_multis,
+    catalogue_skew_monoidals, heyting2_skew_closed, heyting2_skew_monoidal, poset2_base,
+    poset2_first_short_skew,
 )
 from shortcat.cli import GENERATORS, catalogue_files
 from shortcat.errors import ParseError, UnknownKind, VersionMismatch
@@ -33,7 +33,7 @@ def test_category_roundtrip():
 
 
 def test_short_multi_roundtrip():
-    m = monoid_short_multi(z2_monoid())
+    m = catalogue_short_multis()["z2"]
     sf2 = _roundtrip(StructureFile("short-multi", "z2", m))
     assert sf2.payload.sub == m.sub and sf2.payload.maps == m.maps
 
@@ -53,7 +53,7 @@ def test_short_skew_without_braiding():
 
 def test_monoidal_braiding_closed_roundtrips():
     _roundtrip(StructureFile("skew-monoidal", "heyting2", heyting2_skew_monoidal()))
-    mon, braid = catalogue_braidings()["klein.sym"]
+    mon, braid = catalogue_braidings(catalogue_skew_monoidals())["klein.sym"]
     sf2 = _roundtrip(StructureFile("braiding", "klein", (mon, braid)))
     assert sf2.payload[1].s == braid.s
     _roundtrip(StructureFile("skew-closed", "heyting2.cl", heyting2_skew_closed()))

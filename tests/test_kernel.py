@@ -227,10 +227,10 @@ def _skew_monoidals():
 
 
 def _braidings():
-    yield from catalogue_braidings().items()
+    yield from catalogue_braidings(catalogue_skew_monoidals()).items()
     yield from _cyclic_of("braiding")
     yield from _mutants_of("braiding")
-    mon, braid = catalogue_braidings()["z2.sym"]
+    mon, braid = catalogue_braidings(catalogue_skew_monoidals())["z2.sym"]
     for label, redirected in _redirects(
             braid, ("s", "s_inv"), lambda cur: [x for x in mon.base.morphisms() if x != cur], None):
         yield label, (mon, redirected)

@@ -34,7 +34,7 @@ def test_only_mutants_fail():
         assert validate_short_skew(m).ok, name
     for name, c in catalogue_skew_monoidals().items():
         assert validate_skew_monoidal(c).ok, name
-    for name, (c, b) in catalogue_braidings().items():
+    for name, (c, b) in catalogue_braidings(catalogue_skew_monoidals()).items():
         assert validate_skew_monoidal(c).ok and validate_braiding(c, b).ok, name
     for name, c in catalogue_skew_closed().items():
         assert validate_skew_closed(c).ok, name

@@ -1,8 +1,7 @@
 import dataclasses
 
 from shortcat.catalogue import (
-    catalogue_morphisms, catalogue_short_multis, monoid_short_multi,
-    terminal_short_multi, z2_monoid,
+    catalogue_morphisms, catalogue_short_multis, terminal_short_multi,
 )
 from shortcat.shortmulti import (
     validate_multi_morphism, validate_short_multicategory,
@@ -10,7 +9,7 @@ from shortcat.shortmulti import (
 
 
 def test_unary_identity_substitution_is_identity_action():
-    m = monoid_short_multi(z2_monoid())
+    m = catalogue_short_multis()["z2"]
     g = "m2(0,1;1)"
     assert m.safe_subst(g, 2, "1_1") == g
     assert m.safe_subst(g, 1, "1_0") == g
@@ -25,7 +24,7 @@ def test_terminal_substitution_always_lands_in_the_unique_map():
 
 
 def test_z2_binary_into_binary_tracks_mod2_sum():
-    m = monoid_short_multi(z2_monoid())
+    m = catalogue_short_multis()["z2"]
     g = "m2(1,1;0)"    # 1+1 = 0
     f = "m2(1,0;1)"    # lands in slot 1
     assert m.safe_subst(g, 1, f) == "m3(1,0,1;0)"
@@ -33,7 +32,7 @@ def test_z2_binary_into_binary_tracks_mod2_sum():
 
 
 def test_unsupported_case_is_undefined():
-    m = monoid_short_multi(z2_monoid())
+    m = catalogue_short_multis()["z2"]
     assert m.safe_subst("m3(0,0,0;0)", 1, "m3(0,0,0;0)") is None  # ternary into ternary
 
 
@@ -53,7 +52,7 @@ def test_all_catalogue_short_multis_pass():
 
 
 def test_z2_redirected_entry_fails_at_interchange_instance():
-    m = monoid_short_multi(z2_monoid())
+    m = catalogue_short_multis()["z2"]
     sub = dict(m.sub)
     key = ("m2(1,1;0)", 1, "m2(1,0;1)")
     assert sub[key] == "m3(1,0,1;0)"

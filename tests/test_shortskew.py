@@ -2,8 +2,7 @@ import dataclasses
 
 import reference_validators as ref
 from shortcat.catalogue import (
-    catalogue_short_multis, catalogue_short_skews, monoid_short_multi,
-    poset2_first_short_skew, z2_monoid,
+    catalogue_short_multis, catalogue_short_skews, poset2_first_short_skew,
 )
 from shortcat.report import run_checks
 from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
@@ -33,7 +32,7 @@ def test_poset2_first_skew_passes_and_j_not_surjective():
 
 
 def test_embed_plain_tables_coincide_and_j_is_identity():
-    m = monoid_short_multi(z2_monoid())
+    m = catalogue_short_multis()["z2"]
     s = embed_plain(m)
     assert all(k == v for k, v in s.j.items())
     for n in (0, 2):
@@ -43,7 +42,7 @@ def test_embed_plain_tables_coincide_and_j_is_identity():
 
 
 def test_embed_counts_match_plain_on_shared_families():
-    m = monoid_short_multi(z2_monoid())
+    m = catalogue_short_multis()["z2"]
     plain = validate_short_multicategory(m)
     skew = validate_short_skew(embed_plain(m))
     for family in ("assoc-line-a", "assoc-line-b", "assoc-notline-a",

@@ -107,7 +107,7 @@ def test_mutated_f2_fails_lax_assoc():
 
 
 def test_braidings_pass_and_are_symmetric():
-    for name, (c, b) in catalogue_braidings().items():
+    for name, (c, b) in catalogue_braidings(catalogue_skew_monoidals()).items():
         r = validate_braiding(c, b)
         assert r.ok, f"{name}: {r.failures[:3]}"
         assert check_symmetry(c, b)

@@ -49,7 +49,7 @@ def test_k_object_rho_is_unit_substitution():
     cert = certify(m)
     K = k_object(m, cert)
     for a in m.base.objects:
-        assert K.rho[a] == m.safe_subst(cert.theta(a, cert.nullary.obj), 2, cert.nullary.u)
+        assert K.rho[a] == m.safe_subst(cert.theta(a, cert.nullary.obj), 2, cert.nullary.via)
     assert validate_skew_monoidal(K).ok
     assert classify_flavour(K).left_normal
 
