@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, Optional
 from .errors import InconsistentVerdicts, NoSolution
 from .fincat import check_tables
 from .report import ValidationReport, tally
-from .shortskew import LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism
+from .shortskew import (LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism,
+                        validate_skew_multi_morphism)
 
 if TYPE_CHECKING:
     from .classify import Certificate
@@ -230,10 +231,10 @@ def validate_braided_transport_functor(F: SkewMultiMorphism,
                                        cert_tgt: Certificate,
                                        src_mon: SkewMonCategory,
                                        tgt_mon: SkewMonCategory) -> ValidationReport:
-    """Validate preservation of the ternary swap; independently check the two
-    quaternary swaps and insist the verdicts agree (preserving the ternary
-    swap forces the others); finally check the transported lax functor
-    preserves the transported braidings."""
+    """Validate preservation of the ternary swap and, independently, of the
+    two quaternary ones, which it forces (their verdicts must agree); then,
+    unless F fails the ternary swap and is no morphism, which ks_morphism
+    refuses, that the transported lax functor preserves the braidings."""
     from .skewmon import validate_braided_functor
     from .transport import ks_morphism
     src = F.source
@@ -250,10 +251,11 @@ def validate_braided_transport_functor(F: SkewMultiMorphism,
     if ok32 and not ok4:
         raise InconsistentVerdicts(
             f"{F.name}: ternary swap preserved but a quaternary one is not")
+    if not ok32 and not validate_skew_multi_morphism(F).ok:
+        return report.finish()
 
     s_src = s_from_short_braiding(src, cert_src, beta_src)
     s_tgt = s_from_short_braiding(F.target, cert_tgt, beta_tgt)
-    t = ks_morphism(F, cert_src, cert_tgt, src_mon, tgt_mon)
-    braided = validate_braided_functor(t, s_src, s_tgt)
-    report.merge(braided)
+    report.merge(validate_braided_functor(
+        ks_morphism(F, cert_src, cert_tgt, src_mon, tgt_mon), s_src, s_tgt))
     return report.finish()

@@ -232,7 +232,7 @@ def certify(m: Structure) -> Certificate:
     return cert
 
 
-def classifier_uniqueness_isos(m: Structure, cert: Certificate) -> dict[tuple, str]:
+def classifier_uniqueness_isos(cert: Certificate) -> dict[tuple, str]:
     """For every pair c1, c2 of certified candidates over the same input, the
     unique invertible unary map connecting them: the w with w o_1 c1.via =
     c2.via in c1's base witness at c2.obj; raises if none or not invertible."""

@@ -118,16 +118,15 @@ def k_object(m: ShortMulticategory, cert: Certificate,
 
 def ks_morphism(F: SkewMultiMorphism, cert_src: Certificate, cert_tgt: Certificate,
                 src_mon: SkewMonCategory, tgt_mon: SkewMonCategory) -> LaxMonFunctor:
-    """Forward transport: f2 and f0 are the unique maps matching the images
-    of the universal multimaps, read off the target's witnesses. F must pass
-    validate_skew_multi_morphism and each certificate be certify of its end."""
-    fun = F.functor
-    f2 = {}
+    """Forward transport: f2 and f0 are the unique maps matching the images of
+    the universal multimaps, read off the witnesses of certify's certificates.
+    An F that fails validate_skew_multi_morphism raises AxiomFailure."""
+    validate_skew_multi_morphism(F).require_pass(F.name, "transport")
+    fun, f2 = F.functor, {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
-        img = F.safe_apply(cert_src.theta(a, b), TIGHT)
         f2[(a, b)] = read_solution(
             f"f2 ({a},{b})", cert_tgt.classifier(fun.obj_map[a], fun.obj_map[b]),
-            ("base", fun.obj_map[cert_src.obj(a, b)]), img)
+            ("base", fun.obj_map[cert_src.obj(a, b)]), F.safe_apply(cert_src.theta(a, b), TIGHT))
     return LaxMonFunctor(F.name + ".lax", src_mon, tgt_mon, fun,
                          _solve_f0(F, cert_src, cert_tgt), f2)
 
@@ -414,15 +413,14 @@ def kcl_morphism(F: SkewMultiMorphism, homs_src: dict, homs_tgt: dict,
                  cert_src: Certificate, cert_tgt: Certificate,
                  src_cl: SkewClosedCategory, tgt_cl: SkewClosedCategory) -> SkewClosedFunctor:
     """Forward hom-side transport: the hom comparison is the unique map matching
-    the image of the evaluation map. F must pass validate_skew_multi_morphism
-    and the homs and certificates be find_closed_structure's and certify's of its ends."""
-    fun = F.functor
-    fh = {}
+    the image of the evaluation map, the homs and certificates those of its ends.
+    An F that fails validate_skew_multi_morphism raises AxiomFailure."""
+    validate_skew_multi_morphism(F).require_pass(F.name, "transport")
+    fun, fh = F.functor, {}
     for a, b in itertools.product(cert_src.view.base.objects, repeat=2):
-        img = F.safe_apply(homs_src[(a, b)].via, TIGHT)
-        fh[(a, b)] = read_solution(f"hom comparison ({a},{b})",
-                                   homs_tgt[(fun.obj_map[a], fun.obj_map[b])],
-                                   (TIGHT, 1, (fun.obj_map[homs_src[(a, b)].obj],)), img)
+        h, key = homs_src[(a, b)], (fun.obj_map[a], fun.obj_map[b])
+        fh[(a, b)] = read_solution(f"hom comparison ({a},{b})", homs_tgt[key],
+                                   (TIGHT, 1, (fun.obj_map[h.obj],)), F.safe_apply(h.via, TIGHT))
     return SkewClosedFunctor(F.name + ".closed", src_cl, tgt_cl, fun,
                              _solve_f0(F, cert_src, cert_tgt), fh)
 

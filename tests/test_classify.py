@@ -93,7 +93,7 @@ def test_classifier_uniqueness_on_indiscrete_structure():
     m = indiscrete2_short_multi()
     cert = certify(m)
     assert len(cert.binary_candidates[("x", "y")]) == 2  # both objects classify
-    isos = classifier_uniqueness_isos(m, cert)
+    isos = classifier_uniqueness_isos(cert)
     assert isos  # connecting isomorphisms found and invertible
 
 
@@ -418,7 +418,7 @@ def _certificate_outcomes():
             check_representable(m, cert)
         yield cli.render_certificate(cert)
         yield cli.render_certificate(cert, witnesses=False)
-        yield _outcome(classifier_uniqueness_isos, m, cert)
+        yield _outcome(classifier_uniqueness_isos, cert)
 
 
 def test_certificates_with_several_candidates_are_pinned():

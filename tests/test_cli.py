@@ -13,6 +13,7 @@ from shortcat import cli
 from shortcat.cli import build_parser, catalogue_files
 from shortcat.fileformat import KINDS, RawLaxFunctor, StructureFile, serialize
 from shortcat.skewmon import identity_lax_functor
+from test_kernel import _cyclic_files
 
 
 def run_cli(*args, env=None, **kwargs):
@@ -915,14 +916,6 @@ def test_only_the_braiding_constructions_validate_swap_tables(capsys, tmp_path, 
 # The catalogue generators whose files the benchmark ladder writes.
 LEDGER_GENERATORS = ("terminal", "z2", "z3", "klein-four", "poset-skew-second",
                      "poset-skew-first", "heyting-2", "morphisms")
-
-
-def _cyclic_files(n: int) -> list[StructureFile]:
-    rows = ";".join(" ".join(str((a + b) % n) for b in range(n)) for a in range(n))
-    args = build_parser().parse_args(
-        ["catalogue", "comm-monoid", "--elements", " ".join(map(str, range(n))),
-         "--unit", "0", "--table", rows, "--monoid-name", f"zmod{n}"])
-    return catalogue_files("comm-monoid", args)
 
 
 def test_certify_and_roundtrip_match_the_ledger(capsys, tmp_path):

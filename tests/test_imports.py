@@ -2,9 +2,11 @@
 lenient about scope: a name counts as used when any expression in the
 module reads it, annotations included. Every module of the package, the
 tests and the bench parses under the Python 3.10 grammar, the oldest
-pyproject.toml claims. And only fincat.check_tables raises a "not total"
-error: every finite table is checked there."""
+pyproject.toml claims. Only fincat.check_tables raises a "not total"
+error: every finite table is checked there. And the law table,
+tests/laws.py, names no index, lookup or check kernel of the package."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,48 @@ def test_only_check_tables_raises_not_total():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: raises for name, raises in found.items() if raises} == {
         "fincat.py": ["check_tables"]}
+
+
+# What the law table must not read: the package's indexes, its lookups and
+# table domains, and its check kernels (every name ending in _checks).
+PACKAGE_INTERNALS = frozenset({
+    "_index", "_adjacency", "_by_cod", "_mapsets", "domains", "lookups", "table_maps", "info",
+    "multimaps", "maps_into", "mapset", "mapset_keys", "safe_pre", "safe_post", "safe_subst"})
+
+
+def _internal_names(source: str) -> list[str]:
+    """The package internals a module names: as a name, an attribute, a def,
+    an argument, an import or a keyword, or as a word of a string that is not
+    a docstring (the source of generated code, a getattr)."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and ast.get_docstring(node) is not None}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.append(node.arg or "")
+        elif isinstance(node, ast.alias):
+            names += [node.name, node.asname or ""]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docstrings:
+            names += re.findall(r"[A-Za-z_]\w*", node.value)
+    return sorted({n for n in names if n in PACKAGE_INTERNALS or n.endswith("_checks")})
+
+
+def test_the_scan_finds_a_package_internal():
+    source = ('"""Reads no lookups."""\nimport x as lookups\ndef f(m, info):\n'
+              '    """m.domains"""\n    return m._index, getattr(m, "safe_subst"), "_by_cod[k]",'
+              ' typing_checks(m, table_maps=1)\n')
+    assert _internal_names(source) == ["_by_cod", "_index", "info", "lookups", "safe_subst",
+                                       "table_maps", "typing_checks"]
+
+
+def test_the_law_table_names_no_package_internal():
+    assert _internal_names((ROOT / "tests" / "laws.py").read_text(encoding="utf-8")) == []

@@ -1,10 +1,9 @@
 import dataclasses
 
-import reference_validators as ref
+import laws
 from shortcat.catalogue import (
     catalogue_short_multis, catalogue_short_skews, poset2_first_short_skew,
 )
-from shortcat.report import run_checks
 from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
 from shortcat.shortskew import (
     _CASE_OF, _LANDING, LOOSE, TIGHT, embed_plain, identity_skew_morphism, sub_flavour,
@@ -55,14 +54,14 @@ def test_embed_counts_match_plain_on_shared_families():
 def test_a_tight_action_result_redirected_to_a_loose_map_fails_typing():
     """A pre or post result keeps its map's flavours: a tight entry sent to
     the loose map of the same type fails typing with a False flavour flag,
-    on the lines the reference typing check renders."""
+    on the lines the law table's typing check renders."""
     m = poset2_first_short_skew()
     pre, post = dict(m.pre), dict(m.post)
     pre[("t2(0,0;0)", 1, "1_0")] = "l2(0,0;0)"
     post[("1_0", "t2(0,0;0)")] = "l2(0,0;0)"
     bad = dataclasses.replace(m, pre=pre, post=post)
     lines = [f.render() for f in validate_short_skew(bad).failures if f.family == "typing"]
-    assert lines == [f.render() for f in run_checks(bad.name, ref.skew_typing_checks(bad)).failures]
+    assert lines == [f.render() for f in laws.validate(bad).finish().failures if f.family == "typing"]
     flags = "(2, ('0', '0'), '0', False) != (2, ('0', '0'), '0', True)"
     assert lines == [f"fail typing @ post,1_0,t2(0,0;0) : {flags}",
                      f"fail typing @ pre,t2(0,0;0),1,1_0 : {flags}"]

@@ -300,11 +300,12 @@ def _construction_outcomes():
 def test_construction_outcomes_are_pinned():
     """Every constructed map of the object, morphism and braiding transports,
     and every failure they raise, as when each was found by filtering its
-    hom-set."""
+    hom-set; each image redirect, which fails validation, is refused with
+    AxiomFailure before any image is read."""
     outcomes = list(_construction_outcomes())
     assert len(outcomes) == 12733
     assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
-        "08698fba36b852771525c807c6a5b8229590268cb19d9453c351e26019d795a0"
+        "bd47fabc1c6b8b9b91f21c32ed045cdfc92b5f05f57974e1d3902f3422ca4d79"
 
 
 def test_closed_induction_recovers_structure():
