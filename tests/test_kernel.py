@@ -23,7 +23,7 @@ from shortcat.catalogue import (
     bz2_category, catalogue_braidings, catalogue_morphisms, catalogue_mutants,
     catalogue_short_braidings, catalogue_short_multis, catalogue_short_skews,
     catalogue_skew_closed, catalogue_skew_monoidals, heyting2_skew_closed, monoid_skew_monoidal,
-    poset2_first_short_skew, z2_monoid,
+    poset2_base, poset2_first_short_skew, z2_monoid,
 )
 from shortcat.classify import certify, find_closed_structure
 from shortcat.fincat import identity_functor
@@ -260,6 +260,12 @@ def _skew_monoidals():
                           lambda cur: [x for x in mon.base.morphisms() if x != cur], None)
     yield from _redirects(mon, ("tensor_obj",),
                           lambda cur: [o for o in mon.base.objects if o != cur], None)
+    # BZ/2, the one base with parallel morphisms, and its redirects
+    bz2 = bz2_category()
+    yield bz2.name, bz2
+    yield from ((f"{bz2.name}.{label}", c) for label, c in _redirects(
+        bz2, ("alpha", "lam", "rho", "tensor_mor"),
+        lambda cur: [x for x in bz2.base.morphisms() if x != cur], None))
 
 
 def _braidings():
@@ -394,8 +400,12 @@ def _validator_inputs(name):
         structures = (list(catalogue_short_multis().items()) + list(catalogue_short_skews().items())
                       + list(_skew_monoidals()) + list(_skew_closeds())
                       + list(_structures("cyclic")) + list(_structures("mutants")))
+        comp_redirects = [(f"{c.name}.{label}", x) for c in (poset2_base(), bz2_category().base)
+                          for label, x in _redirects(
+                              c, ("comp",), lambda cur, c=c: [f for f in c.morphisms() if f != cur],
+                              None)]
         return ([(n, (x.base,)) for n, x in structures]
-                + [(n, (x,)) for n, x in _mutants_of("category")])
+                + [(n, (x,)) for n, x in _mutants_of("category") + comp_redirects])
     if name == "validate_functor":
         functors = ([(n, F.functor) for n, F in list(_morphisms()) + list(_skew_morphisms())]
                     + [(n, t.functor) for n, (t,) in _validator_inputs("validate_lax_functor")])
