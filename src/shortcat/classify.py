@@ -408,12 +408,6 @@ def find_closed_structure(m: Structure, cert: Optional[Certificate] = None,
     return None if any(h is None for h in homs.values()) else homs
 
 
-def find_right_closed(m: ShortMulticategory,
-                      cert: Optional[Certificate] = None
-                      ) -> Optional[dict[tuple[str, str], Universal]]:
-    return find_closed_structure(m, cert, RIGHT)
-
-
 # --------------------------------------------------------------------------
 # inverse tables: (-)', (-)*, (-)#
 # --------------------------------------------------------------------------

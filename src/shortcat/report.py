@@ -93,7 +93,7 @@ class ValidationReport:
         """Raise AxiomFailure (exit 1) unless every instance passed: command
         needs an input named name that passes validation."""
         if self.failures:
-            raise AxiomFailure(f"{name}: validation of the structure fails "
+            raise AxiomFailure(f"{name}: validation fails "
                                f"{len(self.failures)} instances; {command} needs one that passes")
 
     def finish(self) -> "ValidationReport":

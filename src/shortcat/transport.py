@@ -18,8 +18,8 @@ import itertools
 from typing import Callable, Optional, Union
 
 from .classify import (
-    Certificate, Inverses, Universal, certify, find_closed_structure, find_right_closed,
-    inverses, preimage, read_back, read_solution,
+    RIGHT, Certificate, Inverses, Universal, certify, find_closed_structure, inverses, preimage,
+    read_back, read_solution,
 )
 from .errors import (
     AxiomTransferFailure, InconsistentVerdicts, MalformedTable, NoIsomorphismFound,
@@ -349,10 +349,6 @@ def transport_closed(m: Structure, cert: Certificate) -> ValidationReport:
     return report.finish()
 
 
-# one check for both structures; a skew caller may import it under this name
-transport_closed_skew = transport_closed
-
-
 # --------------------------------------------------------------------------
 # the hom-side construction
 # --------------------------------------------------------------------------
@@ -466,7 +462,7 @@ def biclosed_subst_check(m: ShortMulticategory) -> ValidationReport:
     report = ValidationReport(name)
     cert = certify(m)
     left = find_closed_structure(m, cert)
-    right = find_right_closed(m, cert)
+    right = find_closed_structure(m, cert, RIGHT)
     if left is None or right is None:
         raise MalformedTable(f"{m.name}: biclosed check needs both closednesses")
     left_sharp, right_sharp = inverses(cert, left).sharp, read_back(right.values())

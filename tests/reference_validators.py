@@ -1,21 +1,23 @@
 """The closure-based validators, kept as the reference that
 tests/test_kernel.py compares the package's validators against: those of
-categories and functors, of skew monoidal, braided and skew closed
-categories and their functors, of short braidings and of the morphisms of
-short (skew) multicategories. The short multicategory and short skew
-multicategory validators have no copy here. tests/laws.py writes their laws
-from the paper, and tests/test_kernel.py compares the kernels with it;
-their former copies enumerated through the package's own index and
-lookups and copied its pre-post quirk, so a differential with them could
-not see that quirk. A mutation study of the package cleared their
-retirement, and that of the former routing (lookup_tables, safe_pre,
-safe_post and safe_subst), whose place the law table's routing takes.
+functors, of lax monoidal, braided and skew closed functors, of short
+braidings and of the morphisms of short (skew) multicategories. The
+validators of short (skew) multicategories, of categories and of skew
+monoidal, braided and skew closed categories have no copy here.
+tests/laws.py writes their laws from the paper, and tests/test_kernel.py
+compares them with it. The former multicategory copies enumerated through
+the package's own index and lookups and copied its pre-post quirk, so a
+differential with them could not see that quirk. Mutation studies of the
+package cleared the retirement of every such copy, and of the former
+routing (lookup_tables, safe_pre, safe_post and safe_subst), whose place
+the law table's routing takes: the law-table differential killed every
+mutant that a copy's differential killed.
 
 Each law instance is a (family, subjects, thunk) triple, and report.run_checks
 evaluates the list in order, exactly as the package did before its
 validators recorded instances directly. The validators are the package's
 former bodies with two edits: the relative imports inside them are
-absolute, and the calls they make to validate_category, validate_functor,
+absolute, and the calls they make to validate_functor,
 validate_braided_functor and validate_skew_multi_morphism resolve to the
 reference versions below, so every report here is evaluated the old way.
 validate_braided_transport_functor, like the package's, transports no F
@@ -84,8 +86,7 @@ from shortcat.shortskew import (
     LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, SkewMultiMorphism, sub_flavour,
 )
 from shortcat.skewmon import (
-    Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
-    _comp_chain, check_braiding_total,
+    Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory, _comp_chain,
 )
 
 # --------------------------------------------------------------------------
@@ -226,43 +227,8 @@ def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
 
 
 # --------------------------------------------------------------------------
-# finite categories and functors
+# functors
 # --------------------------------------------------------------------------
-
-def validate_category(c: FinCategory) -> ValidationReport:
-    """Exhaustive check of typing, identity and associativity laws."""
-    c.check_structure()
-    checks: list[Check] = []
-
-    def typing_check(g, f):
-        def thunk():
-            h = c.comp[(g, f)]
-            want = (c.dom(f), c.cod(g))
-            return (str(c.span(h)), str(want))
-        return thunk
-
-    for g, f in composable_pairs(c):
-        checks.append(("comp-typing", (g, f), typing_check(g, f)))
-
-    for f in c.morphisms():
-        a, b = c.span(f)
-        checks.append(("identity", (c.identity(b), f),
-                       lambda f=f, b=b: (c.comp.get((c.identity(b), f)), f)))
-        checks.append(("identity", (f, c.identity(a)),
-                       lambda f=f, a=a: (c.comp.get((f, c.identity(a))), f)))
-
-    for g, f in composable_pairs(c):
-        for h in c.mors_out_of(c.cod(g)):
-            def thunk(h=h, g=g, f=f):
-                inner = c.comp.get((g, f))
-                lhs = c.comp.get((h, inner)) if inner is not None else None
-                mid = c.comp.get((h, g))
-                rhs = c.comp.get((mid, f)) if mid is not None else None
-                return lhs, rhs
-            checks.append(("assoc", (h, g, f), thunk))
-
-    return run_checks(c.name, checks)
-
 
 def validate_functor(fun: FinFunctor) -> ValidationReport:
     """Check totality of the maps plus preservation of spans, identities
@@ -294,96 +260,8 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
 
 
 # --------------------------------------------------------------------------
-# skew monoidal, braided and skew closed categories and their functors
+# lax monoidal, braided and skew closed functors
 # --------------------------------------------------------------------------
-
-def validate_skew_monoidal(c: SkewMonCategory) -> ValidationReport:
-    c.check_structure()
-    base = c.base
-    objs = base.objects
-    checks: list[Check] = []
-
-    # tensor functoriality
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        (a, b), (x, y) = base.span(f), base.span(g)
-        checks.append(("tensor-typing", (f, g),
-                       lambda f=f, g=g, a=a, b=b, x=x, y=y: (
-                           str(base._span.get(c.tensor_mor[(f, g)])),
-                           str((c.t(a, x), c.t(b, y))))))
-    for a, b in itertools.product(objs, repeat=2):
-        checks.append(("tensor-id", (a, b),
-                       lambda a=a, b=b: (c.tm(base.identity(a), base.identity(b)),
-                                         base.ids.get(c.t(a, b)))))
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        for f2 in base.mors_out_of(base.cod(f)):
-            for g2 in base.mors_out_of(base.cod(g)):
-                checks.append(("tensor-comp", (f2, f, g2, g),
-                               lambda f2=f2, f=f, g2=g2, g=g: (
-                                   c.tm(base.compose(f2, f), base.compose(g2, g)),
-                                   base.compose_opt(c.tm(f2, g2), c.tm(f, g)))))
-
-    # spans of the structure morphisms
-    for a, b, x in itertools.product(objs, repeat=3):
-        checks.append(("alpha-typing", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           str(base._span.get(c.alpha[(a, b, x)])),
-                           str((c.t(c.t(a, b), x), c.t(a, c.t(b, x)))))))
-    for a in objs:
-        checks.append(("lambda-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.lam[a])),
-                                    str((c.t(c.unit, a), a)))))
-        checks.append(("rho-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.rho[a])),
-                                    str((a, c.t(a, c.unit))))))
-
-    # naturality of alpha, lambda, rho
-    for f, g, h in itertools.product(base.morphisms(), repeat=3):
-        (a, a2), (b, b2), (x, x2) = base.span(f), base.span(g), base.span(h)
-        checks.append(("nat-alpha", (f, g, h),
-                       lambda f=f, g=g, h=h, a=a, b=b, x=x, a2=a2, b2=b2, x2=x2: (
-                           _comp_chain(base, c.tm(c.tm(f, g), h), c.alpha[(a2, b2, x2)]),
-                           _comp_chain(base, c.alpha[(a, b, x)], c.tm(f, c.tm(g, h))))))
-    for f in base.morphisms():
-        a, b = base.span(f)
-        checks.append(("nat-lambda", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, tm_right(c, c.unit, f), c.lam[b]),
-                           _comp_chain(base, c.lam[a], f))))
-        checks.append(("nat-rho", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, f, c.rho[b]),
-                           _comp_chain(base, c.rho[a], c.tm_left(f, c.unit)))))
-
-    # the five structure axioms
-    i = c.unit
-    for a, b, x, d in itertools.product(objs, repeat=4):
-        checks.append(("pentagon", (a, b, x, d),
-                       lambda a=a, b=b, x=x, d=d: (
-                           _comp_chain(base, c.alpha[(c.t(a, b), x, d)], c.alpha[(a, b, c.t(x, d))]),
-                           _comp_chain(base, c.tm_left(c.alpha[(a, b, x)], d),
-                                       c.alpha[(a, c.t(b, x), d)],
-                                       tm_right(c, a, c.alpha[(b, x, d)])))))
-    for a, b in itertools.product(objs, repeat=2):
-        checks.append(("left-unit", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.alpha[(i, a, b)], c.lam[c.t(a, b)]),
-                           c.tm_left(c.lam[a], b))))
-        checks.append(("right-unit", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.rho[c.t(a, b)], c.alpha[(a, b, i)]),
-                           tm_right(c, a, c.rho[b]))))
-        checks.append(("middle-unit", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.tm_left(c.rho[a], b), c.alpha[(a, i, b)],
-                                       tm_right(c, a, c.lam[b])),
-                           base.ids.get(c.t(a, b)))))
-    checks.append(("unit-unit", (i,),
-                   lambda: (_comp_chain(base, c.rho[i], c.lam[i]), base.ids.get(i))))
-
-    report = run_checks(c.name, checks)
-    report.merge_prefixed(validate_category(base), "base-")
-    return report.finish()
-
 
 def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
@@ -435,63 +313,6 @@ def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
     return out.finish()
 
 
-def validate_braiding(c: SkewMonCategory, braid: Braiding) -> ValidationReport:
-    check_braiding_total(c, braid)
-    base = c.base
-    objs = base.objects
-    checks: list[Check] = []
-
-    def lhs_obj(x, a, b):
-        return c.t(c.t(x, a), b)
-
-    for (x, a, b) in itertools.product(objs, repeat=3):
-        s = braid.s[(x, a, b)]
-        si = braid.s_inv[(x, a, b)]
-        checks.append(("s-typing", (x, a, b),
-                       lambda s=s, x=x, a=a, b=b: (str(base._span.get(s)),
-                                                   str((lhs_obj(x, a, b), lhs_obj(x, b, a))))))
-        checks.append(("s-inverse", (x, a, b),
-                       lambda s=s, si=si, x=x, a=a, b=b: (
-                           str((base.compose_opt(si, s), base.compose_opt(s, si))),
-                           str((base.ids.get(lhs_obj(x, a, b)), base.ids.get(lhs_obj(x, b, a)))))))
-
-    for f, g, h in itertools.product(base.morphisms(), repeat=3):
-        (x, x2), (a, a2), (b, b2) = base.span(f), base.span(g), base.span(h)
-        checks.append(("s-nat", (f, g, h),
-                       lambda f=f, g=g, h=h, x=x, a=a, b=b, x2=x2, a2=a2, b2=b2: (
-                           _comp_chain(base, c.tm(c.tm(f, g), h), braid.s[(x2, a2, b2)]),
-                           _comp_chain(base, braid.s[(x, a, b)], c.tm(c.tm(f, h), g)))))
-
-    s = braid.s
-    for (x, a, b, e) in itertools.product(objs, repeat=4):
-        checks.append(("braid-hexagon", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
-                                       s[(c.t(x, e), a, b)]),
-                           _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
-                                       c.tm_left(s[(x, b, e)], a)))))
-        checks.append(("braid-alpha-right", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, c.tm_left(s[(x, a, b)], e), s[(c.t(x, b), a, e)],
-                                       c.tm_left(c.alpha[(x, b, e)], a)),
-                           _comp_chain(base, c.alpha[(c.t(x, a), b, e)], s[(x, a, c.t(b, e))]))))
-        checks.append(("braid-alpha-left", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, s[(c.t(x, a), b, e)], c.tm_left(s[(x, a, e)], b),
-                                       c.alpha[(c.t(x, e), a, b)]),
-                           _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
-                                       s[(x, c.t(a, b), e)]))))
-        checks.append(("braid-alpha-inner", (x, a, b, e),
-                       lambda x=x, a=a, b=b, e=e: (
-                           _comp_chain(base, c.tm_left(c.alpha[(x, a, b)], e),
-                                       c.alpha[(x, c.t(a, b), e)],
-                                       tm_right(c, x, s[(a, b, e)])),
-                           _comp_chain(base, s[(c.t(x, a), b, e)],
-                                       c.tm_left(c.alpha[(x, a, e)], b),
-                                       c.alpha[(x, c.t(a, e), b)]))))
-    return run_checks(braid.name, checks)
-
-
 def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding) -> ValidationReport:
     src, tgt, fun = t.source, t.target, t.functor
     base = tgt.base
@@ -507,116 +328,6 @@ def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding)
                                        t.f2[(src.t(x, a), b)],
                                        fun.mor_map.get(s_src.s[(x, a, b)])))))
     return run_checks(t.name + ".braided", checks)
-
-
-def validate_skew_closed(c: SkewClosedCategory) -> ValidationReport:
-    """Naturality of the hom functor and of I, J, L, plus the five
-    structure axioms of a left skew closed category (the J/L triangle among
-    them) as axiom schemas."""
-    c.check_structure()
-    base = c.base
-    objs = base.objects
-    i = c.unit
-    checks: list[Check] = []
-
-    # hom functoriality: contravariant first argument, covariant second
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        (b, b2), (x, x2) = base.span(f), base.span(g)
-        checks.append(("hom-typing", (f, g),
-                       lambda f=f, g=g, b=b, b2=b2, x=x, x2=x2: (
-                           str(base._span.get(c.hom_mor[(f, g)])),
-                           str((c.h(b2, x), c.h(b, x2))))))
-    for a, b in itertools.product(objs, repeat=2):
-        checks.append(("hom-id", (a, b),
-                       lambda a=a, b=b: (c.hm(base.identity(a), base.identity(b)),
-                                         base.ids.get(c.h(a, b)))))
-    # contravariance crosses the pairing: [f2 o f, g2 o g] = [f,g2] o [f2,g]
-    for f, g in itertools.product(base.morphisms(), repeat=2):
-        for f2 in base.mors_out_of(base.cod(f)):
-            for g2 in base.mors_out_of(base.cod(g)):
-                checks.append(("hom-comp", (f2, f, g2, g),
-                               lambda f2=f2, f=f, g2=g2, g=g: (
-                                   c.hm(base.compose(f2, f), base.compose(g2, g)),
-                                   base.compose_opt(c.hm(f, g2), c.hm(f2, g)))))
-
-    # spans of the structure morphisms
-    for a in objs:
-        checks.append(("I-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.iu[a])), str((c.h(i, a), a)))))
-        checks.append(("J-typing", (a,),
-                       lambda a=a: (str(base._span.get(c.ju[a])), str((i, c.h(a, a))))))
-    for a, b, x in itertools.product(objs, repeat=3):
-        checks.append(("L-typing", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           str(base._span.get(c.ell[(a, b, x)])),
-                           str((c.h(b, x), c.h(c.h(a, b), c.h(a, x)))))))
-
-    # naturality of I, J (dinatural), L
-    for f in base.morphisms():
-        a, b = base.span(f)
-        checks.append(("nat-I", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, hm_right(c, i, f), c.iu[b]),
-                           _comp_chain(base, c.iu[a], f))))
-        checks.append(("dinat-J", (f,),
-                       lambda f=f, a=a, b=b: (
-                           _comp_chain(base, c.ju[a], hm_right(c, a, f)),
-                           _comp_chain(base, c.ju[b], hm_left(c, f, b)))))
-    for f in base.morphisms():
-        b, b2 = base.span(f)
-        for a, x in itertools.product(objs, repeat=2):
-            # contravariant: [f,x] then L  =  L then [[a,f],1]
-            checks.append(("nat-L-contra", (a, f, x),
-                           lambda a=a, f=f, x=x, b=b, b2=b2: (
-                               _comp_chain(base, hm_left(c, f, x), c.ell[(a, b, x)]),
-                               _comp_chain(base, c.ell[(a, b2, x)],
-                                           c.hm(hm_right(c, a, f),
-                                                base.identity(c.h(a, x)))))))
-            # covariant: L then [1,[a,f]]  =  [x,f] then L
-            checks.append(("nat-L-co", (a, x, f),
-                           lambda a=a, x=x, f=f, b=b, b2=b2: (
-                               _comp_chain(base, c.ell[(a, x, b)],
-                                           c.hm(base.identity(c.h(a, x)), hm_right(c, a, f))),
-                               _comp_chain(base, hm_right(c, x, f), c.ell[(a, x, b2)]))))
-            # dinatural in a: L^a then [[f,a-slot],1]  =  L^{a'} then [1,[f,x]]
-            checks.append(("dinat-L", (f, a, x),
-                           lambda f=f, a=a, x=x, b=b, b2=b2: (
-                               _comp_chain(base, c.ell[(b, a, x)],
-                                           c.hm(hm_left(c, f, a), base.identity(c.h(b, x)))),
-                               _comp_chain(base, c.ell[(b2, a, x)],
-                                           c.hm(base.identity(c.h(b2, a)), hm_left(c, f, x))))))
-
-    # the five structure axioms
-    for a, b, x, d in itertools.product(objs, repeat=4):
-        checks.append(("L-pentagon", (a, b, x, d),
-                       lambda a=a, b=b, x=x, d=d: (
-                           _comp_chain(base, c.ell[(a, x, d)],
-                                       c.ell[(c.h(a, b), c.h(a, x), c.h(a, d))],
-                                       c.hm(c.ell[(a, b, x)], base.identity(c.h(c.h(a, b), c.h(a, d))))),
-                           _comp_chain(base, c.ell[(b, x, d)],
-                                       c.hm(base.identity(c.h(b, x)), c.ell[(a, b, d)])))))
-    for a, b in itertools.product(objs, repeat=2):
-        checks.append(("L-J-collapse", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.ell[(a, a, b)],
-                                       c.hm(c.ju[a], base.identity(c.h(a, b))),
-                                       c.iu[c.h(a, b)]),
-                           base.ids.get(c.h(a, b)))))
-        checks.append(("J-L-triangle", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.ju[b], c.ell[(a, b, b)]),
-                           c.ju.get(c.h(a, b)))))
-        checks.append(("L-I-compat", (a, b),
-                       lambda a=a, b=b: (
-                           _comp_chain(base, c.ell[(i, a, b)],
-                                       c.hm(base.identity(c.h(i, a)), c.iu[b])),
-                           c.hm(c.iu[a], base.identity(b)))))
-    checks.append(("I-J-unit", (i,),
-                   lambda: (_comp_chain(base, c.ju[i], c.iu[i]), base.ids.get(i))))
-
-    report = run_checks(c.name, checks)
-    report.merge_prefixed(validate_category(base), "base-")
-    return report.finish()
 
 
 def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:

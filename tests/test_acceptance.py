@@ -32,7 +32,6 @@ from shortcat.skewmon import (
 from shortcat.transport import (
     check_representable_iff_monoidal, k_morphism, k_morphism_inverse, k_object,
     lax_functor_equal, multi_morphism_equal, roundtrip_check, transport_closed,
-    transport_closed_skew,
 )
 
 
@@ -135,7 +134,7 @@ def test_criterion_5_closedness_transfer():
         r = transport_closed(m, certify(m))
         assert r.ok, (name, r.failures[:3])
     for name, m in catalogue_short_skews().items():
-        r = transport_closed_skew(m, certify(m))
+        r = transport_closed(m, certify(m))
         assert r.ok, (name, r.failures[:3])
     _announce(5, "closedness verdicts and derived evaluation maps agree everywhere")
 

@@ -659,7 +659,7 @@ ALPHA_KEY = "alpha key (0,0,1_0) names 1_0, which is not an object"
 S_VALUE = "braiding component 1 at (0,0,1) is not a morphism"
 POST_LINE = "post 1_0 m4(1,0,0,1;0) = m4(1,0,0,1;0)"
 BAD_POST_LINE = "post 1_0 m4(1,0,0,1;0) = m2(1,1;0)"
-AXIOM_FAILURE = "validation of the structure fails 10 instances; construct needs one that passes"
+AXIOM_FAILURE = "validation fails 10 instances; construct needs one that passes"
 ALPHA_LINE = "alpha 0 0 1 = 1_1"
 S_LINE = "s 0 0 1 = 1_1"
 BETA43_LINE = "beta43 m4(1,1,0,1;1) = m4(1,1,1,0;1)"
@@ -682,7 +682,7 @@ HOM_LINE = "hom 0 0 = 1_0"
                  ["construct", "--which", "braiding-backward"], 2, S_VALUE,
                  id="s-value-construct"),
     pytest.param("z2", "short-skew", lambda t: _replace_line(t, POST_LINE, BAD_POST_LINE),
-                 ["certify"], 1, "validation of the structure fails 10 instances",
+                 ["certify"], 1, "validation fails 10 instances",
                  id="axiom-failure-certify"),
     pytest.param("z2", "short-multi", lambda t: _replace_line(t, POST_LINE, BAD_POST_LINE),
                  ["construct", "--which", "k"], 1, AXIOM_FAILURE, id="axiom-failure-construct-k"),
@@ -701,17 +701,17 @@ HOM_LINE = "hom 0 0 = 1_0"
     # instances whether the associator or the braiding is the broken one
     *[pytest.param("z2", "braiding", lambda t, line=line: _replace_line(t, line, line[:-1] + "0"),
                    command, 1,
-                   f"z2.sym: validation of the structure fails 20 instances; {command[0]} "
+                   f"z2.sym: validation fails 20 instances; {command[0]} "
                    f"needs one that passes", id=f"{line.split()[0]}-failure-{command[0]}-braiding")
       for line in (ALPHA_LINE, S_LINE)
       for command in (["construct", "--which", "braiding-backward"], ["roundtrip"])],
     pytest.param("z2", "skew-monoidal", lambda t: _replace_line(t, ALPHA_LINE, "alpha 0 0 1 = 1_0"),
                  ["roundtrip"], 1,
-                 "z2.mon: validation of the structure fails 10 instances; roundtrip needs one "
+                 "z2.mon: validation fails 10 instances; roundtrip needs one "
                  "that passes", id="alpha-failure-roundtrip-skew-monoidal"),
     pytest.param("heyting-2", "skew-closed", lambda t: _replace_line(t, "J 0 = 1_1", "J 0 = le"),
                  ["roundtrip"], 1,
-                 "heyting2.cl: validation of the structure fails 3 instances; roundtrip needs "
+                 "heyting2.cl: validation fails 3 instances; roundtrip needs "
                  "one that passes", id="j-failure-roundtrip-skew-closed"),
     # an entry keyed at a base morphism, which composes in the base
     *[pytest.param("z2", "short-multi", lambda t: t + "pre 1_0 1 1_0 = 1_0\n", [command], 2,
@@ -909,7 +909,7 @@ def test_only_the_braiding_constructions_validate_swap_tables(capsys, tmp_path, 
     if command == ["validate"]:
         assert "status FAIL" in captured.out and "fail braiding-b43-" in captured.out
     elif code == 1:
-        assert captured.err == ("error: z2.skew: validation of the structure fails 8 "
+        assert captured.err == ("error: z2.skew: validation fails 8 "
                                 "instances; construct needs one that passes\n")
 
 

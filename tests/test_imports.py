@@ -4,7 +4,8 @@ module reads it, annotations included. Every module of the package, the
 tests and the bench parses under the Python 3.10 grammar, the oldest
 pyproject.toml claims. Only fincat.check_tables raises a "not total"
 error: every finite table is checked there. And the law table,
-tests/laws.py, names no index, lookup or check kernel of the package."""
+tests/laws.py, names no index, lookup, accessor or check kernel of the
+package."""
 import ast
 import re
 from pathlib import Path
@@ -107,10 +108,14 @@ def test_only_check_tables_raises_not_total():
 
 
 # What the law table must not read: the package's indexes, its lookups and
-# table domains, and its check kernels (every name ending in _checks).
+# table domains, its accessors of the base and of the tensor (the span dict,
+# the composition and hom helpers) and its check kernels (every name ending
+# in _checks).
 PACKAGE_INTERNALS = frozenset({
     "_index", "_adjacency", "_by_cod", "_mapsets", "domains", "lookups", "table_maps", "info",
-    "multimaps", "maps_into", "mapset", "mapset_keys", "safe_pre", "safe_post", "safe_subst"})
+    "multimaps", "maps_into", "mapset", "mapset_keys", "safe_pre", "safe_post", "safe_subst",
+    "_span", "compose_opt", "mors_out_of", "tm_left", "_comp_chain", "table_domains",
+    "composable_pairs"})
 
 
 def _internal_names(source: str) -> list[str]:
@@ -142,9 +147,9 @@ def _internal_names(source: str) -> list[str]:
 def test_the_scan_finds_a_package_internal():
     source = ('"""Reads no lookups."""\nimport x as lookups\ndef f(m, info):\n'
               '    """m.domains"""\n    return m._index, getattr(m, "safe_subst"), "_by_cod[k]",'
-              ' typing_checks(m, table_maps=1)\n')
-    assert _internal_names(source) == ["_by_cod", "_index", "info", "lookups", "safe_subst",
-                                       "table_maps", "typing_checks"]
+              ' typing_checks(m, table_maps=1), "str(_span.get(f))"\n')
+    assert _internal_names(source) == ["_by_cod", "_index", "_span", "info", "lookups",
+                                       "safe_subst", "table_maps", "typing_checks"]
 
 
 def test_the_law_table_names_no_package_internal():

@@ -4,11 +4,14 @@ from the paper: the same rendered report, or the same exception type and
 message, on every catalogue structure, on Z/2..Z/4, on every mutant and on
 the completeness redirects (every well-typed one of BZ/2 among them). The
 kernel's pre-post quirk is one named filter here, LastPOfEachSlot.
-MultiTables.lookups is compared with the law table's routing. The other
-validators are compared with the closure-based reference copies in
-reference_validators.py, on those inputs and on hand-built ones where a
-totality error and a dangling value meet, and the multimap index with its
-definition."""
+MultiTables.lookups is compared with the law table's routing. The
+category, skew monoidal, braiding and skew closed validators are compared
+with the law table too, and every base-* family comes from it; the
+exceptions on both sides are the package's structure checks. The functor
+and morphism validators are compared with the closure-based reference
+copies in reference_validators.py, on those inputs and on hand-built ones
+where a totality error and a dangling value meet, and the multimap index
+with its definition."""
 import argparse
 import dataclasses
 import itertools
@@ -35,7 +38,7 @@ from shortcat.shortskew import (
     LOOSE, TIGHT, ShortSkewMulticategory, embed_multi_morphism, identity_skew_morphism,
     validate_short_skew,
 )
-from shortcat.skewmon import SkewClosedFunctor, identity_lax_functor
+from shortcat.skewmon import SkewClosedFunctor, check_braiding_total, identity_lax_functor
 from shortcat.transport import k_morphism, k_object, kcl_morphism, kcl_object, ks_object
 from test_completeness import _each_redirect, _j_pool, _skew_pool
 
@@ -151,12 +154,17 @@ class LastPOfEachSlot:
         return False
 
 
-def _law_report(m, keep):
-    """The report the law table gives m, the base's families from the
-    reference validate_category, or the structure check's exception."""
-    m.check_structure()
-    report = laws.validate(m, keep)
-    report.merge_prefixed(ref.validate_category(m.base), "base-")
+def _law_report(m, braid=None, keep=None):
+    """The report the law table gives m, or the braiding braid on m, with
+    the base's families prefixed base-, or the exception of the package's
+    structure check (check_braiding_total's for a braiding)."""
+    if braid is None:
+        m.check_structure()
+    else:
+        check_braiding_total(m, braid)
+    report = laws.validate(m, keep, braid)
+    if braid is None and hasattr(m, "base"):
+        report.merge_prefixed(laws.validate(m.base), "base-")
     return report.finish()
 
 
@@ -175,7 +183,7 @@ def test_kernel_matches_reference(group):
         kernel = validate_short_multicategory if isinstance(m, ShortMulticategory) \
             else validate_short_skew
         keep = LastPOfEachSlot(m)
-        if _outcome(kernel, m) != _outcome(_law_report, m, keep):
+        if _outcome(kernel, m) != _outcome(_law_report, m, None, keep):
             differ.append(name)
         if keep.dropped:
             filtered.append(name)
@@ -464,9 +472,15 @@ VALIDATORS = {
 }
 
 
+# the validators compared with the law table; the others with their reference copies
+LAW_TABLE = ("validate_category", "validate_skew_monoidal", "validate_braiding",
+             "validate_skew_closed")
+
+
 @pytest.mark.parametrize("name", sorted(VALIDATORS))
 def test_validator_matches_reference(name):
-    validate, reference = getattr(VALIDATORS[name], name), getattr(ref, name)
+    validate = getattr(VALIDATORS[name], name)
+    reference = _law_report if name in LAW_TABLE else getattr(ref, name)
     tried, failing, differ = 0, 0, []
     for label, args in _validator_inputs(name):
         want = _outcome(reference, *args)

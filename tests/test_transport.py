@@ -30,7 +30,6 @@ from shortcat.transport import (
     k_morphism, k_morphism_inverse, k_object, kcl_morphism, kcl_morphism_inverse, kcl_object,
     ks_morphism, ks_morphism_inverse, ks_object, lax_functor_equal, multi_morphism_equal,
     roundtrip_check, skew_monoidal_equal, transport_closed,
-    transport_closed_skew,
 )
 
 
@@ -84,7 +83,7 @@ def test_closed_transfer_catalogue():
         r = transport_closed(m, certify(m))
         assert r.ok, (name, r.failures[:3])
     for name, m in catalogue_short_skews().items():
-        r = transport_closed_skew(m, certify(m))
+        r = transport_closed(m, certify(m))
         assert r.ok, (name, r.failures[:3])
 
 
@@ -305,7 +304,7 @@ def test_construction_outcomes_are_pinned():
     outcomes = list(_construction_outcomes())
     assert len(outcomes) == 12733
     assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
-        "bd47fabc1c6b8b9b91f21c32ed045cdfc92b5f05f57974e1d3902f3422ca4d79"
+        "3e8339706f402d29f19cbe9b38dd6250800f7b6382f6761bfd1c302b7a7e4541"
 
 
 def test_closed_induction_recovers_structure():
