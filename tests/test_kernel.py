@@ -7,11 +7,11 @@ kernel's pre-post quirk is one named filter here, LastPOfEachSlot.
 MultiTables.lookups is compared with the law table's routing. The
 category, skew monoidal, braiding and skew closed validators are compared
 with the law table too, and every base-* family comes from it; the
-exceptions on both sides are the package's structure checks. The functor
-and morphism validators are compared with the closure-based reference
-copies in reference_validators.py, on those inputs and on hand-built ones
-where a totality error and a dangling value meet, and the multimap index
-with its definition."""
+exceptions on both sides are the package's structure checks. The
+validators of functors, short braidings and morphisms are compared with
+the closure-based reference copies in reference_validators.py, on those
+inputs and on hand-built ones where a totality error and a dangling value
+meet, and the multimap index with its definition."""
 import argparse
 import dataclasses
 import itertools
