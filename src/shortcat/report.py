@@ -7,9 +7,10 @@ once with `tally`. Reports are deterministic: failures and counts are sorted
 before rendering, so the same structure produces byte-identical text
 regardless of instance generation order.
 
-`Check` and `run_checks` are the reference evaluator: a list of
-(family, subjects, thunk) instances evaluated in order. No validator uses
-them; the closure-based reference validators of the test suite do.
+`Check` and `run_checks` are the former reference evaluator: a list of
+(family, subjects, thunk) instances evaluated in order. No validator and no
+test evaluates them; they stay only because the bench's layer list
+(bench/spans.py, LAYERS) names `report.run_checks`, and go with that entry.
 """
 from __future__ import annotations
 

@@ -409,7 +409,7 @@ def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
         n, dom, cod, _ = sidx[f]
         want = (n, tuple(obj[a] for a in dom), obj[cod])
         have = tidx[img]
-        held = flavour in have[3] or TIGHT in have[3]
+        held = flavour in have[3]
         if have[:3] != want or not held:
             report.fail("morphism-typing", (flavour + str(n), f),
                         str(have[:3] + (held,)), str(want + (True,)))

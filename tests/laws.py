@@ -1,32 +1,41 @@
-"""The laws of a short (skew) multicategory, of a category and of a skew
-monoidal, braided and skew closed category, written from the papers as
-data, and one evaluator.
+"""The laws of a short (skew) multicategory, of a category, of a skew
+monoidal, braided and skew closed category, of a short braiding and of the
+maps between them, written from the papers as data, and one evaluator.
 
 A structure is read through its dataclass fields only: the base's
 `objects`, `homs`, `comp` and `ids`, the multimap tables (`maps`, or
 `tight` and `loose`), `j`, `pre`, `post` and `sub`, the tensor's
 `tensor_obj`, `tensor_mor`, `unit`, `alpha`, `lam` and `rho`, a braiding's
-`s` and `s_inv`, and the closed structure's `hom_obj`, `hom_mor`, `unit`,
-`iu`, `ju` and `ell`. Nothing here reads an index, a lookup dict, an
-accessor or a check kernel of the package, so the validators are checked
-against the definitions and not against their own history.
+`s` and `s_inv`, a short braiding's `b32`, `b42` and `b43`, and the closed
+structure's `hom_obj`, `hom_mor`, `unit`, `iu`, `ju` and `ell`. A map (a
+functor, a lax monoidal or skew closed functor, a morphism of short (skew)
+multicategories) is read through its ends, each as a structure, and its
+own fields: `obj_map` and `mor_map`, `f0`, `f2`, `fh`, and `maps` or
+`tight_maps` and `loose_maps`. Nothing here reads an index, a lookup dict,
+an accessor or a check kernel of the package, so the validators are
+checked against the definitions and not against their own history.
 
-Every family except typing is a list of `Law` rows. A row names its
-family, the literal head of its subjects, its variables with their ranges,
-the subjects after the head, and its two sides as lookup chains over the
-raw tables. The routing is the paper's unary one: a base morphism composes
-in the base, and substituting one, or into one, is a pre or post action.
-An instance fails when its sides differ or its left side is undefined, and
-it is printed with the validator's subjects and sides. The skew monoidal
-rows follow Szlachanyi, "Skew-monoidal categories and bialgebroids" (Adv.
-Math. 2012), and the skew closed ones Street, "Skew-closed categories"
-(JPAA 2013).
+Every family except the typing of a multicategory is a list of `Law` rows.
+A row names its family, the literal head of its subjects, its variables
+with their ranges, the subjects after the head, and its two sides as lookup
+chains over the raw tables. The routing is the paper's unary one: a base
+morphism composes in the base, and substituting one, or into one, is a pre
+or post action. An instance fails when its sides differ or its left side is
+undefined, and it is printed with the validator's subjects and sides. The
+skew monoidal rows follow Szlachanyi, "Skew-monoidal categories and
+bialgebroids" (Adv. Math. 2012), the skew closed ones Street, "Skew-closed
+categories" (JPAA 2013), and the maps preserve those laws as in Bourke and
+Lack, "Skew monoidal categories and skew multicategories" (J. Algebra
+2018).
 
 Ranges (a type is (flavour, arity): "m" for every map of a plain
-structure, "t" tight and "l" loose in a skew one):
+structure, "t" tight and "l" loose in a skew one); a map's ranges are
+those of its source:
     ("maps", ty)          the maps of type ty that are not base morphisms
     ("maps", ty, x)       those of them with codomain x
     ("listed", ty)        every id the table of ty lists, base ones too
+    ("keys", ty)          the (domain, codomain) keys of the table of ty,
+                          bound to a pair of variables
     ("every",)            every map that is not a base morphism, once
     ("slots", f)          1 .. arity of f; ("slots", f, "<" or ">", i)
                           only those below or above slot i
@@ -34,12 +43,20 @@ structure, "t" tight and "l" loose in a skew one):
     ("morphisms",)        every base morphism
     ("objects",)          every object of the base
     ("=", a, b)           no variable: keeps the instances where a == b
-Terms: a variable, an int, ("dom", f, i) the i-th input of f, ("cod", f),
-("arity", f), ("id", x), ("comp", q, p) q after p, ("post", q, f)
-q o f, ("pre", f, i, p) f o_i p, ("sub", g, i, f) g o_i f, ("j", f),
-("+", a, b, ...) a sum of slots, ("unit",), (name, key, ...) the entry of
-the structure map name at the key, ("span", f) the printed (domain,
-codomain) of a base morphism and ("pair", a, b) the printed pair.
+Terms: a variable, an int, ("dom", f, i) the i-th input of f,
+("domain", f) all of them, ("cod", f), ("arity", f), ("id", x),
+("comp", q, p) q after p, ("post", q, f) q o f, ("pre", f, i, p) f o_i p,
+("sub", g, i, f) g o_i f, ("j", f), ("+", a, b, ...) a sum of slots,
+("unit",), (name, key, ...) the entry of the structure map name at the key
+(and (name,) a map's f0), ("span", f) the printed (domain, codomain) of a
+base morphism, ("tuple", a, ...), ("str", t) printed, ("at", d, i) the
+i-th entry of a domain, ("joined", d) a domain printed as a subject,
+("flavoured", f, x) whether a table of flavour x lists f, ("set", ty, d, c)
+the maps of a type, ("images", name, S) the sorted images of the set S
+under the structure map name, ("image", f) the image of a multimap under a
+morphism and ("image", f, x) its image as a map of flavour x. A map's terms
+read its source; ("tgt", t) reads t in its target, where the map's own
+fields still take source arguments.
 """
 import functools
 import re
@@ -178,9 +195,15 @@ def _field(name):
 T, tm, alpha, lam, rho = map(_field, ("tensor_obj", "tensor_mor", "alpha", "lam", "rho"))
 s, s_inv = map(_field, ("s", "s_inv"))
 H, hm, iu, ju, ell = map(_field, ("hom_obj", "hom_mor", "iu", "ju", "ell"))
+b32, b42, b43 = map(_field, ("b32", "b42", "b43"))
 one, I = _field("id"), ("unit",)
 STRUCTURE_FIELDS = ("tensor_obj", "tensor_mor", "unit", "alpha", "lam", "rho", "s", "s_inv",
-                    "hom_obj", "hom_mor", "iu", "ju", "ell")
+                    "hom_obj", "hom_mor", "iu", "ju", "ell", "b32", "b42", "b43")
+
+
+def printed(*ts):
+    """The tuple of the terms ts, printed."""
+    return ("str", ("tuple", *ts))
 
 
 def dom(f):
@@ -210,7 +233,7 @@ CATEGORY_LAWS = (
     Law("identity", (), F, (one(cod("f")), "f"), after(one(cod("f")), "f"), "f"),
     Law("identity", (), F, ("f", one(dom("f"))), after("f", one(dom("f"))), "f"),
     Law("comp-typing", (), F + (("g", ("out", cod("f"))),), ("g", "f"),
-        ("span", after("g", "f")), ("pair", dom("f"), cod("g"))),
+        ("span", after("g", "f")), printed(dom("f"), cod("g"))),
     Law("assoc", (), F + (("g", ("out", cod("f"))), ("h", ("out", cod("g")))),
         ("h", "g", "f"), after("h", after("g", "f")), after(after("h", "g"), "f")),
 )
@@ -219,14 +242,14 @@ CATEGORY_LAWS = (
 # lambda: ia -> a and rho: a -> ai, with his five axioms
 SKEW_MONOIDAL_LAWS = (
     Law("tensor-typing", (), FG, ("f", "g"),
-        ("span", tm("f", "g")), ("pair", T(dom("f"), dom("g")), T(cod("f"), cod("g")))),
+        ("span", tm("f", "g")), printed(T(dom("f"), dom("g")), T(cod("f"), cod("g")))),
     Law("tensor-comp", (), FG + F2G2, ("f2", "f", "g2", "g"),
         tm(after("f2", "f"), after("g2", "g")), after(tm("f2", "g2"), tm("f", "g"))),
     Law("tensor-id", (), AB, ("a", "b"), tm(one("a"), one("b")), one(T("a", "b"))),
     Law("alpha-typing", (), ABX, ("a", "b", "x"),
-        ("span", alpha("a", "b", "x")), ("pair", T(T("a", "b"), "x"), T("a", T("b", "x")))),
-    Law("lambda-typing", (), A, ("a",), ("span", lam("a")), ("pair", T(I, "a"), "a")),
-    Law("rho-typing", (), A, ("a",), ("span", rho("a")), ("pair", "a", T("a", I))),
+        ("span", alpha("a", "b", "x")), printed(T(T("a", "b"), "x"), T("a", T("b", "x")))),
+    Law("lambda-typing", (), A, ("a",), ("span", lam("a")), printed(T(I, "a"), "a")),
+    Law("rho-typing", (), A, ("a",), ("span", rho("a")), printed("a", T("a", I))),
     Law("nat-alpha", (), FGH, ("f", "g", "h"),
         after(alpha(cod("f"), cod("g"), cod("h")), tm(tm("f", "g"), "h")),
         after(tm("f", tm("g", "h")), alpha(dom("f"), dom("g"), dom("h")))),
@@ -258,11 +281,11 @@ SBE = after(s(T("x", "b"), "a", "e"), tm(s("x", "a", "b"), one("e")))
 AXE = tm(alpha("x", "a", "b"), one("e"))
 BRAIDING_LAWS = (
     Law("s-typing", (), XAB, ("x", "a", "b"),
-        ("span", s("x", "a", "b")), ("pair", T(T("x", "a"), "b"), T(T("x", "b"), "a"))),
+        ("span", s("x", "a", "b")), printed(T(T("x", "a"), "b"), T(T("x", "b"), "a"))),
     Law("s-inverse", (), XAB, ("x", "a", "b"),
-        ("pair", after(s_inv("x", "a", "b"), s("x", "a", "b")),
+        printed(after(s_inv("x", "a", "b"), s("x", "a", "b")),
          after(s("x", "a", "b"), s_inv("x", "a", "b"))),
-        ("pair", one(T(T("x", "a"), "b")), one(T(T("x", "b"), "a")))),
+        printed(one(T(T("x", "a"), "b")), one(T(T("x", "b"), "a")))),
     Law("s-nat", (), FGH, ("f", "g", "h"),
         after(s(cod("f"), cod("g"), cod("h")), tm(tm("f", "g"), "h")),
         after(tm(tm("f", "h"), "g"), s(dom("f"), dom("g"), dom("h")))),
@@ -284,14 +307,14 @@ BRAIDING_LAWS = (
 FAX = F + _each("objects", "ax")
 SKEW_CLOSED_LAWS = (
     Law("hom-typing", (), FG, ("f", "g"),
-        ("span", hm("f", "g")), ("pair", H(cod("f"), dom("g")), H(dom("f"), cod("g")))),
+        ("span", hm("f", "g")), printed(H(cod("f"), dom("g")), H(dom("f"), cod("g")))),
     Law("hom-comp", (), FG + F2G2, ("f2", "f", "g2", "g"),
         hm(after("f2", "f"), after("g2", "g")), after(hm("f", "g2"), hm("f2", "g"))),
     Law("hom-id", (), AB, ("a", "b"), hm(one("a"), one("b")), one(H("a", "b"))),
-    Law("I-typing", (), A, ("a",), ("span", iu("a")), ("pair", H(I, "a"), "a")),
-    Law("J-typing", (), A, ("a",), ("span", ju("a")), ("pair", I, H("a", "a"))),
+    Law("I-typing", (), A, ("a",), ("span", iu("a")), printed(H(I, "a"), "a")),
+    Law("J-typing", (), A, ("a",), ("span", ju("a")), printed(I, H("a", "a"))),
     Law("L-typing", (), ABX, ("a", "b", "x"),
-        ("span", ell("a", "b", "x")), ("pair", H("b", "x"), H(H("a", "b"), H("a", "x")))),
+        ("span", ell("a", "b", "x")), printed(H("b", "x"), H(H("a", "b"), H("a", "x")))),
     Law("nat-I", (), F, ("f",), after(iu(cod("f")), hm(one(I), "f")), after("f", iu(dom("f")))),
     Law("dinat-J", (), F, ("f",),
         after(hm(one(dom("f")), "f"), ju(dom("f"))), after(hm("f", one(cod("f"))), ju(cod("f")))),
@@ -317,10 +340,184 @@ SKEW_CLOSED_LAWS = (
     Law("I-J-unit", (), (), (I,), after(iu(I), ju(I)), one(I)),
 )
 
-# the rows of each kind of structure, by the name of its class
+
+# a short braiding: b32 swaps slots 2 and 3 of the tight ternary maps, b42
+# and b43 slots 2, 3 and 3, 4 of the tight quaternary ones; each swap is a
+# bijection onto the maps of the swapped type, natural in every slot (the
+# swapped slots exchanged) and in the codomain, and the swaps satisfy
+# Yang-Baxter and commute with substituting binary and ternary maps
+def _swap_laws(tag: str, arity: int, slot: int) -> tuple:
+    def swapped(entry):
+        d = [entry(i) for i in range(1, arity + 1)]
+        d[slot - 1], d[slot] = d[slot], d[slot - 1]
+        return ("tuple", *d)
+
+    ty, swap = ("t", arity), _field(tag)
+    f_ty = (("f", ("maps", ty)),)
+    exchanged = {slot: slot + 1, slot + 1: slot}
+    return (
+        Law(f"{tag}-typing", (), f_ty, ("f",),
+            printed(("arity", swap("f")), ("domain", swap("f")), cod(swap("f")),
+                    ("flavoured", swap("f"), "t")),
+            printed(arity, swapped(lambda i: ("dom", "f", i)), cod("f"), True)),
+        Law(f"{tag}-bijective", (), ((("d", "c"), ("keys", ty)),), (("joined", "d"), "c"),
+            ("str", ("images", tag, ("set", ty, "d", "c"))),
+            ("str", ("sorted", ("set", ty, swapped(lambda i: ("at", "d", i)), "c")))),
+        Law(f"{tag}-nat", ("post",), f_ty + (("q", ("out", cod("f"))),), ("q", "f"),
+            swap(("post", "q", "f")), ("post", "q", swap("f"))),
+        *(Law(f"{tag}-nat", ("pre",), f_ty + (("p", ("into", ("dom", "f", i))),), ("f", i, "p"),
+              swap(("pre", "f", i, "p")), ("pre", swap("f"), exchanged.get(i, i), "p"))
+          for i in range(1, arity + 1)),
+    )
+
+
+def _sub_law(family: str, outer: int, inner: int, i: int, lhs, rhs) -> Law:
+    """A swap law of the tight map g of arity outer with the tight map f of
+    arity inner substituted into its slot i."""
+    return Law(family, (), (("g", ("maps", ("t", outer))),
+                            ("f", ("maps", ("t", inner), ("dom", "g", i)))), ("g", "f"), lhs, rhs)
+
+
+SHORT_BRAIDING_LAWS = (
+    _swap_laws("b32", 3, 2) + _swap_laws("b42", 4, 2) + _swap_laws("b43", 4, 3)
+    + (Law("braid-yang-baxter", (), (("h", ("maps", ("t", 4))),), ("h",),
+           b42(b43(b42("h"))), b43(b42(b43("h")))),
+       _sub_law("braid-3-in-2-slot1", 2, 3, 1, ("sub", "g", 1, b32("f")), b42(("sub", "g", 1, "f"))),
+       _sub_law("braid-3-in-2-slot2", 2, 3, 2, ("sub", "g", 2, b32("f")), b43(("sub", "g", 2, "f"))),
+       _sub_law("braid-2-in-3-slot1", 3, 2, 1, b43(("sub", "g", 1, "f")), ("sub", b32("g"), 1, "f")),
+       _sub_law("braid-2-in-3-slot2", 3, 2, 2, b42(b43(("sub", "g", 2, "f"))),
+                 ("sub", b32("g"), 3, "f")),
+       _sub_law("braid-2-in-3-slot3", 3, 2, 3, b43(b42(("sub", "g", 3, "f"))),
+                 ("sub", b32("g"), 2, "f"))))
+
+
+# -- maps --------------------------------------------------------------------
+# A map's variables range over its source and its terms read the source;
+# tgt(t) reads t in the target. Fo and Fm are the functor on objects and on
+# morphisms; f0: i' -> F i, f2(a, b): Fa Fb -> F(ab) and fh(a, b):
+# F[a, b] -> [Fa, Fb] are the comparison maps, each a field of the map.
+# These and the image of a multimap are the map's own terms.
+MAP_TERMS = ("obj_map", "mor_map", "f0", "f2", "fh", "image")
+
+
+def tgt(t):
+    return ("tgt", t)
+
+
+Fo, Fm, f2, fh = map(_field, ("obj_map", "mor_map", "f2", "fh"))
+f0 = ("f0",)
+
+FUNCTOR_LAWS = (
+    Law("functor-span", (), F, ("f",), tgt(("span", Fm("f"))), printed(Fo(dom("f")), Fo(cod("f")))),
+    Law("functor-id", (), A, ("a",), Fm(one("a")), tgt(one(Fo("a")))),
+    Law("functor-comp", (), F + (("g", ("out", cod("f"))),), ("g", "f"),
+        Fm(after("g", "f")), tgt(after(Fm("g"), Fm("f")))),
+)
+
+# a lax monoidal functor: f2 natural, and with f0 compatible with alpha,
+# lambda and rho
+LAX_FUNCTOR_LAWS = (
+    Law("f0-typing", (), (), (f0,), tgt(("span", f0)), printed(tgt(I), Fo(I))),
+    Law("f2-typing", (), AB, ("a", "b"),
+        tgt(("span", f2("a", "b"))), printed(tgt(T(Fo("a"), Fo("b"))), Fo(T("a", "b")))),
+    Law("f2-nat", (), FG, ("f", "g"),
+        tgt(after(f2(cod("f"), cod("g")), tm(Fm("f"), Fm("g")))),
+        tgt(after(Fm(tm("f", "g")), f2(dom("f"), dom("g"))))),
+    Law("lax-assoc", (), ABX, ("a", "b", "x"),
+        tgt(after(Fm(alpha("a", "b", "x")), f2(T("a", "b"), "x"), tm(f2("a", "b"), one(Fo("x"))))),
+        tgt(after(f2("a", T("b", "x")), tm(one(Fo("a")), f2("b", "x")),
+                  alpha(Fo("a"), Fo("b"), Fo("x"))))),
+    Law("lax-left-unit", (), A, ("a",),
+        tgt(after(Fm(lam("a")), f2(I, "a"), tm(f0, one(Fo("a"))))), tgt(lam(Fo("a")))),
+    Law("lax-right-unit", (), A, ("a",),
+        tgt(after(f2("a", I), tm(one(Fo("a")), f0), rho(Fo("a")))), Fm(rho("a"))),
+)
+
+# a lax functor between braided ends preserves the braiding
+BRAIDED_FUNCTOR_LAWS = (
+    Law("braided-functor", (), XAB, ("x", "a", "b"),
+        tgt(after(f2(T("x", "b"), "a"), tm(f2("x", "b"), one(Fo("a"))), s(Fo("x"), Fo("a"), Fo("b")))),
+        tgt(after(Fm(s("x", "a", "b")), f2(T("x", "a"), "b"), tm(f2("x", "a"), one(Fo("b")))))),
+)
+
+# a skew closed functor: fh natural, and with f0 compatible with I, J and L
+SKEW_CLOSED_FUNCTOR_LAWS = (
+    Law("f0-typing", (), (), (f0,), tgt(("span", f0)), printed(tgt(I), Fo(I))),
+    Law("fh-typing", (), AB, ("a", "b"),
+        tgt(("span", fh("a", "b"))), printed(Fo(H("a", "b")), tgt(H(Fo("a"), Fo("b"))))),
+    Law("fh-nat", (), FG, ("f", "g"),
+        tgt(after(fh(dom("f"), cod("g")), Fm(hm("f", "g")))),
+        tgt(after(hm(Fm("f"), Fm("g")), fh(cod("f"), dom("g"))))),
+    Law("closed-I", (), A, ("a",),
+        tgt(after(iu(Fo("a")), hm(f0, one(Fo("a"))), fh(I, "a"))), Fm(iu("a"))),
+    Law("closed-J", (), A, ("a",), tgt(after(fh("a", "a"), Fm(ju("a")), f0)), tgt(ju(Fo("a")))),
+    Law("closed-L", (), ABX, ("a", "b", "x"),
+        tgt(after(hm(fh("a", "b"), one(H(Fo("a"), Fo("x")))), ell(Fo("a"), Fo("b"), Fo("x")),
+                  fh("b", "x"))),
+        tgt(after(hm(one(Fo(H("a", "b"))), fh("a", "x")), fh(H("a", "b"), H("a", "x")),
+                  Fm(ell("a", "b", "x"))))),
+)
+
+
+# a morphism of short (skew) multicategories: each image has the image
+# type, a loose image is loose, and the images commute with the actions,
+# the stored substitutions and j
+def _image_typing(head: tuple, binders: tuple, f: str, n: int, image, flavour=None) -> Law:
+    have = [tgt(t) for t in (("arity", image), ("domain", image), cod(image))]
+    want = [n, ("tuple", *(Fo(("dom", f, i)) for i in range(1, n + 1))), Fo(cod(f))]
+    if flavour:
+        have.append(tgt(("flavoured", image, flavour)))
+        want.append(True)
+    return Law("morphism-typing", head, binders, (f,), printed(*have), printed(*want))
+
+
+def _morphism_laws(cases: tuple) -> tuple:
+    def image(t):
+        return ("image", t)
+
+    return (
+        Law("morphism-nat", ("post",), (("f", ("every",)), ("q", ("out", cod("f")))), ("q", "f"),
+            image(("post", "q", "f")), tgt(("post", image("q"), image("f")))),
+        Law("morphism-nat", ("pre",), F_SLOT + (("p", ("into", ("dom", "f", "i"))),),
+            ("f", "i", "p"),
+            image(("pre", "f", "i", "p")), tgt(("pre", image("f"), "i", image("p")))),
+        *(Law("morphism-sub", (), (("g", ("maps", outer)), ("i", ("slots", "g")),
+                                   ("f", ("maps", inner, ("dom", "g", "i")))), ("g", "i", "f"),
+              image(("sub", "g", "i", "f")), tgt(("sub", image("g"), "i", image("f"))))
+          for outer, inner in cases),
+    )
+
+
+MULTI_MORPHISM_LAWS = (
+    tuple(_image_typing((), (("f", ("maps", ("m", n))),), "f", n, ("image", "f"))
+          for n in (0, 2, 3, 4))
+    + _morphism_laws(PLAIN_CASES))
+SKEW_MORPHISM_LAWS = (
+    tuple(_image_typing((x + str(n),), (("f", ("maps", (x, n))),), "f", n, ("image", "f", x), x)
+          for x, n in (("t", 2), ("t", 3), ("t", 4), ("l", 0), ("l", 1), ("l", 2)))
+    # a base morphism listed loose is its own loose unary map, its image the functor's
+    + (_image_typing(("l1",), (("p", ("morphisms",)), (None, ("=", ("flavoured", "p", "l"), True))),
+                     "p", 1, Fm("p"), "l"),)
+    + _morphism_laws(SKEW_CASES)
+    + tuple(Law("morphism-j", (), ((v, r),), (v,), ("image", ("j", v), "l"), tgt(("j", ("image", v))))
+            for v, r in (("p", ("morphisms",)), ("g", ("maps", B)))))
+
+# a morphism between ends with short braidings preserves the three swaps
+BRAIDED_TRANSPORT_LAWS = tuple(
+    Law(f"preserve-{tag}", (), (("f", ("maps", ("t", n))),), ("f",),
+        ("image", (tag, "f"), "t"), tgt((tag, ("image", "f", "t"))))
+    for tag, n in (("b32", 3), ("b42", 4), ("b43", 4)))
+
+# the rows of each kind of structure or map, by the name of its class (of
+# its braiding, or of a map between braided ends)
 LAWS = {"ShortMulticategory": PLAIN_LAWS, "ShortSkewMulticategory": SKEW_LAWS,
         "FinCategory": CATEGORY_LAWS, "SkewMonCategory": SKEW_MONOIDAL_LAWS,
-        "Braiding": BRAIDING_LAWS, "SkewClosedCategory": SKEW_CLOSED_LAWS}
+        "Braiding": BRAIDING_LAWS, "SkewClosedCategory": SKEW_CLOSED_LAWS,
+        "ShortBraiding": SHORT_BRAIDING_LAWS, "FinFunctor": FUNCTOR_LAWS,
+        "LaxMonFunctor": LAX_FUNCTOR_LAWS, "LaxMonFunctor.braided": BRAIDED_FUNCTOR_LAWS,
+        "SkewClosedFunctor": SKEW_CLOSED_FUNCTOR_LAWS, "MultiMorphism": MULTI_MORPHISM_LAWS,
+        "SkewMultiMorphism": SKEW_MORPHISM_LAWS,
+        "SkewMultiMorphism.braided": BRAIDED_TRANSPORT_LAWS}
 
 
 def is_skew(m) -> bool:
@@ -337,9 +534,24 @@ def raw_tables(m) -> dict:
 
 class Tables:
     """The ranges, the structure maps and the unary routing of one structure
-    (with its braiding, if given), from its fields."""
+    (with its braiding, if given), from its fields. A map's Tables are those
+    of its source (with the source's braiding) and hold its target's as
+    `target` and the map's own fields; its braid is the pair of the two
+    ends' braidings."""
 
     def __init__(self, m, braid=None):
+        if hasattr(m, "source"):
+            src_braid, tgt_braid = braid or (None, None)
+            self.target = Tables(m.target, tgt_braid)
+            fun = getattr(m, "functor", m)
+            self.obj_map, self.mor_map = fun.obj_map, fun.mor_map
+            for name in ("f0", "f2", "fh"):
+                if hasattr(m, name):
+                    setattr(self, name, getattr(m, name))
+            self.images = {**{("m", n): t for n, t in getattr(m, "maps", {}).items()},
+                           **{("t", n): t for n, t in getattr(m, "tight_maps", {}).items()},
+                           **{("l", n): t for n, t in getattr(m, "loose_maps", {}).items()}}
+            m, braid = m.source, src_braid
         base = m.base if hasattr(m, "base") else m
         self.objects, self.comp, self.ids = base.objects, base.comp, base.ids
         for part in (m, braid):
@@ -357,11 +569,12 @@ class Tables:
                 self.into.setdefault(b, []).append(p)
                 self.out.setdefault(a, []).append(p)
         self.morphisms = dict.fromkeys(self.typed)  # the base morphisms, in hom-set order
-        self.listed, self.maps, self.with_cod = {}, {}, {}
+        self.listed, self.maps, self.with_cod, self.raw = {}, {}, {}, {}
         if hasattr(m, "pre"):  # a short (skew) multicategory
             self.pre_table, self.post_table, self.sub_table = m.pre, m.post, m.sub
             self.j_table = m.j if is_skew(m) else {}
-            for ty, table in raw_tables(m).items():
+            self.raw = raw_tables(m)
+            for ty, table in self.raw.items():
                 for (ins, c), fs in table.items():
                     for f in fs:
                         self.typed.setdefault(f, (tuple(ins), c))
@@ -371,6 +584,19 @@ class Tables:
                             self.maps.setdefault(ty, []).append(f)
                             self.with_cod.setdefault((ty, c), []).append(f)
         self.every = list(dict.fromkeys(f for fs in self.maps.values() for f in fs))
+
+    def image(self, f, flavour=None):
+        """The image of the source map f under a morphism: a base
+        morphism's under the functor, unless its loose image is asked for;
+        any other map's in the table of its arity and of the flavour asked
+        for, or else of its own flavour, tight first."""
+        if f not in self.typed:
+            return None
+        if f in self.morphisms and flavour != "l":
+            return self.mor_map.get(f)
+        if flavour is None:
+            flavour = "t" if "t" in self.flavours[f] else min(self.flavours[f])
+        return self.images.get((flavour, len(self.typed[f][0])), {}).get(f)
 
     # -- the unary routing ------------------------------------------------
     def post(self, q, f):
@@ -404,25 +630,48 @@ class Tables:
 # A compiled row reads those of these attributes of Tables that it uses,
 # each as a local _name.
 _READS = ("typed", "ids", "comp", "post", "pre", "sub", "j", "every", "morphisms", "into",
-          "out", "listed", "maps", "with_cod", "objects", "spans") + STRUCTURE_FIELDS
+          "out", "listed", "maps", "with_cod", "objects", "spans", "flavours", "raw"
+          ) + STRUCTURE_FIELDS + MAP_TERMS
 
-_TERMS = {"dom": "_typed[{0}][0][{1} - 1]", "cod": "_typed[{0}][1]",
-          "arity": "len(_typed[{0}][0])", "id": "_ids.get({0})", "comp": "_comp.get(({0}, {1}))",
-          "post": "_post({0}, {1})", "pre": "_pre({0}, {1}, {2})", "sub": "_sub({0}, {1}, {2})",
-          "j": "_j({0})", "span": "str(_spans.get({0}))", "pair": "str(({0}, {1}))",
-          "unit": "_unit"}
+# {p} is the prefix of the end a term reads: "" the structure or a map's
+# source, "tgt_" a map's target
+_TERMS = {"dom": "_{p}typed[{0}][0][{1} - 1]", "domain": "_{p}typed[{0}][0]",
+          "cod": "_{p}typed[{0}][1]", "arity": "len(_{p}typed[{0}][0])", "id": "_{p}ids.get({0})",
+          "comp": "_{p}comp.get(({0}, {1}))", "post": "_{p}post({0}, {1})",
+          "pre": "_{p}pre({0}, {1}, {2})", "sub": "_{p}sub({0}, {1}, {2})", "j": "_{p}j({0})",
+          "span": "str(_{p}spans.get({0}))", "str": "str({0})", "sorted": "sorted({0})",
+          "at": "{0}[{1} - 1]", "joined": "','.join({0})"}
 
 
-def _term(t) -> str:
+def _term(t, p="") -> str:
     if not isinstance(t, tuple):
         return str(t)  # a variable or an int
     op, *args = t
+    if op == "tgt":
+        return _term(args[0], "tgt_")
+    if op in MAP_TERMS:
+        p = ""  # the map's own fields take source arguments
+    if op == "image":
+        return f"_image({', '.join([_term(args[0])] + [repr(x) for x in args[1:]])})"
+    if op == "flavoured":
+        return f"({args[1]!r} in _{p}flavours[{_term(args[0], p)}])"
+    if op == "set":
+        ty, d, c = args
+        return f"_{p}raw.get({ty!r}, {{}}).get(({_term(d, p)}, {_term(c, p)}), ())"
+    if op == "images":
+        name, of = args
+        return f"sorted({{_{p}{name}.get(_x) for _x in {_term(of, p)}}})"
+    terms = [_term(x, p) for x in args]
     if op == "+":
-        return "(" + " + ".join(map(_term, args)) + ")"
+        return "(" + " + ".join(terms) + ")"
+    if op == "tuple":
+        return "(" + "".join(x + ", " for x in terms) + ")"
     if op in _TERMS:
-        return _TERMS[op].format(*map(_term, args))
-    key = ", ".join(map(_term, args))  # a structure map, keyed by one id or a tuple
-    return f"_{op}.get({key if len(args) == 1 else '(' + key + ')'})"
+        return _TERMS[op].format(*terms, p=p)
+    if not terms:  # a structure's or a map's one value
+        return f"_{p}{op}"
+    key = ", ".join(terms)  # a structure map, keyed by one id or a tuple
+    return f"_{p}{op}.get({key if len(terms) == 1 else '(' + key + ')'})"
 
 
 def _range(r) -> str:
@@ -435,6 +684,8 @@ def _range(r) -> str:
         return f"_{kind}.get({args[0]!r}, ())"
     if kind == "maps":
         return f"_with_cod.get(({args[0]!r}, {_term(args[1])}), ())"
+    if kind == "keys":
+        return f"_raw.get({args[0]!r}, ())"
     if kind == "slots":
         f, *bound = args
         arity = _term(("arity", f))
@@ -450,10 +701,11 @@ def source(law: Law) -> str:
     instance of the row that keep (None, or a predicate of the row's
     variables in order) keeps, calls fail(family, subjects, lhs, rhs) for
     each failing one and returns their number."""
-    names = [var for var, _ in law.binders if var]
+    names = [v for var, _ in law.binders if var for v in ((var,) if isinstance(var, str) else var)]
     lines, indent = [], "    "
     for var, r in law.binders:
-        lines.append(f"{indent}for {var or '_'} in {_range(r)}:")
+        target = ", ".join(var) if isinstance(var, tuple) else var or "_"
+        lines.append(f"{indent}for {target} in {_range(r)}:")
         indent += "    "
     subjects = "".join(f"str({_term(t)}), " for t in law.subjects)
     lines += [f"{indent}if keep is None or keep({', '.join(names)}):",
@@ -462,10 +714,12 @@ def source(law: Law) -> str:
               f"{indent}    if lhs != rhs or lhs is None:",
               f"{indent}        fail({law.family!r}, {law.head!r} + ({subjects}), lhs, rhs)",
               "    return n"]
-    reads = [a for a in _READS if re.search(rf"\b_{a}\b", "\n".join(lines))]
+    text = "\n".join(lines)
+    reads = [(f"_{p}{a}", f"tables.{end}{a}") for a in _READS
+             for p, end in (("", ""), ("tgt_", "target.")) if re.search(rf"\b_{p}{a}\b", text)]
     return "\n".join(["def check(tables, fail, keep):",
-                      f"    {''.join('_' + a + ', ' for a in reads)}n = "
-                      f"{''.join('tables.' + a + ', ' for a in reads)}0"] + lines)
+                      f"    {''.join(name + ', ' for name, _ in reads)}n = "
+                      f"{''.join(value + ', ' for _, value in reads)}0"] + lines)
 
 
 @functools.cache
@@ -508,15 +762,20 @@ def typing(m, tables: Tables, report: ValidationReport) -> None:
 
 
 def validate(m, keep=None, braid=None) -> ValidationReport:
-    """Every law instance of m (of the braiding braid on m, if given),
-    typing included, in one unsorted report without the base's families.
-    keep(law), if given, is None (every instance of the row) or a predicate
-    of the row's variables in order."""
-    report = ValidationReport((braid or m).name)
+    """Every law instance of m (of the braiding braid on m, or, braid a pair,
+    of the map m between braided ends), a multicategory's typing included,
+    in one unsorted report without the families of the base or of a map's
+    functor. keep(law), if given, is None (every instance of the row) or a
+    predicate of the row's variables in order."""
+    if isinstance(braid, tuple):
+        kind, name = type(m).__name__ + ".braided", m.name + ".braided"
+    else:
+        kind, name = type(braid or m).__name__, (braid or m).name
+    report = ValidationReport(name)
     tables = Tables(m, braid)
-    if hasattr(m, "pre"):
+    if braid is None and hasattr(m, "pre"):
         typing(m, tables, report)
-    for law in LAWS[type(braid or m).__name__]:
+    for law in LAWS[kind]:
         n = compiled(law)(tables, report.fail, keep and keep(law))
         if n:
             report.count(law.family, n)

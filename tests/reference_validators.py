@@ -1,42 +1,30 @@
-"""The closure-based validators, kept as the reference that
-tests/test_kernel.py compares the package's validators against: those of
-functors, of lax monoidal, braided and skew closed functors, of short
-braidings and of the morphisms of short (skew) multicategories. The
-validators of short (skew) multicategories, of categories and of skew
-monoidal, braided and skew closed categories have no copy here.
-tests/laws.py writes their laws from the paper, and tests/test_kernel.py
-compares them with it. The former multicategory copies enumerated through
-the package's own index and lookups and copied its pre-post quirk, so a
-differential with them could not see that quirk. Mutation studies of the
-package cleared the retirement of every such copy, and of the former
-routing (lookup_tables, safe_pre, safe_post and safe_subst), whose place
-the law table's routing takes: the law-table differential killed every
-mutant that a copy's differential killed.
+"""Copies of former package code, kept as the reference that the tests
+compare the package against. It holds no validator: tests/laws.py writes
+the laws of all fourteen validators from the papers, and
+tests/test_kernel.py compares each validator with it. The former copies
+enumerated through the package's own index and lookups, and one of them
+copied the pre-post quirk, so a differential with them could not see
+that quirk. Mutation studies of the package cleared the retirement of
+every validator copy, of its helpers and of the former routing
+(lookup_tables, safe_pre, safe_post and safe_subst), whose place the law
+table's routing takes: the law-table differential killed every mutant
+that a copy's differential killed.
 
-Each law instance is a (family, subjects, thunk) triple, and report.run_checks
-evaluates the list in order, exactly as the package did before its
-validators recorded instances directly. The validators are the package's
-former bodies with two edits: the relative imports inside them are
-absolute, and the calls they make to validate_functor,
-validate_braided_functor and validate_skew_multi_morphism resolve to the
-reference versions below, so every report here is evaluated the old way.
-validate_braided_transport_functor, like the package's, transports no F
-that fails the ternary swap and is no morphism, which ks_morphism refuses.
-
-Then comes the package's former plain induction, induce_short_multi, which
-tabulated the plain structure itself instead of reading it off the skew one.
-It took the unit inverses from a field of skewmon.Flavour that is gone; here
-it computes them with is_iso. The former skew builders follow it: the thin
-table_short_skew and both skew inductions, each of which typed its j, pre,
-post and sub entries in its own loops; tests/test_induce.py compares
-shortskew.build, which all three now go through, with them table for table.
+First comes the package's former plain induction, induce_short_multi,
+which tabulated the plain structure itself instead of reading it off the
+skew one. It took the unit inverses from a field of skewmon.Flavour that
+is gone; here it computes them with is_iso. The former skew builders
+follow it: the thin table_short_skew and both skew inductions, each of
+which typed its j, pre, post and sub entries in its own loops;
+tests/test_induce.py compares shortskew.build, which all three now go
+through, with them table for table.
 
 Then come the former line-by-line serializer and the former structure
 checks (check_structure, with the former sub_case it and the former
 builders call), which tests/test_ingest.py compares the package's
-table-driven ones with. Then comes the former parser,
-one hand-written function per kind, which tests/test_ingest.py compares
-the ROWS-driven one with.
+table-driven ones with. Then comes the former parser, one hand-written
+function per kind, which tests/test_ingest.py compares the ROWS-driven one
+with.
 
 The file ends with the former certification searches of classify.py,
 which wrote out each bijection scan by hand and ran every classifier search
@@ -54,101 +42,46 @@ ks_morphism_inverse ran before validate_skew_multi_morphism, closes the
 file; tests/test_transport.py shows on single-entry image redirects that
 validation refuses every morphism these rows refuse.
 
-The helpers come first: the table accessors only the reference reads
-through, the former ShortSkewMulticategory.safe_j and MultiMorphism.apply,
-which the reference morphism validators call, taking the structure or
-morphism as `self`, and the former enumeration and typing helpers
+The helpers come first: hm_right, the hom accessor the former closed
+induction reads through, and the former enumeration and typing helpers
 (sub_pairs, the required keys, check_slot and the expected skew sub type),
 so the reference does not enumerate through the code it checks.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from dataclasses import replace
 from typing import Callable, Iterator, Optional
 
-from shortcat.braiding import _SPECS, ShortBraiding, _swap, s_from_short_braiding
+from shortcat.braiding import ShortBraiding
 from shortcat.classify import (
     Certificate, DerivedClassifier, Inverses, Structure, Universal, skew_view,
 )
 from shortcat.errors import (
-    AxiomTransferFailure, DanglingId, InconsistentVerdicts, MalformedTable, ParseError,
+    AxiomTransferFailure, DanglingId, MalformedTable, ParseError,
     TypingViolation, UnknownKind, UniversalityBroken, VersionMismatch,
 )
 from shortcat.fileformat import KINDS, FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
-from shortcat.fincat import FinCategory, FinFunctor, composable_pairs
+from shortcat.fincat import FinCategory
 from shortcat.induce import _Bracketer, _Currier
-from shortcat.report import Check, ValidationReport, run_checks
-from shortcat.shortmulti import STORED_CASES, MultiMorphism, ShortMulticategory
+from shortcat.shortmulti import STORED_CASES, ShortMulticategory
 from shortcat.shortskew import (
     LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, SkewMultiMorphism, sub_flavour,
 )
-from shortcat.skewmon import (
-    Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory, _comp_chain,
-)
+from shortcat.skewmon import Braiding, SkewClosedCategory, SkewMonCategory, _comp_chain
 
 # --------------------------------------------------------------------------
-# table accessors of categories, functors and skew monoidal and skew closed
-# categories that only the reference reads through
+# the one hom accessor the former closed induction reads through
 # --------------------------------------------------------------------------
-
-def mors_into(c: FinCategory, a: str) -> tuple[str, ...]:
-    return c._adjacency[1].get(a, ())
-
-
-def on_obj(fun: FinFunctor, a: str) -> str:
-    try:
-        return fun.obj_map[a]
-    except KeyError:
-        raise MalformedTable(f"{fun.name}: no image for object {a}")
-
-
-def on_mor(fun: FinFunctor, f: str) -> str:
-    try:
-        return fun.mor_map[f]
-    except KeyError:
-        raise MalformedTable(f"{fun.name}: no image for morphism {f}")
-
-
-def tm_right(c: SkewMonCategory, a: str, g: str) -> Optional[str]:
-    return c.tm(c.base.identity(a), g)
-
-
-def hm_left(c: SkewClosedCategory, f: str, x: str) -> Optional[str]:
-    """[f, 1_x]: contravariant action in the first argument."""
-    return c.hm(f, c.base.identity(x))
-
 
 def hm_right(c: SkewClosedCategory, b: str, g: str) -> Optional[str]:
     return c.hm(c.base.identity(b), g)
 
-
-# --------------------------------------------------------------------------
-# j and morphism helpers
-# --------------------------------------------------------------------------
-
-def safe_j(self, f: Optional[str]) -> Optional[str]:
-    if f is None:
-        return None
-    return self.j.get(f)
-
-
-def multi_apply(self, f: str) -> str:
-    n = self.source.arity(f)
-    if n == 1:
-        return on_mor(self.functor, f)
-    try:
-        return self.maps[n][f]
-    except KeyError:
-        raise MalformedTable(f"{self.name}: no image for multimap {f}")
-
-
 # --------------------------------------------------------------------------
 # enumeration and typing helpers
 # --------------------------------------------------------------------------
-# The former helpers that the reference validators, induce_short_multi and
+# The former helpers that induce_short_multi, the skew builders and
 # check_structure below call: _sub_pairs and check_slot of
 # shortmulti.py, expected_skew_sub_type of shortskew.py, and the former
 # methods inner_into, sub_pairs, required_pre_keys, required_post_keys and
@@ -224,389 +157,6 @@ def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
     gdom, gcod = m.dom(g), m.cod(g)
     dom = gdom[:i - 1] + m.dom(f) + gdom[i:]
     return (n + k - 1, dom, gcod, sub_flavour(x, i, y))
-
-
-# --------------------------------------------------------------------------
-# functors
-# --------------------------------------------------------------------------
-
-def validate_functor(fun: FinFunctor) -> ValidationReport:
-    """Check totality of the maps plus preservation of spans, identities
-    and composition."""
-    src, tgt = fun.source, fun.target
-    for a in src.objects:
-        if fun.obj_map.get(a) not in tgt.objects:
-            raise MalformedTable(f"{fun.name}: object {a} has no valid image")
-    for f in src.morphisms():
-        g = fun.mor_map.get(f)
-        if g is None or g not in tgt._span:
-            raise DanglingId(f"{fun.name}: morphism {f} has no valid image")
-
-    checks: list[Check] = []
-    for f in src.morphisms():
-        a, b = src.span(f)
-        checks.append(("functor-span", (f,),
-                       lambda f=f, a=a, b=b: (str(tgt.span(on_mor(fun, f))),
-                                              str((on_obj(fun, a), on_obj(fun, b))))))
-    for a in src.objects:
-        checks.append(("functor-id", (a,),
-                       lambda a=a: (on_mor(fun, src.identity(a)),
-                                    tgt.ids.get(on_obj(fun, a)))))
-    for g, f in composable_pairs(src):
-        checks.append(("functor-comp", (g, f),
-                       lambda g=g, f=f: (fun.mor_map.get(src.comp[(g, f)]),
-                                         tgt.compose_opt(on_mor(fun, g), on_mor(fun, f)))))
-    return run_checks(fun.name, checks)
-
-
-# --------------------------------------------------------------------------
-# lax monoidal, braided and skew closed functors
-# --------------------------------------------------------------------------
-
-def validate_lax_functor(t: LaxMonFunctor) -> ValidationReport:
-    src, tgt, fun = t.source, t.target, t.functor
-    base = tgt.base
-    report = validate_functor(fun)
-    checks: list[Check] = []
-
-    fi = on_obj(fun, src.unit)
-    checks.append(("f0-typing", (t.f0,),
-                   lambda: (str(base._span.get(t.f0)), str((tgt.unit, fi)))))
-    for a, b in itertools.product(src.base.objects, repeat=2):
-        if (a, b) not in t.f2:
-            raise MalformedTable(f"{t.name}: f2 not total at ({a},{b})")
-        checks.append(("f2-typing", (a, b),
-                       lambda a=a, b=b: (str(base._span.get(t.f2[(a, b)])),
-                                         str((tgt.t(on_obj(fun, a), on_obj(fun, b)),
-                                              on_obj(fun, src.t(a, b)))))))
-    for f, g in itertools.product(src.base.morphisms(), repeat=2):
-        (a, a2), (b, b2) = src.base.span(f), src.base.span(g)
-        checks.append(("f2-nat", (f, g),
-                       lambda f=f, g=g, a=a, b=b, a2=a2, b2=b2: (
-                           _comp_chain(base, tgt.tm(on_mor(fun, f), on_mor(fun, g)), t.f2[(a2, b2)]),
-                           _comp_chain(base, t.f2[(a, b)], fun.mor_map.get(src.tm(f, g))))))
-
-    F = functools.partial(on_obj, fun)
-    for a, b, x in itertools.product(src.base.objects, repeat=3):
-        checks.append(("lax-assoc", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           _comp_chain(base, tgt.tm_left(t.f2[(a, b)], F(x)),
-                                       t.f2[(src.t(a, b), x)],
-                                       fun.mor_map.get(src.alpha[(a, b, x)])),
-                           _comp_chain(base, tgt.alpha[(F(a), F(b), F(x))],
-                                       tm_right(tgt, F(a), t.f2[(b, x)]),
-                                       t.f2[(a, src.t(b, x))]))))
-    for a in src.base.objects:
-        checks.append(("lax-left-unit", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, tgt.tm_left(t.f0, F(a)), t.f2[(src.unit, a)],
-                                       fun.mor_map.get(src.lam[a])),
-                           tgt.lam.get(F(a)))))
-        checks.append(("lax-right-unit", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, tgt.rho[F(a)], tm_right(tgt, F(a), t.f0),
-                                       t.f2[(a, src.unit)]),
-                           fun.mor_map.get(src.rho[a]))))
-
-    out = run_checks(t.name, checks)
-    out.merge(report)
-    return out.finish()
-
-
-def validate_braided_functor(t: LaxMonFunctor, s_src: Braiding, s_tgt: Braiding) -> ValidationReport:
-    src, tgt, fun = t.source, t.target, t.functor
-    base = tgt.base
-    F = functools.partial(on_obj, fun)
-    checks: list[Check] = []
-    for (x, a, b) in itertools.product(src.base.objects, repeat=3):
-        checks.append(("braided-functor", (x, a, b),
-                       lambda x=x, a=a, b=b: (
-                           _comp_chain(base, s_tgt.s[(F(x), F(a), F(b))],
-                                       tgt.tm_left(t.f2[(x, b)], F(a)),
-                                       t.f2[(src.t(x, b), a)]),
-                           _comp_chain(base, tgt.tm_left(t.f2[(x, a)], F(b)),
-                                       t.f2[(src.t(x, a), b)],
-                                       fun.mor_map.get(s_src.s[(x, a, b)])))))
-    return run_checks(t.name + ".braided", checks)
-
-
-def validate_skew_closed_functor(t: SkewClosedFunctor) -> ValidationReport:
-    src, tgt, fun = t.source, t.target, t.functor
-    base = tgt.base
-    F = functools.partial(on_obj, fun)
-    report = validate_functor(fun)
-    checks: list[Check] = []
-
-    checks.append(("f0-typing", (t.f0,),
-                   lambda: (str(base._span.get(t.f0)), str((tgt.unit, F(src.unit))))))
-    for a, b in itertools.product(src.base.objects, repeat=2):
-        if (a, b) not in t.fh:
-            raise MalformedTable(f"{t.name}: hom comparison not total at ({a},{b})")
-        checks.append(("fh-typing", (a, b),
-                       lambda a=a, b=b: (str(base._span.get(t.fh[(a, b)])),
-                                         str((F(src.h(a, b)), tgt.h(F(a), F(b)))))))
-    for f, g in itertools.product(src.base.morphisms(), repeat=2):
-        (b, b2), (x, x2) = src.base.span(f), src.base.span(g)
-        checks.append(("fh-nat", (f, g),
-                       lambda f=f, g=g, b=b, b2=b2, x=x, x2=x2: (
-                           _comp_chain(base, fun.mor_map.get(src.hm(f, g)), t.fh[(b, x2)]),
-                           _comp_chain(base, t.fh[(b2, x)],
-                                       tgt.hm(on_mor(fun, f), on_mor(fun, g))))))
-
-    for a in src.base.objects:
-        checks.append(("closed-I", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, t.fh[(src.unit, a)], hm_left(tgt, t.f0, F(a)),
-                                       tgt.iu[F(a)]),
-                           fun.mor_map.get(src.iu[a]))))
-        checks.append(("closed-J", (a,),
-                       lambda a=a: (
-                           _comp_chain(base, t.f0, fun.mor_map.get(src.ju[a]), t.fh[(a, a)]),
-                           tgt.ju.get(F(a)))))
-    for a, b, x in itertools.product(src.base.objects, repeat=3):
-        checks.append(("closed-L", (a, b, x),
-                       lambda a=a, b=b, x=x: (
-                           _comp_chain(base, t.fh[(b, x)], tgt.ell[(F(a), F(b), F(x))],
-                                       tgt.hm(t.fh[(a, b)], base.identity(tgt.h(F(a), F(x))))),
-                           _comp_chain(base, fun.mor_map.get(src.ell[(a, b, x)]),
-                                       t.fh[(src.h(a, b), src.h(a, x))],
-                                       tgt.hm(base.identity(F(src.h(a, b))), t.fh[(a, x)])))))
-    out = run_checks(t.name, checks)
-    out.merge(report)
-    return out.finish()
-
-
-# --------------------------------------------------------------------------
-# short braidings
-# --------------------------------------------------------------------------
-
-def validate_short_braiding(m: ShortSkewMulticategory, beta: ShortBraiding) -> ValidationReport:
-    checks: list[Check] = []
-    base = m.base
-
-    for tag, arity, slot in _SPECS:
-        table = beta.table(tag)
-        for f in m.multimaps(TIGHT, arity):
-            if f not in table:
-                raise MalformedTable(f"{beta.name}: {tag} not total at {f}")
-        # typing and global invertibility (bijection onto the swapped sets)
-        for f in m.multimaps(TIGHT, arity):
-            _, dom, cod, _ = m.info(f)
-            want = (arity, _swap(dom, slot), cod, True)
-            checks.append((f"{tag}-typing", (f,),
-                           lambda f=f, table=table, want=want: (
-                               str((m.info(table[f])[0], m.info(table[f])[1],
-                                    m.info(table[f])[2], m.is_tight(table[f]))),
-                               str(want))))
-        for key in m.mapset_keys(TIGHT, arity):
-            dom, cod = key
-            source = m.mapset(TIGHT, arity, dom, cod)
-            target = m.mapset(TIGHT, arity, _swap(dom, slot), cod)
-            checks.append((f"{tag}-bijective", (",".join(dom), cod),
-                           lambda source=source, target=target, table=table: (
-                               str(sorted({table[f] for f in source})
-                                   if all(f in table for f in source) else None),
-                               str(sorted(target)))))
-        # naturality in every slot and in the codomain
-        perm = {k: k for k in range(1, arity + 1)}
-        perm[slot], perm[slot + 1] = slot + 1, slot
-        for f in m.multimaps(TIGHT, arity):
-            _, dom, cod, _ = m.info(f)
-            for q in base.mors_out_of(cod):
-                checks.append((f"{tag}-nat", ("post", q, f),
-                               lambda q=q, f=f, table=table: (
-                                   table.get(m.safe_post(q, f)),
-                                   m.safe_post(q, table.get(f)))))
-            for i in range(1, arity + 1):
-                for p in mors_into(base, dom[i - 1]):
-                    checks.append((f"{tag}-nat", ("pre", f, str(i), p),
-                                   lambda f=f, i=i, p=p, table=table, perm=perm: (
-                                       table.get(m.safe_pre(f, i, p)),
-                                       m.safe_pre(table.get(f), perm[i], p))))
-
-    def b32(f):
-        return beta.b32.get(f) if f is not None else None
-
-    def b42(f):
-        return beta.b42.get(f) if f is not None else None
-
-    def b43(f):
-        return beta.b43.get(f) if f is not None else None
-
-    # Yang-Baxter style relation on quaternary maps
-    for h in m.multimaps(TIGHT, 4):
-        checks.append(("braid-yang-baxter", (h,),
-                       lambda h=h: (b42(b43(b42(h))), b43(b42(b43(h))))))
-
-    # ternary maps into binary ones
-    for g in m.multimaps(TIGHT, 2):
-        gdom = m.dom(g)
-        for f in m.multimaps(TIGHT, 3):
-            if m.cod(f) == gdom[0]:
-                checks.append(("braid-3-in-2-slot1", (g, f),
-                               lambda g=g, f=f: (m.safe_subst(g, 1, b32(f)),
-                                                 b42(m.safe_subst(g, 1, f)))))
-            if m.cod(f) == gdom[1]:
-                checks.append(("braid-3-in-2-slot2", (g, f),
-                               lambda g=g, f=f: (m.safe_subst(g, 2, b32(f)),
-                                                 b43(m.safe_subst(g, 2, f)))))
-    # binary maps into ternary ones
-    for g in m.multimaps(TIGHT, 3):
-        gdom = m.dom(g)
-        for f in m.multimaps(TIGHT, 2):
-            if m.cod(f) == gdom[0]:
-                checks.append(("braid-2-in-3-slot1", (g, f),
-                               lambda g=g, f=f: (b43(m.safe_subst(g, 1, f)),
-                                                 m.safe_subst(b32(g), 1, f))))
-            if m.cod(f) == gdom[1]:
-                checks.append(("braid-2-in-3-slot2", (g, f),
-                               lambda g=g, f=f: (b42(b43(m.safe_subst(g, 2, f))),
-                                                 m.safe_subst(b32(g), 3, f))))
-            if m.cod(f) == gdom[2]:
-                checks.append(("braid-2-in-3-slot3", (g, f),
-                               lambda g=g, f=f: (b43(b42(m.safe_subst(g, 3, f))),
-                                                 m.safe_subst(b32(g), 2, f))))
-    return run_checks(beta.name, checks)
-
-
-def validate_braided_transport_functor(F: SkewMultiMorphism,
-                                       beta_src: ShortBraiding,
-                                       beta_tgt: ShortBraiding,
-                                       cert_src: Certificate,
-                                       cert_tgt: Certificate,
-                                       src_mon: SkewMonCategory,
-                                       tgt_mon: SkewMonCategory) -> ValidationReport:
-    """Check preservation of the ternary swap; independently check the two
-    quaternary swaps and insist the verdicts agree (preserving the ternary
-    swap forces the others); finally check the transported lax functor
-    preserves the transported braidings."""
-    from shortcat.transport import ks_morphism
-    src = F.source
-    report = ValidationReport(F.name + ".braided")
-    ok32 = True
-    for f in src.multimaps(TIGHT, 3):
-        lhs = F.safe_apply(beta_src.b32.get(f), TIGHT)
-        rhs = beta_tgt.b32.get(F.safe_apply(f, TIGHT))
-        report.count("preserve-b32")
-        if lhs is None or lhs != rhs:
-            ok32 = False
-            report.fail("preserve-b32", (f,), lhs, rhs)
-    ok4 = True
-    for tag in ("b42", "b43"):
-        for g in src.multimaps(TIGHT, 4):
-            lhs = F.safe_apply(beta_src.table(tag).get(g), TIGHT)
-            rhs = beta_tgt.table(tag).get(F.safe_apply(g, TIGHT))
-            report.count(f"preserve-{tag}")
-            if lhs is None or lhs != rhs:
-                ok4 = False
-                report.fail(f"preserve-{tag}", (g,), lhs, rhs)
-    if ok32 and not ok4:
-        raise InconsistentVerdicts(
-            f"{F.name}: ternary swap preserved but a quaternary one is not")
-    if not ok32 and not validate_skew_multi_morphism(F).ok:
-        return report.finish()  # ks_morphism refuses what is no morphism
-
-    s_src = s_from_short_braiding(src, cert_src, beta_src)
-    s_tgt = s_from_short_braiding(F.target, cert_tgt, beta_tgt)
-    t = ks_morphism(F, cert_src, cert_tgt, src_mon, tgt_mon)
-    braided = validate_braided_functor(t, s_src, s_tgt)
-    report.merge(braided)
-    return report.finish()
-
-
-# --------------------------------------------------------------------------
-# morphisms of short (skew) multicategories
-# --------------------------------------------------------------------------
-
-def validate_multi_morphism(F: MultiMorphism) -> ValidationReport:
-    """Check table totality, typing, naturality in every variable, and
-    commutation with every stored substitution."""
-    src, tgt, fun = F.source, F.target, F.functor
-    base_report = validate_functor(fun)
-    checks: list[Check] = []
-
-    for n in (0, 2, 3, 4):
-        for f in src.multimaps(n):
-            if F.maps.get(n, {}).get(f) is None:
-                raise MalformedTable(f"{F.name}: no image for arity-{n} multimap {f}")
-            _, dom, cod = src.info(f)
-            want = (n, tuple(on_obj(fun, a) for a in dom), on_obj(fun, cod))
-            checks.append(("morphism-typing", (f,),
-                           lambda f=f, want=want: (str(tgt.info(multi_apply(F, f))), str(want))))
-
-    # naturality: F(q o f) = F(q) o F(f) and F(f o_i p) = F(f) o_i F(p)
-    for n in (0, 2, 3, 4):
-        for f in src.multimaps(n):
-            _, dom, cod = src.info(f)
-            for q in src.base.mors_out_of(cod):
-                checks.append(("morphism-nat", ("post", q, f),
-                               lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
-                                                 tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
-            for i in range(1, n + 1):
-                for p in mors_into(src.base, dom[i - 1]):
-                    checks.append(("morphism-nat", ("pre", f, str(i), p),
-                                   lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
-                                                          tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
-
-    for (n, k) in sorted(STORED_CASES):
-        for g, i, f in _sub_pairs(src, n, k):
-            checks.append(("morphism-sub", (g, str(i), f),
-                           lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
-                                                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
-
-    report = run_checks(F.name, checks)
-    report.merge(base_report)
-    return report.finish()
-
-
-def validate_skew_multi_morphism(F: SkewMultiMorphism) -> ValidationReport:
-    src, tgt, fun = F.source, F.target, F.functor
-    base_report = validate_functor(fun)
-    checks: list[Check] = []
-
-    table_of = [(TIGHT, n) for n in (2, 3, 4)] + [(LOOSE, n) for n in (0, 1, 2)]
-    for flavour, n in table_of:
-        for f in src.multimaps(flavour, n):
-            if n == 1 and flavour == LOOSE and src.is_tight(f):
-                img = F.safe_apply(f)  # shared id under j = identity
-            else:
-                img = F.safe_apply(f, flavour)
-            if img is None:
-                raise MalformedTable(f"{F.name}: no image for {flavour}{n} multimap {f}")
-            _, dom, cod, _ = src.info(f)
-            want = (n, tuple(on_obj(fun, a) for a in dom), on_obj(fun, cod))
-            checks.append(("morphism-typing", (flavour + str(n), f),
-                           lambda img=img, want=want, flavour=flavour: (
-                               str((tgt.info(img)[0], tgt.info(img)[1], tgt.info(img)[2],
-                                    flavour in tgt.info(img)[3] or tgt.is_tight(img))),
-                               str(want + (True,)))))
-
-    for n, f in src.table_maps:
-        _, dom, cod, _ = src.info(f)
-        for q in src.base.mors_out_of(cod):
-            checks.append(("morphism-nat", ("post", q, f),
-                           lambda q=q, f=f: (F.safe_apply(src.safe_post(q, f)),
-                                             tgt.safe_post(fun.mor_map.get(q), F.safe_apply(f)))))
-        for i in range(1, n + 1):
-            for p in mors_into(src.base, dom[i - 1]):
-                checks.append(("morphism-nat", ("pre", f, str(i), p),
-                               lambda f=f, i=i, p=p: (F.safe_apply(src.safe_pre(f, i, p)),
-                                                      tgt.safe_pre(F.safe_apply(f), i, fun.mor_map.get(p)))))
-
-    for case in sorted(STORED_SKEW_CASES):
-        for g, i, f in sub_pairs(src, case):
-            checks.append(("morphism-sub", (g, str(i), f),
-                           lambda g=g, i=i, f=f: (F.safe_apply(src.safe_subst(g, i, f)),
-                                                  tgt.safe_subst(F.safe_apply(g), i, F.safe_apply(f)))))
-
-    for f in sorted(src.j):
-        checks.append(("morphism-j", (f,),
-                       lambda f=f: (F.safe_apply(safe_j(src, f), LOOSE),
-                                    safe_j(tgt, F.safe_apply(f)))))
-
-    report = run_checks(F.name, checks)
-    report.merge(base_report)
-    return report.finish()
 
 
 # --------------------------------------------------------------------------

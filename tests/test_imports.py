@@ -109,13 +109,13 @@ def test_only_check_tables_raises_not_total():
 
 # What the law table must not read: the package's indexes, its lookups and
 # table domains, its accessors of the base and of the tensor (the span dict,
-# the composition and hom helpers) and its check kernels (every name ending
-# in _checks).
+# the composition and hom helpers), its image, flavour and swap helpers and
+# its check kernels (every name ending in _checks).
 PACKAGE_INTERNALS = frozenset({
     "_index", "_adjacency", "_by_cod", "_mapsets", "domains", "lookups", "table_maps", "info",
     "multimaps", "maps_into", "mapset", "mapset_keys", "safe_pre", "safe_post", "safe_subst",
     "_span", "compose_opt", "mors_out_of", "tm_left", "_comp_chain", "table_domains",
-    "composable_pairs"})
+    "composable_pairs", "safe_apply", "is_tight", "is_loose", "is_iso", "_swap", "_SPECS"})
 
 
 def _internal_names(source: str) -> list[str]:
@@ -147,9 +147,9 @@ def _internal_names(source: str) -> list[str]:
 def test_the_scan_finds_a_package_internal():
     source = ('"""Reads no lookups."""\nimport x as lookups\ndef f(m, info):\n'
               '    """m.domains"""\n    return m._index, getattr(m, "safe_subst"), "_by_cod[k]",'
-              ' typing_checks(m, table_maps=1), "str(_span.get(f))"\n')
+              ' typing_checks(m, table_maps=1), "str(_span.get(f))", F.safe_apply(f)\n')
     assert _internal_names(source) == ["_by_cod", "_index", "_span", "info", "lookups",
-                                       "safe_subst", "table_maps", "typing_checks"]
+                                       "safe_apply", "safe_subst", "table_maps", "typing_checks"]
 
 
 def test_the_law_table_names_no_package_internal():

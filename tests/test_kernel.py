@@ -4,14 +4,18 @@ from the paper: the same rendered report, or the same exception type and
 message, on every catalogue structure, on Z/2..Z/4, on every mutant and on
 the completeness redirects (every well-typed one of BZ/2 among them). The
 kernel's pre-post quirk is one named filter here, LastPOfEachSlot.
-MultiTables.lookups is compared with the law table's routing. The
-category, skew monoidal, braiding and skew closed validators are compared
-with the law table too, and every base-* family comes from it; the
-exceptions on both sides are the package's structure checks. The
-validators of functors, short braidings and morphisms are compared with
-the closure-based reference copies in reference_validators.py, on those
-inputs and on hand-built ones where a totality error and a dangling value
-meet, and the multimap index with its definition."""
+MultiTables.lookups is compared with the law table's routing. The other
+twelve validators (of categories, skew monoidal, braided and skew closed
+categories, functors, lax monoidal, braided and skew closed functors,
+short braidings, braided transports and morphisms of short (skew)
+multicategories) are compared with the law table too, and every base-*
+family and the functor families of every map come from it. The exceptions
+on both sides are the package's table checks: check_structure,
+check_braiding_total, and fincat.check_tables and check_members on the
+swap tables of a short braiding and the tables of a map, each keyed and
+valued as its fields say. Their inputs include hand-built ones where a
+totality error and a dangling value meet. The multimap index is compared
+with its definition."""
 import argparse
 import dataclasses
 import itertools
@@ -19,9 +23,8 @@ import itertools
 import pytest
 
 import laws
-import reference_validators as ref
 from shortcat import braiding, cli, fincat, shortmulti, shortskew, skewmon
-from shortcat.braiding import ShortBraiding
+from shortcat.braiding import ShortBraiding, s_from_short_braiding
 from shortcat.catalogue import (
     bz2_category, catalogue_braidings, catalogue_morphisms, catalogue_mutants,
     catalogue_short_braidings, catalogue_short_multis, catalogue_short_skews,
@@ -29,7 +32,8 @@ from shortcat.catalogue import (
     poset2_base, poset2_first_short_skew, z2_monoid,
 )
 from shortcat.classify import certify, find_closed_structure
-from shortcat.fincat import identity_functor
+from shortcat.errors import InconsistentVerdicts, MalformedTable
+from shortcat.fincat import check_members, check_tables, identity_functor
 from shortcat.induce import induce_short_multi, induce_short_skew
 from shortcat.shortmulti import (
     ShortMulticategory, identity_multi_morphism, validate_short_multicategory,
@@ -38,8 +42,12 @@ from shortcat.shortskew import (
     LOOSE, TIGHT, ShortSkewMulticategory, embed_multi_morphism, identity_skew_morphism,
     validate_short_skew,
 )
-from shortcat.skewmon import SkewClosedFunctor, check_braiding_total, identity_lax_functor
-from shortcat.transport import k_morphism, k_object, kcl_morphism, kcl_object, ks_object
+from shortcat.skewmon import (
+    Braiding, SkewClosedFunctor, check_braiding_total, identity_lax_functor,
+)
+from shortcat.transport import (
+    k_morphism, k_object, kcl_morphism, kcl_object, ks_morphism, ks_object,
+)
 from test_completeness import _each_redirect, _j_pool, _skew_pool
 
 
@@ -155,16 +163,96 @@ class LastPOfEachSlot:
 
 
 def _law_report(m, braid=None, keep=None):
-    """The report the law table gives m, or the braiding braid on m, with
-    the base's families prefixed base-, or the exception of the package's
-    structure check (check_braiding_total's for a braiding)."""
-    if braid is None:
-        m.check_structure()
-    else:
-        check_braiding_total(m, braid)
+    """The report the law table gives m: a structure, with the base's
+    families prefixed base-; the braiding braid on m; a map, with its
+    functor's families; or, braid a pair, the map m between braided ends.
+    Or the exception of the package's table checks."""
+    _table_checks(m, braid)
     report = laws.validate(m, keep, braid)
     if braid is None and hasattr(m, "base"):
         report.merge_prefixed(laws.validate(m.base), "base-")
+    if braid is None and hasattr(m, "functor"):
+        report.merge(laws.validate(m.functor))
+    return report.finish()
+
+
+def _members(c):
+    """The objects and the morphisms of the category c as the keys, and its
+    morphisms as the values, of a row of fincat.check_tables."""
+    mors = sorted(f for fs in c.homs.values() for f in fs)
+    return (c.objects, "an object"), (mors, "a morphism"), (set(mors), "a morphism")
+
+
+def _ids(m, ty):
+    return sorted(f for fs in laws.raw_tables(m).get(ty, {}).values() for f in fs)
+
+
+def _table_checks(m, braid=None):
+    """Raise what the package's table checks raise on m (with braid, as
+    _law_report takes it): a structure's check_structure, check_braiding_total,
+    or fincat.check_tables and check_members on the swap tables of a short
+    braiding and on the tables of a map, which must be keyed by exactly the
+    source's objects, morphisms or multimaps and valued in the target's."""
+    if isinstance(braid, ShortBraiding):
+        values = (laws.Tables(m).typed, "a multimap")
+        check_tables(braid.name, [
+            (tag, braid.table(tag), 1, (_ids(m, ("t", n)), f"a tight multimap of arity {n}"), values)
+            for tag, n in (("b32", 3), ("b42", 4), ("b43", 4))])
+    elif braid is not None:
+        if not isinstance(braid, tuple):  # a map between braided ends checks no table
+            check_braiding_total(m, braid)
+    elif not hasattr(m, "source"):
+        m.check_structure()
+    else:
+        fun = getattr(m, "functor", m)
+        (objs, mors, _), (images, _, arrows) = _members(fun.source), _members(fun.target)
+        check_tables(fun.name, [("obj_map", fun.obj_map, 1, objs, images),
+                                ("mor_map", fun.mor_map, 1, mors, arrows)])
+        for label, field in (("f2", "f2"), ("hom comparison", "fh")):
+            if hasattr(m, field):
+                check_tables(m.name, [(label, getattr(m, field), 2, objs, arrows)])
+        if hasattr(m, "maps") or hasattr(m, "tight_maps"):
+            _image_checks(m, fun)
+
+
+def _image_checks(F, fun):
+    """Every source multimap of a morphism has an image (MalformedTable),
+    and each image table is keyed by source multimaps of its type and
+    valued in the target's multimaps (check_members' DanglingId)."""
+    if hasattr(F, "maps"):
+        types = [("m", n, F.maps, f"arity-{n}", f"m{n}", f"of arity {n}") for n in (0, 2, 3, 4)]
+    else:
+        types = [(x, n, tables, f"{x}{n}", f"{x}{n}", f"of type {x}{n}")
+                 for x, tables, arities in ((TIGHT, F.tight_maps, (2, 3, 4)),
+                                            (LOOSE, F.loose_maps, (0, 1, 2))) for n in arities]
+    morphisms = _members(fun.source)[2][0]
+    for x, n, tables, label, _, _ in types:
+        for f in _ids(F.source, (x, n)):
+            # a base morphism listed loose is its own loose unary map
+            shared = (x, n) == (LOOSE, 1) and f in morphisms
+            if (fun.mor_map if shared else tables.get(n, {})).get(f) is None:
+                raise MalformedTable(f"{F.name}: no image for {label} multimap {f}")
+    values = (laws.Tables(F.target).typed, "a multimap")
+    check_members(F.name, [(row, tables[n], 1, (_ids(F.source, (x, n)), f"a source multimap {what}"),
+                            values) for x, n, tables, _, row, what in types if n in tables])
+
+
+def _law_braided_transport(F, beta_src, beta_tgt, cert_src, cert_tgt, src_mon, tgt_mon):
+    """The law table's preserve-* families of F; the verdicts of the ternary
+    and the quaternary swaps must agree (InconsistentVerdicts), and unless F
+    fails the ternary swap and is no morphism, which ks_morphism refuses, the
+    braided-functor family of the transported lax functor between the
+    transported braidings."""
+    report = laws.validate(F, braid=(beta_src, beta_tgt))
+    failed = {inst.family for inst in report.failures}
+    ok32, ok4 = "preserve-b32" not in failed, not failed & {"preserve-b42", "preserve-b43"}
+    if ok32 and not ok4:
+        raise InconsistentVerdicts(f"{F.name}: ternary swap preserved but a quaternary one is not")
+    if ok32 or _law_report(F).ok:
+        s_src = s_from_short_braiding(F.source, cert_src, beta_src)
+        s_tgt = s_from_short_braiding(F.target, cert_tgt, beta_tgt)
+        report.merge(_law_report(ks_morphism(F, cert_src, cert_tgt, src_mon, tgt_mon),
+                                 (s_src, s_tgt)))
     return report.finish()
 
 
@@ -284,6 +372,12 @@ def _braidings():
     for label, redirected in _redirects(
             braid, ("s", "s_inv"), lambda cur: [x for x in mon.base.morphisms() if x != cur], None):
         yield label, (mon, redirected)
+    # BZ/2, whose hom-set holds two parallel morphisms: s = e validates and
+    # s = g fails braid-alpha-right and braid-alpha-left
+    bz2 = bz2_category()
+    for x in ("e", "g"):
+        name = f"bz2.s={x}"
+        yield name, (bz2, Braiding(name, {("o", "o", "o"): x}, {("o", "o", "o"): x}))
 
 
 def _lax_redirects():
@@ -301,6 +395,13 @@ def _skew_closeds():
     cl = heyting2_skew_closed()
     yield from _redirects(cl, ("hom_mor", "iu", "ju", "ell"),
                           lambda cur: [x for x in cl.base.morphisms() if x != cur], None)
+    # the closed structures of Z/2, the Klein group and Z/3: [a, b] is b - a,
+    # so [a, a] = i differs from [a, i] when a is not i
+    skews = catalogue_short_skews()
+    for name in ("z2.skew", "klein.skew", "z3.skew"):
+        cert = certify(skews[name])
+        c = kcl_object(skews[name], cert, find_closed_structure(skews[name], cert))
+        yield c.name, c
 
 
 def _identity_closed_functor(c):
@@ -339,6 +440,14 @@ def _skew_morphisms():
     skews += [(name, m) for name, (m, _) in _cyclic_of("short-skew")]
     for name, m in skews:
         yield f"id[{name}]", identity_skew_morphism(m)
+    # a loose binary image redirected to a tight-only binary map of its type
+    F = identity_skew_morphism(poset2_first_short_skew())
+    tight, loose = F.source.tight[2], F.source.loose[2]
+    for key, fs in loose.items():
+        for f in fs:
+            for other in [g for g in tight.get(key, ()) if g not in fs]:
+                yield f"{F.name}.l2[{f}]->{other}", dataclasses.replace(
+                    F, loose_maps={**F.loose_maps, 2: {**F.loose_maps[2], f: other}})
 
 
 def _braided_transports():
@@ -472,15 +581,15 @@ VALIDATORS = {
 }
 
 
-# the validators compared with the law table; the others with their reference copies
-LAW_TABLE = ("validate_category", "validate_skew_monoidal", "validate_braiding",
-             "validate_skew_closed")
+# the law side of the validators whose arguments _law_report does not take
+LAW_SIDE = {"validate_braided_functor": lambda t, s_src, s_tgt: _law_report(t, (s_src, s_tgt)),
+            "validate_braided_transport_functor": _law_braided_transport}
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATORS))
 def test_validator_matches_reference(name):
     validate = getattr(VALIDATORS[name], name)
-    reference = _law_report if name in LAW_TABLE else getattr(ref, name)
+    reference = LAW_SIDE.get(name, _law_report)
     tried, failing, differ = 0, 0, []
     for label, args in _validator_inputs(name):
         want = _outcome(reference, *args)

@@ -73,7 +73,7 @@ TEST_ONLY_LINES = 651
 
 # The lines of tests/reference_validators.py; a change may lower this, never
 # raise it.
-REFERENCE_LINES = 1946
+REFERENCE_LINES = 1496
 
 
 class Def:
