@@ -11,6 +11,15 @@ certified classifier, candidate and hom object on one Universal record, and
 they double as inverse tables: read_back reads them backwards, read_solution
 one entry.
 
+A scope with no map on either side is a bijection, so only the scopes where
+the domain or the target holds a map are built and scanned, in the order of
+the full enumeration; a scope with maps on one side only is scanned and
+refused. The scans read the codomains that hold maps off the view's
+_by_dom index; _certify_hom, whose codomain is fixed, looks up both tables
+at each input tuple. Where a witness keeps every scope (a classifier's base
+and ext tables), an empty scope gets its empty table, in its place, without
+a scan; elsewhere it is skipped.
+
 Everything here works on the tight/loose view: a plain short multicategory
 is certified through its embedding (all maps both tight and loose, j the
 identity), under which the tight/loose bijection scopes reduce to the plain
@@ -36,6 +45,13 @@ Structure = Union[ShortMulticategory, ShortSkewMulticategory]
 # One scope of a universal property: its key, the maps substituted into,
 # the substitution, and the maps it must reach, each exactly once.
 Scope = tuple[Hashable, Sequence[str], Callable[[str], Optional[str]], Sequence[str]]
+# The maps of one head: its table, keyed (domain, codomain), and its _by_dom
+# index, the codomains at which each domain holds a map.
+Head = tuple[dict, dict]
+# The scopes of one substitution at every codomain: a key, the maps of a
+# head out of a domain substituted into, the substitution, and the maps of a
+# head out of a domain it must reach.
+Family = tuple[tuple, Head, tuple[str, ...], Callable[[str], Optional[str]], Head, tuple[str, ...]]
 
 
 def skew_view(m: Structure) -> ShortSkewMulticategory:
@@ -83,6 +99,36 @@ def bijection_scan(scopes: Iterable[Scope], witness: Optional[dict] = None,
         elif witness is not None:
             witness[key] = table
     return failed
+
+
+def _head(v: ShortSkewMulticategory, head: tuple) -> Head:
+    return v._by_head.get(head, {}), v._by_dom.get(head, {})
+
+
+def _scopes(families: Iterable[Family], objs: Sequence[str],
+            empty: Optional[dict] = None) -> Iterator[Scope]:
+    """The scopes key + (d,) of each family, d an object in order: from the
+    maps of the source head out of its domain into d onto those of the
+    target head out of its domain into d. A scope with no map on either
+    side is a bijection, so it is never built; with empty, a witness, it
+    gets its empty table there instead, in its place."""
+    for key, (stable, sindex), sdom, apply_fn, (ttable, tindex), tdom in families:
+        if empty is not None:
+            cods = objs
+        else:
+            scods, tcods = sindex.get(sdom, ()), tindex.get(tdom, ())
+            if scods == tcods or not tcods:
+                cods = scods
+            elif not scods:
+                cods = tcods
+            else:
+                cods = [d for d in objs if d in scods or d in tcods]
+        for d in cods:
+            domain, maps = stable.get((sdom, d), ()), ttable.get((tdom, d), ())
+            if domain or maps:
+                yield key + (d,), domain, apply_fn, maps
+            else:
+                empty[key + (d,)] = {}
 
 
 def preimage(table: dict[str, str], image: Optional[str]) -> Optional[str]:
@@ -173,15 +219,15 @@ def classifiers(m: Structure, inputs: tuple[str, ...] = ()) -> Iterator[Universa
     map is a bijection from the unary maps out of its object onto the maps of
     the inputs, at every codomain."""
     v = skew_view(m)
-    maps, sub = v._mapsets.get, v.lookups[2].get
-    flavour, n = (TIGHT, 2) if inputs else (LOOSE, 0)
-    targets = [(d, maps((flavour, n, inputs, d), ())) for d in v.base.objects]
-    for cand, thetas in targets:
-        for theta in thetas:
+    objs, sub = v.base.objects, v.lookups[2].get
+    unary, target = _head(v, (TIGHT, 1)), _head(v, (TIGHT, 2) if inputs else (LOOSE, 0))
+    table, index = target
+    for cand in index.get(inputs, ()):
+        for theta in table[inputs, cand]:
             witness: dict[tuple, dict[str, str]] = {}
             image = _into(sub, 1, theta)
-            if not bijection_scan(((("base", d), maps((TIGHT, 1, (cand,), d), ()), image, target)
-                                   for d, target in targets), witness):
+            if not bijection_scan(_scopes([(("base",), unary, (cand,), image, target, inputs)],
+                                          objs, witness), witness):
                 yield Universal(inputs, cand, theta, witness)
 
 
@@ -198,16 +244,16 @@ def check_left_universal(m: Structure, cl: Universal) -> tuple[bool, list[str]]:
     position-1 bijections, one or two more inputs after the classified ones;
     returns the verdict and failing scopes."""
     v = skew_view(m)
-    objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
+    objs, sub = v.base.objects, v.lookups[2].get
     inputs, image = cl.key, _into(sub, 1, cl.via)
     # tight binary or loose nullary; a scope's arity n counts the classified
     # map's object as one input
     tag, flavour, n0 = ("t", TIGHT, 1) if inputs else ("l", LOOSE, 0)
-    failed = bijection_scan(
-        ((("ext", k + n0, xs, d), maps((TIGHT, k + 1, (cl.obj,) + xs, d), ()),
-          image, maps((flavour, len(inputs) + k, inputs + xs, d), ()))
-         for k in (1, 2) for xs in itertools.product(objs, repeat=k) for d in objs),
-        cl.witness, stop=False)
+    heads = [(k, _head(v, (TIGHT, k + 1)), _head(v, (flavour, len(inputs) + k))) for k in (1, 2)]
+    failed = bijection_scan(_scopes(
+        ((("ext", k + n0, xs), source, (cl.obj,) + xs, image, target, inputs + xs)
+         for k, source, target in heads for xs in itertools.product(objs, repeat=k)),
+        objs, cl.witness), cl.witness, stop=False)
     failures = [f"{tag}{n}:{','.join(xs)};{d}" for _, n, xs, d in failed]
     cl.left_universal = not failures
     return (not failures, failures)
@@ -265,7 +311,7 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
     if not cert.left_representable:
         raise MalformedTable(f"{cert.name}: derived classifiers need left representability")
     v = cert.view
-    objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
+    objs, sub, unary = v.base.objects, v.lookups[2].get, _head(v, (TIGHT, 1))
 
     def along(w: Optional[str], steps: list[str]) -> Optional[str]:
         for t in reversed(steps):
@@ -289,10 +335,9 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
         theta = along(steps[-1], steps[:-1])
         if theta is None:
             raise UniversalityBroken(f"{cert.name}: {kind} composite undefined at {at}")
-        witness: dict[str, dict[str, str]] = {}
-        image = _into(sub, 1, theta)
-        failed = bijection_scan(((d, maps((TIGHT, 1, (obj,), d), ()), image,
-                                  maps((flavour, len(key), key, d), ())) for d in objs), witness)
+        witness: dict[tuple, dict[str, str]] = {}
+        failed = bijection_scan(_scopes([((), unary, (obj,), _into(sub, 1, theta),
+                                          _head(v, (flavour, len(key))), key)], objs), witness)
         # the codomains certified before a failing one are compared first
         for table in witness.values():
             for w, img in table.items():
@@ -301,7 +346,7 @@ def derived_classifiers(m: Structure, cert: Certificate) -> list[DerivedClassifi
                         f"{cert.name}: {kind} composite disagrees with stepwise at {w}")
         if failed:
             raise UniversalityBroken(
-                f"{cert.name}: {what} fails at {at};{failed[0]}")
+                f"{cert.name}: {what} fails at {at};{failed[0][0]}")
         out.append(DerivedClassifier(kind, key, obj, theta, sum(map(len, witness.values()))))
     cert.derived = out
     return out
@@ -319,25 +364,24 @@ def check_representable(m: ShortMulticategory, cert: Certificate) -> tuple[bool,
     if not cert.weakly_representable:
         cert.representable = False
         return False, ["missing classifiers"]
-    objs, maps, sub = m.base.objects, m.as_skew._mapsets.get, m.lookups[2].get
+    objs, v, sub = m.base.objects, m.as_skew, m.lookups[2].get
     classified = [("u", cert.nullary.obj, cert.nullary.via, ())]
     classified += [(f"theta({a},{b})", cert.obj(a, b), cert.theta(a, b), (a, b))
                    for a, b in itertools.product(objs, repeat=2)]
 
-    def scopes() -> Iterator[Scope]:
+    def families() -> Iterator[Family]:
         for label, obj, theta, inputs in classified:
             for n in (1, 2, 3):
                 k = n - 1 + len(inputs)
-                flavour = TIGHT if k else LOOSE  # the one nullary table is loose
+                # the one nullary table is loose
+                source, target = _head(v, (TIGHT, n)), _head(v, (TIGHT if k else LOOSE, k))
                 for lx in range(n):
                     image = _into(sub, lx + 1, theta)
                     for xs in itertools.product(objs, repeat=lx):
                         for ys in itertools.product(objs, repeat=n - 1 - lx):
-                            dom, target = xs + (obj,) + ys, xs + inputs + ys
-                            for z in objs:
-                                yield ((label, n, xs, ys, z), maps((TIGHT, n, dom, z), ()),
-                                       image, maps((flavour, k, target, z), ()))
-    failed = bijection_scan(scopes(), stop=False)
+                            yield ((label, n, xs, ys), source, xs + (obj,) + ys,
+                                   image, target, xs + inputs + ys)
+    failed = bijection_scan(_scopes(families(), objs), stop=False)
     failures = [f"{label}@{n}.{len(xs) + 1}:{xs}{ys};{z}" for label, n, xs, ys, z in failed]
     cert.representable = not failures
     return (not failures, failures)
@@ -363,24 +407,29 @@ def _certify_hom(v: ShortSkewMulticategory, b: str, c: str,
     """The hom object (cand, e) when substitution into e's slot is a
     bijection at every scope of the side: from the maps xs -> cand onto the
     maps into c whose inputs are e's with xs in cand's place, of the flavour
-    that substitution into a tight map gives. Its witness keeps the
-    non-empty tables, keyed (flavour, n, xs) on the left and (n, xs) on the
-    right, where the plain structure's arity fixes the flavour."""
+    that substitution into a tight map gives. Only the inputs xs where
+    either side holds a map are scanned, and the witness keeps their tables,
+    keyed (flavour, n, xs) on the left and (n, xs) on the right, where the
+    plain structure's arity fixes the flavour."""
     slot, flavours = side
-    maps, sub = v._mapsets.get, v.lookups[2].get
+    tables, objs, sub = v._by_head, v.base.objects, v.lookups[2].get
     before, after = v.dom(e)[:slot - 1], v.dom(e)[slot:]
-    scopes = [(flavour, n, sub_flavour(TIGHT, slot, flavour)) for flavour, n in flavours]
 
     def image(g: str) -> Optional[str]:
         return sub((e, slot, g))
+
+    def scopes() -> Iterator[Scope]:
+        for flavour, n in flavours:
+            landing = sub_flavour(TIGHT, slot, flavour)
+            source, target = tables.get((flavour, n), {}), tables.get((landing, n + 1), {})
+            for xs in itertools.product(objs, repeat=n):
+                domain, maps = source.get((xs, cand), ()), target.get((before + xs + after, c), ())
+                if domain or maps:
+                    yield (flavour, n, xs) if slot == 1 else (n, xs), domain, image, maps
     witness: dict[tuple, dict[str, str]] = {}
-    if bijection_scan((((flavour, n, xs) if slot == 1 else (n, xs),
-                        maps((flavour, n, xs, cand), ()), image,
-                        maps((landing, n + 1, before + xs + after, c), ()))
-                       for flavour, n, landing in scopes
-                       for xs in itertools.product(v.base.objects, repeat=n)), witness):
+    if bijection_scan(scopes(), witness):
         return None
-    return Universal((b, c), cand, e, {key: table for key, table in witness.items() if table})
+    return Universal((b, c), cand, e, witness)
 
 
 def find_hom_object(m: Structure, b: str, c: str,
@@ -388,7 +437,7 @@ def find_hom_object(m: Structure, b: str, c: str,
     v = skew_view(m)
     for cand in v.base.objects:
         dom = (cand, b) if side[0] == 1 else (b, cand)
-        for e in v._mapsets.get((TIGHT, 2, dom, c), ()):
+        for e in v.mapset(TIGHT, 2, dom, c):
             h = _certify_hom(v, b, c, cand, e, side)
             if h is not None:
                 return h
@@ -578,7 +627,7 @@ def verify_units_left_universal(m: Structure) -> ValidationReport:
     if nu is None:
         raise MalformedTable(f"{name}: verify_units_left_universal needs a nullary classifier")
     i, u = nu.obj, nu.via
-    objs, maps, sub = v.base.objects, v._mapsets.get, v.lookups[2].get
+    objs, maps, sub = v.base.objects, v.mapset, v.lookups[2].get
     drop = _into(sub, 1, u)
     sharp = read_back(homs.values())
 
@@ -592,7 +641,7 @@ def verify_units_left_universal(m: Structure) -> ValidationReport:
     for n in (2, 3):
         for xs in itertools.product(objs, repeat=n - 1):
             for y in objs:
-                domain, target = maps((TIGHT, n, (i,) + xs, y), ()), maps((LOOSE, n - 1, xs, y), ())
+                domain, target = maps(TIGHT, n, (i,) + xs, y), maps(LOOSE, n - 1, xs, y)
                 direct = bijection_table(domain, drop, target)
                 report.count("direct-enumeration")
                 if direct is None:

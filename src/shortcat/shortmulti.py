@@ -121,7 +121,7 @@ class MultiTables:
     # -- the multimap index ----------------------------------------------------
     # Built on first use; not dataclass fields, so dataclasses.replace never
     # carries them into a redirected copy. Validation reads only _by_arity
-    # and _by_cod; mapset and the classifier scans read the flat _mapsets.
+    # and _by_cod; the classifier scans read _by_dom.
     @cached_property
     def _by_head(self) -> dict[tuple, dict[Key, tuple[str, ...]]]:
         """Every multimap table by head, the base hom-sets under _BASE_HEAD."""
@@ -142,14 +142,27 @@ class MultiTables:
         return {key: tuple(fs) for key, fs in out.items()}
 
     @cached_property
-    def _mapsets(self) -> dict[tuple, tuple[str, ...]]:
-        """Every multimap set, keyed by its type: the tables' own tuples."""
-        return {head + key: fs for head, table in self._by_head.items()
-                for key, fs in table.items()}
+    def _by_dom(self) -> dict[tuple, dict[tuple[str, ...], tuple[str, ...]]]:
+        """By head and then domain, the codomains at which the head's table
+        holds a map from that domain, in base-object order (sorted order).
+        Equal codomain tuples are shared, so a domain costs about one dict
+        slot and the index stays smaller than the tables it points into."""
+        out: dict[tuple, dict[tuple[str, ...], tuple[str, ...]]] = {}
+        for head, table in self._by_head.items():
+            held: dict[tuple[str, ...], list[str]] = {}
+            for (dom, cod), fs in table.items():
+                if fs:
+                    held.setdefault(dom, []).append(cod)
+            shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+            index = out[head] = {}
+            for dom, cods in held.items():
+                cods = tuple(sorted(cods))
+                index[dom] = shared.setdefault(cods, cods)
+        return out
 
     def mapset(self, *ty) -> tuple[str, ...]:
         """The multimaps of a type: its head, then (domain, codomain)."""
-        return self._mapsets.get(ty, ())
+        return self._by_head.get(ty[:-2], {}).get(ty[-2:], ())
 
     def multimaps(self, *head) -> tuple[str, ...]:
         return self._by_arity.get(head, ())

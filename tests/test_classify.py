@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
@@ -13,14 +14,14 @@ from shortcat.catalogue import (
 from shortcat.classify import (
     certify, check_left_universal, check_representable,
     classifier_uniqueness_isos, derived_classifiers, find_binary_classifier,
-    RIGHT, find_closed_structure, find_hom_object, find_nullary_classifier,
+    LEFT, RIGHT, find_closed_structure, find_hom_object, find_nullary_classifier,
     inverses, skew_view, verify_left_iff_adjoint,
     verify_units_left_universal,
 )
 from shortcat.errors import AxiomFailure, ShortcatError, UniversalityBroken
 from shortcat.induce import induce_short_multi, induce_short_skew
 from shortcat.shortmulti import ShortMulticategory
-from shortcat.shortskew import ShortSkewMulticategory, embed_plain
+from shortcat.shortskew import LOOSE, TIGHT, ShortSkewMulticategory, embed_plain, sub_flavour
 from test_kernel import _cyclic
 
 
@@ -130,58 +131,138 @@ def test_representability_flags():
         assert flag is expected, name
 
 
-def test_check_representable_visits_every_scope(monkeypatch):
-    """check_representable scans the 1 + k^2 maps u and theta(a,b) at every
-    slot of every arity 1-3 scope, k + 2k^2 + 3k^3 scopes on k objects. It
-    reports only the failing scopes, so the number of scans is what shows
-    that none is skipped."""
-    ms = catalogue_short_multis()
+def _record_scans(monkeypatch) -> list:
+    """Each later bijection_table call as (domain, its images, target)."""
     scans = []
     real = classify.bijection_table
-    monkeypatch.setattr(classify, "bijection_table",
-                        lambda *args: scans.append(args) or real(*args))
-    for name, want in (("terminal", 12), ("z2", 170), ("heyting2", 170),
-                       ("poset2-second", 170), ("z3", 1020), ("klein", 3876)):
-        cert = certify(ms[name])
+
+    def record(domain, apply_fn, target):
+        scans.append((tuple(domain), [apply_fn(w) for w in domain], tuple(target)))
+        return real(domain, apply_fn, target)
+    monkeypatch.setattr(classify, "bijection_table", record)
+    return scans
+
+
+def _holding(oracle) -> list:
+    """The oracle's (key, domain, image, target) scopes with a map on either
+    side, as bijection_table must receive them; every other scope is empty
+    on both sides and so a bijection."""
+    return [(tuple(dom), [image(w) for w in dom], tuple(target))
+            for _, dom, image, target in oracle if dom or target]
+
+
+def _into_at(sub, i, theta):
+    return lambda w: sub((w, i, theta))
+
+
+def _representability_oracle(m, cert) -> list:
+    """Every scope of check_representable, empty or not, in its order: the
+    1 + k^2 maps u and theta(a,b) at every slot of every arity 1-3 scope,
+    k + 2k^2 + 3k^3 scopes each on k objects."""
+    v, objs, sub = m.as_skew, m.base.objects, m.lookups[2].get
+    classified = [("u", cert.nullary.obj, cert.nullary.via, ())]
+    classified += [(f"theta({a},{b})", cert.obj(a, b), cert.theta(a, b), (a, b))
+                   for a, b in itertools.product(objs, repeat=2)]
+    oracle = []
+    for label, obj, theta, inputs in classified:
+        for n in (1, 2, 3):
+            k = n - 1 + len(inputs)
+            for lx in range(n):
+                for xs in itertools.product(objs, repeat=lx):
+                    for ys in itertools.product(objs, repeat=n - 1 - lx):
+                        for z in objs:
+                            oracle.append((
+                                f"{label}@{n}.{lx + 1}:{xs}{ys};{z}",
+                                v.mapset(TIGHT, n, xs + (obj,) + ys, z),
+                                _into_at(sub, lx + 1, theta),
+                                v.mapset(TIGHT if k else LOOSE, k, xs + inputs + ys, z)))
+    return oracle
+
+
+def test_check_representable_scans_every_scope_that_holds_a_map(monkeypatch):
+    """check_representable hands bijection_table exactly the scopes of the
+    full enumeration that hold a map, in its order. It reports only the
+    failing scopes, so the calls are what shows that none of those is
+    skipped. poset2-second fails at three scopes with maps on one side
+    only: a scan that skipped them would call it representable."""
+    ms = catalogue_short_multis()
+    scans = _record_scans(monkeypatch)
+    for name, k, want in (("terminal", 1, 12), ("z2", 2, 170), ("heyting2", 2, 170),
+                          ("poset2-second", 2, 170), ("z3", 3, 1020), ("klein", 4, 3876)):
+        m = ms[name]
+        cert = certify(m)
+        oracle = _representability_oracle(m, cert)
+        assert len(oracle) == want == (1 + k ** 2) * (k + 2 * k ** 2 + 3 * k ** 3), name
         scans.clear()
-        check_representable(ms[name], cert)
-        assert len(scans) == want, name
+        ok, failures = check_representable(m, cert)
+        assert scans == _holding(oracle), name
+        failing = {key: (dom, target) for key, dom, _, target in oracle if key in failures}
+        assert len(failing) == len(failures), name
+        if name == "poset2-second":
+            assert not ok and failures == [
+                "u@2.2:('0',)();0", "u@3.3:('0', '0')();0", "u@3.3:('1', '0')();0"]
+            assert all(bool(dom) != bool(target) for dom, target in failing.values())
+        else:
+            assert ok and not failures, name
 
 
-def test_left_universal_closed_and_derived_scans_visit_every_scope(monkeypatch):
-    """On k objects, check_left_universal scans k^2 + k^3 scopes per
-    classifier (one or two more inputs, at every codomain). Here
-    find_closed_structure certifies the first candidate of each of the k^2
-    pairs, in its 1 + 2k + k^2 + k^3 scopes (tight arities 1-3, loose 0
-    and 1), and its RIGHT side in its 1 + k + k^2 + k^3 (loose 0, tight
-    1-3). derived_classifiers checks k^3 + k^4 + k composites at every
-    codomain. Every scope passes, so the number of scans shows that none is
-    skipped."""
+def test_left_universal_closed_and_derived_scans_every_scope_that_holds_a_map(monkeypatch):
+    """Each scan hands bijection_table exactly the scopes of its full
+    enumeration that hold a map, in its order. On k objects,
+    check_left_universal has k^2 + k^3 scopes per classifier (one or two
+    more inputs, at every codomain) and keeps a witness table for each,
+    empty where the scope is. find_closed_structure certifies the first
+    candidate of each of the k^2 pairs, in its 1 + 2k + k^2 + k^3 scopes
+    (tight arities 1-3, loose 0 and 1), and its RIGHT side in its 1 + k +
+    k^2 + k^3 (loose 0, tight 1-3); a hom object keeps the tables of the
+    scopes that hold a map. derived_classifiers checks k^3 + k^4 + k
+    composites at every codomain. Every scope passes here."""
     ms = catalogue_short_multis()
-    scans = []
-    real = classify.bijection_table
-    monkeypatch.setattr(classify, "bijection_table",
-                        lambda *args: scans.append(args) or real(*args))
+    scans = _record_scans(monkeypatch)
     for name, k, classified in (("terminal", 1, 2), ("z2", 2, 5), ("z3", 3, 10),
                                 ("klein", 4, 17)):
         m = ms[name]
+        v, objs, sub = skew_view(m), m.base.objects, m.lookups[2].get
         cert = certify(m)
         assert cert.left_representable, name
         cls = [cl for cl in cert.binary.values() if cl is not None] + [cert.nullary]
         assert len(cls) == classified, name
-        scans.clear()
         for cl in cls:
-            check_left_universal(m, cl)
-        assert len(scans) == classified * (k ** 2 + k ** 3), name
+            flavour, n0 = (TIGHT, 1) if cl.key else (LOOSE, 0)
+            oracle = [(("ext", j + n0, xs, d), v.mapset(TIGHT, j + 1, (cl.obj,) + xs, d),
+                       _into_at(sub, 1, cl.via),
+                       v.mapset(flavour, len(cl.key) + j, cl.key + xs, d))
+                      for j in (1, 2) for xs in itertools.product(objs, repeat=j) for d in objs]
+            assert len(oracle) == k ** 2 + k ** 3, name
+            scans.clear()
+            assert check_left_universal(m, cl) == (True, []), name
+            assert scans == _holding(oracle), (name, cl.key)
+            ext = [key for key in cl.witness if key[0] == "ext"]
+            assert ext == [key for key, *_ in oracle], (name, cl.key)
+            assert all(cl.witness[key] == {} for key, dom, _, target in oracle
+                       if not dom and not target), (name, cl.key)
+        for side, scopes in ((LEFT, 1 + 2 * k + k ** 2 + k ** 3), (RIGHT, 1 + k + k ** 2 + k ** 3)):
+            slot, flavours = side
+            scans.clear()
+            homs = find_closed_structure(m, None, side)
+            oracle = []
+            for (b, c), h in homs.items():
+                before, after = v.dom(h.via)[:slot - 1], v.dom(h.via)[slot:]
+                mine = [((fl, n, xs) if slot == 1 else (n, xs), v.mapset(fl, n, xs, h.obj),
+                         lambda g, e=h.via: sub((e, slot, g)),
+                         v.mapset(sub_flavour(TIGHT, slot, fl), n + 1, before + xs + after, c))
+                        for fl, n in flavours for xs in itertools.product(objs, repeat=n)]
+                assert len(mine) == scopes, name
+                assert list(h.witness) == [key for key, dom, _, target in mine if dom or target]
+                oracle += mine
+            assert len(homs) == k ** 2 and scans == _holding(oracle), (name, slot)
         scans.clear()
-        find_closed_structure(m)
-        assert len(scans) == k ** 2 * (1 + 2 * k + k ** 2 + k ** 3), name
-        scans.clear()
-        find_closed_structure(m, None, RIGHT)
-        assert len(scans) == k ** 2 * (1 + k + k ** 2 + k ** 3), name
-        scans.clear()
-        derived_classifiers(m, cert)
-        assert len(scans) == k * (k ** 3 + k ** 4 + k), name
+        recs = derived_classifiers(m, cert)
+        oracle = [(d, v.mapset(TIGHT, 1, (r.obj,), d), _into_at(sub, 1, r.theta),
+                   v.mapset(LOOSE if r.kind == "unit-unary" else TIGHT, len(r.key), r.key, d))
+                  for r in recs for d in objs]
+        assert len(oracle) == k * (k ** 3 + k ** 4 + k), name
+        assert scans == _holding(oracle), name
 
 
 @pytest.mark.parametrize("domain, images, target", [

@@ -112,7 +112,7 @@ def test_only_check_tables_raises_not_total():
 # the composition and hom helpers), its image, flavour and swap helpers and
 # its check kernels (every name ending in _checks).
 PACKAGE_INTERNALS = frozenset({
-    "_index", "_adjacency", "_by_cod", "_mapsets", "domains", "lookups", "table_maps", "info",
+    "_index", "_adjacency", "_by_cod", "_by_dom", "domains", "lookups", "table_maps", "info",
     "multimaps", "maps_into", "mapset", "mapset_keys", "safe_pre", "safe_post", "safe_subst",
     "_span", "compose_opt", "mors_out_of", "tm_left", "_comp_chain", "table_domains",
     "composable_pairs", "safe_apply", "is_tight", "is_loose", "is_iso", "_swap", "_SPECS"})

@@ -380,6 +380,17 @@ def _braidings():
         yield name, (bz2, Braiding(name, {("o", "o", "o"): x}, {("o", "o", "o"): x}))
 
 
+def _unit_moves(t):
+    """t with its functor's obj_map sending the source unit i to each other
+    object: the only inputs with F i != i', so the only ones on which the
+    f0-typing pair (i', F i) reads differently from (F i, i')."""
+    fun, i = t.functor, t.source.unit
+    for x in t.target.base.objects:
+        if x != fun.obj_map[i]:
+            moved = dataclasses.replace(fun, obj_map={**fun.obj_map, i: x})
+            yield f"obj_map[{i}]->{x}", dataclasses.replace(t, functor=moved)
+
+
 def _lax_redirects():
     """Every single-entry redirect of the identity lax functor on z2.mon."""
     t = identity_lax_functor(catalogue_skew_monoidals()["z2.mon"])
@@ -387,6 +398,7 @@ def _lax_redirects():
     yield from ((f"f0->{x}", dataclasses.replace(t, f0=x)) for x in others)
     yield from _redirects(t, ("f2",),
                           lambda cur: [x for x in t.target.base.morphisms() if x != cur], None)
+    yield from _unit_moves(t)
 
 
 def _skew_closeds():
@@ -530,6 +542,12 @@ def _validator_inputs(name):
             fun = catalogue_morphisms()[n].functor
             functors += _redirects(
                 fun, ("mor_map",), lambda cur: [x for x in fun.target.morphisms() if x != cur])
+        # on a base with a morphism le: 0 -> 1, where a functor-span failure
+        # has a != b
+        poset = identity_functor(poset2_base())
+        functors += _redirects(
+            poset, ("mor_map",), lambda cur: [x for x in poset.target.morphisms() if x != cur],
+            None)
         return [(f"{n}.functor", (fun,)) for n, fun in functors]
     if name == "validate_skew_monoidal":
         return [(n, (c,)) for n, c in _skew_monoidals()]
@@ -556,6 +574,8 @@ def _validator_inputs(name):
         cl = kcl_object(sk, cert, homs)
         kcl = kcl_morphism(identity_skew_morphism(sk), homs, homs, cert, cert, cl, cl)
         return ([(f"id[{n}]", (_identity_closed_functor(c),)) for n, c in _skew_closeds()]
+                + [(n, (t,)) for n, t in _unit_moves(_identity_closed_functor(
+                    heyting2_skew_closed()))]
                 + [("kcl[id[heyting2.skew]]", (kcl,)),
                    (HAND_BUILT, (_closed_functor_totality_and_dangling(),))])
     if name == "validate_short_braiding":
@@ -636,7 +656,8 @@ def test_adjacency_matches_its_definition():
     """The cached adjacency and the multimap index equal sorting and
     filtering the dataclass fields: multimaps are the sorted ids of a head's
     table, maps_into concatenates its sets of one codomain in key order,
-    mapset reads one set and mapset_keys sorts the keys."""
+    mapset reads one set, mapset_keys sorts the keys and _by_dom lists, for
+    each domain, the codomains of its non-empty sets in base-object order."""
     tried = 0
     for name, m in _index_inputs():
         base = m.base
@@ -656,6 +677,9 @@ def test_adjacency_matches_its_definition():
             for x in base.objects:
                 assert m.maps_into(*head, x) == tuple(
                     f for dom, cod in keys if cod == x for f in table[dom, cod]), (name, head, x)
+            doms = {dom for dom, cod in keys if table[dom, cod]}
+            assert m._by_dom.get(head, {}) == {dom: tuple(
+                x for x in base.objects if table.get((dom, x))) for dom in doms}, (name, head)
         tried += 1
     assert tried == 6 + 7 + 6 + 7 + 2 + 2, tried
 
