@@ -57,7 +57,9 @@ class AxiomTransferFailure(ShortcatError):
 
 
 class NoIsomorphismFound(ShortcatError):
-    """A roundtrip comparison could not match the reconstructed structure."""
+    """A structure rebuilt by a roundtrip is not isomorphic to its input
+    through the comparison functor its certificate names; signals an
+    implementation bug, as every input that passes validation roundtrips."""
 
 
 class ParseError(ShortcatError):

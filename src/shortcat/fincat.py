@@ -14,10 +14,6 @@ from typing import Iterator, Optional
 from .errors import DanglingId, MalformedTable
 from .report import ValidationReport, tally
 
-# The most objects transport.compare_skew_monoidal's isomorphism search
-# permutes; a larger base raises SearchBoundExceeded.
-ISO_SEARCH_MAX_OBJECTS = 6
-
 
 @dataclass(frozen=True)
 class FinCategory:
@@ -246,56 +242,3 @@ def identity_functor(c: FinCategory) -> FinFunctor:
     return FinFunctor(f"id[{c.name}]", c, c,
                       {a: a for a in c.objects}, {f: f for f in c.morphisms()})
 
-
-def _extend_mor_bijection(c: FinCategory, d: FinCategory, obj_bij: dict[str, str]) -> Optional[dict[str, str]]:
-    """Backtracking search for a composition-preserving bijection on
-    morphisms over a fixed object bijection."""
-    pairs = []
-    for (a, b), fs in sorted(c.homs.items()):
-        gs = d.hom(obj_bij[a], obj_bij[b])
-        if len(fs) != len(gs):
-            return None
-        pairs.append((fs, gs))
-    # hom-set sizes must match in both directions
-    for (a, b), gs in sorted(d.homs.items()):
-        inv = {v: k for k, v in obj_bij.items()}
-        if len(c.hom(inv[a], inv[b])) != len(gs):
-            return None
-
-    mor_map: dict[str, str] = {c.identity(a): d.identity(obj_bij[a]) for a in c.objects}
-
-    def consistent(m: dict[str, str]) -> bool:
-        for (g, f), h in c.comp.items():
-            if g in m and f in m:
-                img = d.compose_opt(m[g], m[f])
-                if img is None:
-                    return False
-                if h in m and m[h] != img:
-                    return False
-        return True
-
-    def assign(idx: int, m: dict[str, str]) -> Optional[dict[str, str]]:
-        if idx == len(pairs):
-            return dict(m)
-        fs, gs = pairs[idx]
-        fixed = [(f, m[f]) for f in fs if f in m]
-        free = [f for f in fs if f not in m]
-        taken = {v for _, v in fixed}
-        if any(v not in gs for _, v in fixed):
-            return None
-        remaining = [g for g in gs if g not in taken]
-        for perm in itertools.permutations(remaining):
-            trial = dict(m)
-            trial.update(zip(free, perm))
-            if consistent(trial):
-                res = assign(idx + 1, trial)
-                if res is not None:
-                    return res
-        return None
-
-    m = assign(0, mor_map)
-    if m is None:
-        return None
-    if not consistent(m):
-        return None
-    return m

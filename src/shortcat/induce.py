@@ -113,6 +113,14 @@ def _induce(name: str, base: FinCategory,
     return build(name, base, members, pick)
 
 
+def induced_morphism(w: str, flavour: str, dom: tuple[str, ...], cod: str) -> str:
+    """The base morphism under w, a map (dom; cod) of the given flavour that
+    _induce wrapped (any type but tight unary), so also a map of its
+    plain_of, which keeps the ids. The id is map_id(...)#f; it is cut at
+    that prefix's length, not split at '#', which an object may hold."""
+    return w[len(map_id(flavour, len(dom), dom, cod)) + 1:]
+
+
 def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSkewMulticategory:
     """The short skew multicategory of a skew monoidal category: tight maps
     out of left-bracketed products, loose maps with a leading unit factor,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -13,8 +14,9 @@ from shortcat.catalogue import (
 from shortcat.classify import certify
 from shortcat.errors import NoSolution
 from shortcat.shortskew import TIGHT, embed_multi_morphism, identity_skew_morphism
-from shortcat.skewmon import check_symmetry, validate_braiding
-from shortcat.transport import ks_object
+from shortcat.skewmon import Braiding, check_symmetry, validate_braiding
+from shortcat.transport import ks_object, skew_monoidal_roundtrip
+from test_transport import indiscrete_census
 
 
 def _setup(key):
@@ -108,3 +110,28 @@ def test_broken_functor_fails_ternary_preservation():
     bad = dataclasses.replace(F, tight_maps=tight)
     r = validate_braided_transport_functor(bad, beta, beta, cert, cert, mon, mon)
     assert not r.ok
+
+
+@pytest.mark.xfail(strict=True, raises=NoSolution,
+                   reason="short_braiding_from_s reads s as a braiding on the rebuilt category")
+def test_braiding_transport_on_a_non_skeletal_base():
+    """ch2.abba.a, the tensor a.a = b.b = a, a.b = b.a = b with unit a on
+    the indiscrete base, carries one braiding, each component the unique
+    map of its type. Its skew monoidal roundtrip passes, but its rebuilt
+    category has other tensor objects, which the braiding transport does
+    not take into account: 30 of the 32 thin braided structures on that
+    base raise NoSolution there."""
+    x = indiscrete_census()[0]["ch2.abba.a"]
+    objs, t = x.base.objects, x.t
+
+    def the(a: str, b: str) -> str:
+        return x.base.hom(a, b)[0]
+    triples = list(itertools.product(objs, repeat=3))
+    s = Braiding("ch2.abba.a.sym",
+                 {(p, a, b): the(t(t(p, a), b), t(t(p, b), a)) for p, a, b in triples},
+                 {(p, a, b): the(t(t(p, b), a), t(t(p, a), b)) for p, a, b in triples})
+    assert validate_braiding(x, s).ok
+    report, m, cert = skew_monoidal_roundtrip(x)
+    assert report.ok
+    beta = short_braiding_from_s(m, cert, s)
+    assert braidings_equal(s_from_short_braiding(m, cert, beta), s)

@@ -10,10 +10,12 @@ import pytest
 
 from childenv import child_env
 from shortcat import cli
+from shortcat.catalogue import thin_skew_monoidal
 from shortcat.cli import build_parser, catalogue_files
 from shortcat.fileformat import KINDS, RawLaxFunctor, StructureFile, serialize
 from shortcat.skewmon import identity_lax_functor
 from test_kernel import _cyclic_files
+from test_transport import indiscrete2
 
 
 def run_cli(*args, env=None, **kwargs):
@@ -620,6 +622,20 @@ def test_skew_monoidal_roundtrip_induces_once(monkeypatch, capsys, tmp_path):
     assert captured.out == ROUNDTRIP_Z2_MON
     assert captured.err == ""
     assert calls == ["induce_short_skew"]
+
+
+def test_roundtrip_recovers_a_non_skeletal_input(capsys, tmp_path):
+    """roundtrip passes on ch2.z2, the tensor a.a = b.b = a, a.b = b.a = b
+    with unit a on the indiscrete base with objects a and b: its
+    certificate classifies other tensor objects than the input's, and the
+    comparison it names is an isomorphism."""
+    x = thin_skew_monoidal("ch2.z2", indiscrete2(), lambda a, b: "a" if a == b else "b", "a")
+    path = tmp_path / "ch2.z2.skew-monoidal.txt"
+    path.write_text(serialize(StructureFile("skew-monoidal", "ch2.z2", x)))
+    assert cli.main(["roundtrip", str(path)]) == cli.EXIT_PASS
+    captured = capsys.readouterr()
+    assert captured.out == ROUNDTRIP_Z2_MON.replace("z2.mon", "ch2.z2")
+    assert captured.err == ""
 
 
 def test_short_skew_validate_builds_lookups_once(monkeypatch, capsys, tmp_path):

@@ -1,20 +1,22 @@
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
 import reference_validators as ref
 from shortcat.braiding import s_from_short_braiding
 from shortcat.catalogue import (
-    Monoid, bz2_category, catalogue_morphisms, catalogue_short_braidings,
+    bz2_category, catalogue_morphisms, catalogue_short_braidings,
     catalogue_short_multis, catalogue_short_skews, catalogue_skew_closed,
-    catalogue_skew_monoidals, monoid_skew_monoidal, poset2_skew_second, z2_monoid,
+    catalogue_skew_monoidals, monoid_skew_monoidal, poset2_skew_second, thin_skew_closed,
+    thin_skew_monoidal, z2_monoid,
 )
 from shortcat.classify import certify, check_representable, find_closed_structure
 from shortcat.errors import (
-    AxiomTransferFailure, NoSolution, SearchBoundExceeded, ShortcatError,
+    AxiomTransferFailure, NoIsomorphismFound, NoSolution, ShortcatError,
 )
-from shortcat.fincat import identity_functor
+from shortcat.fincat import FinCategory, identity_functor
 from shortcat.induce import induce_closed_skew, induce_short_multi, induce_short_skew
 from shortcat.shortmulti import ShortMulticategory, validate_short_multicategory
 from shortcat.shortskew import (
@@ -332,27 +334,85 @@ def test_roundtrips_all_catalogue_entries():
         assert roundtrip_check(x).ok, name
 
 
-def test_compare_skew_monoidal_verdicts():
-    """equal on the same category, isomorphic on Z/2 relabelled a, b, and
-    None on two tensors of one base and on bases of different sizes, which
-    the object-count guard answers before any object bijection is tried.
-    Past the object bound a relabelled Z/7 refuses the permutation search."""
-    mons = catalogue_skew_monoidals()
-    z2 = monoid_skew_monoidal(z2_monoid())
-    ab = monoid_skew_monoidal(Monoid("z2ab", ("a", "b"), "a", {
-        ("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "a"}))
-    assert compare_skew_monoidal(z2, mons["z2.mon"]) == "equal"
-    assert compare_skew_monoidal(z2, ab) == "isomorphic"
-    assert compare_skew_monoidal(mons["poset2-first"], mons["poset2-second"]) is None
-    assert compare_skew_monoidal(z2, mons["z3.mon"]) is None
-    assert compare_skew_monoidal(mons["z3.mon"], z2) is None
+def indiscrete2() -> FinCategory:
+    """The indiscrete category on the objects a and b: one morphism between
+    any two objects, so every structure on it is thin and most are not
+    skeletal."""
+    objs = ("a", "b")
+    mor = {(x, y): f"1_{x}" if x == y else x + y for x in objs for y in objs}
+    return FinCategory("ch2", objs, {xy: (f,) for xy, f in mor.items()},
+                       {(mor[y, z], mor[x, y]): mor[x, z]
+                        for x, y, z in itertools.product(objs, repeat=3)},
+                       {x: mor[x, x] for x in objs})
 
-    def z7(labels):
-        table = {(a, b): labels[(i + j) % 7]
-                 for i, a in enumerate(labels) for j, b in enumerate(labels)}
-        return monoid_skew_monoidal(Monoid(f"z7{labels[0]}", tuple(labels), labels[0], table))
-    with pytest.raises(SearchBoundExceeded, match="comparison bounded"):
-        compare_skew_monoidal(z7("0123456"), z7("abcdefg"))
+
+def indiscrete_census() -> tuple[dict, dict]:
+    """Every thin skew monoidal and every thin skew closed category on
+    indiscrete2(): a tensor (or hom) of objects and a unit, named by the
+    values at (a,a), (a,b), (b,a), (b,b) and the unit, as ch2.abba.a."""
+    base, mons, closeds = indiscrete2(), {}, {}
+    for values in itertools.product(base.objects, repeat=4):
+        table = dict(zip(itertools.product(base.objects, repeat=2), values))
+        for unit in base.objects:
+            name = f"ch2.{''.join(values)}.{unit}"
+            mons[name] = thin_skew_monoidal(name, base, lambda a, b: table[a, b], unit)
+            closeds[name + ".cl"] = thin_skew_closed(name + ".cl", base,
+                                                     lambda a, b: table[a, b], unit)
+    return mons, closeds
+
+
+def test_indiscrete_census_roundtrips():
+    """Each of the 32 thin skew monoidal and 32 thin skew closed categories
+    on the indiscrete base validates and is recovered by its roundtrip, up
+    to the comparison isomorphism, though most rebuild other tensor (or
+    hom) objects than their input's."""
+    mons, closeds = indiscrete_census()
+    assert (len(mons), len(closeds)) == (32, 32)
+    for name, x in mons.items():
+        assert validate_skew_monoidal(x).ok and roundtrip_check(x).ok, name
+    for name, x in closeds.items():
+        assert validate_skew_closed(x).ok and roundtrip_check(x).ok, name
+
+
+def _single_entry_edits(y, tables: tuple[str, ...]):
+    """Copies of y with one entry of one of its tables replaced by another
+    object (of a tensor or hom table of objects) or another base morphism,
+    one copy for every entry and every other value."""
+    for t in tables:
+        table = getattr(y, t)
+        pool = y.base.objects if t in ("tensor_obj", "hom_obj") else y.base.morphisms()
+        for key, value in table.items():
+            for other in pool:
+                if other != value:
+                    yield dataclasses.replace(y, **{t: {**table, key: other}})
+
+
+def test_the_comparison_refuses_every_single_entry_edit():
+    """compare_skew_monoidal accepts ks_object's and kcl_object's rebuilds of
+    the catalogue and refuses each of their 572 + 46 single-entry edits:
+    with invertible components, its laws fix every table of the rebuild."""
+    edits = 0
+    for x in catalogue_skew_monoidals().values():
+        sk = induce_short_skew(x)
+        cert = certify(sk)
+        rebuilt = ks_object(sk, cert)
+        compare_skew_monoidal(x, rebuilt, cert)
+        for y in _single_entry_edits(rebuilt, ("tensor_obj", "tensor_mor", "alpha", "lam", "rho")):
+            with pytest.raises(NoIsomorphismFound):
+                compare_skew_monoidal(x, y, cert)
+            edits += 1
+    assert edits == 572
+    for x in catalogue_skew_closed().values():
+        sk = induce_closed_skew(x)
+        cert = certify(sk)
+        homs = find_closed_structure(sk, cert)
+        rebuilt = kcl_object(sk, cert, homs)
+        compare_skew_monoidal(x, rebuilt, cert, homs)
+        for y in _single_entry_edits(rebuilt, ("hom_obj", "hom_mor", "iu", "ju", "ell")):
+            with pytest.raises(NoIsomorphismFound):
+                compare_skew_monoidal(x, y, cert, homs)
+            edits += 1
+    assert edits == 572 + 46
 
 
 def test_induced_poset_second_tables_and_flags():
