@@ -195,10 +195,11 @@ def _build(kind: str, name: str, records: dict) -> Payload:
     if kind == "lax-functor":
         return RawLaxFunctor(*_read(records, ROWS[kind]))
     if kind == "morphism":
+        found = records.get("variant")
         source, target, variant = _read(records, ROWS[kind][:3])
         rows = MORPHISM_TABLES.get(variant)
         if rows is None:
-            raise ParseError(0, f"variant must be plain or skew, got {variant!r}")
+            raise ParseError(found[0][0], f"variant must be plain or skew, got {variant!r}")
         obj_map, mor_map, *tables = _read(records, ROWS[kind][3:] + rows)
         return RawMorphism(source, target, variant, obj_map, mor_map,
                            {row.keyword: t for row, t in zip(rows, tables)})
@@ -429,7 +430,7 @@ def _read(records: dict, rows: tuple[Row, ...]) -> list:
     for row in rows:
         kw, nargs, shape = row
         if shape is VALUE or shape is LIST:
-            no, vals = _single(records, kw, ParseError(0, f"missing {kw} line"))
+            no, vals = _single(records, kw, ParseError(1, f"missing {kw} line"))
             if shape is LIST:
                 declared = frozenset(vals)
                 if len(declared) != len(vals):

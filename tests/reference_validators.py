@@ -8,9 +8,19 @@ that quirk. Mutation studies of the package cleared the retirement of
 every validator copy, of its helpers and of the former routing
 (lookup_tables, safe_pre, safe_post and safe_subst), whose place the law
 table's routing takes: the law-table differential killed every mutant
-that a copy's differential killed.
+that a copy's differential killed. The same rule retired the former
+serializer, structure checks and parser, which tests/test_ingest.py now
+checks against docs/format.md, the former right_adjoint_witness, for
+which tests/test_skewmon.py states the definition of a right adjoint, and
+the former transfer-row pre-check, whose rows tests/test_transport.py
+checks against validation instance by instance.
 
-First comes the package's former plain induction, induce_short_multi,
+The helpers come first: hm_right, the hom accessor the former closed
+induction reads through, and the former enumeration and typing helpers
+(sub_pairs, the required keys, sub_case and the expected skew sub type),
+so the reference does not enumerate through the code it checks.
+
+Then comes the package's former plain induction, induce_short_multi,
 which tabulated the plain structure itself instead of reading it off the
 skew one. It took the unit inverses from a field of skewmon.Flavour that
 is gone; here it computes them with is_iso. The former skew builders
@@ -19,57 +29,29 @@ which typed its j, pre, post and sub entries in its own loops;
 tests/test_induce.py compares shortskew.build, which all three now go
 through, with them table for table.
 
-Then come the former line-by-line serializer and the former structure
-checks (check_structure, with the former sub_case it and the former
-builders call), which tests/test_ingest.py compares the package's
-table-driven ones with. Then comes the former parser, one hand-written
-function per kind, which tests/test_ingest.py compares the ROWS-driven one
-with.
-
 The file ends with the former certification searches of classify.py,
 which wrote out each bijection scan by hand and ran every classifier search
 twice (first hit, then all hits); tests/test_classify.py compares the
 package's single scan helper and single search pass with them. They build
 the package's certificate dataclasses, so cli.render_certificate reads both.
-
-The former skewmon.right_adjoint_witness, which checked each object's
-bijection with a seen-dict loop of its own, follows them;
-tests/test_skewmon.py compares classify_flavour through it with the
-package's, which goes through classify.bijection_table.
-
-The former transport._check_transfer_rows, a three-row pre-check that
-ks_morphism_inverse ran before validate_skew_multi_morphism, closes the
-file; tests/test_transport.py shows on single-entry image redirects that
-validation refuses every morphism these rows refuse.
-
-The helpers come first: hm_right, the hom accessor the former closed
-induction reads through, and the former enumeration and typing helpers
-(sub_pairs, the required keys, check_slot and the expected skew sub type),
-so the reference does not enumerate through the code it checks.
 """
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import replace
 from typing import Callable, Iterator, Optional
 
-from shortcat.braiding import ShortBraiding
 from shortcat.classify import (
     Certificate, DerivedClassifier, Inverses, Structure, Universal, skew_view,
 )
-from shortcat.errors import (
-    AxiomTransferFailure, DanglingId, MalformedTable, ParseError,
-    TypingViolation, UnknownKind, UniversalityBroken, VersionMismatch,
-)
-from shortcat.fileformat import KINDS, FORMAT_VERSION, RawLaxFunctor, RawMorphism, StructureFile
+from shortcat.errors import MalformedTable, UniversalityBroken
 from shortcat.fincat import FinCategory
 from shortcat.induce import _Bracketer, _Currier
 from shortcat.shortmulti import STORED_CASES, ShortMulticategory
 from shortcat.shortskew import (
-    LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, SkewMultiMorphism, sub_flavour,
+    LOOSE, STORED_SKEW_CASES, TIGHT, ShortSkewMulticategory, sub_flavour,
 )
-from shortcat.skewmon import Braiding, SkewClosedCategory, SkewMonCategory, _comp_chain
+from shortcat.skewmon import SkewClosedCategory, SkewMonCategory
 
 # --------------------------------------------------------------------------
 # the one hom accessor the former closed induction reads through
@@ -81,11 +63,12 @@ def hm_right(c: SkewClosedCategory, b: str, g: str) -> Optional[str]:
 # --------------------------------------------------------------------------
 # enumeration and typing helpers
 # --------------------------------------------------------------------------
-# The former helpers that induce_short_multi, the skew builders and
-# check_structure below call: _sub_pairs and check_slot of
-# shortmulti.py, expected_skew_sub_type of shortskew.py, and the former
-# methods inner_into, sub_pairs, required_pre_keys, required_post_keys and
-# required_sub_keys, taking the structure as `self`. Each body is verbatim
+# The former helpers that induce_short_multi and the skew builders below
+# call: _sub_pairs of shortmulti.py, expected_skew_sub_type of
+# shortskew.py, and the former methods inner_into, sub_pairs,
+# required_pre_keys, required_post_keys, required_sub_keys and sub_case
+# (which searched the flavours of both ids in sorted order), taking the
+# structure as `self` or `m`. Each body is verbatim
 # (required_sub_keys holds the bodies of both classes), so the reference
 # enumerates the substitution pairs and the required keys on its own and a
 # slip in the package's enumeration shows as a difference.
@@ -143,12 +126,16 @@ def required_sub_keys(self) -> Iterator[tuple[str, int, str]]:
             yield from _sub_pairs(self, n, k)
 
 
-def check_slot(name: str, table: str, key: tuple, i: int, arity: int) -> None:
-    """A pre or sub key substitutes at slot i of a map with `arity` inputs."""
-    if not 1 <= i <= arity:
-        raise MalformedTable(
-            f"{name}: {table} key ({','.join(map(str, key))}) has slot {i} "
-            f"outside 1..{arity}")
+def sub_case(m: ShortSkewMulticategory, g: str, i: int, f: str) -> Optional[tuple[int, str, int, str]]:
+    """The stored-case descriptor for (g, i, f), or None."""
+    ng, _, _, flg = m.info(g)
+    nf, _, _, flf = m.info(f)
+    for x in sorted(flg):
+        for y in sorted(flf):
+            case = (ng, x, nf, y)
+            if case in STORED_SKEW_CASES:
+                return case
+    return None
 
 
 def expected_skew_sub_type(m: ShortSkewMulticategory, g: str, i: int, f: str,
@@ -482,548 +469,6 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
         sub[(g, i, f)] = rewrap(flavour, ng + nf - 1, newdom, gcod, result)
 
     return replace(skeleton, j=j, pre=pre, post=post, sub=sub)
-
-
-# --------------------------------------------------------------------------
-# the former serializer and structure checks
-# --------------------------------------------------------------------------
-# serialize wrote each line through _emit. check_structure is the former
-# MultiTables._check_tables, which read every entry through the typed lookups
-# and the totality generators, followed on a skew structure by the former
-# body of ShortSkewMulticategory.check_structure; sub_case is the former
-# method, which searched the flavours of both ids in sorted order.
-
-def _emit(lines: list[str], keyword: str, args: tuple, values) -> None:
-    if isinstance(values, str):
-        values = (values,)
-    if not values:
-        return
-    head = " ".join((keyword,) + tuple(str(a) for a in args))
-    lines.append(f"{head} = {' '.join(values)}")
-
-
-def _category_lines(c: FinCategory) -> list[str]:
-    lines: list[str] = []
-    _emit(lines, "objects", (), tuple(c.objects))
-    for (a, b) in sorted(c.homs):
-        _emit(lines, "hom", (a, b), c.homs[(a, b)])
-    for a in sorted(c.ids):
-        _emit(lines, "id", (a,), c.ids[a])
-    for (g, f) in sorted(c.comp):
-        _emit(lines, "comp", (g, f), c.comp[(g, f)])
-    return lines
-
-
-def _multi_lines(m: ShortMulticategory) -> list[str]:
-    lines = _category_lines(m.base)
-    for n in (0, 2, 3, 4):
-        for (dom, cod) in m.mapset_keys(n):
-            _emit(lines, f"map{n}", dom + (cod,), m.mapset(n, dom, cod))
-    for (f, i, p) in sorted(m.pre):
-        _emit(lines, "pre", (f, i, p), m.pre[(f, i, p)])
-    for (q, f) in sorted(m.post):
-        _emit(lines, "post", (q, f), m.post[(q, f)])
-    for (g, i, f) in sorted(m.sub):
-        _emit(lines, "sub", (g, i, f), m.sub[(g, i, f)])
-    return lines
-
-
-def _skew_lines(m: ShortSkewMulticategory, beta: Optional[ShortBraiding]) -> list[str]:
-    lines = _category_lines(m.base)
-    for n in (2, 3, 4):
-        for (dom, cod) in sorted(m.tight.get(n, {})):
-            _emit(lines, f"tmap{n}", dom + (cod,), m.tight[n][(dom, cod)])
-    for n in (0, 1, 2):
-        for (dom, cod) in sorted(m.loose.get(n, {})):
-            _emit(lines, f"lmap{n}", dom + (cod,), m.loose[n][(dom, cod)])
-    for f in sorted(m.j):
-        _emit(lines, "j", (f,), m.j[f])
-    for (f, i, p) in sorted(m.pre):
-        _emit(lines, "pre", (f, i, p), m.pre[(f, i, p)])
-    for (q, f) in sorted(m.post):
-        _emit(lines, "post", (q, f), m.post[(q, f)])
-    for (g, i, f) in sorted(m.sub):
-        _emit(lines, "sub", (g, i, f), m.sub[(g, i, f)])
-    if beta is not None:
-        for tag in ("b32", "b42", "b43"):
-            for f in sorted(beta.table(tag)):
-                _emit(lines, "beta" + tag[1:], (f,), beta.table(tag)[f])
-    return lines
-
-
-def _monoidal_lines(c: SkewMonCategory, braid: Optional[Braiding]) -> list[str]:
-    lines = _category_lines(c.base)
-    _emit(lines, "unit", (), c.unit)
-    for (a, b) in sorted(c.tensor_obj):
-        _emit(lines, "tensor", (a, b), c.tensor_obj[(a, b)])
-    for (f, g) in sorted(c.tensor_mor):
-        _emit(lines, "tensormor", (f, g), c.tensor_mor[(f, g)])
-    for key in sorted(c.alpha):
-        _emit(lines, "alpha", key, c.alpha[key])
-    for a in sorted(c.lam):
-        _emit(lines, "lambda", (a,), c.lam[a])
-    for a in sorted(c.rho):
-        _emit(lines, "rho", (a,), c.rho[a])
-    if braid is not None:
-        for key in sorted(braid.s):
-            _emit(lines, "s", key, braid.s[key])
-        for key in sorted(braid.s_inv):
-            _emit(lines, "sinv", key, braid.s_inv[key])
-    return lines
-
-
-def _closed_lines(c: SkewClosedCategory) -> list[str]:
-    lines = _category_lines(c.base)
-    _emit(lines, "unit", (), c.unit)
-    for (a, b) in sorted(c.hom_obj):
-        _emit(lines, "homobj", (a, b), c.hom_obj[(a, b)])
-    for (f, g) in sorted(c.hom_mor):
-        _emit(lines, "hommor", (f, g), c.hom_mor[(f, g)])
-    for a in sorted(c.iu):
-        _emit(lines, "I", (a,), c.iu[a])
-    for a in sorted(c.ju):
-        _emit(lines, "J", (a,), c.ju[a])
-    for key in sorted(c.ell):
-        _emit(lines, "L", key, c.ell[key])
-    return lines
-
-
-def _morphism_lines(raw: RawMorphism) -> list[str]:
-    lines: list[str] = []
-    _emit(lines, "source", (), raw.source)
-    _emit(lines, "target", (), raw.target)
-    _emit(lines, "variant", (), raw.variant)
-    for a in sorted(raw.obj_map):
-        _emit(lines, "obj", (a,), raw.obj_map[a])
-    for f in sorted(raw.mor_map):
-        _emit(lines, "mor", (f,), raw.mor_map[f])
-    for tname in sorted(raw.tables):
-        for f in sorted(raw.tables[tname]):
-            _emit(lines, tname, (f,), raw.tables[tname][f])
-    return lines
-
-
-def _lax_lines(raw: RawLaxFunctor) -> list[str]:
-    lines: list[str] = []
-    _emit(lines, "source", (), raw.source)
-    _emit(lines, "target", (), raw.target)
-    for a in sorted(raw.obj_map):
-        _emit(lines, "obj", (a,), raw.obj_map[a])
-    for f in sorted(raw.mor_map):
-        _emit(lines, "mor", (f,), raw.mor_map[f])
-    _emit(lines, "f0", (), raw.f0)
-    for (a, b) in sorted(raw.f2):
-        _emit(lines, "f2", (a, b), raw.f2[(a, b)])
-    return lines
-
-
-def serialize(sf: StructureFile) -> str:
-    lines = [f"format = {FORMAT_VERSION}", f"kind = {sf.kind}", f"name = {sf.name}"]
-    for key in sorted(sf.provenance):
-        lines.append(f"provenance {key} = {sf.provenance[key]}")
-    kind, payload = sf.kind, sf.payload
-    if kind == "category":
-        lines += _category_lines(payload)
-    elif kind == "short-multi":
-        lines += _multi_lines(payload)
-    elif kind == "short-skew":
-        structure, beta = payload if isinstance(payload, tuple) else (payload, None)
-        lines += _skew_lines(structure, beta)
-    elif kind == "skew-monoidal":
-        lines += _monoidal_lines(payload, None)
-    elif kind == "braiding":
-        structure, braid = payload
-        lines += _monoidal_lines(structure, braid)
-    elif kind == "skew-closed":
-        lines += _closed_lines(payload)
-    elif kind == "morphism":
-        lines += _morphism_lines(payload)
-    elif kind == "lax-functor":
-        lines += _lax_lines(payload)
-    else:
-        raise UnknownKind(0, f"unknown kind {kind}")
-    return "\n".join(lines) + "\n"
-
-
-def sub_case(m: ShortSkewMulticategory, g: str, i: int, f: str) -> Optional[tuple[int, str, int, str]]:
-    """The stored-case descriptor for (g, i, f), or None."""
-    ng, _, _, flg = m.info(g)
-    nf, _, _, flf = m.info(f)
-    for x in sorted(flg):
-        for y in sorted(flf):
-            case = (ng, x, nf, y)
-            if case in STORED_SKEW_CASES:
-                return case
-    return None
-
-
-def _stored(m, g: str, i: int, f: str) -> bool:
-    if isinstance(m, ShortSkewMulticategory):
-        return sub_case(m, g, i, f) is not None
-    return (m._index[g][0], m._index[f][0]) in STORED_CASES
-
-
-def check_structure(m) -> None:
-    m.base.check_structure()
-    idx, span = m._index, m.base._span
-    for (*_, n), table in m._tables():
-        for dom, cod in table:
-            if len(dom) != n:
-                raise MalformedTable(f"{m.name}: arity-{n} key with {len(dom)} inputs")
-            for a in dom + (cod,):
-                if a not in m.base.objects:
-                    raise MalformedTable(f"{m.name}: unknown object {a} in multimap key")
-    for (f, i, p), g in m.pre.items():
-        if f not in idx or g not in idx:
-            raise DanglingId(f"{m.name}: pre entry ({f},{i},{p}) dangles")
-        check_slot(m.name, "pre", (f, i, p), i, m.arity(f))
-        if p not in span or span[p][1] != m.dom(f)[i - 1]:
-            raise MalformedTable(f"{m.name}: pre key ({f},{i},{p}) not composable")
-    for (q, f), g in m.post.items():
-        if f not in idx or g not in idx:
-            raise DanglingId(f"{m.name}: post entry ({q},{f}) dangles")
-        if q not in span or span[q][0] != m.cod(f):
-            raise MalformedTable(f"{m.name}: post key ({q},{f}) not composable")
-    for (g, i, f), h in m.sub.items():
-        if g not in idx or f not in idx or h not in idx:
-            raise DanglingId(f"{m.name}: sub entry ({g},{i},{f}) dangles")
-        check_slot(m.name, "sub", (g, i, f), i, m.arity(g))
-        if not _stored(m, g, i, f):
-            raise MalformedTable(f"{m.name}: sub key ({g},{i},{f}) outside stored cases")
-        if m.cod(f) != m.dom(g)[i - 1]:
-            raise MalformedTable(f"{m.name}: sub key ({g},{i},{f}) not composable")
-    for label, table, keys in (("pre", m.pre, required_pre_keys(m)),
-                               ("post", m.post, required_post_keys(m)),
-                               ("sub", m.sub, required_sub_keys(m))):
-        for key in keys:
-            if key not in table:
-                raise MalformedTable(f"{m.name}: {label} table not total at {key}")
-    if not isinstance(m, ShortSkewMulticategory):
-        return
-    for f, q in m.j.items():
-        if f not in idx or q not in idx:
-            raise DanglingId(f"{m.name}: j entry {f} -> {q} dangles")
-        if not m.is_tight(f) or m.arity(f) not in (1, 2):
-            raise MalformedTable(f"{m.name}: j keyed by non-tight or bad-arity id {f}")
-        if not m.is_loose(q):
-            raise TypingViolation(f"{m.name}: j({f}) = {q} is not loose")
-    for n in (1, 2):
-        for f in m.multimaps(TIGHT, n):
-            if f not in m.j:
-                raise MalformedTable(f"{m.name}: j not total at {f}")
-    for (g, i, f), h in m.sub.items():
-        _, x, _, y = sub_case(m, g, i, f)
-        if sub_flavour(x, i, y) not in m.info(h)[3]:
-            raise TypingViolation(
-                f"{m.name}: sub ({g},{i},{f}) lands in the wrong tight/loose table")
-
-
-# --------------------------------------------------------------------------
-# the former parser
-# --------------------------------------------------------------------------
-# One hand-written parser per kind, with one loop per keyword. A later line
-# with the key of an earlier one overwrote it, and `kw =` read `=` as an
-# argument. Its canonical-form check is the former serializer above.
-
-class _Lines:
-    """The key = value rows of a file, grouped by keyword in file order.
-
-    Every argument and value token is interned, so an id is one object in
-    every table that names it and a tuple-key lookup matches on identity."""
-
-    def __init__(self, text: str):
-        self.rows: dict[str, list[tuple[int, list[str], list[str]]]] = {}
-        intern = sys.intern
-        for no, rawline in enumerate(text.splitlines(), start=1):
-            line = rawline.strip()
-            if not line or line.startswith("#"):
-                continue
-            head, sep, tail = line.partition(" = ")
-            if not sep and not line.endswith(" ="):
-                raise ParseError(no, f"expected 'key = value' in {line!r}")
-            toks = head.split()
-            if not toks:
-                raise ParseError(no, "empty key")
-            self.rows.setdefault(toks[0], []).append(
-                (no, [*map(intern, toks[1:])], [*map(intern, tail.split())]))
-
-    def take(self, keyword: str) -> list[tuple[int, list[str], list[str]]]:
-        return self.rows.pop(keyword, [])
-
-    def take_single(self, keyword: str, nargs: int = 0) -> Optional[tuple[int, list[str], list[str]]]:
-        rows = self.take(keyword)
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise ParseError(rows[1][0], f"duplicate {keyword} line")
-        no, args, vals = rows[0]
-        if len(args) != nargs:
-            raise ParseError(no, f"{keyword} expects {nargs} arguments")
-        return rows[0]
-
-
-def _one_value(no: int, keyword: str, vals: list[str]) -> str:
-    if len(vals) != 1:
-        raise ParseError(no, f"{keyword} expects exactly one value")
-    return vals[0]
-
-
-def _args(no: int, keyword: str, args: list[str], n: int) -> list[str]:
-    if len(args) != n:
-        raise ParseError(no, f"{keyword} expects {n} arguments, got {len(args)}")
-    return args
-
-
-def _parse_category(name: str, lines: _Lines) -> FinCategory:
-    row = lines.take_single("objects")
-    if row is None:
-        raise ParseError(0, "missing objects line")
-    objects = tuple(row[2])
-    declared = set(objects)
-    homs = {}
-    for no, args, vals in lines.take("hom"):
-        a, b = _args(no, "hom", args, 2)
-        for o in (a, b):
-            if o not in declared:
-                raise ParseError(no, f"undeclared object {o!r}")
-        homs[(a, b)] = tuple(vals)
-    ids = {}
-    for no, args, vals in lines.take("id"):
-        (a,) = _args(no, "id", args, 1)
-        if a not in declared:
-            raise ParseError(no, f"undeclared object {a!r}")
-        ids[a] = _one_value(no, "id", vals)
-    comp = {}
-    for no, args, vals in lines.take("comp"):
-        g, f = _args(no, "comp", args, 2)
-        comp[(g, f)] = _one_value(no, "comp", vals)
-    return FinCategory(name, objects, homs, comp, ids)
-
-
-def _parse_int(no: int, tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(no, f"expected a position, got {tok!r}")
-
-
-def _parse_actions(lines: _Lines):
-    pre, post, sub = {}, {}, {}
-    for no, args, vals in lines.take("pre"):
-        f, i, p = _args(no, "pre", args, 3)
-        pre[(f, _parse_int(no, i), p)] = _one_value(no, "pre", vals)
-    for no, args, vals in lines.take("post"):
-        q, f = _args(no, "post", args, 2)
-        post[(q, f)] = _one_value(no, "post", vals)
-    for no, args, vals in lines.take("sub"):
-        g, i, f = _args(no, "sub", args, 3)
-        sub[(g, _parse_int(no, i), f)] = _one_value(no, "sub", vals)
-    return pre, post, sub
-
-
-def _parse_multi(name: str, lines: _Lines) -> ShortMulticategory:
-    base = _parse_category(name, lines)
-    maps: dict[int, dict] = {n: {} for n in (0, 2, 3, 4)}
-    for n in (0, 2, 3, 4):
-        for no, args, vals in lines.take(f"map{n}"):
-            parts = _args(no, f"map{n}", args, n + 1)
-            maps[n][(tuple(parts[:-1]), parts[-1])] = tuple(vals)
-    pre, post, sub = _parse_actions(lines)
-    return ShortMulticategory(name, base, maps, pre, post, sub)
-
-
-def _parse_skew(name: str, lines: _Lines):
-    base = _parse_category(name, lines)
-    tight: dict[int, dict] = {n: {} for n in (2, 3, 4)}
-    loose: dict[int, dict] = {n: {} for n in (0, 1, 2)}
-    for n in (2, 3, 4):
-        for no, args, vals in lines.take(f"tmap{n}"):
-            parts = _args(no, f"tmap{n}", args, n + 1)
-            tight[n][(tuple(parts[:-1]), parts[-1])] = tuple(vals)
-    for n in (0, 1, 2):
-        for no, args, vals in lines.take(f"lmap{n}"):
-            parts = _args(no, f"lmap{n}", args, n + 1)
-            loose[n][(tuple(parts[:-1]), parts[-1])] = tuple(vals)
-    j = {}
-    for no, args, vals in lines.take("j"):
-        (f,) = _args(no, "j", args, 1)
-        j[f] = _one_value(no, "j", vals)
-    pre, post, sub = _parse_actions(lines)
-    beta_tables = {}
-    for tag in ("beta32", "beta42", "beta43"):
-        table = {}
-        for no, args, vals in lines.take(tag):
-            (f,) = _args(no, tag, args, 1)
-            table[f] = _one_value(no, tag, vals)
-        beta_tables[tag] = table
-    structure = ShortSkewMulticategory(name, base, tight, loose, j, pre, post, sub)
-    beta = None
-    if any(beta_tables.values()):
-        beta = ShortBraiding(name + ".beta", beta_tables["beta32"],
-                             beta_tables["beta42"], beta_tables["beta43"])
-    return structure, beta
-
-
-def _parse_monoidal(name: str, lines: _Lines, with_braiding: bool):
-    base = _parse_category(name, lines)
-    row = lines.take_single("unit")
-    if row is None:
-        raise ParseError(0, "missing unit line")
-    unit = _one_value(row[0], "unit", row[2])
-    tensor_obj, tensor_mor, alpha, lam, rho = {}, {}, {}, {}, {}
-    for no, args, vals in lines.take("tensor"):
-        a, b = _args(no, "tensor", args, 2)
-        tensor_obj[(a, b)] = _one_value(no, "tensor", vals)
-    for no, args, vals in lines.take("tensormor"):
-        f, g = _args(no, "tensormor", args, 2)
-        tensor_mor[(f, g)] = _one_value(no, "tensormor", vals)
-    for no, args, vals in lines.take("alpha"):
-        a, b, c = _args(no, "alpha", args, 3)
-        alpha[(a, b, c)] = _one_value(no, "alpha", vals)
-    for no, args, vals in lines.take("lambda"):
-        (a,) = _args(no, "lambda", args, 1)
-        lam[a] = _one_value(no, "lambda", vals)
-    for no, args, vals in lines.take("rho"):
-        (a,) = _args(no, "rho", args, 1)
-        rho[a] = _one_value(no, "rho", vals)
-    structure = SkewMonCategory(name, base, tensor_obj, tensor_mor, unit, alpha, lam, rho)
-    if not with_braiding:
-        return structure
-    s, s_inv = {}, {}
-    for no, args, vals in lines.take("s"):
-        x, a, b = _args(no, "s", args, 3)
-        s[(x, a, b)] = _one_value(no, "s", vals)
-    for no, args, vals in lines.take("sinv"):
-        x, a, b = _args(no, "sinv", args, 3)
-        s_inv[(x, a, b)] = _one_value(no, "sinv", vals)
-    return structure, Braiding(name + ".braid", s, s_inv)
-
-
-def _parse_closed(name: str, lines: _Lines) -> SkewClosedCategory:
-    base = _parse_category(name, lines)
-    row = lines.take_single("unit")
-    if row is None:
-        raise ParseError(0, "missing unit line")
-    unit = _one_value(row[0], "unit", row[2])
-    hom_obj, hom_mor, iu, ju, ell = {}, {}, {}, {}, {}
-    for no, args, vals in lines.take("homobj"):
-        a, b = _args(no, "homobj", args, 2)
-        hom_obj[(a, b)] = _one_value(no, "homobj", vals)
-    for no, args, vals in lines.take("hommor"):
-        f, g = _args(no, "hommor", args, 2)
-        hom_mor[(f, g)] = _one_value(no, "hommor", vals)
-    for no, args, vals in lines.take("I"):
-        (a,) = _args(no, "I", args, 1)
-        iu[a] = _one_value(no, "I", vals)
-    for no, args, vals in lines.take("J"):
-        (a,) = _args(no, "J", args, 1)
-        ju[a] = _one_value(no, "J", vals)
-    for no, args, vals in lines.take("L"):
-        a, b, c = _args(no, "L", args, 3)
-        ell[(a, b, c)] = _one_value(no, "L", vals)
-    return SkewClosedCategory(name, base, hom_obj, hom_mor, unit, iu, ju, ell)
-
-
-def _parse_morphism(lines: _Lines) -> RawMorphism:
-    def need(keyword):
-        row = lines.take_single(keyword)
-        if row is None:
-            raise ParseError(0, f"missing {keyword} line")
-        return _one_value(row[0], keyword, row[2])
-
-    source, target, variant = need("source"), need("target"), need("variant")
-    if variant not in ("plain", "skew"):
-        raise ParseError(0, f"variant must be plain or skew, got {variant!r}")
-    obj_map, mor_map = {}, {}
-    for no, args, vals in lines.take("obj"):
-        (a,) = _args(no, "obj", args, 1)
-        obj_map[a] = _one_value(no, "obj", vals)
-    for no, args, vals in lines.take("mor"):
-        (f,) = _args(no, "mor", args, 1)
-        mor_map[f] = _one_value(no, "mor", vals)
-    tables = {}
-    names = ("m0", "m2", "m3", "m4") if variant == "plain" else ("l0", "l1", "l2", "t2", "t3", "t4")
-    for tname in names:
-        table = {}
-        for no, args, vals in lines.take(tname):
-            (f,) = _args(no, tname, args, 1)
-            table[f] = _one_value(no, tname, vals)
-        tables[tname] = table
-    return RawMorphism(source, target, variant, obj_map, mor_map, tables)
-
-
-def _parse_lax(lines: _Lines) -> RawLaxFunctor:
-    def need(keyword):
-        row = lines.take_single(keyword)
-        if row is None:
-            raise ParseError(0, f"missing {keyword} line")
-        return _one_value(row[0], keyword, row[2])
-
-    source, target = need("source"), need("target")
-    obj_map, mor_map, f2 = {}, {}, {}
-    for no, args, vals in lines.take("obj"):
-        (a,) = _args(no, "obj", args, 1)
-        obj_map[a] = _one_value(no, "obj", vals)
-    for no, args, vals in lines.take("mor"):
-        (f,) = _args(no, "mor", args, 1)
-        mor_map[f] = _one_value(no, "mor", vals)
-    f0 = need("f0")
-    for no, args, vals in lines.take("f2"):
-        a, b = _args(no, "f2", args, 2)
-        f2[(a, b)] = _one_value(no, "f2", vals)
-    return RawLaxFunctor(source, target, obj_map, mor_map, f0, f2)
-
-
-def parse(text: str) -> tuple[StructureFile, list[str]]:
-    """Parse a structure file; returns the file and normalization warnings."""
-    lines = _Lines(text)
-    row = lines.take_single("format")
-    if row is None:
-        raise VersionMismatch(1, "missing format line")
-    version = _one_value(row[0], "format", row[2])
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(row[0], f"unsupported format version {version}")
-    row = lines.take_single("kind")
-    if row is None:
-        raise UnknownKind(1, "missing kind line")
-    kind = _one_value(row[0], "kind", row[2])
-    if kind not in KINDS:
-        raise UnknownKind(row[0], f"unknown kind {kind!r}")
-    row = lines.take_single("name")
-    if row is None:
-        raise ParseError(1, "missing name line")
-    name = _one_value(row[0], "name", row[2])
-    provenance = {}
-    for no, args, vals in lines.take("provenance"):
-        (key,) = _args(no, "provenance", args, 1)
-        provenance[key] = " ".join(vals)
-
-    if kind == "category":
-        payload: object = _parse_category(name, lines)
-    elif kind == "short-multi":
-        payload = _parse_multi(name, lines)
-    elif kind == "short-skew":
-        payload = _parse_skew(name, lines)
-    elif kind == "skew-monoidal":
-        payload = _parse_monoidal(name, lines, with_braiding=False)
-    elif kind == "braiding":
-        payload = _parse_monoidal(name, lines, with_braiding=True)
-    elif kind == "skew-closed":
-        payload = _parse_closed(name, lines)
-    elif kind == "morphism":
-        payload = _parse_morphism(lines)
-    else:
-        payload = _parse_lax(lines)
-
-    if lines.rows:
-        no, kw = min((rows[0][0], kw) for kw, rows in lines.rows.items())
-        raise ParseError(no, f"unexpected keyword {kw!r} for kind {kind}")
-
-    sf = StructureFile(kind, name, payload, provenance)
-    warnings = []
-    if serialize(sf) != text:
-        warnings.append("input was not in canonical form; normalized on output")
-    return sf, warnings
 
 
 # --------------------------------------------------------------------------
@@ -1433,64 +878,3 @@ def inverses(m: Structure, cert: Certificate,
                         raise UniversalityBroken(f"{cert.name}: sharp inverse missing for {f}")
                     sharp[f] = hits[0]
     return Inverses(prime, star, sharp)
-
-
-# --------------------------------------------------------------------------
-# the former closed search of classify_flavour
-# --------------------------------------------------------------------------
-
-def right_adjoint_witness(c: SkewMonCategory, b: str, cod: str) -> Optional[tuple[str, str]]:
-    """Search for (h, eps) with eps: h(x)b -> cod such that composing
-    (- tensor b) with eps is a bijection hom(a, h) -> hom(ab, cod) for all a."""
-    base = c.base
-    for h in base.objects:
-        for eps in base.hom(c.t(h, b), cod):
-            ok = True
-            for a in base.objects:
-                seen = {}
-                for v in base.hom(a, h):
-                    img = _comp_chain(base, c.tm_left(v, b), eps)
-                    if img is None or img in seen:
-                        ok = False
-                        break
-                    seen[img] = v
-                if not ok or len(seen) != len(base.hom(c.t(a, b), cod)):
-                    ok = False
-                    break
-            if ok:
-                return (h, eps)
-    return None
-
-
-# --------------------------------------------------------------------------
-# the former row pre-check of ks_morphism_inverse
-# --------------------------------------------------------------------------
-
-def _check_transfer_rows(F: SkewMultiMorphism) -> None:
-    """The three conditions that characterise a morphism: substitution of a
-    nullary map into the second slot of a binary one, substitution of a
-    binary map into the first slot of a binary one, and compatibility with
-    the comparison j (which in the plain case is substitution of a nullary
-    map into the first slot)."""
-    src, tgt = F.source, F.target
-    for g in src.multimaps(TIGHT, 2):
-        dom = src.dom(g)
-        for v0 in src.multimaps(LOOSE, 0):
-            if src.cod(v0) == dom[1]:
-                lhs = F.safe_apply(src.safe_subst(g, 2, v0))
-                rhs = tgt.safe_subst(F.safe_apply(g), 2, F.safe_apply(v0, LOOSE))
-                if lhs is None or lhs != rhs:
-                    raise AxiomTransferFailure("right unit axiom",
-                                               f"nullary into slot 2 of {g}")
-        for f in src.multimaps(TIGHT, 2):
-            if src.cod(f) == dom[0]:
-                lhs = F.safe_apply(src.safe_subst(g, 1, f))
-                rhs = tgt.safe_subst(F.safe_apply(g), 1, F.safe_apply(f))
-                if lhs is None or lhs != rhs:
-                    raise AxiomTransferFailure("associator axiom",
-                                               f"binary into slot 1 of {g}")
-    for p in src.base.morphisms():
-        lhs = F.safe_apply(src.j.get(p), LOOSE)
-        rhs = tgt.j.get(F.functor.mor_map.get(p))
-        if lhs is None or lhs != rhs:
-            raise AxiomTransferFailure("left unit axiom", f"j at {p}")

@@ -739,6 +739,9 @@ HOM_LINE = "hom 0 0 = 1_0"
     # the inverse braiding names its own table
     pytest.param("z2", "braiding", lambda t: _replace_line(t, "sinv 0 0 1 = 1_1", ""),
                  ["validate"], 2, "z2.sym.braid: sinv not total at (0,0,1)", id="sinv-missing"),
+    pytest.param("terminal", "short-multi", lambda t: t + "map2 o zz o = extra\n",
+                 ["validate"], 2, "terminal: unknown object zz in multimap key",
+                 id="multimap-key-validate"),
     pytest.param("z2", "braiding", lambda t: t + "sinv 0 0 nosuch = 1_0\n", ["validate"], 2,
                  "z2.sym.braid: sinv key (0,0,nosuch) names nosuch, which is not an object",
                  id="sinv-stray-key"),
@@ -777,12 +780,13 @@ HOM_LINE = "hom 0 0 = 1_0"
 ])
 def test_bad_input_ends_in_one_error_line(tmp_path, generator, kind, edit, command, code,
                                           message):
-    """A key that names no object, a braiding value that names no morphism, a
-    key or an object given twice, a token that holds '=', a file that is not
-    UTF-8 or begins with a byte-order mark, a short-skew file without swap
-    tables given to braiding-forward (exit 2) and a structure that fails its
-    axioms under certify, construct or roundtrip (exit 1) each end in one
-    error line, never in an internal error."""
+    """A key that names no object, a multimap key that names an undeclared
+    one, a braiding value that names no morphism, a key or an object given
+    twice, a token that holds '=', a file that is not UTF-8 or begins with a
+    byte-order mark, a short-skew file without swap tables given to
+    braiding-forward (exit 2) and a structure that fails its axioms under
+    certify, construct or roundtrip (exit 1) each end in one error line,
+    never in an internal error."""
     path = tmp_path / f"bad.{kind}.txt"
     path.write_text(edit(_catalogue_text(generator, kind)), encoding="utf-8",
                     errors="surrogateescape")

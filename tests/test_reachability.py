@@ -9,8 +9,10 @@ counts because fileformat.VALIDATORS names its validators as strings. A
 reached class reaches its dunder methods, which Python calls for it, and
 only so is a dunder method reached.
 
-The copies of former package code in tests/reference_validators.py only
-shrink too: its line count is pinned as REFERENCE_LINES."""
+What is left of the copies of former package code in
+tests/reference_validators.py, the former inductions and certification
+searches with their helpers, only shrinks too: its line count is pinned as
+REFERENCE_LINES."""
 import ast
 from pathlib import Path
 
@@ -73,7 +75,7 @@ TEST_ONLY_LINES = 617
 
 # The lines of tests/reference_validators.py; a change may lower this, never
 # raise it.
-REFERENCE_LINES = 1496
+REFERENCE_LINES = 880
 
 
 class Def:

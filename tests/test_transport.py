@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-import reference_validators as ref
 from shortcat.braiding import s_from_short_braiding
 from shortcat.catalogue import (
     bz2_category, catalogue_morphisms, catalogue_short_braidings,
@@ -219,25 +218,45 @@ def _image_redirects(F: SkewMultiMorphism):
                     yield dataclasses.replace(F, **{field: {**tables, n: {**table, f: other}}})
 
 
-def test_validation_refuses_whatever_the_transfer_rows_refuse():
-    """The three rows that ks_morphism_inverse once checked before
-    validating are instances of morphism-sub and morphism-j: on every
-    single-entry image redirect of 19 morphisms (the catalogue morphisms
-    between the embeddings of their ends, and the identities of the
-    catalogue short skew multicategories), validation fails wherever the
-    rows fail."""
+def _transfer_rows(F: SkewMultiMorphism):
+    """The instances of the three rows that ks_morphism_inverse once checked
+    before validating, with the family and subjects under which validation
+    checks each, and whether it holds: a nullary map substituted into slot 2
+    of a tight binary one, a tight binary map into slot 1 of one, and j at
+    each base morphism."""
+    src, tgt, image = F.source, F.target, F.safe_apply
+    for g in src.multimaps(TIGHT, 2):
+        dom = src.dom(g)
+        for i, inner in ((2, src.multimaps(LOOSE, 0)), (1, src.multimaps(TIGHT, 2))):
+            for f in (f for f in inner if src.cod(f) == dom[i - 1]):
+                lhs = image(src.safe_subst(g, i, f))
+                rhs = tgt.safe_subst(image(g), i, image(f, LOOSE if i == 2 else TIGHT))
+                yield "morphism-sub", (g, str(i), f), lhs is not None and lhs == rhs
+    for p in src.base.morphisms():
+        lhs = image(src.j.get(p), LOOSE)
+        yield "morphism-j", (p,), lhs is not None and lhs == tgt.j.get(F.functor.mor_map.get(p))
+
+
+def test_validation_fails_each_transfer_row_instance_that_fails():
+    """On every single-entry image redirect of 19 morphisms (the catalogue
+    morphisms between the embeddings of their ends, and the identities of
+    the catalogue short skew multicategories), each failing instance of the
+    three transfer rows is a morphism-sub or morphism-j failure of
+    validation, under the same subjects."""
     morphisms = [embed_multi_morphism(F, F.source.as_skew, F.target.as_skew)
                  for F in catalogue_morphisms().values()]
     morphisms += [identity_skew_morphism(m) for m in catalogue_short_skews().values()]
     tried = refused = 0
     for F in morphisms:
+        assert all(holds for *_, holds in _transfer_rows(F)), F.name
         for G in _image_redirects(F):
             tried += 1
-            try:
-                ref._check_transfer_rows(G)
-            except AxiomTransferFailure:
+            failing = [(family, subjects) for family, subjects, holds in _transfer_rows(G)
+                       if not holds]
+            if failing:
                 refused += 1
-                assert not validate_skew_multi_morphism(G).ok, G.name
+                report = validate_skew_multi_morphism(G)
+                assert all(report.has_failure(*failure) for failure in failing), (G.name, failing)
     assert (len(morphisms), tried, refused) == (19, 4384, 1210)
 
 
