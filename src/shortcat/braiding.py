@@ -1,5 +1,6 @@
-"""Short braidings on short skew multicategories and their transport to and
-from braidings on the constructed skew monoidal category.
+"""Short braidings on short skew multicategories, their transport to
+braidings on the constructed skew monoidal category, and the swap tables a
+braiding on a skew monoidal category induces on its induced structure.
 
 A short braiding is three natural isomorphism families on tight maps:
 swapping slots 2,3 of ternary maps and slots 2,3 / 3,4 of quaternary ones,
@@ -12,11 +13,11 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Optional
 
-from .errors import InconsistentVerdicts, NoSolution
+from .errors import InconsistentVerdicts
 from .fincat import check_tables
 from .report import ValidationReport, tally
-from .shortskew import (LOOSE, TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism,
-                        validate_skew_multi_morphism)
+from .shortskew import (TIGHT, ShortBraiding, ShortSkewMulticategory, SkewMultiMorphism,
+                        map_id, validate_skew_multi_morphism)
 
 if TYPE_CHECKING:
     from .classify import Certificate
@@ -132,24 +133,9 @@ def theta3(m: ShortSkewMulticategory, cert: Certificate,
     return m.safe_subst(cert.theta(cert.obj(a, b), c), 1, cert.theta(a, b))
 
 
-def derive_beta2(m: ShortSkewMulticategory, cert: Certificate,
-                 beta: ShortBraiding) -> dict[str, str]:
-    """The induced swap on loose binary maps: abstract the unit, swap with
-    b32, and substitute the unit back."""
-    from .classify import inverses
-    inv = inverses(cert)
-    out = {}
-    for r in m.multimaps(LOOSE, 2):
-        swapped = beta.b32.get(inv.star[r])
-        img = m.safe_subst(swapped, 1, cert.nullary.via)
-        if img is None:
-            raise NoSolution(f"{beta.name}: unit swap undefined at {r}")
-        out[r] = img
-    return out
-
-
 # --------------------------------------------------------------------------
-# transport: short braiding <-> braiding on the constructed category
+# transport: short braiding -> braiding on the constructed category, and
+# braiding -> swap tables on the induced structure
 # --------------------------------------------------------------------------
 
 def s_from_short_braiding(m: ShortSkewMulticategory, cert: Certificate,
@@ -178,42 +164,33 @@ def s_from_short_braiding(m: ShortSkewMulticategory, cert: Certificate,
     return Braiding(name, s, s_inv)
 
 
-def short_braiding_from_s(m: ShortSkewMulticategory, cert: Certificate,
+def short_braiding_from_s(m: ShortSkewMulticategory, c: SkewMonCategory,
                           s: Braiding, name: Optional[str] = None) -> ShortBraiding:
-    """Rebuild the three swap families from a braiding on the constructed
-    category, through double abstraction against the classifiers."""
-    from .classify import inverses
-    v = cert.view
-    base = v.base
-    inv = inverses(cert)
-    name = name or (s.name + ".beta")
+    """The swap tables that a braiding s on c induces on m =
+    induce_short_skew(c), no certificate needed: a map (a,b,x;d) over phi
+    swaps to the map (a,x,b;d) over phi o s(a,x,b), and one (a,b,x,y;d) over
+    psi to the map (a,x,b,y;d) over psi o (s(a,x,b) (x) 1_y) (b42) and to
+    (a,b,y,x;d) over psi o s(ab,y,x) (b43). The morphism under a map is read
+    off its id by induced_morphism, and the swapped id, map_id(...)#morphism
+    as _induce gives it, is formatted once per (domain, codomain). c and s
+    must pass validation: then each pair composed is composable, and comp,
+    keyed by exactly those pairs, holds it."""
+    from .induce import induced_morphism
+    comp, t, tm_left, ss = c.base.comp, c.t, c.tm_left, s.s
 
-    def dprime(f: str) -> str:
-        return inv.prime[inv.prime[f]]
+    def table(arity: int, slot: int, component) -> dict[str, str]:
+        out = {}
+        for (dom, cod), fs in m.tight.get(arity, {}).items():
+            swapped = _swap(dom, slot)
+            prefix, under = map_id(TIGHT, arity, swapped, cod), component(swapped)
+            for f in fs:
+                out[f] = f"{prefix}#{comp[induced_morphism(f, TIGHT, dom, cod), under]}"
+        return out
 
-    b32 = {}
-    for f in m.multimaps(TIGHT, 3):
-        a, b, c = m.dom(f)
-        carrier = base.compose_opt(dprime(f), s.s[(a, b, c)])
-        img = v.safe_post(carrier, theta3(m, cert, a, c, b))
-        if img is None:
-            raise NoSolution(f"{name}: ternary swap undefined at {f}")
-        b32[f] = img
-    b42 = {}
-    for g in m.multimaps(TIGHT, 4):
-        a, b, c, _ = m.dom(g)
-        img = v.safe_subst(inv.prime[inv.prime[g]], 1, b32.get(theta3(m, cert, a, b, c)))
-        if img is None:
-            raise NoSolution(f"{name}: quaternary swap (slots 2,3) undefined at {g}")
-        b42[g] = img
-    b43 = {}
-    for g in m.multimaps(TIGHT, 4):
-        a, b, _, _ = m.dom(g)
-        img = v.safe_subst(b32.get(inv.prime[g]), 1, cert.theta(a, b))
-        if img is None:
-            raise NoSolution(f"{name}: quaternary swap (slots 3,4) undefined at {g}")
-        b43[g] = img
-    return ShortBraiding(name, b32, b42, b43)
+    return ShortBraiding(name or (s.name + ".beta"),
+                         table(3, 2, lambda d: ss[d]),
+                         table(4, 2, lambda d: tm_left(ss[d[:3]], d[3])),
+                         table(4, 3, lambda d: ss[(t(d[0], d[1]), d[2], d[3])]))
 
 
 def short_braidings_equal(x: ShortBraiding, y: ShortBraiding) -> bool:

@@ -333,8 +333,6 @@ def _line(records: dict, no: int, rawline: str) -> None:
             raise ParseError(no, f"expected 'key = value' in {line!r}")
         head = line[:-2]
     toks = head.split()
-    if not toks:
-        raise ParseError(no, "empty key")
     args, vals = toks[1:], tail.split()
     if line.count("=") > 1:
         for tok in (*args, *vals):
@@ -466,10 +464,10 @@ def _columns(row: Row, block: _Block, declared: frozenset) -> Optional[dict]:
         return None
     elif shape is SLOT:
         f, i, p = args
-        try:
-            table = dict(zip(zip(f, map(int, i), p), vals[0]))
-        except ValueError:
+        digits = "".join(i)
+        if not (digits.isascii() and digits.isdigit()):
             return None
+        table = dict(zip(zip(f, map(int, i), p), vals[0]))
     elif nargs == 1:
         table = dict(zip(args[0], vals[0]))
         if shape is ID and not declared.issuperset(table):
@@ -503,10 +501,9 @@ def _table(row: Row, found: list[Record], declared: frozenset) -> dict:
         else:
             key, value = (args[0] if nargs == 1 else args), _one(no, kw, vals)
             if shape is SLOT:
-                try:
-                    key = (args[0], int(args[1]), args[2])
-                except ValueError:
+                if not (args[1].isascii() and args[1].isdigit()):
                     raise ParseError(no, f"expected a position, got {args[1]!r}")
+                key = (args[0], int(args[1]), args[2])
         if key in first:
             raise ParseError(no, f"repeated key {kw} {' '.join(args)}, "
                                  f"first given at line {first[key]}")

@@ -34,9 +34,9 @@ from .shortskew import (
     validate_skew_multi_morphism,
 )
 from .skewmon import (
-    LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
-    classify_flavour, validate_lax_functor, validate_skew_closed, validate_skew_closed_functor,
-    validate_skew_monoidal,
+    Braiding, LaxMonFunctor, SkewClosedCategory, SkewClosedFunctor, SkewMonCategory,
+    classify_flavour, validate_braided_functor, validate_lax_functor, validate_skew_closed,
+    validate_skew_closed_functor, validate_skew_monoidal,
 )
 
 Structure = Union[ShortMulticategory, ShortSkewMulticategory]
@@ -506,7 +506,8 @@ def skew_closed_equal(x: SkewClosedCategory, y: SkewClosedCategory) -> bool:
 
 def compare_skew_monoidal(x: Union[SkewMonCategory, SkewClosedCategory],
                           rebuilt: Union[SkewMonCategory, SkewClosedCategory],
-                          cert: Certificate, homs: Optional[dict] = None) -> None:
+                          cert: Certificate, homs: Optional[dict] = None
+                          ) -> Union[LaxMonFunctor, SkewClosedFunctor]:
     """Check that rebuilt, built from the structure induced from x (which
     passed validation) with certificate cert and, on the hom side, hom
     objects homs, is isomorphic to x through the comparison functor
@@ -514,28 +515,36 @@ def compare_skew_monoidal(x: Union[SkewMonCategory, SkewClosedCategory],
     morphism under the nullary classifier u, and f2(a,b) the one under
     theta(a,b) or fh(b,c) the one under the evaluation of homs[(b,c)].
     NoIsomorphismFound names the first instance at which that is not a lax
-    monoidal (or skew closed) functor with invertible f0, f2 (or fh)."""
+    monoidal (or skew closed) functor with invertible f0, f2 (or fh);
+    otherwise the comparison is returned."""
     from .induce import induced_morphism
     base, nu = x.base, cert.nullary
     pairs = list(itertools.product(base.objects, repeat=2))
     f0 = induced_morphism(nu.via, LOOSE, (), nu.obj)
     name, fun = rebuilt.name + ".comparison", identity_functor(base)
     if homs is None:
-        label = "f2"
+        label, validator = "f2", validate_lax_functor
         comps = {ab: induced_morphism(cert.theta(*ab), TIGHT, ab, cert.obj(*ab)) for ab in pairs}
-        report = validate_lax_functor(LaxMonFunctor(name, rebuilt, x, fun, f0, comps))
+        t = LaxMonFunctor(name, rebuilt, x, fun, f0, comps)
     else:
-        label = "fh"
+        label, validator = "fh", validate_skew_closed_functor
         comps = {(b, c): induced_morphism(homs[b, c].via, TIGHT, (homs[b, c].obj, b), c)
                  for b, c in pairs}
-        report = validate_skew_closed_functor(SkewClosedFunctor(name, rebuilt, x, fun, f0, comps))
-    if not report.ok:
-        raise NoIsomorphismFound(f"{name}: {report.failures[0].render()}")
+        t = SkewClosedFunctor(name, rebuilt, x, fun, f0, comps)
+    _require(t, validator(t))
     if base.is_iso(f0) is None:
         raise NoIsomorphismFound(f"{name}: f0 = {f0} is not invertible")
     for ab, f in comps.items():
         if base.is_iso(f) is None:
             raise NoIsomorphismFound(f"{name}: {label} ({','.join(ab)}) = {f} is not invertible")
+    return t
+
+
+def _require(t: Union[LaxMonFunctor, SkewClosedFunctor], report: ValidationReport) -> None:
+    """NoIsomorphismFound naming the first failing instance of a comparison's
+    report, if it has one."""
+    if not report.ok:
+        raise NoIsomorphismFound(f"{t.name}: {report.failures[0].render()}")
 
 
 def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> ValidationReport:
@@ -544,7 +553,7 @@ def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> Validation
     passes validation."""
     if not isinstance(x, SkewClosedCategory):
         validate_skew_monoidal(x).require_pass(x.name, "roundtrip")
-        return skew_monoidal_roundtrip(x)[0]
+        return skew_monoidal_roundtrip(x)
     from .induce import induce_closed_skew
     from .shortskew import validate_short_skew
 
@@ -562,13 +571,14 @@ def roundtrip_check(x: Union[SkewMonCategory, SkewClosedCategory]) -> Validation
     return report.finish()
 
 
-def skew_monoidal_roundtrip(x: SkewMonCategory
-                            ) -> tuple[ValidationReport, ShortSkewMulticategory, Certificate]:
-    """The skew monoidal roundtrip of x, which must pass validation: its
-    report, plus the induced short skew multicategory and its certificate,
-    for callers that go on to transport a braiding over the same induction.
-    roundtrip_check validates x first; the CLI validates both halves of a
-    braiding file first."""
+def skew_monoidal_roundtrip(x: SkewMonCategory, s: Optional[Braiding] = None
+                            ) -> ValidationReport:
+    """The skew monoidal roundtrip of x, which must pass validation, and, if
+    s is given, of the braiding s on x, which must pass too: the swap tables
+    s induces on the induced structure are transported forward onto the
+    rebuilt category, where the braiding they give must make the ks
+    comparison a braided functor into (x, s). roundtrip_check validates x
+    first; the CLI validates both halves of a braiding file first."""
     from .induce import induce_short_skew
     from .shortmulti import validate_short_multicategory
     from .shortskew import plain_of, validate_short_skew
@@ -578,8 +588,13 @@ def skew_monoidal_roundtrip(x: SkewMonCategory
     if not validate_short_skew(sk).ok:
         raise MalformedTable(f"{x.name}: induced skew structure fails validation")
     cert = certify(sk)
-    compare_skew_monoidal(x, ks_object(sk, cert), cert)
+    comparison = compare_skew_monoidal(x, ks_object(sk, cert), cert)
     report.count("ks-roundtrip")
+    if s is not None:
+        from .braiding import s_from_short_braiding, short_braiding_from_s
+        back = s_from_short_braiding(sk, cert, short_braiding_from_s(sk, x, s))
+        _require(comparison, validate_braided_functor(comparison, back, s))
+        report.count("braiding-roundtrip")
 
     if classify_flavour(x).left_normal:
         plain = plain_of(sk)
@@ -588,4 +603,4 @@ def skew_monoidal_roundtrip(x: SkewMonCategory
         pcert = certify(plain)
         compare_skew_monoidal(x, k_object(plain, pcert), pcert)
         report.count("k-roundtrip")
-    return report.finish(), sk, cert
+    return report.finish()

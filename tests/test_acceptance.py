@@ -10,7 +10,7 @@ from childenv import child_env
 
 from shortcat.braiding import (
     braidings_equal, check_short_symmetry, s_from_short_braiding,
-    short_braiding_from_s, short_braidings_equal,
+    short_braidings_equal,
     validate_braided_transport_functor,
 )
 from shortcat.catalogue import (
@@ -33,6 +33,7 @@ from shortcat.transport import (
     check_representable_iff_monoidal, k_morphism, k_morphism_inverse, k_object,
     lax_functor_equal, multi_morphism_equal, roundtrip_check, transport_closed,
 )
+from test_braiding import classifier_short_braiding_from_s as short_braiding_from_s
 
 
 def _announce(n: int, summary: str) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from shortcat.braiding import (
     ShortBraiding, braidings_equal, check_short_symmetry, s_from_short_braiding,
-    short_braiding_from_s, short_braidings_equal, validate_short_braiding,
+    short_braidings_equal, validate_short_braiding,
 )
 from shortcat.catalogue import bz2_category
 from shortcat.classify import (
@@ -20,6 +20,7 @@ from shortcat.transport import (
     biclosed_subst_check, check_representable_iff_monoidal, ks_object,
     roundtrip_check, transport_closed,
 )
+from test_braiding import classifier_short_braiding_from_s
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,6 @@ def test_group_braiding_transport(bz2):
     s = s_from_short_braiding(sk, cert, beta)
     assert validate_braiding(mon, s).ok
     assert check_symmetry(mon, s)
-    assert short_braidings_equal(beta, short_braiding_from_s(sk, cert, s))
+    assert short_braidings_equal(beta, classifier_short_braiding_from_s(sk, cert, s))
     assert braidings_equal(s, s_from_short_braiding(
-        sk, cert, short_braiding_from_s(sk, cert, s)))
+        sk, cert, classifier_short_braiding_from_s(sk, cert, s)))

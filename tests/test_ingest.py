@@ -472,11 +472,10 @@ def _repeats(c, k):
 
 
 # "Refusals": what the line a message names must hold, given the parts g
-# of the message. No edit of text reaches the first three.
+# of the message. No edit of text reaches the first two.
 HOLDS = {
     "not UTF-8: byte BYTE": lambda c, g: False,
     "the file begins with a byte-order mark (U+FEFF)": lambda c, g: False,
-    "empty key": lambda c, g: False,
     "expected 'key = value' in 'LINE'":
         lambda c, g: c.record is None and c.line.strip() == g["LINE"],
     "token 'TOKEN' holds '='": lambda c, g: "=" in g["TOKEN"] and g["TOKEN"] in c.args + c.vals,
@@ -712,6 +711,13 @@ REFUSALS = [
     ("sub", "after", "sub {args[0]} x {args[2]} = {v}", "line {n}: expected a position, got 'x'"),
     ("pre", "after", "pre {args[0]} 0{args[1]} {args[2]} = {v}",
      "line {n}: repeated key pre {args[0]} 0{args[1]} {args[2]}, first given at line {at}"),
+    # a position is a run of ASCII digits, though int() reads these three
+    ("pre", "replace", "pre {args[0]} +{args[1]} {args[2]} = {v}",
+     "line {n}: expected a position, got '+{args[1]}'"),
+    ("pre", "after", "pre {args[0]} {args[1]}_0 {args[2]} = {v}",
+     "line {n}: expected a position, got '{args[1]}_0'"),
+    ("sub", "after", "sub {args[0]} \u0663 {args[2]} = {v}",
+     "line {n}: expected a position, got '\u0663'"),
     ("obj", "replace", "obj = {v}", "line {n}: obj expects 1 arguments, got 0"),
     ("obj", "after", "{line}", "line {n}: repeated key obj {args[0]}, first given at line {at}"),
     # the order of two refusals: the lines, then the header, then the
