@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Callable, Hashable, Iterator, Optional
 
 from .errors import MalformedTable
@@ -91,7 +91,9 @@ def table_short_multi(name: str, base: FinCategory,
     """Build a thin short multicategory from an inhabitation predicate.
 
     The predicate must agree with base homs at arity 1 and be closed under
-    the substitution typings, or construction fails loudly.
+    the substitution typings, or construction fails loudly. The structure is
+    made once, keeping the map sets built here, and its pre, post and sub
+    dicts are filled afterwards, as shortskew.build does.
     """
     objs = base.objects
     maps: dict[int, dict] = {n: {} for n in (0, 2, 3, 4)}
@@ -111,23 +113,23 @@ def table_short_multi(name: str, base: FinCategory,
                                  f"{n}{dom};{cod}, found {len(fs)}")
         return fs[0]
 
-    skeleton = ShortMulticategory(name, base, maps, {}, {}, {})
-    pre_keys, post_keys, cases = skeleton.domains
-    pre = {}
-    for (f, i, p) in pre_keys:
-        n, dom, cod = skeleton.info(f)
-        pre[(f, i, p)] = the(n, dom[:i - 1] + (base.dom(p),) + dom[i:], cod)
-    post = {}
-    for (q, f) in post_keys:
-        n, dom, _ = skeleton.info(f)
-        post[(q, f)] = the(n, dom, base.cod(q))
-    sub = {}
+    pre, post, sub = {}, {}, {}
+    m = ShortMulticategory(name, base, maps, pre, post, sub)
+    idx, span = m._index, base._span
+    # not cached on m: a catalogue structure is mostly serialized, not checked
+    pre_keys, post_keys, cases = ShortMulticategory.domains.func(m)
+    for f, i, p in pre_keys:
+        n, dom, cod = idx[f]
+        pre[f, i, p] = the(n, dom[:i - 1] + (span[p][0],) + dom[i:], cod)
+    for q, f in post_keys:
+        n, dom, _ = idx[f]
+        post[q, f] = the(n, dom, span[q][1])
     for case in cases:
-        for (g, i, f) in case[3]:
-            ng, gdom, gcod = skeleton.info(g)
-            nf, fdom, _ = skeleton.info(f)
-            sub[(g, i, f)] = the(ng + nf - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
-    return ShortMulticategory(name, base, maps, pre, post, sub)
+        for g, i, f in case[3]:
+            ng, gdom, gcod = idx[g]
+            nf, fdom, _ = idx[f]
+            sub[g, i, f] = the(ng + nf - 1, gdom[:i - 1] + fdom + gdom[i:], gcod)
+    return m
 
 
 def table_short_skew(name: str, base: FinCategory,
@@ -213,11 +215,13 @@ def thin_inhabited(sm: SkewMonCategory, loose: bool = False
                    ) -> Callable[[int, tuple[str, ...], str], bool]:
     """The multimap predicate of a thin skew monoidal category: dom -> cod is
     inhabited when base.hom(lbr(dom), cod) is nonempty, where lbr brackets
-    to the left, with the unit in front of a loose or an empty domain."""
-    def inhabited(n: int, dom: tuple[str, ...], cod: str) -> bool:
+    to the left, with the unit in front of a loose or an empty domain; each
+    domain is bracketed once."""
+    @cache
+    def lbr(dom: tuple[str, ...]) -> str:
         xs = (sm.unit,) + dom if loose or not dom else dom
-        return bool(sm.base.hom(reduce(sm.t, xs[1:], xs[0]), cod))
-    return inhabited
+        return reduce(sm.t, xs[1:], xs[0])
+    return lambda n, dom, cod: bool(sm.base.hom(lbr(dom), cod))
 
 
 def thin_short_multi(name: str, sm: SkewMonCategory) -> ShortMulticategory:

@@ -98,14 +98,15 @@ def _induce(name: str, base: FinCategory,
     under = {p: (p, TIGHT, (a,)) for p, (a, _) in base._span.items()}
     wrap_of = {(TIGHT, 1, (a,), b, p): p for p, (a, b) in base._span.items()}
 
-    def members(flavour: str, n: int, dom: tuple[str, ...]) -> Iterator[tuple[str, list[str]]]:
+    def members(flavour: str, n: int, dom: tuple[str, ...]) -> Iterator[tuple[str, tuple[str, ...]]]:
         for cod, fs in homs(flavour, dom):
             ws = []
             for f in fs:
                 w = wrap_of[flavour, n, dom, cod, f] = f"{map_id(flavour, n, dom, cod)}#{f}"
                 under[w] = (f, flavour, dom)
                 ws.append(w)
-            yield cod, ws
+            # sorted (one id prefix, a sorted hom-set): the structure keeps it
+            yield cod, tuple(ws)
 
     def pick(table: str, key: Hashable, ty: tuple) -> Optional[str]:
         return wrap_of.get(ty + (formula(table, key, ty, under),))

@@ -62,8 +62,10 @@ class MultiTables:
 
     # -- the table loader -----------------------------------------------------
     def _load(self, tables: Iterable[tuple[tuple, dict]]) -> dict[tuple, dict]:
-        """Load the (head, table) pairs and write `_index`: every multimap set
-        sorted, and a stored copy of the base hom-sets, at _BASE_HEAD, the
+        """Load the (head, table) pairs and write `_index`: each table a new
+        dict that keeps the caller's key if its domain is a tuple and the
+        caller's multimap set if it is a sorted tuple, else a sorted tuple
+        copy, and a stored copy of the base hom-sets, at _BASE_HEAD, the
         base's own. An id's type is (arity, domain, codomain), followed in a
         skew structure by the frozenset of the flavours whose tables list
         it, and the ids of one table key share one type tuple. An id listed
@@ -83,10 +85,15 @@ class MultiTables:
                             f"{name}: arity-1 table disagrees with base homs at {dom[0]},{cod}")
                 continue
             n, flavour, out = head[-1], frozenset(head[:-1]), loaded.setdefault(head, {})
-            for (dom, cod), fs in table.items():
-                dom = tuple(dom)
-                out[dom, cod] = tuple(sorted(fs))
-                ty, joined = (n, dom, cod), {}
+            for key, fs in table.items():
+                dom, cod = key
+                if type(dom) is not tuple:
+                    dom = tuple(dom)
+                    key = dom, cod
+                if type(fs) is not tuple or len(fs) > 1 and fs != tuple(sorted(fs)):
+                    fs = tuple(sorted(fs))
+                out[key] = fs
+                ty, joined = (n, dom, cod), None
                 first = ty + (flavour,) if skew else ty
                 for f in fs:
                     have = index.get(f)
@@ -98,6 +105,7 @@ class MultiTables:
                         label = "".join(map(str, head)) + " " if skew else ""
                         raise MalformedTable(f"{name}: {label}multimap id {f} declared twice")
                     else:
+                        joined = joined or {}
                         index[f] = joined.setdefault(have[3], ty + (have[3] | flavour,))
         object.__setattr__(self, "_index", index)
         return loaded

@@ -17,6 +17,7 @@ from shortcat.catalogue import (
 )
 from shortcat.errors import MalformedTable
 from shortcat.induce import _Bracketer, induce_closed_skew, induce_short_multi, induce_short_skew
+from shortcat.shortmulti import ShortMulticategory
 from shortcat.shortskew import ShortSkewMulticategory, build, embed_plain, plain_of
 from shortcat.skewmon import classify_flavour
 from test_kernel import _cyclic_of
@@ -85,21 +86,27 @@ def test_build_asks_members_once_per_domain(monkeypatch):
 
 
 def test_each_build_constructs_its_structure_once(monkeypatch):
-    """build fills the j, pre, post and sub dicts of the structure it has
-    already made, so __post_init__, which loads and sorts every table and
-    indexes every id, runs once per built structure."""
+    """build, and the thin plain builder table_short_multi, fill the pre,
+    post and sub dicts (and j) of the structure they have already made, so
+    __post_init__, which loads every table and indexes every id, runs once
+    per built structure."""
     built = []
-    post_init = ShortSkewMulticategory.__post_init__
 
-    def counted(self):
-        built.append(self.name)
-        post_init(self)
+    def counting(cls):
+        post_init = cls.__post_init__
 
-    monkeypatch.setattr(ShortSkewMulticategory, "__post_init__", counted)
+        def counted(self):
+            built.append(self.name)
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    counting(ShortSkewMulticategory)
+    counting(ShortMulticategory)
     thin = catalogue.poset2_first_short_skew()
     tensor = induce_short_skew(catalogue_skew_monoidals()["poset2-first"])
     closed = induce_closed_skew(catalogue_skew_closed()["heyting2.cl"])
-    assert built == [thin.name, tensor.name, closed.name]
+    plain = catalogue.thin_short_multi("heyting2", catalogue_skew_monoidals()["heyting2.mon"])
+    assert built == [thin.name, tensor.name, closed.name, plain.name]
 
 
 def test_a_tight_unary_result_with_the_wrong_span_is_refused():

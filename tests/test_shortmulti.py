@@ -1,11 +1,12 @@
 import dataclasses
 
 from shortcat.catalogue import (
-    catalogue_morphisms, catalogue_short_multis, terminal_short_multi,
+    catalogue_morphisms, catalogue_short_multis, discrete_base, terminal_short_multi,
 )
 from shortcat.shortmulti import (
-    validate_multi_morphism, validate_short_multicategory,
+    ShortMulticategory, validate_multi_morphism, validate_short_multicategory,
 )
+from shortcat.shortskew import LOOSE, TIGHT, ShortSkewMulticategory
 
 
 def test_unary_identity_substitution_is_identity_action():
@@ -84,3 +85,26 @@ def test_catalogue_morphisms_validate():
     for name, F in ms.items():
         r = validate_multi_morphism(F)
         assert r.ok, f"{name}: {r.failures[:3]}"
+
+
+def test_load_keeps_canonical_tables_and_sorts_the_rest():
+    """Each structure gets a new dict per table. It keeps the caller's
+    domain and map-set tuples when they are canonical, and copies a list or
+    an unsorted tuple of maps, or a domain that is no tuple (a list cannot
+    key a dict; a string can), into the sorted table it always stored."""
+    base, dom, fs = discrete_base("d1", ["o"]), ("o", "o"), ("a", "b")
+    canonical = {(dom, "o"): fs}
+    m = ShortMulticategory("d1m", base, {2: canonical}, {}, {}, {})
+    assert m.maps[2] == canonical and m.maps[2] is not canonical
+    (key, kept), = m.maps[2].items()
+    assert key[0] is dom and kept is fs
+    assert m.info("a") is m.info("b") == (2, dom, "o")
+    for table in ({(dom, "o"): ["b", "a"]}, {(dom, "o"): ("b", "a")}, {("oo", "o"): ["a", "b"]}):
+        m = ShortMulticategory("d1m", base, {2: table}, {}, {}, {})
+        assert m.maps == {2: {(dom, "o"): fs}}
+        assert m.info("a") is m.info("b") == (2, dom, "o")
+    both = ShortSkewMulticategory("d1s", base, {2: canonical}, {2: {(dom, "o"): ["b", "a"]}},
+                                  {}, {}, {}, {})
+    assert both.tight[2][dom, "o"] is fs and both.loose[2][dom, "o"] == fs
+    assert both.info("a") is both.info("b") == (2, dom, "o", frozenset({TIGHT, LOOSE}))
+
