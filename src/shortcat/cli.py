@@ -172,12 +172,21 @@ def render_certificate(cert: Certificate, witnesses: bool = True) -> str:
         owners = [("nullary", cert.nullary)]
         owners += [(f"binary({a},{b})", cert.binary[a, b]) for a, b in sorted(cert.binary)]
         owners += [(f"hom({b},{c})", cert.homs[b, c]) for b, c in sorted(cert.homs or {})]
+        # each key is shown once per certificate, and each key set put in
+        # the order of its shown forms once: most owners share their keys
+        shown: dict = {}
+        order: dict[frozenset, list] = {}
         for owner, held in owners:
-            # keys in the order of their shown form, each shown once
             table = {} if held is None else held.witness
-            for shown, key in sorted((str(k), k) for k in table):
+            keys = frozenset(table)
+            ranked = order.get(keys)
+            if ranked is None:
+                for k in keys - shown.keys():
+                    shown[k] = str(k)
+                ranked = order[keys] = sorted((shown[k], k) for k in keys)
+            for text, key in ranked:
                 pairs = table[key]
-                lines.append(f"witness {owner} {shown} = "
+                lines.append(f"witness {owner} {text} = "
                              + " ".join([f"{v}:{pairs[v]}" for v in sorted(pairs)]))
     return "\n".join(lines) + "\n"
 

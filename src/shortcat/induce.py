@@ -24,6 +24,16 @@ from .shortskew import LOOSE, TIGHT, ShortSkewMulticategory, build, map_id, plai
 from .skewmon import SkewClosedCategory, SkewMonCategory
 
 
+def _entry(c, table: str, key):
+    """The entry of c's structure-map table at key; MalformedTable naming c
+    and the key where the table has none."""
+    try:
+        return getattr(c, table)[key]
+    except KeyError:
+        shown = f"({','.join(key)})" if isinstance(key, tuple) else key
+        raise MalformedTable(f"{c.name}: {table} undefined at {shown}") from None
+
+
 class _Bracketer:
     """Left-bracketed tensor calculus over a skew monoidal category.
 
@@ -64,8 +74,9 @@ class _Bracketer:
             if len(objs) == 1:
                 out = self.base.identity(self.c.t(x, objs[0]))
             else:
-                step = self.tm((self.kappa(x, objs[:-1]), self.base.identity(objs[-1])))
-                out = self.base.compose(self.c.alpha[(x, self.lbr(objs[:-1]), objs[-1])], step)
+                step = self.lbr_mor([self.kappa(x, objs[:-1]), self.base.identity(objs[-1])])
+                out = self.base.compose(_entry(self.c, "alpha", (x, self.lbr(objs[:-1]), objs[-1])),
+                                        step)
             self._kappa[(x, objs)] = out
         return out
 
@@ -78,10 +89,10 @@ class _Bracketer:
         x = self.lbr(prefix)
         if not loose_inner:
             k = self.kappa(x, fdom)
-            return base.compose(self.tm((base.identity(x), fm)), k)
-        ins = self.lbr_mor([c.rho[x]] + [base.identity(o) for o in fdom])
+            return base.compose(self.lbr_mor([base.identity(x), fm]), k)
+        ins = self.lbr_mor([_entry(c, "rho", x)] + [base.identity(o) for o in fdom])
         k = self.kappa(x, (c.unit,) + fdom)
-        return base.compose(self.tm((base.identity(x), fm)), base.compose(k, ins))
+        return base.compose(self.lbr_mor([base.identity(x), fm]), base.compose(k, ins))
 
 
 def _induce(name: str, base: FinCategory,
@@ -125,31 +136,69 @@ def induced_morphism(w: str, flavour: str, dom: tuple[str, ...], cod: str) -> st
 def induce_short_skew(c: SkewMonCategory, name: Optional[str] = None) -> ShortSkewMulticategory:
     """The short skew multicategory of a skew monoidal category: tight maps
     out of left-bracketed products, loose maps with a leading unit factor,
-    j given by the left unit map."""
+    j given by the left unit map.
+
+    Each entry is first computed straight from the tables, a missing entry
+    reading as None; an entry with a None anywhere is computed again by
+    _Bracketer and base.compose, which raise naming what is missing. Both
+    routes read the same entries, so they agree wherever the first is not
+    None."""
     br = _Bracketer(c)
     base = c.base
     compose, identity, tm = base.compose, base.identity, br.tm
+    iget, cget, sget = base.ids.get, base.comp.get, base._span.get
+    lam, rho = c.lam.get, c.rho.get
     front = {TIGHT: (), LOOSE: (c.unit,)}  # loose maps carry a leading unit factor
+
+    def fold(out: Optional[str], objs: tuple[str, ...]) -> Optional[str]:
+        """out tensored on the right with the identity of each of objs in turn."""
+        for o in objs:
+            out = tm((out, iget(o)))
+        return out
+
+    def after(g: Optional[str], f: Optional[str]) -> Optional[str]:
+        """g after f where base.compose would give it, else None."""
+        h, sf, sg = cget((g, f)), sget(f), sget(g)
+        return h if sf and sg and sf[1] == sg[0] else None
 
     def formula(table: str, key: Hashable, ty: tuple, under: dict) -> str:
         flavour, _, dom, _ = ty
         if table == "j":
-            lam_slot = br.lbr_mor([c.lam[dom[0]]] + [identity(o) for o in dom[1:]])
+            h = after(under[key][0], fold(lam(dom[0]), dom[1:]))
+            if h is not None:
+                return h
+            lam_slot = br.lbr_mor([_entry(c, "lam", dom[0])] + [identity(o) for o in dom[1:]])
             return compose(under[key][0], lam_slot)
         if table == "pre":
             f, i, p = key
             lead = front[flavour]
-            return compose(under[f][0], br.slot_mor(lead + dom, len(lead) + i, p))
+            objs, k = lead + dom, len(lead) + i - 1
+            if iget(objs[k]) is not None:  # slot_mor reads it, then overwrites it with p
+                slot = p if k == 0 else tm((fold(iget(objs[0]), objs[1:k]), p))
+                h = after(under[f][0], fold(slot, objs[k + 1:]))
+                if h is not None:
+                    return h
+            return compose(under[f][0], br.slot_mor(objs, k + 1, p))
         if table == "post":
             q, f = key
             return compose(q, under[f][0])
         g, i, f = key
         (gm, x, gdom), (fm, y, fdom) = under[g], under[f]
         prefix = front[x] + gdom[:i - 1]
+        ext = fm
+        if prefix:  # gamma
+            xo = br.lbr(prefix)
+            if y == TIGHT:
+                ext = after(tm((iget(xo), fm)), br.kappa(xo, fdom))
+            elif (ins := fold(rho(xo), fdom)) is None:
+                ext = None
+            else:
+                ext = after(tm((iget(xo), fm)), after(br.kappa(xo, (c.unit,) + fdom), ins))
+        h = after(gm, fold(ext, gdom[i:]))
+        if h is not None:
+            return h
         ext = br.gamma(prefix, fm, fdom, y == LOOSE, gdom[i - 1]) if prefix else fm
-        for sobj in gdom[i:]:
-            ext = tm((ext, identity(sobj)))
-        return compose(gm, ext)
+        return compose(gm, br.lbr_mor([ext] + [identity(o) for o in gdom[i:]]))
 
     def homs(flavour: str, dom: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
         source = br.lbr(front[flavour] + dom)
@@ -204,11 +253,11 @@ class _Currier:
         cur_in, cur_tail = b, tail
         acc = base.identity(c.h(b, tail))
         for o in reversed(layers):
-            acc = base.compose(c.ell[(o, cur_in, cur_tail)], acc)
+            acc = base.compose(_entry(c, "ell", (o, cur_in, cur_tail)), acc)
             cur_in, cur_tail = c.h(o, cur_in), c.h(o, cur_tail)
         acc = base.compose(self.hm((fm, base.identity(cur_tail))), acc)
         if loose_inner:
-            acc = base.compose(c.iu[cur_tail], acc)
+            acc = base.compose(_entry(c, "iu", cur_tail), acc)
         return acc
 
 
@@ -228,7 +277,7 @@ def induce_closed_skew(x: SkewClosedCategory, name: Optional[str] = None) -> Sho
     def formula(table: str, key: Hashable, ty: tuple, under: dict) -> str:
         flavour, _, dom, cod = ty
         if table == "j":
-            return compose(hm((identity(dom[0]), under[key][0])), c.ju[dom[0]])
+            return compose(hm((identity(dom[0]), under[key][0])), _entry(c, "ju", dom[0]))
         if table == "pre":
             f, i, p = key
             if flavour == TIGHT and i == 1:

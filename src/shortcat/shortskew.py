@@ -312,7 +312,8 @@ def validate_short_skew(m: ShortSkewMulticategory) -> ValidationReport:
 
 def embed_plain(m: ShortMulticategory) -> ShortSkewMulticategory:
     """View a short multicategory as a short skew multicategory where every
-    multimap is both tight and loose and j is the identity."""
+    multimap is both tight and loose and j is the identity. Both structures
+    are frozen, so the view shares m's pre, post and sub dicts."""
     tight = {n: dict(m.maps.get(n, {})) for n in (2, 3, 4)}
     loose = {
         0: dict(m.maps.get(0, {})),
@@ -323,7 +324,7 @@ def embed_plain(m: ShortMulticategory) -> ShortSkewMulticategory:
     j.update({f: f for f in m.multimaps(2)})
     return ShortSkewMulticategory(
         name=f"{m.name}.skew", base=m.base, tight=tight, loose=loose, j=j,
-        pre=dict(m.pre), post=dict(m.post), sub=dict(m.sub))
+        pre=m.pre, post=m.post, sub=m.sub)
 
 
 def plain_of(sk: ShortSkewMulticategory) -> ShortMulticategory:

@@ -513,3 +513,42 @@ def test_certificates_with_several_candidates_are_pinned():
     assert [len(isos) for isos in outcomes[2::3] if isos] == [2, 2, 5]
     assert hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest() == \
         "679e4e894e551b6698eda2b166c2318904a83591f9d4003e9adced53bfb92475"
+
+
+def _former_witness_lines(cert) -> list[str]:
+    """The witness lines as render_certificate wrote them when it showed and
+    sorted the keys of each owner afresh."""
+    owners = [("nullary", cert.nullary)]
+    owners += [(f"binary({a},{b})", cert.binary[a, b]) for a, b in sorted(cert.binary)]
+    owners += [(f"hom({b},{c})", cert.homs[b, c]) for b, c in sorted(cert.homs or {})]
+    lines = []
+    for owner, held in owners:
+        table = {} if held is None else held.witness
+        for shown, key in sorted((str(k), k) for k in table):
+            pairs = table[key]
+            lines.append(f"witness {owner} {shown} = "
+                         + " ".join([f"{v}:{pairs[v]}" for v in sorted(pairs)]))
+    return lines
+
+
+def test_render_certificate_matches_the_former_witness_loop():
+    """render_certificate, which shows each key once per certificate and
+    sorts each distinct key set once, writes the witness lines the former
+    per-owner loop wrote, after the lines it writes without witnesses; on
+    every catalogue short structure and Z/2-Z/4, among them poset2-second
+    with its `= none` lines, and certificates with hom owners."""
+    structures = [*catalogue_short_multis().items(), *catalogue_short_skews().items()]
+    structures += [item for n in (2, 3, 4) for item in _cyclic(n)]
+    shapes = set()
+    for name, m in structures:
+        cert = certify(m)
+        find_closed_structure(m, cert)
+        if cert.left_representable:
+            derived_classifiers(m, cert)
+        if isinstance(m, ShortMulticategory) and cert.weakly_representable:
+            check_representable(m, cert)
+        bare = cli.render_certificate(cert, witnesses=False)
+        lines = _former_witness_lines(cert)
+        assert cli.render_certificate(cert) == bare + "".join(line + "\n" for line in lines), name
+        shapes.update(word for word in ("= none", "witness hom(") if word in bare + "".join(lines))
+    assert len(structures) == 19 and shapes == {"= none", "witness hom("}

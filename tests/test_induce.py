@@ -130,16 +130,29 @@ def _without(table: dict, key) -> dict:
     return {k: v for k, v in table.items() if k != key}
 
 
+def _shown(key) -> str:
+    return f"({','.join(key)})" if isinstance(key, tuple) else key
+
+
 def test_induce_errors_name_the_structure_and_operands():
-    """A tensor of morphisms or a hom action that the tables leave undefined
-    is a MalformedTable naming the structure and the operands. A missing
-    comp or identity entry raises what base.compose and base.identity raise.
-    Every command validates first, so only the API reaches these."""
+    """A tensor of morphisms or a hom action that the tables leave undefined,
+    and a missing alpha, lam, rho, iu, ju or ell entry, is a MalformedTable
+    naming the structure and the operands. A missing comp or identity entry
+    raises what base.compose and base.identity raise. Every command
+    validates first, so only the API reaches these."""
     mon = catalogue_skew_monoidals()["z2.mon"]
     for f, g in mon.tensor_mor:
         with pytest.raises(MalformedTable,
                            match=rf"^z2\.mon: tensor of morphisms \({f},{g}\) undefined$"):
             induce_short_skew(dataclasses.replace(mon, tensor_mor=_without(mon.tensor_mor, (f, g))))
+    for induce, c, tables in ((induce_short_skew, mon, ("alpha", "lam", "rho")),
+                              (induce_closed_skew, catalogue_skew_closed()["heyting2.cl"],
+                               ("iu", "ju", "ell"))):
+        for table in tables:
+            for key in getattr(c, table):
+                with pytest.raises(MalformedTable, match=re.escape(
+                        f"{c.name}: {table} undefined at {_shown(key)}") + "$"):
+                    induce(dataclasses.replace(c, **{table: _without(getattr(c, table), key)}))
     with pytest.raises(MalformedTable, match=r"^z2\.mon: empty left-bracketed product$"):
         _Bracketer(mon).lbr(())
     closed = catalogue_skew_closed()["heyting2.cl"]
@@ -156,6 +169,50 @@ def test_induce_errors_name_the_structure_and_operands():
         with pytest.raises(MalformedTable, match=f"{name}: no identity for object 0"):
             induce(dataclasses.replace(c, base=dataclasses.replace(
                 c.base, ids=_without(c.base.ids, "0"))))
+
+
+def test_each_formula_hands_a_missed_entry_to_the_checked_route(monkeypatch):
+    """An entry that misses a table read is computed again by _Bracketer and
+    base.compose, which raise naming what is missing: at j (z2.mon without a
+    tensor entry), at pre (poset2-second without a tensor entry of le that j
+    never reads) and at sub with a tight inner map (alpha redirected, so a
+    composite is undefined) and with a loose one (rho missing). The j and pre
+    entries come first, and every entry before the failing one is computed
+    from the tables without a call to the checked route."""
+    calls, depth = [], []
+
+    def spy(method):
+        plain = getattr(_Bracketer, method)
+
+        def spied(self, *args):
+            if not depth:  # the outermost call only: slot_mor, gamma and kappa call lbr_mor
+                # gamma(prefix, fm, fdom, loose_inner, target)
+                calls.append((method, args[3]) if method == "gamma" else method)
+            depth.append(method)
+            try:
+                return plain(self, *args)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(_Bracketer, method, spied)
+
+    for method in ("lbr_mor", "slot_mor", "gamma", "kappa"):
+        spy(method)
+    mon = catalogue_skew_monoidals()["z2.mon"]
+    second = catalogue_skew_monoidals()["poset2-second"]
+    for c, message, route in (
+            (dataclasses.replace(mon, tensor_mor=_without(mon.tensor_mor, ("1_0", "1_0"))),
+             "z2.mon: tensor of morphisms (1_0,1_0) undefined", "lbr_mor"),
+            (dataclasses.replace(second, tensor_mor=_without(second.tensor_mor, ("1_0", "le"))),
+             "poset2-second: tensor of morphisms (1_0,le) undefined", "slot_mor"),
+            (dataclasses.replace(second, alpha={**second.alpha, ("0", "0", "0"): "le"}),
+             "poset2-second: 1_0 o le is not composable", ("gamma", False)),
+            (dataclasses.replace(second, rho=_without(second.rho, "0")),
+             "poset2-second: rho undefined at 0", ("gamma", True))):
+        calls.clear()
+        with pytest.raises(MalformedTable, match=re.escape(message) + "$"):
+            induce_short_skew(c)
+        # the sub entries' kappa is shared by both routes and memoized
+        assert [call for call in calls if call != "kappa"] == [route], message
 
 
 def test_plain_induction_matches_reference():

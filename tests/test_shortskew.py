@@ -120,6 +120,18 @@ def test_plain_as_skew_shares_the_lookups():
     assert len(structures) == 9
 
 
+def test_embed_plain_shares_the_tables():
+    """Both structures are frozen, so embed_plain hands the plain structure's
+    pre, post and sub dicts to the view instead of copying them."""
+    structures = list(catalogue_short_multis().items())
+    structures += [(name, m) for n in (2, 3, 4) for name, m in _cyclic(n)
+                   if isinstance(m, ShortMulticategory)]
+    for name, m in structures:
+        view = embed_plain(m)
+        assert view.pre is m.pre and view.post is m.post and view.sub is m.sub, name
+    assert len(structures) == 9
+
+
 def test_landing_table_agrees_with_sub_flavour():
     """_LANDING, which the structure check and build read, gives for each
     type pair of _CASE_OF and each slot of its outer map the flavour that
